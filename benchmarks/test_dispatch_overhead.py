@@ -26,6 +26,7 @@ import numpy as np
 import repro
 from repro import framework as fw
 from repro.benchmarks_util import scaled
+from repro.runtime import BoundPlan, compile_plan
 
 TABLE = "Dispatch overhead (tiny matmul, per-call)"
 CALLS = scaled(4000, 400)
@@ -165,10 +166,12 @@ def test_fused_chain_beats_unfused_chain(results):
     a tiny tensor is pure per-step dispatch overhead, and the fuser
     collapses it into ONE generated composite kernel.
 
-    Two traces of the same function — ``fuse=True`` (default) and
-    ``fuse=False`` (the A/B knob) — run through the same bound-plan
-    fast path; the only difference is 1 step vs 10.  The gate: fusion
-    buys >= 1.3x on this chain.  Rows land in ``BENCH_ci.json``.
+    One trace, two plans of its optimized graph — the function's own
+    (fused) bound plan and an unfused twin the benchmark compiles with
+    ``compile_plan(..., fuse=False)`` and binds to the same feeds — run
+    through the same ``execute_flat`` fast path; the only difference is
+    1 step vs 10.  The gate: fusion buys >= 1.3x on this chain.  Rows
+    land in ``BENCH_ci.json``.
     """
     MIN_FUSION_SPEEDUP = 1.3
 
@@ -186,31 +189,30 @@ def test_fused_chain_beats_unfused_chain(results):
         h = ops.exp(h)                 # 9
         return ops.multiply(h, 0.1)    # 10
 
-    fused = repro.function(chain, name="dispatch_chain_fused")
-    unfused = repro.function(chain, name="dispatch_chain_unfused",
-                             fuse=False)
-
     x = np.linspace(-1.0, 1.0, 16, dtype=np.float32)
-    cf_fused = fused.get_concrete_function(x)
-    cf_unfused = unfused.get_concrete_function(x)
+    cf = repro.function(chain, name="dispatch_chain").get_concrete_function(x)
+    fused = cf._bound
+    unfused = BoundPlan(
+        compile_plan(cf.optimized_graph, cf._run_fetches,
+                     cf._runtime_feeds, fuse=False),
+        cf._runtime_feeds)
 
-    # The fused trace really is one composite step; the unfused, ten.
-    stats = cf_fused.engine_stats()["bound_plan"]
+    # The fused plan really is one composite step; the unfused, ten.
+    stats = fused.describe()
     assert stats["steps"] == 1 and stats["fused_steps"] == 1
-    assert cf_unfused.engine_stats()["bound_plan"]["steps"] == 10
+    assert unfused.describe()["steps"] == 10
 
     args = [x]
-    out_fused = cf_fused.call_flat(args)
-    out_unfused = cf_unfused.call_flat(args)
-    np.testing.assert_array_equal(out_fused.numpy(), out_unfused.numpy())
+    np.testing.assert_array_equal(
+        fused.execute_flat(args)[0], unfused.execute_flat(args)[0])
 
     def run_fused(n):
-        call = cf_fused.call_flat
+        call = fused.execute_flat
         for _ in range(n):
             call(args)
 
     def run_unfused(n):
-        call = cf_unfused.call_flat
+        call = unfused.execute_flat
         for _ in range(n):
             call(args)
 

@@ -7,8 +7,6 @@ lazy evaluation of the message.
 
 from __future__ import annotations
 
-import ast
-
 from ..pyct import templates, transformer
 
 __all__ = ["transform"]

@@ -17,7 +17,6 @@ from __future__ import annotations
 from repro.framework import ops
 from repro.framework.errors import StagingError
 from repro.framework.graph.graph import Tensor as SymbolicTensor
-from repro.framework.graph.tensor_array import TensorArray
 
 from repro.framework.registry import _REGISTRY, OpDef
 from repro.framework import dtypes as fw_dtypes

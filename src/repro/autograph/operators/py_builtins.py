@@ -15,8 +15,6 @@ from repro.framework.eager.tensor import EagerTensor
 from repro.framework.graph.graph import Tensor as SymbolicTensor
 from repro.framework.graph.tensor_array import TensorArray
 
-from . import dispatch
-
 __all__ = ["overload_of", "print_", "len_", "range_", "int_", "float_", "abs_"]
 
 

@@ -7,7 +7,6 @@ Appendix B's error rewriting relies on), and executes it as a module.
 
 from __future__ import annotations
 
-import ast
 import atexit
 import importlib.util
 import os

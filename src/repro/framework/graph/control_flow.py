@@ -17,7 +17,7 @@ import numpy as np
 from .. import nest
 from ..errors import StagingError
 from ..registry import register_op
-from .func_graph import FuncGraph, execute_func_graph, trace_into_func_graph
+from .func_graph import execute_func_graph, trace_into_func_graph
 from .graph import Tensor
 
 __all__ = ["cond", "while_loop"]
@@ -88,7 +88,7 @@ _COND_DEFS = {1: None}
 
 def _get_cond_def(n_outputs):
     """Cond op with ``n_outputs`` outputs (registered lazily per arity)."""
-    from ..registry import _REGISTRY, OpDef, get_op_def
+    from ..registry import _REGISTRY, OpDef
 
     if n_outputs == 1:
         return "Cond"
@@ -165,7 +165,13 @@ def cond(pred, true_fn, false_fn, name="cond"):
             "true_graph": tg,
             "false_graph": fg,
             "n_true": len(tg.captures),
-            "_dtype_override": [t.dtype for t in t_flat],
+            # Whichever branch runs decides what comes out, so an output
+            # that is opaque (variant: a TensorArray, an undefined-return
+            # marker) on either side can only be declared variant — the
+            # engine coerces values fed to a typed placeholder.
+            "_dtype_override": [
+                ft.dtype if ft.dtype.name == "variant" else tt.dtype
+                for tt, ft in zip(t_flat, f_flat)],
             "_shape_override": shapes,
         },
         name=name,
@@ -283,6 +289,21 @@ def while_loop(cond_fn, body_fn, loop_vars, maximum_iterations=None,
             )
     bg.flat_outputs = body_flat
 
+    # A loop variable keeps its entry shape only if the body preserves
+    # it.  Otherwise no turn after the first may assume that shape, so
+    # the placeholders standing for the variable stop declaring it (the
+    # engine checks fed values against declared shapes) and so does the
+    # op's output.
+    var_shapes = []
+    for i, (init_t, out_t) in enumerate(zip(expanded_init, body_flat)):
+        shape = init_t.shape
+        if shape != out_t.shape:
+            shape = type(shape)(None)
+            for ph in (cg.inputs[i], bg.inputs[i]):
+                ph._shape = shape
+                ph.op.attrs["_shape_override"] = [shape]  # what export saves
+        var_shapes.append(shape)
+
     inputs = list(expanded_init) + cg.captures + bg.captures
     op = graph.create_op(
         _get_while_def(n_vars),
@@ -294,10 +315,7 @@ def while_loop(cond_fn, body_fn, loop_vars, maximum_iterations=None,
             "n_cond_caps": len(cg.captures),
             "maximum_iterations": maximum_iterations,
             "_dtype_override": [t.dtype for t in expanded_init],
-            "_shape_override": [
-                init_t.shape if init_t.shape == out_t.shape else type(init_t.shape)(None)
-                for init_t, out_t in zip(expanded_init, body_flat)
-            ],
+            "_shape_override": var_shapes,
         },
         name=name,
     )

@@ -14,19 +14,24 @@ source identity, whose runtime values are resolved fresh on every call.
 This is what makes a weight-carrying closure mutable without retracing:
 the weights are runtime inputs of the compiled plan, not baked ``Const``
 nodes.
+
+Sub-graphs run on :mod:`repro.runtime` like every other graph:
+:func:`execute_func_graph` compiles a ``FuncGraph`` once with
+``compile_plan`` (fetches = flat outputs + the stateful ops they do not
+reach, feeds = declared inputs + capture placeholders) and every branch
+run / loop turn is one ``BoundPlan.execute_flat``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .. import context, dtypes
+from ...runtime import BoundPlan, compile_plan
 from ..errors import GraphError
-from ..shapes import unknown
 from .graph import Graph, Tensor
 
 __all__ = ["ExternalCapture", "FuncGraph", "trace_into_func_graph",
-           "execute_func_graph"]
+           "side_effect_fetches", "execute_func_graph"]
 
 
 class ExternalCapture:
@@ -102,9 +107,9 @@ class FuncGraph(Graph):
         # Structured outputs (the traced function's return value, with
         # placeholders substituted), kept for structure checks.
         self.structured_outputs = None
-        # Compiled plan cache (set by execute_func_graph).
+        # ``(BoundPlan, n_outputs)``, published by ``execute_func_graph``
+        # on the first run; stale once ``version`` passes the plan's.
         self._plan = None
-        self._plan_version = -1
 
     def add_input(self, dtype, shape=None, name="arg"):
         ph = self.placeholder(dtype, shape=shape, name=name)
@@ -212,55 +217,50 @@ def trace_into_func_graph(fn, arg_specs, name, outer_graph):
     return fg
 
 
-def _compile_plan(fg):
-    """Compile ``fg`` into a flat executable plan.
+def side_effect_fetches(graph, outputs):
+    """One tensor per *stateful* op of ``graph`` that ``outputs`` do not
+    already reach.
 
-    The plan is pruned to the ops the declared outputs need, plus all
-    *stateful* ops — so dead code built during tracing (e.g. unused
-    gradient branches) costs nothing, while side effects inside loop
-    bodies — staged ``print``, asserts, variable assigns — still run
-    every iteration without explicit control dependencies.
+    Fetching these next to ``outputs`` is what lets plan compilation
+    prune dead code built during tracing (e.g. unused gradient branches)
+    while side effects — staged ``print``, asserts, variable assigns —
+    still run on every call / loop turn without explicit control
+    dependencies.
     """
-    import functools
-
-    index = {op: i for i, op in enumerate(fg.ops)}
-
-    # Reverse reachability from outputs and stateful roots.
-    needed = set()
-    stack = [t.op for t in fg.flat_outputs]
-    stack.extend(op for op in fg.ops if op.op_def.stateful)
+    reached = set()
+    stack = [t.op for t in outputs]
     while stack:
         op = stack.pop()
-        if id(op) in needed:
+        if op in reached:
             continue
-        needed.add(id(op))
-        for t in op.inputs:
-            if id(t.op) not in needed:
-                stack.append(t.op)
-        for c in op.control_inputs:
-            if id(c) not in needed:
-                stack.append(c)
+        reached.add(op)
+        stack.extend(t.op for t in op.inputs)
+        stack.extend(op.control_inputs)
+    return [op.outputs[0] for op in graph.ops
+            if op.op_def.stateful and op.outputs and op not in reached]
 
-    steps = []
-    for op in fg.ops:  # fg.ops is already in creation (topological) order
-        if op.type == "Placeholder":
-            steps.append(None)
-            continue
-        if id(op) not in needed:
-            steps.append(False)  # pruned: skipped by the executor
-            continue
-        locators = tuple((index[t.op], t.value_index) for t in op.inputs)
-        runtime_attrs = {k: v for k, v in op.attrs.items() if not k.startswith("_")}
-        kernel = op.op_def.kernel
-        if runtime_attrs:
-            # Pre-bind attrs so the execution loop is a plain call.
-            kernel = functools.partial(kernel, **runtime_attrs)
-        steps.append((kernel, locators, op.op_def.num_outputs == 1))
-    return steps
+
+def _bind_plan(fg):
+    """Compile ``fg`` through the runtime engine and publish the result.
+
+    ``fg._plan`` is ONE record written in ONE store: a thread that sees
+    it sees a complete plan, and two threads racing the first call each
+    compile an equivalent plan (the last store wins, neither is torn).
+    """
+    outputs = list(fg.flat_outputs)
+    feeds = list(fg.inputs) + list(fg.capture_placeholders)
+    plan = compile_plan(fg, outputs + side_effect_fetches(fg, outputs), feeds)
+    record = (BoundPlan(plan, feeds), len(outputs))
+    fg._plan = record
+    return record
 
 
 def execute_func_graph(fg, input_values, capture_values):
     """Execute a traced subgraph with concrete values.
+
+    The subgraph is an ordinary :mod:`repro.runtime` plan — constant
+    pre-evaluation, fusion and buffer reuse included — compiled on the
+    first call and recompiled if the graph has grown since.
 
     Args:
       fg: the FuncGraph.
@@ -270,35 +270,9 @@ def execute_func_graph(fg, input_values, capture_values):
     Returns:
       Tuple of concrete values for ``fg.flat_outputs``.
     """
-    if fg._plan is None or fg._plan_version != fg.version:
-        fg._plan = _compile_plan(fg)
-        fg._plan_version = fg.version
-        index = {op: i for i, op in enumerate(fg.ops)}
-        fg._output_locators = tuple(
-            (index[t.op], t.value_index) for t in fg.flat_outputs
-        )
-        fg._input_indices = tuple(index[ph.op] for ph in fg.inputs)
-        fg._capture_indices = tuple(index[ph.op] for ph in fg.capture_placeholders)
-
-    values = [None] * len(fg.ops)
-    # Bind placeholders: declared inputs then captures.
-    for idx, val in zip(fg._input_indices, input_values):
-        values[idx] = (val,)
-    for idx, val in zip(fg._capture_indices, capture_values):
-        values[idx] = (val,)
-
-    plan = fg._plan
-    for i, step in enumerate(plan):
-        if step is None:
-            if values[i] is None:
-                raise GraphError(
-                    f"Unbound placeholder {fg.ops[i].name!r} in subgraph {fg.name!r}"
-                )
-            continue
-        if step is False:  # pruned dead op
-            continue
-        kernel, locators, single = step
-        out = kernel(*[values[j][k] for j, k in locators])
-        values[i] = (out,) if single else tuple(out)
-
-    return tuple(values[j][k] for j, k in fg._output_locators)
+    record = fg._plan
+    if record is None or record[0].graph_version != fg.version:
+        record = _bind_plan(fg)
+    bound, n_outputs = record
+    return tuple(
+        bound.execute_flat([*input_values, *capture_values])[:n_outputs])

@@ -9,7 +9,6 @@ FuncGraph, and then executed repeatedly without touching Python.
 
 from __future__ import annotations
 
-from .. import context
 from ..errors import StagingError
 from .graph import Tensor
 

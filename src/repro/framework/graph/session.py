@@ -15,9 +15,10 @@ that Table 2 of the paper measures:
   1000× and the "loop in graph" style pays once.
 
 Consumers that call one compiled signature repeatedly (traced
-``ConcreteFunction``s, loaded artifacts, the micro-batcher) skip this
-wrapper entirely: they bind a :class:`~repro.runtime.BoundPlan` once and
-hit its positional ``execute_flat`` per call.
+``ConcreteFunction``s, loaded artifacts, the micro-batcher, and the
+``Cond``/``While`` sub-graphs inside any plan) skip this wrapper
+entirely: they bind a :class:`~repro.runtime.BoundPlan` once and hit its
+positional ``execute_flat`` per call.
 """
 
 from __future__ import annotations
@@ -52,17 +53,12 @@ class Session:
         beyond it); ``None`` uses
         :data:`repro.runtime.DEFAULT_PLAN_CACHE_SIZE` (128).  Counters
         are exposed via :attr:`plan_cache_stats`.
-      fuse: collapse fusable elementwise step chains into compiled
-        composite kernels when compiling plans (see
-        :func:`repro.runtime.compile_plan`); ``False`` is the A/B
-        lever for measuring fusion.
     """
 
-    def __init__(self, graph, plan_cache_size=None, fuse=True):
+    def __init__(self, graph, plan_cache_size=None):
         if not isinstance(graph, Graph):
             raise TypeError(f"Session requires a Graph, got {type(graph).__name__}")
         self.graph = graph
-        self.fuse = bool(fuse)
         self._plan_cache = PlanCache(plan_cache_size)
         self._compile_lock = threading.Lock()
 
@@ -91,8 +87,7 @@ class Session:
                 plan = self._plan_cache.peek(key)
                 if plan is None:
                     plan = compile_plan(
-                        self.graph, flat_fetches, list(feed_dict),
-                        fuse=self.fuse)
+                        self.graph, flat_fetches, list(feed_dict))
                     plan.refs = (tuple(flat_fetches), tuple(feed_dict))
                     plan = self._plan_cache.put(key, plan)
 

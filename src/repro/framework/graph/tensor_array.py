@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import context, dtypes
+from .. import dtypes
 from ..errors import InvalidArgumentError
 from ..registry import register_op
 

@@ -76,9 +76,14 @@ def _ufunc_out(ufunc):
     Safe only for elementwise ufuncs: NumPy guarantees correct results
     when ``out`` aliases an input for these (same-shape, same-dtype use —
     the runtime planner enforces both before donating a buffer).
+    ``casting="safe"`` makes NumPy *refuse* (``TypeError``, before
+    writing) an ``out`` narrower than the dtype the operands really
+    produce — the planner picked the buffer from static dtype inference,
+    which is optimistic for some mixes (int32 + float32) — so the engine
+    falls back to the allocating kernel instead of rounding silently.
     """
     def inplace_kernel(*args, out):
-        return ufunc(*args, out=out)
+        return ufunc(*args, out=out, casting="safe")
 
     return inplace_kernel
 
@@ -204,7 +209,7 @@ def _matmul_out(a, b, out, transpose_a=False, transpose_b=False):
         a = np.swapaxes(a, -1, -2)
     if transpose_b:
         b = np.swapaxes(b, -1, -2)
-    return np.matmul(a, b, out=out)
+    return np.matmul(a, b, out=out, casting="safe")
 
 
 def _matmul_shape_fn(input_shapes, attrs):

@@ -21,7 +21,7 @@ from ..eager.execute import execute_op
 from ..eager.tensor import EagerTensor
 from ..errors import GraphError
 from ..graph.func_graph import FuncGraph
-from ..graph.graph import Graph, Tensor
+from ..graph.graph import Tensor
 
 __all__ = ["run_op", "is_symbolic", "is_tensor", "as_graph_tensor",
            "convert_to_tensor", "register_staging_hook",
@@ -128,8 +128,6 @@ def _is_convertible(value):
 def run_op(op_type, inputs, attrs=None, name=None):
     """Build or execute ``op_type`` depending on the current mode."""
     attrs = attrs or {}
-    from ..graph.variables import Variable
-
     if _STAGING_HOOKS:
         for hook in _STAGING_HOOKS:
             result = hook(op_type, inputs, attrs)

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import dtypes
 from ..registry import register_gradient, register_op
-from . import array_ops, dispatch, math_ops, nn_ops
+from . import array_ops, dispatch, math_ops
 
 # ---------------------------------------------------------------------------
 # Grad-helper primitives

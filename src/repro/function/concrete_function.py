@@ -41,7 +41,7 @@ from ..framework import context, nest
 from ..framework.eager import tape as tape_module
 from ..framework.eager.tensor import EagerTensor
 from ..framework.errors import StagingError
-from ..framework.graph.func_graph import FuncGraph
+from ..framework.graph.func_graph import FuncGraph, side_effect_fetches
 from ..framework.graph.graph import Tensor
 from ..framework.graph.optimize import optimize_graph
 from ..framework.graph.variables import Variable
@@ -145,23 +145,6 @@ def classify_outputs(fg, result, name):
     return output_template, tensor_outs
 
 
-def _reachable_ops(roots):
-    seen = set()
-    stack = [t.op for t in roots]
-    while stack:
-        op = stack.pop()
-        if id(op) in seen:
-            continue
-        seen.add(id(op))
-        for t in op.inputs:
-            if id(t.op) not in seen:
-                stack.append(t.op)
-        for c in op.control_inputs:
-            if id(c) not in seen:
-                stack.append(c)
-    return seen
-
-
 class ConcreteFunction(Executable):
     """A single traced signature of a :class:`~repro.function.Function`."""
 
@@ -169,7 +152,7 @@ class ConcreteFunction(Executable):
 
     def __init__(self, python_function, canonical, name,
                  autograph=True, optimize=True, freeze_captures=False,
-                 num_workers=None, fuse=True):
+                 num_workers=None):
         self._python_function = python_function
         self._canonical = canonical
         self._py_signature = signature_lib.signature_of(python_function)
@@ -177,7 +160,6 @@ class ConcreteFunction(Executable):
         self._optimize = optimize
         self._freeze_captures = freeze_captures
         self._num_workers = num_workers
-        self._fuse = fuse
         self._backward = None
 
         # -- 1. trace -------------------------------------------------------
@@ -205,11 +187,7 @@ class ConcreteFunction(Executable):
 
         # Side effects must survive plan pruning: fetch every stateful op
         # the returned tensors do not already reach.
-        reachable = _reachable_ops(tensor_outs)
-        self._state_fetches_traced = [
-            op.outputs[0] for op in fg.ops
-            if op.op_def.stateful and id(op) not in reachable and op.outputs
-        ]
+        self._state_fetches_traced = side_effect_fetches(fg, tensor_outs)
 
         # -- 2. optimize ----------------------------------------------------
         capture_phs = [c.placeholder for c in self._captures]
@@ -259,12 +237,12 @@ class ConcreteFunction(Executable):
             self._lowered_feeds = list(lowered.feeds)
             self._bound = BoundPlan(
                 compile_plan(lowered.graph, list(lowered.fetches),
-                             self._lowered_feeds, fuse=fuse),
+                             self._lowered_feeds),
                 self._lowered_feeds, self._scheduler)
         else:
             self._bound = BoundPlan(
                 compile_plan(opt_graph, self._run_fetches,
-                             self._runtime_feeds, fuse=fuse),
+                             self._runtime_feeds),
                 self._runtime_feeds, self._scheduler)
         self._n_outputs = len(self._output_fetches)
         # When the optimizer produced a fresh graph, nothing ever appends
@@ -521,7 +499,7 @@ class ConcreteFunction(Executable):
 
     def plan_describe(self):
         """The compiled plan's human-readable dump (steps, levels, fused
-        groups, donation arms) — see :meth:`ExecutionPlan.describe
+        groups, buffer-reuse arms) — see :meth:`ExecutionPlan.describe
         <repro.runtime.plan.ExecutionPlan.describe>`."""
         return self._current_bound().plan.describe()
 
@@ -543,7 +521,7 @@ class ConcreteFunction(Executable):
                 if bound.graph_version != self.optimized_graph.version:
                     bound = BoundPlan(
                         compile_plan(self.optimized_graph, self._run_fetches,
-                                     self._runtime_feeds, fuse=self._fuse),
+                                     self._runtime_feeds),
                         self._runtime_feeds, self._scheduler)
                     self._bound = bound
         return bound
@@ -626,7 +604,7 @@ class ConcreteFunction(Executable):
                     + [remap(s) for s in seeds])
         bound = BoundPlan(
             compile_plan(bw_graph, [g for g in grad_ts if g is not None],
-                         bw_feeds, fuse=self._fuse),
+                         bw_feeds),
             bw_feeds)
         self._backward = (bound, grad_ts, len(fg.inputs))
         return self._backward
@@ -666,8 +644,7 @@ ConcreteFunction.call_flat.__ag_do_not_convert__ = True
 
 def trace_concrete_function(python_function, canonical, name,
                             autograph=True, optimize=True,
-                            freeze_captures=False, num_workers=None,
-                            fuse=True):
+                            freeze_captures=False, num_workers=None):
     """Trace ``python_function`` for one canonical signature."""
     if context.has_default_graph():
         raise StagingError(
@@ -676,8 +653,7 @@ def trace_concrete_function(python_function, canonical, name,
     return ConcreteFunction(
         python_function, canonical, name,
         autograph=autograph, optimize=optimize,
-        freeze_captures=freeze_captures, num_workers=num_workers,
-        fuse=fuse)
+        freeze_captures=freeze_captures, num_workers=num_workers)
 
 
 class _GraphBackendBuilder(BackendBuilder):
@@ -687,13 +663,11 @@ class _GraphBackendBuilder(BackendBuilder):
     supports_relaxation = True
 
     def build(self, python_function, canonical, context_, name, *,
-              autograph, optimize, freeze_captures=False, num_workers=None,
-              fuse=True):
+              autograph, optimize, freeze_captures=False, num_workers=None):
         return trace_concrete_function(
             python_function, canonical, name,
             autograph=autograph, optimize=optimize,
-            freeze_captures=freeze_captures, num_workers=num_workers,
-            fuse=fuse)
+            freeze_captures=freeze_captures, num_workers=num_workers)
 
 
 register_backend_builder(_GraphBackendBuilder())

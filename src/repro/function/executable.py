@@ -271,8 +271,7 @@ class BackendBuilder:
         return canonical, None
 
     def build(self, python_function, canonical, context, name, *,
-              autograph, optimize, freeze_captures=False, num_workers=None,
-              fuse=True):
+              autograph, optimize, freeze_captures=False, num_workers=None):
         """Compile one executable for the prepared signature.
 
         ``freeze_captures`` asks the backend to bake closed-over state
@@ -280,8 +279,7 @@ class BackendBuilder:
         backend without that notion may ignore it.  ``num_workers``
         sizes the per-step scheduler of backends that execute plans
         level-parallel (the graph backend's blocked route); others may
-        ignore it.  ``fuse`` toggles elementwise kernel fusion in
-        backends that compile execution plans; others may ignore it.
+        ignore it.
         """
         raise NotImplementedError
 

@@ -39,8 +39,7 @@ class Function:
 
     def __init__(self, python_function, name=None, autograph=True,
                  optimize=True, reduce_retracing=False, retrace_limit=8,
-                 backend="graph", freeze_captures=False, num_workers=None,
-                 fuse=True):
+                 backend="graph", freeze_captures=False, num_workers=None):
         original = getattr(python_function, "__ag_original__", None)
         if original is not None:
             python_function = original
@@ -63,7 +62,6 @@ class Function:
         self._backend = backend
         self._freeze_captures = freeze_captures
         self._num_workers = num_workers
-        self._fuse = fuse
         # Lazily computed static-recursion verdict (auto dispatch).
         self._recursive = None
         # (concrete-function name, backend, reason) per trace, newest last.
@@ -114,8 +112,9 @@ class Function:
         export eligibility and model-server registrations.
 
         ``plans=True`` additionally dumps each graph-backend trace's
-        compiled execution plan (steps, levels, fused groups, donation
-        arms) — the "what did the planner actually compile?" view.
+        compiled execution plan (steps, levels, fused groups,
+        buffer-reuse arms) — the "what did the planner actually
+        compile?" view.
         """
         lines = []
         for cf in self._cache.values():
@@ -222,7 +221,6 @@ class Function:
                 autograph=self._autograph, optimize=self._optimize,
                 freeze_captures=self._freeze_captures,
                 num_workers=self._num_workers,
-                fuse=self._fuse,
             )
             self._cache[canonical.key] = cf
             # Identity-keyed leaves (Variables, model objects) must stay
@@ -318,7 +316,7 @@ Function.get_concrete_function.__ag_do_not_convert__ = True
 
 def function(func=None, *, name=None, autograph=True, optimize=True,
              reduce_retracing=False, retrace_limit=8, backend="graph",
-             freeze_captures=False, num_workers=None, fuse=True):
+             freeze_captures=False, num_workers=None):
     """Decorate ``func`` as a traced, cached graph function.
 
     Usable bare (``@repro.function``), with options
@@ -349,10 +347,6 @@ def function(func=None, *, name=None, autograph=True, optimize=True,
         (``repro.blocks``).  Functions with ``BlockArray`` inputs default
         to one worker per core; dense functions stay serial unless this
         is set.  ``1`` forces serial execution.
-      fuse: collapse fusable elementwise step chains into compiled
-        composite kernels in each trace's execution plan (graph
-        backend; lantern ignores it).  ``False`` is the A/B lever for
-        measuring what fusion buys.
 
     Returns:
       A :class:`Function`, or a decorator when called with options only.
@@ -362,9 +356,9 @@ def function(func=None, *, name=None, autograph=True, optimize=True,
             function, name=name, autograph=autograph, optimize=optimize,
             reduce_retracing=reduce_retracing, retrace_limit=retrace_limit,
             backend=backend, freeze_captures=freeze_captures,
-            num_workers=num_workers, fuse=fuse)
+            num_workers=num_workers)
     return Function(
         func, name=name, autograph=autograph, optimize=optimize,
         reduce_retracing=reduce_retracing, retrace_limit=retrace_limit,
         backend=backend, freeze_captures=freeze_captures,
-        num_workers=num_workers, fuse=fuse)
+        num_workers=num_workers)

@@ -798,11 +798,7 @@ class _LanternBackendBuilder(BackendBuilder):
         return lanternize_signature(canonical)
 
     def build(self, python_function, canonical, leaf_plan, name, *,
-              autograph, optimize, freeze_captures=False, num_workers=None,
-              fuse=True):
-        # ``fuse`` is a graph-backend plan-compiler knob; the lantern
-        # pipeline has no step plans to fuse, so it is accepted and
-        # ignored.
+              autograph, optimize, freeze_captures=False, num_workers=None):
         for spec in canonical.specs:
             if getattr(spec, "grid", None) is not None:
                 from ..framework.errors import StagingError

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ir import Param, StagedTensor, StagedValue
+from .ir import Param, StagedValue
 
 __all__ = ["tanh", "sigmoid", "relu", "exp", "log", "sqrt", "square",
            "abs_", "transpose", "maximum", "matmul", "concat0", "concat1",

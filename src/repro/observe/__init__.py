@@ -3,7 +3,7 @@
 One observability surface over every layer of the stack:
 
 - the **runtime engine** emits per-step kernel spans, per-wavefront
-  level spans and plan/donation counters;
+  level spans and plan-cache/fusion counters;
 - the **function layer** emits trace/retrace/cache-lookup spans keyed
   by input signature;
 - **blocks** emit per-block worker-task spans (one track per pool

@@ -13,8 +13,8 @@ Design constraints (this sits on the engine's hot path):
   atomic under the GIL (no lock on the emit path, concurrent emitters
   never corrupt the buffer) and once full the oldest events fall off
   instead of growing memory under sustained tracing.
-- **Counters stay live.**  Metric counters (`plan-cache hits, feed
-  donations, serving requests`) accumulate whether or not event
+- **Counters stay live.**  Metric counters (`plan-cache hits, fused
+  steps, serving requests`) accumulate whether or not event
   recording is enabled, behind a small lock — they are incremented at
   per-call/per-request frequency, never per step, and feed the
   ``GET /v1/metrics`` surface of a running server.

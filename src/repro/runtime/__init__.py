@@ -2,13 +2,14 @@
 
 Every consumer of a compiled graph — ``Session.run``'s feed-dict
 compatibility path, traced ``ConcreteFunction`` calls, loaded serving
-artifacts, and the micro-batcher's batched dispatch — executes through
-this one package:
+artifacts, the micro-batcher's batched dispatch, and the branch / body
+sub-graphs of staged ``Cond`` / ``While`` ops — executes through this
+one package:
 
 - :mod:`repro.runtime.plan` compiles a graph + fetches + feeds into an
   :class:`ExecutionPlan` (pruned topo steps, slot locators, feed/fetch
-  slot tables) with constant pre-evaluation, dead-step elision and
-  output-buffer reuse;
+  slot tables) with constant pre-evaluation, dead-step elision,
+  elementwise fusion and output-buffer reuse;
 - :mod:`repro.runtime.engine` provides :class:`BoundPlan` — the
   positional **fast path** that binds feed tensors to slots once and
   executes per call with no dict lookups, no per-call flattening and no

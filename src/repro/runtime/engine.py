@@ -5,7 +5,8 @@ Two pieces live here:
 - :class:`BoundPlan` — the **slot-addressed fast path**.  A consumer that
   always feeds the same tensors in the same order (a traced
   ``ConcreteFunction``, a loaded serving artifact, the micro-batcher's
-  batched dispatch) binds those tensors to plan slots *once*, at
+  batched dispatch, a ``Cond``/``While`` sub-graph fed its loop
+  variables and captures) binds those tensors to plan slots *once*, at
   construction.  Each call is then ``execute_flat(args)``: a list copy of
   the plan's base values, one slot store per argument, and the kernel
   loop — no ``nest.flatten``, no cache-key construction, no feed dict, no
@@ -47,8 +48,7 @@ class BoundPlan:
     """An :class:`~repro.runtime.plan.ExecutionPlan` bound to a fixed
     positional argument order."""
 
-    __slots__ = ("plan", "scheduler", "calls", "_arg_binds", "_n_args",
-                 "_donor_args")
+    __slots__ = ("plan", "scheduler", "calls", "_arg_binds", "_n_args")
 
     def __init__(self, plan, arg_tensors, scheduler=None):
         """Bind ``arg_tensors`` (the plan's feed tensors, in the order
@@ -85,12 +85,6 @@ class BoundPlan:
         self.scheduler = scheduler
         self._arg_binds = tuple(binds)
         self._n_args = len(binds)
-        # Argument positions whose buffers the donate path writes into
-        # (resolved once here so each donate call checks a tuple of
-        # ints, not the feed-slot mapping).
-        donated = set(plan.donated_feed_slots)
-        self._donor_args = tuple(
-            i for i, b in enumerate(binds) if b[0] in donated)
         # Lifetime execute_flat count.  Updated without a lock: one
         # CPython int add on a path that already runs the kernel loop,
         # so the serving-observability counter is approximate under
@@ -119,7 +113,7 @@ class BoundPlan:
             info["fused_kernels"] = [g[0] for g in fused]
         return info
 
-    def execute_flat(self, args, donate=False):
+    def execute_flat(self, args):
         """Run the plan on positional argument values; returns the flat
         fetch results (ndarrays, in fetch order).
 
@@ -128,15 +122,9 @@ class BoundPlan:
         untouched (no validation copy); others are coerced once.  Shape
         compatibility against the bound placeholder's static shape is
         still enforced — it is one tuple walk, and silently broadcasting
-        a wrong-shaped feed is how serving bugs become model bugs.
-
-        ``donate=True`` relinquishes the caller's input buffers for this
-        call: ``inplace_no_alias`` steps the plan armed at compile time
-        may write results directly into dead feed arrays (so a fetched
-        result can *be* the caller's input array).  Opting in is safe
-        but conditional — each donated buffer must arrive as a writeable
-        ndarray not aliased by any other argument, otherwise this call
-        silently runs the normal non-donating steps.
+        a wrong-shaped feed is how serving bugs become model bugs.  The
+        caller's arrays are never written: buffer reuse only ever
+        targets intermediates the plan itself allocated.
         """
         if len(args) != self._n_args:
             raise FetchError(
@@ -168,32 +156,8 @@ class BoundPlan:
                             f"({', '.join(str(d) for d in partial)})"
                         )
             values[slot] = (a,)
-        if donate and self._donor_args:
-            donate = self._donation_safe(values)
-            if donate:
-                _REC.counter("runtime.feed_donations", len(self._donor_args))
-            else:
-                _REC.counter("runtime.feed_donation_fallbacks")
-        else:
-            donate = False
-        plan.execute(values, self.scheduler, donate=donate)
+        plan.execute(values, self.scheduler)
         return plan.fetch(values)
-
-    def _donation_safe(self, values):
-        """Whether every donated feed buffer may really be written: a
-        writeable ndarray that is not the same object as any *other*
-        bound argument (writing into a shared buffer would corrupt the
-        reads of later steps through the aliasing slot)."""
-        binds = self._arg_binds
-        for ai in self._donor_args:
-            slot = binds[ai][0]
-            buf = values[slot][0]
-            if type(buf) is not np.ndarray or not buf.flags.writeable:
-                return False
-            for b in binds:
-                if b[0] != slot and buf is values[b[0]][0]:
-                    return False
-        return True
 
     def __repr__(self):
         return f"<BoundPlan args={self._n_args} plan={self.plan!r}>"

@@ -33,7 +33,9 @@ trust from the group's external inputs:
 
 - bound feeds are coerced to their declared dtype and exact-checked
   against fully-defined declared shapes by every execution front
-  (``BoundPlan``, ``Session.run``), so those are trusted;
+  (``BoundPlan`` — which is also how ``Cond``/``While`` sub-graphs
+  bind their loop variables and captures — and ``Session.run``), so
+  those are trusted;
 - pre-evaluated constants are baked arrays whose dtype/shape are known
   exactly (scalar Consts fold inline as closure defaults — zero
   per-call locator reads);
@@ -55,9 +57,7 @@ second generated variant writes the root result into a caller-provided
 ``out=`` buffer; it is alias-*tolerant* (the only external-buffer
 write is the final elementwise ufunc call, where NumPy permits ``out``
 to alias an equal-shaped operand), so fused steps join the same
-dying-input buffer-reuse discipline as single ufunc steps, and the
-``execute_flat(donate=True)`` feed-donation pass sees fused steps'
-reads when computing feed liveness.
+dying-input buffer-reuse discipline as single ufunc steps.
 """
 
 from __future__ import annotations
@@ -273,10 +273,13 @@ def _codegen(group, steps, step_ops, const_slots, base_values, feed_info):
     # writes into the caller-provided ``out`` buffer (the planner only
     # arms this with a dying same-dtype/shape input under the
     # alias-tolerant discipline — the final elementwise write happens
-    # after every other read of that buffer).
+    # after every other read of that buffer).  The planner matches
+    # dtypes by *static* inference, so the write refuses any unsafe
+    # cast and the engine falls back to the allocating kernel.
     out_lines = list(lines)
     out_lines[-1] = (
-        f"return {root_fname}({', '.join(root_call_args)}, out=out)")
+        f"return {root_fname}({', '.join(root_call_args)}, out=out, "
+        "casting='safe')")
     out_header = ", ".join(param_names + ["*", "out", defaults])
     out_src = (f"def _fused_out({out_header}):\n    "
                + "\n    ".join(out_lines) + "\n")

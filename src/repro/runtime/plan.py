@@ -1,9 +1,12 @@
 """``ExecutionPlan``: the compiled form of one ``(graph, fetches, feeds)``.
 
-This is the execution engine's IR — lifted out of ``Session`` so that the
-session, traced ``ConcreteFunction``s, loaded serving artifacts and the
-micro-batcher all compile against one planner instead of re-deriving
-fetch/feed plumbing per layer.
+This is the execution engine's IR and the graph backend's *only* plan
+compiler: the session, traced ``ConcreteFunction``s, loaded serving
+artifacts, the micro-batcher and the ``Cond``/``While`` branch and body
+sub-graphs (:func:`~repro.framework.graph.func_graph.execute_func_graph`)
+all compile through :func:`compile_plan` and step through
+:meth:`ExecutionPlan.execute`, so every optimization below applies to a
+staged loop body exactly as it does to the ops around the loop.
 
 A plan is a pruned, topologically-ordered list of *steps* (kernel +
 pre-resolved value-slot locators), a slot table for feeds, and locators
@@ -24,12 +27,14 @@ allows (the Table-2 dispatch-overhead story):
   both serial and level-parallel execution order; donated buffers are
   never feeds (caller-owned), baked constants (shared across calls) or
   fetches (returned to the caller);
-- **elementwise fusion** (``fuse=True``) — maximal chains/trees of
+- **elementwise fusion** — maximal chains/trees of
   fusable ufunc steps whose intermediates are single-consumer and not
   fetched collapse into one ``exec``-compiled composite kernel
   (:mod:`repro.runtime.fusion`), so a k-op chain costs one step
   dispatch instead of k.  Constant pre-evaluation runs *first*, so a
   chain split by a foldable ``Const`` subtree still fuses end to end.
+  ``compile_plan(..., fuse=False)`` is the only off switch: the
+  one-step-per-op reference the fusion tests compare against.
 
 Compilation also derives the plan's **levels**: a wavefront partition of
 the steps by data/control dependency depth (stateful steps additionally
@@ -38,9 +43,12 @@ independent, which is what lets :meth:`ExecutionPlan.execute` fan a
 level out on a :class:`repro.blocks.scheduler.BlockScheduler` — the
 per-block steps of a blocked plan all land in wide levels.
 
-Plans are executed either through :meth:`ExecutionPlan.execute` on a
-bound values list (the ``Session.run`` compatibility path) or through
-:class:`repro.runtime.engine.BoundPlan`'s positional fast path.
+A plan has ONE step schedule, the ``steps`` tuple, which
+:meth:`ExecutionPlan.execute` walks as a serial loop, as a level fan-out
+(parallel ``scheduler``), or through the span-recording twin
+``_execute_traced`` while ``repro.observe`` is recording.  Callers bind
+feeds either by hand on a ``new_values()`` list (``Session.run``) or
+through :class:`repro.runtime.engine.BoundPlan`'s positional fast path.
 """
 
 from __future__ import annotations
@@ -74,12 +82,6 @@ class ExecutionPlan:
       levels: wavefront partition of step indices — steps in one level
         are mutually independent (data, control and stateful-order
         dependencies all land in earlier levels).
-      donate_steps: ``None``, or an alternate ``steps`` tuple in which
-        some ``inplace_no_alias`` steps additionally write into dead
-        *feed* buffers — the opt-in ``execute(..., donate=True)`` path
-        (the caller relinquishes its input arrays for the call).
-      donated_feed_slots: the feed slots ``donate_steps`` writes into;
-        the binder runtime-checks those buffers before opting in.
       fused_groups: ``(span_name, member_op_names, member_op_types,
         slot)`` per fused composite step (empty when compiled with
         ``fuse=False`` or nothing fused).
@@ -91,13 +93,11 @@ class ExecutionPlan:
 
     __slots__ = ("steps", "fetch_locators", "feed_slots", "n_slots",
                  "base_values", "graph", "graph_version", "levels",
-                 "donate_steps", "donated_feed_slots", "fused_groups",
-                 "refs")
+                 "fused_groups", "refs")
 
     def __init__(self, steps, fetch_locators, feed_slots, n_slots,
                  base_values, graph, graph_version, levels=(),
-                 donate_steps=None, donated_feed_slots=(), fused_groups=(),
-                 refs=()):
+                 fused_groups=(), refs=()):
         self.steps = steps
         self.fetch_locators = fetch_locators
         self.feed_slots = feed_slots
@@ -106,8 +106,6 @@ class ExecutionPlan:
         self.graph = graph
         self.graph_version = graph_version
         self.levels = levels
-        self.donate_steps = donate_steps
-        self.donated_feed_slots = donated_feed_slots
         self.fused_groups = fused_groups
         self.refs = refs
 
@@ -117,25 +115,17 @@ class ExecutionPlan:
         """A fresh per-call slot array (constants already in place)."""
         return list(self.base_values)
 
-    def execute(self, values, scheduler=None, donate=False):
+    def execute(self, values, scheduler=None):
         """Run every step against ``values`` (feeds already bound).
 
         With a parallel ``scheduler`` the steps run level by level,
         each level's independent steps fanned out on the scheduler's
         worker pool (slot stores into distinct indices of ``values``
         are safe under the GIL; the kernels release it).
-
-        ``donate=True`` runs :attr:`donate_steps` instead — the caller
-        asserts the donated feed buffers are writeable and exclusively
-        owned for this call (:meth:`BoundPlan.execute_flat
-        <repro.runtime.engine.BoundPlan.execute_flat>` verifies this
-        before opting in).
         """
         steps = self.steps
-        if donate and self.donate_steps is not None:
-            steps = self.donate_steps
         if _REC.enabled:
-            return self._execute_traced(values, scheduler, steps)
+            return self._execute_traced(values, scheduler)
         if scheduler is not None and scheduler.parallel and len(steps) > 1:
             run = self._run_step
             for level in self.levels:
@@ -204,13 +194,14 @@ class ExecutionPlan:
             ) from e
         values[slot] = (out,) if single else tuple(out)
 
-    def _execute_traced(self, values, scheduler, steps):
+    def _execute_traced(self, values, scheduler):
         """The recording twin of :meth:`execute`: one ``"step"`` span
         per executed step (named after the op, so the profiler's
         top-kernels view aggregates directly) and — on the parallel
         path — one ``"level"`` span per wavefront.  Lives off to the
         side so the untraced loops stay branch-free inside."""
         rec = _REC
+        steps = self.steps
         run = self._run_step_traced
         t_plan = rec.begin()
         try:
@@ -255,7 +246,7 @@ class ExecutionPlan:
 
     def describe(self):
         """A human-readable plan dump: steps, levels, fused groups and
-        donation arms — the debugging aid for "what did the planner
+        buffer-reuse arms — the debugging aid for "what did the planner
         actually compile?".  Stable enough to grep in tests, cheap
         enough to print from a REPL."""
         fused_by_slot = {g[3]: g for g in self.fused_groups}
@@ -281,10 +272,6 @@ class ExecutionPlan:
             if g is not None and name == g[0]:
                 line += f" members=[{', '.join(g[1])}]"
             lines.append(line)
-        if self.donate_steps is not None:
-            lines.append(
-                "  donate variant writes feed slots "
-                f"{list(self.donated_feed_slots)}")
         return "\n".join(lines)
 
     def __repr__(self):
@@ -299,11 +286,13 @@ def _resolve_fetch_tensors(graph, flat_fetches):
     for f in flat_fetches:
         if isinstance(f, Tensor):
             if f.graph is not graph:
-                raise FetchError(f"Fetch {f.name!r} is not in this session's graph")
+                raise FetchError(
+                    f"Fetch {f.name!r} is not in graph {graph.name!r}")
             fetch_tensors.append(f)
         elif isinstance(f, Operation):
             if f.graph is not graph:
-                raise FetchError(f"Fetch {f.name!r} is not in this session's graph")
+                raise FetchError(
+                    f"Fetch {f.name!r} is not in graph {graph.name!r}")
             fetch_tensors.append(f.outputs[0] if f.outputs else None)
         elif f is None:
             fetch_tensors.append(None)
@@ -331,8 +320,9 @@ def compile_plan(graph, flat_fetches, feed_tensors, *, fuse=True):
         values the caller will supply per call, in slot-binding order.
       fuse: collapse chains/trees of fusable elementwise steps into
         ``exec``-compiled composite kernels (:mod:`repro.runtime.fusion`).
-        ``False`` compiles the plain one-step-per-op plan — the A/B
-        lever for measuring what fusion buys.
+        ``False`` compiles the plain one-step-per-op plan — the
+        bit-identity reference fused plans are tested against; bind it
+        to a :class:`~repro.runtime.engine.BoundPlan` to A/B a function.
 
     Raises:
       FetchError: on foreign-graph fetches/feeds, unfetchable objects, or
@@ -342,7 +332,8 @@ def compile_plan(graph, flat_fetches, feed_tensors, *, fuse=True):
     fed_ids = {id(t) for t in feed_tensors}
     for t in feed_tensors:
         if not isinstance(t, Tensor) or t.graph is not graph:
-            raise FetchError(f"Feed key {t!r} is not a tensor of this graph")
+            raise FetchError(
+                f"Feed key {t!r} is not a tensor of graph {graph.name!r}")
 
     fetch_tensors = _resolve_fetch_tensors(graph, flat_fetches)
 
@@ -395,8 +386,8 @@ def compile_plan(graph, flat_fetches, feed_tensors, *, fuse=True):
         if op.type == "Placeholder":
             if id(op.outputs[0]) not in feed_slot_of:
                 raise FetchError(
-                    f"Placeholder {op.name!r} is required by the fetches but "
-                    "was not fed"
+                    f"Placeholder {op.name!r} of graph {graph.name!r} is "
+                    "required by the fetches but was not fed"
                 )
             continue
         slot = slot_of[id(op)]
@@ -456,8 +447,6 @@ def compile_plan(graph, flat_fetches, feed_tensors, *, fuse=True):
     step_levels, levels = _compute_levels(steps, step_ops)
     _assign_buffer_reuse(steps, step_ops, fetch_locators, const_slots,
                          len(needed), step_levels)
-    donate_steps, donated_feed_slots = _assign_feed_donations(
-        steps, step_ops, feed_slots, fetch_locators, step_levels)
 
     return ExecutionPlan(
         tuple(tuple(s) for s in steps),
@@ -468,8 +457,6 @@ def compile_plan(graph, flat_fetches, feed_tensors, *, fuse=True):
         graph,
         graph.version,
         levels=levels,
-        donate_steps=donate_steps,
-        donated_feed_slots=donated_feed_slots,
         fused_groups=fused_groups,
     )
 
@@ -550,7 +537,9 @@ def _assign_buffer_reuse(steps, step_ops, fetch_locators, const_slots,
       take any intermediate that is provably dead before the step runs —
       its last consumer finishing earlier both in serial step order
       *and* in level order, so the level-parallel path can never be
-      writing it concurrently.
+      writing it concurrently — and every consumer a ``fresh_output``
+      kernel, so nothing that outlives the consumer (a view, a
+      ``TensorArray`` element, a loop body's output) still points at it.
 
     Each buffer is donated at most once (the ``claimed`` set): after
     donation it carries the donee's output, which later steps may read.
@@ -563,11 +552,17 @@ def _assign_buffer_reuse(steps, step_ops, fetch_locators, const_slots,
 
     consumers = {}
     last_use = {}
-    for i, s in enumerate(steps):
+    # Buffers read by a kernel that does not allocate its result: the
+    # result may be a view of the buffer or hold a reference to it, so
+    # the last *reader* says nothing about when the memory is dead.
+    escaped = set()
+    for i, (s, op) in enumerate(zip(steps, step_ops)):
         for loc in s[2]:
             consumers[loc] = consumers.get(loc, 0) + 1
             li, ll = last_use.get(loc, (-1, -1))
             last_use[loc] = (max(li, i), max(ll, step_levels[i]))
+        if not op.op_def.fresh_output:
+            escaped.update(s[2])
     fetched = set(fetch_locators)
 
     # Dead-buffer pool for no-alias kernels: donatable intermediates
@@ -577,7 +572,7 @@ def _assign_buffer_reuse(steps, step_ops, fetch_locators, const_slots,
     for s, op in zip(steps, step_ops):
         for k, t in enumerate(op.outputs):
             loc = (s[0], k)
-            if loc not in donatable or loc in fetched:
+            if loc not in donatable or loc in fetched or loc in escaped:
                 continue
             if loc[0] in const_slots or loc[0] >= n_op_slots:
                 continue
@@ -636,82 +631,3 @@ def _assign_buffer_reuse(steps, step_ops, fetch_locators, const_slots,
             s[5] = (loc[0], loc[1], ikernel, out_shape, np.dtype(out_dtype))
             claimed.add(loc)
             break
-
-
-def _assign_feed_donations(steps, step_ops, feed_slots, fetch_locators,
-                           step_levels):
-    """The opt-in *feed-buffer* donation variant of the plan's steps.
-
-    :func:`_assign_buffer_reuse` never touches feed slots — the caller
-    owns those arrays.  But a caller that explicitly opts in
-    (``execute_flat(args, donate=True)``) relinquishes its input
-    buffers for the call, so an ``inplace_no_alias`` step that found no
-    intermediate donor may instead write into a *feed* that is dead by
-    the time the step runs, under exactly the discipline the dead-pool
-    pass uses: the feed's last consumer finishes strictly earlier in
-    both serial step order and level order, the feed is not itself
-    fetched, shapes/dtypes match exactly, and each buffer is claimed
-    once.  Steals-from-the-caller semantics make this compile-time-safe
-    but *call-time conditional*: the binder still verifies at each call
-    that every donated buffer is a writeable ndarray not aliased by
-    another argument, and falls back to the normal steps otherwise.
-
-    Returns ``(donate_steps, donated_feed_slots)`` — ``(None, ())``
-    when no step could be armed, so plans without donation
-    opportunities carry no extra tuple.
-    """
-    fetched = set(fetch_locators)
-    last_use = {}
-    for i, s in enumerate(steps):
-        for loc in s[2]:
-            li, ll = last_use.get(loc, (-1, -1))
-            last_use[loc] = (max(li, i), max(ll, step_levels[i]))
-
-    pool = {}
-    for t, slot in feed_slots:
-        loc = (slot, 0)
-        if loc in fetched:
-            continue
-        if t.dtype.np_dtype is None or not t.shape.is_fully_defined:
-            continue
-        li, ll = last_use.get(loc, (-1, -1))
-        pool.setdefault(
-            (np.dtype(t.dtype.np_dtype), t.shape.as_tuple()), []
-        ).append((li, ll, loc))
-    for entries in pool.values():
-        entries.sort()
-
-    donate_steps = [list(s) for s in steps]
-    donated = []
-    claimed = set()
-    for i, (s, op) in enumerate(zip(donate_steps, step_ops)):
-        # Only steps the intermediate-reuse pass left unarmed, and only
-        # the no-alias discipline: an alias-tolerant ufunc reading the
-        # feed it writes would still be correct, but a *dead* feed is
-        # the only case where donating beats the existing reuse.
-        if s[5] is not None or not s[3]:
-            continue
-        ikernel = op.op_def.inplace_kernel
-        if ikernel is None or not op.op_def.inplace_no_alias:
-            continue
-        runtime_attrs = {
-            k: v for k, v in op.attrs.items() if not k.startswith("_")
-        }
-        if runtime_attrs:
-            ikernel = functools.partial(ikernel, **runtime_attrs)
-        out_t = op.outputs[0]
-        out_dtype = out_t.dtype.np_dtype
-        if out_dtype is None or not out_t.shape.is_fully_defined:
-            continue
-        out_shape = out_t.shape.as_tuple()
-        lv = step_levels[i]
-        for li, ll, loc in pool.get((np.dtype(out_dtype), out_shape), ()):
-            if li >= i or ll >= lv or loc in claimed:
-                continue
-            s[5] = (loc[0], loc[1], ikernel, out_shape, np.dtype(out_dtype))
-            claimed.add(loc)
-            donated.append(loc[0])
-            break
-    if not donated:
-        return None, ()
-    return tuple(tuple(s) for s in donate_steps), tuple(sorted(donated))

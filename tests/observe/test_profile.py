@@ -205,3 +205,67 @@ class TestProfiledExecution:
         g(x)
         # Counters tick (always-live), but no events land in the ring.
         assert len(RECORDER) == before
+
+
+class TestStagedLoopSpans:
+    """A ``While`` body is an engine plan like any other, so profiling
+    sees inside it: the body's ops are step spans nested in the While
+    step's span."""
+
+    @staticmethod
+    def _loop_function():
+        def loop(x, n):
+            i = np.int32(0)
+            while i < n:
+                x = ops.matmul(ops.tanh(x), x)
+                i = i + 1
+            return x
+
+        fn = repro.function(loop)
+        x, n = _ints((4, 4)) / 8, np.int32(3)
+        fn(x, n)  # trace, compile and first run outside any profile
+        return fn, x, n
+
+    def test_body_steps_nest_inside_the_while_step(self):
+        fn, x, n = self._loop_function()
+        with observe.profile() as timeline:
+            fn(x, n)
+
+        steps = timeline.query(cat="step")
+        while_span, = [s for s in steps if "while" in s.name]
+
+        def inside(s):
+            return (s.tid == while_span.tid
+                    and while_span.start <= s.start
+                    and s.start + s.duration
+                    <= while_span.start + while_span.duration)
+
+        # One plan.execute per sub-graph run: the condition four times
+        # (three passes and the exit test), the body three times.
+        runs = [s for s in timeline.query(name="plan.execute") if inside(s)]
+        assert len(runs) == 4 + 3
+        nested = [s.name for s in steps if s is not while_span and inside(s)]
+        assert nested.count("Less") == 4
+        assert nested.count("Tanh") == 3
+        assert nested.count("MatMul") == 3
+        # Every nested step sits inside one of those sub-graph runs.
+        assert len(nested) == sum(s.args["steps"] for s in runs)
+
+    def test_recorder_off_takes_the_untraced_loop(self, monkeypatch):
+        from repro.runtime import ExecutionPlan
+
+        fn, x, n = self._loop_function()
+
+        def boom(*args, **kwargs):
+            raise AssertionError("tracing path taken with the recorder off")
+
+        monkeypatch.setattr(ExecutionPlan, "_execute_traced", boom)
+        for emit in ("span", "begin", "end", "instant"):
+            monkeypatch.setattr(Recorder, emit, boom)
+        assert not RECORDER.enabled
+        before = len(RECORDER)
+        want = np.asarray(x)
+        for _ in range(3):
+            want = np.tanh(want) @ want
+        np.testing.assert_allclose(np.asarray(fn(x, n)), want, rtol=1e-5)
+        assert len(RECORDER) == before

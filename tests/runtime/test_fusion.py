@@ -10,8 +10,8 @@ The contract under test (see ``repro/runtime/fusion.py``):
   foldable Const subtree still fuses end to end;
 - fused steps keep level parallelism, buffer donation and blocked
   lowering working;
-- the ``fuse=`` knob threads through ``compile_plan`` / ``Session`` /
-  ``@repro.function``;
+- ``compile_plan(..., fuse=False)`` is the one unfused reference; a
+  function's unfused twin is that plan bound to the function's graph;
 - observability: ``fused[...]`` spans, ``runtime.fused_steps`` /
   ``runtime.fusion_fallbacks`` counters, fused counts in
   ``BoundPlan.describe()``.
@@ -33,10 +33,19 @@ def _fused_step_names(plan):
     return [s[4] for s in plan.steps if s[4].startswith("fused[")]
 
 
-def _run(plan, feed_tensors, feed_vals, donate=False, scheduler=None):
+def _run(plan, feed_tensors, feed_vals, scheduler=None):
     bound = BoundPlan(plan, list(feed_tensors), scheduler)
-    return bound.execute_flat([np.copy(v) for v in feed_vals],
-                              donate=donate)
+    return bound.execute_flat([np.copy(v) for v in feed_vals])
+
+
+def _unfused_reference(cf, graph, fetches, feeds, args):
+    """Concrete function ``cf``'s outputs on flat ``args`` from an
+    unfused plan of the graph it executes — bound by the test, exactly
+    as ``bench/workloads/graph_fn.py`` binds its own plan."""
+    bound = BoundPlan(compile_plan(graph, fetches, feeds, fuse=False), feeds)
+    assert not _fused_step_names(bound.plan)
+    out = bound.execute_flat(list(args) + list(cf._resolved_captures()))
+    return out[:len(cf.outputs)]
 
 
 def _assert_bitwise_equal(got, want):
@@ -289,25 +298,6 @@ def test_fused_step_takes_a_dying_input_buffer():
     _assert_bitwise_equal(_run(plan, [x], [v]), _run(unfused, [x], [v]))
 
 
-def test_fusion_with_feed_donation_opt_in():
-    """``execute_flat(donate=True)`` still matches the unfused plan."""
-    g = fw.Graph()
-    with g.as_default():
-        x = ops.placeholder(fw.float32, [8, 8])
-        w = ops.placeholder(fw.float32, [8, 8])
-        h = ops.tanh(ops.add(ops.multiply(x, 0.5), 1.0))
-        y = ops.matmul(h, w)
-    plan = compile_plan(g, [y], [x, w])
-    unfused = compile_plan(g, [y], [x, w], fuse=False)
-    rng = np.random.default_rng(3)
-    xv = rng.standard_normal((8, 8)).astype(np.float32)
-    wv = rng.standard_normal((8, 8)).astype(np.float32)
-    want = _run(unfused, [x, w], [xv, wv])
-    _assert_bitwise_equal(_run(plan, [x, w], [xv, wv], donate=True), want)
-    # And the originals were not needed after the call — rerun fresh.
-    _assert_bitwise_equal(_run(plan, [x, w], [xv, wv], donate=False), want)
-
-
 # ---------------------------------------------------------------------------
 # Fusion × level parallelism
 # ---------------------------------------------------------------------------
@@ -362,16 +352,12 @@ def test_function_num_workers_with_fusion():
             merged = ops.add(merged, p)
         return merged
 
-    @repro.function(fuse=False)
-    def f_ref(x):
-        parts = [ops.tanh(ops.multiply(x, float(i + 1))) for i in range(4)]
-        merged = parts[0]
-        for p in parts[1:]:
-            merged = ops.add(merged, p)
-        return merged
-
     v = np.linspace(-1, 1, 64, dtype=np.float32)
-    _assert_bitwise_equal([np.asarray(f(v))], [np.asarray(f_ref(v))])
+    cf = f.get_concrete_function(v)
+    assert _fused_step_names(cf._bound.plan)
+    want = _unfused_reference(
+        cf, cf.optimized_graph, cf._run_fetches, cf._runtime_feeds, [v])
+    _assert_bitwise_equal([np.asarray(f(v))], want)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +367,7 @@ def test_function_num_workers_with_fusion():
 
 def test_blocked_plan_fuses_within_each_block():
     from repro.blocks import BlockArray, BlockGrid
+    from repro.blocks.lowering import lower_blocked_graph
 
     grid = BlockGrid.regular((8, 6), (4, 3))
 
@@ -388,19 +375,23 @@ def test_blocked_plan_fuses_within_each_block():
     def f(a):
         return ops.tanh(ops.add(ops.multiply(a, a), 1.0))
 
-    @repro.function(fuse=False)
-    def f_ref(a):
-        return ops.tanh(ops.add(ops.multiply(a, a), 1.0))
-
     rng = np.random.default_rng(7)
     x = rng.standard_normal((8, 6)).astype(np.float32)
     blocked = BlockArray.from_dense(x, grid=grid)
     got = np.asarray(f(blocked))
-    _assert_bitwise_equal([got], [np.asarray(f_ref(blocked))])
+    # The unfused twin of the blocked trace: the same lowering of the
+    # same optimized graph, compiled with fuse=False.
+    cf = f.get_concrete_function(blocked)
+    lowered = lower_blocked_graph(
+        cf.optimized_graph, cf._runtime_feeds, cf._run_fetches,
+        cf._block_grids)
+    want = _unfused_reference(
+        cf, lowered.graph, list(lowered.fetches), list(lowered.feeds),
+        blocked.block_list())
+    _assert_bitwise_equal([got], want)
     _assert_bitwise_equal([got], [np.asarray(f(x))])
     # The blocked trace compiled per-block fused kernels: one fused
     # step per block, all in one wavefront level.
-    cf = f.get_concrete_function(blocked)
     stats = cf.engine_stats()["bound_plan"]
     assert stats["fused_steps"] == grid.num_blocks
     # All per-block fused kernels land in the first wavefront, so the
@@ -409,24 +400,6 @@ def test_blocked_plan_fuses_within_each_block():
     fused_idx = {i for i, s in enumerate(plan.steps)
                  if s[4].startswith("fused[")}
     assert fused_idx <= set(plan.levels[0])
-
-
-# ---------------------------------------------------------------------------
-# The fuse= knob and Session
-# ---------------------------------------------------------------------------
-
-
-def test_session_fuse_knob():
-    g = fw.Graph()
-    with g.as_default():
-        x = ops.placeholder(fw.float32, [4])
-        y = ops.exp(ops.negative(x))
-    v = np.linspace(0, 1, 4, dtype=np.float32)
-    on = fw.Session(g)
-    off = fw.Session(g, fuse=False)
-    got_on = on.run(y, {x: v})
-    got_off = off.run(y, {x: v})
-    _assert_bitwise_equal([got_on], [got_off])
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,45 @@ def test_alias_returning_kernel_output_is_never_donated():
     np.testing.assert_allclose(arg, np.ones(4))  # caller's array intact
 
 
+def test_buffer_a_non_allocating_reader_may_hold_is_never_donated():
+    """A ``TensorArrayWrite`` keeps a reference to the value it stores;
+    a later same-shaped MatMul must not write into that memory just
+    because the write was the buffer's last reader."""
+    g = fw.Graph()
+    with g.as_default():
+        x = ops.placeholder(fw.float32, [4, 4])
+        a = ops.placeholder(fw.float32, [4, 4])
+        held = ops.tanh(x)
+        ta = fw.TensorArray(fw.float32, size=0).write(0, held)
+        z = ops.matmul(ops.matmul(ops.matmul(a, a), a), a)
+        stacked = ta.stack()
+    plan = _plan_for([stacked, z], [x, a])
+    xv = np.full((4, 4), 0.5, np.float32)
+    av = np.eye(4, dtype=np.float32) * 3
+    got, _ = BoundPlan(plan, [x, a]).execute_flat([xv, av])
+    np.testing.assert_array_equal(got[0], np.tanh(xv))
+
+
+def test_in_place_arm_never_rounds_to_an_optimistic_static_dtype():
+    """Static inference says int32 + float32 is float32; NumPy computes
+    float64.  The reused buffer is float32, so the in-place write must
+    be refused (and the allocating kernel used), not rounded."""
+    g = fw.Graph()
+    with g.as_default():
+        i = ops.placeholder(fw.int32, [3])
+        f = ops.placeholder(fw.float32, [3])
+        y = ops.add(ops.negative(f), i)
+    iv = np.array([1, 2, 3], np.int32)
+    fv = np.array([0.1, 0.2, 0.3], np.float32)
+    unfused = compile_plan(g, [y], [i, f], fuse=False)
+    assert _inplace_steps(unfused)
+    for plan in (unfused, compile_plan(g, [y], [i, f])):
+        got = BoundPlan(plan, [i, f]).execute_flat([iv, fv])[0]
+        want = np.add(np.negative(fv), iv)
+        assert got.dtype == want.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+
+
 def test_variable_read_buffer_is_never_donated():
     """A variable read returns the variable's live storage; donating it
     would let Session.run(v + 1) silently increment the variable."""
