@@ -17,6 +17,7 @@ import numpy as np
 from .. import nest
 from ..errors import StagingError
 from ..registry import register_op
+from ..shapes import unknown
 from .func_graph import execute_func_graph, trace_into_func_graph
 from .graph import Tensor
 
@@ -82,8 +83,6 @@ register_op("Cond", _cond_kernel, num_outputs=1, stateful=True)
 # Cond is registered with a single output by default; multi-output variants
 # are instantiated below via the `_dtype_override` mechanism plus a
 # specialized OpDef per arity.
-
-_COND_DEFS = {1: None}
 
 
 def _get_cond_def(n_outputs):
@@ -153,9 +152,11 @@ def cond(pred, true_fn, false_fn, name="cond"):
         )
 
     inputs = [pred] + tg.captures + fg.captures
+    # Either branch may run: an output declares only what both agree on.
     shapes = [
-        tt.shape.merge_with(ft.shape) if tt.shape.is_compatible_with(ft.shape)
-        else type(tt.shape)(None)
+        [dt if dt == df else None for dt, df in zip(tt.shape, ft.shape)]
+        if tt.shape.rank is not None and tt.shape.rank == ft.shape.rank
+        else unknown
         for tt, ft in zip(t_flat, f_flat)
     ]
     op = graph.create_op(
@@ -220,6 +221,9 @@ def while_loop(cond_fn, body_fn, loop_vars, maximum_iterations=None,
     Args:
       cond_fn: callable(*loop_vars) -> boolean tensor.
       body_fn: callable(*loop_vars) -> updated loop_vars structure.
+        Both callables are traced again, with the variable declared
+        shapeless, when the body does not hand a variable back at the
+        static shape it entered with.
       loop_vars: tuple/list of initial loop variables (tensors, python
         numbers, or composites like TensorArray).
       maximum_iterations: optional python int bound.
@@ -240,9 +244,7 @@ def while_loop(cond_fn, body_fn, loop_vars, maximum_iterations=None,
     expanded_init = _convert_flat(expanded_init, graph)
     n_vars = len(expanded_init)
 
-    arg_specs = [(t.dtype, t.shape) for t in expanded_init]
-
-    def make_callable(user_fn, wrap_result=False):
+    def make_callable(user_fn):
         def traced(*flat_args):
             rebuilt = _rebuild_composites(list(flat_args), rebuilders)
             structured = nest.pack_sequence_as(list(loop_vars), rebuilt)
@@ -250,59 +252,66 @@ def while_loop(cond_fn, body_fn, loop_vars, maximum_iterations=None,
 
         return traced
 
-    cg = trace_into_func_graph(make_callable(cond_fn), arg_specs,
-                               f"{name}_cond", graph)
-    bg = trace_into_func_graph(make_callable(body_fn), arg_specs,
-                               f"{name}_body", graph)
+    def trace_graphs(var_shapes):
+        """Trace ``cond_fn`` and ``body_fn`` with loop variables declared
+        at ``var_shapes``; returns ``(cond_graph, body_graph)``."""
+        arg_specs = [(t.dtype, sh) for t, sh in zip(expanded_init, var_shapes)]
+        cg = trace_into_func_graph(make_callable(cond_fn), arg_specs,
+                                   f"{name}_cond", graph)
+        bg = trace_into_func_graph(make_callable(body_fn), arg_specs,
+                                   f"{name}_body", graph)
 
-    # Condition output: a single boolean.
-    cond_out = cg.structured_outputs
-    with cg.as_default():
-        cond_flat = _convert_flat([cond_out], cg)
-    cg.flat_outputs = cond_flat
+        # Condition output: a single boolean.
+        with cg.as_default():
+            cg.flat_outputs = _convert_flat([cg.structured_outputs], cg)
 
-    # Body output: must match loop var structure.
-    body_out = bg.structured_outputs
-    if isinstance(body_out, tuple) and len(loop_vars) == 1 and len(body_out) != 1:
-        # Allow body to return the single var unwrapped.
-        pass
-    if len(loop_vars) == 1 and not (isinstance(body_out, (list, tuple)) and len(body_out) == 1):
-        body_out = (body_out,)
-    try:
-        nest.assert_same_structure(list(loop_vars), list(body_out), "while body")
-    except ValueError as e:
-        raise StagingError(
-            f"while_loop: body must return the same structure as loop_vars: {e}"
-        ) from e
-
-    body_flat, _ = _expand_composites(nest.flatten(list(body_out)))
-    with bg.as_default():
-        body_flat = _convert_flat(body_flat, bg)
-    for i, (init_t, out_t) in enumerate(zip(expanded_init, body_flat)):
-        if "variant" in (init_t.dtype.name, out_t.dtype.name):
-            continue
-        if init_t.dtype != out_t.dtype:
+        # Body output: must match loop var structure.
+        body_out = bg.structured_outputs
+        if len(loop_vars) == 1 and not (
+                isinstance(body_out, (list, tuple)) and len(body_out) == 1):
+            # Allow body to return the single var unwrapped.
+            body_out = (body_out,)
+        try:
+            nest.assert_same_structure(
+                list(loop_vars), list(body_out), "while body")
+        except ValueError as e:
             raise StagingError(
-                f"while_loop: loop variable {i} enters with dtype "
-                f"{init_t.dtype.name} but the body produces {out_t.dtype.name}; "
-                "staged loops require consistent variable types"
-            )
-    bg.flat_outputs = body_flat
+                "while_loop: body must return the same structure as "
+                f"loop_vars: {e}"
+            ) from e
+
+        body_flat, _ = _expand_composites(nest.flatten(list(body_out)))
+        with bg.as_default():
+            body_flat = _convert_flat(body_flat, bg)
+        for i, (init_t, out_t) in enumerate(zip(expanded_init, body_flat)):
+            if "variant" in (init_t.dtype.name, out_t.dtype.name):
+                continue
+            if init_t.dtype != out_t.dtype:
+                raise StagingError(
+                    f"while_loop: loop variable {i} enters with dtype "
+                    f"{init_t.dtype.name} but the body produces "
+                    f"{out_t.dtype.name}; staged loops require consistent "
+                    "variable types"
+                )
+        bg.flat_outputs = body_flat
+        return cg, bg
 
     # A loop variable keeps its entry shape only if the body preserves
-    # it.  Otherwise no turn after the first may assume that shape, so
-    # the placeholders standing for the variable stop declaring it (the
-    # engine checks fed values against declared shapes) and so does the
-    # op's output.
-    var_shapes = []
-    for i, (init_t, out_t) in enumerate(zip(expanded_init, body_flat)):
-        shape = init_t.shape
-        if shape != out_t.shape:
-            shape = type(shape)(None)
-            for ph in (cg.inputs[i], bg.inputs[i]):
-                ph._shape = shape
-                ph.op.attrs["_shape_override"] = [shape]  # what export saves
-        var_shapes.append(shape)
+    # it.  Otherwise no turn after the first may assume that shape — the
+    # engine checks fed values against declared shapes and fuses on them
+    # — so the loop is traced again with that variable declared
+    # shapeless: everything the body derives from it, nested branch and
+    # loop sub-graphs that capture it included, then infers shapes that
+    # hold on every turn.  Declared shapes only ever get dropped, so
+    # this settles within ``n_vars`` re-traces; the usual loop needs none.
+    var_shapes = [t.shape for t in expanded_init]
+    while True:
+        cg, bg = trace_graphs(var_shapes)
+        settled = [sh if sh == out_t.shape else unknown
+                   for sh, out_t in zip(var_shapes, bg.flat_outputs)]
+        if settled == var_shapes:
+            break
+        var_shapes = settled
 
     inputs = list(expanded_init) + cg.captures + bg.captures
     op = graph.create_op(

@@ -584,8 +584,18 @@ def _select_kernel(cond, x, y):
     return np.where(cond, x, y)
 
 
+def _select_shape_fn(input_shapes, attrs):
+    cond, x, y = input_shapes
+    if cond.rank and x.rank is not None and cond.rank < x.rank:
+        cond = cond.concatenate([1] * (x.rank - cond.rank))
+    try:
+        return [shapes.broadcast_shapes(shapes.broadcast_shapes(cond, x), y)]
+    except ValueError:
+        return [shapes.unknown]
+
+
 register_op("Select", _select_kernel, dtype_fn=lambda dts, attrs: [dts[1]],
-            shape_fn=lambda ss, attrs: [ss[1]])
+            shape_fn=_select_shape_fn)
 
 # ---------------------------------------------------------------------------
 # Neural network ops

@@ -21,6 +21,7 @@ from repro import framework as fw
 from repro.framework import ops
 from repro.framework.errors import ExecutionError, FetchError
 from repro.framework.graph.func_graph import FuncGraph
+from repro.serving import load, save
 
 
 def _rng_f32(shape, seed):
@@ -281,23 +282,169 @@ def test_unfed_placeholder_in_a_body_is_a_typed_error():
     assert isinstance(info.value.__cause__, FetchError)
 
 
-def test_loop_var_whose_shape_the_body_changes_keeps_working():
-    """The engine checks fed values against declared shapes, so a loop
-    variable that grows must stop declaring its entry shape — in the
-    live trace and in an exported artifact alike."""
+# ---------------------------------------------------------------------------
+# Loop variables the body does not hand back as they entered
+# ---------------------------------------------------------------------------
 
-    def grow(x, n):
-        one = ops.constant(np.ones(1, np.float32))
+
+def grow(x, n):
+    one = ops.constant(np.ones(1, np.float32))
+    i = np.int32(0)
+    while i < n:
+        y = ops.tanh(ops.add(ops.multiply(one, one), x))
+        x = ops.concat([y, y], 0)
+        i = i + 1
+    return x
+
+
+def grow_into_nested_cond(x, n):
+    s = ops.constant(np.float32(0.0))
+    i = np.int32(0)
+    while i < n:
+        if i > 0:
+            s = s + ops.reduce_sum(ops.tanh(ops.multiply(x, x)))
+        else:
+            s = s - 1.0
+        x = ops.concat([x, x], 0)
+        i = i + 1
+    return s, x
+
+
+def grow_into_nested_while(x, n):
+    s = ops.constant(np.float32(0.0))
+    i = np.int32(0)
+    while i < n:
+        y = ops.multiply(x, 2.0)    # derived from the growing variable
+        j = np.int32(0)
+        while j < 2:
+            s = s + ops.reduce_sum(ops.exp(ops.negative(y)))
+            j = j + 1
+        x = ops.concat([x, x], 0)
+        i = i + 1
+    return s, x
+
+
+def grow_drags_a_second_variable(x, n):
+    # `y` only stops keeping its shape once `x` is known to lose its
+    # own: settling the declared shapes takes two rounds.
+    y = x
+    s = ops.constant(np.float32(0.0))
+    i = np.int32(0)
+    while i < n:
+        if i > 0:
+            s = s + ops.reduce_sum(y)
+        else:
+            s = s - 1.0
+        y = ops.multiply(x, 2.0)
+        x = ops.concat([x, x], 0)
+        i = i + 1
+    return s, x, y
+
+
+@pytest.mark.parametrize("program", [
+    grow, grow_into_nested_cond, grow_into_nested_while,
+    grow_drags_a_second_variable], ids=lambda f: f.__name__)
+def test_loop_var_whose_shape_the_body_changes_keeps_working(
+        program, tmp_path):
+    """The engine checks fed values against declared shapes and fuses on
+    them, so a loop variable that grows must stop declaring its entry
+    shape — and so must everything the body derives from it, down into
+    nested branch and loop sub-graphs that capture it — in the live
+    trace and in an exported artifact alike."""
+    x = np.ones(1, np.float32)
+    n = np.int32(3)
+    fn = repro.function(program)
+    got = _flat(fn(x, n))
+    want = _flat(program(ops.constant(x), ops.constant(n)))
+    _assert_bitwise_equal(got, want)
+    _assert_bitwise_equal(_flat(fn(x, n)), want)
+    assert fn.trace_count == 1
+    assert (8,) in [a.shape for a in got]
+
+    cf, = fn.concrete_functions()
+    save(cf, str(tmp_path / "m"))
+    _assert_bitwise_equal(_flat(load(str(tmp_path / "m"))(x, n)), want)
+
+
+def test_capture_of_a_scalar_broadcast_select_declares_the_real_shape():
+    """``where(cond, 0.0, x)`` comes out ``x``-shaped; a branch that
+    captures it is fed that shape, so inference must not declare the
+    scalar's."""
+
+    def program(x, n):
+        y = ops.where(n > 2, 0.0, x)
+        if n > 0:
+            z = ops.add(y, 1.0)
+        else:
+            z = ops.subtract(y, 1.0)
+        return z
+
+    x = _rng_f32((3,), 12)
+    got = _flat(repro.function(program)(x, np.int32(1)))
+    want = _flat(program(ops.constant(x), ops.constant(np.int32(1))))
+    _assert_bitwise_equal(got, want)
+
+
+def test_capture_of_a_cond_output_declares_what_both_branches_agree_on():
+    """Either branch may run, so a ``Cond`` output keeps only the static
+    dimensions its branches share; a later branch capturing it is then
+    fed whatever came out."""
+
+    def program(x, n):
+        if n > 5:
+            y = x
+        else:
+            y = x[:n]
+        if n > 0:
+            z = ops.add(y, 1.0)
+        else:
+            z = ops.subtract(y, 1.0)
+        return z
+
+    x = _rng_f32((3,), 14)
+    fn = repro.function(program)
+    for n in (np.int32(2), np.int32(7)):
+        got = _flat(fn(x, n))
+        want = _flat(program(ops.constant(x), ops.constant(n)))
+        _assert_bitwise_equal(got, want)
+    assert fn.trace_count == 1
+
+    g = fw.Graph()
+    with g.as_default():
+        a = ops.placeholder(fw.float32, [3, 2])
+        b = ops.placeholder(fw.float32, [4, 2])
+        out = fw.cond(ops.placeholder(fw.bool_, []), lambda: a, lambda: b)
+    assert out.shape == fw.TensorShape([None, 2])
+
+
+def test_loop_var_enters_each_turn_at_its_declared_dtype():
+    """A sub-graph is fed like any bound plan: values are coerced to the
+    placeholder's declared dtype.  Where static dtype inference is
+    narrower than NumPy's promotion (``float32 - int32`` declares
+    float32, NumPy computes float64) a staged loop therefore starts
+    every turn from the declared dtype instead of letting the wider one
+    drift in, as eager execution and the pre-engine interpreter did.
+    What leaves the loop is what the last turn computed."""
+
+    def program(x, n):
         i = np.int32(0)
         while i < n:
-            y = ops.tanh(ops.add(ops.multiply(one, one), x))
-            x = ops.concat([y, y], 0)
+            x = ops.subtract(ops.multiply(x, 1.1), i)
             i = i + 1
         return x
 
-    x = np.ones(1, np.float32)
-    fn = repro.function(grow)
-    got = _flat(fn(x, np.int32(3)))
-    want = _flat(grow(ops.constant(x), ops.constant(np.int32(3))))
-    _assert_bitwise_equal(got, want)
-    assert got[0].shape == (8,)
+    x = _rng_f32((4,), 13)
+    n = np.int32(5)
+    got, = _flat(repro.function(program)(x, n))
+
+    want = x
+    for i in range(int(n)):
+        fed = np.asarray(want, np.float32)
+        want = fed * np.float32(1.1) - np.int32(i)
+    assert want.dtype == np.float64
+    _assert_bitwise_equal([got], [want])
+
+    eager, = _flat(program(ops.constant(x), ops.constant(n)))
+    assert eager.dtype == np.float64
+    assert got.tobytes() != eager.tobytes()
+    np.testing.assert_allclose(got, eager, rtol=1e-5)

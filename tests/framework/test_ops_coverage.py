@@ -108,6 +108,21 @@ class TestArrayOps:
             ops.constant(cond), ops.constant(x), ops.constant(y)))
         assert out.tolist() == [[1, 1], [0, 0], [1, 1]]
 
+    @pytest.mark.parametrize("cond, x, y, want", [
+        ([3], [3, 2], [3, 2], [3, 2]),      # rank-1 cond selects rows
+        ([], [], [3, 2], [3, 2]),           # scalar arm broadcasts
+        ([3, 2], [], [], [3, 2]),           # cond alone carries the shape
+        ([None, 2], [1, 2], [], [None, 2]),
+        (None, [3, 2], [3, 2], None),
+    ])
+    def test_where_static_shape_is_the_broadcast_shape(self, cond, x, y, want):
+        g = fw.Graph()
+        with g.as_default():
+            out = ops.where(ops.placeholder(fw.bool_, cond),
+                            ops.placeholder(fw.float32, x),
+                            ops.placeholder(fw.float32, y))
+        assert out.shape == fw.TensorShape(want)
+
     def test_getitem_variants(self):
         c = lambda: ops.constant(A)  # noqa: E731
         assert np.allclose(both_modes(lambda: ops.get_item(c(), 1)), A[1])
