@@ -101,7 +101,7 @@ def test_fast_path_beats_legacy_feed_dict(results):
     )
 
 
-def test_recorder_overhead_on_fast_path(results):
+def test_recorder_overhead_on_fast_path(results, monkeypatch):
     """The observe instrumentation's bargain: the *disabled* recorder
     costs the fast path one dormant branch.
 
@@ -109,54 +109,86 @@ def test_recorder_overhead_on_fast_path(results):
     shows up per commit (the disabled row is directly comparable to the
     "slot-addressed fast path" row across commits — it *is* that path):
 
-    - recorder disabled, pristine (the default everyone pays);
+    - recorder disabled, before a tracing session;
     - recorder enabled (per-step/level/plan spans recording);
-    - recorder disabled again *after* a heavy tracing session.
+    - recorder disabled again *after* the tracing session.
 
-    The hard gate: after profiling, the disabled path must return to
-    within 3% of the pristine baseline (plus a sub-microsecond noise
-    epsilon) — tracing must leave zero residue on the default path.
+    "Tracing leaves zero residue on the default path" is asserted
+    structurally: once disabled and cleared, the recorder is off, its
+    ring and counters are empty and stay empty, and the plan never
+    enters ``_execute_traced``.  Timing is a sanity check only — this
+    VM's speed drifts by 30% between two sequential timing blocks, so
+    disabled -> traced -> disabled is measured in interleaved cycles and
+    the medians are compared against the spread the disabled path shows
+    against itself.
     """
-    from repro.observe.events import RECORDER
+    import statistics
 
+    from repro.observe.events import RECORDER
+    from repro.runtime import ExecutionPlan
+
+    CYCLES = 5
     OVERHEAD_CAP = 1.03
     EPSILON_S = 0.5e-6
 
     cf, x, w = _concrete_function()
     args = [x, w]
+    traced_runs = []
+    execute_traced = ExecutionPlan._execute_traced
+
+    def counting(self, *a, **kw):
+        traced_runs.append(1)
+        return execute_traced(self, *a, **kw)
+
+    monkeypatch.setattr(ExecutionPlan, "_execute_traced", counting)
 
     def run(n):
         call = cf.call_flat
         for _ in range(n):
             call(args)
 
+    def per_call():
+        start = time.perf_counter()
+        run(CALLS)
+        return (time.perf_counter() - start) / CALLS
+
     assert not RECORDER.enabled
     run(10)
-    baseline = _best_per_call(run, CALLS, REPEATS)
+    before, enabled, after = [], [], []
+    for _ in range(CYCLES):
+        before.append(per_call())
+        assert not traced_runs
 
-    RECORDER.enable()
-    try:
-        run(10)
-        enabled = _best_per_call(run, CALLS, REPEATS)
-    finally:
-        RECORDER.disable()
-        RECORDER.clear()
-        RECORDER.clear_counters()
+        RECORDER.enable()
+        try:
+            enabled.append(per_call())
+        finally:
+            RECORDER.disable()
+            RECORDER.clear()
+            RECORDER.clear_counters()
+        assert len(traced_runs) == CALLS
+        traced_runs.clear()
 
-    disabled_after = _best_per_call(run, CALLS, REPEATS)
+        after.append(per_call())
+        assert not RECORDER.enabled and not traced_runs
+        assert len(RECORDER) == 0 and RECORDER.counters() == {}
 
+    baseline, traced, disabled_after = (
+        statistics.median(v) for v in (before, enabled, after))
     results.record(TABLE, "fast path, recorder disabled", "per-call us",
                    baseline * 1e6, unit="us")
     results.record(TABLE, "fast path, recorder enabled (tracing)",
-                   "per-call us", enabled * 1e6, unit="us")
+                   "per-call us", traced * 1e6, unit="us")
     results.record(TABLE, "fast path, recorder enabled (tracing)",
-                   "overhead vs disabled", enabled / baseline, unit="x")
+                   "overhead vs disabled", traced / baseline, unit="x")
     results.record(TABLE, "fast path, disabled after tracing session",
                    "per-call us", disabled_after * 1e6, unit="us")
 
-    assert disabled_after <= baseline * OVERHEAD_CAP + EPSILON_S, (
-        f"disabled path after tracing: {disabled_after * 1e6:.2f}us/call "
-        f"vs pristine {baseline * 1e6:.2f}us/call — more than "
+    spread = max(before) - min(before)
+    assert disabled_after <= baseline * OVERHEAD_CAP + spread + EPSILON_S, (
+        f"disabled path after tracing: median {disabled_after * 1e6:.2f}"
+        f"us/call vs {baseline * 1e6:.2f}us/call before (spread "
+        f"{spread * 1e6:.2f}us over {CYCLES} cycles) — more than "
         f"{(OVERHEAD_CAP - 1) * 100:.0f}% residue"
     )
 

@@ -22,7 +22,8 @@ from . import conversion
 
 __all__ = ["convert", "to_graph", "converted_call", "do_not_convert"]
 
-# Conversion cache: code object -> (converted_fn, module, freevar names).
+# Code object (compared by value: shared by all functions with this
+# source) -> conversion record; converted functions live on their original.
 _CONVERSION_CACHE = {}
 _FAILED_CONVERSIONS = set()
 
@@ -34,25 +35,16 @@ def do_not_convert(fn):
 
 
 def _converted_entity(fn, options):
-    """Convert (or fetch from cache) and refresh closure bindings."""
-    key = fn.__code__
-    record = _CONVERSION_CACHE.get(key)
-    if record is None:
-        converted, module, _ = conversion.convert_entity(fn, options)
-        record = (converted, module, fn.__code__.co_freevars)
-        _CONVERSION_CACHE[key] = record
-    else:
-        converted, module, freevars = record
-        # Refresh free variables: the same code object may be bound to
-        # different closures across calls (factory functions).
-        if freevars and fn.__closure__:
-            ns = module.__dict__
-            for name, cell in zip(freevars, fn.__closure__):
-                try:
-                    ns[name] = cell.cell_contents
-                except ValueError:
-                    pass
-    return record[0]
+    """The converted form of ``fn`` (converting its code on first sight)."""
+    converted = fn.__dict__.get("__ag_converted__")
+    # functools.wraps copies __dict__: only trust our own entry.
+    if converted is None or converted.__wrapped_original__ is not fn:
+        record = _CONVERSION_CACHE.get(fn.__code__)
+        if record is None:
+            record = conversion.convert_entity(fn, options)
+            _CONVERSION_CACHE[fn.__code__] = record
+        converted = fn.__ag_converted__ = conversion.instantiate(record, fn)
+    return converted
 
 
 def _should_convert(f):

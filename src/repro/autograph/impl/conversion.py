@@ -8,18 +8,27 @@ Steps, as listed in the paper:
 4. serialize the final AST to output code;
 5. load it back as a Python function, attaching the original closure and
    globals.
+
+Step 5 attaches the *live* closure and globals, not a copy: the body is
+emitted as ``def ag__outer(): <freevars> = None; def ag__factory(ag__):
+def f(...): <converted body>; return f; return ag__factory`` and
+:func:`instantiate` re-creates ``ag__factory`` per function object over
+that function's own ``__globals__`` and closure cells, so one conversion
+(cached per code object) serves every closure and every module with
+this source, and rebinding a global later is seen as in Python.
 """
 
 from __future__ import annotations
 
 import ast
 import inspect
+import types
 
-from .. import converters, errors
+from .. import converters, errors, operators
 from ..core.converter import ConversionOptions
 from ..pyct import loader, origin_info, parser, transformer
 
-__all__ = ["convert_entity", "is_generated_file", "GENERATED_PREFIX"]
+__all__ = ["convert_entity", "instantiate", "is_generated_file", "GENERATED_PREFIX"]
 
 GENERATED_PREFIX = "repro_generated_"
 
@@ -38,24 +47,38 @@ def _lambda_to_functiondef(lambda_node, name):
     )
 
 
-def _closure_dict(fn):
-    out = {}
-    if fn.__closure__:
-        for name, cell in zip(fn.__code__.co_freevars, fn.__closure__):
-            try:
-                out[name] = cell.cell_contents
-            except ValueError:
-                pass  # empty cell (still being defined)
-    return out
+def _wrap_in_factory(node, freevars):
+    """The factory AST around a converted ``FunctionDef`` (see module
+    docstring); the free variables become cells of ``ag__outer``."""
+    outer = ast.parse(
+        f"def ag__outer():\n    {' = '.join(freevars + ('None',))}\n"
+        f"    def ag__factory(ag__):\n        return {node.name}\n"
+        "    return ag__factory").body[0]
+    outer.body[1].body.insert(0, node)
+    return outer
+
+
+def instantiate(record, fn):
+    """The converted ``fn``: its code's conversion ``record`` bound to
+    ``fn``'s own globals and closure cells."""
+    factory_code, generated_source = record
+    cells = dict(zip(fn.__code__.co_freevars, fn.__closure__ or ()))
+    factory = types.FunctionType(
+        factory_code, fn.__globals__, closure=tuple(
+            cells[name] for name in factory_code.co_freevars))
+    converted = factory(operators)
+    converted.__ag_compiled__ = True
+    converted.__ag_source__ = generated_source
+    converted.__wrapped_original__ = fn
+    return converted
 
 
 def convert_entity(fn, options=None):
-    """Convert a live function into its staged form.
+    """Convert a live function's code into its staged form.
 
     Returns:
-      (converted_fn, generated_module, generated_source): the converted
-      callable (whose globals are the generated module's namespace), the
-      module, and its source code.
+      (factory_code, generated_source): the generated ``ag__factory``'s
+      code object (:func:`instantiate` binds it) and the source.
 
     Raises:
       errors.ConversionError: when the source cannot be obtained/converted.
@@ -84,7 +107,7 @@ def convert_entity(fn, options=None):
         name=entity_name,
         source=source,
         filename=filename,
-        namespace=dict(fn.__globals__),
+        namespace=fn.__globals__,
     )
     ctx = transformer.Context(info)
 
@@ -98,26 +121,10 @@ def convert_entity(fn, options=None):
             f"Failed to convert {entity_name!r}: {type(e).__name__}: {e}"
         ) from e
 
+    node = _wrap_in_factory(node, fn.__code__.co_freevars)
     module, generated_source, generated_filename = loader.ast_to_object(node)
     source_map = origin_info.create_source_map(
         node, generated_source, generated_filename
     )
     errors.register_source_map(generated_filename, source_map)
-
-    converted = getattr(module, entity_name)
-
-    # Attach the original function's world: globals, then closure values
-    # (closure shadows globals), then the operator namespace.
-    module.__dict__.update(
-        {k: v for k, v in fn.__globals__.items() if k not in module.__dict__}
-    )
-    module.__dict__.update(_closure_dict(fn))
-    from .. import operators as _operators
-
-    module.__dict__["ag__"] = _operators
-
-    converted.__ag_compiled__ = True
-    converted.__ag_source__ = generated_source
-    converted.__ag_module__ = module
-    converted.__wrapped_original__ = fn
-    return converted, module, generated_source
+    return module.ag__outer().__code__, generated_source

@@ -8,15 +8,18 @@ inner products, reductions, gradient all-reduce) combines partials with
 a *fixed pairwise tree*, so results are bit-identical to the dense
 computation regardless of worker count.
 
-Two ways in:
+Two ways in, one set of decompositions (:mod:`repro.blocks.ops`):
 
 - **Eager**: ``repro.blocks.matmul(a, b)``, operators on
   :class:`BlockArray`, reductions, ``concat`` — all eager NumPy-kernel
   dispatch, blocked.
 - **Staged**: pass a :class:`BlockArray` to a ``@repro.function`` — the
-  traced graph is *lowered* to per-block steps and executed
-  level-parallel by the runtime engine (``num_workers`` on the
-  decorator sizes the pool).
+  traced graph is *lowered* by calling those same block ops on symbolic
+  blocks (graph tensors), so each stages one op per block, and the
+  result is executed level-parallel by the runtime engine
+  (``num_workers`` on the decorator sizes the pool).  Ops the lowering
+  runs dense instead are listed, with the reason, in the concrete
+  function's ``engine_stats()["blocked"]``.
 
 :class:`DataParallelTrainer` closes the loop for training: batch
 shards along axis 0, per-shard tape gradients, tree all-reduce.

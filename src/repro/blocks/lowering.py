@@ -2,22 +2,27 @@
 
 :func:`lower_blocked_graph` takes a trace graph plus the grids of its
 block-partitioned feeds and produces a *new* graph in which every op
-touching blocked data is decomposed into independent per-block ops —
-the exact decompositions of the eager layer (:mod:`repro.blocks.ops`),
-staged symbolically:
+touching blocked data is decomposed into independent per-block ops.
+The decompositions are not written here: a blocked placeholder becomes
+a *symbolic* :class:`BlockArray` (one placeholder per block, row-major
+entry order — the feed order of :meth:`BlockArray.block_list`), and
+:data:`BLOCK_RULES` maps each graph op type to the block op of
+:mod:`repro.blocks.ops` that decomposes it.  Calling that block op on
+symbolic blocks stages one graph op per block — whatever it stages *is*
+the lowering, so traced and eager results are bit-identical.
 
-- a blocked placeholder becomes one placeholder per block (row-major
-  entry order — the feed order of :meth:`BlockArray.block_list`);
-- elementwise ops map block-wise; dense operands with static shapes are
-  sliced per block through ``GetItem``, scalars broadcast whole;
-- ``MatMul`` becomes the blocked inner product — per-tile partials
-  combined in the same fixed pairwise tree as the eager path, so traced
-  and eager results are bit-identical;
-- reductions reduce per block and tree-combine across the grid;
-- ``Concat`` / basic ``GetItem`` slicing / ``Transpose`` re-grid;
-- everything else (``Reshape``, stateful ops, opaque-attr control flow)
-  falls back to *materializing* its blocked inputs — a ``Concat`` tree
-  assembling the dense value — and copying the op unchanged.
+This module is only the driver:
+
+- placeholder expansion;
+- ops without a blocked input are copied 1:1;
+- an op with no rule, or whose rule refuses (``ValueError`` /
+  ``TypeError`` / ``IndexError``), falls back to *materializing* its
+  blocked inputs (:meth:`BlockArray.to_dense` — a ``Concat`` tree) and
+  is copied unchanged; every fallback is recorded with its reason on
+  :attr:`LoweredGraph.fallbacks` and counted in
+  ``blocks.dense_fallbacks``;
+- control dependencies of the source op are attached to every op its
+  rule created.
 
 The per-block ops of one logical op share no data dependencies, so they
 land in the same wavefront level of the compiled plan
@@ -27,30 +32,51 @@ scheduler.
 
 from __future__ import annotations
 
+import functools
+
 from ..framework.graph.graph import Graph
-from .grid import BlockGrid
-from .ops import BINARY_ELEMENTWISE, UNARY_ELEMENTWISE, pair_tree
+from ..observe.events import RECORDER as _REC
+from . import ops
+from .array import BlockArray
 
-__all__ = ["BlockedValue", "LoweredGraph", "lower_blocked_graph"]
-
-_REDUCE_COMBINE_OP = {"Sum": "Add", "Max": "Maximum", "Min": "Minimum"}
+__all__ = ["BLOCK_RULES", "LoweredGraph", "lower_blocked_graph"]
 
 
-class BlockedValue:
-    """A symbolic block-partitioned value: a grid plus one graph tensor
-    per block (row-major entry order)."""
+def _getitem(a, *index_tensors, spec=()):
+    if index_tensors:
+        raise TypeError("blocked indexing takes ints and slices only")
+    index = []
+    for entry in spec:
+        if entry[0] == "idx":
+            index.append(int(entry[1]))
+        elif entry[0] == "slice":
+            index.append(slice(*entry[1:]))
+        else:
+            raise TypeError(f"unsupported block index entry {entry[0]!r}")
+    return a[tuple(index)]
 
-    __slots__ = ("grid", "blocks")
 
-    def __init__(self, grid, blocks):
-        self.grid = grid
-        self.blocks = tuple(blocks)
+def _concat(*arrays, axis=0):
+    return ops.concat(arrays, axis=axis)
 
-    def block(self, entry):
-        return self.blocks[self.grid.entry_index(tuple(entry))]
 
-    def __repr__(self):
-        return f"<BlockedValue grid={self.grid.grid_shape}>"
+#: graph op type -> the block op that decomposes it, called as
+#: ``rule(*mapped_inputs, **op.attrs)`` whenever an input is blocked.
+BLOCK_RULES = {
+    "MatMul": ops.matmul,
+    "Sum": ops.reduce_sum,
+    "Max": ops.reduce_max,
+    "Min": ops.reduce_min,
+    "Mean": ops.reduce_mean,
+    "Concat": _concat,
+    "Transpose": ops.transpose,
+    "GetItem": _getitem,
+    "Select": ops.where,
+    **{name: functools.partial(ops.map_unary, name)
+       for name in ops.UNARY_ELEMENTWISE},
+    **{name: functools.partial(ops.map_binary, name)
+       for name in ops.BINARY_ELEMENTWISE},
+}
 
 
 class LoweredGraph:
@@ -60,531 +86,96 @@ class LoweredGraph:
       graph: the new, per-block graph.
       feeds: the new feed tensors — old feed order, each blocked feed
         expanded to its per-block placeholders (row-major).
-      feed_widths: how many new feeds each old feed expanded to (1 for
-        dense feeds), in old feed order — the call-side contract for
-        flattening argument values.
       fetches: the new fetch tensors (dense; blocked intermediates are
         materialized), ``None`` entries preserved.
+      fallbacks: ``(op name, op type, reason)`` for every op that had a
+        blocked input and was run dense instead.
     """
 
-    __slots__ = ("graph", "feeds", "feed_widths", "fetches")
+    __slots__ = ("graph", "feeds", "fetches", "fallbacks")
 
-    def __init__(self, graph, feeds, feed_widths, fetches):
+    def __init__(self, graph, feeds, fetches, fallbacks):
         self.graph = graph
         self.feeds = tuple(feeds)
-        self.feed_widths = tuple(feed_widths)
         self.fetches = tuple(fetches)
+        self.fallbacks = tuple(fallbacks)
 
 
 class _Lowering:
     def __init__(self, old_graph, block_grids):
-        self.old = old_graph
         self.new = Graph(name=f"{old_graph.name}/blocked")
         self.block_grids = block_grids  # id(old feed tensor) -> BlockGrid
-        self.tmap = {}    # id(old tensor) -> Tensor | BlockedValue
+        self.tmap = {}    # id(old tensor) -> Tensor | symbolic BlockArray
         self.opmap = {}   # id(old op) -> tuple of new Operations
         self.dense = {}   # id(old tensor) -> materialized dense Tensor
-
-    # -- plumbing ----------------------------------------------------------
-
-    def _controls(self, op):
-        return [nc for c in op.control_inputs
-                for nc in self.opmap.get(id(c), ())]
-
-    def _op(self, op_type, inputs, attrs, ctrl, name=None):
-        return self.new.create_op(op_type, inputs, attrs, name=name,
-                                  control_inputs=ctrl)
-
-    def mapped(self, t):
-        return self.tmap[id(t)]
+        self.fallbacks = []
 
     def to_dense(self, t):
         """The dense tensor for an old tensor (materializing if blocked)."""
         v = self.tmap[id(t)]
-        if not isinstance(v, BlockedValue):
+        if not isinstance(v, BlockArray):
             return v
-        cached = self.dense.get(id(t))
-        if cached is not None:
-            return cached
-        dense = self._materialize(v)
-        dense.set_shape(t.shape)
-        self.dense[id(t)] = dense
+        dense = self.dense.get(id(t))
+        if dense is None:
+            dense = self.dense[id(t)] = v.to_dense()
+            dense.set_shape(t.shape)
         return dense
-
-    def _materialize(self, bv):
-        """Concat-tree assembly of a blocked value, last grid axis first
-        (groups of row-major-consecutive blocks share all outer indices)."""
-        blocks = list(bv.blocks)
-        shapes = [bv.grid.block_shape(e) for e in bv.grid.entries()]
-        for axis in range(bv.grid.ndim - 1, -1, -1):
-            g = bv.grid.grid_shape[axis]
-            merged, merged_shapes = [], []
-            for i in range(0, len(blocks), g):
-                group = blocks[i:i + g]
-                if g == 1:
-                    merged.append(group[0])
-                    merged_shapes.append(shapes[i])
-                    continue
-                out = self._op("Concat", group, {"axis": axis}, ()).outputs[0]
-                shp = list(shapes[i])
-                shp[axis] = sum(s[axis] for s in shapes[i:i + g])
-                out.set_shape(tuple(shp))
-                merged.append(out)
-                merged_shapes.append(tuple(shp))
-            blocks, shapes = merged, merged_shapes
-        return blocks[0]
-
-    def to_blocked(self, tensor, grid, ctrl):
-        """Partition a dense tensor of statically known shape ``grid.shape``
-        into per-block ``GetItem`` slices."""
-        blocks = []
-        for entry in grid.entries():
-            bounds = grid.block_bounds(entry)
-            if all(s == 0 and e == grid.shape[d]
-                   for d, (s, e) in enumerate(bounds)):
-                blocks.append(tensor)
-                continue
-            spec = tuple(("slice", int(s), int(e), None) for s, e in bounds)
-            out = self._op("GetItem", [tensor], {"spec": spec},
-                           ctrl).outputs[0]
-            out.set_shape(grid.block_shape(entry))
-            blocks.append(out)
-        return BlockedValue(grid, blocks)
-
-    def _slice_operand(self, grid, entry, tensor, dims, ctrl):
-        """One block-aligned window of a broadcast-compatible dense
-        operand (mirrors ``ops._operand_views``)."""
-        if not dims:
-            return tensor  # scalar: broadcast whole
-        bounds = grid.operand_block_bounds(entry, dims)
-        if all(b is None for b in bounds):
-            return tensor
-        spec = tuple(
-            ("slice", None, None, None) if b is None
-            else ("slice", int(b[0]), int(b[1]), None)
-            for b in bounds
-        )
-        out = self._op("GetItem", [tensor], {"spec": spec}, ctrl).outputs[0]
-        out.set_shape(tuple(
-            d if b is None else b[1] - b[0] for d, b in zip(dims, bounds)
-        ))
-        return out
-
-    def _fallback(self, op):
-        """Copy ``op`` unchanged, with blocked inputs materialized."""
-        ctrl = self._controls(op)
-        inputs = [self.to_dense(t) for t in op.inputs]
-        new_op = self._op(op.type, inputs, dict(op.attrs), ctrl, name=op.name)
-        for old_t, new_t in zip(op.outputs, new_op.outputs):
-            new_t.set_shape(old_t.shape)
-            self.tmap[id(old_t)] = new_t
-
-    # -- per-op lowering ----------------------------------------------------
 
     def lower_op(self, op):
         before = len(self.new.ops)
-        self._dispatch(op)
-        self.opmap[id(op)] = tuple(self.new.ops[before:])
+        if op.type == "Placeholder":
+            self._placeholder(op)
+        else:
+            inputs = [self.tmap[id(t)] for t in op.inputs]
+            if any(isinstance(v, BlockArray) for v in inputs):
+                reason = self._apply_rule(op, inputs)
+                if reason is not None:
+                    self.fallbacks.append((op.name, op.type, reason))
+                    _REC.counter("blocks.dense_fallbacks")
+                    # What the rule staged before refusing is dead: keep
+                    # it out of the control edges so the plan prunes it.
+                    before = len(self.new.ops)
+                    self._copy(op)
+            else:
+                self._copy(op)
+        created = self.opmap[id(op)] = tuple(self.new.ops[before:])
+        for c in op.control_inputs:
+            for new_c in self.opmap.get(id(c), ()):
+                for new_op in created:
+                    new_op.add_control_input(new_c)
 
-    def _dispatch(self, op):
-        t = op.type
-        if t == "Placeholder":
-            return self._lower_placeholder(op)
-        blocked_in = [x for x in op.inputs
-                      if isinstance(self.tmap[id(x)], BlockedValue)]
-        if not blocked_in:
-            # Pure dense region: copy 1:1 (Const included).
-            return self._fallback(op)
-        done = False
-        if t in UNARY_ELEMENTWISE and len(op.inputs) == 1:
-            done = self._lower_unary(op)
-        elif t in BINARY_ELEMENTWISE and len(op.inputs) == 2:
-            done = self._lower_binary(op)
-        elif t == "MatMul":
-            done = self._lower_matmul(op)
-        elif t in ("Sum", "Max", "Min"):
-            done = self._lower_reduce(op)
-        elif t == "Mean":
-            done = self._lower_mean(op)
-        elif t == "Concat":
-            done = self._lower_concat(op)
-        elif t == "Transpose":
-            done = self._lower_transpose(op)
-        elif t == "GetItem":
-            done = self._lower_getitem(op)
-        if not done:
-            self._fallback(op)
+    def _apply_rule(self, op, inputs):
+        """Stage ``op`` block-wise; the reason (a string) if it cannot be."""
+        rule = BLOCK_RULES.get(op.type)
+        if rule is None:
+            return "no block rule"
+        try:
+            self.tmap[id(op.outputs[0])] = rule(*inputs, **op.attrs)
+        except (ValueError, TypeError, IndexError) as e:
+            return str(e)
+        return None
 
-    def _lower_placeholder(self, op):
+    def _placeholder(self, op):
         out = op.outputs[0]
         grid = self.block_grids.get(id(out))
         if grid is None:
-            new_out = self.new.placeholder(out.dtype, shape=out.shape,
-                                           name=op.name)
-            self.tmap[id(out)] = new_out
+            self.tmap[id(out)] = self.new.placeholder(
+                out.dtype, shape=out.shape, name=op.name)
             return
-        blocks = []
-        for i, entry in enumerate(grid.entries()):
-            blocks.append(self.new.placeholder(
-                out.dtype, shape=grid.block_shape(entry),
-                name=f"{op.name}/b{i}"))
-        self.tmap[id(out)] = BlockedValue(grid, blocks)
+        self.tmap[id(out)] = BlockArray(grid, [
+            self.new.placeholder(out.dtype, shape=grid.block_shape(entry),
+                                 name=f"{op.name}/b{i}")
+            for i, entry in enumerate(grid.entries())
+        ])
 
-    def _lower_unary(self, op):
-        ctrl = self._controls(op)
-        bv = self.mapped(op.inputs[0])
-        blocks = [
-            self._op(op.type, [b], {}, ctrl).outputs[0] for b in bv.blocks
-        ]
-        self.tmap[id(op.outputs[0])] = BlockedValue(bv.grid, blocks)
-        return True
-
-    def _lower_binary(self, op):
-        ctrl = self._controls(op)
-        x = self.mapped(op.inputs[0])
-        y = self.mapped(op.inputs[1])
-        xb, yb = isinstance(x, BlockedValue), isinstance(y, BlockedValue)
-        if xb and yb:
-            if y.grid != x.grid:
-                if y.grid.shape != x.grid.shape:
-                    return False  # genuinely broadcasting blocked pair
-                # Grids disagree: realign the right operand to the left's.
-                y = self.to_blocked(self.to_dense(op.inputs[1]), x.grid, ctrl)
-            blocks = [
-                self._op(op.type, [a, b], {}, ctrl).outputs[0]
-                for a, b in zip(x.blocks, y.blocks)
-            ]
-            self.tmap[id(op.outputs[0])] = BlockedValue(x.grid, blocks)
-            return True
-        if xb:
-            bv, other, other_t, flip = x, y, op.inputs[1], False
-        else:
-            bv, other, other_t, flip = y, x, op.inputs[0], True
-        dims = other_t.shape.dims
-        if dims is not None and None in dims:
-            dims = None
-        if dims is None and other_t.shape.rank != 0:
-            return False  # unknown dense shape: materialize instead
-        dims = tuple(dims or ())
-        try:
-            views = [
-                self._slice_operand(bv.grid, entry, other, dims, ctrl)
-                for entry in bv.grid.entries()
-            ]
-        except ValueError:
-            return False  # operand does not align with the grid
-        blocks = []
-        for b, v in zip(bv.blocks, views):
-            pair = [v, b] if flip else [b, v]
-            blocks.append(self._op(op.type, pair, {}, ctrl).outputs[0])
-        self.tmap[id(op.outputs[0])] = BlockedValue(bv.grid, blocks)
-        return True
-
-    # -- matmul -------------------------------------------------------------
-
-    def _lower_matmul(self, op):
-        ctrl = self._controls(op)
-        ta = bool(op.attrs.get("transpose_a"))
-        tb = bool(op.attrs.get("transpose_b"))
-        a, b = (self.mapped(t) for t in op.inputs)
-
-        def effective_grid(v, flag):
-            g = v.grid
-            if g.ndim != 2:
-                return None
-            return g.transposed() if flag else g
-
-        ga = effective_grid(a, ta) if isinstance(a, BlockedValue) else None
-        gb = effective_grid(b, tb) if isinstance(b, BlockedValue) else None
-        if isinstance(a, BlockedValue) and ga is None:
-            return False
-        if isinstance(b, BlockedValue) and gb is None:
-            return False
-
-        def lift(old_t, eff_grid, flag):
-            # Partition a dense operand so its *effective* (transposed)
-            # grid is eff_grid; slicing happens on the raw layout.
-            dims = old_t.shape.dims
-            if dims is None or None in dims or len(dims) != 2:
-                return None
-            raw = eff_grid.transposed() if flag else eff_grid
-            if raw.shape != tuple(dims):
-                return None
-            return self.to_blocked(self.to_dense(old_t), raw, ctrl)
-
-        if ga is None:
-            k = gb.splits[0]
-            dims = op.inputs[0].shape.dims
-            if dims is None or None in dims or len(dims) != 2:
-                return False
-            m = dims[1] if ta else dims[0]
-            ga = BlockGrid((m, sum(k)), ((m,), k))
-            a = lift(op.inputs[0], ga, ta)
-            if a is None:
-                return False
-        elif gb is None:
-            k = ga.splits[1]
-            dims = op.inputs[1].shape.dims
-            if dims is None or None in dims or len(dims) != 2:
-                return False
-            n = dims[0] if tb else dims[1]
-            gb = BlockGrid((sum(k), n), (k, (n,)))
-            b = lift(op.inputs[1], gb, tb)
-            if b is None:
-                return False
-        elif ga.splits[1] != gb.splits[0]:
-            # Contraction splits disagree: re-block the right operand.
-            gb = BlockGrid((sum(ga.splits[1]), sum(gb.splits[1])),
-                           (ga.splits[1], gb.splits[1]))
-            b = lift(op.inputs[1], gb, tb)
-            if b is None:
-                return False
-
-        def a_block(i, q):
-            return a.block((q, i) if ta else (i, q))
-
-        def b_block(q, j):
-            return b.block((j, q) if tb else (q, j))
-
-        rows, cols = ga.splits[0], gb.splits[1]
-        gk = len(ga.splits[1])
-        attrs = {"transpose_a": ta, "transpose_b": tb}
-        blocks = []
-        for i in range(len(rows)):
-            for j in range(len(cols)):
-                parts = [
-                    self._op("MatMul", [a_block(i, q), b_block(q, j)],
-                             dict(attrs), ctrl).outputs[0]
-                    for q in range(gk)
-                ]
-                blocks.append(pair_tree(
-                    parts,
-                    lambda u, v: self._op("Add", [u, v], {}, ctrl).outputs[0],
-                ))
-        grid = BlockGrid((sum(rows), sum(cols)), (rows, cols))
-        self.tmap[id(op.outputs[0])] = BlockedValue(grid, blocks)
-        return True
-
-    # -- reductions -----------------------------------------------------------
-
-    def _lower_reduce(self, op, combine_name=None, out_key=None):
-        ctrl = self._controls(op)
-        bv = self.mapped(op.inputs[0])
-        axis = op.attrs.get("axis")
-        keepdims = bool(op.attrs.get("keepdims", False))
-        if isinstance(axis, (list, tuple)):
-            return False  # multi-axis: materialize
-        combine_name = combine_name or _REDUCE_COMBINE_OP[op.type]
-
-        def combine(u, v):
-            return self._op(combine_name, [u, v], {}, ctrl).outputs[0]
-
-        grid = bv.grid
-        if axis is None:
-            reduced = [
-                self._op(op.type, [b], {"axis": None, "keepdims": keepdims},
-                         ctrl).outputs[0]
-                for b in bv.blocks
-            ]
-            result = pair_tree(reduced, combine)
-            self._store_reduced(op, result, out_key)
-            return True
-        axis = int(axis) % grid.ndim
-        reduced = [
-            self._op(op.type, [b], {"axis": axis, "keepdims": keepdims},
-                     ctrl).outputs[0]
-            for b in bv.blocks
-        ]
-        out_grid = grid.reduced(axis, keepdims=keepdims)
-        gd = grid.grid_shape[axis]
-        if gd == 1:
-            self._store_reduced(op, BlockedValue(out_grid, reduced), out_key)
-            return True
-        blocks = []
-        for out_entry in out_grid.entries():
-            out_entry = list(out_entry)
-            if keepdims:
-                template = out_entry
-            else:
-                template = out_entry[:axis] + [0] + out_entry[axis:]
-            parts = []
-            for q in range(gd):
-                src = list(template)
-                src[axis] = q
-                parts.append(reduced[grid.entry_index(tuple(src))])
-            blocks.append(pair_tree(parts, combine))
-        self._store_reduced(op, BlockedValue(out_grid, blocks), out_key)
-        return True
-
-    def _store_reduced(self, op, value, out_key):
-        self.tmap[out_key if out_key is not None else id(op.outputs[0])] = \
-            value
-
-    def _lower_mean(self, op):
-        # Sum through the grid tree, divide once — the eager layer's
-        # reduce_mean, staged (same dtype rule as the dense Mean kernel:
-        # floats keep their dtype, integers go through float64).
-        ctrl = self._controls(op)
-        bv = self.mapped(op.inputs[0])
-        axis = op.attrs.get("axis")
-        if isinstance(axis, (list, tuple)):
-            return False
-        in_dtype = op.inputs[0].dtype
-        if axis is None:
-            count = 1
-            for d in bv.grid.shape:
-                count *= d
-        else:
-            count = bv.grid.shape[int(axis) % bv.grid.ndim]
-        key = ("mean-sum", id(op.outputs[0]))
-        sum_op = _FakeSum(op)
-        if not self._lower_reduce(sum_op, combine_name="Add", out_key=key):
-            return False
-        total = self.tmap.pop(key)
-        if in_dtype.is_floating:
-            divisor = self.new.constant(count, dtype=in_dtype)
-        else:
-            divisor = self.new.constant(float(count), dtype="float64")
-
-        def div(t):
-            return self._op("Div", [t, divisor], {}, ctrl).outputs[0]
-
-        if isinstance(total, BlockedValue):
-            result = BlockedValue(total.grid, [div(b) for b in total.blocks])
-        else:
-            result = div(total)
-        self.tmap[id(op.outputs[0])] = result
-        return True
-
-    # -- layout ops -----------------------------------------------------------
-
-    def _lower_concat(self, op):
-        ctrl = self._controls(op)
-        vals = [self.mapped(t) for t in op.inputs]
-        if not vals or not all(isinstance(v, BlockedValue) for v in vals):
-            return False
-        first = vals[0]
-        ndim = first.grid.ndim
-        axis = int(op.attrs.get("axis", 0)) % ndim
-        aligned = [first]
-        for t, v in zip(op.inputs[1:], vals[1:]):
-            want = tuple(
-                v.grid.splits[d] if d == axis else first.grid.splits[d]
-                for d in range(ndim)
-            )
-            if v.grid.splits != want:
-                v = self.to_blocked(
-                    self.to_dense(t), BlockGrid(v.grid.shape, want), ctrl)
-            aligned.append(v)
-        splits = list(first.grid.splits)
-        splits[axis] = tuple(
-            b for v in aligned for b in v.grid.splits[axis])
-        shape = list(first.grid.shape)
-        shape[axis] = sum(splits[axis])
-        out_grid = BlockGrid(tuple(shape), tuple(splits))
-        starts, acc = [], 0
-        for v in aligned:
-            starts.append(acc)
-            acc += v.grid.grid_shape[axis]
-        blocks = []
-        for entry in out_grid.entries():
-            g = entry[axis]
-            src = 0
-            while src + 1 < len(aligned) and starts[src + 1] <= g:
-                src += 1
-            src_entry = list(entry)
-            src_entry[axis] = g - starts[src]
-            blocks.append(aligned[src].block(tuple(src_entry)))
-        self.tmap[id(op.outputs[0])] = BlockedValue(out_grid, blocks)
-        return True
-
-    def _lower_transpose(self, op):
-        ctrl = self._controls(op)
-        bv = self.mapped(op.inputs[0])
-        perm = op.attrs.get("perm")
-        ndim = bv.grid.ndim
-        if perm is None:
-            perm = tuple(range(ndim - 1, -1, -1))
-        perm = tuple(int(p) % ndim for p in perm)
-        out_grid = bv.grid.transposed(perm)
-        blocks = []
-        for entry in out_grid.entries():
-            src = [0] * ndim
-            for j, p in enumerate(perm):
-                src[p] = entry[j]
-            blocks.append(self._op(
-                "Transpose", [bv.block(tuple(src))], {"perm": perm},
-                ctrl).outputs[0])
-        self.tmap[id(op.outputs[0])] = BlockedValue(out_grid, blocks)
-        return True
-
-    def _lower_getitem(self, op):
-        if len(op.inputs) != 1:
-            return False  # tensor-valued indices: materialize
-        ctrl = self._controls(op)
-        bv = self.mapped(op.inputs[0])
-        index = []
-        for entry in op.attrs.get("spec", ()):
-            if entry[0] == "idx":
-                index.append(int(entry[1]))
-            elif entry[0] == "slice" and entry[3] in (None, 1):
-                index.append(slice(entry[1], entry[2], None))
-            else:
-                return False
-        try:
-            plan = bv.grid.slice_plan(tuple(index))
-        except (ValueError, IndexError, TypeError):
-            return False
-        kept = [d for d, p in enumerate(plan) if p[0] == "slice"]
-        new_splits = tuple(
-            tuple(hi - lo for _, lo, hi in plan[d][1]) for d in kept)
-        if not kept:
-            # Fully integer-indexed: a scalar out of one source block.
-            entry = tuple(p[1] for p in plan)
-            spec = tuple(("idx", p[2]) for p in plan)
-            out = self._op("GetItem", [bv.block(entry)], {"spec": spec},
-                           ctrl).outputs[0]
-            out.set_shape(())
-            self.tmap[id(op.outputs[0])] = out
-            return True
-        new_grid = BlockGrid(tuple(sum(d) for d in new_splits), new_splits)
-        blocks = []
-        for entry in new_grid.entries():
-            src_entry, spec, shp = [], [], []
-            it = iter(entry)
-            for p in plan:
-                if p[0] == "idx":
-                    src_entry.append(p[1])
-                    spec.append(("idx", p[2]))
-                else:
-                    src, lo, hi = p[1][next(it)]
-                    src_entry.append(src)
-                    spec.append(("slice", lo, hi, None))
-                    shp.append(hi - lo)
-            src_block = bv.block(tuple(src_entry))
-            if (len(spec) == len(shp)
-                    and tuple(shp) == bv.grid.block_shape(tuple(src_entry))):
-                blocks.append(src_block)  # whole block kept as-is
-                continue
-            out = self._op("GetItem", [src_block], {"spec": tuple(spec)},
-                           ctrl).outputs[0]
-            out.set_shape(tuple(shp))
-            blocks.append(out)
-        self.tmap[id(op.outputs[0])] = BlockedValue(new_grid, blocks)
-        return True
-
-
-class _FakeSum:
-    """A ``Sum`` view of a ``Mean`` op for :meth:`_Lowering._lower_reduce`."""
-
-    __slots__ = ("type", "inputs", "attrs", "outputs", "control_inputs")
-
-    def __init__(self, mean_op):
-        self.type = "Sum"
-        self.inputs = mean_op.inputs
-        self.attrs = mean_op.attrs
-        self.outputs = mean_op.outputs
-        self.control_inputs = mean_op.control_inputs
+    def _copy(self, op):
+        """Copy ``op`` unchanged, with blocked inputs materialized."""
+        new_op = self.new.create_op(
+            op.type, [self.to_dense(t) for t in op.inputs], dict(op.attrs),
+            name=op.name)
+        for old_t, new_t in zip(op.outputs, new_op.outputs):
+            new_t.set_shape(old_t.shape)
+            self.tmap[id(old_t)] = new_t
 
 
 def lower_blocked_graph(graph, feed_tensors, fetch_tensors, block_grids):
@@ -605,20 +196,9 @@ def lower_blocked_graph(graph, feed_tensors, fetch_tensors, block_grids):
     for op in graph.ops:
         lw.lower_op(op)
 
-    feeds, widths = [], []
+    feeds = []
     for t in feed_tensors:
         v = lw.tmap[id(t)]
-        if isinstance(v, BlockedValue):
-            feeds.extend(v.blocks)
-            widths.append(len(v.blocks))
-        else:
-            feeds.append(v)
-            widths.append(1)
-
-    fetches = []
-    for t in fetch_tensors:
-        if t is None:
-            fetches.append(None)
-        else:
-            fetches.append(lw.to_dense(t))
-    return LoweredGraph(lw.new, feeds, widths, fetches)
+        feeds.extend(v.block_list() if isinstance(v, BlockArray) else [v])
+    fetches = [None if t is None else lw.to_dense(t) for t in fetch_tensors]
+    return LoweredGraph(lw.new, feeds, fetches, lw.fallbacks)

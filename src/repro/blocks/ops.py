@@ -1,30 +1,34 @@
-"""The eager block-op layer: per-block dispatch through the kernel registry.
+"""The block-op layer: every block decomposition, written once.
 
 Every function here decomposes one logical op on :class:`BlockArray`
-inputs into independent per-block calls of the *registered* kernels
-(:func:`repro.framework.registry.get_op_def`), optionally fanned out on a
+inputs into independent per-block runs of the *registered* op
+(:func:`repro.blocks.array.block_op`), optionally fanned out on a
 :class:`~repro.blocks.scheduler.BlockScheduler`:
 
 - elementwise ops map block-wise (dense operands are sliced per block,
   scalars broadcast whole);
 - ``matmul`` runs the blocked inner product — one ``MatMul`` per
-  ``(i, k) x (k, j)`` pair accumulated through the registry's in-place
-  kernel into a fixed pairwise tree, so results do not depend on
-  scheduling;
+  ``(i, k) x (k, j)`` pair, the partials combined in a fixed pairwise
+  tree, so results do not depend on scheduling;
 - reductions reduce per block, then tree-combine across the grid;
 - ``concat`` / slicing / ``transpose`` re-grid metadata (no bulk copies).
 
-The graph lowering (:mod:`repro.blocks.lowering`) mirrors these exact
-decompositions symbolically, so a traced blocked function computes
-bit-identical results to the eager path.
+The same code serves both emitters: on ndarray blocks it computes, on
+symbolic blocks (:attr:`BlockArray.symbolic`) it stages one graph op per
+block — which *is* the graph lowering (:mod:`repro.blocks.lowering`
+only maps graph op types to these functions), so a traced blocked
+function computes bit-identical results to the eager path by
+construction.  A decomposition that cannot handle its operands raises
+``ValueError`` / ``TypeError`` / ``IndexError``; the lowering turns that
+into a reported dense fallback.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..framework import registry
-from .array import BlockArray
+from ..framework import dtypes
+from .array import BlockArray, block_op, static_shape, take
 from .grid import BlockGrid
 from .scheduler import BlockScheduler
 
@@ -60,7 +64,7 @@ def _sched(scheduler):
 
 def pair_tree(items, combine):
     """Fixed pairwise combine: ((a+b), (c+d)) + ... — the one tree shape
-    every accumulation in the blocks subsystem uses, eager or lowered."""
+    every accumulation in the blocks subsystem uses."""
     items = list(items)
     if not items:
         raise ValueError("cannot combine an empty sequence")
@@ -79,61 +83,70 @@ def pair_tree(items, combine):
 # ---------------------------------------------------------------------------
 
 
+def _first_blocked(*operands):
+    """The first :class:`BlockArray` among ``operands``: its grid is the
+    result grid and its ``symbolic`` picks the kernels."""
+    for v in operands:
+        if isinstance(v, BlockArray):
+            return v
+    raise TypeError("a blocked op needs at least one BlockArray operand")
+
+
+def _operand_blocks(ref, operand, label):
+    """One block (or block-aligned window) of ``operand`` per entry of
+    ``ref``'s grid: same-shape blocked operands are re-gridded, dense
+    operands sliced per block, scalars broadcast whole."""
+    grid = ref.grid
+    if isinstance(operand, BlockArray):
+        if operand is not ref and operand.grid != grid:
+            if operand.shape != grid.shape:
+                raise ValueError(
+                    f"blocked operand {label} has shape {operand.shape}, "
+                    f"expected {grid.shape}"
+                )
+            operand = operand.regrid(grid=grid)
+        return operand.block_list()
+    if not ref.symbolic:
+        operand = np.asarray(operand)
+    shape = static_shape(operand)
+    if not shape:
+        return [operand] * grid.num_blocks
+    views = []
+    for entry in grid.entries():
+        bounds = grid.operand_block_bounds(entry, shape)
+        views.append(take(
+            operand,
+            tuple(slice(None) if b is None else slice(*b) for b in bounds),
+            ref.symbolic))
+    return views
+
+
 def map_unary(op_name, a, scheduler=None):
-    """Apply a registered unary elementwise kernel block-wise."""
+    """Apply a registered unary elementwise op block-wise."""
     if op_name not in UNARY_ELEMENTWISE:
         raise ValueError(f"{op_name!r} is not a blocked unary elementwise op")
     if not isinstance(a, BlockArray):
         raise TypeError(f"expected a BlockArray, got {type(a).__name__}")
-    kernel = registry.get_op_def(op_name).kernel
-    blocks = _sched(scheduler).map(kernel, a.block_list())
+    blocks = _sched(scheduler).map(
+        block_op(op_name, a.symbolic), a.block_list())
     return BlockArray.from_blocks(a.grid, blocks)
 
 
-def _operand_views(grid, operand):
-    """Per-entry views of a dense operand, aligned to a grid's blocks."""
-    operand = np.asarray(operand)
-    if operand.ndim == 0:
-        return [operand] * grid.num_blocks
-    views = []
-    for entry in grid.entries():
-        bounds = grid.operand_block_bounds(entry, operand.shape)
-        views.append(operand[tuple(
-            slice(None) if b is None else slice(b[0], b[1]) for b in bounds
-        )])
-    return views
-
-
 def map_binary(op_name, x, y, scheduler=None):
-    """Apply a registered binary elementwise kernel block-wise.
+    """Apply a registered binary elementwise op block-wise.
 
     At least one operand must be a :class:`BlockArray`; the other may be
-    a same-grid ``BlockArray``, a scalar, or a dense array whose shape
+    a same-shape ``BlockArray``, a scalar, or a dense array whose shape
     broadcasts against the blocked operand (it is sliced per block).
     """
     if op_name not in BINARY_ELEMENTWISE:
         raise ValueError(f"{op_name!r} is not a blocked binary elementwise op")
-    kernel = registry.get_op_def(op_name).kernel
-    sched = _sched(scheduler)
-    if isinstance(x, BlockArray) and isinstance(y, BlockArray):
-        if y.grid != x.grid:
-            if y.shape != x.shape:
-                raise ValueError(
-                    f"blocked operands have different shapes {x.shape} "
-                    f"and {y.shape}"
-                )
-            y = y.regrid(grid=x.grid)
-        pairs = list(zip(x.block_list(), y.block_list()))
-        blocks = sched.map(lambda p: kernel(p[0], p[1]), pairs)
-        return BlockArray.from_blocks(x.grid, blocks)
-    if isinstance(x, BlockArray):
-        pairs = list(zip(x.block_list(), _operand_views(x.grid, y)))
-        grid = x.grid
-    else:
-        pairs = list(zip(_operand_views(y.grid, x), y.block_list()))
-        grid = y.grid
-    blocks = sched.map(lambda p: kernel(p[0], p[1]), pairs)
-    return BlockArray.from_blocks(grid, blocks)
+    ref = _first_blocked(x, y)
+    run = block_op(op_name, ref.symbolic)
+    pairs = list(zip(_operand_blocks(ref, x, "x"),
+                     _operand_blocks(ref, y, "y")))
+    blocks = _sched(scheduler).map(lambda p: run(p[0], p[1]), pairs)
+    return BlockArray.from_blocks(ref.grid, blocks)
 
 
 def _unary_fn(op_name):
@@ -196,54 +209,35 @@ def where(cond, x, y, scheduler=None):
     grid's leading axis, not broadcast numpy-style against the trailing
     one.
     """
-    ref = next((v for v in (x, y, cond) if isinstance(v, BlockArray)), None)
-    if ref is None:
-        raise TypeError("blocked where needs at least one BlockArray")
+    ref = _first_blocked(x, y, cond)
     grid = ref.grid
-
-    def lift(v, label):
-        if not isinstance(v, BlockArray):
-            return _operand_views(grid, v)
-        if v.grid == grid:
-            return v.block_list()
-        if v.shape != grid.shape:
-            raise ValueError(
-                f"blocked where operand {label} has shape {v.shape}, "
-                f"expected {grid.shape}"
-            )
-        return v.regrid(grid=grid).block_list()
-
-    def leading(c, rank):
+    cond_shape = (cond.shape if isinstance(cond, BlockArray)
+                  else static_shape(cond))
+    rank = len(cond_shape)
+    if 0 < rank < grid.ndim:
         # Lower-rank condition over a higher-rank grid: slice its axes
         # against the grid's *leading* axes, one view per block (shared
         # across the trailing block dimensions).
-        if isinstance(c, BlockArray):
-            c = c.to_dense()
-        c = np.asarray(c)
-        return [
-            c[tuple(slice(*grid.block_bounds(entry)[d])
-                    for d in range(rank))]
-            for entry in grid.entries()
-        ]
-
-    cond_rank = cond.ndim if isinstance(cond, BlockArray) else np.ndim(cond)
-    if 0 < cond_rank < len(grid.shape):
-        cond_shape = tuple(cond.shape if isinstance(cond, BlockArray)
-                           else np.shape(cond))
-        if cond_shape != grid.shape[:cond_rank]:
+        if cond_shape != grid.shape[:rank]:
             raise ValueError(
                 f"low-rank where condition has shape {cond_shape}, "
-                f"expected leading dimensions "
-                f"{grid.shape[:cond_rank]}"
+                f"expected leading dimensions {grid.shape[:rank]}"
             )
-        conds = leading(cond, cond_rank)
+        if isinstance(cond, BlockArray):
+            cond = cond.to_dense()
+        elif not ref.symbolic:
+            cond = np.asarray(cond)
+        conds = [
+            take(cond, grid.block_slices(entry)[:rank], ref.symbolic)
+            for entry in grid.entries()
+        ]
     else:
-        conds = lift(cond, "cond")
+        conds = _operand_blocks(ref, cond, "cond")
 
-    kernel = registry.get_op_def("Select").kernel
-    triples = list(zip(conds, lift(x, "x"), lift(y, "y")))
-    blocks = _sched(scheduler).map(
-        lambda t: kernel(t[0], t[1], t[2]), triples)
+    run = block_op("Select", ref.symbolic)
+    triples = list(zip(conds, _operand_blocks(ref, x, "x"),
+                       _operand_blocks(ref, y, "y")))
+    blocks = _sched(scheduler).map(lambda t: run(t[0], t[1], t[2]), triples)
     return BlockArray.from_blocks(grid, blocks)
 
 
@@ -252,94 +246,90 @@ def where(cond, x, y, scheduler=None):
 # ---------------------------------------------------------------------------
 
 
-def _as_matmul_operand(value, other, side):
-    """Lift a dense matmul operand to a BlockArray compatible with the
-    blocked side: k-splits shared, the free dimension unsplit."""
-    arr = np.asarray(value)
-    if arr.ndim != 2:
-        raise ValueError(f"blocked matmul needs rank-2 operands, got {arr.ndim}")
-    if side == "left":
-        grid = BlockGrid(arr.shape, ((arr.shape[0],), other.grid.splits[0]))
-    else:
-        grid = BlockGrid(arr.shape, (other.grid.splits[1], (arr.shape[1],)))
-    return BlockArray.from_dense(arr, grid=grid)
+def _oriented(grid, transposed):
+    """A rank-2 grid as the product sees it — or, applied to that, back
+    to the operand's raw layout."""
+    return grid.transposed() if transposed else grid
 
 
-def matmul(a, b, scheduler=None):
-    """Blocked matrix product.
+def matmul(a, b, scheduler=None, transpose_a=False, transpose_b=False):
+    """Blocked matrix product (``transpose_*`` as in the ``MatMul`` op).
 
-    ``C[i, j] = sum_k A[i, k] @ B[k, j]`` — every per-block ``MatMul``
-    goes through the registry kernel's in-place variant, accumulating
-    into buffers this function owns, and the ``k`` partial sums combine
-    in a fixed pairwise tree (deterministic under any scheduler).
+    ``C[i, j] = sum_k A[i, k] @ B[k, j]`` — one per-block ``MatMul`` per
+    pair, the ``k`` partial sums combined in a fixed pairwise tree
+    (deterministic under any scheduler).  A dense operand is partitioned
+    to share the blocked side's contraction splits, its free dimension
+    unsplit; blocked operands whose contraction splits disagree re-grid
+    the right one.  Transposed operands keep their raw layout: the flag
+    is passed on to every per-block ``MatMul``.
     """
-    if not isinstance(a, BlockArray) and not isinstance(b, BlockArray):
-        raise TypeError("blocked matmul needs at least one BlockArray")
+    ref = _first_blocked(a, b)
+    shapes = []
+    for v, transposed in ((a, transpose_a), (b, transpose_b)):
+        shape = v.shape if isinstance(v, BlockArray) else static_shape(v)
+        if len(shape) != 2:
+            raise ValueError(
+                f"blocked matmul needs rank-2 operands, got {len(shape)}")
+        shapes.append(shape[::-1] if transposed else shape)
+    (m, k), (k_b, n) = shapes
+    if k != k_b:
+        raise ValueError(f"matmul shape mismatch: {(m, k)} @ {(k_b, n)}")
     if not isinstance(a, BlockArray):
-        a = _as_matmul_operand(a, b, "left")
-    if not isinstance(b, BlockArray):
-        b = _as_matmul_operand(b, a, "right")
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(
-            f"blocked matmul needs rank-2 operands, got {a.ndim} and {b.ndim}"
-        )
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"matmul shape mismatch: {a.shape} @ {b.shape}"
-        )
-    if a.grid.splits[1] != b.grid.splits[0]:
-        # Align the contraction splits to the left operand's.
-        b = b.regrid(grid=BlockGrid(
-            b.shape, (a.grid.splits[1], b.grid.splits[1])))
+        gb = _oriented(b.grid, transpose_b)
+        ga = BlockGrid((m, k), ((m,), gb.splits[0]))
+        a = BlockArray.from_dense(a, grid=_oriented(ga, transpose_a))
+    else:
+        ga = _oriented(a.grid, transpose_a)
+        if not isinstance(b, BlockArray):
+            gb = BlockGrid((k, n), (ga.splits[1], (n,)))
+            b = BlockArray.from_dense(b, grid=_oriented(gb, transpose_b))
+        else:
+            gb = _oriented(b.grid, transpose_b)
+            if ga.splits[1] != gb.splits[0]:
+                # Align the contraction splits to the left operand's.
+                gb = BlockGrid((k, n), (ga.splits[1], gb.splits[1]))
+                b = b.regrid(grid=_oriented(gb, transpose_b))
 
-    mm = registry.get_op_def("MatMul")
-    add_ik = registry.get_op_def("Add").inplace_kernel
-    rows = a.grid.splits[0]
-    cols = b.grid.splits[1]
-    gk = len(a.grid.splits[1])
-    out_dtype = np.result_type(a.dtype, b.dtype)
+    mm = block_op("MatMul", ref.symbolic,
+                  transpose_a=transpose_a, transpose_b=transpose_b)
+    add = block_op("Add", ref.symbolic)
+    rows, inner, cols = ga.splits[0], range(len(ga.splits[1])), gb.splits[1]
 
     def one_tile(task):
         i, j = task
-        parts = []
-        for q in range(gk):
-            buf = np.empty((rows[i], cols[j]), dtype=out_dtype)
-            parts.append(mm.inplace_kernel(
-                a.block((i, q)), b.block((q, j)), out=buf))
-        # Buffers are owned by this call, so the tree accumulates into
-        # its left operand via the Add in-place kernel.
-        return pair_tree(parts, lambda x, y: add_ik(x, y, out=x))
+        return pair_tree(
+            [mm(a.block((q, i) if transpose_a else (i, q)),
+                b.block((j, q) if transpose_b else (q, j))) for q in inner],
+            add)
 
     tasks = [(i, j) for i in range(len(rows)) for j in range(len(cols))]
     blocks = _sched(scheduler).map(one_tile, tasks)
-    grid = BlockGrid((a.shape[0], b.shape[1]), (rows, cols))
-    return BlockArray.from_blocks(grid, blocks)
+    return BlockArray.from_blocks(
+        BlockGrid((ga.shape[0], gb.shape[1]), (rows, cols)), blocks)
 
 
 # ---------------------------------------------------------------------------
 # Reductions: per-block reduce + tree-combine across the grid
 # ---------------------------------------------------------------------------
 
-_REDUCE_COMBINE = {
-    "Sum": np.add,
-    "Max": np.maximum,
-    "Min": np.minimum,
-}
+#: reduction op -> the binary op that combines its per-block partials.
+_REDUCE_COMBINE = {"Sum": "Add", "Max": "Maximum", "Min": "Minimum"}
 
 
 def _reduce(op_name, a, axis, keepdims, scheduler):
     if not isinstance(a, BlockArray):
         raise TypeError(f"expected a BlockArray, got {type(a).__name__}")
-    kernel = registry.get_op_def(op_name).kernel
-    combine = _REDUCE_COMBINE[op_name]
+    if isinstance(axis, (list, tuple)):
+        raise ValueError("blocked reductions take one axis (or None)")
+    if axis is not None:
+        axis = int(axis) % a.ndim
     sched = _sched(scheduler)
-    if axis is None:
-        reduced = sched.map(
-            lambda b: kernel(b, axis=None, keepdims=keepdims), a.block_list())
-        return pair_tree(reduced, combine)
-    axis = int(axis) % a.ndim
+    combine = block_op(_REDUCE_COMBINE[op_name], a.symbolic)
     reduced = sched.map(
-        lambda b: kernel(b, axis=axis, keepdims=keepdims), a.block_list())
+        block_op(op_name, a.symbolic, axis=axis, keepdims=bool(keepdims)),
+        a.block_list())
+    if axis is None:
+        return pair_tree(reduced, combine)
     grid = a.grid
     out_grid = grid.reduced(axis, keepdims=keepdims)
     gd = grid.grid_shape[axis]
@@ -377,25 +367,27 @@ def reduce_min(a, axis=None, keepdims=False, scheduler=None):
     return _reduce("Min", a, axis, keepdims, scheduler)
 
 
-def _mean_divide(total, count, in_dtype):
-    # Match the dense Mean kernel's dtype rule: floats stay put,
-    # integers go through true division (float64).
-    if np.dtype(in_dtype).kind == "f":
-        return np.true_divide(total, np.asarray(count, dtype=in_dtype))
-    return np.true_divide(total, float(count))
-
-
 def reduce_mean(a, axis=None, keepdims=False, scheduler=None):
-    """Blocked ``Mean``: summed via the grid tree, divided once."""
-    in_dtype = a.dtype
+    """Blocked ``Mean``: summed via the grid tree, divided once.
+
+    Same dtype rule as the dense ``Mean`` kernel: floats keep their
+    dtype, integers go through true division (float64)."""
     total = reduce_sum(a, axis=axis, keepdims=keepdims, scheduler=scheduler)
     if axis is None:
-        return _mean_divide(total, np.prod(a.shape, dtype=np.int64), in_dtype)
-    count = a.shape[int(axis) % a.ndim]
-    blocks = [
-        _mean_divide(b, count, in_dtype) for b in total.block_list()
-    ]
-    return BlockArray.from_blocks(total.grid, blocks)
+        count = int(np.prod(a.shape, dtype=np.int64))
+    else:
+        count = a.shape[int(axis) % a.ndim]
+    dtype = a.dtype if a.dtype.kind == "f" else np.dtype(np.float64)
+    if a.symbolic:
+        graph = a.block_list()[0].graph
+        count = graph.constant(count, dtype=dtypes.from_numpy(dtype))
+    else:
+        count = np.asarray(count, dtype=dtype)
+    div = block_op("Div", a.symbolic)
+    if not isinstance(total, BlockArray):
+        return div(total, count)
+    return BlockArray.from_blocks(
+        total.grid, [div(b, count) for b in total.block_list()])
 
 
 # ---------------------------------------------------------------------------
@@ -446,21 +438,20 @@ def concat(arrays, axis=0, scheduler=None):
 
 
 def transpose(a, perm=None, scheduler=None):
-    """Blocked transpose: per-block ``Transpose`` kernel + permuted grid."""
+    """Blocked transpose: per-block ``Transpose`` + permuted grid."""
     if not isinstance(a, BlockArray):
         raise TypeError(f"expected a BlockArray, got {type(a).__name__}")
     if perm is None:
         perm = tuple(range(a.ndim - 1, -1, -1))
     perm = tuple(int(p) % a.ndim for p in perm)
-    kernel = registry.get_op_def("Transpose").kernel
+    run = block_op("Transpose", a.symbolic, perm=perm)
     out_grid = a.grid.transposed(perm)
-    entries = list(out_grid.entries())
 
     def one(entry):
         src = [0] * a.ndim
         for j, p in enumerate(perm):
             src[p] = entry[j]
-        return kernel(a.block(tuple(src)), perm=perm)
+        return run(a.block(tuple(src)))
 
-    blocks = _sched(scheduler).map(one, entries)
+    blocks = _sched(scheduler).map(one, list(out_grid.entries()))
     return BlockArray.from_blocks(out_grid, blocks)

@@ -228,6 +228,7 @@ class ConcreteFunction(Executable):
         self._block_grids = self._collect_block_grids()
         self._blocked = bool(self._block_grids)
         self._scheduler = self._make_scheduler(num_workers)
+        self._dense_fallbacks = ()
         if self._blocked:
             from ..blocks.lowering import lower_blocked_graph
 
@@ -235,6 +236,7 @@ class ConcreteFunction(Executable):
                 opt_graph, self._runtime_feeds, self._run_fetches,
                 self._block_grids)
             self._lowered_feeds = list(lowered.feeds)
+            self._dense_fallbacks = lowered.fallbacks
             self._bound = BoundPlan(
                 compile_plan(lowered.graph, list(lowered.fetches),
                              self._lowered_feeds),
@@ -494,14 +496,25 @@ class ConcreteFunction(Executable):
         return result
 
     def engine_stats(self):
-        """Bound-plan info for serving observability (one dict, cheap)."""
-        return {"bound_plan": self._bound.describe()}
+        """Bound-plan info for serving observability (one dict, cheap).
+
+        A function with block-partitioned inputs adds a ``"blocked"``
+        entry listing every op the lowering ran dense instead of
+        per-block, as ``(op name, op type, reason)``."""
+        stats = {"bound_plan": self._bound.describe()}
+        if self._blocked:
+            stats["blocked"] = {
+                "dense_fallbacks": list(self._dense_fallbacks)}
+        return stats
 
     def plan_describe(self):
         """The compiled plan's human-readable dump (steps, levels, fused
         groups, buffer-reuse arms) — see :meth:`ExecutionPlan.describe
-        <repro.runtime.plan.ExecutionPlan.describe>`."""
-        return self._current_bound().plan.describe()
+        <repro.runtime.plan.ExecutionPlan.describe>` — followed, for a
+        blocked function, by one line per dense fallback."""
+        return self._current_bound().plan.describe() + "".join(
+            f"\ndense fallback: {op_type} {name!r}: {reason}"
+            for name, op_type, reason in self._dense_fallbacks)
 
     def _current_bound(self):
         """The bound plan, recompiled if the graph grew since binding.

@@ -119,6 +119,86 @@ class TestToGraph:
         assert a is b
 
 
+class TestLiveGlobalsAndClosures:
+    """Converted code reads the original function's *live* globals and
+    closure cells (paper §6 step 5), never a conversion-time snapshot."""
+
+    def test_global_rebound_after_conversion_is_seen(self):
+        global MODULE_CONSTANT
+        converted = ag.to_graph(module_level_fn)
+        try:
+            MODULE_CONSTANT = 50
+            assert converted(1) == 51
+            assert ag.to_graph(module_level_fn)(1) == 51
+        finally:
+            MODULE_CONSTANT = 10
+        assert converted(1) == 11
+
+    def test_module_level_loop_lambda_reads_the_current_global(self):
+        # One lambda source, evaluated per iteration at module level: the
+        # loop variable is a global, and every iteration must see its own.
+        import repro
+
+        x = np.arange(6, dtype=np.float32).reshape(2, 3)
+        ns = {"repro": repro, "ops": ops, "x": x, "out": [],
+              "__name__": __name__}
+        src = ("for ax in (0, 1):\n"
+               "    out.append(repro.function("
+               "lambda p: ops.reduce_sum(p, axis=ax))(x))\n")
+        import linecache
+        filename = "<loop-lambda-fixture>"
+        linecache.cache[filename] = (len(src), None, src.splitlines(True),
+                                     filename)
+        exec(compile(src, filename, "exec"), ns)
+        np.testing.assert_array_equal(np.asarray(ns["out"][0]), x.sum(axis=0))
+        np.testing.assert_array_equal(np.asarray(ns["out"][1]), x.sum(axis=1))
+
+    def test_two_closures_of_one_factory_alive_at_once(self):
+        def make(k):
+            def f(x):
+                if x > 0:
+                    return x + k
+                return x
+
+            return f
+
+        f10, f20 = make(10), make(20)
+        c10, c20 = ag.to_graph(f10), ag.to_graph(f20)
+        # Interleaved: neither conversion rebinds the other's closure.
+        assert (c10(1), c20(1), c10(1)) == (11, 21, 11)
+        assert ag.to_graph(f10) is c10 and ag.to_graph(f20) is c20
+
+    def test_closure_cell_rebound_later_is_seen(self):
+        k = 1
+
+        def f(x):
+            if x > 0:
+                return x + k
+            return x
+
+        converted = ag.to_graph(f)
+        assert converted(1) == 2
+        k = 5
+        assert converted(1) == 6
+
+    def test_same_source_in_two_modules_keeps_each_modules_globals(self):
+        # Code objects compare by value, so both functions share one
+        # conversion — but not one set of globals.
+        src = "def scale(x):\n    if x > 0:\n        return x * K\n    return x\n"
+        import linecache
+        fns = []
+        for i, k in enumerate((2, 7)):
+            filename = f"<same-source-fixture-{i}>"
+            linecache.cache[filename] = (len(src), None,
+                                         src.splitlines(True), filename)
+            ns = {"K": k, "__name__": f"same_source_fixture_{i}"}
+            exec(compile(src, filename, "exec"), ns)
+            fns.append(ns["scale"])
+        assert fns[0].__code__ == fns[1].__code__
+        first, second = ag.to_graph(fns[0]), ag.to_graph(fns[1])
+        assert (first(3), second(3), first(3)) == (6, 21, 6)
+
+
 class TestConvertedCall:
     def test_builtin_overloads(self):
         assert ag.converted_call(len, ([1, 2],)) == 2
