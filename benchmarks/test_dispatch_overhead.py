@@ -287,7 +287,7 @@ def test_microbatcher_dispatch_has_no_per_call_feed_dicts(results):
     cf = f.get_concrete_function(repro.TensorSpec([None, 1], "float32"))
     calls = scaled(2000, 200)
     example = np.ones((1,), np.float32)
-    with MicroBatcher(cf, max_batch_size=1, batch_timeout=0.0) as batcher:
+    with MicroBatcher(cf, max_batch_size=1) as batcher:
         start = time.perf_counter()
         for _ in range(calls):
             batcher.submit([example])

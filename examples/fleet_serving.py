@@ -9,14 +9,19 @@ production-shaped version — ``repro.serving.FleetServer``:
      unit a fleet worker boots from;
   2. **prefork** — the parent binds the socket, creates the shared
      state, and forks worker processes; the kernel load-balances
-     accepts across them;
+     accepts across them.  Connections are persistent, so what it
+     balances is *connections*: a ``ServingClient`` stays with the
+     worker that accepted it, and a fresh client is how to reach
+     whichever worker is next;
   3. **shared weights** — capture values live in POSIX shared memory
      with a generation counter, so one ``swap_weights`` call rebinds
      every worker atomically (a pointer bump, not N copies);
   4. **fleet control** — version activation and canary splits
      propagate the same way: write once, every worker follows;
   5. **observability** — ``GET /v1/models`` merges per-worker request
-     counts and latency percentiles into one fleet view.
+     counts and latency percentiles into one fleet view, and
+     ``GET /v1/metrics`` merges the workers' latency histograms into one
+     fleet-wide distribution.
 """
 
 import collections
@@ -73,14 +78,18 @@ def main():
 
     x = np.ones((N_FEATURES,), np.float32)  # sum(x) = 4
 
+    def probe():
+        """One predict on a fresh connection: whichever worker accepts."""
+        with ServingClient(fleet.url) as c:
+            return float(np.asarray(
+                c.predict("score", [x])["outputs"][0]).reshape(()))
+
     with fleet:
         client = ServingClient(fleet.url)  # binary wire by default
         wait_ready(client)
 
         # Both workers answer from the same shared weights.
-        values = [float(np.asarray(client.predict("score", [x])
-                                   ["outputs"][0]).reshape(()))
-                  for _ in range(20)]
+        values = [probe() for _ in range(20)]
         assert set(values) == {4.0}, values
 
         # --- 3. one swap, every worker ------------------------------------
@@ -88,9 +97,7 @@ def main():
             w_name: np.full((N_FEATURES, 1), -1.0, np.float32),
             b_name: np.full((1,), 10.0, np.float32),
         })
-        swapped = [float(np.asarray(client.predict("score", [x])
-                                    ["outputs"][0]).reshape(()))
-                   for _ in range(20)]
+        swapped = [probe() for _ in range(20)]
         assert set(swapped) == {6.0}, swapped  # -4 + 10, never torn
         print("fleet-wide weight swap: 4.0 -> 6.0 on every worker")
 
@@ -108,9 +115,9 @@ def main():
 
         # --- 5. fleet observability ---------------------------------------
         def hammer():
-            c = ServingClient(fleet.url, retries=3)
-            for _ in range(25):
-                c.predict("score", [x])
+            with ServingClient(fleet.url, retries=3) as c:
+                for _ in range(25):
+                    c.predict("score", [x])
 
         threads = [threading.Thread(target=hammer) for _ in range(4)]
         for t in threads:
@@ -122,11 +129,14 @@ def main():
         workers = info["fleet"]["workers"]
         served = sum(w.get("requests", 0) for w in workers)
         generations = info["fleet"]["weight_generations"]
+        latency = client.metrics()["fleet"]["latency"]["score"]
 
     assert len(workers) == 2
     assert served >= 100
     print(f"{len(workers)} workers served {served} requests "
           f"(weight generations: {generations})")
+    print(f"fleet-wide latency over {latency['count']} predicts: "
+          f"p50 {latency['p50_ms']}ms, p99 {latency['p99_ms']}ms")
     print("OK")
 
 

@@ -14,11 +14,13 @@ protocol:
      checkpoint;
   3. **load** — artifacts rehydrate into ``Executable``s without
      retracing (and without the training code);
-  4. **serve** — ``repro.serving.ModelServer`` exposes them over HTTP
-     (binary tensor wire with JSON fallback), coalescing concurrent
-     requests into micro-batches;
-  5. **clients** — ``ServingClient`` threads hit the server
-     concurrently and the batch statistics show the coalescing at work;
+  4. **serve** — ``repro.serving.ModelServer`` exposes them over
+     HTTP/1.1 (binary tensor wire with JSON fallback).  The batcher runs
+     a request the moment its worker is free and coalesces whatever
+     arrives while a batch executes — no linger timer to tune;
+  5. **clients** — ``ServingClient`` threads, each on its own
+     persistent connection, hit the server concurrently and the batch
+     statistics show the coalescing at work;
   6. **hot-swap** — ``client.swap_weights(...)`` replaces the served
      weights (and flips between registered versions) live, under
      traffic, without a restart or a retrace.
@@ -89,21 +91,23 @@ def main():
 
     # --- 4 + 5. serve it, hit it with concurrent clients ------------------
     server = ModelServer()
-    batcher = {"max_batch_size": 8, "batch_timeout": 0.01}
+    batcher = {"max_batch_size": 8}
     server.register("regress", artifact, batcher=batcher)
     n_clients, n_requests = 8, 5
     errors = []
 
     def hit(i):
         rng = np.random.default_rng(100 + i)
-        c = ServingClient(server.url)  # binary wire, JSON fallback
         try:
-            for _ in range(n_requests):
-                x1 = rng.normal(size=(N_FEATURES,)).astype(np.float32)
-                reply = c.predict("regress", [x1])
-                want = float(x1 @ W_TRUE[:, 0] + B_TRUE)
-                got = float(np.asarray(reply["outputs"][0]).reshape(()))
-                assert abs(got - want) < 1e-2, (got, want)
+            # One persistent connection per client thread (binary wire,
+            # JSON fallback), closed on the way out.
+            with ServingClient(server.url) as c:
+                for _ in range(n_requests):
+                    x1 = rng.normal(size=(N_FEATURES,)).astype(np.float32)
+                    reply = c.predict("regress", [x1])
+                    want = float(x1 @ W_TRUE[:, 0] + B_TRUE)
+                    got = float(np.asarray(reply["outputs"][0]).reshape(()))
+                    assert abs(got - want) < 1e-2, (got, want)
         except Exception as e:  # noqa: BLE001
             errors.append(e)
 

@@ -220,7 +220,7 @@ def resolve_executable(fn, args, kwargs, caller):
     """The one Function-or-Executable entry-point contract.
 
     Shared by every surface taking "a function to deploy" —
-    ``saved_function.save``, ``ModelServer.add_signature`` — so they
+    ``saved_function.save``, ``ModelServer.register`` — so they
     dispatch identically: a polymorphic ``Function`` has its signature
     selected (and traced if needed) by ``args``/``kwargs``, a concrete
     ``Executable`` must come alone.

@@ -10,27 +10,30 @@ interchangeable everywhere here:
   tree) to disk — frozen, or with a separate named weight checkpoint
   (``freeze=False``) whose loaded captures hot-swap — and rehydrate it
   without retracing;
-- :class:`MicroBatcher` — dynamic micro-batching: concurrent
-  same-signature calls coalesce along a batch axis (pad + stack, split
-  results) under ``max_batch_size`` / ``batch_timeout`` control, with
+- :class:`MicroBatcher` — dynamic micro-batching: the worker runs
+  whatever is queued (up to ``max_batch_size``) the moment it is free,
+  so requests that arrive while a batch executes coalesce along a batch
+  axis (pad + stack, split results) and an idle batcher adds no wait;
   two priority lanes and bounded-queue backpressure (``max_queue`` /
   :class:`QueueFullError`);
 - :mod:`repro.serving.wire` — the length-prefixed binary tensor wire
   format (``application/x-repro-tensor``): dtype/shape header + raw
   buffers, decoded zero-copy; JSON stays the fallback;
-- :class:`ModelServer` — a threaded HTTP front routing named signatures
-  (registered via the unified ``server.register(...)``) through the
-  batcher to either backend, serving N versions side by side with live,
+- :class:`ModelServer` — a threaded HTTP/1.1 front (persistent
+  connections, one thread per connection) routing named signatures
+  (registered via ``server.register(...)``) through the batcher to
+  either backend, serving N versions side by side with live,
   zero-retrace weight/version swaps, canary traffic splits, uniform
   ``{"error": {"code", "message"}}`` replies, load shedding and
-  per-signature latency stats in ``GET /v1/models``;
+  per-signature latency histograms in ``GET /v1/models``;
 - :class:`FleetServer` (:mod:`repro.serving.fleet`) — N prefork worker
-  processes behind one shared socket, weights held once per fleet in
+  processes behind one shared socket (a connection is sticky to the
+  worker that accepted it), weights held once per fleet in
   :mod:`~repro.serving.shm_store` shared-memory generations so
   hot-swaps stay atomic and zero-copy fleet-wide;
 - :class:`~repro.serving.client.ServingClient` — the stdlib client:
-  wire negotiation, transport retries, typed errors mapped from the
-  envelope.
+  persistent connections, wire negotiation, transport retries, typed
+  errors mapped from the envelope.
 """
 
 from . import client, fleet, saved_function, shm_store, wire

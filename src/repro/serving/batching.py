@@ -8,11 +8,14 @@ marginal, well-vectorized math) executed as one stacked batch.
 
 :class:`MicroBatcher` owns a queue and a worker thread.  Client threads
 submit single examples (shaped like the executable's signature *minus*
-the batch axis) and block; the worker coalesces whatever arrives within
-``batch_timeout`` of the first request — up to ``max_batch_size`` —
-stacks them along ``batch_axis``, runs the executable once via the
+the batch axis) and block; the worker dispatches **the moment it is
+free**: it takes whatever is queued — up to ``max_batch_size`` — stacks
+it along ``batch_axis``, runs the executable once via the
 backend-neutral ``call_flat``, splits the result along the batch axis,
-and wakes every waiter with its slice.
+and wakes every waiter with its slice.  It never sleeps on a timer:
+coalescing comes only from requests that arrive *while* a batch
+executes, so an idle batcher runs batches of one at the model's own
+latency and batches grow with load (there is no linger knob to tune).
 
 Examples co-batched together must agree on shape by default; ragged
 batches are rejected, because zero-filling silently changes the math of
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 import collections
 import threading
-import time
+from time import perf_counter
 
 import numpy as np
 
@@ -65,10 +68,11 @@ class QueueFullError(RuntimeError):
 
 
 class _Request:
-    __slots__ = ("inputs", "event", "result", "error")
+    __slots__ = ("inputs", "queued_at", "event", "result", "error")
 
     def __init__(self, inputs):
         self.inputs = inputs
+        self.queued_at = perf_counter()
         self.event = threading.Event()
         self.result = None
         self.error = None
@@ -78,17 +82,14 @@ class MicroBatcher:
     """Coalesces concurrent same-signature calls along a batch axis."""
 
     def __init__(self, executable, *, batch_axis=0, max_batch_size=32,
-                 batch_timeout=0.002, pad_value=None, timeout=30.0,
-                 max_queue=None):
+                 pad_value=None, timeout=30.0, max_queue=None):
         """Args:
           executable: a batch-polymorphic
             :class:`~repro.function.Executable` (either backend, or a
             loaded artifact).
           batch_axis: the axis requests stack along.
-          max_batch_size: a batch executes as soon as it has this many
-            requests.
-          batch_timeout: seconds the worker waits (after the first
-            request of a batch arrives) for more requests to coalesce.
+          max_batch_size: the most requests one execution takes; the
+            rest of the queue waits for the next one.
           pad_value: ``None`` (default) rejects batches whose examples
             disagree on non-batch dimensions; a number opts into padding
             ragged examples up to the max with that fill value — only
@@ -119,7 +120,6 @@ class MicroBatcher:
         self._n_args = len(executable.signature)
         self._batch_axis = batch_axis
         self._max_batch_size = max_batch_size
-        self._batch_timeout = batch_timeout
         self._pad_value = pad_value
         self._timeout = timeout
         self._max_queue = max_queue
@@ -239,30 +239,20 @@ class MicroBatcher:
                 return
             self._execute(batch)
 
-    def _pop_next(self):
-        """The next queued request, high lane first (not thread-safe:
-        callers hold ``_cond``)."""
-        if self._priority_pending:
-            return self._priority_pending.popleft()
-        return self._pending.popleft()
-
     def _gather(self):
-        """Block for the first request, then coalesce until full/timeout."""
+        """Block until something is queued, then take all of it (high
+        lane first, up to ``max_batch_size``) — never wait for more."""
         with self._cond:
             while not (self._pending or self._priority_pending):
                 if self._closed:
                     return []
                 self._cond.wait()
-            batch = [self._pop_next()]
-            deadline = time.monotonic() + self._batch_timeout
+            batch = []
             while len(batch) < self._max_batch_size:
-                if self._pending or self._priority_pending:
-                    batch.append(self._pop_next())
-                    continue
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or self._closed:
+                lane = self._priority_pending or self._pending
+                if not lane:
                     break
-                self._cond.wait(remaining)
+                batch.append(lane.popleft())
             return batch
 
     def _stack(self, values):
@@ -280,7 +270,8 @@ class MicroBatcher:
                     f"{sorted(shapes)}: zero-padding would change the "
                     "model's math depending on which requests co-batch. "
                     "Pass pad_value=<fill> to MicroBatcher (or "
-                    "add_signature) if padding is neutral for this model."
+                    "register(batcher={'pad_value': ...})) if padding is "
+                    "neutral for this model."
                 )
             target = tuple(max(dims) for dims in zip(*shapes))
             values = [
@@ -313,6 +304,10 @@ class MicroBatcher:
 
     def _execute(self, batch):
         rec = _REC
+        # The oldest request's time in the queue: what the batcher itself
+        # added to this batch's latency (zero-ish on an idle worker).
+        queue_wait_us = int(
+            (perf_counter() - min(r.queued_at for r in batch)) * 1e6)
         t0 = rec.begin() if rec.enabled else 0.0
         try:
             stacked = [
@@ -332,10 +327,12 @@ class MicroBatcher:
                 self._max_seen = max(self._max_seen, len(batch))
             rec.counter("serving.batches")
             rec.counter("serving.batched_requests", len(batch))
+            rec.counter("serving.batch_queue_wait_us", queue_wait_us)
             if rec.enabled:
                 rec.end("batch_execute", "batch", t0, {
                     "model": self._executable.name,
                     "coalesced": len(batch),
+                    "queue_wait_us": queue_wait_us,
                 })
                 if len(batch) > 1:
                     rec.instant("batch_coalesce", "batch",

@@ -1,16 +1,26 @@
 """A tiny stdlib client for :class:`~repro.serving.ModelServer`.
 
-Kept dependency-free (``urllib``) so examples, benchmarks and user code
-can hit a server — or a :class:`~repro.serving.fleet.FleetServer` —
+Kept dependency-free (``http.client``) so examples, benchmarks and user
+code can hit a server — or a :class:`~repro.serving.fleet.FleetServer` —
 without an HTTP library; it is also the documentation of the wire
 format, in code form.
 
 The surface is :class:`ServingClient`::
 
-    client = ServingClient(server.url)
-    client.predict("score", [[1.0, 2.0, 3.0, 4.0]])
-    client.swap_weights("score", weights={"w": new_w})
-    client.set_canary("score", version="2", fraction=0.1)
+    with ServingClient(server.url) as client:
+        client.predict("score", [[1.0, 2.0, 3.0, 4.0]])
+        client.swap_weights("score", weights={"w": new_w})
+        client.set_canary("score", version="2", fraction=0.1)
+
+Requests travel over **persistent** HTTP/1.1 connections: a client keeps
+the connections it opened on an idle list and reuses them, so a request
+costs a round trip, not a TCP handshake plus a server thread.  One
+client is safe to share between threads (each concurrent request takes
+a connection off the list, or opens one).  Against a fleet a client is
+sticky to the worker that accepted its connection; a new client reaches
+whichever the kernel picks.  When a *reused* connection turns out closed
+by the server (idle timeout, restart, killed worker) — it fails before
+any reply byte — the request goes again on a fresh one, retry unspent.
 
 By default (``wire="auto"``) tensor payloads travel as the binary wire
 format (:mod:`repro.serving.wire` — dtype/shape header + raw buffers,
@@ -28,19 +38,15 @@ exceptions mapped from the server's error envelope
 - ``active_version`` → :class:`ActiveVersionError` (409)
 - anything else → :class:`ServingError` (the base, carries ``status``
   and ``code``)
-
-The original free functions (``predict(base_url, ...)`` etc.) remain as
-deprecated wrappers over a JSON-wire client.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
-import warnings
+from urllib.parse import urlsplit
 
 from . import wire
 
@@ -50,10 +56,6 @@ __all__ = [
     "ServingClient",
     "ServingError",
     "UnknownModelError",
-    "list_models",
-    "predict",
-    "remove_version",
-    "swap_weights",
 ]
 
 
@@ -89,50 +91,29 @@ _ERROR_TYPES = {
 #: Transport failures worth retrying: the request may never have reached
 #: a healthy worker (connect refused during restart, worker recycled
 #: mid-keepalive).  HTTP error *replies* are never retried here.
-_RETRYABLE = (ConnectionError, http.client.RemoteDisconnected, TimeoutError)
+_RETRYABLE = (ConnectionError, TimeoutError)
 
-
-def _jsonify(value):
-    """Nested-list the tensor leaves for the JSON wire (ndarrays /
-    anything with ``.tolist`` or ``.numpy``)."""
-    tolist = getattr(value, "tolist", None)
-    if tolist is not None and not isinstance(value, (str, bytes)):
-        return tolist()
-    numpy_fn = getattr(value, "numpy", None)
-    if numpy_fn is not None:
-        return numpy_fn().tolist()
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    return value
+#: How a kept-alive connection the server has closed meanwhile fails,
+#: before any reply byte (``RemoteDisconnected`` is a reset too).
+_STALE = (ConnectionResetError, BrokenPipeError)
 
 
 def _raise_serving_error(status, body, headers):
-    """Map an error reply body onto the typed exception hierarchy.
+    """Map an error reply onto the typed exception hierarchy.
 
-    Lenient on shape: the uniform envelope is
-    ``{"error": {"code", "message"}}``, but pre-envelope servers sent
-    ``{"error": "<text>"}`` and a dying worker may send no JSON at all.
+    Lenient on shape: the envelope is ``{"error": {"code", "message"}}``,
+    but a dying worker (or ``http.server`` itself) may send no JSON.
     """
-    code, message = None, ""
+    code, message = None, body.decode("utf-8", "replace")[:200]
     try:
-        envelope = json.loads(body.decode("utf-8")).get("error", "")
-        if isinstance(envelope, dict):
-            code = envelope.get("code")
-            message = envelope.get("message", "")
-        else:
-            message = envelope
+        envelope = json.loads(body)["error"]
+        code, message = envelope.get("code"), envelope.get("message", "")
     except Exception:  # noqa: BLE001 - error-path best effort
-        message = body.decode("utf-8", "replace")[:200]
-    retry_after = None
-    if headers is not None:
-        value = headers.get("Retry-After")
-        if value is not None:
-            try:
-                retry_after = float(value)
-            except ValueError:
-                pass
+        pass
+    try:
+        retry_after = float(headers.get("Retry-After"))
+    except (TypeError, ValueError):
+        retry_after = None
     cls = _ERROR_TYPES.get(code, ServingError)
     raise cls(status, message, code=code, retry_after=retry_after) from None
 
@@ -157,11 +138,36 @@ class ServingClient:
         if retries < 0:
             raise ValueError("retries must be >= 0")
         self.base_url = base_url.rstrip("/")
+        url = urlsplit(self.base_url)
+        if url.scheme != "http" or not url.hostname:
+            raise ValueError(
+                f"base_url must look like http://host[:port][/prefix], "
+                f"got {base_url!r}")
+        self._address = (url.hostname, url.port or 80)
+        self._prefix = url.path
+        # Connections not in use right now, newest last.
+        self._idle = []
+        self._idle_lock = threading.Lock()
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
         # Downgrades to "json" (sticky) on the first 415 when "auto".
         self._wire = wire
+
+    def close(self):
+        """Close the idle connections (also on leaving a ``with``
+        block); the client stays usable and reconnects on demand."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+        return False
 
     # -- routes ------------------------------------------------------------
 
@@ -233,11 +239,6 @@ class ServingClient:
                     self._wire = "json"
                     continue
                 raise
-            except urllib.error.URLError as e:
-                if isinstance(e, urllib.error.HTTPError):
-                    raise  # error replies are handled in _send
-                if attempt >= self.retries:
-                    raise
             except _RETRYABLE:
                 if attempt >= self.retries:
                     raise
@@ -252,66 +253,51 @@ class ServingClient:
                 body = wire.encode(data)
                 all_headers["Content-Type"] = wire.CONTENT_TYPE
             else:
-                body = json.dumps(_jsonify(data)).encode("utf-8")
+                body = json.dumps(wire.jsonify(data)).encode("utf-8")
                 all_headers["Content-Type"] = "application/json"
         if self._wire == "auto":
             all_headers["Accept"] = wire.CONTENT_TYPE
-        req = urllib.request.Request(
-            self.base_url + path, data=body, headers=all_headers,
-            method=method)
+        if method is None:
+            method = "GET" if body is None else "POST"
+        response, raw = self._round_trip(
+            method, self._prefix + path, body, all_headers)
+        if response.status >= 400:
+            _raise_serving_error(response.status, raw, response.headers)
+        ctype = (response.headers.get("Content-Type") or "").split(
+            ";")[0].strip().lower()
+        if ctype == wire.CONTENT_TYPE:
+            return wire.decode(raw)
+        return json.loads(raw.decode("utf-8"))
+
+    def _round_trip(self, method, target, body, headers):
+        """One request and its whole reply over a persistent connection;
+        returns ``(response, body bytes)``."""
+        with self._idle_lock:
+            connection = (self._idle.pop() if self._idle else
+                          http.client.HTTPConnection(*self._address,
+                                                     timeout=self.timeout))
+        reused = connection.sock is not None
+
+        def exchange():
+            connection.request(method, target, body=body, headers=headers)
+            return connection.getresponse()
+
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                raw = resp.read()
-                ctype = (resp.headers.get("Content-Type") or "").split(
-                    ";")[0].strip().lower()
-                if ctype == wire.CONTENT_TYPE:
-                    return wire.decode(raw)
-                return json.loads(raw.decode("utf-8"))
-        except urllib.error.HTTPError as e:
-            _raise_serving_error(e.code, e.read(), e.headers)
-
-
-# -- deprecated free-function surface -------------------------------------
-
-
-def _legacy(base_url, timeout):
-    # JSON wire: byte-for-byte the old free functions' behavior
-    # (nested-list outputs), minus the envelope change they tolerate.
-    return ServingClient(base_url, timeout=timeout, retries=0, wire="json")
-
-
-def list_models(base_url, timeout=10.0):
-    """Deprecated: use :meth:`ServingClient.list_models`."""
-    warnings.warn(
-        "repro.serving.client.list_models is deprecated; use "
-        "ServingClient(base_url).list_models()",
-        DeprecationWarning, stacklevel=2)
-    return _legacy(base_url, timeout).list_models()
-
-
-def predict(base_url, name, inputs, timeout=10.0):
-    """Deprecated: use :meth:`ServingClient.predict`."""
-    warnings.warn(
-        "repro.serving.client.predict is deprecated; use "
-        "ServingClient(base_url).predict(name, inputs)",
-        DeprecationWarning, stacklevel=2)
-    return _legacy(base_url, timeout).predict(name, inputs)
-
-
-def swap_weights(base_url, name, weights=None, version=None, timeout=10.0):
-    """Deprecated: use :meth:`ServingClient.swap_weights`."""
-    warnings.warn(
-        "repro.serving.client.swap_weights is deprecated; use "
-        "ServingClient(base_url).swap_weights(name, ...)",
-        DeprecationWarning, stacklevel=2)
-    return _legacy(base_url, timeout).swap_weights(
-        name, weights=weights, version=version)
-
-
-def remove_version(base_url, name, version, timeout=10.0):
-    """Deprecated: use :meth:`ServingClient.remove_version`."""
-    warnings.warn(
-        "repro.serving.client.remove_version is deprecated; use "
-        "ServingClient(base_url).remove_version(name, version)",
-        DeprecationWarning, stacklevel=2)
-    return _legacy(base_url, timeout).remove_version(name, version)
+            try:
+                response = exchange()
+            except _STALE:
+                if not reused:
+                    raise
+                # The server closed this connection while it sat idle;
+                # nothing was answered, so go again on a fresh socket
+                # (request() reconnects a closed connection).
+                connection.close()
+                response = exchange()
+            raw = response.read()
+        except BaseException:
+            connection.close()
+            raise
+        # (Closed by a ``Connection: close`` reply, it reconnects on reuse.)
+        with self._idle_lock:
+            self._idle.append(connection)
+        return response, raw

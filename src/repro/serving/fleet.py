@@ -16,6 +16,10 @@ how many cores the machine has.  The fleet preforks:
   process, and immediately rebinds every capture to read-only views
   into the current shared-memory generation.
 
+Connections are persistent (HTTP/1.1 keep-alive), so the kernel
+balances *connections*, not requests: N clients spread over the
+workers, each **sticky** to the worker that accepted its connection.
+
 Weights therefore exist **once** per fleet, not once per worker, and a
 ``swap_weights`` request — handled by whichever worker the kernel gave
 it to — publishes a new generation and bumps one shared counter; every
@@ -30,7 +34,9 @@ same error envelope, same binary wire negotiation).  ``GET /v1/models``
 additionally reports a ``"fleet"`` section: per-worker request counts
 and latency percentiles (each worker publishes its own stats block;
 whoever answers the GET reads all of them) and the current shared
-weight-store generations.
+weight-store generations.  Stats blocks carry each worker's sparse
+latency histograms; ``GET /v1/metrics`` merges them into one fleet-wide
+``latency`` distribution per model.
 
 ::
 
@@ -56,6 +62,7 @@ usefully), and registration happens before :meth:`start`.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import random
@@ -65,11 +72,11 @@ import socket
 import struct
 import sys
 import threading
-from http.server import ThreadingHTTPServer
 from multiprocessing import get_context
 
 from ..observe.events import RECORDER as _REC
-from .server import ModelServer, _make_handler
+from .server import (LatencyHistogram, ModelServer,
+                     _ConnectionTrackingServer, _make_handler)
 from .shm_store import SharedWeightStore, _unlink_segment, _untrack
 
 __all__ = ["FleetServer"]
@@ -107,10 +114,7 @@ class _SharedDoc:
                 f"shared doc payload is {len(payload)} bytes; max "
                 f"{self.SIZE - 8}"
             )
-        if self._lock is not None:
-            with self._lock:
-                self._write(payload)
-        else:
+        with self._lock or contextlib.nullcontext():
             self._write(payload)
 
     def _write(self, payload):
@@ -147,21 +151,6 @@ class _SharedDoc:
     def unlink(self):
         _unlink_segment(self._shm)
         self.close()
-
-
-class _SocketHTTPServer(ThreadingHTTPServer):
-    """A ThreadingHTTPServer adopting an already-bound, listening socket
-    (the fleet's fork-inherited acceptor socket)."""
-
-    def __init__(self, sock, handler):
-        super().__init__(sock.getsockname()[:2], handler,
-                         bind_and_activate=False)
-        # Replace the fresh unbound socket the base constructor made
-        # with the shared one; all workers then accept() from the same
-        # kernel queue.
-        self.socket.close()
-        self.socket = sock
-        self.server_address = sock.getsockname()[:2]
 
 
 class _FleetWorker(ModelServer):
@@ -255,25 +244,21 @@ class _FleetWorker(ModelServer):
     # -- observability -----------------------------------------------------
 
     def _request_served(self):
-        with self._stats_lock:
-            self._served += 1
-        self._publish_stats()
+        self._publish_stats(served=1)
 
-    def _publish_stats(self):
+    def _publish_stats(self, served=0):
         """Publish this worker's live stats — request count, per-model
-        latency, and its :mod:`repro.observe` counter snapshot — into
-        its seqlock stats block, where any sibling can read them."""
-        doc = self._stats_docs.get(self._worker_index)
-        if doc is None:
-            return
+        latency (summary + mergeable histogram), :mod:`repro.observe`
+        counters — into its seqlock block, where any sibling reads them."""
         with self._stats_lock:
-            doc.write({
+            self._served += served
+            self._stats_docs[self._worker_index].write({
                 "worker": self._worker_index,
                 "pid": os.getpid(),
                 "requests": self._served,
                 "counters": _REC.counters(),
                 "models": {
-                    name: endpoint.latency_stats()
+                    name: endpoint.latency_doc()
                     for name, endpoint in self._endpoints.items()
                 },
             })
@@ -283,17 +268,18 @@ class _FleetWorker(ModelServer):
         stats = doc.read() if doc is not None else None
         return stats if stats is not None else {"deaths": 0, "respawns": 0}
 
+    def _worker_stats(self):
+        """Every worker's stats block (a placeholder before its first)."""
+        return [self._stats_docs[index].read()
+                or {"worker": index, "requests": 0}
+                for index in sorted(self._stats_docs)]
+
     def _fleet_info(self):
-        workers = []
-        for index in sorted(self._stats_docs):
-            stats = self._stats_docs[index].read()
-            workers.append(stats if stats is not None
-                           else {"worker": index, "requests": 0})
         return {
             "fleet": {
                 "n_workers": self._n_workers,
                 "worker": self._worker_index,
-                "workers": workers,
+                "workers": self._worker_stats(),
                 "supervisor": self._supervisor_stats(),
                 "weight_generations": {
                     f"{name}@{label}": store.generation
@@ -306,32 +292,27 @@ class _FleetWorker(ModelServer):
         """The fleet view for ``GET /v1/metrics``: whichever worker the
         kernel handed this request publishes its own fresh stats, then
         merges every worker's stats block — per-worker request counts,
-        counters summed across workers, and the supervisor's
-        death/respawn counts."""
+        counters summed and latency histograms merged across workers,
+        and the supervisor's death/respawn counts."""
         self._publish_stats()
         workers = []
         merged = {}
-        total = 0
-        for index in sorted(self._stats_docs):
-            stats = self._stats_docs[index].read()
-            if stats is None:
-                workers.append({"worker": index, "requests": 0})
-                continue
-            requests = int(stats.get("requests", 0))
-            total += requests
-            workers.append({
-                "worker": index,
-                "pid": stats.get("pid"),
-                "requests": requests,
-            })
-            for key, value in (stats.get("counters") or {}).items():
+        latency = {}
+        for stats in self._worker_stats():
+            workers.append({key: stats.get(key)
+                            for key in ("worker", "pid", "requests")})
+            for key, value in stats.get("counters", {}).items():
                 merged[key] = merged.get(key, 0) + value
+            for name, doc in stats.get("models", {}).items():
+                latency.setdefault(name, LatencyHistogram()).merge(doc)
         return {
             "fleet": {
                 "n_workers": self._n_workers,
                 "worker": self._worker_index,
-                "requests": total,
+                "requests": sum(w["requests"] for w in workers),
                 "merged_counters": merged,
+                "latency": {name: hist.stats()
+                            for name, hist in latency.items()},
                 "workers": workers,
                 "supervisor": self._supervisor_stats(),
             }
@@ -342,18 +323,22 @@ class _FleetWorker(ModelServer):
     def serve_on_socket(self, sock):
         """Serve forever on the fleet's shared socket (worker main)."""
         self._ensure_batchers()
-        self._httpd = _SocketHTTPServer(sock, _make_handler(self))
-        self._httpd.daemon_threads = True
+        # Every worker accept()s from the one inherited kernel queue.
+        self._httpd = _ConnectionTrackingServer(
+            sock.getsockname()[:2], _make_handler(self), sock=sock)
         try:
             self._httpd.serve_forever(poll_interval=0.05)
         finally:
-            for endpoint in self._endpoints.values():
-                for version in endpoint.versions.values():
-                    version.close_batcher()
+            self._httpd.close_connections()
+            self._close_batchers()
 
 
 class FleetServer:
     """N prefork :class:`ModelServer` workers behind one socket.
+
+    The kernel balances *connections* across workers and connections
+    are persistent, so a ``ServingClient`` is sticky to one worker; a
+    fresh client is how to reach another.
 
     Args:
       n_workers: processes to fork (each a full threaded HTTP server).
@@ -477,13 +462,16 @@ class FleetServer:
         self._socket = sock
 
         for index in range(self._n_workers):
-            process = _mp.Process(
-                target=self._worker_entry, args=(index,),
-                name=f"repro-fleet-worker-{index}", daemon=True)
-            process.start()
-            self._processes.append(process)
+            self._processes.append(self._spawn(index))
         self._start_supervisor()
         return self.url
+
+    def _spawn(self, index):
+        process = _mp.Process(
+            target=self._worker_entry, args=(index,),
+            name=f"repro-fleet-worker-{index}", daemon=True)
+        process.start()
+        return process
 
     def _build_worker(self, index):
         """A :class:`_FleetWorker` wired to this fleet's shared blocks
@@ -560,11 +548,7 @@ class FleetServer:
             # the same listening socket, stores, control and stats
             # blocks — it serves the same port under the same worker
             # index as its predecessor.
-            replacement = _mp.Process(
-                target=self._worker_entry, args=(index,),
-                name=f"repro-fleet-worker-{index}", daemon=True)
-            replacement.start()
-            self._processes[index] = replacement
+            self._processes[index] = self._spawn(index)
             self._respawns += 1
             changed = True
         if changed:
@@ -611,15 +595,10 @@ class FleetServer:
         if self._socket is not None:
             self._socket.close()
             self._socket = None
-        for store in self._stores.values():
-            store.unlink()
-        self._stores = {}
-        for control in self._controls.values():
-            control.unlink()
-        self._controls = {}
-        for doc in self._stats_docs.values():
-            doc.unlink()
-        self._stats_docs = {}
+        for block in (*self._stores.values(), *self._controls.values(),
+                      *self._stats_docs.values()):
+            block.unlink()
+        self._stores, self._controls, self._stats_docs = {}, {}, {}
         if self._supervisor_doc is not None:
             self._supervisor_doc.unlink()
             self._supervisor_doc = None

@@ -49,14 +49,19 @@ polymorphic :class:`~repro.function.Function` (select its signature with
 ``signature=(specs...)``), or a saved-artifact *path* (loaded via
 :func:`~repro.serving.saved_function.load`).  Registering an existing
 name adds a version; ``batcher=`` is ``None`` (default micro-batching),
-``False`` (unbatched) or a dict of :class:`MicroBatcher` options.  The
-older ``add_signature`` / ``add_version`` methods remain as deprecated
-aliases.
+``False`` (unbatched) or a dict of :class:`MicroBatcher` options.
 
-Each request is handled on its own thread (``ThreadingHTTPServer``);
-batched signatures funnel through a per-version
-:class:`~repro.serving.MicroBatcher`, so concurrent predict calls
-coalesce into single batched executions.  Load shedding is two-layered:
+Connections are persistent (HTTP/1.1): each *connection* gets a thread
+(``ThreadingHTTPServer``) serving request after request until the
+client closes, idles for ``IDLE_TIMEOUT_SECONDS`` or the server stops —
+:meth:`ModelServer.stop` ends every connection and joins its thread.
+A reply leaves in one ``send`` with ``TCP_NODELAY`` (a separate header
+write would stall ~40 ms on delayed ACKs), and every route reads its
+request body before replying, so no reply leaves bytes behind to be
+parsed as the next request.  Batched signatures funnel through a
+per-version :class:`~repro.serving.MicroBatcher`: predicts that arrive
+while a batch executes coalesce into the next.  Latency is kept per
+signature in a :class:`LatencyHistogram`.  Load shedding is two-layered:
 the batcher's ``max_queue`` bounds queued work per signature, and
 ``ModelServer(max_inflight=N)`` bounds concurrently executing predicts
 per process — both reject with 503 + ``Retry-After`` instead of
@@ -75,12 +80,12 @@ weights in shared memory.
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
+import socket
 import threading
 import time
-import warnings
-from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -94,36 +99,91 @@ from ..observe.events import RECORDER as _REC
 from . import wire
 from .batching import MicroBatcher, QueueFullError
 
-__all__ = ["ActiveVersionError", "ModelServer", "RETRY_AFTER_SECONDS"]
+__all__ = ["ActiveVersionError", "IDLE_TIMEOUT_SECONDS", "LatencyHistogram",
+           "ModelServer", "RETRY_AFTER_SECONDS"]
 
 
 class ActiveVersionError(ValueError):
-    """Refusal to garbage-collect the version currently serving traffic.
+    """Refusal to garbage-collect the version currently serving traffic
+    (HTTP 409 Conflict): activate another version first, then delete."""
 
-    Mapped to HTTP 409 (Conflict): activate another version first, then
-    delete this one.
-    """
-
-# Latency window: enough samples for a stable p99 without unbounded
-# growth under sustained traffic.
-_LATENCY_WINDOW = 2048
 
 #: Advised by 503 replies; load-shed clients should back off at least
 #: this long before retrying.
 RETRY_AFTER_SECONDS = 1
 
-#: MicroBatcher options a ``batcher=`` dict may carry.
-_BATCHER_KEYS = ("batch_axis", "max_batch_size", "batch_timeout",
-                 "pad_value", "max_queue")
+#: Handlers close a connection this long idle (clients just reconnect).
+IDLE_TIMEOUT_SECONDS = 60.0
 
+#: MicroBatcher options a ``batcher=`` dict may carry, with defaults.
 _DEFAULT_BATCHER = {"batch_axis": 0, "max_batch_size": 32,
-                    "batch_timeout": 0.002, "pad_value": None,
-                    "max_queue": None}
+                    "pad_value": None, "max_queue": None}
 
 
-def error_envelope(code, message):
-    """The one error body every route and status speaks."""
-    return {"error": {"code": code, "message": str(message)}}
+class LatencyHistogram:
+    """Latencies in fixed log-spaced buckets: O(1) ``record``, quantiles
+    from the occupied buckets (at most ``BUCKETS``), and — unlike a
+    sliding window of samples — histograms merge by adding counts, so a
+    fleet reports one distribution across its workers.
+
+    Bucket ``i`` covers ``[2**(i/8), 2**((i+1)/8))`` microseconds; a
+    quantile reports its geometric mid-point, within
+    :attr:`RELATIVE_ERROR` (4.4%) of the exact order statistic.  Count
+    and mean are exact; samples outside 1 us .. 134 s clamp to the ends.
+    """
+
+    PER_OCTAVE = 8
+    BUCKETS = 27 * PER_OCTAVE
+    RELATIVE_ERROR = 2.0 ** (0.5 / PER_OCTAVE) - 1.0
+
+    __slots__ = ("count", "total", "buckets")
+
+    def __init__(self):
+        self.count = 0
+        self.total = 0.0     # seconds
+        self.buckets = {}    # bucket index -> samples (occupied ones only)
+
+    def record(self, seconds):
+        us = seconds * 1e6
+        index = int(math.log2(us) * self.PER_OCTAVE) if us > 1.0 else 0
+        index = min(index, self.BUCKETS - 1)
+        self.buckets[index] = self.buckets.get(index, 0) + 1
+        self.count += 1
+        self.total += seconds
+
+    def quantile(self, q):
+        """The ``q``-quantile in seconds (0.0 when empty)."""
+        rank = min(self.count - 1, int(q * self.count))
+        seen = 0
+        for index in sorted(self.buckets):
+            seen += self.buckets[index]
+            if seen > rank:
+                return 2.0 ** ((index + 0.5) / self.PER_OCTAVE) * 1e-6
+        return 0.0
+
+    def stats(self):
+        mean = self.total / self.count if self.count else 0.0
+        return {
+            "count": self.count,
+            "mean_ms": round(mean * 1e3, 3),
+            "p50_ms": round(self.quantile(0.50) * 1e3, 3),
+            "p99_ms": round(self.quantile(0.99) * 1e3, 3),
+        }
+
+    def to_doc(self):
+        """``stats()`` plus the mergeable state in sparse JSON form:
+        occupied buckets as a flat ``[index, samples, ...]`` list."""
+        flat = [v for item in sorted(self.buckets.items()) for v in item]
+        return {**self.stats(), "total": self.total, "buckets": flat}
+
+    def merge(self, doc):
+        """Add the samples of another histogram's ``to_doc()``."""
+        flat = doc["buckets"]
+        for index, n in zip(flat[0::2], flat[1::2]):
+            self.buckets[index] = self.buckets.get(index, 0) + n
+        self.count += doc["count"]
+        self.total += doc["total"]
+        return self
 
 
 class _Version:
@@ -150,8 +210,8 @@ class _Version:
 
 
 class _Endpoint:
-    __slots__ = ("name", "versions", "active", "canary", "requests",
-                 "_lock", "_latencies", "_latency_count", "_latency_total")
+    __slots__ = ("name", "versions", "active", "canary", "_lock",
+                 "_latency")
 
     def __init__(self, name):
         self.name = name
@@ -159,11 +219,8 @@ class _Endpoint:
         self.active = None
         # (version label, fraction of predict traffic) or None.
         self.canary = None
-        self.requests = 0
         self._lock = threading.Lock()
-        self._latencies = deque(maxlen=_LATENCY_WINDOW)
-        self._latency_count = 0
-        self._latency_total = 0.0
+        self._latency = LatencyHistogram()
 
     def add_version(self, label, executable, batch_config, running):
         if label in self.versions:
@@ -186,19 +243,22 @@ class _Endpoint:
             self.active = label
         return version
 
+    def version(self, label):
+        try:
+            return self.versions[label]
+        except KeyError:
+            raise KeyError(
+                f"{self.name!r} has no version {label!r}; registered: "
+                f"{sorted(self.versions)}") from None
+
     def activate(self, label):
-        if label not in self.versions:
-            raise KeyError(label)
+        self.version(label)
         # One attribute rebind: requests snapshot the active version, so
         # the switch is atomic with respect to in-flight traffic.
         self.active = label
 
     def remove_version(self, label):
-        if label not in self.versions:
-            raise KeyError(
-                f"{self.name!r} has no version {label!r}; registered: "
-                f"{sorted(self.versions)}"
-            )
+        self.version(label)
         if label == self.active:
             raise ActiveVersionError(
                 f"Version {label!r} of {self.name!r} is the active "
@@ -221,30 +281,23 @@ class _Endpoint:
                 return version
         return self.versions[self.active]
 
+    @property
+    def requests(self):
+        return self._latency.count
+
     def record_latency(self, seconds):
         with self._lock:
-            self.requests += 1
-            self._latencies.append(seconds)
-            self._latency_count += 1
-            self._latency_total += seconds
+            self._latency.record(seconds)
 
     def latency_stats(self):
         with self._lock:
-            window = sorted(self._latencies)
-            count, total = self._latency_count, self._latency_total
-        if not window:
-            return {"count": 0, "mean_ms": 0.0, "p50_ms": 0.0, "p99_ms": 0.0}
+            return self._latency.stats()
 
-        def pct(q):
-            i = min(len(window) - 1, int(q * len(window)))
-            return round(window[i] * 1e3, 3)
-
-        return {
-            "count": count,
-            "mean_ms": round(total / count * 1e3, 3),
-            "p50_ms": pct(0.50),
-            "p99_ms": pct(0.99),
-        }
+    def latency_doc(self):
+        """Stats plus the sparse histogram (what a fleet worker
+        publishes for its siblings to merge)."""
+        with self._lock:
+            return self._latency.to_doc()
 
     def describe(self):
         version = self.active_version()
@@ -268,14 +321,7 @@ class _Endpoint:
         if engine_stats is not None:
             info["engine"] = engine_stats()
         if version.batcher is not None:
-            stats = version.batcher.stats
-            info["batch_stats"] = {
-                "batches": stats.batches,
-                "requests": stats.requests,
-                "max_batch_size": stats.max_batch_size,
-                "rejected": stats.rejected,
-                "high_priority": stats.high_priority,
-            }
+            info["batch_stats"] = version.batcher.stats._asdict()
         return info
 
 
@@ -334,8 +380,8 @@ class ModelServer:
           batcher: ``None`` — micro-batch with default settings;
             ``False`` — serve unbatched (requests carry full tensors);
             a dict — :class:`MicroBatcher` options
-            (``batch_axis``, ``max_batch_size``, ``batch_timeout``,
-            ``pad_value``, ``max_queue``) overriding the defaults.
+            (``batch_axis``, ``max_batch_size``, ``pad_value``,
+            ``max_queue``) overriding the defaults.
 
         Returns:
           The registered executable.
@@ -354,9 +400,16 @@ class ModelServer:
         else:
             executable = resolve_executable(
                 source, tuple(signature), {}, "register")
-        return self._register_executable(
-            name, executable, version=version, activate=activate,
-            batch_config=self._batch_config(batcher))
+        batch_config = self._batch_config(batcher)
+        endpoint = self._endpoints.get(name)
+        if endpoint is None:
+            endpoint = self._endpoints[name] = _Endpoint(name)
+        endpoint.add_version(str(version), executable, batch_config,
+                             running=self._httpd is not None)
+        if activate:
+            endpoint.activate(str(version))
+        executable._mark_served(name)
+        return executable
 
     @staticmethod
     def _batch_config(batcher):
@@ -365,11 +418,11 @@ class ModelServer:
         if batcher is None:
             return dict(_DEFAULT_BATCHER)
         if isinstance(batcher, dict):
-            unknown = set(batcher) - set(_BATCHER_KEYS)
+            unknown = set(batcher) - set(_DEFAULT_BATCHER)
             if unknown:
                 raise TypeError(
                     f"Unknown batcher option(s) {sorted(unknown)}; "
-                    f"valid: {list(_BATCHER_KEYS)}"
+                    f"valid: {list(_DEFAULT_BATCHER)}"
                 )
             return {**_DEFAULT_BATCHER, **batcher}
         raise TypeError(
@@ -377,69 +430,11 @@ class ModelServer:
             f"options, got {type(batcher).__name__}"
         )
 
-    def _register_executable(self, name, executable, *, version, activate,
-                             batch_config):
-        endpoint = self._endpoints.get(name)
-        if endpoint is None:
-            endpoint = _Endpoint(name)
-            self._endpoints[name] = endpoint
-        endpoint.add_version(str(version), executable, batch_config,
-                             running=self._httpd is not None)
-        if activate:
-            endpoint.activate(str(version))
-        executable._mark_served(name)
-        return executable
-
-    def add_signature(self, name, fn, *args, batch=True, batch_axis=0,
-                      max_batch_size=32, batch_timeout=0.002,
-                      pad_value=None, max_queue=None, version="1", **kwargs):
-        """Deprecated: use :meth:`register`.
-
-        Kept as a thin alias (same semantics, including refusing an
-        already-registered name).
-        """
-        warnings.warn(
-            "ModelServer.add_signature is deprecated; use "
-            "server.register(name, source, version=..., batcher=...)",
-            DeprecationWarning, stacklevel=2)
-        if name in self._endpoints:
-            raise ValueError(f"Signature {name!r} is already registered")
-        executable = resolve_executable(fn, args, kwargs, "add_signature")
-        batch_config = None
-        if batch:
-            batch_config = {"batch_axis": batch_axis,
-                            "max_batch_size": max_batch_size,
-                            "batch_timeout": batch_timeout,
-                            "pad_value": pad_value,
-                            "max_queue": max_queue}
-        return self._register_executable(
-            name, executable, version=version, activate=None,
-            batch_config=batch_config)
-
-    def add_version(self, name, fn, *args, version, activate=False,
-                    batch=True, batch_axis=0, max_batch_size=32,
-                    batch_timeout=0.002, pad_value=None, max_queue=None,
-                    **kwargs):
-        """Deprecated: use :meth:`register` with an existing ``name``."""
-        warnings.warn(
-            "ModelServer.add_version is deprecated; use "
-            "server.register(name, source, version=..., batcher=...)",
-            DeprecationWarning, stacklevel=2)
-        if name not in self._endpoints:
-            raise KeyError(
-                f"No signature {name!r}; register it first (register or "
-                "add_signature)")
-        executable = resolve_executable(fn, args, kwargs, "add_version")
-        batch_config = None
-        if batch:
-            batch_config = {"batch_axis": batch_axis,
-                            "max_batch_size": max_batch_size,
-                            "batch_timeout": batch_timeout,
-                            "pad_value": pad_value,
-                            "max_queue": max_queue}
-        return self._register_executable(
-            name, executable, version=version, activate=activate,
-            batch_config=batch_config)
+    def _endpoint(self, name):
+        try:
+            return self._endpoints[name]
+        except KeyError:
+            raise KeyError(f"No signature {name!r}") from None
 
     def remove_version(self, name, version):
         """Unload (garbage-collect) an *inactive* version of ``name``.
@@ -456,9 +451,7 @@ class ModelServer:
 
         Also exposed as ``DELETE /v1/models/<name>/versions/<version>``.
         """
-        endpoint = self._endpoints.get(name)
-        if endpoint is None:
-            raise KeyError(f"No signature {name!r}")
+        endpoint = self._endpoint(name)
         with self._swap_lock:
             removed = endpoint.remove_version(str(version))
         # Outside the lock: close() joins the worker thread, which may be
@@ -480,9 +473,7 @@ class ModelServer:
         ``"version"`` reply field — measuring the split, and the canary's
         behavior, is just counting replies.
         """
-        endpoint = self._endpoints.get(name)
-        if endpoint is None:
-            raise KeyError(f"No signature {name!r}")
+        endpoint = self._endpoint(name)
         try:
             fraction = float(fraction)
         except (TypeError, ValueError):
@@ -501,13 +492,11 @@ class ModelServer:
                     raise ValueError(
                         "a nonzero canary fraction needs a version label"
                     )
-                label = str(version)
-                if label not in endpoint.versions:
-                    raise ValueError(
-                        f"{name!r} has no version {label!r}; registered: "
-                        f"{sorted(endpoint.versions)}"
-                    )
-                endpoint.canary = (label, fraction)
+                try:
+                    endpoint.version(str(version))
+                except KeyError as e:
+                    raise ValueError(e.args[0]) from None
+                endpoint.canary = (str(version), fraction)
         return {
             "model": name,
             "canary": None if endpoint.canary is None else
@@ -523,21 +512,23 @@ class ModelServer:
         host, port = self._httpd.server_address[:2]
         return f"http://{host}:{port}"
 
+    def _versions(self):
+        return [version for endpoint in self._endpoints.values()
+                for version in endpoint.versions.values()]
+
     def _ensure_batchers(self):
         # A restarted server gets fresh batchers (stop() drained the old
         # ones) so batched signatures stay batched across restarts.
-        for endpoint in self._endpoints.values():
-            for version in endpoint.versions.values():
-                version.ensure_batcher()
+        for version in self._versions():
+            version.ensure_batcher()
 
     def start(self):
         """Bind and serve on a daemon thread; returns the base URL."""
         if self._httpd is not None:
             raise RuntimeError("ModelServer is already running")
         self._ensure_batchers()
-        handler = _make_handler(self)
-        self._httpd = ThreadingHTTPServer((self._host, self._port), handler)
-        self._httpd.daemon_threads = True
+        self._httpd = _ConnectionTrackingServer(
+            (self._host, self._port), _make_handler(self))
         self._thread = threading.Thread(
             target=self._httpd.serve_forever, name="repro-model-server",
             daemon=True)
@@ -545,16 +536,20 @@ class ModelServer:
         return self.url
 
     def stop(self):
-        """Shut the listener down and drain the batchers."""
+        """Shut the listener down, end every established connection
+        (joining its handler thread) and drain the batchers."""
         if self._httpd is not None:
             self._httpd.shutdown()
             self._httpd.server_close()
             self._thread.join()
+            self._httpd.close_connections()
             self._httpd = None
             self._thread = None
-        for endpoint in self._endpoints.values():
-            for version in endpoint.versions.values():
-                version.close_batcher()
+        self._close_batchers()
+
+    def _close_batchers(self):
+        for version in self._versions():
+            version.close_batcher()
 
     def __enter__(self):
         self.start()
@@ -586,11 +581,8 @@ class ModelServer:
     def _describe_all(self):
         for name in self._endpoints:
             self._sync_endpoint(name)
-        doc = {
-            "models": {
-                name: ep.describe() for name, ep in self._endpoints.items()
-            }
-        }
+        doc = {"models": {name: endpoint.describe()
+                          for name, endpoint in self._endpoints.items()}}
         doc.update(self._fleet_info())
         return doc
 
@@ -598,8 +590,7 @@ class ModelServer:
         """The ``GET /v1/metrics`` document: this process's live
         :mod:`repro.observe` counters (engine, function-cache, serving)
         plus per-model request counts and latency stats.  Fleet workers
-        extend it with the merged per-worker view via
-        :meth:`_metrics_info`."""
+        add the merged per-worker view via :meth:`_metrics_info`."""
         doc = {
             "counters": _REC.counters(),
             "models": {
@@ -614,19 +605,18 @@ class ModelServer:
         return doc
 
     def _describe_one(self, name):
-        endpoint = self._endpoints.get(name)
-        if endpoint is None:
-            raise KeyError(name)
+        endpoint = self._endpoint(name)
         self._sync_endpoint(name)
         return {name: endpoint.describe()}
 
     def _predict(self, name, body, priority=None):
-        endpoint = self._endpoints.get(name)
-        if endpoint is None:
-            raise KeyError(name)
+        endpoint = self._endpoint(name)
         self._sync_endpoint(name)
-        if priority is None:
-            priority = "normal"
+        priority = (priority or "normal").strip().lower()
+        if priority not in ("normal", "high"):
+            raise ValueError(
+                f"X-Repro-Priority must be 'normal' or 'high', "
+                f"got {priority!r}")
         started = time.perf_counter()
         # Snapshot the routed version once: a concurrent version swap (or
         # server stop) cannot hand this request half of each version.
@@ -647,23 +637,19 @@ class ModelServer:
                 # (nested lists) materialize here.
                 value = np.asarray(value, dtype=spec.dtype.np_dtype)
             values.append(value)
-        if self._inflight_sem is not None:
-            if not self._inflight_sem.acquire(blocking=False):
-                raise QueueFullError(
-                    f"worker is at max_inflight={self._max_inflight} "
-                    "concurrently executing requests; retry later"
-                )
-            try:
-                result = self._execute(version, values, priority)
-            finally:
-                self._inflight_sem.release()
-        else:
+        slots = self._inflight_sem
+        if slots is not None and not slots.acquire(blocking=False):
+            raise QueueFullError(
+                f"worker is at max_inflight={self._max_inflight} "
+                "concurrently executing requests; retry later"
+            )
+        try:
             result = self._execute(version, values, priority)
-        outputs = []
-        for leaf in nest.flatten(result):
-            if isinstance(leaf, EagerTensor):
-                leaf = leaf.numpy()
-            outputs.append(leaf)
+        finally:
+            if slots is not None:
+                slots.release()
+        outputs = [leaf.numpy() if isinstance(leaf, EagerTensor) else leaf
+                   for leaf in nest.flatten(result)]
         endpoint.record_latency(time.perf_counter() - started)
         _REC.counter("serving.requests")
         _REC.counter(f"serving.requests.{name}")
@@ -690,9 +676,7 @@ class ModelServer:
         return version.executable.call_flat(values)
 
     def _swap_weights(self, name, body):
-        endpoint = self._endpoints.get(name)
-        if endpoint is None:
-            raise KeyError(name)
+        endpoint = self._endpoint(name)
         self._sync_endpoint(name)
         weights = body.get("weights")
         target = body.get("version")
@@ -701,32 +685,22 @@ class ModelServer:
                 "Body must carry 'weights' (capture name -> values) "
                 "and/or 'version' (a registered version label)"
             )
-        with self._swap_lock:
-            swapped = []
-            if weights is not None:
-                if not isinstance(weights, dict):
-                    raise ValueError("'weights' must map capture names to "
-                                     "nested-list values")
-                label = str(target) if target is not None else endpoint.active
-                version = endpoint.versions.get(label)
-                if version is None:
-                    raise ValueError(
-                        f"{name!r} has no version {label!r}; registered: "
-                        f"{sorted(endpoint.versions)}"
-                    )
-                try:
-                    self._apply_weights(name, label, version, weights)
-                except KeyError as e:
-                    raise ValueError(str(e)) from e
-                swapped = sorted(weights)
-            if target is not None:
-                try:
+        swapped = []
+        try:
+            with self._swap_lock:
+                if weights is not None:
+                    if not isinstance(weights, dict):
+                        raise ValueError("'weights' must map capture names "
+                                         "to nested-list values")
+                    label = (str(target) if target is not None
+                             else endpoint.active)
+                    self._apply_weights(
+                        name, label, endpoint.version(label), weights)
+                    swapped = sorted(weights)
+                if target is not None:
                     self._activate(name, endpoint, str(target))
-                except KeyError:
-                    raise ValueError(
-                        f"{name!r} has no version {target!r}; registered: "
-                        f"{sorted(endpoint.versions)}"
-                    ) from None
+        except KeyError as e:  # unknown version label or capture name
+            raise ValueError(e.args[0]) from None
         self._request_served()
         return {
             "model": name,
@@ -759,19 +733,68 @@ class ModelServer:
         return result
 
 
-def _jsonify(value):
-    """Make a reply JSON-encodable (ndarray leaves -> nested lists)."""
-    if isinstance(value, (np.ndarray, np.generic)):
-        return value.tolist()
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    return value
+class _ConnectionTrackingServer(ThreadingHTTPServer):
+    """A ``ThreadingHTTPServer`` that keeps its established connections
+    on the books, so stopping can end them: with HTTP/1.1 keep-alive a
+    handler thread lives as long as its client holds the connection."""
+
+    daemon_threads = True
+
+    def __init__(self, address, handler, sock=None):
+        """``sock``: adopt this already-listening socket (a fleet's
+        fork-inherited one) instead of binding ``address``."""
+        super().__init__(address, handler, bind_and_activate=sock is None)
+        if sock is not None:
+            self.socket.close()
+            self.socket = sock
+            self.server_address = sock.getsockname()[:2]
+        self._connections = {}  # accepted socket -> its handler thread
+        self._connections_lock = threading.Lock()
+
+    def process_request(self, request, client_address):
+        # Runs on the accept loop's own thread, so a connection is
+        # recorded before shutdown() can return.
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            name="repro-serving-connection", daemon=True)
+        with self._connections_lock:
+            self._connections[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request):
+        with self._connections_lock:
+            self._connections.pop(request, None)
+        super().shutdown_request(request)
+
+    def close_connections(self, join_timeout=5.0):
+        """End every connection and join its thread.  ``SHUT_RD``, not
+        ``SHUT_RDWR``: a handler waiting for a request wakes with EOF
+        and exits, one mid-request still gets its reply out first; a
+        client reusing the connection later sees a reset, not a hang."""
+        with self._connections_lock:
+            connections = list(self._connections.items())
+        for request, _ in connections:
+            try:
+                request.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # the peer (or the handler) closed it first
+        for _, thread in connections:
+            thread.join(join_timeout)
 
 
 def _make_handler(server):
     class _Handler(BaseHTTPRequestHandler):
+        # Persistent connections: handle() loops over one connection's
+        # requests until either side closes it.
+        protocol_version = "HTTP/1.1"
+        timeout = IDLE_TIMEOUT_SECONDS
+        # A reply is buffered and leaves in one send, with TCP_NODELAY:
+        # a small write queued behind an un-ACKed one would wait out
+        # the peer's delayed ACK (~40 ms).
+        wbufsize = 1 << 16
+        disable_nagle_algorithm = True
+
         # Handler threads must not write to the test/benchmark console.
         def log_message(self, format, *args):  # noqa: A002
             pass
@@ -782,33 +805,50 @@ def _make_handler(server):
             self.send_header("Content-Length", str(len(data)))
             for key, value in headers:
                 self.send_header(key, value)
+            if self.close_connection:
+                self.send_header("Connection", "close")
             self.end_headers()
-            self.wfile.write(data)
+            try:
+                self.wfile.write(data)
+                self.wfile.flush()
+            except OSError:
+                self.close_connection = True  # the client went away
 
         def _reply(self, status, payload, headers=()):
             """JSON reply, or binary when the client accepts the tensor
             wire format (tensor leaves then skip ``tolist`` entirely)."""
-            if status == 200 and self._accepts_binary():
+            accepts = self.headers.get("Accept") or ""
+            if status == 200 and wire.CONTENT_TYPE in accepts:
                 self._reply_bytes(status, wire.encode(payload),
                                   wire.CONTENT_TYPE, headers)
                 return
-            data = json.dumps(_jsonify(payload)).encode("utf-8")
+            data = json.dumps(wire.jsonify(payload)).encode("utf-8")
             self._reply_bytes(status, data, "application/json", headers)
 
-        def _accepts_binary(self):
-            return wire.CONTENT_TYPE in (self.headers.get("Accept") or "")
-
         def _error(self, status, code, message):
+            """The one error body every route and status speaks."""
             headers = ()
             if status == 503:
                 headers = (("Retry-After", str(RETRY_AFTER_SECONDS)),)
-            data = json.dumps(error_envelope(code, message)).encode("utf-8")
-            self._reply_bytes(status, data, "application/json", headers)
+            envelope = {"error": {"code": code, "message": str(message)}}
+            self._reply(status, envelope, headers)
 
-        def _read_body(self):
+        def _read_raw(self):
+            """The request body's bytes.  Read on *every* route, before
+            any reply: bytes left unread on a persistent connection
+            would be parsed as the next request line."""
+            try:
+                length = int(self.headers.get("Content-Length") or 0)
+            except ValueError:
+                length = -1
+            if length < 0 or self.headers.get("Transfer-Encoding"):
+                # Where the next request starts is unknowable.
+                self.close_connection = True
+                raise ValueError("request bodies need a valid Content-Length")
+            return self.rfile.read(length) if length else b""
+
+        def _decode_body(self, raw):
             """Decode the request body per its Content-Type."""
-            length = int(self.headers.get("Content-Length", 0))
-            raw = self.rfile.read(length) if length else b""
             ctype = (self.headers.get("Content-Type") or
                      "application/json").split(";")[0].strip().lower()
             if ctype == wire.CONTENT_TYPE:
@@ -817,51 +857,17 @@ def _make_handler(server):
                 return json.loads(raw or b"{}")
             raise _UnsupportedMediaType(ctype)
 
-        def do_GET(self):  # noqa: N802 - http.server API
+        def _serve(self, route):
+            """Read the body, run ``route(raw body)``, reply with its
+            result — or with the error envelope its failure maps to."""
             try:
-                if self.path == "/v1/models":
-                    self._reply(200, server._describe_all())
-                    return
-                if self.path == "/v1/metrics":
-                    self._reply(200, server._metrics())
-                    return
-                if self.path.startswith("/v1/models/"):
-                    name = self.path[len("/v1/models/"):]
-                    self._reply(200, server._describe_one(name))
-                    return
-                self._error(404, "not_found", f"No route {self.path!r}")
-            except KeyError:
-                self._error(404, "not_found", f"No signature {name!r}")
-            except Exception as e:  # noqa: BLE001 - wire boundary
-                self._error(500, "internal", f"{type(e).__name__}: {e}")
-
-        def do_POST(self):  # noqa: N802 - http.server API
-            route = None
-            for action in (":predict", ":swap_weights", ":canary"):
-                if (self.path.startswith("/v1/models/")
-                        and self.path.endswith(action)):
-                    route = action
-                    name = self.path[len("/v1/models/"):-len(action)]
-                    break
-            if route is None:
-                self._error(404, "not_found", f"No route {self.path!r}")
-                return
-            try:
-                body = self._read_body()
-                if route == ":predict":
-                    priority = self._priority()
-                    self._reply(200, server._predict(name, body,
-                                                     priority=priority))
-                elif route == ":swap_weights":
-                    self._reply(200, server._swap_weights(name, body))
-                else:
-                    self._reply(200, server._set_canary_route(name, body))
+                self._reply(200, route(self._read_raw()))
             except _UnsupportedMediaType as e:
                 self._error(415, "unsupported_media_type",
                             f"Cannot decode Content-Type {e.args[0]!r}; "
                             f"send application/json or {wire.CONTENT_TYPE}")
-            except KeyError:
-                self._error(404, "not_found", f"No signature {name!r}")
+            except KeyError as e:
+                self._error(404, "not_found", e.args[0] if e.args else e)
             except QueueFullError as e:
                 self._error(503, "queue_full", e)
             except ActiveVersionError as e:
@@ -872,35 +878,48 @@ def _make_handler(server):
             except Exception as e:  # noqa: BLE001 - wire boundary
                 self._error(500, "internal", f"{type(e).__name__}: {e}")
 
-        def _priority(self):
-            priority = self.headers.get("X-Repro-Priority")
-            if priority is None:
-                return None
-            priority = priority.strip().lower()
-            if priority not in ("normal", "high"):
-                raise ValueError(
-                    f"X-Repro-Priority must be 'normal' or 'high', "
-                    f"got {priority!r}"
-                )
-            return priority
+        def _no_route(self):
+            raise KeyError(f"No route {self.path!r}")
 
-        def do_DELETE(self):  # noqa: N802 - http.server API
-            prefix = "/v1/models/"
-            marker = "/versions/"
-            if not (self.path.startswith(prefix) and marker in self.path):
-                self._error(404, "not_found", f"No route {self.path!r}")
-                return
-            name, _, label = self.path[len(prefix):].partition(marker)
-            try:
-                self._reply(200, server.remove_version(name, label))
-            except ActiveVersionError as e:
-                self._error(409, "active_version", e)
-            except KeyError as e:
-                self._error(404, "not_found",
-                            str(e.args[0]) if e.args
-                            else f"No signature {name!r}")
-            except Exception as e:  # noqa: BLE001 - wire boundary
-                self._error(500, "internal", f"{type(e).__name__}: {e}")
+        def _get(self, _raw):
+            if self.path == "/v1/models":
+                return server._describe_all()
+            if self.path == "/v1/metrics":
+                return server._metrics()
+            if self.path.startswith("/v1/models/"):
+                return server._describe_one(self.path[len("/v1/models/"):])
+            self._no_route()
+
+        def _post(self, raw):
+            name, colon, action = (
+                self.path[len("/v1/models/"):].rpartition(":"))
+            if not (self.path.startswith("/v1/models/") and colon):
+                self._no_route()
+            if action == "predict":
+                return server._predict(
+                    name, self._decode_body(raw),
+                    priority=self.headers.get("X-Repro-Priority"))
+            if action == "swap_weights":
+                return server._swap_weights(name, self._decode_body(raw))
+            if action == "canary":
+                return server._set_canary_route(name, self._decode_body(raw))
+            self._no_route()
+
+        def _delete(self, _raw):
+            name, marker, label = (
+                self.path[len("/v1/models/"):].partition("/versions/"))
+            if not (self.path.startswith("/v1/models/") and marker):
+                self._no_route()
+            return server.remove_version(name, label)
+
+        def do_GET(self):  # noqa: N802 - http.server API
+            self._serve(self._get)
+
+        def do_POST(self):  # noqa: N802
+            self._serve(self._post)
+
+        def do_DELETE(self):  # noqa: N802
+            self._serve(self._delete)
 
     return _Handler
 

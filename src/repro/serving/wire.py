@@ -36,7 +36,7 @@ import json
 
 import numpy as np
 
-__all__ = ["CONTENT_TYPE", "WireError", "encode", "decode"]
+__all__ = ["CONTENT_TYPE", "WireError", "encode", "decode", "jsonify"]
 
 #: Negotiated via ``Content-Type`` (request) / ``Accept`` (response).
 CONTENT_TYPE = "application/x-repro-tensor"
@@ -55,6 +55,22 @@ _PLACEHOLDER = "__tensor__"
 class WireError(ValueError):
     """The frame is not a well-formed ``application/x-repro-tensor``
     message (mapped to HTTP 400 at the server boundary)."""
+
+
+def jsonify(value):
+    """The JSON-fallback form of a message: tensor leaves (ndarrays,
+    numpy scalars, anything with ``.numpy``) as nested lists."""
+    tolist = getattr(value, "tolist", None)
+    if tolist is not None and not isinstance(value, (str, bytes)):
+        return tolist()
+    numpy_fn = getattr(value, "numpy", None)
+    if numpy_fn is not None:
+        return numpy_fn().tolist()
+    if isinstance(value, dict):
+        return {k: jsonify(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonify(v) for v in value]
+    return value
 
 
 def _as_wire_array(value):
@@ -108,15 +124,15 @@ def encode(doc):
         if pad:
             buffers.append(b"\x00" * pad)
             offset += pad
-        data = arr.tobytes()  # C order
         entries.append({
             "dtype": arr.dtype.str,
             "shape": list(arr.shape),
             "offset": offset,
-            "nbytes": len(data),
+            "nbytes": arr.nbytes,
         })
-        buffers.append(data)
-        offset += len(data)
+        # The array's own (C-order) bytes, copied once: by the join.
+        buffers.append(arr.reshape(-1).view("u1").data)
+        offset += arr.nbytes
     header = json.dumps(
         {"doc": stripped, "tensors": entries},
         separators=(",", ":"),

@@ -38,7 +38,7 @@ class TestModelServerMetrics:
     def test_metrics_over_http(self):
         spec = repro.TensorSpec([None, 4], "float32")
         server = ModelServer()
-        server.add_signature("score", _score_function(), spec)
+        server.register("score", _score_function(), signature=(spec,))
         with server:
             client = ServingClient(server.url)
             for _ in range(3):
@@ -52,12 +52,16 @@ class TestModelServerMetrics:
         assert counters["serving.requests.score"] >= 3
         assert counters["serving.batches"] >= 1
         assert counters["serving.batched_requests"] >= 3
+        # Mean batcher wait = batch_queue_wait_us / batches; a lone
+        # client on an idle batcher waits for a thread hand-off, not
+        # for a linger timer.
+        assert 0 <= counters["serving.batch_queue_wait_us"]
 
     def test_metrics_route_survives_unknown_routes(self):
         server = ModelServer()
-        server.add_signature(
-            "score", _score_function(), repro.TensorSpec([None, 4],
-                                                         "float32"))
+        server.register(
+            "score", _score_function(),
+            signature=(repro.TensorSpec([None, 4], "float32"),))
         with server:
             client = ServingClient(server.url)
             doc = client.metrics()
@@ -73,7 +77,7 @@ class TestModelServerMetrics:
         assert not RECORDER.enabled
         spec = repro.TensorSpec([None, 4], "float32")
         server = ModelServer()
-        server.add_signature("score", _score_function(), spec)
+        server.register("score", _score_function(), signature=(spec,))
         before = RECORDER.counters().get("serving.requests", 0)
         with server:
             client = ServingClient(server.url)
@@ -131,6 +135,14 @@ class TestFleetMergedMetrics:
         supervisor = fleet_doc["supervisor"]
         assert supervisor["deaths"] == 0
         assert supervisor["respawns"] == 0
+        # Each worker publishes its latency histogram; the answering
+        # worker merges them into one fleet-wide distribution.
+        latency = fleet_doc["latency"]["score"]
+        assert latency["count"] == 4
+        assert 0 < latency["p50_ms"] <= latency["p99_ms"]
+        slowest = max(w._endpoints["score"].latency_stats()["p99_ms"]
+                      for w in (a, b))
+        assert latency["p99_ms"] == slowest
 
     def test_answering_worker_publishes_before_merging(self, inproc_fleet):
         a = inproc_fleet._build_worker(0)

@@ -1,5 +1,12 @@
-"""MicroBatcher: coalescing, padding, splitting, error and lifecycle."""
+"""MicroBatcher: idle dispatch, coalescing, padding, splitting, error
+and lifecycle.
 
+The batcher never waits on a timer, so nothing here does either: a test
+that needs requests to share a batch parks the worker inside a gated
+executable, queues them, and opens the gate.
+"""
+
+import statistics
 import threading
 import time
 
@@ -7,6 +14,7 @@ import numpy as np
 import pytest
 
 import repro
+from gated_executable import GatedExecutable, wait_for
 from repro.framework import ops
 from repro.serving import MicroBatcher
 
@@ -40,42 +48,130 @@ def _submit_all(batcher, examples):
     return results, errors
 
 
+def _submit_queued(batcher, gate, primer, examples, priorities=None):
+    """Queue ``examples`` (in order) behind a ``primer`` request that
+    holds the worker inside ``gate``, then open the gate.  Returns the
+    queued examples' ``(results, errors)``."""
+    priorities = priorities or ["normal"] * len(examples)
+    results = [None] * len(examples)
+    errors = [None] * len(examples)
+
+    def run(i):
+        try:
+            results[i] = batcher.submit([examples[i]],
+                                        priority=priorities[i])
+        except Exception as e:  # noqa: BLE001
+            errors[i] = e
+
+    threads = [threading.Thread(target=lambda: batcher.submit([primer]))]
+    threads[0].start()
+    try:
+        assert gate.entered.wait(10.0)
+        for i in range(len(examples)):
+            threads.append(threading.Thread(target=run, args=(i,)))
+            threads[-1].start()
+            wait_for(lambda: batcher.queue_depth() == i + 1,
+                      "request never queued")
+    finally:
+        gate.release.set()
+        for t in threads:
+            t.join(10.0)
+    assert not any(t.is_alive() for t in threads), "a submit never returned"
+    return results, errors
+
+
 @pytest.mark.parametrize("backend", ["graph", "lantern"])
 def test_concurrent_requests_coalesce(backend):
     cf, w = _model(backend)
+    gate = GatedExecutable(cf)
     rng = np.random.default_rng(1)
-    examples = [rng.normal(size=(4,)).astype(np.float32) for _ in range(24)]
-    with MicroBatcher(cf, max_batch_size=8, batch_timeout=0.05) as batcher:
-        results, errors = _submit_all(batcher, examples)
+    examples = [rng.normal(size=(4,)).astype(np.float32) for _ in range(23)]
+    with MicroBatcher(gate, max_batch_size=8) as batcher:
+        results, errors = _submit_queued(
+            batcher, gate, np.ones(4, np.float32), examples)
         stats = batcher.stats
-    assert errors == [None] * 24
+    assert errors == [None] * 23
     for x, r in zip(examples, results):
         np.testing.assert_allclose(r.numpy(), x @ w, rtol=1e-5)
-    assert stats.requests == 24
-    # Coalescing must actually happen: far fewer executions than calls.
-    assert stats.batches < 24
-    assert stats.max_batch_size > 1
+    # Everything that arrived while the first batch ran coalesced, in
+    # arrival order, into as few executions as max_batch_size allows.
+    assert [len(b) for b in gate.batches] == [1, 8, 8, 7]
+    assert gate.batches[1] == [float(x[0]) for x in examples[:8]]
+    assert (stats.requests, stats.batches, stats.max_batch_size) == (24, 4, 8)
 
 
-def test_single_request_executes_after_timeout():
+@pytest.mark.parametrize("queued", [3, 5])
+def test_released_worker_takes_the_whole_queue_up_to_max(queued):
+    gate = GatedExecutable()
+    examples = [np.full((2,), float(i), np.float32) for i in range(queued)]
+    with MicroBatcher(gate, max_batch_size=4) as batcher:
+        _, errors = _submit_queued(
+            batcher, gate, np.zeros(2, np.float32), examples)
+    assert errors == [None] * queued
+    assert len(gate.batches[1]) == min(queued, 4)
+    assert sum(len(b) for b in gate.batches) == queued + 1
+
+
+def test_lone_submit_on_idle_batcher_never_waits_on_a_timer():
     cf, w = _model()
-    with MicroBatcher(cf, max_batch_size=64, batch_timeout=0.01) as batcher:
-        x = np.ones(4, np.float32)
-        start = time.monotonic()
+    x = np.ones(4, np.float32)
+
+    def median_seconds(op):
+        samples = []
+        for _ in range(101):
+            start = time.perf_counter()
+            op()
+            samples.append(time.perf_counter() - start)
+        return statistics.median(samples)
+
+    with MicroBatcher(cf) as batcher:
+        waits = []
+        wait = batcher._cond.wait
+        batcher._cond.wait = lambda timeout=None: (waits.append(timeout),
+                                                   wait(timeout))[1]
         out = batcher.submit([x])
-        elapsed = time.monotonic() - start
+        submit = median_seconds(lambda: batcher.submit([x]))
+        stats = batcher.stats
     np.testing.assert_allclose(out.numpy(), x @ w, rtol=1e-5)
-    assert elapsed < 5.0  # timeout fired, did not wait for a full batch
+    # Idle dispatch: every request ran alone, the worker only ever
+    # blocked untimed (for work, never for company) ...
+    assert stats.batches == stats.requests == 102
+    assert waits and set(waits) == {None}
+    # ... so a submit costs the model plus two thread hand-offs.
+    model = median_seconds(lambda: cf.call_flat([x[None, :]]))
+    assert submit < model + 1e-3
 
 
-def test_full_batch_does_not_wait_for_timeout():
+def test_batch_timeout_knob_is_gone():
+    from repro.serving import FleetServer, ModelServer
+
     cf, _ = _model()
-    with MicroBatcher(cf, max_batch_size=2, batch_timeout=30.0) as batcher:
-        examples = [np.ones(4, np.float32)] * 4
-        start = time.monotonic()
-        _, errors = _submit_all(batcher, examples)
-        assert time.monotonic() - start < 5.0
-    assert errors == [None] * 4
+    with pytest.raises(TypeError, match="batch_timeout"):
+        MicroBatcher(cf, batch_timeout=0.002)
+    with pytest.raises(TypeError, match="batch_timeout"):
+        ModelServer().register("m", cf, batcher={"batch_timeout": 0.002})
+    with pytest.raises(TypeError, match="batch_timeout"):
+        FleetServer().register("m", "/nonexistent",
+                               batcher={"batch_timeout": 0.002})
+
+
+def test_batch_spans_carry_queue_wait_and_coalesced():
+    from repro import observe
+
+    gate = GatedExecutable()
+    examples = [np.full((2,), v, np.float32) for v in (1.0, 2.0, 3.0)]
+    before = observe.counters().get("serving.batch_queue_wait_us", 0)
+    with observe.profile() as timeline:
+        with MicroBatcher(gate, max_batch_size=4) as batcher:
+            _submit_queued(batcher, gate, np.zeros(2, np.float32), examples)
+    spans = [s.args for s in timeline.query(name="batch_execute")]
+    assert [s["coalesced"] for s in spans] == [1, 3]
+    # The queued batch waited for the gated one; its span says how long
+    # (the oldest request's time in the queue), and /v1/metrics' counter
+    # is the sum over batches.
+    assert spans[1]["queue_wait_us"] > spans[0]["queue_wait_us"] >= 0
+    waited = observe.counters()["serving.batch_queue_wait_us"] - before
+    assert waited == spans[0]["queue_wait_us"] + spans[1]["queue_wait_us"]
 
 
 def _rowsum_cf():
@@ -90,20 +186,24 @@ def _rowsum_cf():
 def test_ragged_examples_rejected_by_default():
     # Silent padding would make results depend on co-batched requests;
     # without an explicit pad_value the whole ragged batch errors out.
-    with MicroBatcher(_rowsum_cf(), max_batch_size=4,
-                      batch_timeout=0.05) as batcher:
+    gate = GatedExecutable(_rowsum_cf())
+    with MicroBatcher(gate, max_batch_size=4) as batcher:
         examples = [np.ones(2, np.float32), np.ones(5, np.float32)]
-        _, errors = _submit_all(batcher, examples)
-    assert any(isinstance(e, ValueError) and "pad_value" in str(e)
-               for e in errors if e is not None)
+        _, errors = _submit_queued(
+            batcher, gate, np.ones(2, np.float32), examples)
+    assert gate.calls == 1  # the ragged batch never reached the model
+    for e in errors:
+        assert isinstance(e, ValueError) and "pad_value" in str(e)
 
 
 def test_ragged_examples_padded_on_opt_in():
-    with MicroBatcher(_rowsum_cf(), max_batch_size=4, batch_timeout=0.05,
-                      pad_value=0.0) as batcher:
+    gate = GatedExecutable(_rowsum_cf())
+    with MicroBatcher(gate, max_batch_size=4, pad_value=0.0) as batcher:
         examples = [np.ones(2, np.float32), np.ones(5, np.float32)]
-        results, errors = _submit_all(batcher, examples)
+        results, errors = _submit_queued(
+            batcher, gate, np.ones(2, np.float32), examples)
     assert errors == [None, None]
+    assert [len(b) for b in gate.batches] == [1, 2]
     # Zero padding keeps sums exact.
     assert float(results[0].numpy()) == pytest.approx(2.0)
     assert float(results[1].numpy()) == pytest.approx(5.0)
@@ -111,11 +211,13 @@ def test_ragged_examples_padded_on_opt_in():
 
 def test_mixed_rank_examples_rejected():
     cf, _ = _model()
-    with MicroBatcher(cf, max_batch_size=4, batch_timeout=0.05) as batcher:
-        _, errors = _submit_all(
-            batcher, [np.ones(4, np.float32), np.ones((1, 4), np.float32)])
-    assert any(isinstance(e, ValueError) and "rank" in str(e)
-               for e in errors if e is not None)
+    gate = GatedExecutable(cf)
+    with MicroBatcher(gate, max_batch_size=4) as batcher:
+        _, errors = _submit_queued(
+            batcher, gate, np.ones(4, np.float32),
+            [np.ones(4, np.float32), np.ones((1, 4), np.float32)])
+    for e in errors:
+        assert isinstance(e, ValueError) and "rank" in str(e)
 
 
 def test_scalar_output_cannot_split():
@@ -124,7 +226,7 @@ def test_scalar_output_cannot_split():
         return ops.reduce_sum(x)
 
     cf = loss.get_concrete_function(repro.TensorSpec([None, 4], "float32"))
-    with MicroBatcher(cf, max_batch_size=4, batch_timeout=0.05) as batcher:
+    with MicroBatcher(cf, max_batch_size=4) as batcher:
         with pytest.raises(ValueError, match="batch axis"):
             batcher.submit([np.ones(4, np.float32)])
 
@@ -163,7 +265,7 @@ def test_submit_after_close_raises():
 
 def test_stats_and_average():
     cf, _ = _model()
-    with MicroBatcher(cf, max_batch_size=4, batch_timeout=0.02) as batcher:
+    with MicroBatcher(cf, max_batch_size=4) as batcher:
         _submit_all(batcher, [np.ones(4, np.float32)] * 8)
         stats = batcher.stats
         assert stats.requests == 8
@@ -176,43 +278,11 @@ def test_stats_and_average():
 # ---------------------------------------------------------------------------
 
 
-class _GatedExecutable(repro.Executable):
-    """A stub executable whose call blocks until released."""
-
-    name = "gated"
-    backend = "stub"
-
-    def __init__(self):
-        self.entered = threading.Event()
-        self.release = threading.Event()
-        self.calls = 0
-
-    @property
-    def structured_input_signature(self):
-        return [repro.TensorSpec([2], "float32")]
-
-    @property
-    def variables(self):
-        return []
-
-    def export_spec(self, freeze=True):
-        raise NotImplementedError
-
-    def call_flat(self, flat_args):
-        self.calls += 1
-        self.entered.set()
-        assert self.release.wait(10.0), "test never released the gate"
-        from repro.framework.eager.tensor import EagerTensor
-
-        return EagerTensor(np.asarray(flat_args[0]))
-
-
 def test_max_queue_rejects_when_full():
     from repro.serving import QueueFullError
 
-    exe = _GatedExecutable()
-    batcher = MicroBatcher(exe, max_batch_size=1, batch_timeout=0.0,
-                           max_queue=2)
+    exe = GatedExecutable()
+    batcher = MicroBatcher(exe, max_batch_size=1, max_queue=2)
     example = np.zeros((2,), np.float32)
     threads = []
     try:
@@ -248,21 +318,22 @@ def test_max_queue_validation():
 
 
 def test_server_maps_queue_full_to_503():
-    from repro.serving import ModelServer, client
+    from repro.serving import ModelServer, ServingClient
+    from repro.serving.client import ServingError
 
-    exe = _GatedExecutable()
+    exe = GatedExecutable()
     server = ModelServer()
-    server.add_signature("gated", exe, max_batch_size=1, batch_timeout=0.0,
-                         max_queue=1)
+    server.register("gated", exe,
+                    batcher={"max_batch_size": 1, "max_queue": 1})
     rejected = []
     threads = []
     with server:
-        url = server.url
+        client = ServingClient(server.url, timeout=30.0)
 
         def hit():
             try:
-                client.predict(url, "gated", [[0.0, 0.0]], timeout=30.0)
-            except client.ServingError as e:
+                client.predict("gated", [[0.0, 0.0]])
+            except ServingError as e:
                 rejected.append(e.status)
 
         try:
@@ -291,55 +362,24 @@ def test_server_maps_queue_full_to_503():
 # ---------------------------------------------------------------------------
 
 
-class _RecordingGate(_GatedExecutable):
-    """Gated stub that records the order calls reach the executable."""
-
-    def __init__(self):
-        super().__init__()
-        self.seen = []
-
-    def call_flat(self, flat_args):
-        self.seen.append(float(np.asarray(flat_args[0]).ravel()[0]))
-        return super().call_flat(flat_args)
-
-
 def test_high_priority_lane_drains_first():
-    exe = _RecordingGate()
-    batcher = MicroBatcher(exe, max_batch_size=1, batch_timeout=0.0)
-    threads = []
-
-    def bg(value, priority):
-        t = threading.Thread(
-            target=lambda: batcher.submit(
-                [np.full((2,), value, np.float32)], priority=priority))
-        t.start()
-        threads.append(t)
-
-    try:
-        bg(1.0, "normal")  # occupies the worker (blocked in call_flat)
-        assert exe.entered.wait(10.0)
-        bg(2.0, "normal")
-        bg(3.0, "high")
-        deadline = time.monotonic() + 10.0
-        while batcher.queue_depth() < 2:
-            assert time.monotonic() < deadline, "queue never filled"
-            time.sleep(0.001)
-    finally:
-        exe.release.set()
-        for t in threads:
-            t.join()
-        batcher.close()
-    # The high request overtook the earlier-queued normal one.
-    assert exe.seen == [1.0, 3.0, 2.0]
-    assert batcher.stats.high_priority == 1
+    gate = GatedExecutable()
+    examples = [np.full((2,), v, np.float32) for v in (2.0, 3.0, 4.0)]
+    with MicroBatcher(gate, max_batch_size=2) as batcher:
+        _submit_queued(batcher, gate, np.full((2,), 1.0, np.float32),
+                       examples, priorities=["normal", "normal", "high"])
+        stats = batcher.stats
+    # The high request overtook both earlier-queued normal ones, and
+    # still shared its batch with the oldest of them.
+    assert gate.batches == [[1.0], [4.0, 2.0], [3.0]]
+    assert stats.high_priority == 1
 
 
 def test_high_lane_headroom_under_load_shedding():
     from repro.serving import QueueFullError
 
-    exe = _GatedExecutable()
-    batcher = MicroBatcher(exe, max_batch_size=1, batch_timeout=0.0,
-                           max_queue=2)
+    exe = GatedExecutable()
+    batcher = MicroBatcher(exe, max_batch_size=1, max_queue=2)
     example = np.zeros((2,), np.float32)
     threads = []
 

@@ -1,7 +1,8 @@
-"""The redesigned serving API: register(), the error envelope, the
-ServingClient (typed errors, retries, wire negotiation), deprecations."""
+"""The serving API: register(), the error envelope, the ServingClient
+(typed errors, retries, wire negotiation, persistent connections)."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -116,20 +117,13 @@ def test_register_path_refuses_signature(tmp_path):
         server.register("art", path, signature=(_SPEC,))
 
 
-def test_deprecated_add_signature_and_add_version_still_work():
-    v1, _, _ = _linear(2.0)
-    v2, _, _ = _linear(5.0)
-    server = ModelServer()
-    with pytest.warns(DeprecationWarning, match="add_signature is deprecated"):
-        server.add_signature("lin", v1, _SPEC)
-    with pytest.warns(DeprecationWarning, match="add_signature is deprecated"):
-        with pytest.raises(ValueError, match="already registered"):
-            server.add_signature("lin", v1, _SPEC)
-    with pytest.warns(DeprecationWarning, match="add_version is deprecated"):
-        server.add_version("lin", v2, _SPEC, version="2", activate=True)
-    with server:
-        reply = ServingClient(server.url).predict("lin", _X)
-        assert reply["version"] == "2"
+def test_register_is_the_only_registration_surface():
+    # The add_signature / add_version shims and the module-level client
+    # functions were deleted, not deprecated further.
+    assert not hasattr(ModelServer, "add_signature")
+    assert not hasattr(ModelServer, "add_version")
+    for name in ("predict", "list_models", "swap_weights", "remove_version"):
+        assert not hasattr(client, name)
 
 
 # ---------------------------------------------------------------------------
@@ -328,25 +322,148 @@ def test_retries_exhaust_and_http_errors_never_retry(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Deprecated free functions
+# Persistent connections
 # ---------------------------------------------------------------------------
 
 
-def test_deprecated_free_functions_delegate(running_server):
-    with pytest.warns(DeprecationWarning, match="predict is deprecated"):
-        reply = client.predict(running_server.url, "lin", _X)
-    np.testing.assert_allclose(
-        np.asarray(reply["outputs"][0], np.float32), [6.0], rtol=1e-6)
-    # Old behavior preserved: JSON wire, nested-list outputs.
-    assert isinstance(reply["outputs"][0], list)
-    with pytest.warns(DeprecationWarning, match="list_models is deprecated"):
-        info = client.list_models(running_server.url)
-    assert "lin" in info["models"]
-    with pytest.warns(DeprecationWarning, match="swap_weights is deprecated"):
-        client.swap_weights(running_server.url, "lin", version="1")
-    with pytest.warns(DeprecationWarning,
-                      match="remove_version is deprecated"):
-        with pytest.raises(ActiveVersionError):
-            client.remove_version(running_server.url, "lin", "1")
-    # The legacy catch-all exception contract still holds.
-    assert issubclass(UnknownModelError, client.ServingError)
+def _connection_threads():
+    return [t for t in threading.enumerate()
+            if t.name == "repro-serving-connection"]
+
+
+def test_requests_reuse_one_connection(running_server):
+    with ServingClient(running_server.url) as c:
+        for _ in range(5):
+            c.predict("lin", _X)
+        c.list_models()
+        assert len(c._idle) == 1
+        assert len(_connection_threads()) == 1
+    assert c._idle == []
+    # Closed, not broken: the client reconnects on demand.
+    assert c.predict("lin", _X)["version"] == "1"
+    c.close()
+
+
+def test_one_client_is_safe_from_many_threads(running_server):
+    import sys
+
+    c = ServingClient(running_server.url)
+    errors = []
+
+    def hammer():
+        try:
+            for _ in range(20):
+                out = np.asarray(c.predict("lin", _X)["outputs"][0])
+                np.testing.assert_allclose(out, [6.0], rtol=1e-6)
+        except Exception as e:  # noqa: BLE001
+            errors.append(e)
+
+    # More threads than cores, switching as often as the interpreter
+    # allows: the idle list (client side), the connection table and the
+    # latency histogram (server side) are all shared between them.
+    threads = [threading.Thread(target=hammer) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert 1 <= len(c._idle) <= 8  # never more connections than callers
+    # No lost update: every request is in the histogram exactly once.
+    endpoint = running_server._endpoints["lin"]
+    assert endpoint.requests == 160
+    assert sum(endpoint._latency.buckets.values()) == 160
+    c.close()
+
+
+def test_base_url_path_prefix_is_kept(monkeypatch):
+    import http.client
+
+    seen = []
+
+    def fake_request(self, method, url, body=None, headers=()):
+        seen.append((self.host, self.port, method, url))
+        raise ConnectionRefusedError("no server in this test")
+
+    monkeypatch.setattr(http.client.HTTPConnection, "request", fake_request)
+    c = ServingClient("http://gateway.test:8080/serving/", retries=0)
+    with pytest.raises(ConnectionRefusedError):
+        c.describe("lin")
+    assert seen == [("gateway.test", 8080, "GET", "/serving/v1/models/lin")]
+    with pytest.raises(ValueError, match="base_url"):
+        ServingClient("ftp://gateway.test")
+
+
+def test_stale_connection_is_replaced_without_spending_a_retry():
+    predict, _, _ = _linear()
+    server = ModelServer()
+    server.register("lin", predict, signature=(_SPEC,))
+    with server:
+        c = ServingClient(server.url, retries=0)
+        c.predict("lin", _X)
+        port = server._httpd.server_address[1]
+    # The server went away and took the kept-alive connection with it;
+    # bring one back on the same port.
+    server._port = port
+    with server:
+        assert len(c._idle) == 1
+        # retries=0: only the free stale-connection replacement can
+        # make this succeed.
+        assert c.predict("lin", _X)["version"] == "1"
+    # With nothing listening, the fresh connection fails for real.
+    with pytest.raises(ConnectionError):
+        c.predict("lin", _X)
+    c.close()
+
+
+def test_stop_ends_connections_and_joins_their_threads():
+    predict, _, _ = _linear()
+    server = ModelServer()
+    server.register("lin", predict, signature=(_SPEC,))
+    baseline = threading.active_count()
+    with server:
+        clients = [ServingClient(server.url, retries=0, timeout=5.0)
+                   for _ in range(3)]
+        for c in clients:
+            c.predict("lin", _X)
+        assert len(_connection_threads()) == 3
+    # No handler thread (nor batcher, nor acceptor) outlives stop(),
+    # even though every client still holds its connection open ...
+    assert _connection_threads() == []
+    assert threading.active_count() == baseline
+    # ... and using one is a prompt transport error, not a hang.
+    with pytest.raises(ConnectionError):
+        clients[0].predict("lin", _X)
+
+
+def test_idle_connection_times_out(monkeypatch):
+    import socket
+
+    from repro.serving import server as server_lib
+
+    monkeypatch.setattr(server_lib, "IDLE_TIMEOUT_SECONDS", 0.05)
+    predict, _, _ = _linear()
+    server = ModelServer()
+    server.register("lin", predict, signature=(_SPEC,))
+    with server:
+        sock = socket.create_connection(server._httpd.server_address)
+        sock.settimeout(5.0)
+        # The server hangs up on a connection that never sends anything.
+        assert sock.recv(1) == b""
+        sock.close()
+        c = ServingClient(server.url, retries=0)
+        c.predict("lin", _X)
+        deadline = time.monotonic() + 10.0
+        while _connection_threads():
+            assert time.monotonic() < deadline, "connection never idled out"
+            time.sleep(0.005)
+        # The kept-alive connection idled out; the client reconnects
+        # (retries=0: through the free stale-connection replacement).
+        assert len(c._idle) == 1
+        assert c.predict("lin", _X)["version"] == "1"
+        c.close()

@@ -207,6 +207,26 @@ def test_inproc_fleet_info_merges_worker_stats(inproc_fleet):
     assert "p99_ms" in fleet_info["workers"][0]["models"]["score"]
 
 
+def test_inproc_stats_doc_with_histograms_fits_shared_block(inproc_fleet):
+    import json
+    import random
+
+    fleet, _, _ = inproc_fleet
+    workers = [fleet._build_worker(0), fleet._build_worker(1)]
+    rng = random.Random(0)
+    for worker in workers:
+        endpoint = worker._endpoints["score"]
+        # Microseconds to seconds: far wider than any real endpoint.
+        for _ in range(20000):
+            endpoint.record_latency(rng.lognormvariate(-7.0, 2.0))
+        worker._publish_stats()  # raises if the doc outgrew its block
+        doc = worker._stats_docs[worker._worker_index].read()
+        assert len(json.dumps(doc)) < _SharedDoc.SIZE // 2
+        assert len(doc["models"]["score"]["buckets"]) > 100
+    latency = workers[0]._metrics()["fleet"]["latency"]["score"]
+    assert latency["count"] == 40000
+
+
 def test_fleet_register_validation(tmp_path):
     fleet = FleetServer(n_workers=1)
     with pytest.raises(TypeError, match="saved artifacts"):
@@ -241,6 +261,14 @@ def _wait_ready(client, name, tries=100):
     raise AssertionError("fleet never became reachable")
 
 
+def _fresh_predict(url, name="score"):
+    """One predict on a connection of its own.  Connections are sticky
+    to the worker that accepted them, so a probe meant to land on
+    *whichever* worker the kernel picks needs a fresh client."""
+    with ServingClient(url) as c:
+        return c.predict(name, [_X])
+
+
 def test_fleet_predicts_across_workers(tmp_path):
     _save_linear(tmp_path / "m", 1.0, 0.0)
     fleet = FleetServer(n_workers=2)
@@ -249,7 +277,7 @@ def test_fleet_predicts_across_workers(tmp_path):
         c = ServingClient(fleet.url)
         _wait_ready(c, "score")
         for _ in range(12):
-            assert _value(c.predict("score", [_X])) == 4.0
+            assert _value(_fresh_predict(fleet.url)) == 4.0
         with pytest.raises(UnknownModelError):
             c.predict("nope", [_X])
         info = c.list_models()
@@ -318,7 +346,7 @@ def test_fleet_activation_is_fleet_wide(tmp_path):
         c.swap_weights("score", version="2")
         # Every subsequent request — whichever worker gets it — serves v2.
         for _ in range(16):
-            reply = c.predict("score", [_X])
+            reply = _fresh_predict(fleet.url)
             assert reply["version"] == "2"
             assert _value(reply) == 9.0
 
@@ -350,8 +378,7 @@ def test_fleet_sheds_with_503_envelope(tmp_path):
     _save_linear(tmp_path / "m", 1.0, 0.0, features=256)
     fleet = FleetServer(n_workers=1, max_inflight=2)
     fleet.register("score", tmp_path / "m",
-                   batcher={"max_batch_size": 1, "batch_timeout": 0.0,
-                            "max_queue": 1})
+                   batcher={"max_batch_size": 1, "max_queue": 1})
     with fleet:
         url = fleet.url
         _wait_ready(ServingClient(url), "score")
@@ -396,4 +423,4 @@ def test_fleet_serves_lantern_artifacts(tmp_path):
             b_name: np.full((1,), 10.0, np.float32),
         })
         for _ in range(8):  # both workers converge on the new generation
-            assert _value(c.predict("score", [_X])) == 6.0
+            assert _value(_fresh_predict(fleet.url)) == 6.0

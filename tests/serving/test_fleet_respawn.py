@@ -104,16 +104,18 @@ def test_killed_worker_is_respawned_and_traffic_continues(tmp_path):
         assert metrics["requests"] >= 1
 
         # The respawned worker actually serves: hammer until both pids
-        # answer (the kernel load-balances accepts, so a handful of
-        # requests reaches both).
+        # answer (the kernel load-balances accepts — of *connections*,
+        # which are sticky, so every probe opens a fresh one; a handful
+        # reaches both).
         seen = set()
 
         def hit():
-            doc = client.metrics()["fleet"]
-            for w in doc["workers"]:
-                if w.get("pid"):
-                    seen.add(w["pid"])
-            client.predict("score", [_X])
+            with ServingClient(fleet.url, retries=4) as probe:
+                doc = probe.metrics()["fleet"]
+                for w in doc["workers"]:
+                    if w.get("pid"):
+                        seen.add(w["pid"])
+                probe.predict("score", [_X])
             return len(seen) >= 2
 
         assert _wait_for(hit, deadline=15.0, interval=0.1), (

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import repro
 from repro import framework as fw
 from repro.framework import ops
-from repro.serving import ModelServer, client, load, save
+from repro.serving import ModelServer, ServingClient, load, save
+from repro.serving.client import ServingError
 
 _COUNTER = [0]
 
@@ -124,21 +125,20 @@ def test_server_versions_activate_without_retrace(tmp_path):
     p1, w1, _ = _linear("graph", w0=2.0)
     p2, w2, _ = _linear("graph", w0=5.0)
     server = ModelServer()
-    server.add_signature(
-        "lin", p1, repro.TensorSpec([None, 3], "float32"), version="1")
-    server.add_version(
-        "lin", p2, repro.TensorSpec([None, 3], "float32"), version="2")
+    spec = repro.TensorSpec([None, 3], "float32")
+    server.register("lin", p1, signature=(spec,), version="1")
+    server.register("lin", p2, signature=(spec,), version="2")
     x = [1.0, 1.0, 1.0]
-    with server:
-        reply = client.predict(server.url, "lin", [x])
+    with server, ServingClient(server.url) as client:
+        reply = client.predict("lin", [x])
         assert reply["version"] == "1"
         np.testing.assert_allclose(reply["outputs"][0], [6.0], rtol=1e-6)
-        swap = client.swap_weights(server.url, "lin", version="2")
+        swap = client.swap_weights("lin", version="2")
         assert swap["active_version"] == "2"
-        reply = client.predict(server.url, "lin", [x])
+        reply = client.predict("lin", [x])
         assert reply["version"] == "2"
         np.testing.assert_allclose(reply["outputs"][0], [15.0], rtol=1e-6)
-        models = client.list_models(server.url)["models"]["lin"]
+        models = client.list_models()["models"]["lin"]
         assert models["versions"] == ["1", "2"]
         assert models["active_version"] == "2"
     assert p1.trace_count == 1 and p2.trace_count == 1
@@ -147,30 +147,29 @@ def test_server_versions_activate_without_retrace(tmp_path):
 def test_server_swap_weights_route(tmp_path):
     predict, w, b = _linear("graph")
     server = ModelServer()
-    server.add_signature(
-        "lin", predict, repro.TensorSpec([None, 3], "float32"))
+    server.register(
+        "lin", predict, signature=(repro.TensorSpec([None, 3], "float32"),))
     x = [1.0, 1.0, 1.0]
-    with server:
+    with server, ServingClient(server.url) as client:
         np.testing.assert_allclose(
-            client.predict(server.url, "lin", [x])["outputs"][0],
+            client.predict("lin", [x])["outputs"][0],
             [6.0], rtol=1e-6)
-        reply = client.swap_weights(
-            server.url, "lin",
+        reply = client.swap_weights("lin",
             weights={w.name: [[1.0], [1.0], [1.0]],
                      b.name: [0.25]})
         assert reply["swapped"] == sorted([w.name, b.name])
         np.testing.assert_allclose(
-            client.predict(server.url, "lin", [x])["outputs"][0],
+            client.predict("lin", [x])["outputs"][0],
             [3.25], rtol=1e-6)
-        with pytest.raises(client.ServingError) as bad:
-            client.swap_weights(server.url, "lin",
+        with pytest.raises(ServingError) as bad:
+            client.swap_weights("lin",
                                 weights={"nope": [1.0]})
         assert bad.value.status == 400
-        with pytest.raises(client.ServingError) as missing:
-            client.swap_weights(server.url, "lin", version="9")
+        with pytest.raises(ServingError) as missing:
+            client.swap_weights("lin", version="9")
         assert missing.value.status == 400
-        with pytest.raises(client.ServingError) as nomodel:
-            client.swap_weights(server.url, "nope", version="1")
+        with pytest.raises(ServingError) as nomodel:
+            client.swap_weights("nope", version="1")
         assert nomodel.value.status == 404
     assert predict.trace_count == 1
 
@@ -182,7 +181,7 @@ def test_hot_swap_atomic_under_concurrent_requests():
     cf = predict.get_concrete_function(
         repro.TensorSpec([None, 3], "float32"))
     server = ModelServer()
-    server.add_signature("lin", cf, max_batch_size=4, batch_timeout=0.001)
+    server.register("lin", cf, batcher={"max_batch_size": 4})
     states = {3 * 2.0 + 10.0: "A", 3 * 5.0 + 100.0: "B"}  # 16 or 115
     x = [1.0, 1.0, 1.0]
     bad, seen = [], set()
@@ -190,13 +189,13 @@ def test_hot_swap_atomic_under_concurrent_requests():
 
     def hammer():
         while not stop.is_set():
-            out = client.predict(server.url, "lin", [x])["outputs"][0][0]
+            out = client.predict("lin", [x])["outputs"][0][0]
             if abs(out - 16.0) > 1e-4 and abs(out - 115.0) > 1e-4:
                 bad.append(out)
             else:
                 seen.add(states[round(out, 4)])
 
-    with server:
+    with server, ServingClient(server.url) as client:
         threads = [threading.Thread(target=hammer) for _ in range(4)]
         for t in threads:
             t.start()
@@ -224,17 +223,17 @@ def test_versioned_loaded_artifacts_side_by_side(tmp_path):
     w.assign(np.full((3, 1), 4.0, np.float32))
     save(predict, str(tmp_path / "v2"), spec, freeze=False)
     server = ModelServer()
-    server.add_signature("lin", load(str(tmp_path / "v1")), version="v1")
-    server.add_version("lin", load(str(tmp_path / "v2")), version="v2",
-                       activate=True)
+    server.register("lin", load(str(tmp_path / "v1")), version="v1")
+    server.register("lin", load(str(tmp_path / "v2")), version="v2",
+                    activate=True)
     x = [1.0, 1.0, 1.0]
-    with server:
-        reply = client.predict(server.url, "lin", [x])
+    with server, ServingClient(server.url) as client:
+        reply = client.predict("lin", [x])
         assert reply["version"] == "v2"
         np.testing.assert_allclose(reply["outputs"][0], [12.0], rtol=1e-6)
-        client.swap_weights(server.url, "lin", version="v1")
+        client.swap_weights("lin", version="v1")
         np.testing.assert_allclose(
-            client.predict(server.url, "lin", [x])["outputs"][0],
+            client.predict("lin", [x])["outputs"][0],
             [3.0], rtol=1e-6)
 
 
@@ -243,20 +242,19 @@ def test_add_version_validates():
     other = _linear("graph")[0]
     server = ModelServer()
     spec = repro.TensorSpec([None, 3], "float32")
-    server.add_signature("lin", predict, spec)
+    server.register("lin", predict, signature=(spec,))
     with pytest.raises(ValueError, match="already has a version"):
-        server.add_version("lin", other, spec, version="1")
-    with pytest.raises(KeyError, match="add_signature"):
-        server.add_version("nope", other, spec, version="2")
+        server.register("lin", other, signature=(spec,), version="1")
 
     @repro.function
     def two_args(a, b):
         return a + b
 
     with pytest.raises(ValueError, match="arguments"):
-        server.add_version(
-            "lin", two_args, repro.TensorSpec([2], "float32"),
-            repro.TensorSpec([2], "float32"), version="2")
+        server.register(
+            "lin", two_args, version="2",
+            signature=(repro.TensorSpec([2], "float32"),
+                       repro.TensorSpec([2], "float32")))
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +265,12 @@ def test_add_version_validates():
 def test_models_report_latency_stats():
     predict, _, _ = _linear("graph")
     server = ModelServer()
-    server.add_signature(
-        "lin", predict, repro.TensorSpec([None, 3], "float32"))
-    with server:
+    server.register(
+        "lin", predict, signature=(repro.TensorSpec([None, 3], "float32"),))
+    with server, ServingClient(server.url) as client:
         for _ in range(5):
-            client.predict(server.url, "lin", [[1.0, 1.0, 1.0]])
-        info = client.list_models(server.url)["models"]["lin"]
+            client.predict("lin", [[1.0, 1.0, 1.0]])
+        info = client.list_models()["models"]["lin"]
     assert info["requests"] == 5
     latency = info["latency"]
     assert latency["count"] == 5

@@ -11,7 +11,8 @@ import pytest
 
 import repro
 from repro.framework import ops
-from repro.serving import ModelServer, client
+from repro.serving import ModelServer, ServingClient
+from repro.serving.client import ServingError
 from repro.serving.server import ActiveVersionError
 
 
@@ -27,9 +28,9 @@ def _model(scale):
 @pytest.fixture
 def server():
     s = ModelServer()
-    s.add_signature("score", _model(1), version="1")
-    s.add_version("score", _model(2), version="2")
-    s.add_version("score", _model(3), version="3")
+    s.register("score", _model(1), version="1")
+    s.register("score", _model(2), version="2")
+    s.register("score", _model(3), version="3")
     return s
 
 
@@ -64,46 +65,45 @@ def test_removed_version_cannot_be_activated(server):
 
 
 def test_remove_then_reregister_same_label(server):
-    with server:
+    with server, ServingClient(server.url) as client:
         server.remove_version("score", "3")
-        server.add_version("score", _model(30), version="3", activate=True)
-        reply = client.predict(server.url, "score", [[1.0, 1.0]])
+        server.register("score", _model(30), version="3", activate=True)
+        reply = client.predict("score", [[1.0, 1.0]])
     assert reply["version"] == "3"
     np.testing.assert_allclose(reply["outputs"][0], [30.0, 30.0])
 
 
 def test_delete_route_and_client(server):
-    with server:
-        url = server.url
+    with server, ServingClient(server.url) as client:
         # Activate 2, then GC 1 over the wire.
-        client.swap_weights(url, "score", version="2")
-        reply = client.remove_version(url, "score", "1")
+        client.swap_weights("score", version="2")
+        reply = client.remove_version("score", "1")
         assert reply["removed"] == "1"
         assert reply["versions"] == ["2", "3"]
         assert reply["active_version"] == "2"
 
-        models = client.list_models(url)
+        models = client.list_models()
         assert models["models"]["score"]["versions"] == ["2", "3"]
 
         # Traffic still flows on the surviving active version.
-        out = client.predict(url, "score", [[2.0, 2.0]])
+        out = client.predict("score", [[2.0, 2.0]])
         np.testing.assert_allclose(out["outputs"][0], [4.0, 4.0])
 
 
 def test_delete_active_version_is_409(server):
-    with server:
-        with pytest.raises(client.ServingError) as err:
-            client.remove_version(server.url, "score", "1")
+    with server, ServingClient(server.url) as client:
+        with pytest.raises(ServingError) as err:
+            client.remove_version("score", "1")
         assert err.value.status == 409
 
 
 def test_delete_unknown_is_404(server):
-    with server:
-        with pytest.raises(client.ServingError) as err:
-            client.remove_version(server.url, "score", "42")
+    with server, ServingClient(server.url) as client:
+        with pytest.raises(ServingError) as err:
+            client.remove_version("score", "42")
         assert err.value.status == 404
-        with pytest.raises(client.ServingError) as err:
-            client.remove_version(server.url, "missing", "1")
+        with pytest.raises(ServingError) as err:
+            client.remove_version("missing", "1")
         assert err.value.status == 404
 
 

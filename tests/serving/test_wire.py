@@ -94,6 +94,30 @@ def test_buffers_are_aligned_and_zero_copy():
     np.testing.assert_array_equal(out[1], b)
 
 
+def test_zero_d_and_non_contiguous_frames_are_byte_identical():
+    """encode() joins views of the arrays' own buffers; whatever their
+    layout, the frame is the one ``tobytes()`` (C order) would give."""
+    base = np.arange(24, dtype=np.float32).reshape(4, 6)
+    cases = [
+        np.float64(2.5) * np.ones(()),          # 0-d keeps shape ()
+        base.T,                                 # F-ordered view
+        base[::2, 1::2],                        # strided slice
+        np.broadcast_to(np.int16(7), (3, 2)),   # zero strides, read-only
+        np.arange(6, dtype=">i4"),              # non-native byte order
+        np.zeros((0, 3), np.float32),           # no bytes at all
+    ]
+    frame = wire.encode(cases)
+    header, payload = _header_and_payload(frame)
+    for arr, entry in zip(cases, header["tensors"]):
+        assert entry["shape"] == list(arr.shape)
+        assert entry["dtype"] == arr.dtype.str
+        raw = payload[entry["offset"]:entry["offset"] + entry["nbytes"]]
+        assert raw == arr.tobytes()  # C order
+    for got, want in zip(wire.decode(frame), cases):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
 def test_decode_accepts_memoryview():
     frame = wire.encode({"x": np.ones((2, 2), np.float32)})
     out = wire.decode(memoryview(frame))
