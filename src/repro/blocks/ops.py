@@ -28,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..framework import dtypes
+from ..framework.registry import elementwise_ops
 from .array import BlockArray, block_op, static_shape, take
 from .grid import BlockGrid
 from .scheduler import BlockScheduler
@@ -44,16 +45,10 @@ __all__ = [
 ]
 
 #: Elementwise op names safe for block-wise mapping (shape-preserving,
-#: value-local).  Shared with the graph lowering.
-UNARY_ELEMENTWISE = frozenset({
-    "Neg", "Abs", "Exp", "Log", "Tanh", "Sigmoid", "Relu", "Sqrt",
-    "Square", "Sign", "Floor", "LogicalNot",
-})
-BINARY_ELEMENTWISE = frozenset({
-    "Add", "Sub", "Mul", "Div", "Pow", "Maximum", "Minimum", "Mod",
-    "FloorDiv", "Greater", "GreaterEqual", "Less", "LessEqual", "Equal",
-    "NotEqual", "LogicalAnd", "LogicalOr",
-})
+#: value-local): whatever ``framework.kernels`` registered as
+#: elementwise.  Shared with the graph lowering.
+UNARY_ELEMENTWISE = elementwise_ops(1)
+BINARY_ELEMENTWISE = elementwise_ops(2)
 
 _SERIAL = BlockScheduler(num_workers=1)
 

@@ -1,12 +1,14 @@
 """Data types for the framework.
 
 Mirrors the role of ``tf.DType``: a small registry of element types with
-NumPy interop, promotion rules and classification predicates.  Both the
+NumPy interop, NumPy's own promotion and classification predicates.  Both the
 eager and the graph execution modes share these objects, so tensors carry
 identical type metadata regardless of how they are executed.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -21,7 +23,8 @@ __all__ = [
     "variant",
     "as_dtype",
     "from_numpy",
-    "result_dtype",
+    "numpy_result_dtype",
+    "numpy_dtype_fn",
 ]
 
 
@@ -126,16 +129,34 @@ def from_numpy(np_dtype):
         raise TypeError(f"Unsupported NumPy dtype: {np_dtype}") from None
 
 
-# Promotion lattice: bool < int32 < int64 < float32 < float64.
-_PROMOTION_ORDER = {"bool": 0, "int32": 1, "int64": 2, "float32": 3, "float64": 4}
+@functools.lru_cache(maxsize=None)
+def numpy_result_dtype(fn, np_dtypes):
+    """The NumPy dtype ``fn`` really returns for operands of ``np_dtypes``.
+
+    The one result-dtype rule: ``fn`` — a ufunc, or a kernel built on
+    NumPy calls — is run once per dtype tuple on one-element rank-2
+    arrays of zeros (a valid matmul operand, index and label alike), so
+    what the graph builder declares and what the fusion pass proves is
+    NumPy's own promotion, never a model of it.  ``None`` when an operand
+    dtype is ``None`` (untyped) or NumPy refuses the mix.
+    """
+    if any(dt is None for dt in np_dtypes):
+        return None
+    try:
+        with np.errstate(all="ignore"):
+            out = fn(*(np.zeros((1, 1), dt) for dt in np_dtypes))
+    except (TypeError, ValueError):
+        return None
+    return np.asarray(out).dtype
 
 
-def result_dtype(a, b):
-    """Binary-op result type, following a simple promotion lattice."""
-    a = as_dtype(a)
-    b = as_dtype(b)
-    if a == b:
-        return a
-    if a.name not in _PROMOTION_ORDER or b.name not in _PROMOTION_ORDER:
-        raise TypeError(f"No promotion rule for {a} and {b}")
-    return a if _PROMOTION_ORDER[a.name] >= _PROMOTION_ORDER[b.name] else b
+def numpy_dtype_fn(fn):
+    """An ``OpDef.dtype_fn`` declaring what ``fn`` returns
+    (:func:`numpy_result_dtype`), normalized by :func:`from_numpy`;
+    ``variant`` — decided at run time — where NumPy names no dtype."""
+
+    def dtype_fn(input_dtypes, attrs):
+        out = numpy_result_dtype(fn, tuple(dt.np_dtype for dt in input_dtypes))
+        return [variant if out is None else from_numpy(out)]
+
+    return dtype_fn

@@ -7,14 +7,17 @@ purpose is to generate calls to these from idiomatic ``if``/``while``/
 ``for`` statements.
 
 Consistency requirements (paper Appendix E: "all code paths must produce
-consistent value") are enforced here with :class:`StagingError`.
+consistent value") are enforced here with :class:`StagingError` for
+structure.  Dtype and shape are *relaxed* instead: whatever is not the
+same on every path is declared ``variant`` / unknown, because the engine
+coerces and checks every value fed to a typed, shaped placeholder.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .. import nest
+from .. import dtypes, nest
 from ..errors import StagingError
 from ..registry import register_op
 from ..shapes import unknown
@@ -63,6 +66,22 @@ def _convert_flat(values, graph):
     return out
 
 
+def _merge_dtypes(a, b, what):
+    """The dtype to declare for a value that is ``a`` on one path and
+    ``b`` on another: ``variant`` (decided at run time, never coerced)
+    unless they agree.  Numeric dtypes drift into each other by NumPy
+    promotion; a string on one path and a number on the other is an
+    error."""
+    if a == b:
+        return a
+    if dtypes.variant not in (a, b) and (a.is_string or b.is_string):
+        raise StagingError(
+            f"{what} has dtype {a.name} on one code path but {b.name} on "
+            "another; staged control flow requires consistent values on "
+            "all code paths")
+    return dtypes.variant
+
+
 # ---------------------------------------------------------------------------
 # cond
 # ---------------------------------------------------------------------------
@@ -102,8 +121,8 @@ def _get_cond_def(n_outputs):
 def cond(pred, true_fn, false_fn, name="cond"):
     """Stage a data-dependent conditional into the default graph.
 
-    Both branches are traced; their outputs must match in structure and
-    dtype.  Returns the branch output structure with symbolic tensors.
+    Both branches are traced; their outputs must match in structure.
+    Returns the branch output structure with symbolic tensors.
     """
     from .. import context
 
@@ -130,18 +149,6 @@ def cond(pred, true_fn, false_fn, name="cond"):
     with fg.as_default():
         f_flat = _convert_flat(f_flat, fg)
 
-    for i, (tt, ft) in enumerate(zip(t_flat, f_flat)):
-        # Variant is the opaque escape hatch (TensorArrays, undefined-return
-        # markers); it pairs with anything.
-        if "variant" in (tt.dtype.name, ft.dtype.name):
-            continue
-        if tt.dtype != ft.dtype:
-            raise StagingError(
-                f"cond: branch output {i} has dtype {tt.dtype.name} in true_fn "
-                f"but {ft.dtype.name} in false_fn; staged conditionals require "
-                "consistent values on all code paths"
-            )
-
     tg.flat_outputs = t_flat
     fg.flat_outputs = f_flat
 
@@ -166,13 +173,12 @@ def cond(pred, true_fn, false_fn, name="cond"):
             "true_graph": tg,
             "false_graph": fg,
             "n_true": len(tg.captures),
-            # Whichever branch runs decides what comes out, so an output
-            # that is opaque (variant: a TensorArray, an undefined-return
-            # marker) on either side can only be declared variant — the
-            # engine coerces values fed to a typed placeholder.
+            # Whichever branch runs decides what comes out: the engine
+            # coerces values fed to a typed placeholder, so a dtype is
+            # declared only where both branches agree on it.
             "_dtype_override": [
-                ft.dtype if ft.dtype.name == "variant" else tt.dtype
-                for tt, ft in zip(t_flat, f_flat)],
+                _merge_dtypes(tt.dtype, ft.dtype, f"cond: branch output {i}")
+                for i, (tt, ft) in enumerate(zip(t_flat, f_flat))],
             "_shape_override": shapes,
         },
         name=name,
@@ -222,8 +228,8 @@ def while_loop(cond_fn, body_fn, loop_vars, maximum_iterations=None,
       cond_fn: callable(*loop_vars) -> boolean tensor.
       body_fn: callable(*loop_vars) -> updated loop_vars structure.
         Both callables are traced again, with the variable declared
-        shapeless, when the body does not hand a variable back at the
-        static shape it entered with.
+        shapeless (``variant``), when the body does not hand a variable
+        back at the static shape (dtype) it entered with.
       loop_vars: tuple/list of initial loop variables (tensors, python
         numbers, or composites like TensorArray).
       maximum_iterations: optional python int bound.
@@ -252,10 +258,9 @@ def while_loop(cond_fn, body_fn, loop_vars, maximum_iterations=None,
 
         return traced
 
-    def trace_graphs(var_shapes):
+    def trace_graphs(arg_specs):
         """Trace ``cond_fn`` and ``body_fn`` with loop variables declared
-        at ``var_shapes``; returns ``(cond_graph, body_graph)``."""
-        arg_specs = [(t.dtype, sh) for t, sh in zip(expanded_init, var_shapes)]
+        at ``arg_specs``; returns ``(cond_graph, body_graph)``."""
         cg = trace_into_func_graph(make_callable(cond_fn), arg_specs,
                                    f"{name}_cond", graph)
         bg = trace_into_func_graph(make_callable(body_fn), arg_specs,
@@ -283,35 +288,29 @@ def while_loop(cond_fn, body_fn, loop_vars, maximum_iterations=None,
         body_flat, _ = _expand_composites(nest.flatten(list(body_out)))
         with bg.as_default():
             body_flat = _convert_flat(body_flat, bg)
-        for i, (init_t, out_t) in enumerate(zip(expanded_init, body_flat)):
-            if "variant" in (init_t.dtype.name, out_t.dtype.name):
-                continue
-            if init_t.dtype != out_t.dtype:
-                raise StagingError(
-                    f"while_loop: loop variable {i} enters with dtype "
-                    f"{init_t.dtype.name} but the body produces "
-                    f"{out_t.dtype.name}; staged loops require consistent "
-                    "variable types"
-                )
         bg.flat_outputs = body_flat
         return cg, bg
 
-    # A loop variable keeps its entry shape only if the body preserves
-    # it.  Otherwise no turn after the first may assume that shape — the
-    # engine checks fed values against declared shapes and fuses on them
-    # — so the loop is traced again with that variable declared
-    # shapeless: everything the body derives from it, nested branch and
-    # loop sub-graphs that capture it included, then infers shapes that
-    # hold on every turn.  Declared shapes only ever get dropped, so
-    # this settles within ``n_vars`` re-traces; the usual loop needs none.
-    var_shapes = [t.shape for t in expanded_init]
+    # A loop variable keeps its entry dtype and shape only if the body
+    # preserves them.  Otherwise no turn after the first may assume them
+    # — the engine coerces fed values to declared dtypes, checks them
+    # against declared shapes and fuses on both — so the loop is traced
+    # again with that variable declared variant / shapeless: everything
+    # the body derives from it, nested branch and loop sub-graphs that
+    # capture it included, then infers what holds on every turn.
+    # Declarations only ever get dropped, so this settles within
+    # ``2 * n_vars`` re-traces; the usual loop needs none.
+    arg_specs = [(t.dtype, t.shape) for t in expanded_init]
     while True:
-        cg, bg = trace_graphs(var_shapes)
-        settled = [sh if sh == out_t.shape else unknown
-                   for sh, out_t in zip(var_shapes, bg.flat_outputs)]
-        if settled == var_shapes:
+        cg, bg = trace_graphs(arg_specs)
+        settled = [(_merge_dtypes(dt, out_t.dtype,
+                                  f"while_loop: loop variable {i}"),
+                    sh if sh == out_t.shape else unknown)
+                   for i, ((dt, sh), out_t)
+                   in enumerate(zip(arg_specs, bg.flat_outputs))]
+        if settled == arg_specs:
             break
-        var_shapes = settled
+        arg_specs = settled
 
     inputs = list(expanded_init) + cg.captures + bg.captures
     op = graph.create_op(
@@ -323,8 +322,8 @@ def while_loop(cond_fn, body_fn, loop_vars, maximum_iterations=None,
             "n_vars": n_vars,
             "n_cond_caps": len(cg.captures),
             "maximum_iterations": maximum_iterations,
-            "_dtype_override": [t.dtype for t in expanded_init],
-            "_shape_override": var_shapes,
+            "_dtype_override": [dt for dt, _ in arg_specs],
+            "_shape_override": [sh for _, sh in arg_specs],
         },
         name=name,
     )

@@ -130,9 +130,8 @@ class Operation:
                 out_dtypes = self.op_def.dtype_fn(input_dtypes, self.attrs)
             except Exception:
                 out_dtypes = [dtypes.variant] * n
-        elif input_dtypes:
-            out_dtypes = [input_dtypes[0]] * n
         else:
+            # No rule, no promise: whatever the kernel returns at run time.
             out_dtypes = [dtypes.variant] * n
         if self.op_def.shape_fn is not None:
             try:

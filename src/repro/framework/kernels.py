@@ -9,6 +9,7 @@ between modes is where the per-op Python dispatch overhead is paid.
 
 from __future__ import annotations
 
+import functools
 import sys
 
 import numpy as np
@@ -24,7 +25,7 @@ from .registry import register_op
 
 def _broadcast_shape_fn(input_shapes, attrs):
     try:
-        return [shapes.broadcast_shapes(input_shapes[0], input_shapes[1])]
+        return [functools.reduce(shapes.broadcast_shapes, input_shapes)]
     except ValueError:
         return [shapes.unknown]
 
@@ -34,40 +35,8 @@ def _same_shape_fn(input_shapes, attrs):
 
 
 def _first_dtype_fn(input_dtypes, attrs):
+    # For kernels that only move or select the first input's elements.
     return [input_dtypes[0]]
-
-
-def _promote_dtype_fn(input_dtypes, attrs):
-    try:
-        return [dtypes.result_dtype(input_dtypes[0], input_dtypes[1])]
-    except TypeError:
-        return [input_dtypes[0]]
-
-
-def _bool_dtype_fn(input_dtypes, attrs):
-    return [dtypes.bool_]
-
-
-def _binary(name, fn, *, grad_capable_dtype=_promote_dtype_fn,
-            inplace_kernel=None, fusable=None):
-    # NumPy ufunc binaries always allocate their result (fresh_output),
-    # so their outputs are safe buffer-donation targets.
-    register_op(
-        name,
-        fn,
-        shape_fn=_broadcast_shape_fn,
-        dtype_fn=grad_capable_dtype,
-        inplace_kernel=inplace_kernel,
-        fresh_output=True,
-        fusable=fusable,
-    )
-
-
-def _unary(name, fn, *, dtype_fn=_first_dtype_fn, inplace_kernel=None,
-           fusable=None):
-    register_op(name, fn, shape_fn=_same_shape_fn, dtype_fn=dtype_fn,
-                inplace_kernel=inplace_kernel, fresh_output=True,
-                fusable=fusable)
 
 
 def _ufunc_out(ufunc):
@@ -78,133 +47,111 @@ def _ufunc_out(ufunc):
     the runtime planner enforces both before donating a buffer).
     ``casting="safe"`` makes NumPy *refuse* (``TypeError``, before
     writing) an ``out`` narrower than the dtype the operands really
-    produce — the planner picked the buffer from static dtype inference,
-    which is optimistic for some mixes (int32 + float32) — so the engine
-    falls back to the allocating kernel instead of rounding silently.
+    produce — an operand arrived at another dtype than declared — so the
+    engine counts it (``runtime.inplace_refusals``) and falls back to
+    the allocating kernel instead of rounding silently.
     """
-    def inplace_kernel(*args, out):
-        return ufunc(*args, out=out, casting="safe")
+    return functools.partial(ufunc, casting="safe")
 
-    return inplace_kernel
+
+def _elementwise(name, fn, arity=None):
+    """Register an elementwise op from the one NumPy callable it is.
+
+    Everything the planner and the block layer read is derived here, so
+    no flag can drift from the kernel: the output broadcasts the inputs,
+    is freshly allocated and has the dtype ``fn`` really returns; a
+    ufunc is also the ``fusable`` primitive and its own ``out=`` variant.
+    ``arity`` is only for composites that are not a single ufunc.
+    """
+    ufunc = fn if isinstance(fn, np.ufunc) else None
+    register_op(
+        name,
+        fn,
+        shape_fn=_broadcast_shape_fn,
+        dtype_fn=dtypes.numpy_dtype_fn(fn),
+        inplace_kernel=_ufunc_out(ufunc) if ufunc else None,
+        fresh_output=True,
+        fusable=ufunc,
+        elementwise=ufunc.nin if ufunc else arity,
+    )
 
 
 # ---------------------------------------------------------------------------
 # Arithmetic
 # ---------------------------------------------------------------------------
 
-_binary("Add", lambda a, b: np.add(a, b), inplace_kernel=_ufunc_out(np.add),
-        fusable=np.add)
-_binary("Sub", lambda a, b: np.subtract(a, b),
-        inplace_kernel=_ufunc_out(np.subtract), fusable=np.subtract)
-_binary("Mul", lambda a, b: np.multiply(a, b),
-        inplace_kernel=_ufunc_out(np.multiply), fusable=np.multiply)
-_binary("Pow", lambda a, b: np.power(a, b))
-_binary("Maximum", lambda a, b: np.maximum(a, b),
-        inplace_kernel=_ufunc_out(np.maximum), fusable=np.maximum)
-_binary("Minimum", lambda a, b: np.minimum(a, b),
-        inplace_kernel=_ufunc_out(np.minimum), fusable=np.minimum)
+_elementwise("Add", np.add)
+_elementwise("Sub", np.subtract)
+_elementwise("Mul", np.multiply)
+_elementwise("Pow", np.power)
+_elementwise("Maximum", np.maximum)
+_elementwise("Minimum", np.minimum)
+_elementwise("Div", np.true_divide)
+_elementwise("FloorDiv", np.floor_divide)
+_elementwise("Mod", np.mod)
+
+_elementwise("Neg", np.negative)
+_elementwise("Abs", np.absolute)
+_elementwise("Exp", np.exp)
+_elementwise("Log", np.log)
+_elementwise("Tanh", np.tanh)
+_elementwise("Sqrt", np.sqrt)
+_elementwise("Square", np.square)
+_elementwise("Sign", np.sign)
+_elementwise("Floor", np.floor)
 
 
-def _div_kernel(a, b):
+def _sigmoid(a):
+    # Numerically stable logistic; non-float inputs compute in float32.
     a = np.asarray(a)
-    out = np.true_divide(a, b)
-    return out
-
-
-register_op("Div", _div_kernel, shape_fn=_broadcast_shape_fn,
-            dtype_fn=lambda dts, attrs: [dts[0] if dts[0].is_floating else dtypes.float64],
-            fresh_output=True)
-
-
-def _floordiv_kernel(a, b):
-    return np.floor_divide(a, b)
-
-
-register_op("FloorDiv", _floordiv_kernel, shape_fn=_broadcast_shape_fn,
-            dtype_fn=_promote_dtype_fn, fresh_output=True)
-_binary("Mod", lambda a, b: np.mod(a, b))
-
-_unary("Neg", lambda a: np.negative(a),
-       inplace_kernel=_ufunc_out(np.negative), fusable=np.negative)
-_unary("Abs", lambda a: np.abs(a), inplace_kernel=_ufunc_out(np.abs),
-       fusable=np.absolute)
-_unary("Exp", lambda a: np.exp(a), inplace_kernel=_ufunc_out(np.exp),
-       fusable=np.exp)
-
-
-def _log_kernel(a):
-    return np.log(a)
-
-
-_unary("Log", _log_kernel)
-_unary("Tanh", lambda a: np.tanh(a), inplace_kernel=_ufunc_out(np.tanh),
-       fusable=np.tanh)
-
-
-def _sigmoid_kernel(a):
-    # Numerically stable logistic.
-    out = np.empty_like(a, dtype=np.result_type(a, np.float32))
+    if a.dtype.kind != "f":
+        a = a.astype(np.float32)
+    out = np.empty_like(a)
     pos = a >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
     ea = np.exp(a[~pos])
     out[~pos] = ea / (1.0 + ea)
-    return out.astype(np.asarray(a).dtype, copy=False)
+    return out
 
 
-def _sigmoid(a):
-    a = np.asarray(a)
-    if a.dtype.kind != "f":
-        a = a.astype(np.float32)
-    return _sigmoid_kernel(a)
+def _relu(a):
+    return np.maximum(a, np.zeros((), dtype=np.asarray(a).dtype))
 
 
-_unary("Sigmoid", _sigmoid)
-_unary("Relu", lambda a: np.maximum(a, np.zeros((), dtype=np.asarray(a).dtype)))
-_unary("Sqrt", lambda a: np.sqrt(a), fusable=np.sqrt)
-_unary("Square", lambda a: np.square(a), fusable=np.square)
-_unary("Sign", lambda a: np.sign(a))
-_unary("Floor", lambda a: np.floor(a))
+_elementwise("Sigmoid", _sigmoid, arity=1)
+_elementwise("Relu", _relu, arity=1)
 
 # ---------------------------------------------------------------------------
 # Comparison / logical
 # ---------------------------------------------------------------------------
 
-register_op("Greater", lambda a, b: np.greater(a, b), shape_fn=_broadcast_shape_fn, dtype_fn=_bool_dtype_fn, fusable=np.greater)
-register_op("GreaterEqual", lambda a, b: np.greater_equal(a, b), shape_fn=_broadcast_shape_fn, dtype_fn=_bool_dtype_fn, fusable=np.greater_equal)
-register_op("Less", lambda a, b: np.less(a, b), shape_fn=_broadcast_shape_fn, dtype_fn=_bool_dtype_fn, fusable=np.less)
-register_op("LessEqual", lambda a, b: np.less_equal(a, b), shape_fn=_broadcast_shape_fn, dtype_fn=_bool_dtype_fn, fusable=np.less_equal)
-register_op("Equal", lambda a, b: np.equal(a, b), shape_fn=_broadcast_shape_fn, dtype_fn=_bool_dtype_fn, fusable=np.equal)
-register_op("NotEqual", lambda a, b: np.not_equal(a, b), shape_fn=_broadcast_shape_fn, dtype_fn=_bool_dtype_fn, fusable=np.not_equal)
-register_op("LogicalAnd", lambda a, b: np.logical_and(a, b), shape_fn=_broadcast_shape_fn, dtype_fn=_bool_dtype_fn)
-register_op("LogicalOr", lambda a, b: np.logical_or(a, b), shape_fn=_broadcast_shape_fn, dtype_fn=_bool_dtype_fn)
-register_op("LogicalNot", lambda a: np.logical_not(a), shape_fn=_same_shape_fn, dtype_fn=_bool_dtype_fn)
+_elementwise("Greater", np.greater)
+_elementwise("GreaterEqual", np.greater_equal)
+_elementwise("Less", np.less)
+_elementwise("LessEqual", np.less_equal)
+_elementwise("Equal", np.equal)
+_elementwise("NotEqual", np.not_equal)
+_elementwise("LogicalAnd", np.logical_and)
+_elementwise("LogicalOr", np.logical_or)
+_elementwise("LogicalNot", np.logical_not)
 
 # ---------------------------------------------------------------------------
 # Linear algebra
 # ---------------------------------------------------------------------------
 
 
-def _matmul_kernel(a, b, transpose_a=False, transpose_b=False):
+def _matmul_kernel(a, b, transpose_a=False, transpose_b=False, out=None):
+    # With ``out`` BLAS writes directly into it (refusing an unsafe cast);
+    # unlike the elementwise ufunc variants this is only correct when
+    # ``out`` does not alias either operand — hence inplace_no_alias
+    # below: the planner donates only buffers that are fully dead before
+    # this step runs.
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim < 2 or b.ndim < 2:
         raise InvalidArgumentError(
             f"MatMul requires rank >= 2 operands, got {a.ndim} and {b.ndim}"
         )
-    if transpose_a:
-        a = np.swapaxes(a, -1, -2)
-    if transpose_b:
-        b = np.swapaxes(b, -1, -2)
-    return np.matmul(a, b)
-
-
-def _matmul_out(a, b, out, transpose_a=False, transpose_b=False):
-    # BLAS writes directly into ``out``; unlike the elementwise ufunc
-    # variants this is only correct when ``out`` does not alias either
-    # operand — hence inplace_no_alias below: the planner donates only
-    # buffers that are fully dead before this step runs.
-    a = np.asarray(a)
-    b = np.asarray(b)
     if transpose_a:
         a = np.swapaxes(a, -1, -2)
     if transpose_b:
@@ -221,16 +168,14 @@ def _matmul_shape_fn(input_shapes, attrs):
     return [shapes.TensorShape([m, n])]
 
 
-register_op("MatMul", _matmul_kernel, shape_fn=_matmul_shape_fn, dtype_fn=_promote_dtype_fn,
-            inplace_kernel=_matmul_out, inplace_no_alias=True,
+register_op("MatMul", _matmul_kernel, shape_fn=_matmul_shape_fn,
+            dtype_fn=dtypes.numpy_dtype_fn(_matmul_kernel),
+            inplace_kernel=_matmul_kernel, inplace_no_alias=True,
             fresh_output=True)
 
-
-def _tensordot_kernel(a, b, axes=1):
-    return np.tensordot(a, b, axes=axes)
-
-
-register_op("Tensordot", _tensordot_kernel)
+# (``ops.tensordot`` always passes ``axes``; its default is 1, NumPy's 2.)
+register_op("Tensordot", np.tensordot,
+            dtype_fn=dtypes.numpy_dtype_fn(np.tensordot))
 
 # ---------------------------------------------------------------------------
 # Reductions
@@ -268,30 +213,21 @@ def _reduce_shape_fn(input_shapes, attrs):
     return [shapes.TensorShape(dims)]
 
 
-def _make_reduce(name, np_fn, dtype_fn=_first_dtype_fn):
+def _make_reduce(name, np_fn):
     def kernel(a, axis=None, keepdims=False):
         return np_fn(np.asarray(a), axis=_norm_axis(axis), keepdims=keepdims)
 
-    register_op(name, kernel, shape_fn=_reduce_shape_fn, dtype_fn=dtype_fn)
+    register_op(name, kernel, shape_fn=_reduce_shape_fn,
+                dtype_fn=dtypes.numpy_dtype_fn(np_fn))
 
 
 _make_reduce("Sum", np.sum)
 _make_reduce("Prod", np.prod)
 _make_reduce("Max", np.max)
 _make_reduce("Min", np.min)
-_make_reduce("All", np.all, dtype_fn=_bool_dtype_fn)
-_make_reduce("Any", np.any, dtype_fn=_bool_dtype_fn)
-
-
-def _mean_kernel(a, axis=None, keepdims=False):
-    a = np.asarray(a)
-    out = np.mean(a, axis=_norm_axis(axis), keepdims=keepdims)
-    if a.dtype.kind == "f":
-        out = out.astype(a.dtype, copy=False)
-    return out
-
-
-register_op("Mean", _mean_kernel, shape_fn=_reduce_shape_fn, dtype_fn=_first_dtype_fn)
+_make_reduce("Mean", np.mean)  # a float mean keeps its dtype
+_make_reduce("All", np.all)
+_make_reduce("Any", np.any)
 
 
 def _argmax_kernel(a, axis=0):
@@ -395,28 +331,15 @@ def _concat_kernel(*args, axis=0):
     return np.concatenate([np.asarray(a) for a in args], axis=int(axis))
 
 
-register_op("Concat", _concat_kernel, dtype_fn=_first_dtype_fn)
+register_op("Concat", _concat_kernel,
+            dtype_fn=dtypes.numpy_dtype_fn(_concat_kernel))
 
 
 def _pack_kernel(*args, axis=0):
     return np.stack([np.asarray(a) for a in args], axis=int(axis))
 
 
-register_op("Pack", _pack_kernel, dtype_fn=_first_dtype_fn)
-
-
-def _unpack_kernel(a, num, axis=0):
-    a = np.asarray(a)
-    if a.shape[axis] != num:
-        raise InvalidArgumentError(f"Unpack expected {num} along axis {axis}, got {a.shape[axis]}")
-    parts = np.split(a, num, axis=axis)
-    return tuple(np.squeeze(p, axis=axis) for p in parts)
-
-
-def _register_unpack():
-    # Unpack has a dynamic number of outputs; the graph builder specializes
-    # ``num`` at build time, so we register kernels per arity lazily instead.
-    pass
+register_op("Pack", _pack_kernel, dtype_fn=dtypes.numpy_dtype_fn(_pack_kernel))
 
 
 def _tile_kernel(a, multiples):
@@ -524,7 +447,7 @@ def _fill_kernel(dims, value):
     return np.full(tuple(int(d) for d in np.asarray(dims).ravel()), value)
 
 
-register_op("Fill", _fill_kernel)
+register_op("Fill", _fill_kernel, dtype_fn=lambda dts, attrs: [dts[1]])
 
 
 def _zeros_like_kernel(a):
@@ -542,8 +465,15 @@ def _range_kernel(start, limit, delta):
     return out
 
 
-register_op("Range", _range_kernel,
-            dtype_fn=lambda dts, attrs: [dts[0] if dts and dts[0].is_floating else dtypes.int32])
+def _range_dtype_fn(input_dtypes, attrs):
+    # np.arange sees Python scalars: any float makes the result float64.
+    if any(dt.np_dtype is None for dt in input_dtypes):
+        return [dtypes.variant]
+    floating = any(dt.is_floating for dt in input_dtypes)
+    return [dtypes.float64 if floating else dtypes.int32]
+
+
+register_op("Range", _range_kernel, dtype_fn=_range_dtype_fn)
 
 
 def _one_hot_kernel(indices, depth, on_value=1.0, off_value=0.0, dtype="float32"):
@@ -594,7 +524,8 @@ def _select_shape_fn(input_shapes, attrs):
         return [shapes.unknown]
 
 
-register_op("Select", _select_kernel, dtype_fn=lambda dts, attrs: [dts[1]],
+register_op("Select", _select_kernel,
+            dtype_fn=dtypes.numpy_dtype_fn(_select_kernel),
             shape_fn=_select_shape_fn)
 
 # ---------------------------------------------------------------------------
@@ -609,7 +540,8 @@ def _softmax_kernel(a, axis=-1):
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-register_op("Softmax", _softmax_kernel, shape_fn=_same_shape_fn, dtype_fn=_first_dtype_fn)
+register_op("Softmax", _softmax_kernel, shape_fn=_same_shape_fn,
+            dtype_fn=dtypes.numpy_dtype_fn(_softmax_kernel))
 
 
 def _log_softmax_kernel(a, axis=-1):
@@ -618,7 +550,8 @@ def _log_softmax_kernel(a, axis=-1):
     return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
 
 
-register_op("LogSoftmax", _log_softmax_kernel, shape_fn=_same_shape_fn, dtype_fn=_first_dtype_fn)
+register_op("LogSoftmax", _log_softmax_kernel, shape_fn=_same_shape_fn,
+            dtype_fn=dtypes.numpy_dtype_fn(_log_softmax_kernel))
 
 
 def _softmax_xent_kernel(labels, logits):
@@ -631,7 +564,7 @@ def _softmax_xent_kernel(labels, logits):
 register_op(
     "SoftmaxCrossEntropyWithLogits",
     _softmax_xent_kernel,
-    dtype_fn=lambda dts, attrs: [dts[1]],
+    dtype_fn=dtypes.numpy_dtype_fn(_softmax_xent_kernel),
     shape_fn=lambda ss, attrs: [
         shapes.TensorShape(ss[1].dims[:-1]) if ss[1].dims is not None else shapes.unknown
     ],
@@ -647,7 +580,7 @@ def _sparse_softmax_xent_kernel(labels, logits):
 
 
 register_op("SparseSoftmaxCrossEntropyWithLogits", _sparse_softmax_xent_kernel,
-            dtype_fn=lambda dts, attrs: [dts[1]])
+            dtype_fn=dtypes.numpy_dtype_fn(_sparse_softmax_xent_kernel))
 
 # ---------------------------------------------------------------------------
 # Random ops (stateful; deterministic under repro.framework.random.set_seed)
@@ -718,7 +651,8 @@ def _assert_kernel(cond, *data, message="Assertion failed"):
     return np.asarray(True)
 
 
-register_op("Assert", _assert_kernel, stateful=True, dtype_fn=_bool_dtype_fn)
+register_op("Assert", _assert_kernel, stateful=True,
+            dtype_fn=lambda dts, attrs: [dtypes.bool_])
 
 
 def _no_op_kernel(*args):

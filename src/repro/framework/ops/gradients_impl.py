@@ -12,8 +12,11 @@ generated graphs small; their kernels live here next to their use.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
+from ..dtypes import numpy_dtype_fn
 from ..registry import register_gradient, register_op
 from . import array_ops, dispatch, math_ops
 
@@ -25,16 +28,19 @@ from . import array_ops, dispatch, math_ops
 def _unbroadcast_kernel(grad, target):
     g = np.asarray(grad)
     t = np.asarray(target)
+    # Fixed before anything is summed: an integer sum widens, and the
+    # result's dtype must not depend on whether anything was broadcast.
+    dtype = t.dtype if t.dtype.kind == "f" else g.dtype
     while g.ndim > t.ndim:
         g = g.sum(axis=0)
     for i, (gd, td) in enumerate(zip(g.shape, t.shape)):
         if td == 1 and gd != 1:
             g = g.sum(axis=i, keepdims=True)
-    return g.astype(t.dtype, copy=False) if t.dtype.kind == "f" else g
+    return g.astype(dtype, copy=False)
 
 
 register_op("UnbroadcastTo", _unbroadcast_kernel,
-            dtype_fn=lambda dts, attrs: [dts[1]],
+            dtype_fn=numpy_dtype_fn(_unbroadcast_kernel),
             shape_fn=lambda ss, attrs: [ss[1]])
 
 
@@ -63,8 +69,13 @@ def _reduce_grad_kernel(grad, x, axis=None, keepdims=False, mean=False):
     return expanded.astype(x.dtype, copy=False) if x.dtype.kind == "f" else expanded
 
 
+# ``mean`` divides, which changes what an integer gradient comes back as.
+_mean_grad_kernel = functools.partial(_reduce_grad_kernel, mean=True)
+
 register_op("SumGrad", _reduce_grad_kernel,
-            dtype_fn=lambda dts, attrs: [dts[1]],
+            dtype_fn=lambda dts, attrs: numpy_dtype_fn(
+                _mean_grad_kernel if attrs.get("mean") else _reduce_grad_kernel
+            )(dts, attrs),
             shape_fn=lambda ss, attrs: [ss[1]])
 
 
@@ -155,7 +166,7 @@ def _xent_grad_kernel(grad, labels, logits):
 
 
 register_op("SoftmaxXentGrad", _xent_grad_kernel,
-            dtype_fn=lambda dts, attrs: [dts[2]],
+            dtype_fn=numpy_dtype_fn(_xent_grad_kernel),
             shape_fn=lambda ss, attrs: [ss[2]])
 
 
@@ -172,7 +183,7 @@ def _sparse_xent_grad_kernel(grad, labels, logits):
 
 
 register_op("SparseSoftmaxXentGrad", _sparse_xent_grad_kernel,
-            dtype_fn=lambda dts, attrs: [dts[2]],
+            dtype_fn=numpy_dtype_fn(_sparse_xent_grad_kernel),
             shape_fn=lambda ss, attrs: [ss[2]])
 
 
@@ -186,7 +197,9 @@ def _get_concat_grad(n):
 
     name = f"ConcatGrad_{n}"
     if name not in _REGISTRY:
-        _REGISTRY[name] = OpDef(name, _concat_grad_kernel, num_outputs=n)
+        _REGISTRY[name] = OpDef(
+            name, _concat_grad_kernel, num_outputs=n,
+            dtype_fn=lambda dts, attrs: [dts[0]] * n)
     return name
 
 
@@ -201,7 +214,9 @@ def _get_pack_grad(n):
 
     name = f"PackGrad_{n}"
     if name not in _REGISTRY:
-        _REGISTRY[name] = OpDef(name, _pack_grad_kernel, num_outputs=n)
+        _REGISTRY[name] = OpDef(
+            name, _pack_grad_kernel, num_outputs=n,
+            dtype_fn=lambda dts, attrs: [dts[0]] * n)
     return name
 
 

@@ -15,7 +15,8 @@ usable both for graph-mode ``gradients()`` and for the eager
 
 from __future__ import annotations
 
-__all__ = ["OpDef", "register_op", "register_gradient", "get_op_def", "list_ops"]
+__all__ = ["OpDef", "register_op", "register_gradient", "get_op_def", "list_ops",
+           "elementwise_ops"]
 
 _REGISTRY = {}
 
@@ -35,13 +36,22 @@ class OpDef:
       dtype_fn: optional ``fn(input_dtypes, attrs) -> [DType]``.
       stateful: True for ops with side effects (variables, random, print);
         stateful ops are never deduplicated or constant-folded.
+
+    The remaining fields are read by the runtime planner and the block
+    layer.  For an elementwise op they are not independent flags: one
+    ``kernels._elementwise(name, fn)`` call derives them all from the
+    NumPy callable (a ufunc is kernel, ``fusable`` and, with ``out=``,
+    ``inplace_kernel``; always ``fresh_output``, the broadcast
+    ``shape_fn``, NumPy's own ``dtype_fn``).  Only kernels that are not
+    one ufunc (``MatMul``'s disjoint ``out=``) set any by hand.
+
       inplace_kernel: optional ``fn(*input_values, out=buffer)`` variant
-        writing the result into ``out`` (same shape/dtype as the result).
-        The runtime planner uses it to reuse an intermediate's buffer
-        instead of allocating.  Elementwise ufunc kernels tolerate
-        ``out`` aliasing an input and may be donated a dying input's
-        buffer; kernels that do NOT tolerate aliasing (BLAS-backed
-        ``MatMul``) must also set ``inplace_no_alias`` so the planner
+        writing the result into ``out`` (same shape/dtype as the result)
+        and refusing, before writing, an unsafe cast.  The runtime
+        planner uses it to reuse an intermediate's buffer instead of
+        allocating.  Ufuncs tolerate ``out`` aliasing an input and may
+        be donated a dying input's buffer; kernels that do NOT (BLAS-
+        backed ``MatMul``) also set ``inplace_no_alias`` so the planner
         only donates buffers that are fully dead before the step runs.
       inplace_no_alias: True when ``inplace_kernel`` requires ``out`` to
         be disjoint from every input (e.g. ``np.matmul(..., out=)``).
@@ -51,15 +61,14 @@ class OpDef:
         as buffer-donation targets: donating an alias-returning kernel's
         output (``Identity``, variable reads, views) would let an
         in-place step silently corrupt caller arrays or live state.
-      fusable: ``None``, or the plain elementwise NumPy ufunc this
-        kernel wraps (``np.add``, ``np.tanh``, ...).  The runtime
-        planner's fusion pass (:mod:`repro.runtime.plan`) collapses
-        chains/trees of fusable steps into one ``exec``-compiled
-        composite kernel that calls these ufuncs directly — the
-        mapping-table idiom: op type → compiled primitive.  Only set it
-        for stateless, single-output, attr-free kernels whose behavior
-        is *exactly* ``ufunc(*inputs)`` (including dtype promotion),
-        and whose ufunc accepts ``out=`` aliasing an input.
+      fusable: ``None``, or the ufunc this op *is* (``kernel(*inputs)``
+        is exactly ``fusable(*inputs)``, dtype promotion included).  The
+        fusion pass (:mod:`repro.runtime.fusion`) collapses chains/trees
+        of such steps into one ``exec``-compiled composite kernel calling
+        the ufuncs directly — op type → compiled primitive.
+      elementwise: number of operands the op maps over value-locally,
+        broadcasting them (0: not elementwise); ``repro.blocks`` maps
+        exactly these ops block by block (:func:`elementwise_ops`).
     """
 
     __slots__ = (
@@ -74,11 +83,13 @@ class OpDef:
         "inplace_no_alias",
         "fresh_output",
         "fusable",
+        "elementwise",
     )
 
     def __init__(self, name, kernel, *, num_outputs=1, grad_fn=None, shape_fn=None,
                  dtype_fn=None, stateful=False, inplace_kernel=None,
-                 inplace_no_alias=False, fresh_output=False, fusable=None):
+                 inplace_no_alias=False, fresh_output=False, fusable=None,
+                 elementwise=0):
         self.name = name
         self.kernel = kernel
         self.num_outputs = num_outputs
@@ -90,6 +101,7 @@ class OpDef:
         self.inplace_no_alias = inplace_no_alias
         self.fresh_output = fresh_output
         self.fusable = fusable
+        self.elementwise = elementwise
 
     def __repr__(self):
         return f"OpDef({self.name!r}, outputs={self.num_outputs}, stateful={self.stateful})"
@@ -131,3 +143,10 @@ def get_op_def(name):
 def list_ops():
     """All registered op names, sorted."""
     return sorted(_REGISTRY)
+
+
+def elementwise_ops(arity):
+    """Names of the registered ops elementwise over ``arity`` operands."""
+    return frozenset(
+        name for name, op_def in _REGISTRY.items()
+        if op_def.elementwise == arity)

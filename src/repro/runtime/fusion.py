@@ -39,16 +39,17 @@ trust from the group's external inputs:
 - pre-evaluated constants are baked arrays whose dtype/shape are known
   exactly (scalar Consts fold inline as closure defaults — zero
   per-call locator reads);
-- outputs of non-fused producer steps are *untrusted* — static
-  inference may diverge from what a kernel really returns — so reuse
-  sites downstream of them fall back to plain allocating calls.
+- outputs of non-fused producer steps are *untrusted* — a declared
+  dtype is normalized onto the framework's five (a float16 result is
+  declared float32) — so reuse sites downstream of them fall back to
+  plain allocating calls.
 
-Result dtypes are derived by evaluating the actual ufunc on 0-d dummies
-of the trusted input dtypes (never the registry's optimistic
-``dtype_fn``), and shapes by ``np.broadcast_shapes`` — so a fused plan
-is bit-identical to the unfused one by construction: same ufuncs, same
-operands, same evaluation order, and ``out=`` never changes a value or
-forces a cast.
+Result dtypes come from the same rule the graph builder declares with
+(:func:`repro.framework.dtypes.numpy_result_dtype`: the actual ufunc
+evaluated once per dtype tuple), here on the exact runtime dtypes, and
+shapes from ``np.broadcast_shapes`` — so a fused plan is bit-identical
+to the unfused one by construction: same ufuncs, same operands, same
+evaluation order, and ``out=`` never changes a value or forces a cast.
 
 **Donation composes.**  The generated closure allocates its result (or
 reuses an intra-call temporary), so a fused step's output is
@@ -64,6 +65,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..framework.dtypes import numpy_result_dtype
 from ..framework.registry import OpDef
 from ..observe.events import RECORDER as _REC
 
@@ -110,19 +112,6 @@ def _span_name(types):
     return f"fused[{'+'.join(parts)}]"
 
 
-def _result_dtype(ufunc, in_dtypes):
-    """The dtype ``ufunc`` really produces for these input dtypes —
-    found by evaluating it on 0-d dummies (NumPy's own promotion, not
-    the registry's optimistic inference).  ``None`` when any input
-    dtype is untrusted or the dummy evaluation refuses."""
-    if any(dt is None for dt in in_dtypes):
-        return None
-    try:
-        return ufunc(*(np.ones((), dt) for dt in in_dtypes)).dtype
-    except Exception:
-        return None
-
-
 def _result_shape(in_shapes):
     if any(s is None for s in in_shapes):
         return None
@@ -133,7 +122,8 @@ def _result_shape(in_shapes):
 
 
 def _candidates(steps, step_ops):
-    """Indices of steps eligible to join a fused group.
+    """Indices of steps eligible to join a fused group, and of fusable
+    steps a control edge keeps out.
 
     Steps that hold control dependencies — or are *targets* of another
     step's control dependency — stay standalone: fusing would move a
@@ -143,17 +133,18 @@ def _candidates(steps, step_ops):
     control_targets = {
         id(c) for op in step_ops for c in op.control_inputs
     }
-    out = set()
+    out, held = set(), set()
     for i, op in enumerate(step_ops):
         od = op.op_def
         if od.fusable is None or od.num_outputs != 1 or od.stateful:
             continue
-        if op.control_inputs or id(op) in control_targets:
-            continue
         if any(not k.startswith("_") for k in op.attrs):
             continue
-        out.add(i)
-    return out
+        if op.control_inputs or id(op) in control_targets:
+            held.add(i)
+        else:
+            out.add(i)
+    return out, held
 
 
 class _Union:
@@ -228,7 +219,7 @@ def _codegen(group, steps, step_ops, const_slots, base_values, feed_info):
             args.append(name)
             arg_dtypes.append(dt)
             arg_shapes.append(sh)
-        out_dt = _result_dtype(ufunc, arg_dtypes)
+        out_dt = numpy_result_dtype(ufunc, tuple(arg_dtypes))
         out_sh = _result_shape(arg_shapes)
 
         # A dying intra-call temporary with exactly the result's
@@ -274,8 +265,8 @@ def _codegen(group, steps, step_ops, const_slots, base_values, feed_info):
     # arms this with a dying same-dtype/shape input under the
     # alias-tolerant discipline — the final elementwise write happens
     # after every other read of that buffer).  The planner matches
-    # dtypes by *static* inference, so the write refuses any unsafe
-    # cast and the engine falls back to the allocating kernel.
+    # *declared* dtypes, so the write refuses any unsafe cast and the
+    # engine falls back to the allocating kernel.
     out_lines = list(lines)
     out_lines[-1] = (
         f"return {root_fname}({', '.join(root_call_args)}, out=out, "
@@ -304,18 +295,21 @@ def _external_tensors(group, steps, step_ops, params):
 def fuse_elementwise_steps(steps, step_ops, fetch_locators, feed_slots,
                            const_slots, base_values):
     """Rewrite fused groups of ``steps``; returns ``(steps, step_ops,
-    fused_groups)``.
+    fused_groups, standalone)``.
 
     ``fused_groups`` is a tuple of ``(span_name, member_op_names,
-    member_op_types, slot)`` records kept on the plan for observability
-    (:meth:`ExecutionPlan.describe`).  Emits ``runtime.fused_steps``
-    (composite steps created) and ``runtime.fusion_fallbacks`` (fusable
-    steps left standalone) counters — both accumulate whether or not
-    event recording is enabled, feeding ``/v1/metrics``.
+    member_op_types, slot)`` records and ``standalone`` maps the slot of
+    every fusable step left on its own to the reason — both kept on the
+    plan for observability (:meth:`ExecutionPlan.describe`).  Emits
+    ``runtime.fused_steps`` (composite steps created) and
+    ``runtime.fusion_fallbacks`` (candidate steps left standalone)
+    counters — both accumulate whether or not event recording is
+    enabled, feeding ``/v1/metrics``.
     """
-    cand = _candidates(steps, step_ops)
+    cand, held = _candidates(steps, step_ops)
+    standalone = {steps[i][0]: "control edge" for i in held}
     if not cand:
-        return steps, step_ops, ()
+        return steps, step_ops, (), standalone
 
     consumers = {}
     for s in steps:
@@ -339,11 +333,19 @@ def fuse_elementwise_steps(steps, step_ops, fetch_locators, feed_slots,
     for i in cand:
         groups.setdefault(uf.find(i), []).append(i)
     fused = sorted(sorted(g) for g in groups.values() if len(g) >= 2)
+    # Why nothing fused into a lone candidate's consumer; when its output
+    # is free to fuse, no producer or consumer next to it is a candidate.
+    for i in cand.difference(*fused):
+        loc = (steps[i][0], 0)
+        standalone[loc[0]] = (
+            "fetched" if loc in fetched
+            else "multi-consumer" if consumers.get(loc, 0) > 1
+            else "no fusable neighbour")
     n_standalone = len(cand) - sum(len(g) for g in fused)
     if n_standalone:
         _REC.counter("runtime.fusion_fallbacks", n_standalone)
     if not fused:
-        return steps, step_ops, ()
+        return steps, step_ops, (), standalone
     _REC.counter("runtime.fused_steps", len(fused))
 
     # Trusted per-feed runtime metadata: the binder coerces a declared
@@ -394,4 +396,4 @@ def fuse_elementwise_steps(steps, step_ops, fetch_locators, feed_slots,
         elif i not in absorbed:
             new_steps.append(s)
             new_ops.append(op)
-    return new_steps, new_ops, tuple(fused_groups)
+    return new_steps, new_ops, tuple(fused_groups), standalone

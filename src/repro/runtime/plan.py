@@ -85,6 +85,9 @@ class ExecutionPlan:
       fused_groups: ``(span_name, member_op_names, member_op_types,
         slot)`` per fused composite step (empty when compiled with
         ``fuse=False`` or nothing fused).
+      standalone: ``{slot: reason}`` for every fusable step the fusion
+        pass left on its own (``fetched`` / ``multi-consumer`` /
+        ``no fusable neighbour`` / ``control edge``).
       refs: strong references to the fetch/feed objects this plan was
         compiled for.  Cache keys contain ``id()``s; holding the objects
         guarantees CPython cannot recycle those ids into *different*
@@ -93,11 +96,11 @@ class ExecutionPlan:
 
     __slots__ = ("steps", "fetch_locators", "feed_slots", "n_slots",
                  "base_values", "graph", "graph_version", "levels",
-                 "fused_groups", "refs")
+                 "fused_groups", "standalone", "refs")
 
     def __init__(self, steps, fetch_locators, feed_slots, n_slots,
                  base_values, graph, graph_version, levels=(),
-                 fused_groups=(), refs=()):
+                 fused_groups=(), standalone=(), refs=()):
         self.steps = steps
         self.fetch_locators = fetch_locators
         self.feed_slots = feed_slots
@@ -107,6 +110,7 @@ class ExecutionPlan:
         self.graph_version = graph_version
         self.levels = levels
         self.fused_groups = fused_groups
+        self.standalone = dict(standalone)
         self.refs = refs
 
     # -- execution ---------------------------------------------------------
@@ -150,9 +154,11 @@ class ExecutionPlan:
                         try:
                             out = ikernel(*args, out=buf)
                         except (TypeError, ValueError):
-                            # The ufunc refused the out= cast (static
-                            # dtype inference was optimistic); NumPy
-                            # rejects before writing, so fall back clean.
+                            # The ufunc refused the out= cast (an
+                            # operand is not of its declared dtype);
+                            # NumPy rejects before writing, so fall
+                            # back clean — and say so.
+                            _REC.counter("runtime.inplace_refusals")
                             out = kernel(*args)
                     else:
                         out = kernel(*args)
@@ -181,6 +187,7 @@ class ExecutionPlan:
                     try:
                         out = ikernel(*args, out=buf)
                     except (TypeError, ValueError):
+                        _REC.counter("runtime.inplace_refusals")
                         out = kernel(*args)
                 else:
                     out = kernel(*args)
@@ -245,10 +252,11 @@ class ExecutionPlan:
         return self.fetch(values)
 
     def describe(self):
-        """A human-readable plan dump: steps, levels, fused groups and
-        buffer-reuse arms — the debugging aid for "what did the planner
-        actually compile?".  Stable enough to grep in tests, cheap
-        enough to print from a REPL."""
+        """A human-readable plan dump: steps, levels, fused groups,
+        buffer-reuse arms and why a fusable step stayed standalone —
+        the debugging aid for "what did the planner actually compile?".
+        Stable enough to grep in tests, cheap enough to print from a
+        REPL."""
         fused_by_slot = {g[3]: g for g in self.fused_groups}
         lines = [
             f"ExecutionPlan: {len(self.steps)} steps in "
@@ -271,6 +279,8 @@ class ExecutionPlan:
             g = fused_by_slot.get(slot)
             if g is not None and name == g[0]:
                 line += f" members=[{', '.join(g[1])}]"
+            if slot in self.standalone:
+                line += f" standalone: {self.standalone[slot]}"
             lines.append(line)
         return "\n".join(lines)
 
@@ -438,9 +448,9 @@ def compile_plan(graph, flat_fetches, feed_tensors, *, fuse=True):
     # Const subtrees never split a fusable chain) and needs the fetch
     # locators (fetched intermediates block fusion edges), but before
     # level/donation assignment, which must see the *fused* steps.
-    fused_groups = ()
+    fused_groups, standalone = (), {}
     if fuse:
-        steps, step_ops, fused_groups = fuse_elementwise_steps(
+        steps, step_ops, fused_groups, standalone = fuse_elementwise_steps(
             steps, step_ops, fetch_locators, feed_slots, const_slots,
             base_values)
 
@@ -458,6 +468,7 @@ def compile_plan(graph, flat_fetches, feed_tensors, *, fuse=True):
         graph.version,
         levels=levels,
         fused_groups=fused_groups,
+        standalone=standalone,
     )
 
 

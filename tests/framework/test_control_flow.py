@@ -56,13 +56,20 @@ class TestCond:
                         lambda: (ops.constant(1.0), ops.constant(2.0)),
                         lambda: ops.constant(1.0))
 
-    def test_dtype_mismatch_raises(self):
+    def test_dtype_mismatch_is_declared_variant(self):
+        """Dtype is relaxed like shape: what the branches do not agree on
+        is decided by whichever runs (structure mismatches still raise)."""
         g = fw.Graph()
         with g.as_default():
-            with pytest.raises(StagingError, match="dtype"):
-                fw.cond(ops.constant(True),
-                        lambda: ops.constant(1.0),
-                        lambda: ops.constant(1))
+            p = ops.placeholder(fw.bool_, [])
+            out = fw.cond(p,
+                          lambda: ops.constant(1.5),
+                          lambda: ops.constant(1))
+        assert out.dtype == fw.variant
+        sess = fw.Session(g)
+        for pred, want in ((True, np.float32(1.5)), (False, np.int32(1))):
+            got = sess.run(out, {p: pred})
+            assert got.dtype == want.dtype and got == want
 
     def test_nested_cond(self):
         g = fw.Graph()
@@ -137,14 +144,23 @@ class TestWhileLoop:
         assert _run(g, i) == 7
 
     def test_dtype_consistency_enforced(self):
+        """Enforced by declaring less: a variable the body hands back at
+        another dtype is re-traced declared variant, so no turn coerces
+        it (structure mismatches still raise)."""
         g = fw.Graph()
         with g.as_default():
-            with pytest.raises(StagingError, match="dtype"):
-                fw.while_loop(
-                    lambda i: ops.less(i, 3),
-                    lambda i: (ops.add(ops.cast(i, "float32"), 1.0),),
-                    (ops.constant(0),),
-                )
+            n = ops.placeholder(fw.int32, [])
+            (i,) = fw.while_loop(
+                lambda i: ops.less(i, n),
+                lambda i: (ops.add(ops.cast(i, "float32"), 1.5),),
+                (ops.constant(0),),
+            )
+        assert i.dtype == fw.variant
+        got = fw.Session(g).run(i, {n: 3})
+        assert got.dtype == np.float32 and got == 3.0
+        # No turn: the int32 initial value comes back untouched.
+        got = fw.Session(g).run(i, {n: 0})
+        assert got.dtype == np.int32 and got == 0
 
     def test_structure_mismatch(self):
         g = fw.Graph()

@@ -43,13 +43,21 @@ class TestDTypes:
         assert dtypes.float32 != "float64"
 
     def test_promotion_lattice(self):
-        assert dtypes.result_dtype(dtypes.int32, dtypes.float32) is dtypes.float32
-        assert dtypes.result_dtype(dtypes.bool_, dtypes.int64) is dtypes.int64
-        assert dtypes.result_dtype(dtypes.float32, dtypes.float64) is dtypes.float64
+        # The lattice is NumPy's own, read off the op's NumPy callable.
+        rule = dtypes.numpy_dtype_fn(np.add)
+        assert rule([dtypes.int32, dtypes.float32], {}) == [dtypes.float64]
+        assert rule([dtypes.bool_, dtypes.int64], {}) == [dtypes.int64]
+        assert rule([dtypes.float32, dtypes.float64], {}) == [dtypes.float64]
+        assert dtypes.numpy_result_dtype(
+            np.add, (np.dtype(np.int32), np.dtype(np.float32))) == np.float64
 
     def test_promotion_rejects_string(self):
-        with pytest.raises(TypeError):
-            dtypes.result_dtype(dtypes.string, dtypes.float32)
+        # Nothing is promised: the dtype is decided at run time.
+        rule = dtypes.numpy_dtype_fn(np.add)
+        assert rule([dtypes.string, dtypes.float32], {}) == [dtypes.variant]
+        # ... nor for a mix NumPy itself refuses.
+        assert dtypes.numpy_dtype_fn(np.subtract)(
+            [dtypes.bool_, dtypes.bool_], {}) == [dtypes.variant]
 
 
 class TestShapes:

@@ -7,13 +7,18 @@ introduce (fetched intermediates, caller-owned feed arrays, baked
 constants shared across calls).
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import framework as fw
+from repro import observe
 from repro.framework import ops
+from repro.framework.ops import dispatch
+from repro.framework.registry import elementwise_ops, get_op_def
 from repro.runtime import BoundPlan, compile_plan
 
 
@@ -332,23 +337,105 @@ def test_buffer_a_non_allocating_reader_may_hold_is_never_donated():
 
 
 def test_in_place_arm_never_rounds_to_an_optimistic_static_dtype():
-    """Static inference says int32 + float32 is float32; NumPy computes
-    float64.  The reused buffer is float32, so the in-place write must
-    be refused (and the allocating kernel used), not rounded."""
+    """float32 + int32 is float64 — NumPy's rule, and the declared one —
+    so the dying float32 buffer is never offered to the ``Add``: there is
+    no in-place arm to refuse, let alone one that rounds."""
     g = fw.Graph()
     with g.as_default():
         i = ops.placeholder(fw.int32, [3])
         f = ops.placeholder(fw.float32, [3])
         y = ops.add(ops.negative(f), i)
+    assert y.dtype == fw.float64
     iv = np.array([1, 2, 3], np.int32)
     fv = np.array([0.1, 0.2, 0.3], np.float32)
-    unfused = compile_plan(g, [y], [i, f], fuse=False)
-    assert _inplace_steps(unfused)
-    for plan in (unfused, compile_plan(g, [y], [i, f])):
+    for plan in (compile_plan(g, [y], [i, f], fuse=False),
+                 compile_plan(g, [y], [i, f])):
+        assert _inplace_steps(plan) == []
         got = BoundPlan(plan, [i, f]).execute_flat([iv, fv])[0]
         want = np.add(np.negative(fv), iv)
         assert got.dtype == want.dtype == np.float64
         np.testing.assert_array_equal(got, want)
+
+
+_GRID = (fw.bool_, fw.int32, fw.int64, fw.float32, fw.float64)
+
+
+@pytest.mark.parametrize("op_type", sorted(elementwise_ops(2)))
+def test_no_in_place_arm_is_ever_refused(op_type):
+    """Every binary elementwise op over the 5x5 dtype grid, with a dying
+    intermediate on each side to donate from: an armed ``out=`` buffer always
+    has the dtype the operands really produce, so the ``casting="safe"``
+    guard never fires (``runtime.inplace_refusals`` counts it if it
+    does) and fused == unfused == NumPy."""
+    ufunc = get_op_def(op_type).fusable
+    before = observe.counters().get("runtime.inplace_refusals", 0)
+    armed = 0
+    for da, db in itertools.product(_GRID, repeat=2):
+        g = fw.Graph()
+        with g.as_default():
+            a = ops.placeholder(da, [3])
+            b = ops.placeholder(db, [3])
+            # Relu is not fusable: its output is the dying buffer a
+            # fused [abs+op] step is offered, as Abs's is unfused.
+            y = dispatch.run_op(op_type, [ops.relu(a), ops.abs(b)])
+        av = np.array([1, 0, 1], da.np_dtype)
+        bv = np.array([1, 1, 0], db.np_dtype)
+        with np.errstate(all="ignore"):
+            try:
+                want = ufunc(av, bv)
+            except TypeError:
+                continue  # NumPy refuses the mix; so does the kernel
+            for fuse in (False, True):
+                plan = compile_plan(g, [y], [a, b], fuse=fuse)
+                armed += len(_inplace_steps(plan))
+                got = BoundPlan(plan, [a, b]).execute_flat([av, bv])[0]
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+    assert armed, "the grid never armed an in-place step"
+    after = observe.counters().get("runtime.inplace_refusals", 0)
+    assert after == before
+
+
+def test_a_refused_in_place_write_is_counted_and_still_exact():
+    """The guard stays: feed a plan that armed a float32 buffer a
+    float64 operand behind the binder's back (``Session``-style manual
+    binding) and the write is refused, counted, and recomputed."""
+    g = fw.Graph()
+    with g.as_default():
+        x = ops.placeholder(fw.float32, [3])
+        c = ops.placeholder(fw.float32, [3])
+        y = ops.add(ops.negative(x), c)
+    plan = compile_plan(g, [y], [x, c], fuse=False)
+    assert len(_inplace_steps(plan)) == 1
+    values = plan.new_values()
+    xv = np.array([1, 2, 3], np.float32)
+    cv = np.array([0.1, 0.2, 0.3], np.float64)   # not the declared dtype
+    for (_t, slot), v in zip(plan.feed_slots, (xv, cv)):
+        values[slot] = (v,)
+    before = observe.counters().get("runtime.inplace_refusals", 0)
+    got = plan.run_flat(values)[0]
+    assert observe.counters()["runtime.inplace_refusals"] == before + 1
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, -xv + cv)
+
+
+def test_describe_says_why_a_fusable_step_stayed_standalone():
+    g = fw.Graph()
+    with g.as_default():
+        x = ops.placeholder(fw.float32, [4])
+        shared = ops.exp(x)                      # two consumers
+        fetched = ops.tanh(ops.reduce_sum(shared, keepdims=True))
+        lone = ops.negative(ops.reduce_sum(shared, keepdims=True))
+        out = ops.reduce_sum(lone)
+    plan = compile_plan(g, [fetched, out], [x])
+    text = plan.describe()
+    by_name = {line.split()[3].split("(")[0]: line
+               for line in text.splitlines()[1:]}
+    assert by_name["Exp"].endswith("standalone: multi-consumer")
+    assert by_name["Tanh"].endswith("standalone: fetched")
+    assert by_name["Neg"].endswith("standalone: no fusable neighbour")
+    assert set(plan.standalone.values()) == {
+        "multi-consumer", "fetched", "no fusable neighbour"}
 
 
 def test_variable_read_buffer_is_never_donated():
