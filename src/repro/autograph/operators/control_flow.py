@@ -18,7 +18,7 @@ from repro.framework import ops
 from repro.framework.errors import StagingError
 from repro.framework.graph.graph import Tensor as SymbolicTensor
 
-from repro.framework.registry import _REGISTRY, OpDef
+from repro.framework.registry import register_op
 from repro.framework import dtypes as fw_dtypes
 
 from . import dispatch
@@ -36,11 +36,8 @@ def _undefined_const_kernel(marker=None):
     return marker
 
 
-if "UndefinedConst" not in _REGISTRY:
-    _REGISTRY["UndefinedConst"] = OpDef(
-        "UndefinedConst", _undefined_const_kernel,
-        dtype_fn=lambda dts, attrs: [fw_dtypes.variant],
-    )
+register_op("UndefinedConst", _undefined_const_kernel,
+            dtype_fn=lambda dts, attrs: [fw_dtypes.variant])
 
 
 def _stage_return_placeholder(value):

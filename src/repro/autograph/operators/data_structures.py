@@ -15,7 +15,7 @@ from repro.framework import dtypes, ops
 from repro.framework.errors import StagingError
 from repro.framework.graph.graph import Tensor as SymbolicTensor
 from repro.framework.graph.tensor_array import TensorArray, TensorArrayValue
-from repro.framework.registry import _REGISTRY, OpDef
+from repro.framework.registry import register_op
 
 __all__ = [
     "new_list",
@@ -82,11 +82,8 @@ def _ta_pop_kernel(ta):
     return TensorArrayValue(ta.items[:-1]), ta.items[-1]
 
 
-if "TensorArrayPop" not in _REGISTRY:
-    _REGISTRY["TensorArrayPop"] = OpDef(
-        "TensorArrayPop", _ta_pop_kernel, num_outputs=2,
-        dtype_fn=lambda dts, attrs: [dtypes.variant, dtypes.variant],
-    )
+register_op("TensorArrayPop", _ta_pop_kernel, num_outputs=2,
+            dtype_fn=lambda dts, attrs: [dtypes.variant, dtypes.variant])
 
 
 def list_pop(list_, i=None, opts=None):

@@ -72,10 +72,8 @@ def execute_op(op_name, inputs, attrs=None, name=None):
     except (TypeError, ValueError) as e:
         raise InvalidArgumentError(f"{op_name}: {e}", op_name=name or op_name) from e
 
-    if op_def.num_outputs == 1:
-        raw_outputs = (result,)
-    else:
-        raw_outputs = tuple(result)
+    single = op_def.output_count(raw_inputs, attrs) == 1
+    raw_outputs = (result,) if single else tuple(result)
 
     outputs = tuple(
         EagerTensor(r) if _is_array_like(r) else r for r in raw_outputs
@@ -86,6 +84,4 @@ def execute_op(op_name, inputs, attrs=None, name=None):
 
         record_operation(op_def, converted, outputs, attrs)
 
-    if op_def.num_outputs == 1:
-        return outputs[0]
-    return outputs
+    return outputs[0] if single else outputs

@@ -98,24 +98,9 @@ def _run_branch(fg, capture_values):
     return out if len(out) != 1 else out[0]
 
 
-register_op("Cond", _cond_kernel, num_outputs=1, stateful=True)
-# Cond is registered with a single output by default; multi-output variants
-# are instantiated below via the `_dtype_override` mechanism plus a
-# specialized OpDef per arity.
-
-
-def _get_cond_def(n_outputs):
-    """Cond op with ``n_outputs`` outputs (registered lazily per arity)."""
-    from ..registry import _REGISTRY, OpDef
-
-    if n_outputs == 1:
-        return "Cond"
-    name = f"Cond_{n_outputs}"
-    if name not in _REGISTRY:
-        _REGISTRY[name] = OpDef(
-            name, _cond_kernel, num_outputs=n_outputs, stateful=True
-        )
-    return name
+register_op("Cond", _cond_kernel, stateful=True,
+            num_outputs=lambda inputs, attrs: len(
+                attrs["true_graph"].flat_outputs))
 
 
 def cond(pred, true_fn, false_fn, name="cond"):
@@ -167,7 +152,7 @@ def cond(pred, true_fn, false_fn, name="cond"):
         for tt, ft in zip(t_flat, f_flat)
     ]
     op = graph.create_op(
-        _get_cond_def(n_out),
+        "Cond",
         inputs,
         {
             "true_graph": tg,
@@ -209,15 +194,8 @@ def _while_kernel(*args, cond_graph=None, body_graph=None, n_vars=0,
     return tuple(loop_vars) if n_vars != 1 else loop_vars[0]
 
 
-def _get_while_def(n_outputs):
-    from ..registry import _REGISTRY, OpDef
-
-    name = "While" if n_outputs == 1 else f"While_{n_outputs}"
-    if name not in _REGISTRY:
-        _REGISTRY[name] = OpDef(
-            name, _while_kernel, num_outputs=n_outputs, stateful=True
-        )
-    return name
+register_op("While", _while_kernel, stateful=True,
+            num_outputs=lambda inputs, attrs: attrs["n_vars"])
 
 
 def while_loop(cond_fn, body_fn, loop_vars, maximum_iterations=None,
@@ -314,7 +292,7 @@ def while_loop(cond_fn, body_fn, loop_vars, maximum_iterations=None,
 
     inputs = list(expanded_init) + cg.captures + bg.captures
     op = graph.create_op(
-        _get_while_def(n_vars),
+        "While",
         inputs,
         {
             "cond_graph": cg,

@@ -10,9 +10,21 @@ FuncGraph, and then executed repeatedly without touching Python.
 from __future__ import annotations
 
 from ..errors import StagingError
-from .graph import Tensor
+from .graph import Graph, Tensor
 
 __all__ = ["gradients"]
+
+
+def _reads_in_subgraph(op, states):
+    """Whether a ``Cond`` / ``While`` sub-graph of ``op``, at any depth,
+    reads one of the variables ``states``: a dependence on them that no
+    input of ``op`` shows."""
+    return any(
+        isinstance(attr, Graph) and any(
+            (sub.type == "ReadVariable" and sub.attrs["state"] in states)
+            or _reads_in_subgraph(sub, states)
+            for sub in attr.ops)
+        for attr in op.attrs.values())
 
 
 def gradients(ys, xs, grad_ys=None, name="gradients"):
@@ -49,10 +61,22 @@ def gradients(ys, xs, grad_ys=None, name="gradients"):
             raise StagingError(f"gradients: invalid differentiation target {x!r}")
         x_tensors.append(x)
 
-    # Forward reachability from xs.
+    # The variables among xs: given as such, read by an op, or (in a
+    # top-level trace) standing behind a capture placeholder.
     reaches_x = set(id(t) for t in x_tensors)
+    x_states = {x._state for x in xs if isinstance(x, Variable)}
+    x_states.update(t.op.attrs["state"] for t in x_tensors
+                    if t.op.type == "ReadVariable")
+    x_states.update(c.source._state
+                    for c in getattr(graph, "external_captures", ())
+                    if c.kind == "variable" and id(c.placeholder) in reaches_x)
+
+    # Forward reachability from xs, through data and through state.
+    reads_x = set()
     for op in graph.ops:
-        if any(id(t) in reaches_x for t in op.inputs):
+        if x_states and _reads_in_subgraph(op, x_states):
+            reads_x.add(id(op))
+        if id(op) in reads_x or any(id(t) in reaches_x for t in op.inputs):
             for out in op.outputs:
                 reaches_x.add(id(out))
 
@@ -90,7 +114,8 @@ def gradients(ys, xs, grad_ys=None, name="gradients"):
             if all(g is None for g in out_grads):
                 continue
             if op.op_def.grad_fn is None:
-                if any(id(t) in reaches_x for t in op.inputs):
+                if id(op) in reads_x or any(
+                        id(t) in reaches_x for t in op.inputs):
                     raise StagingError(
                         f"gradients: op {op.name!r} of type {op.type!r} on the "
                         "differentiation path has no registered gradient"

@@ -101,10 +101,12 @@ class Operation:
         self.attrs = dict(attrs)
         self.control_inputs = list(control_inputs)
 
-        out_dtypes, out_shapes = self._infer_metadata()
+        # Arity is fixed here, once: a variadic type is asked how many
+        # outputs *this* use has; ``len(op.outputs)`` is the answer after.
+        n = op_def.output_count(self.inputs, self.attrs)
+        out_dtypes, out_shapes = self._infer_metadata(n)
         self.outputs = tuple(
-            Tensor(self, i, out_dtypes[i], out_shapes[i])
-            for i in range(op_def.num_outputs)
+            Tensor(self, i, out_dtypes[i], out_shapes[i]) for i in range(n)
         )
 
     @property
@@ -121,8 +123,7 @@ class Operation:
             self.control_inputs.append(op)
             self.graph._bump_version()
 
-    def _infer_metadata(self):
-        n = self.op_def.num_outputs
+    def _infer_metadata(self, n):
         input_dtypes = [t.dtype for t in self.inputs]
         input_shapes = [t.shape for t in self.inputs]
         if self.op_def.dtype_fn is not None:
@@ -157,6 +158,11 @@ class Operation:
 class Graph:
     """A mutable dataflow graph under construction."""
 
+    # What only a traced ``FuncGraph`` has or turns on.
+    outer_graph = None
+    capture_external = False
+    freeze_captures = False
+
     def __init__(self, name="graph"):
         self.name = name
         self.ops = []
@@ -167,6 +173,9 @@ class Graph:
         # Constant-dedup cache: scalar/py constants are extremely common in
         # generated code; reusing Const nodes keeps plans small.
         self._const_cache = {}
+        # VariableState -> the tensor a read of that variable yields at
+        # this point of construction (see ``Variable.value``).
+        self.variable_values = {}
 
     # -- context -----------------------------------------------------------
 

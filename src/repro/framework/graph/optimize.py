@@ -117,7 +117,7 @@ def optimize_graph(graph, fetches, fold_constants=True, cse=True):
                 result = op.op_def.kernel(*values, **op.attrs)
             except Exception:
                 result = None
-            if result is not None and op.op_def.num_outputs == 1 and isinstance(
+            if result is not None and len(op.outputs) == 1 and isinstance(
                 result, (np.ndarray, np.generic, int, float, bool)
             ):
                 folded = new_graph.constant(np.asarray(result), name=f"{op.name}_folded")

@@ -6,18 +6,19 @@ of TensorFlow's ``GraphDef`` + checkpoint pair; ``graph_from_def``
 rebuilds an executable graph in a fresh process from that data.
 
 Closed-over state serializes two ways.  *Freezing* (the default path):
-capture placeholders listed in ``freeze_placeholders`` — and legacy
-variable-read ops (still staged inside control-flow bodies) — are
+capture placeholders listed in ``freeze_placeholders`` — and
+``ReadVariable`` ops (staged inside control-flow bodies) — are
 replaced by ``Const`` nodes holding the current value, so the artifact
-is self-contained and the loading process needs none of the exporting
-process's per-variable op registrations.  *Non-frozen* export instead
+is self-contained and carries no reference to the exporting process's
+state cells.  *Non-frozen* export instead
 keeps capture placeholders as ordinary graph inputs; the caller ships
 their values as a separate checkpoint and the loaded artifact can
 hot-swap them.  Ops with other side effects (assigns, random draws,
 staged prints) are refused — an exported signature is a pure function
-of its inputs.  Functional control flow (``Cond*`` / ``While*``) is
+of its inputs.  Functional control flow (``Cond`` / ``While``) is
 supported: the branch/body ``FuncGraph``s stored in their attrs are
-encoded recursively.
+encoded recursively, and a node's arity is re-derived from them when
+the op is rebuilt.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .. import dtypes
 from ..errors import GraphError
-from ..registry import _REGISTRY
+from ..registry import get_op_def
 from ..shapes import TensorShape
 from .func_graph import FuncGraph
 from .graph import Graph
@@ -34,21 +35,17 @@ from .graph import Graph
 __all__ = ["GraphSerializationError", "find_unexportable_ops",
            "graph_to_def", "graph_from_def"]
 
-FORMAT_VERSION = 1
+# 2: one ``Cond`` / ``While`` type each (were ``Cond_<n>`` / ``While_<n>``).
+FORMAT_VERSION = 2
+
+# The stateful op types an export keeps (control flow, whose sub-graphs
+# are checked in turn) or freezes (variable reads); every other stateful
+# op is refused.
+_CONTROL_FLOW = ("Cond", "While")
 
 
 class GraphSerializationError(GraphError):
     """The graph contains something that cannot cross a process boundary."""
-
-
-def _is_variable_read(op):
-    return (op.op_def.stateful and not op.inputs
-            and op.type.startswith("ReadVariable_"))
-
-
-def _is_control_flow(op):
-    return op.type == "Cond" or op.type.startswith("Cond_") \
-        or op.type == "While" or op.type.startswith("While_")
 
 
 def find_unexportable_ops(graph):
@@ -61,8 +58,8 @@ def find_unexportable_ops(graph):
     """
     offending = []
     for op in graph.ops:
-        if (op.op_def.stateful and not _is_variable_read(op)
-                and not _is_control_flow(op)):
+        if (op.op_def.stateful and op.type != "ReadVariable"
+                and op.type not in _CONTROL_FLOW):
             offending.append(f"{op.name} ({op.type})")
             continue
         for value in op.attrs.values():
@@ -123,11 +120,10 @@ def _encode_nodes(graph, arrays, freeze_placeholders=None):
                 "attrs": {"value": _encode_attr(value, arrays)},
             })
             continue
-        if _is_variable_read(op):
-            # Freeze: the read kernel takes no inputs and returns the
-            # variable's live value — bake it as a constant.
+        if op.type == "ReadVariable":
+            # Freeze: bake the variable's live value as a constant.
             try:
-                value = np.asarray(op.op_def.kernel())
+                value = np.asarray(op.attrs["state"].read())
             except Exception as e:
                 raise GraphSerializationError(
                     f"Cannot freeze variable read {op.name!r}: {e}"
@@ -140,7 +136,7 @@ def _encode_nodes(graph, arrays, freeze_placeholders=None):
                 "attrs": {"value": _encode_attr(value, arrays)},
             })
             continue
-        if op.op_def.stateful and not _is_control_flow(op):
+        if op.op_def.stateful and op.type not in _CONTROL_FLOW:
             raise GraphSerializationError(
                 f"Op {op.name!r} (type {op.type!r}) is stateful; exported "
                 "signatures must be pure functions of their inputs — "
@@ -162,7 +158,6 @@ def _encode_nodes(graph, arrays, freeze_placeholders=None):
             "inputs": [_tensor_ref(t) for t in op.inputs],
             "control_inputs": [c.name for c in op.control_inputs],
             "attrs": attrs,
-            "num_outputs": op.op_def.num_outputs,
         })
     return nodes
 
@@ -241,31 +236,18 @@ def _decode_attr(value, arrays):
     raise GraphSerializationError(f"Unknown encoded attribute {value!r}")
 
 
-def _ensure_op_registered(op_type, num_outputs):
-    """Dynamically-registered arity variants must exist before lookup."""
-    if op_type in _REGISTRY:
-        return
-    if op_type == "Cond" or op_type.startswith("Cond_"):
-        from .control_flow import _get_cond_def
-
-        _get_cond_def(num_outputs)
-        return
-    if op_type == "While" or op_type.startswith("While_"):
-        from .control_flow import _get_while_def
-
-        _get_while_def(num_outputs)
-        return
-    raise GraphSerializationError(
-        f"Op type {op_type!r} is not registered in this process; the "
-        "artifact was exported with ops this build does not provide"
-    )
-
-
 def _build_ops(nodes, arrays, graph):
     env = {}     # "op:idx" -> Tensor
     by_name = {}  # op name -> Operation
     for node in nodes:
-        _ensure_op_registered(node["type"], node.get("num_outputs", 1))
+        try:
+            get_op_def(node["type"])
+        except KeyError:
+            raise GraphSerializationError(
+                f"Op type {node['type']!r} is not registered in this "
+                "process; the artifact was exported with ops this build "
+                "does not provide"
+            ) from None
         attrs = {k: _decode_attr(v, arrays) for k, v in node["attrs"].items()}
         op = graph.create_op(
             node["type"],

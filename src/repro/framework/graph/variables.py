@@ -1,10 +1,19 @@
 """Variables: mutable state shared across session runs and eager code.
 
 A ``Variable`` owns a :class:`VariableState` cell.  Reads and writes are
-stateful ops whose kernels close over the cell, so the same variable works
-in eager mode (immediate reads/writes) and in graph mode (read/assign
-nodes executed by the session).  Graph-mode reads are cached per graph so
-that ``gradients()`` can treat a variable as a single leaf tensor.
+four stateful op types (``ReadVariable``, ``AssignVariable``,
+``AssignAddVariable``, ``AssignSubVariable``) that name the cell through
+their ``state`` attr, so the same variable works in eager mode (immediate
+reads/writes) and in graph mode (read/assign nodes executed by the
+session), and a graph keeps alive exactly the cells its ops mention.
+
+What a read yields is tracked per graph (``Graph.variable_values``) so
+that ``gradients()`` can treat a variable as a single leaf tensor.  In a
+trace (any ``FuncGraph``) it is also ordering-aware: after a staged
+assign, a read is the assign's output; after an assign inside one of the
+trace's ``Cond`` / ``While`` sub-graphs, it is a fresh ``ReadVariable``
+op, which runs after that sub-graph's op because stateful ops keep
+program order.
 """
 
 from __future__ import annotations
@@ -13,9 +22,10 @@ import numpy as np
 
 from .. import context, dtypes
 from ..errors import UninitializedVariableError
-from ..registry import OpDef, _REGISTRY
+from ..registry import register_op
 from ..shapes import TensorShape
 from ..tensor_mixin import TensorOpsMixin
+from .func_graph import FuncGraph
 
 __all__ = ["Variable", "global_variables_initializer", "VariableState"]
 
@@ -25,11 +35,12 @@ _VAR_COUNTER = [0]
 class VariableState:
     """The mutable storage cell behind a Variable."""
 
-    __slots__ = ("value", "name")
+    __slots__ = ("value", "name", "dtype")
 
-    def __init__(self, name):
+    def __init__(self, name, dtype):
         self.value = None
         self.name = name
+        self.dtype = dtype
 
     def read(self):
         if self.value is None:
@@ -55,18 +66,22 @@ class VariableState:
         return self.value
 
 
-def _make_stateful_op(name, kernel, dtype):
-    """Register a per-variable op def (kernels close over the state cell)."""
-    op_name = name
-    i = 0
-    while op_name in _REGISTRY:
-        i += 1
-        op_name = f"{name}_{i}"
-    _REGISTRY[op_name] = OpDef(
-        op_name, kernel, stateful=True,
-        dtype_fn=lambda dts, attrs, _d=dtype: [_d],
-    )
-    return op_name
+def _state_dtype(input_dtypes, attrs):
+    return [attrs["state"].dtype]
+
+
+register_op("ReadVariable", lambda state: state.read(),
+            stateful=True, dtype_fn=_state_dtype)
+register_op("AssignVariable", lambda value, state: state.write(value),
+            stateful=True, dtype_fn=_state_dtype)
+register_op("AssignAddVariable", lambda delta, state: state.add(delta),
+            stateful=True, dtype_fn=_state_dtype)
+register_op("AssignSubVariable", lambda delta, state: state.sub(delta),
+            stateful=True, dtype_fn=_state_dtype)
+
+# What a trace's ``variable_values`` holds for a variable that one of its
+# Cond/While sub-graphs assigns: the next read there must be a live op.
+_ASSIGNED_BELOW = object()
 
 
 class Variable(TensorOpsMixin):
@@ -86,31 +101,11 @@ class Variable(TensorOpsMixin):
             init = init.astype(np.float32)
         self._dtype = dtypes.from_numpy(init.dtype)
         self._shape = TensorShape(init.shape)
-        self._state = VariableState(self._name)
+        self._state = VariableState(self._name, self._dtype)
         self._initial_value = init
         self.trainable = trainable
-
-        self._read_op_name = _make_stateful_op(
-            f"ReadVariable_{self._name}", lambda: self._state.read(), self._dtype
-        )
-        self._assign_op_name = _make_stateful_op(
-            f"AssignVariable_{self._name}", lambda v: self._state.write(v), self._dtype
-        )
-        self._assign_add_op_name = _make_stateful_op(
-            f"AssignAddVariable_{self._name}", lambda v: self._state.add(v), self._dtype
-        )
-        self._assign_sub_op_name = _make_stateful_op(
-            f"AssignSubVariable_{self._name}", lambda v: self._state.sub(v), self._dtype
-        )
-
-        # Per-graph caches.
-        self._graph_reads = {}
         self._graph_initializers = {}
         self._eager_value_cache = None
-        # Per-graph record of the first staged assign op, plus which
-        # graphs we already warned about reading after it (see value()).
-        self._graph_assigns = {}
-        self._warned_read_after_assign = set()
 
         if context.executing_eagerly():
             self._state.write(init)
@@ -150,7 +145,8 @@ class Variable(TensorOpsMixin):
     # -- reads ------------------------------------------------------------------
 
     def value(self):
-        """Current value: an EagerTensor (eager) or a cached read op (graph)."""
+        """Current value: an EagerTensor (eager) or, in a graph, the
+        tensor a read yields at this point of its construction."""
         from ..eager.tensor import EagerTensor
 
         if context.executing_eagerly():
@@ -161,67 +157,42 @@ class Variable(TensorOpsMixin):
                 self._eager_value_cache = EagerTensor(self._state.read())
             return self._eager_value_cache
         g = context.get_default_graph()
-        cached = self._graph_reads.get(id(g))
-        if cached is None:
-            # A frozen trace (freeze_captures=True) can only bake
-            # variables that already hold a value; variables *created
-            # during* that trace are uninitialized until tracing ends,
-            # so they keep a live read op instead.
-            frozen_uninitialized = (
-                getattr(g, "freeze_captures", False)
-                and self._state.value is None
-            )
-            if getattr(g, "capture_external", False) and not frozen_uninitialized:
-                # Top-level trace graph: the read is an external capture —
-                # a runtime input re-resolved (re-read by the runtime's
-                # read-before-run hook) on every call — so assignments
-                # between calls are visible with no retrace, and export
-                # can either freeze or checkpoint it.  Frozen traces bake
-                # the current value as a Const instead.
-                cached = g.capture_variable(self)
-            else:
-                op = g.create_op(
-                    self._read_op_name, [], {}, name=f"{self._name}/read")
-                cached = op.outputs[0]
-                cached.set_shape(self._shape)
-            self._graph_reads[id(g)] = cached
-            # Let graph consumers (e.g. the repro.function tracing JIT)
-            # discover which variables a trace reads, and where.
-            g.add_to_collection("variable_reads", (self, cached))
-        self._warn_read_after_assign(g, cached)
+        cached = g.variable_values.get(self._state)
+        if cached is None or cached is _ASSIGNED_BELOW:
+            cached = g.variable_values[self._state] = self._stage_read(
+                g, live=cached is _ASSIGNED_BELOW)
         return cached
 
     read_value = value
 
-    def _warn_read_after_assign(self, g, read_tensor):
-        """Loud trace-time diagnostic for the capture-read wart.
-
-        In a top-level trace graph a variable read is an *external
-        capture* — a runtime input resolved before the call runs.  A
-        read staged *after* an in-trace assign therefore yields the
-        variable's pre-call snapshot, not the assigned value; warn once
-        per (variable, graph), naming both ops.
-        """
-        assign_name = self._graph_assigns.get(id(g))
-        if (assign_name is None
-                or id(g) in self._warned_read_after_assign
-                or not getattr(g, "capture_external", False)
-                or read_tensor.op.type != "Placeholder"):
-            return
-        self._warned_read_after_assign.add(id(g))
-        import warnings
-
-        warnings.warn(
-            f"Variable {self._name!r} is read after the in-trace "
-            f"assignment {assign_name!r}, but the read is the external "
-            f"capture {read_tensor.op.name!r} — a runtime input resolved "
-            "*before* the call runs — so it yields the variable's "
-            "pre-call snapshot, not the value written by "
-            f"{assign_name!r}. Read the variable before assigning, or "
-            "use the assign op's returned tensor instead.",
-            UserWarning,
-            stacklevel=3,
-        )
+    def _stage_read(self, g, live):
+        # A frozen trace (freeze_captures=True) can only bake variables
+        # that already hold a value; variables *created during* that
+        # trace are uninitialized until tracing ends, so they keep a
+        # live read op instead.
+        frozen_uninitialized = (
+            g.freeze_captures and self._state.value is None)
+        if g.capture_external and not live and not frozen_uninitialized:
+            # Top-level trace graph: the read is an external capture —
+            # a runtime input re-resolved (re-read by the runtime's
+            # read-before-run hook) on every call — so assignments
+            # between calls are visible with no retrace, and export
+            # can either freeze or checkpoint it.  Frozen traces bake
+            # the current value as a Const instead.
+            return g.capture_variable(self)
+        root = g
+        while root.outer_graph is not None:
+            root = root.outer_graph
+        if root is not g:
+            # A sub-graph reads live, per run / per turn, so no input of
+            # the trace stands for the variable; this is how the trace's
+            # consumers (the tape bridge, ``variables``) still learn
+            # that a call depends on it.
+            root.add_to_collection("subgraph_variable_reads", self)
+        op = g.create_op("ReadVariable", [], {"state": self._state},
+                         name=f"{self._name}/read")
+        op.outputs[0].set_shape(self._shape)
+        return op.outputs[0]
 
     # Allow variables to appear directly as op inputs: the dispatch layer
     # calls this to obtain a tensor.
@@ -234,26 +205,30 @@ class Variable(TensorOpsMixin):
 
     # -- writes ------------------------------------------------------------------
 
-    def _apply(self, op_name, delta):
+    def _apply(self, op_type, delta):
         from ..ops import dispatch
 
-        result = dispatch.run_op(op_name, [delta], {})
-        if context.has_default_graph():
-            g = context.get_default_graph()
-            staged = getattr(getattr(result, "op", None), "name", op_name)
-            self._graph_assigns.setdefault(id(g), staged)
+        result = dispatch.run_op(op_type, [delta], {"state": self._state})
         self._eager_value_cache = None
+        g = context.get_default_graph() if context.has_default_graph() else None
+        if isinstance(g, FuncGraph):
+            # Later reads in this trace observe the write; every trace
+            # this one is a sub-graph of must re-read after its op.
+            g.variable_values[self._state] = result
+            while isinstance(g.outer_graph, FuncGraph):
+                g = g.outer_graph
+                g.variable_values[self._state] = _ASSIGNED_BELOW
         return result
 
     def assign(self, value):
         """Set the variable; returns the new value tensor."""
-        return self._apply(self._assign_op_name, value)
+        return self._apply("AssignVariable", value)
 
     def assign_add(self, delta):
-        return self._apply(self._assign_add_op_name, delta)
+        return self._apply("AssignAddVariable", delta)
 
     def assign_sub(self, delta):
-        return self._apply(self._assign_sub_op_name, delta)
+        return self._apply("AssignSubVariable", delta)
 
     # -- graph initialization ------------------------------------------------------
 
@@ -264,8 +239,8 @@ class Variable(TensorOpsMixin):
             with graph.as_default():
                 init_t = graph.constant(self._initial_value)
                 op = graph.create_op(
-                    self._assign_op_name, [init_t], {}, name=f"{self._name}/init"
-                )
+                    "AssignVariable", [init_t], {"state": self._state},
+                    name=f"{self._name}/init")
             cached = op.outputs[0]
             self._graph_initializers[id(graph)] = cached
         return cached

@@ -89,7 +89,7 @@ def as_graph_tensor(value, graph):
         with graph.as_default():
             return value.value()
     if isinstance(value, EagerTensor):
-        if getattr(graph, "capture_external", False):
+        if graph.capture_external:
             return graph.capture_eager(value)
         return graph.constant(value.numpy())
     return graph.constant(value)
@@ -143,9 +143,7 @@ def run_op(op_type, inputs, attrs=None, name=None):
             else:
                 converted.append(as_graph_tensor(_deref(v), graph))
         op = graph.create_op(op_type, converted, attrs, name=name)
-        if op.op_def.num_outputs == 1:
-            return op.outputs[0]
-        return op.outputs
+        return op.outputs[0] if len(op.outputs) == 1 else op.outputs
 
     # Eager path.  Symbolic tensors leaking into eager execution is a
     # programming error (value not available).

@@ -189,18 +189,13 @@ register_op("SparseSoftmaxXentGrad", _sparse_xent_grad_kernel,
 
 def _concat_grad_kernel(grad, *inputs, axis=0):
     sizes = [np.asarray(x).shape[axis] for x in inputs]
-    return tuple(np.split(np.asarray(grad), np.cumsum(sizes)[:-1], axis=axis))
+    parts = np.split(np.asarray(grad), np.cumsum(sizes)[:-1], axis=axis)
+    return tuple(parts) if len(parts) != 1 else parts[0]
 
 
-def _get_concat_grad(n):
-    from ..registry import _REGISTRY, OpDef
-
-    name = f"ConcatGrad_{n}"
-    if name not in _REGISTRY:
-        _REGISTRY[name] = OpDef(
-            name, _concat_grad_kernel, num_outputs=n,
-            dtype_fn=lambda dts, attrs: [dts[0]] * n)
-    return name
+register_op("ConcatGrad", _concat_grad_kernel,
+            num_outputs=lambda inputs, attrs: len(inputs) - 1,
+            dtype_fn=lambda dts, attrs: [dts[0]] * (len(dts) - 1))
 
 
 def _pack_grad_kernel(grad, axis=0, num=1):
@@ -209,15 +204,9 @@ def _pack_grad_kernel(grad, axis=0, num=1):
     return out if num != 1 else out[0]
 
 
-def _get_pack_grad(n):
-    from ..registry import _REGISTRY, OpDef
-
-    name = f"PackGrad_{n}"
-    if name not in _REGISTRY:
-        _REGISTRY[name] = OpDef(
-            name, _pack_grad_kernel, num_outputs=n,
-            dtype_fn=lambda dts, attrs: [dts[0]] * n)
-    return name
+register_op("PackGrad", _pack_grad_kernel,
+            num_outputs=lambda inputs, attrs: attrs["num"],
+            dtype_fn=lambda dts, attrs: [dts[0]] * attrs["num"])
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +381,13 @@ def _identity_grad(op, g):
     return [g]
 
 
+@register_gradient("ZerosLike")
+@register_gradient("OnesLike")
+def _constant_like_grad(op, g):
+    # The result does not depend on the operand's value.
+    return [None]
+
+
 @register_gradient("Cast")
 def _cast_grad(op, g):
     src = op.inputs[0].dtype
@@ -447,23 +443,17 @@ def _getitem_grad(op, g):
 
 @register_gradient("Concat")
 def _concat_grad(op, g):
-    n = len(op.inputs)
-    axis = op.get_attr("axis", 0)
-    grads = dispatch.run_op(_get_concat_grad(n), list((g,) + tuple(op.inputs)),
-                            {"axis": axis})
-    if n == 1:
-        return [grads]
-    return list(grads)
+    grads = dispatch.run_op("ConcatGrad", [g, *op.inputs],
+                            {"axis": op.get_attr("axis", 0)})
+    return [grads] if len(op.inputs) == 1 else list(grads)
 
 
 @register_gradient("Pack")
 def _pack_grad(op, g):
     n = len(op.inputs)
-    grads = dispatch.run_op(_get_pack_grad(n), [g],
+    grads = dispatch.run_op("PackGrad", [g],
                             {"axis": op.get_attr("axis", 0), "num": n})
-    if n == 1:
-        return [grads]
-    return list(grads)
+    return [grads] if n == 1 else list(grads)
 
 
 @register_gradient("SoftmaxCrossEntropyWithLogits")

@@ -1,4 +1,4 @@
-"""Operation registry.
+"""Operation registry: a finite table of op *types*.
 
 Every primitive operation is described once by an :class:`OpDef` and is
 shared by the two execution modes:
@@ -6,6 +6,27 @@ shared by the two execution modes:
 - the **eager** executor calls ``kernel`` immediately on NumPy values;
 - the **graph** builder records an ``Operation`` node whose kernel is
   bound into the session's compiled execution plan.
+
+A type is what every use of the op has in common: the kernel and its
+rules.  What differs per use is carried by the ``Operation`` (or the
+eager call), never by a new registry entry, so the table does not grow
+as programs are built:
+
+- **arity** — a type whose number of outputs depends on the use
+  (``Cond``, ``While``, ``ConcatGrad``, ``PackGrad``) declares
+  ``num_outputs`` as a callable ``fn(inputs, attrs) -> int``; it is
+  evaluated once, when the operation is created
+  (:meth:`OpDef.output_count`), and ``len(op.outputs)`` is the answer
+  from then on;
+- **state** — an op that touches a variable (``ReadVariable``,
+  ``AssignVariable`` …) names it through its ``state`` attr, which
+  holds the :class:`~repro.framework.graph.variables.VariableState`
+  cell.  The graph that contains the op keeps the cell alive; the
+  registry never does.
+
+:func:`register_op` is the only way in: no other module touches the
+table (``tests/test_registry_is_closed.py`` parses the package to keep
+it so).
 
 Gradient functions are expressed in terms of the *public dispatching ops*
 (``repro.framework.ops``), which makes the same gradient definitions
@@ -27,9 +48,10 @@ class OpDef:
     Attributes:
       name: unique op type name, e.g. ``"MatMul"``.
       kernel: ``fn(*input_values, **attrs)`` returning a value (or a tuple
-        when ``num_outputs > 1``).  Input values are NumPy arrays or opaque
-        runtime objects (TensorArray state, etc.).
-      num_outputs: number of output tensors.
+        when the op has more than one output).  Input values are NumPy
+        arrays or opaque runtime objects (TensorArray state, etc.).
+      num_outputs: number of output tensors, or ``fn(inputs, attrs) ->
+        int`` for a variadic type (see :meth:`output_count`).
       grad_fn: ``fn(op, *output_grads) -> [input_grads]`` written against
         the public ops API; None when not differentiable.
       shape_fn: optional ``fn(input_shapes, attrs) -> [TensorShape]``.
@@ -103,8 +125,16 @@ class OpDef:
         self.fusable = fusable
         self.elementwise = elementwise
 
+    def output_count(self, inputs, attrs):
+        """How many outputs a use of this op on ``inputs`` / ``attrs``
+        has: ``num_outputs``, asked of the use when the type is
+        variadic."""
+        n = self.num_outputs
+        return n if isinstance(n, int) else n(inputs, attrs)
+
     def __repr__(self):
-        return f"OpDef({self.name!r}, outputs={self.num_outputs}, stateful={self.stateful})"
+        outputs = self.num_outputs if isinstance(self.num_outputs, int) else "variadic"
+        return f"OpDef({self.name!r}, outputs={outputs}, stateful={self.stateful})"
 
 
 def register_op(name, kernel, **kwargs):

@@ -151,13 +151,11 @@ class ConcreteFunction(Executable):
     backend = "graph"
 
     def __init__(self, python_function, canonical, name,
-                 autograph=True, optimize=True, freeze_captures=False,
-                 num_workers=None):
+                 autograph=True, freeze_captures=False, num_workers=None):
         self._python_function = python_function
         self._canonical = canonical
         self._py_signature = signature_lib.signature_of(python_function)
         self.name = name
-        self._optimize = optimize
         self._freeze_captures = freeze_captures
         self._num_workers = num_workers
         self._backward = None
@@ -183,6 +181,14 @@ class ConcreteFunction(Executable):
             (c.source, c.placeholder) for c in self._captures
             if c.kind == "variable"
         ]
+        # Variables only ``Cond`` / ``While`` sub-graphs read (live, per
+        # run): no placeholder stands for them, yet a call depends on
+        # them — the tape must see them among the call's inputs so that
+        # asking for their gradient raises instead of returning None.
+        top_level = {id(v) for v, _ in self._variable_reads}
+        self._subgraph_reads = list({
+            id(v): v for v in fg.get_collection("subgraph_variable_reads")
+            if id(v) not in top_level}.values())
         self._created_variables = list(fg.get_collection("variables"))
 
         # Side effects must survive plan pruning: fetch every stateful op
@@ -193,12 +199,8 @@ class ConcreteFunction(Executable):
         capture_phs = [c.placeholder for c in self._captures]
         anchors = (tensor_outs + self._state_fetches_traced + placeholders
                    + capture_phs)
-        if optimize and anchors:
-            opt_graph, fmap = optimize_graph(fg, anchors)
-            remap = fmap.__getitem__
-        else:
-            opt_graph = fg
-            remap = lambda t: t  # noqa: E731
+        opt_graph, fmap = optimize_graph(fg, anchors)
+        remap = fmap.__getitem__
         self.optimized_graph = opt_graph
 
         # -- 3. the bound execution plan -------------------------------------
@@ -221,7 +223,6 @@ class ConcreteFunction(Executable):
         # plain `execute_flat` — no feed dict, no cache key, no per-call
         # nest.flatten (the Table-2 dispatch overhead, engineered out).
         self._runtime_feeds = self._feeds + self._capture_feeds
-        self._bind_lock = threading.Lock()
         # Block-partitioned feeds: the trace stages dense ops against a
         # dense placeholder, then the whole optimized graph is lowered
         # to per-block steps and compiled with one placeholder per block.
@@ -247,12 +248,6 @@ class ConcreteFunction(Executable):
                              self._runtime_feeds),
                 self._runtime_feeds, self._scheduler)
         self._n_outputs = len(self._output_fetches)
-        # When the optimizer produced a fresh graph, nothing ever appends
-        # to it again (the backward pass optimizes into its own graph) —
-        # the per-call version check is only needed when executing the
-        # trace graph directly (optimize=False).  Blocked plans compile
-        # from their own lowered graph, which never grows.
-        self._graph_may_grow = opt_graph is fg and not self._blocked
 
     def _collect_block_grids(self):
         """``{id(feed tensor): BlockGrid}`` for block-partitioned specs."""
@@ -294,7 +289,9 @@ class ConcreteFunction(Executable):
         """Variables this trace reads or created, deduplicated."""
         seen = set()
         out = []
-        for v in self._created_variables + [v for v, _ in self._variable_reads]:
+        for v in (self._created_variables
+                  + [v for v, _ in self._variable_reads]
+                  + self._subgraph_reads):
             if id(v) not in seen:
                 seen.add(id(v))
                 out.append(v)
@@ -469,6 +466,7 @@ class ConcreteFunction(Executable):
         # may assign them, and the tape watches the pre-call reads.
         var_inputs = (
             tuple(v.value() for v, _ in self._variable_reads)
+            + tuple(v.value() for v in self._subgraph_reads)
             if tape_active else ()
         )
         capture_snapshot = self._resolved_captures()
@@ -512,32 +510,9 @@ class ConcreteFunction(Executable):
         groups, buffer-reuse arms) — see :meth:`ExecutionPlan.describe
         <repro.runtime.plan.ExecutionPlan.describe>` — followed, for a
         blocked function, by one line per dense fallback."""
-        return self._current_bound().plan.describe() + "".join(
+        return self._bound.plan.describe() + "".join(
             f"\ndense fallback: {op_type} {name!r}: {reason}"
             for name, op_type, reason in self._dense_fallbacks)
-
-    def _current_bound(self):
-        """The bound plan, recompiled if the graph grew since binding.
-
-        The optimized graph only ever gains ops after construction when
-        ``optimize=False`` and the backward pass stages gradients into
-        the trace graph; rebinding then is a one-time event, checked by
-        a single integer comparison per call (and skipped entirely for
-        optimizer-produced graphs, which are immutable by construction).
-        """
-        bound = self._bound
-        if not self._graph_may_grow:
-            return bound
-        if bound.graph_version != self.optimized_graph.version:
-            with self._bind_lock:
-                bound = self._bound
-                if bound.graph_version != self.optimized_graph.version:
-                    bound = BoundPlan(
-                        compile_plan(self.optimized_graph, self._run_fetches,
-                                     self._runtime_feeds),
-                        self._runtime_feeds, self._scheduler)
-                    self._bound = bound
-        return bound
 
     def _expand_block_args(self, tensor_values):
         """Flatten ``BlockArray`` arguments into their per-block feeds
@@ -574,7 +549,7 @@ class ConcreteFunction(Executable):
             args = list(tensor_values)
         if capture_values:
             args.extend(capture_values)
-        fetched = self._current_bound().execute_flat(args)
+        fetched = self._bound.execute_flat(args)
         tensor_outputs = tuple(
             EagerTensor(v) for v in fetched[:self._n_outputs])
         return self._pack_outputs(tensor_outputs), tensor_outputs
@@ -597,20 +572,19 @@ class ConcreteFunction(Executable):
             fg.placeholder(t.dtype, t.shape, name="grad_seed")
             for t in fg.flat_outputs
         ]
-        # Differentiate with respect to both the declared inputs and the
-        # capture placeholders of variable reads, in recorded-input order.
-        targets = list(fg.inputs) + [rt for _, rt in self._variable_reads]
+        # Differentiate with respect to the declared inputs, the capture
+        # placeholders of variable reads and the variables only
+        # sub-graphs read (None, or an error naming the Cond/While a
+        # path crosses), in recorded-input order.
+        targets = (list(fg.inputs) + [rt for _, rt in self._variable_reads]
+                   + self._subgraph_reads)
         in_grads = graph_gradients(
             list(fg.flat_outputs), targets, grad_ys=seeds)
         live = [g for g in in_grads if g is not None]
         capture_phs = [c.placeholder for c in self._captures]
         anchors = live + list(fg.inputs) + seeds + capture_phs
-        if self._optimize and live:
-            bw_graph, fmap = optimize_graph(fg, anchors)
-            remap = fmap.__getitem__
-        else:
-            bw_graph = fg
-            remap = lambda t: t  # noqa: E731
+        bw_graph, fmap = optimize_graph(fg, anchors)
+        remap = fmap.__getitem__
         grad_ts = [None if g is None else remap(g) for g in in_grads]
         bw_feeds = ([remap(ph) for ph in fg.inputs]
                     + [remap(ph) for ph in capture_phs]
@@ -656,8 +630,8 @@ ConcreteFunction.call_flat.__ag_do_not_convert__ = True
 
 
 def trace_concrete_function(python_function, canonical, name,
-                            autograph=True, optimize=True,
-                            freeze_captures=False, num_workers=None):
+                            autograph=True, freeze_captures=False,
+                            num_workers=None):
     """Trace ``python_function`` for one canonical signature."""
     if context.has_default_graph():
         raise StagingError(
@@ -665,8 +639,8 @@ def trace_concrete_function(python_function, canonical, name,
         )
     return ConcreteFunction(
         python_function, canonical, name,
-        autograph=autograph, optimize=optimize,
-        freeze_captures=freeze_captures, num_workers=num_workers)
+        autograph=autograph, freeze_captures=freeze_captures,
+        num_workers=num_workers)
 
 
 class _GraphBackendBuilder(BackendBuilder):
@@ -676,11 +650,11 @@ class _GraphBackendBuilder(BackendBuilder):
     supports_relaxation = True
 
     def build(self, python_function, canonical, context_, name, *,
-              autograph, optimize, freeze_captures=False, num_workers=None):
+              autograph, freeze_captures=False, num_workers=None):
         return trace_concrete_function(
             python_function, canonical, name,
-            autograph=autograph, optimize=optimize,
-            freeze_captures=freeze_captures, num_workers=num_workers)
+            autograph=autograph, freeze_captures=freeze_captures,
+            num_workers=num_workers)
 
 
 register_backend_builder(_GraphBackendBuilder())

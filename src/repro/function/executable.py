@@ -271,7 +271,7 @@ class BackendBuilder:
         return canonical, None
 
     def build(self, python_function, canonical, context, name, *,
-              autograph, optimize, freeze_captures=False, num_workers=None):
+              autograph, freeze_captures=False, num_workers=None):
         """Compile one executable for the prepared signature.
 
         ``freeze_captures`` asks the backend to bake closed-over state

@@ -38,8 +38,8 @@ class Function:
     """A callable managing one concrete function per input signature."""
 
     def __init__(self, python_function, name=None, autograph=True,
-                 optimize=True, reduce_retracing=False, retrace_limit=8,
-                 backend="graph", freeze_captures=False, num_workers=None):
+                 reduce_retracing=False, retrace_limit=8, backend="graph",
+                 freeze_captures=False, num_workers=None):
         original = getattr(python_function, "__ag_original__", None)
         if original is not None:
             python_function = original
@@ -56,7 +56,6 @@ class Function:
         self._python_function = python_function
         self._name = name or getattr(python_function, "__name__", "fn")
         self._autograph = autograph
-        self._optimize = optimize
         self._reduce_retracing = reduce_retracing
         self._retrace_limit = retrace_limit
         self._backend = backend
@@ -218,7 +217,7 @@ class Function:
             cf = builder.build(
                 self._python_function, canonical, build_ctx,
                 f"{self._name}_{len(self._cache)}",
-                autograph=self._autograph, optimize=self._optimize,
+                autograph=self._autograph,
                 freeze_captures=self._freeze_captures,
                 num_workers=self._num_workers,
             )
@@ -314,7 +313,7 @@ Function._inline_symbolic.__ag_do_not_convert__ = True
 Function.get_concrete_function.__ag_do_not_convert__ = True
 
 
-def function(func=None, *, name=None, autograph=True, optimize=True,
+def function(func=None, *, name=None, autograph=True,
              reduce_retracing=False, retrace_limit=8, backend="graph",
              freeze_captures=False, num_workers=None):
     """Decorate ``func`` as a traced, cached graph function.
@@ -328,7 +327,6 @@ def function(func=None, *, name=None, autograph=True, optimize=True,
       name: optional display name for traces and diagnostics.
       autograph: convert ``func`` (and its call tree) with AutoGraph so
         data-dependent Python control flow stages into the graph.
-      optimize: run DCE/const-folding/CSE on every trace.
       reduce_retracing: after ``retrace_limit`` traces, relax tensor
         shapes instead of minting one graph per shape.
       retrace_limit: trace budget before relaxing (or warning).
@@ -353,12 +351,12 @@ def function(func=None, *, name=None, autograph=True, optimize=True,
     """
     if func is None:
         return functools.partial(
-            function, name=name, autograph=autograph, optimize=optimize,
+            function, name=name, autograph=autograph,
             reduce_retracing=reduce_retracing, retrace_limit=retrace_limit,
             backend=backend, freeze_captures=freeze_captures,
             num_workers=num_workers)
     return Function(
-        func, name=name, autograph=autograph, optimize=optimize,
+        func, name=name, autograph=autograph,
         reduce_retracing=reduce_retracing, retrace_limit=retrace_limit,
         backend=backend, freeze_captures=freeze_captures,
         num_workers=num_workers)

@@ -294,7 +294,7 @@ class LanternConcreteFunction(Executable):
     backend = "lantern"
 
     def __init__(self, python_function, canonical, leaf_plan, name,
-                 autograph=True, optimize=True, freeze_captures=False):
+                 autograph=True, freeze_captures=False):
         self._python_function = python_function
         self._canonical = canonical
         self._leaf_plan = list(leaf_plan)
@@ -325,8 +325,7 @@ class LanternConcreteFunction(Executable):
             self._build_staged()
         else:
             self.route = "graph-lowered"
-            self._build_graph_lowered(autograph, optimize,
-                                      freeze_captures=freeze_captures)
+            self._build_graph_lowered(autograph, freeze_captures)
 
     # -- construction ------------------------------------------------------
 
@@ -408,7 +407,7 @@ class LanternConcreteFunction(Executable):
             "output-arity discovery loop)"
         )
 
-    def _build_graph_lowered(self, autograph, optimize, freeze_captures=False):
+    def _build_graph_lowered(self, autograph, freeze_captures):
         fn = self._python_function
         fg, placeholders, result = trace_func_graph(
             fn, self._canonical, self.name, autograph=autograph,
@@ -436,12 +435,8 @@ class LanternConcreteFunction(Executable):
         self._capture_entries = list(fg.external_captures)
         capture_phs = [c.placeholder for c in self._capture_entries]
         anchors = tensor_outs + placeholders + capture_phs
-        if optimize and tensor_outs:
-            opt_graph, fmap = optimize_graph(fg, anchors)
-            remap = fmap.__getitem__
-        else:
-            opt_graph = fg
-            remap = lambda t: t  # noqa: E731
+        opt_graph, fmap = optimize_graph(fg, anchors)
+        remap = fmap.__getitem__
         self.optimized_graph = opt_graph
         program, fdef, capture_params = lower_graph(
             opt_graph,
@@ -781,12 +776,11 @@ LanternConcreteFunction.call_with_grad.__ag_do_not_convert__ = True
 
 
 def lower_concrete_function(python_function, canonical, name,
-                            autograph=True, optimize=True):
+                            autograph=True):
     """Compile ``python_function`` for one lanternized signature."""
     lanternized, leaf_plan = lanternize_signature(canonical)
     return LanternConcreteFunction(
-        python_function, lanternized, leaf_plan, name,
-        autograph=autograph, optimize=optimize)
+        python_function, lanternized, leaf_plan, name, autograph=autograph)
 
 
 class _LanternBackendBuilder(BackendBuilder):
@@ -798,7 +792,7 @@ class _LanternBackendBuilder(BackendBuilder):
         return lanternize_signature(canonical)
 
     def build(self, python_function, canonical, leaf_plan, name, *,
-              autograph, optimize, freeze_captures=False, num_workers=None):
+              autograph, freeze_captures=False, num_workers=None):
         for spec in canonical.specs:
             if getattr(spec, "grid", None) is not None:
                 from ..framework.errors import StagingError
@@ -810,8 +804,7 @@ class _LanternBackendBuilder(BackendBuilder):
                 )
         return LanternConcreteFunction(
             python_function, canonical, leaf_plan, name,
-            autograph=autograph, optimize=optimize,
-            freeze_captures=freeze_captures)
+            autograph=autograph, freeze_captures=freeze_captures)
 
 
 register_backend_builder(_LanternBackendBuilder())

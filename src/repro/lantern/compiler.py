@@ -19,11 +19,14 @@ staged TreeLSTM beats the define-by-run comparator in Table 3.
 
 from __future__ import annotations
 
+import functools
+import itertools
+
 import numpy as np
 
-from .ir import Program
+from .ir import OPS, Param, Program
 
-__all__ = ["compile_program", "CompiledProgram"]
+__all__ = ["compile_program", "CompiledProgram", "RUNTIME"]
 
 
 def _unb(grad, like):
@@ -60,40 +63,14 @@ def _np_softmax(logits):
     return e / e.sum()
 
 
-# Forward expression templates: op -> format(args...).
-_FWD = {
-    "add": "{0} + {1}",
-    "sub": "{0} - {1}",
-    "mul": "{0} * {1}",
-    "div": "{0} / {1}",
-    "neg": "-{0}",
-    "tanh": "np.tanh({0})",
-    "sigmoid": "_sigmoid({0})",
-    "relu": "np.maximum({0}, 0.0)",
-    "exp": "np.exp({0})",
-    "log": "np.log({0})",
-    "sqrt": "np.sqrt({0})",
-    "square": "np.square({0})",
-    "abs": "np.abs({0})",
-    "transpose": "np.transpose({0})",
-    "maximum": "np.maximum({0}, {1})",
-    "matmul": "{0} @ {1}",
-    "concat0": "np.concatenate(({0}, {1}), axis=0)",
-    "concat1": "np.concatenate(({0}, {1}), axis=1)",
-    "sum": "np.sum({0})",
-    "sum0": "np.sum({0}, axis=0)",
-    "sum1": "np.sum({0}, axis=1)",
-    "sumk": "np.sum({0}, keepdims=True)",
-    "sum0k": "np.sum({0}, axis=0, keepdims=True)",
-    "sum1k": "np.sum({0}, axis=1, keepdims=True)",
-    "mean": "np.mean({0})",
-    "mean0": "np.mean({0}, axis=0)",
-    "mean1": "np.mean({0}, axis=1)",
-    "meank": "np.mean({0}, keepdims=True)",
-    "mean0k": "np.mean({0}, axis=0, keepdims=True)",
-    "mean1k": "np.mean({0}, axis=1, keepdims=True)",
-    "xent": "_xent({0}, {1})",
-    "not": "not {0}",
+#: What an op's expressions (``ir.OPS``) and so the generated code may
+#: name, besides the program's own symbols.
+RUNTIME = {
+    "np": np,
+    "_sigmoid": _np_sigmoid,
+    "_xent": _np_xent,
+    "_softmax": _np_softmax,
+    "_unb": _unb,
 }
 
 
@@ -135,9 +112,7 @@ def _block_defined_syms(block):
         tag = instr[0]
         if tag in ("op", "const", "param", "field"):
             defined.add(instr[1])
-        elif tag == "call":
-            defined.update(instr[1])
-        elif tag == "if":
+        elif tag in ("call", "if"):
             defined.update(instr[1])
     return defined
 
@@ -168,11 +143,17 @@ def _diff_free_syms(block):
 
 
 class _FunctionCompiler:
-    def __init__(self, program, fdef, with_grad):
-        self.program = program
+    def __init__(self, fdef, with_grad, fresh_idx):
         self.fdef = fdef
         self.with_grad = with_grad
+        # Numbers the ``_d<n>`` / ``_sm<n>`` temporaries; shared by the
+        # functions of one ``compile_program`` call, so the source
+        # depends on the program alone.
+        self._fresh_idx = fresh_idx
         self._closure_counter = 0
+        self._call_bwd_names = {}
+        self._if_bwd_names = {}
+        self._if_free_syms = {}
 
     def generate(self, emitter):
         f = self.fdef
@@ -195,7 +176,8 @@ class _FunctionCompiler:
             tag = instr[0]
             if tag == "op":
                 _, out, op, args = instr
-                emitter.emit(indent, f"{out} = {_FWD[op].format(*args)}")
+                emitter.emit(
+                    indent, f"{out} = {OPS[op].forward.format(*args)}")
             elif tag == "const":
                 _, out, value = instr
                 if np.isscalar(value):
@@ -212,8 +194,7 @@ class _FunctionCompiler:
                 _, outs, fn_name, args = instr
                 targets = ", ".join(outs)
                 if self.with_grad:
-                    bwd_var = self._fresh_closure(f"_bc")
-                    instr_bwd_var = bwd_var
+                    bwd_var = self._fresh_closure("_bc")
                     emitter.emit(
                         indent,
                         f"{targets}, {bwd_var} = {fn_name}({', '.join(args)})",
@@ -250,21 +231,14 @@ class _FunctionCompiler:
             emitter.emit(indent, f"{out} = {res}")
         if not outs:
             emitter.emit(indent, "pass")
-        if self.with_grad and bif_var is not None:
-            d_params = ", ".join(f"d_{i}" for i in range(len(outs)))
-            emitter.emit(indent, f"def {bif_var}({d_params}):")
-            grads = _GradNames()
-            # Seed: branch result grads.
-            for i, res in enumerate(block.result_syms):
-                grads.accum(emitter, indent + 1, res, f"d_{i}")
-            self._emit_backward_block(emitter, indent + 1, block, grads)
-            ret = ", ".join(grads.read(s) or "0.0" for s in free)
-            emitter.emit(indent + 1, f"return ({ret},)" if len(free) == 1
-                         else f"return ({ret})")
+        if bif_var is not None:
+            self._emit_backward_fn(emitter, indent, bif_var, block, free)
 
     # ------------------------------------------------------------ backward
 
     def _emit_backward_fn(self, emitter, indent, name, block, param_syms):
+        """The continuation of ``block``: takes the gradients of its
+        results, returns those of ``param_syms``."""
         d_params = ", ".join(f"d_{i}" for i in range(len(block.result_syms)))
         emitter.emit(indent, f"def {name}({d_params}):")
         grads = _GradNames()
@@ -315,109 +289,21 @@ class _FunctionCompiler:
     def _emit_op_adjoint(self, emitter, indent, instr, grads):
         _, out, op, args = instr
         g = grads.read(out)
-        if g is None or op == "not":
+        if g is None:
             return
-        a = args[0]
-        b = args[1] if len(args) > 1 else None
-        if op == "add":
-            grads.accum(emitter, indent, a, g)
-            grads.accum(emitter, indent, b, g)
-        elif op == "sub":
-            grads.accum(emitter, indent, a, g)
-            grads.accum(emitter, indent, b, f"-({g})")
-        elif op == "mul":
-            grads.accum(emitter, indent, a, f"{g} * {b}")
-            grads.accum(emitter, indent, b, f"{g} * {a}")
-        elif op == "div":
-            grads.accum(emitter, indent, a, f"{g} / {b}")
-            grads.accum(emitter, indent, b, f"-({g}) * {a} / ({b} * {b})")
-        elif op == "neg":
-            grads.accum(emitter, indent, a, f"-({g})")
-        elif op == "tanh":
-            grads.accum(emitter, indent, a, f"{g} * (1.0 - {out} * {out})")
-        elif op == "sigmoid":
-            grads.accum(emitter, indent, a, f"{g} * {out} * (1.0 - {out})")
-        elif op == "relu":
-            grads.accum(emitter, indent, a, f"{g} * ({a} > 0)")
-        elif op == "exp":
-            grads.accum(emitter, indent, a, f"{g} * {out}")
-        elif op == "log":
-            grads.accum(emitter, indent, a, f"{g} / {a}")
-        elif op == "sqrt":
-            grads.accum(emitter, indent, a, f"{g} * 0.5 / {out}")
-        elif op == "square":
-            grads.accum(emitter, indent, a, f"{g} * 2.0 * {a}")
-        elif op == "abs":
-            grads.accum(emitter, indent, a, f"{g} * np.sign({a})")
-        elif op == "transpose":
-            grads.accum(emitter, indent, a, f"np.transpose({g})")
-        elif op == "maximum":
-            grads.accum(emitter, indent, a, f"{g} * ({a} >= {b})")
-            grads.accum(emitter, indent, b, f"{g} * ({a} < {b})")
-        elif op == "matmul":
-            grads.accum(emitter, indent, a, f"{g} @ np.transpose({b})")
-            grads.accum(emitter, indent, b, f"np.transpose({a}) @ {g}")
-        elif op == "concat0":
-            split = f"np.shape({a})[0]"
-            grads.accum(emitter, indent, a, f"({g})[:{split}]")
-            grads.accum(emitter, indent, b, f"({g})[{split}:]")
-        elif op == "concat1":
-            split = f"np.shape({a})[1]"
-            grads.accum(emitter, indent, a, f"({g})[:, :{split}]")
-            grads.accum(emitter, indent, b, f"({g})[:, {split}:]")
-        elif op in ("sum", "sumk"):
-            grads.accum(emitter, indent, a, f"{g} * np.ones_like({a})")
-        elif op in ("sum0", "sum1"):
-            axis = 0 if op == "sum0" else 1
-            grads.accum(
-                emitter, indent, a,
-                f"np.expand_dims({g}, {axis}) * np.ones_like({a})")
-        elif op in ("sum0k", "sum1k"):
-            # keepdims output broadcasts straight back over the input.
-            grads.accum(emitter, indent, a, f"{g} * np.ones_like({a})")
-        elif op in ("mean", "meank"):
-            grads.accum(
-                emitter, indent, a,
-                f"{g} * np.ones_like({a}) / np.size({a})")
-        elif op in ("mean0", "mean1"):
-            axis = 0 if op == "mean0" else 1
-            grads.accum(
-                emitter, indent, a,
-                f"np.expand_dims({g}, {axis}) * np.ones_like({a}) "
-                f"/ np.shape({a})[{axis}]")
-        elif op in ("mean0k", "mean1k"):
-            axis = 0 if op == "mean0k" else 1
-            grads.accum(
-                emitter, indent, a,
-                f"{g} * np.ones_like({a}) / np.shape({a})[{axis}]")
-        elif op == "xent":
-            tmp = f"_sm{self._fresh_idx()}"
-            emitter.emit(indent, f"{tmp} = _softmax({a})")
-            emitter.emit(
-                indent,
-                f"{tmp} = {tmp}.reshape(1, -1).copy(); "
-                f"{tmp}[0, int({b})] -= 1.0",
-            )
-            grads.accum(emitter, indent, a, f"{g} * {tmp}")
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"No adjoint for op {op!r}")
-
-    # ------------------------------------------------------------ misc
-
-    _idx_counter = 0
+        adjoints = OPS[op].adjoints
+        if callable(adjoints):
+            adjoints = adjoints(functools.partial(emitter.emit, indent),
+                                self._fresh_idx, g, out, *args)
+        else:
+            adjoints = [a and a.format(*args, g=g, out=out) for a in adjoints]
+        for arg, adjoint in zip(args, adjoints):
+            if adjoint is not None:
+                grads.accum(emitter, indent, arg, adjoint)
 
     def _fresh_closure(self, prefix):
         self._closure_counter += 1
         return f"{prefix}{self._closure_counter}"
-
-    def _fresh_idx(self):
-        _FunctionCompiler._idx_counter += 1
-        return _FunctionCompiler._idx_counter
-
-    def prepare(self):
-        self._call_bwd_names = {}
-        self._if_bwd_names = {}
-        self._if_free_syms = {}
 
 
 class CompiledProgram:
@@ -491,7 +377,6 @@ def compile_program(program, params=None, with_grad=True):
     merged = dict(getattr(program, "params", {}))
     merged.update(params or {})
     params = merged
-    from .ir import Param
 
     param_objs = {
         name: p if isinstance(p, Param) else Param(name, p)
@@ -499,18 +384,13 @@ def compile_program(program, params=None, with_grad=True):
     }
 
     emitter = _Emitter()
+    fresh_idx = itertools.count(1).__next__
     for fdef in program.functions.values():
-        fc = _FunctionCompiler(program, fdef, with_grad)
-        fc.prepare()
-        fc.generate(emitter)
+        _FunctionCompiler(fdef, with_grad, fresh_idx).generate(emitter)
     source = emitter.source()
 
     namespace = {
-        "np": np,
-        "_sigmoid": _np_sigmoid,
-        "_xent": _np_xent,
-        "_softmax": _np_softmax,
-        "_unb": _unb,
+        **RUNTIME,
         "_P": {name: p.value for name, p in param_objs.items()},
         "_G": {name: np.zeros_like(p.value) for name, p in param_objs.items()},
         "_C": {

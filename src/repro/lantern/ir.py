@@ -16,6 +16,8 @@ where ``out(s)``/``args`` are symbol-name strings.
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from .sexpr import Sym, format_sexpr
@@ -30,43 +32,130 @@ __all__ = [
     "FunctionDef",
     "Program",
     "Builder",
+    "LanternOp",
     "OPS",
+    "reduction_op",
 ]
 
-# Supported numeric primitives and their arities.
+class LanternOp(NamedTuple):
+    """Everything the package knows about one IR primitive.
+
+    Expressions are Python source over NumPy, written as ``str.format``
+    templates: ``{0}``, ``{1}`` name the operands, ``{out}`` the
+    forward result and ``{g}`` the gradient arriving at it.  Besides
+    ``np`` they may call the helpers in ``compiler.RUNTIME``.
+
+    Attributes:
+      arity: number of operands.
+      forward: the expression computing the result.
+      adjoints: one expression per operand — the gradient it receives;
+        ``None`` for an operand that carries none.  An adjoint that
+        needs statements of its own is instead a callable
+        ``fn(emit, fresh_idx, g, out, *operands)`` that emits them with
+        ``emit(line)`` and returns the per-operand expressions.
+      graph: ``(graph op type, attr form)`` this primitive lowers from,
+        or ``None``.  The attr form is the graph op's attrs with
+        defaults (``None`` / ``False``) dropped and a reduction axis
+        normalised to one non-negative int.
+    """
+
+    arity: int
+    forward: str
+    adjoints: tuple | Callable
+    graph: tuple | None = None
+
+
+def _xent_adjoint(emit, fresh_idx, g, out, logits, label):
+    """``softmax(logits) - onehot(label)``; the label carries no gradient."""
+    tmp = f"_sm{fresh_idx()}"
+    emit(f"{tmp} = _softmax({logits})")
+    emit(f"{tmp} = {tmp}.reshape(1, -1).copy(); "
+         f"{tmp}[0, int({label})] -= 1.0")
+    return (f"{g} * {tmp}", None)
+
+
+# The IR's op vocabulary, declared once.  Every other place that needs
+# to know an op reads it here: ``Builder.emit`` and
+# ``serialize.program_from_payload`` (is the name an op?), the
+# compiler (``forward``, ``adjoints``), the immediate NumPy mode of
+# ``lantern.ops`` (``forward``, evaluated) and the graph lowering
+# (``graph``).  Adding a Lantern op = one entry.  The names are the
+# serialized IR, so an entry may be added but never renamed.
 OPS = {
-    "add": 2,
-    "sub": 2,
-    "mul": 2,
-    "div": 2,
-    "neg": 1,
-    "tanh": 1,
-    "sigmoid": 1,
-    "relu": 1,
-    "exp": 1,
-    "log": 1,
-    "sqrt": 1,
-    "square": 1,
-    "abs": 1,
-    "transpose": 1,
-    "maximum": 2,
-    "matmul": 2,
-    "concat0": 2,   # concat along axis 0
-    "concat1": 2,   # concat along axis 1
-    "sum": 1,
-    "sum0": 1,      # reduce along axis 0 (keepdims=False)
-    "sum1": 1,      # reduce along axis 1 (keepdims=False)
-    "sumk": 1,      # full reduction, keepdims=True
-    "sum0k": 1,     # reduce along axis 0, keepdims=True
-    "sum1k": 1,     # reduce along axis 1, keepdims=True
-    "mean": 1,
-    "mean0": 1,
-    "mean1": 1,
-    "meank": 1,     # full reduction, keepdims=True
-    "mean0k": 1,    # reduce along axis 0, keepdims=True
-    "mean1k": 1,    # reduce along axis 1, keepdims=True
-    "xent": 2,      # sparse softmax cross entropy: (logits, label) -> scalar
+    "add": LanternOp(2, "{0} + {1}", ("{g}", "{g}"), ("Add", {})),
+    "sub": LanternOp(2, "{0} - {1}", ("{g}", "-({g})"), ("Sub", {})),
+    "mul": LanternOp(2, "{0} * {1}", ("{g} * {1}", "{g} * {0}"),
+                     ("Mul", {})),
+    "div": LanternOp(2, "{0} / {1}",
+                     ("{g} / {1}", "-({g}) * {0} / ({1} * {1})"),
+                     ("Div", {})),
+    "neg": LanternOp(1, "-{0}", ("-({g})",), ("Neg", {})),
+    "tanh": LanternOp(1, "np.tanh({0})", ("{g} * (1.0 - {out} * {out})",),
+                      ("Tanh", {})),
+    "sigmoid": LanternOp(1, "_sigmoid({0})", ("{g} * {out} * (1.0 - {out})",),
+                         ("Sigmoid", {})),
+    "relu": LanternOp(1, "np.maximum({0}, 0.0)", ("{g} * ({0} > 0)",),
+                      ("Relu", {})),
+    "exp": LanternOp(1, "np.exp({0})", ("{g} * {out}",), ("Exp", {})),
+    "log": LanternOp(1, "np.log({0})", ("{g} / {0}",), ("Log", {})),
+    "sqrt": LanternOp(1, "np.sqrt({0})", ("{g} * 0.5 / {out}",),
+                      ("Sqrt", {})),
+    "square": LanternOp(1, "np.square({0})", ("{g} * 2.0 * {0}",),
+                        ("Square", {})),
+    "abs": LanternOp(1, "np.abs({0})", ("{g} * np.sign({0})",), ("Abs", {})),
+    "transpose": LanternOp(1, "np.transpose({0})", ("np.transpose({g})",),
+                           ("Transpose", {})),
+    "maximum": LanternOp(2, "np.maximum({0}, {1})",
+                         ("{g} * ({0} >= {1})", "{g} * ({0} < {1})"),
+                         ("Maximum", {})),
+    "matmul": LanternOp(2, "{0} @ {1}",
+                        ("{g} @ np.transpose({1})", "np.transpose({0}) @ {g}"),
+                        ("MatMul", {})),
+    # Sparse softmax cross entropy: (logits, label) -> scalar.
+    "xent": LanternOp(2, "_xent({0}, {1})", _xent_adjoint),
+    # Negation of a staged boolean (``Stager.not_``).
+    "not": LanternOp(1, "not {0}", (None,)),
 }
+
+# Concatenation of two operands along axis 0 / 1; the adjoint splits the
+# gradient where the first operand ends.
+for _axis, _index in ((0, ""), (1, ":, ")):
+    _split = f"np.shape({{0}})[{_axis}]"
+    OPS[f"concat{_axis}"] = LanternOp(
+        2, f"np.concatenate(({{0}}, {{1}}), axis={_axis})",
+        (f"({{g}})[{_index}:{_split}]", f"({{g}})[{_index}{_split}:]"),
+        ("Concat", {"axis": _axis}))
+
+
+def reduction_op(fn, axis, keepdims):
+    """Name of the ``fn`` (``'sum'`` / ``'mean'``) reduction: over
+    everything (``axis=None``: ``sum``, ``sumk``) or along axis 0 / 1
+    (``sum0``, ``sum1k``); a ``k`` suffix keeps the reduced dimension."""
+    return fn + ("" if axis is None else str(axis)) + ("k" if keepdims else "")
+
+
+# Lantern values are at most rank 2, so these twelve cover every
+# reduction a lowerable graph can ask for.  The gradient broadcasts back
+# over the operand (after re-inserting a dropped axis); a mean also
+# divides by the number of elements reduced.
+for _fn, _type in (("sum", "Sum"), ("mean", "Mean")):
+    for _axis in (None, 0, 1):
+        for _keep in (False, True):
+            _kwargs, _form, _g = "", {}, "{g}"
+            _count = " / np.size({0})"
+            if _axis is not None:
+                _kwargs, _form = f", axis={_axis}", {"axis": _axis}
+                _count = f" / np.shape({{0}})[{_axis}]"
+                if not _keep:
+                    _g = f"np.expand_dims({{g}}, {_axis})"
+            if _keep:
+                _kwargs += ", keepdims=True"
+                _form["keepdims"] = True
+            if _fn == "sum":
+                _count = ""
+            OPS[reduction_op(_fn, _axis, _keep)] = LanternOp(
+                1, f"np.{_fn}({{0}}{_kwargs})",
+                (f"{_g} * np.ones_like({{0}}){_count}",), (_type, _form))
 
 
 class Param:

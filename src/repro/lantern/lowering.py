@@ -19,13 +19,14 @@ Ops without a Lantern equivalent raise :class:`LanternLoweringError`, an
 
 from __future__ import annotations
 
-import numpy as np
-
 import re
+
+import numpy as np
 
 from repro.framework.errors import ExecutionError
 
-from .ir import Builder, FunctionDef, Param, Program, StagedValue
+from .ir import (
+    OPS, Builder, FunctionDef, Param, Program, StagedTensor, StagedValue)
 
 __all__ = ["GRAPH_TO_LANTERN", "LanternLoweringError", "lower_graph",
            "lower_op_call"]
@@ -35,49 +36,21 @@ class LanternLoweringError(ExecutionError):
     """A graph op has no Lantern equivalent (or unsupported attributes)."""
 
 
-class StagedValueRef(StagedValue):
-    """A lightweight staged handle for an already-emitted symbol."""
-
-    __slots__ = ()
-
-
-# Graph op type -> Lantern primitive with identical semantics.
+# Graph op type -> the Lantern primitive it lowers to with default attrs
+# (read off ``ir.OPS``, which also holds the forms other attrs select:
+# axis / keepdims reductions, concatenation).
 GRAPH_TO_LANTERN = {
-    "Add": "add",
-    "Sub": "sub",
-    "Mul": "mul",
-    "Div": "div",
-    "Neg": "neg",
-    "Tanh": "tanh",
-    "Sigmoid": "sigmoid",
-    "Relu": "relu",
-    "Exp": "exp",
-    "Log": "log",
-    "Sqrt": "sqrt",
-    "Square": "square",
-    "Abs": "abs",
-    "Maximum": "maximum",
-    "Transpose": "transpose",
+    op.graph[0]: name for name, op in OPS.items()
+    if op.graph is not None and not op.graph[1]
 }
-
-# Reductions lower whole-tensor (axis=None -> scalar) or along axis 0/1,
-# with or without keepdims; Lantern values are at most rank 2, so those
-# two axes cover every axis-wise form a lowerable graph can produce.
-# Negative axes normalize against the input's static rank when known.
-_REDUCTIONS = {"Sum": "sum", "Mean": "mean"}
-_AXIS_REDUCTIONS = {("Sum", 0, False): "sum0", ("Sum", 1, False): "sum1",
-                    ("Sum", 0, True): "sum0k", ("Sum", 1, True): "sum1k",
-                    ("Mean", 0, False): "mean0", ("Mean", 1, False): "mean1",
-                    ("Mean", 0, True): "mean0k", ("Mean", 1, True): "mean1k"}
-_CONCATS = {0: "concat0", 1: "concat1"}
 
 
 def _unsupported(op_type, detail=""):
     suffix = f" ({detail})" if detail else ""
+    lowerable = sorted({op.graph[0] for op in OPS.values() if op.graph})
     return LanternLoweringError(
         f"Graph op {op_type!r} has no Lantern (S-expression backend) "
-        f"equivalent{suffix}; supported ops: "
-        f"{sorted(GRAPH_TO_LANTERN) + sorted(_REDUCTIONS)}. "
+        f"equivalent{suffix}; supported ops: {lowerable}. "
         "Use backend='graph' for this function.",
         op_name=op_type,
     )
@@ -86,62 +59,47 @@ def _unsupported(op_type, detail=""):
 def _emit_simple(builder, op_type, args, attrs, rank=None):
     """Emit one translated op; ``args`` are staged values/convertibles.
 
-    ``rank`` is the first input's static rank when the caller knows it
-    (graph lowering reads it off the tensor; the staged route passes it
-    for concrete inputs) — it is what lets negative reduction axes
-    normalize to 0/1.
+    The graph op's attrs are normalised to the *attr form* ``ir.OPS``
+    entries declare (defaults dropped, one non-negative reduction axis)
+    and the entry lowering from ``(op_type, form)`` is emitted.  ``rank``
+    is the first input's static rank when the caller knows it (graph
+    lowering reads it off the tensor; the staged route passes it for
+    concrete inputs) — it is what lets negative axes normalise.
     """
-    attrs = attrs or {}
-    if op_type in _REDUCTIONS:
-        keepdims = bool(attrs.get("keepdims"))
-        axis = attrs.get("axis")
-        if isinstance(axis, (list, tuple)):
-            axis = axis[0] if len(axis) == 1 else axis
-        if axis is None:
-            op = _REDUCTIONS[op_type] + ("k" if keepdims else "")
-            return builder.emit(op, args[0])
-        if isinstance(axis, int) and axis < 0:
-            if rank is None:
-                raise _unsupported(
-                    op_type,
-                    f"axis={axis!r} without a statically known rank; "
-                    "negative axes normalize only when the input's rank "
-                    "is known at lowering time")
-            axis = axis + rank
-        lantern_op = _AXIS_REDUCTIONS.get((op_type, axis, keepdims))
-        if lantern_op is None:
-            raise _unsupported(
-                op_type,
-                f"axis={axis!r} keepdims={keepdims}; only axis=None "
-                "(full), 0 or 1 (possibly negative with known rank) lower")
-        return builder.emit(lantern_op, args[0])
+    form = {k: v for k, v in (attrs or {}).items()
+            if v is not None and v is not False}
     if op_type == "MatMul":
-        a, b = args
-        if attrs.get("transpose_a"):
-            a = builder.emit("transpose", a)
-        if attrs.get("transpose_b"):
-            b = builder.emit("transpose", b)
-        return builder.emit("matmul", a, b)
-    if op_type == "Concat":
-        lantern_op = _CONCATS.get(attrs.get("axis", 0))
-        if lantern_op is None or len(args) < 2:
+        # The IR's matmul takes no flags: a transposed operand is an op.
+        args = [builder.emit("transpose", a) if form.pop(flag, False) else a
+                for a, flag in zip(args, ("transpose_a", "transpose_b"))]
+    axis = form.get("axis")
+    if isinstance(axis, (list, tuple)) and len(axis) == 1:
+        axis = form["axis"] = axis[0]
+    if isinstance(axis, int) and axis < 0:
+        if rank is None:
             raise _unsupported(
                 op_type,
-                f"axis={attrs.get('axis')!r} with {len(args)} inputs; "
-                "concatenation lowers along axis 0 or 1 with >= 2 inputs")
-        # N-way concatenation folds into a chain of pairwise concats
-        # (the adjoint splits at each fold boundary symmetrically).
-        result = args[0]
-        for nxt in args[1:]:
-            result = builder.emit(lantern_op, result, nxt)
-        return result
-    if op_type == "Transpose" and attrs.get("perm") is not None:
-        raise _unsupported(
-            op_type, "only the default full axis reversal, perm=None")
-    lantern_op = GRAPH_TO_LANTERN.get(op_type)
+                f"axis={axis!r} without a statically known rank; "
+                "negative axes normalize only when the input's rank "
+                "is known at lowering time")
+        form["axis"] = axis + rank
+    if "keepdims" in form:
+        form["keepdims"] = True
+    lantern_op = next((name for name, op in OPS.items()
+                       if op.graph == (op_type, form)), None)
     if lantern_op is None:
-        raise _unsupported(op_type)
-    return builder.emit(lantern_op, *args)
+        raise _unsupported(op_type, f"attrs {form}" if form else "")
+    arity = OPS[lantern_op].arity
+    if len(args) < arity:
+        raise _unsupported(
+            op_type, f"{len(args)} inputs; {lantern_op!r} takes {arity}")
+    # A graph op with more inputs than the primitive has operands
+    # (N-way Concat) folds into a chain of it; the adjoints then split
+    # the gradient at each fold boundary symmetrically.
+    result = builder.emit(lantern_op, *args[:arity])
+    for nxt in args[arity:]:
+        result = builder.emit(lantern_op, result, nxt)
+    return result
 
 
 def lower_op_call(builder, op_type, inputs, attrs):
@@ -223,7 +181,7 @@ def lower_graph(graph, inputs, outputs, *, name="main", program=None,
                     f"Tensor {tensor.name!r} reached lowering before its "
                     "producer; the op list is not topologically ordered"
                 )
-            return StagedValueRef(sym, builder)
+            return StagedTensor(sym, builder)
 
         for op in graph.ops:
             if op.type == "Placeholder":

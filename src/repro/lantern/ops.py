@@ -7,66 +7,24 @@ check staged-vs-eager equivalence, and by the define-by-run comparator).
 
 from __future__ import annotations
 
-import numpy as np
+import functools
 
-from .ir import Param, StagedValue
+from .compiler import RUNTIME
+from .ir import OPS, Param, StagedValue, reduction_op
 
 __all__ = ["tanh", "sigmoid", "relu", "exp", "log", "sqrt", "square",
            "abs_", "transpose", "maximum", "matmul", "concat0", "concat1",
-           "sum_", "mean", "xent", "numpy_kernels"]
+           "sum_", "mean", "xent", "numpy_kernel"]
 
 
-def _np_sigmoid(x):
-    out = np.empty_like(x, dtype=np.float32)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def _np_xent(logits, label):
-    logits = np.asarray(logits)
-    shifted = logits - logits.max()
-    log_probs = shifted - np.log(np.exp(shifted).sum())
-    return -float(log_probs.reshape(-1)[int(label)])
-
-
-numpy_kernels = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-    "neg": lambda a: -a,
-    "tanh": np.tanh,
-    "sigmoid": lambda a: _np_sigmoid(np.asarray(a, dtype=np.float32)),
-    "relu": lambda a: np.maximum(a, 0.0),
-    "exp": np.exp,
-    "log": np.log,
-    "sqrt": np.sqrt,
-    "square": np.square,
-    "abs": np.abs,
-    "transpose": np.transpose,
-    "maximum": lambda a, b: np.maximum(a, b),
-    "matmul": lambda a, b: a @ b,
-    "concat0": lambda a, b: np.concatenate((a, b), axis=0),
-    "concat1": lambda a, b: np.concatenate((a, b), axis=1),
-    "sum": lambda a: np.sum(a),
-    "sum0": lambda a: np.sum(a, axis=0),
-    "sum1": lambda a: np.sum(a, axis=1),
-    "sumk": lambda a: np.sum(a, keepdims=True),
-    "sum0k": lambda a: np.sum(a, axis=0, keepdims=True),
-    "sum1k": lambda a: np.sum(a, axis=1, keepdims=True),
-    "mean": lambda a: np.mean(a),
-    "mean0": lambda a: np.mean(a, axis=0),
-    "mean1": lambda a: np.mean(a, axis=1),
-    "meank": lambda a: np.mean(a, keepdims=True),
-    "mean0k": lambda a: np.mean(a, axis=0, keepdims=True),
-    "mean1k": lambda a: np.mean(a, axis=1, keepdims=True),
-    "xent": _np_xent,
-}
-
-_AXIS_SUFFIX = {None: "", 0: "0", 1: "1"}
+@functools.lru_cache(maxsize=None)
+def numpy_kernel(op_name):
+    """The immediate form of IR op ``op_name``: its forward expression
+    (``ir.OPS``) as a function of the operands."""
+    params = [f"a{i}" for i in range(OPS[op_name].arity)]
+    return eval(  # the table's own source, in the generated code's namespace
+        f"lambda {', '.join(params)}: {OPS[op_name].forward.format(*params)}",
+        dict(RUNTIME))
 
 
 def _unwrap(value):
@@ -79,7 +37,7 @@ def _dispatch(op, *args):
     staged = next((a for a in args if isinstance(a, StagedValue)), None)
     if staged is not None:
         return staged.builder.emit(op, *args)
-    return numpy_kernels[op](*[_unwrap(a) for a in args])
+    return numpy_kernel(op)(*[_unwrap(a) for a in args])
 
 
 def tanh(x):
@@ -127,12 +85,15 @@ def maximum(a, b):
     return _dispatch("maximum", a, b)
 
 
+def _reduce(fn, x, axis, keepdims):
+    if axis not in (None, 0, 1):
+        raise ValueError(f"lantern {fn} supports axis None/0/1, got {axis!r}")
+    return _dispatch(reduction_op(fn, axis, keepdims), x)
+
+
 def mean(x, axis=None, keepdims=False):
     """Mean over all elements (``axis=None``) or along axis 0/1."""
-    if axis not in _AXIS_SUFFIX:
-        raise ValueError(f"lantern mean supports axis None/0/1, got {axis!r}")
-    suffix = _AXIS_SUFFIX[axis] + ("k" if keepdims else "")
-    return _dispatch(f"mean{suffix}", x)
+    return _reduce("mean", x, axis, keepdims)
 
 
 def matmul(a, b):
@@ -152,10 +113,7 @@ def concat0(a, b):
 
 def sum_(a, axis=None, keepdims=False):
     """Sum over all elements (``axis=None``) or along axis 0/1."""
-    if axis not in _AXIS_SUFFIX:
-        raise ValueError(f"lantern sum supports axis None/0/1, got {axis!r}")
-    suffix = _AXIS_SUFFIX[axis] + ("k" if keepdims else "")
-    return _dispatch(f"sum{suffix}", a)
+    return _reduce("sum", a, axis, keepdims)
 
 
 def xent(logits, label):

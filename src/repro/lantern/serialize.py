@@ -41,23 +41,14 @@ def _store_array(value, arrays):
 
 def _encode_instr(instr, arrays):
     tag = instr[0]
-    if tag == "op":
-        _, out, op_name, args = instr
-        return ["op", out, op_name, list(args)]
+    if tag in ("op", "param", "field", "call"):
+        # Symbol names and lists of them: already wire-shaped.
+        return [list(f) if isinstance(f, (list, tuple)) else f for f in instr]
     if tag == "const":
         _, out, value = instr
         if np.isscalar(value):
             return ["const", out, {"scalar": float(value)}]
         return ["const", out, {"array": _store_array(value, arrays)}]
-    if tag == "param":
-        _, out, name = instr
-        return ["param", out, name]
-    if tag == "field":
-        _, out, obj, field = instr
-        return ["field", out, obj, field]
-    if tag == "call":
-        _, outs, fn_name, args = instr
-        return ["call", list(outs), fn_name, list(args)]
     if tag == "if":
         _, outs, cond, then_block, else_block = instr
         return ["if", list(outs), cond,
@@ -110,14 +101,13 @@ def program_to_payload(program, arrays=None):
 
 def _decode_instr(data, arrays, program):
     tag = data[0]
-    if tag == "op":
-        _, out, op_name, args = data
-        if op_name not in OPS and op_name != "not":
+    if tag in ("op", "param", "field", "call"):
+        if tag == "op" and data[2] not in OPS:
             raise LanternSerializationError(
-                f"Payload uses unknown Lantern op {op_name!r}; the artifact "
+                f"Payload uses unknown Lantern op {data[2]!r}; the artifact "
                 "was exported by a build with more ops than this one"
             )
-        return ("op", out, op_name, list(args))
+        return tuple(list(f) if isinstance(f, list) else f for f in data)
     if tag == "const":
         _, out, enc = data
         if "scalar" in enc:
@@ -126,15 +116,6 @@ def _decode_instr(data, arrays, program):
             value = np.asarray(arrays[enc["array"]], dtype=np.float32)
         program.consts[out] = value
         return ("const", out, value)
-    if tag == "param":
-        _, out, name = data
-        return ("param", out, name)
-    if tag == "field":
-        _, out, obj, field = data
-        return ("field", out, obj, field)
-    if tag == "call":
-        _, outs, fn_name, args = data
-        return ("call", list(outs), fn_name, list(args))
     if tag == "if":
         _, outs, cond, then_data, else_data = data
         return ("if", list(outs), cond,

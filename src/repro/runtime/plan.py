@@ -422,7 +422,7 @@ def compile_plan(graph, flat_fetches, feed_tensors, *, fuse=True):
                 base_values[slot] = (_bake(op.attrs["value"]),)
                 const_slots.add(slot)
                 continue
-            if op.op_def.num_outputs == 1:
+            if len(op.outputs) == 1:
                 try:
                     out = kernel(*[base_values[j][k] for j, k in locators])
                 except Exception:
@@ -433,7 +433,7 @@ def compile_plan(graph, flat_fetches, feed_tensors, *, fuse=True):
                     const_slots.add(slot)
                     continue
 
-        steps.append([slot, kernel, locators, op.op_def.num_outputs == 1,
+        steps.append([slot, kernel, locators, len(op.outputs) == 1,
                       op.name, None])
         step_ops.append(op)
 
@@ -558,7 +558,7 @@ def _assign_buffer_reuse(steps, step_ops, fetch_locators, const_slots,
     donatable = {}
     for i, (s, op) in enumerate(zip(steps, step_ops)):
         if op.op_def.fresh_output:
-            for k in range(op.op_def.num_outputs):
+            for k in range(len(op.outputs)):
                 donatable[(s[0], k)] = i
 
     consumers = {}

@@ -490,10 +490,14 @@ def load(path):
     captures = doc.get("captures", [])
     backend = doc["backend"]
     if backend == "graph":
-        from ..framework.graph.serialize import graph_from_def
+        from ..framework.graph.serialize import (
+            GraphSerializationError, graph_from_def)
 
-        graph, inputs, outputs = graph_from_def(
-            doc["payload"]["graph_def"], arrays)
+        try:
+            graph, inputs, outputs = graph_from_def(
+                doc["payload"]["graph_def"], arrays)
+        except GraphSerializationError as e:
+            raise ExportError(str(e)) from e
         return _LoadedGraphExecutable(
             *common, graph, inputs, outputs, captures=captures,
             capture_values=[arrays[c["key"]] for c in captures])

@@ -14,7 +14,6 @@ survive, and the registered ops *without* a rule are pinned.
 """
 
 import inspect
-import re
 
 import numpy as np
 import pytest
@@ -319,23 +318,28 @@ def _takes_a_tensor(op_def):
 
 def test_ops_without_a_block_rule_are_pinned():
     """Adding an op forces a decision: give it a ``BLOCK_RULES`` entry or
-    list it here as a (reported) dense fallback.  Stateful ops — per-variable
-    reads/assigns, ``Cond``/``While``, prints, RNG — can never run per block,
-    and they and the per-arity variants (``ConcatGrad_3``) are registered on
-    demand; neither kind is enumerated."""
+    list it here as a (reported) dense fallback.  The registry is a finite
+    table of types, so every one is enumerated — the stateful ops
+    (variable reads/assigns, ``Cond``/``While``, prints, RNG), which can
+    never run per block, included."""
     assert set(BLOCK_RULES) <= set(registry.list_ops())
     unruled = {
         name for name in registry.list_ops()
         if name not in BLOCK_RULES
-        and not registry.get_op_def(name).stateful
-        and not re.search(r"_\d+$", name)
         and _takes_a_tensor(registry.get_op_def(name))
     }
-    assert unruled == {
-        "All", "Any", "ArgMax", "ArgMin", "BooleanMask", "Cast",
+    stateful = {name for name in unruled
+                if registry.get_op_def(name).stateful}
+    assert stateful == {
+        "Assert", "AssignAddVariable", "AssignSubVariable", "AssignVariable",
+        "Cond", "Group", "PrintV2", "RandomNormal", "RandomUniform",
+        "ReadVariable", "While",
+    }
+    assert unruled - stateful == {
+        "All", "Any", "ArgMax", "ArgMin", "BooleanMask", "Cast", "ConcatGrad",
         "ExpandDims", "Fill", "Gather", "GatherGrad", "GetItemGrad",
         "Identity", "LogSoftmax", "MaxGrad", "OneHot", "OnesLike", "Pack",
-        "Prod", "Range", "Rank", "Reshape", "ReshapeLike", "SelectGrad",
+        "PackGrad", "Prod", "Range", "Rank", "Reshape", "ReshapeLike", "SelectGrad",
         "SetItem", "Shape", "Size", "Softmax",
         "SoftmaxCrossEntropyWithLogits", "SoftmaxXentGrad",
         "SparseSoftmaxCrossEntropyWithLogits", "SparseSoftmaxXentGrad",

@@ -17,16 +17,11 @@ import repro
 import repro.autograph.operators  # noqa: F401 - registers TensorArrayPop
 from repro import framework as fw
 from repro.framework import dtypes, ops
-from repro.framework.ops import gradients_impl
 from repro.framework.registry import get_op_def, list_ops
 from repro.serving import load, save
 
 DTYPES = (dtypes.bool_, dtypes.int32, dtypes.int64, dtypes.float32,
           dtypes.float64)
-
-#: The per-arity gradient helpers are registered on first use.
-gradients_impl._get_concat_grad(2)
-gradients_impl._get_pack_grad(2)
 
 #: Operand shapes for kernels that read an operand as a size, an index
 #: vector or a per-row quantity; every other operand is a (2, 2) array.
@@ -47,7 +42,7 @@ SOURCES = {"Const", "UndefinedConst", "Placeholder", "TensorArrayNew"}
 
 #: The only allowlist: kernels that need a structured attr to run at all.
 ATTRS = {
-    "PackGrad_2": [{"num": 2}],
+    "PackGrad": [{"num": 2}],
     "SumGrad": [{}, {"mean": True}],
 }
 REDUCTIONS = ("Sum", "Prod", "Max", "Min", "Mean", "All", "Any")
@@ -88,7 +83,6 @@ def scan():
                         out = op_def.kernel(*values, **attrs)
                 except Exception:
                     continue  # the kernel refuses these operands
-                outs = (out,) if op_def.num_outputs == 1 else tuple(out)
                 g = fw.Graph()
                 with g.as_default():
                     op = g.create_op(
@@ -96,6 +90,7 @@ def scan():
                         [ops.placeholder(dt, sh)
                          for dt, sh in zip(in_dtypes, shapes)],
                         attrs)
+                outs = (out,) if len(op.outputs) == 1 else tuple(out)
                 for t, value in zip(op.outputs, outs):
                     checked += 1
                     if t.dtype != _actual(value):

@@ -97,18 +97,6 @@ def test_trace_time_optimization_shrinks_graph():
     assert count_ops(cf.optimized_graph, "Mul") == 0
 
 
-def test_optimize_false_keeps_trace_graph():
-    @repro.function(optimize=False)
-    def f(x):
-        _dead = ops.exp(x)
-        return x * 2.0
-
-    f(np.ones((2,), np.float32))
-    cf = f.concrete_functions()[0]
-    assert cf.optimized_graph is cf.graph
-    assert count_ops(cf.graph, "Exp") == 1
-
-
 def test_optimization_preserves_multiple_same_spec_inputs():
     # Regression companion to the Placeholder-CSE fix: two inputs with
     # identical dtype/shape must stay distinct through optimization.

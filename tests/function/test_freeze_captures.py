@@ -100,7 +100,7 @@ def test_frozen_swap_refuses():
 def test_frozen_capture_dedup_one_const_per_source():
     w = fw.Variable(np.ones((2,), np.float32), name="dedup_frozen_w")
 
-    @repro.function(freeze_captures=True, optimize=False)
+    @repro.function(freeze_captures=True)
     def f(x):
         return ops.add(ops.multiply(x, w), w)  # two reads, one source
 
