@@ -16,7 +16,7 @@ import pytest
 
 import repro.autograph as ag
 from repro import framework as fw
-from repro.benchmarks_util import scaled
+from benchmarks_util import scaled
 from repro.framework import ops
 
 WARMUP = scaled(3, 1)

@@ -14,7 +14,7 @@ import pytest
 import repro.autograph as ag
 from repro import framework as fw
 from repro.apps.beam_search import beam_search, make_model
-from repro.benchmarks_util import scaled
+from benchmarks_util import scaled
 from repro.framework import ops
 
 BEAM = 4

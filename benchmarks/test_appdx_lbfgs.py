@@ -13,7 +13,7 @@ import pytest
 import repro.autograph as ag
 from repro import framework as fw
 from repro.apps.lbfgs import lbfgs_minimize, make_problem
-from repro.benchmarks_util import scaled
+from benchmarks_util import scaled
 from repro.framework import ops
 
 BATCH = 10

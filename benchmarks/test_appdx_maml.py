@@ -17,7 +17,7 @@ import pytest
 import repro.autograph as ag
 from repro import framework as fw
 from repro.apps import maml
-from repro.benchmarks_util import scaled
+from benchmarks_util import scaled
 from repro.framework import ops
 
 HIDDEN = scaled(40, 16)

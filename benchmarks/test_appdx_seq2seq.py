@@ -17,7 +17,7 @@ import pytest
 import repro.autograph as ag
 from repro import framework as fw
 from repro.apps.seq2seq import Seq2SeqModel, seq2seq_loss
-from repro.benchmarks_util import scaled
+from benchmarks_util import scaled
 from repro.datasets import random_token_batches
 from repro.framework import ops
 

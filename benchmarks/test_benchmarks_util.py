@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import benchmarks_util as bu
+import benchmarks_util as bu
 
 
 class TestMeasure:

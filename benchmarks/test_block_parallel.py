@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 import repro
-from repro.benchmarks_util import scaled
+from benchmarks_util import scaled
 from repro.blocks import BlockArray, BlockGrid
 from repro.blocks.lowering import lower_blocked_graph
 from repro.framework import ops

@@ -25,7 +25,7 @@ import numpy as np
 
 import repro
 from repro import framework as fw
-from repro.benchmarks_util import scaled
+from benchmarks_util import scaled
 from repro.runtime import BoundPlan, compile_plan
 
 TABLE = "Dispatch overhead (tiny matmul, per-call)"

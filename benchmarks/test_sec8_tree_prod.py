@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro import lantern
-from repro.benchmarks_util import scaled
+from benchmarks_util import scaled
 from repro.datasets.treebank import EMPTY, Tree
 
 DEPTH = scaled(8, 5)

@@ -36,7 +36,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.benchmarks_util import measure, scaled
+from benchmarks_util import measure, scaled
 from repro.framework import ops
 from repro.serving import FleetServer, MicroBatcher, ServingClient, wire
 from repro.serving.saved_function import save

@@ -28,7 +28,7 @@ import pytest
 import repro.autograph as ag
 from repro import framework as fw
 from repro import nn
-from repro.benchmarks_util import scaled
+from benchmarks_util import scaled
 from repro.datasets import random_sequences
 from repro.framework import TensorArray, ops
 

@@ -28,7 +28,7 @@ import pytest
 import repro
 import repro.autograph as ag
 from repro import framework as fw
-from repro.benchmarks_util import scaled
+from benchmarks_util import scaled
 from repro.datasets import load_mnist_synthetic
 from repro.framework import GradientTape, ops
 

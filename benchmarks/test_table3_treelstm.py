@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro import lantern
-from repro.benchmarks_util import scaled
+from benchmarks_util import scaled
 from repro.datasets import load_treebank_synthetic
 from repro.framework import GradientTape, ops
 from repro.nn import TreeLSTMClassifier

@@ -34,8 +34,6 @@ class EagerTensor(TensorOpsMixin):
             value = np.asarray(value, dtype=dtype.np_dtype)
         else:
             value = np.asarray(value)
-            if value.dtype == np.float64 and not isinstance(value, np.ndarray.__class__):
-                pass
             dtype = dtypes.from_numpy(value.dtype)
         self._value = value
         self._dtype = dtype

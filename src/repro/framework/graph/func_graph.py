@@ -61,6 +61,18 @@ class ExternalCapture:
             return self.source._state.read()
         return self.source.numpy()
 
+    def write(self, value):
+        """Make ``value`` (an ndarray of the placeholder's dtype) what
+        :meth:`resolve` returns from now on.  Variables are assigned;
+        an eager tensor's buffer is rebound, never written into, so a
+        run (or a caller holding ``.numpy()``) that already read the
+        old array keeps a consistent tensor."""
+        if self.kind == "variable":
+            self.source._state.write(value)
+            self.source._eager_value_cache = None
+        else:
+            self.source._value = value
+
     def reader(self):
         """A zero-arg callable the runtime invokes *before each run* to
         re-resolve this capture — the read-before-run hook, pre-bound so

@@ -49,7 +49,8 @@ class GraphSerializationError(GraphError):
 
 
 def find_unexportable_ops(graph):
-    """``"name (type)"`` for every op serialization would refuse.
+    """``"name (type)"`` — ``"name (type of 'variable')"`` for an op
+    on variable state — for every op serialization would refuse.
 
     The pre-flight twin of :func:`graph_to_def`'s stateful-op check —
     recursing into ``Cond``/``While`` subgraph attrs exactly like the
@@ -60,7 +61,9 @@ def find_unexportable_ops(graph):
     for op in graph.ops:
         if (op.op_def.stateful and op.type != "ReadVariable"
                 and op.type not in _CONTROL_FLOW):
-            offending.append(f"{op.name} ({op.type})")
+            state = op.attrs.get("state")
+            what = op.type if state is None else f"{op.type} of {state.name!r}"
+            offending.append(f"{op.name} ({what})")
             continue
         for value in op.attrs.values():
             if isinstance(value, FuncGraph):

@@ -218,6 +218,10 @@ class Variable(TensorOpsMixin):
             while isinstance(g.outer_graph, FuncGraph):
                 g = g.outer_graph
                 g.variable_values[self._state] = _ASSIGNED_BELOW
+            # No input of the trace stands for an assigned variable
+            # either; ``variables`` learns of it the way it learns of
+            # sub-graph reads.
+            g.add_to_collection("variable_assigns", self)
         return result
 
     def assign(self, value):

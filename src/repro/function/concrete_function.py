@@ -33,22 +33,19 @@ set_capture_values` hot-swaps the weights atomically with zero retraces.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from ..framework import context, nest
 from ..framework.eager import tape as tape_module
 from ..framework.eager.tensor import EagerTensor
-from ..framework.errors import StagingError
+from ..framework.errors import FetchError, StagingError
 from ..framework.graph.func_graph import FuncGraph, side_effect_fetches
 from ..framework.graph.graph import Tensor
 from ..framework.graph.optimize import optimize_graph
 from ..framework.graph.variables import Variable
 from ..runtime import BoundPlan, compile_plan
-from . import signature as signature_lib
-from .executable import BackendBuilder, Executable, ExportError, ExportSpec, \
-    register_backend_builder
+from .executable import BackendBuilder, CompiledExecutable, ExportError, \
+    Traced, register_backend_builder
 
 __all__ = ["ConcreteFunction", "trace_concrete_function",
            "trace_func_graph", "classify_outputs"]
@@ -145,18 +142,114 @@ def classify_outputs(fg, result, name):
     return output_template, tensor_outs
 
 
-class ConcreteFunction(Executable):
-    """A single traced signature of a :class:`~repro.function.Function`."""
+class CompiledGraph(CompiledExecutable):
+    """The graph backend's compiled half: an optimized graph bound once
+    to a runtime plan.
+
+    The feed tensors — declared inputs, then one per capture — get
+    positional plan slots at construction, so every call is a plain
+    ``execute_flat``: no feed dict, no cache key, no per-call
+    ``nest.flatten`` (the Table-2 dispatch overhead, engineered out).
+    ``load`` builds this class from a deserialized graph;
+    :class:`ConcreteFunction` builds it from a trace.
+    """
 
     backend = "graph"
+    #: Block-partitioned inputs exist only on the traced half.
+    _blocked = False
+
+    def __init__(self, name, input_specs, output_template, output_structure,
+                 captures, graph, feeds, outputs, state_fetches=()):
+        super().__init__(name, input_specs, output_template,
+                         output_structure, captures)
+        self.optimized_graph = graph
+        self._runtime_feeds = list(feeds)
+        self._n_inputs = len(self._runtime_feeds) - len(self._captures)
+        self._feeds = self._runtime_feeds[:self._n_inputs]
+        self._capture_feeds = self._runtime_feeds[self._n_inputs:]
+        self._output_fetches = list(outputs)
+        # Side effects must survive plan pruning: the stateful ops the
+        # outputs do not reach are fetched too.
+        self._run_fetches = self._output_fetches + list(state_fetches)
+        self._n_outputs = len(self._output_fetches)
+        self._bound = self._bind_plan()
+
+    def _bind_plan(self):
+        return BoundPlan(
+            compile_plan(self.optimized_graph, self._run_fetches,
+                         self._runtime_feeds),
+            self._runtime_feeds)
+
+    def call_flat(self, tensor_values):
+        """Run the bound plan on flat tensor-leaf values (fast path)."""
+        return self._run(tensor_values, self._resolved_captures())[0]
+
+    def _run(self, tensor_values, capture_values):
+        # The one argument check is the engine's (dtype cast, rank and
+        # static dimensions); only the count is checked here, because
+        # the plan's own count includes the captures.
+        if len(tensor_values) != self._n_inputs:
+            raise FetchError(
+                f"{self.name!r} takes {self._n_inputs} argument(s), "
+                f"got {len(tensor_values)}"
+            )
+        if self._blocked:
+            args = self._expand_block_args(tensor_values)
+        else:
+            args = list(tensor_values)
+        if capture_values:
+            args.extend(capture_values)
+        fetched = self._bound.execute_flat(args)
+        tensor_outputs = tuple(
+            EagerTensor(v) for v in fetched[:self._n_outputs])
+        return self._pack_outputs(tensor_outputs), tensor_outputs
+
+    def engine_stats(self):
+        """Bound-plan info for serving observability (one dict, cheap)."""
+        return {"bound_plan": self._bound.describe()}
+
+    def plan_describe(self):
+        """The compiled plan's human-readable dump (steps, levels, fused
+        groups, buffer-reuse arms) — see :meth:`ExecutionPlan.describe
+        <repro.runtime.plan.ExecutionPlan.describe>`."""
+        return self._bound.plan.describe()
+
+    def _export_payload(self, freeze):
+        from ..framework.graph.serialize import (
+            GraphSerializationError, graph_to_def)
+
+        capture_values = self._resolved_captures()
+        # graph_to_def walks for stateful ops itself and raises with the
+        # message _check_exportable would, so no pre-flight scan here.
+        captures = []
+        arrays = {}
+        try:
+            if freeze:
+                graph_def, arrays = graph_to_def(
+                    self.optimized_graph, self._feeds, self._output_fetches,
+                    freeze_placeholders=dict(
+                        zip(self._capture_feeds, capture_values)))
+            else:
+                for i, (entry, value) in enumerate(
+                        zip(self._captures, capture_values)):
+                    key = f"capture_{i}"
+                    arrays[key] = value
+                    captures.append({"name": entry.name, "key": key})
+                graph_def, arrays = graph_to_def(
+                    self.optimized_graph, self._runtime_feeds,
+                    self._output_fetches, arrays=arrays)
+        except GraphSerializationError as e:
+            raise ExportError(str(e)) from e
+        return {"graph_def": graph_def}, arrays, captures
+
+
+class ConcreteFunction(Traced, CompiledGraph):
+    """A single traced signature of a :class:`~repro.function.Function`:
+    :class:`CompiledGraph` plus the traced half."""
 
     def __init__(self, python_function, canonical, name,
                  autograph=True, freeze_captures=False, num_workers=None):
-        self._python_function = python_function
-        self._canonical = canonical
-        self._py_signature = signature_lib.signature_of(python_function)
-        self.name = name
-        self._freeze_captures = freeze_captures
+        self._init_traced(python_function, canonical)
         self._num_workers = num_workers
         self._backward = None
 
@@ -164,21 +257,17 @@ class ConcreteFunction(Executable):
         fg, placeholders, result = trace_func_graph(
             python_function, canonical, name, autograph=autograph,
             freeze_captures=freeze_captures)
-
-        # -- classify structured outputs -----------------------------------
-        self._output_template, tensor_outs = classify_outputs(
-            fg, result, name)
-        self._output_structure = result
+        output_template, tensor_outs = classify_outputs(fg, result, name)
         fg.flat_outputs = list(tensor_outs)
         self.graph = fg
         # External captures: eager tensors and Variable reads the trace
         # closed over, now runtime inputs resolved fresh on every call.
-        self._captures = list(fg.external_captures)
+        captures = list(fg.external_captures)
         # Variables read at the top level of the trace: their capture
         # placeholders are extra differentiation targets for the tape
         # bridge, and their eager values join the recorded op's inputs.
         self._variable_reads = [
-            (c.source, c.placeholder) for c in self._captures
+            (c.source, c.placeholder) for c in captures
             if c.kind == "variable"
         ]
         # Variables only ``Cond`` / ``While`` sub-graphs read (live, per
@@ -189,74 +278,50 @@ class ConcreteFunction(Executable):
         self._subgraph_reads = list({
             id(v): v for v in fg.get_collection("subgraph_variable_reads")
             if id(v) not in top_level}.values())
-        self._created_variables = list(fg.get_collection("variables"))
-
-        # Side effects must survive plan pruning: fetch every stateful op
-        # the returned tensors do not already reach.
+        # Created, read (anywhere) or only assigned (anywhere).
+        self._variables = list({id(v): v for v in (
+            fg.get_collection("variables")
+            + [v for v, _ in self._variable_reads] + self._subgraph_reads
+            + fg.get_collection("variable_assigns"))}.values())
         self._state_fetches_traced = side_effect_fetches(fg, tensor_outs)
 
         # -- 2. optimize ----------------------------------------------------
-        capture_phs = [c.placeholder for c in self._captures]
-        anchors = (tensor_outs + self._state_fetches_traced + placeholders
-                   + capture_phs)
-        opt_graph, fmap = optimize_graph(fg, anchors)
+        capture_phs = [c.placeholder for c in captures]
+        opt_graph, fmap = optimize_graph(
+            fg, tensor_outs + self._state_fetches_traced + placeholders
+            + capture_phs)
         remap = fmap.__getitem__
-        self.optimized_graph = opt_graph
 
-        # -- 3. the bound execution plan -------------------------------------
-        self._feeds = [remap(ph) for ph in placeholders]
-        self._capture_feeds = [remap(ph) for ph in capture_phs]
-        # Guards capture reads/writes so a weight hot-swap is atomic with
-        # respect to the snapshot one call feeds its plan execution.
-        self._capture_lock = threading.Lock()
-        # Pre-resolved per-capture readers: the runtime re-reads captured
-        # state through these immediately before every execution
-        # (Variables via their read-before-run hook) without touching the
-        # Python wrapper objects on the hot path.
-        self._capture_readers = tuple(c.reader() for c in self._captures)
-        self._output_fetches = [remap(t) for t in tensor_outs]
-        self._run_fetches = self._output_fetches + [
-            remap(t) for t in self._state_fetches_traced
-        ]
-        # Bind ONCE: the feed tensors (declared inputs, then captures)
-        # get positional plan slots at construction, so every call is a
-        # plain `execute_flat` — no feed dict, no cache key, no per-call
-        # nest.flatten (the Table-2 dispatch overhead, engineered out).
-        self._runtime_feeds = self._feeds + self._capture_feeds
-        # Block-partitioned feeds: the trace stages dense ops against a
-        # dense placeholder, then the whole optimized graph is lowered
-        # to per-block steps and compiled with one placeholder per block.
-        self._block_grids = self._collect_block_grids()
+        # -- 3. the bound execution plan -----------------------------------
+        super().__init__(
+            name, canonical.specs, output_template, result, captures,
+            opt_graph, [remap(ph) for ph in placeholders + capture_phs],
+            [remap(t) for t in tensor_outs],
+            [remap(t) for t in self._state_fetches_traced])
+
+    def _bind_plan(self):
+        """Block-partitioned feeds: the trace staged dense ops against a
+        dense placeholder; the whole optimized graph is lowered to
+        per-block steps and compiled with one placeholder per block."""
+        self._block_grids = {
+            id(feed): spec.grid
+            for feed, spec in zip(self._feeds, self._input_specs)
+            if getattr(spec, "grid", None) is not None}
         self._blocked = bool(self._block_grids)
-        self._scheduler = self._make_scheduler(num_workers)
+        self._scheduler = self._make_scheduler(self._num_workers)
         self._dense_fallbacks = ()
+        graph, fetches, feeds = (
+            self.optimized_graph, self._run_fetches, self._runtime_feeds)
         if self._blocked:
             from ..blocks.lowering import lower_blocked_graph
 
             lowered = lower_blocked_graph(
-                opt_graph, self._runtime_feeds, self._run_fetches,
-                self._block_grids)
-            self._lowered_feeds = list(lowered.feeds)
+                graph, feeds, fetches, self._block_grids)
             self._dense_fallbacks = lowered.fallbacks
-            self._bound = BoundPlan(
-                compile_plan(lowered.graph, list(lowered.fetches),
-                             self._lowered_feeds),
-                self._lowered_feeds, self._scheduler)
-        else:
-            self._bound = BoundPlan(
-                compile_plan(opt_graph, self._run_fetches,
-                             self._runtime_feeds),
-                self._runtime_feeds, self._scheduler)
-        self._n_outputs = len(self._output_fetches)
-
-    def _collect_block_grids(self):
-        """``{id(feed tensor): BlockGrid}`` for block-partitioned specs."""
-        grids = {}
-        for feed, spec in zip(self._feeds, self._canonical.specs):
-            grid = getattr(spec, "grid", None)
-            if grid is not None:
-                grids[id(feed)] = grid
-        return grids
+            graph, fetches, feeds = (
+                lowered.graph, list(lowered.fetches), list(lowered.feeds))
+        return BoundPlan(compile_plan(graph, fetches, feeds), feeds,
+                         self._scheduler)
 
     def _make_scheduler(self, num_workers):
         """The step scheduler: blocked functions default to one worker
@@ -281,77 +346,10 @@ class ConcreteFunction(Executable):
         return list(self.graph.flat_outputs)
 
     @property
-    def structured_input_signature(self):
-        return list(self._canonical.specs)
-
-    @property
     def variables(self):
-        """Variables this trace reads or created, deduplicated."""
-        seen = set()
-        out = []
-        for v in (self._created_variables
-                  + [v for v, _ in self._variable_reads]
-                  + self._subgraph_reads):
-            if id(v) not in seen:
-                seen.add(id(v))
-                out.append(v)
-        return out
-
-    # -- captures -------------------------------------------------------------
-
-    @property
-    def captures(self):
-        """Ordered external captures (eager tensors / Variable reads)."""
-        return list(self._captures)
-
-    def capture_values(self):
-        """Current capture values, by capture name."""
-        with self._capture_lock:
-            return {c.name: np.asarray(c.resolve()) for c in self._captures}
-
-    def set_capture_values(self, mapping):
-        """Atomically replace capture values (weight hot-swap, no retrace).
-
-        Args:
-          mapping: capture name -> array-like.  Variable captures are
-            assigned; eager-tensor captures are updated in place (shapes
-            must match).  Unknown names raise ``KeyError``.
-        """
-        by_name = {c.name: c for c in self._captures}
-        staged = []
-        for name, value in mapping.items():
-            entry = by_name.get(name)
-            if entry is None:
-                raise KeyError(
-                    f"{self.name!r} has no capture named {name!r}; "
-                    f"captures: {sorted(by_name)}"
-                )
-            value = np.asarray(
-                value, dtype=entry.placeholder.dtype.np_dtype)
-            if not entry.placeholder.shape.is_compatible_with(value.shape):
-                raise ValueError(
-                    f"Capture {name!r} expects shape "
-                    f"{entry.placeholder.shape}, got {value.shape}"
-                )
-            staged.append((entry, value))
-        with self._capture_lock:
-            for entry, value in staged:
-                if entry.kind == "variable":
-                    entry.source._state.write(value)
-                    entry.source._eager_value_cache = None
-                else:
-                    # Rebind the eager tensor's buffer, don't write into
-                    # it: an in-flight run (or a caller holding .numpy())
-                    # keeps the consistent array it already read.
-                    entry.source._value = value
-
-    def _resolved_captures(self):
-        if not self._capture_readers:
-            return ()
-        with self._capture_lock:
-            return tuple(read() for read in self._capture_readers)
-
-    # -- export ---------------------------------------------------------------
+        """Variables this trace created, reads or assigns — at the top
+        level or inside ``Cond`` / ``While`` bodies — deduplicated."""
+        return list(self._variables)
 
     def _check_exportable(self):
         from ..framework.graph import serialize as graph_serialize
@@ -364,94 +362,26 @@ class ConcreteFunction(Executable):
                 "reads are frozen, but assigns/random/prints cannot leave "
                 "the process"
             )
-        self._export_output_parts()
+        super()._check_exportable()
 
-    def export_spec(self, freeze=True):
-        """Serialize this trace.
+    def engine_stats(self):
+        """A function with block-partitioned inputs adds a ``"blocked"``
+        entry listing every op the lowering ran dense instead of
+        per-block, as ``(op name, op type, reason)``."""
+        stats = super().engine_stats()
+        if self._blocked:
+            stats["blocked"] = {
+                "dense_fallbacks": list(self._dense_fallbacks)}
+        return stats
 
-        ``freeze=True`` (default) bakes the capture placeholders' current
-        values into the graph as constants — a self-contained artifact.
-        ``freeze=False`` keeps them as named extra inputs and ships their
-        current values as a separate weight checkpoint, so the loaded
-        artifact's weights can be hot-swapped without retracing.
-        """
-        from ..framework.graph.serialize import (
-            GraphSerializationError, graph_to_def)
-
-        # No _check_exportable() here: graph_to_def performs the same
-        # stateful-op walk itself and raises with an equivalent message,
-        # so pre-flighting would just scan the graph twice per save.
-        template, descriptor = self._export_output_parts()
-        with self._capture_lock:
-            values = [np.asarray(c.resolve()) for c in self._captures]
-        captures = []
-        arrays = {}
-        try:
-            if freeze:
-                graph_def, arrays = graph_to_def(
-                    self.optimized_graph, self._feeds, self._output_fetches,
-                    freeze_placeholders=dict(
-                        zip(self._capture_feeds, values)),
-                )
-            else:
-                for i, (entry, value) in enumerate(
-                        zip(self._captures, values)):
-                    key = f"capture_{i}"
-                    arrays[key] = value
-                    captures.append({"name": entry.name, "key": key})
-                graph_def, arrays = graph_to_def(
-                    self.optimized_graph,
-                    self._feeds + self._capture_feeds,
-                    self._output_fetches, arrays=arrays,
-                )
-        except GraphSerializationError as e:
-            raise ExportError(str(e)) from e
-        return ExportSpec(
-            backend="graph",
-            name=self.name,
-            input_specs=list(self._canonical.specs),
-            output_template=template,
-            output_descriptor=descriptor,
-            payload={"graph_def": graph_def},
-            arrays=arrays,
-            captures=captures,
-        )
+    def plan_describe(self):
+        """The plan's dump followed, for a blocked function, by one line
+        per dense fallback."""
+        return super().plan_describe() + "".join(
+            f"\ndense fallback: {op_type} {name!r}: {reason}"
+            for name, op_type, reason in self._dense_fallbacks)
 
     # -- execution -----------------------------------------------------------
-
-    def __call__(self, *args, **kwargs):
-        canonical = signature_lib.canonicalize(self._py_signature, args, kwargs)
-        self._check_compatible(canonical)
-        return self._call_canonical(canonical)
-
-    def _check_compatible(self, canonical):
-        """Reject calls whose *full* signature differs from the trace.
-
-        Tensor leaves only need spec compatibility (the traced spec may
-        be shape-relaxed), but constants, structure and identity-keyed
-        objects were baked into this graph and must match exactly —
-        otherwise a call would silently run the wrong specialization.
-        """
-        st_mine, tokens_mine = self._canonical.key
-        st_theirs, tokens_theirs = canonical.key
-        if st_mine != st_theirs or len(tokens_mine) != len(tokens_theirs):
-            raise StagingError(
-                f"Concrete function {self.name!r} was traced for a "
-                "different argument structure"
-            )
-        for mine, theirs in zip(tokens_mine, tokens_theirs):
-            if mine[0] == "T" and theirs[0] == "T":
-                if not mine[1].is_compatible_with(theirs[1]):
-                    raise StagingError(
-                        f"Concrete function {self.name!r} expects "
-                        f"{mine[1]}, got {theirs[1]}"
-                    )
-            elif mine != theirs:
-                raise StagingError(
-                    f"Concrete function {self.name!r} was specialized for "
-                    f"argument {mine!r} but was called with {theirs!r}; "
-                    "call the polymorphic Function to retrace"
-                )
 
     def _call_canonical(self, canonical):
         tape_active = bool(tape_module._TAPE_STACK)
@@ -488,39 +418,13 @@ class ConcreteFunction(Executable):
                 tensor_outputs)
         return result
 
-    def call_flat(self, tensor_values):
-        """Run the bound plan on flat tensor-leaf values (fast path)."""
-        result, _ = self._run(tensor_values, self._resolved_captures())
-        return result
-
-    def engine_stats(self):
-        """Bound-plan info for serving observability (one dict, cheap).
-
-        A function with block-partitioned inputs adds a ``"blocked"``
-        entry listing every op the lowering ran dense instead of
-        per-block, as ``(op name, op type, reason)``."""
-        stats = {"bound_plan": self._bound.describe()}
-        if self._blocked:
-            stats["blocked"] = {
-                "dense_fallbacks": list(self._dense_fallbacks)}
-        return stats
-
-    def plan_describe(self):
-        """The compiled plan's human-readable dump (steps, levels, fused
-        groups, buffer-reuse arms) — see :meth:`ExecutionPlan.describe
-        <repro.runtime.plan.ExecutionPlan.describe>` — followed, for a
-        blocked function, by one line per dense fallback."""
-        return self._bound.plan.describe() + "".join(
-            f"\ndense fallback: {op_type} {name!r}: {reason}"
-            for name, op_type, reason in self._dense_fallbacks)
-
     def _expand_block_args(self, tensor_values):
         """Flatten ``BlockArray`` arguments into their per-block feeds
         (row-major), validating each against its traced grid."""
         from ..blocks.array import BlockArray
 
         args = []
-        for spec, value in zip(self._canonical.specs, tensor_values):
+        for spec, value in zip(self._input_specs, tensor_values):
             grid = getattr(spec, "grid", None)
             if grid is None:
                 args.append(value)
@@ -537,22 +441,6 @@ class ConcreteFunction(Executable):
                 )
             args.extend(value.block_list())
         return args
-
-    def _run(self, tensor_values, capture_values):
-        # One atomic snapshot of the capture values per call: swaps
-        # rebind arrays (never write into them), so a concurrent
-        # hot-swap lands either wholly before or wholly after this
-        # run, never half-way.
-        if self._blocked:
-            args = self._expand_block_args(tensor_values)
-        else:
-            args = list(tensor_values)
-        if capture_values:
-            args.extend(capture_values)
-        fetched = self._bound.execute_flat(args)
-        tensor_outputs = tuple(
-            EagerTensor(v) for v in fetched[:self._n_outputs])
-        return self._pack_outputs(tensor_outputs), tensor_outputs
 
     # -- gradients ------------------------------------------------------------
 
@@ -625,8 +513,7 @@ class ConcreteFunction(Executable):
                 f" optimized_ops={len(self.optimized_graph.ops)}>")
 
 
-ConcreteFunction.__call__.__ag_do_not_convert__ = True
-ConcreteFunction.call_flat.__ag_do_not_convert__ = True
+CompiledGraph.call_flat.__ag_do_not_convert__ = True
 
 
 def trace_concrete_function(python_function, canonical, name,

@@ -125,9 +125,8 @@ class Function:
                 line += f" serving={','.join(cf.serving_names)}"
             lines.append(line)
             if plans:
-                dump = getattr(cf, "plan_describe", None)
-                if dump is not None:
-                    lines.extend("  " + ln for ln in dump().splitlines())
+                lines.extend(
+                    "  " + ln for ln in cf.plan_describe().splitlines())
         return "\n".join(lines)
 
     # -- backend dispatch ------------------------------------------------------

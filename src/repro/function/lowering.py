@@ -31,22 +31,22 @@ import ast
 import inspect
 import re
 import textwrap
-import threading
 
 import numpy as np
 
 from ..framework import dtypes, nest
 from ..framework.eager import tape as tape_module
 from ..framework.eager.tensor import EagerTensor
-from ..framework.errors import StagingError
+from ..framework.errors import FetchError
+from ..framework.graph.func_graph import ExternalCapture
 from ..framework.graph.optimize import optimize_graph
 from ..lantern.compiler import compile_program
 from ..lantern.lowering import LanternLoweringError, lower_graph
 from ..lantern.staging import ReentrantStagingError, StagedArityError, Stager
 from . import signature as signature_lib
 from .concrete_function import classify_outputs, trace_func_graph
-from .executable import BackendBuilder, Executable, ExportError, ExportSpec, \
-    register_backend_builder
+from .executable import BackendBuilder, CompiledExecutable, ExportError, \
+    Traced, register_backend_builder
 from .tensor_spec import TensorSpec
 
 __all__ = [
@@ -274,32 +274,147 @@ def lanternize_signature(canonical):
 
 
 # ---------------------------------------------------------------------------
-# The lantern concrete function
+# The compiled half
 # ---------------------------------------------------------------------------
 
 
-class LanternConcreteFunction(Executable):
-    """One signature of a ``repro.function`` compiled to the §8 backend.
+def param_capture(param, name):
+    """``(capture, param)`` for a Param no Variable or tensor outside the
+    program feeds: a tensor capture over the Param's own storage, so
+    in-place training stays visible and a swap rebinds it like any other.
+    A ``TensorSpec`` stands in for the placeholder (only its dtype and
+    shape are ever read)."""
+    return ExternalCapture(
+        TensorSpec(param.value.shape, dtypes.float32), "tensor",
+        EagerTensor(param.value), name), param
 
-    Two construction routes, both producing a
-    :class:`~repro.lantern.CompiledProgram` cached for the signature:
 
-    - **graph-lowered**: trace with AutoGraph into a ``FuncGraph``,
-      optimize, then translate the optimized graph to Lantern IR;
-    - **staged**: stage the callable directly with a ``Stager`` (needed
-      for recursion and runtime trees), promoting re-entrant helper
-      functions to IR functions as discovery finds them.
+class CompiledLantern(CompiledExecutable):
+    """The Lantern backend's compiled half: a staged program, compiled.
+
+    Captures map onto the program's ``Param`` storage: each Param is
+    refreshed from its capture before every execution, so optimizer
+    steps and weight hot-swaps are visible with no recompilation (the
+    graph backend's capture feeds, by other means).  The program reads
+    each Param at use time, so a swap is atomic *per tensor*: a call
+    overlapping one may mix generations across Params.  ``load``
+    builds this class forward-only from a deserialized program;
+    :class:`LanternConcreteFunction` builds it, with the CPS backward
+    pass, from a trace.
     """
 
     backend = "lantern"
 
+    def __init__(self, name, input_specs, output_template, output_structure,
+                 program, entry, capture_params=(), with_grad=False):
+        super().__init__(name, input_specs, output_template,
+                         output_structure, [c for c, _ in capture_params])
+        self.program = program
+        self._fn_name = entry
+        self._capture_params = list(capture_params)
+        self._compiled = compile_program(program, with_grad=with_grad)
+
+    def _sync_captures_locked(self):
+        for entry, param in self._capture_params:
+            value = entry.resolve()
+            if value is not param.value:
+                # Rebinding (not writing into) the Param's storage keeps
+                # a concurrently executing call on the array it already
+                # read; _P was built from the old array object and must
+                # follow.
+                param.value = value = np.asarray(value, np.float32)
+                self._compiled.namespace["_P"][param.name] = value
+
+    def _sync_captures(self):
+        """Refresh the Params from their captures before executing."""
+        if self._capture_params:
+            with self._capture_lock:
+                self._sync_captures_locked()
+
+    def call_flat(self, flat_args):
+        """Run the compiled program on flat runtime arguments: one value
+        per :attr:`signature` entry — numeric arrays for ``TensorSpec``
+        slots (cast to the spec, the one argument check), tree data for
+        ``"Tree"`` slots."""
+        specs = self._input_specs
+        if len(flat_args) != len(specs):
+            raise FetchError(
+                f"{self.name!r} takes {len(specs)} argument(s), "
+                f"got {len(flat_args)}"
+            )
+        args = []
+        for value, spec in zip(flat_args, specs):
+            if isinstance(spec, TensorSpec):
+                if isinstance(value, EagerTensor):
+                    value = value.numpy()
+                try:
+                    value = np.asarray(value, dtype=spec.dtype.np_dtype)
+                except (TypeError, ValueError) as e:
+                    raise FetchError(
+                        f"{self.name!r}: argument for {spec} cannot be "
+                        f"cast to {spec.dtype.name}: {e}"
+                    ) from e
+                if not spec.shape.is_compatible_with(value.shape):
+                    raise FetchError(
+                        f"{self.name!r}: argument of shape {value.shape} "
+                        f"is incompatible with {spec}"
+                    )
+            args.append(value)
+        return self._pack_outputs(self._execute(args)[0])
+
+    def _execute(self, args):
+        """``(tensor outputs, backward continuation or None)`` of the
+        entry point on marshalled ``args``."""
+        self._sync_captures()
+        out = self._compiled.namespace[self._fn_name](*args)
+        bwd = None
+        if self._compiled.with_grad:
+            out, bwd = out[:-1], out[-1]
+        return tuple(EagerTensor(np.asarray(r)) for r in out), bwd
+
+    def _export_payload(self, freeze):
+        """Lantern programs always checkpoint Params apart from the
+        instruction payload, so ``freeze`` only controls whether the
+        artifact *advertises* the captured ones as swappable."""
+        from ..lantern.serialize import (
+            LanternSerializationError, program_to_payload)
+
+        self._sync_captures()
+        try:
+            payload, arrays = program_to_payload(self.program)
+        except LanternSerializationError as e:
+            raise ExportError(str(e)) from e
+        captures = [] if freeze else [
+            {"name": c.name, "key": payload["params"][p.name],
+             "param": p.name} for c, p in self._capture_params]
+        return {"program": payload, "entry": self._fn_name}, arrays, captures
+
+
+# ---------------------------------------------------------------------------
+# The traced half
+# ---------------------------------------------------------------------------
+
+
+class LanternConcreteFunction(Traced, CompiledLantern):
+    """One signature of a ``repro.function`` compiled to the §8 backend:
+    :class:`CompiledLantern` plus the traced half.
+
+    Two construction routes:
+
+    - **graph-lowered**: trace with AutoGraph into a ``FuncGraph``,
+      optimize, then translate the optimized graph to Lantern IR
+      (closed-over Variables / tensors become captures);
+    - **staged**: stage the callable directly with a ``Stager`` (needed
+      for recursion and runtime trees), promoting re-entrant helper
+      functions to IR functions as discovery finds them (the closure's
+      Params become captures over their own storage).
+    """
+
     def __init__(self, python_function, canonical, leaf_plan, name,
                  autograph=True, freeze_captures=False):
-        self._python_function = python_function
-        self._canonical = canonical
+        self._init_traced(python_function, canonical)
         self._leaf_plan = list(leaf_plan)
-        self._py_signature = signature_lib.signature_of(python_function)
-        self.name = name
+        self.name = name  # the routes below name the function in errors
         # The IR function name becomes a Python identifier in the
         # generated source; sanitize <lambda> and the like.
         raw = getattr(python_function, "__name__", "fn")
@@ -308,26 +423,29 @@ class LanternConcreteFunction(Executable):
             fn_name = f"fn_{fn_name}"
         self._fn_name = fn_name
         self._param_kinds = [p for p in self._leaf_plan if p != "const"]
-        # External captures (graph-lowered route only; the staged route's
-        # state carriers are lantern Params, already mutable in place).
-        self._capture_entries = []
-        self._capture_params = []
-        self._capture_lock = threading.Lock()
+        spec_iter = iter(canonical.specs)
+        input_specs = [next(spec_iter) if kind == "tensor" else "Tree"
+                       for kind in self._param_kinds]
 
-        needs_staging = ("tree" in self._param_kinds
-                         or detect_self_recursion(python_function)
-                         or closes_over_params(python_function))
-        if needs_staging:
+        if ("tree" in self._param_kinds
+                or detect_self_recursion(python_function)
+                or closes_over_params(python_function)):
             # freeze_captures does not apply here: the staged route's
             # closed-over state carriers are lantern Params, which are
             # runtime storage by construction.
             self.route = "staged"
-            self._build_staged()
+            parts = self._build_staged()
         else:
             self.route = "graph-lowered"
-            self._build_graph_lowered(autograph, freeze_captures)
+            parts = self._build_graph_lowered(autograph, freeze_captures)
+        output_template, output_structure, program, capture_params = parts
+        super().__init__(name, input_specs, output_template,
+                         output_structure, program, fn_name, capture_params,
+                         with_grad=True)
 
     # -- construction ------------------------------------------------------
+    # Each route returns ``(output_template, output_structure, program,
+    # capture_params)``.
 
     def _staged_params_and_leaves(self, stager):
         staged_params = []
@@ -393,14 +511,14 @@ class LanternConcreteFunction(Executable):
                 else:
                     n_outputs = e.actual
                 continue
-            self.program = stager.program
-            self._compiled = compile_program(stager.program, with_grad=True)
-            self._n_outputs = fdef.n_outputs
-            self._output_template = [("t", i) for i in range(fdef.n_outputs)]
-            self._output_structure = (
+            program = stager.program
+            return (
+                [("t", i) for i in range(fdef.n_outputs)],
                 tuple([None] * fdef.n_outputs) if fdef.n_outputs > 1
-                else None)
-            return
+                else None,
+                program,
+                [param_capture(p, name)
+                 for name, p in program.params.items()])
         raise LanternLoweringError(
             f"Staging {self._fn_name!r} to Lantern did not converge after "
             f"{_MAX_STAGING_ATTEMPTS} attempts (re-entrant helper or "
@@ -423,7 +541,7 @@ class LanternConcreteFunction(Executable):
                 f"{self._fn_name!r} stages stateful ops {stateful}; the "
                 "Lantern backend is purely functional — use backend='graph'"
             )
-        self._output_template, tensor_outs = classify_outputs(
+        output_template, tensor_outs = classify_outputs(
             fg, result, self.name)
         if not tensor_outs:
             raise LanternLoweringError(
@@ -431,9 +549,8 @@ class LanternConcreteFunction(Executable):
                 "outputs); there is nothing to compile for the Lantern "
                 "backend — use backend='graph'"
             )
-        self._output_structure = result
-        self._capture_entries = list(fg.external_captures)
-        capture_phs = [c.placeholder for c in self._capture_entries]
+        captures = list(fg.external_captures)
+        capture_phs = [c.placeholder for c in captures]
         anchors = tensor_outs + placeholders + capture_phs
         opt_graph, fmap = optimize_graph(fg, anchors)
         remap = fmap.__getitem__
@@ -445,21 +562,12 @@ class LanternConcreteFunction(Executable):
             name=self._fn_name,
             captures=[
                 (remap(c.placeholder), c.name, c.resolve())
-                for c in self._capture_entries
+                for c in captures
             ],
         )
-        # entry -> the Param mirroring it in the compiled program; the
-        # Param's storage is refreshed from the capture source before
-        # every execution, so optimizer steps and weight hot-swaps are
-        # visible with no recompilation (same contract as the graph
-        # backend's capture feeds).
-        self._capture_params = [
-            (c, capture_params[c.name]) for c in self._capture_entries
-            if c.name in capture_params
-        ]
-        self.program = program
-        self._compiled = compile_program(program, with_grad=True)
-        self._n_outputs = fdef.n_outputs
+        return (output_template, result, program,
+                [(c, capture_params[c.name]) for c in captures
+                 if c.name in capture_params])
 
     # -- introspection -----------------------------------------------------
 
@@ -479,180 +587,14 @@ class LanternConcreteFunction(Executable):
         return self._compiled.params
 
     @property
-    def structured_input_signature(self):
-        spec_iter = iter(self._canonical.specs)
-        out = []
-        for plan in self._leaf_plan:
-            if plan == "tensor":
-                out.append(next(spec_iter))
-            elif plan == "tree":
-                out.append("Tree")
-        return out
-
-    @property
     def variables(self):
         """The program's Params (lantern's state carriers)."""
         return list(self._compiled.params.values())
 
-    # -- captures -----------------------------------------------------------
-
-    @property
-    def captures(self):
-        """Ordered external captures (graph-lowered route; may be empty)."""
-        return list(self._capture_entries)
-
-    def capture_values(self):
-        """Current capture values (and staged-route Param values), by name."""
-        with self._capture_lock:
-            out = {c.name: np.asarray(c.resolve())
-                   for c in self._capture_entries}
-            for name, param in self._compiled.params.items():
-                out.setdefault(name, np.asarray(param.value))
-        return out
-
-    def set_capture_values(self, mapping):
-        """Atomically replace capture (or Param) values — no recompile.
-
-        Keys name either an external capture (graph-lowered route:
-        Variables / eager tensors, which are written through) or a
-        staged-route lantern Param (updated in place).
-        """
-        by_name = {c.name: c for c in self._capture_entries}
-        staged = []
-        for name, value in mapping.items():
-            entry = by_name.get(name)
-            if entry is None and name not in self._compiled.params:
-                known = sorted(set(by_name) | set(self._compiled.params))
-                raise KeyError(
-                    f"{self.name!r} has no capture or Param named "
-                    f"{name!r}; known: {known}"
-                )
-            value = np.asarray(value, np.float32)
-            # Validate every entry before writing any: a bad value in a
-            # multi-tensor swap must not leave the model half-swapped.
-            if entry is not None:
-                if not entry.placeholder.shape.is_compatible_with(
-                        value.shape):
-                    raise ValueError(
-                        f"Capture {name!r} expects shape "
-                        f"{entry.placeholder.shape}, got {value.shape}"
-                    )
-            else:
-                expect = self._compiled.params[name].value.shape
-                if value.shape != expect:
-                    raise ValueError(
-                        f"Param {name!r} expects shape {expect}, "
-                        f"got {value.shape}"
-                    )
-            staged.append((entry, name, value))
-        with self._capture_lock:
-            for entry, name, value in staged:
-                if entry is not None:
-                    if entry.kind == "variable":
-                        entry.source._state.write(value)
-                        entry.source._eager_value_cache = None
-                    else:
-                        # Rebind, don't mutate: an in-flight call keeps
-                        # the consistent array it already read.
-                        entry.source._value = value
-                else:
-                    self._rebind_param(self._compiled.params[name], value)
-            self._sync_captures_locked()
-
-    def _rebind_param(self, param, value):
-        # Rebinding (not writing into) the Param's storage keeps a
-        # concurrently executing compiled call on the array it already
-        # read; _P must follow the rebind since it was built from the
-        # old array object.
-        param.value = value
-        self._compiled.namespace["_P"][param.name] = value
-
-    def _sync_captures_locked(self):
-        for entry, param in self._capture_params:
-            value = np.asarray(entry.resolve(), np.float32)
-            if value is not param.value:
-                self._rebind_param(param, value)
-
-    def _sync_captures(self):
-        """Refresh capture Params from their sources before executing."""
-        if not self._capture_params:
-            return
-        with self._capture_lock:
-            self._sync_captures_locked()
-
-    # -- export -------------------------------------------------------------
-
-    def export_spec(self, freeze=True):
-        """Serialize the staged program with current Param values.
-
-        Lantern programs always checkpoint Params separately from the
-        instruction payload, so ``freeze`` only controls whether the
-        artifact *advertises* them as swappable captures
-        (``freeze=False``) or as baked state (``freeze=True``).
-        """
-        from ..lantern.serialize import (
-            LanternSerializationError, program_to_payload)
-
-        template, descriptor = self._export_output_parts()
-        self._sync_captures()
-        try:
-            payload, arrays = program_to_payload(self.program)
-        except LanternSerializationError as e:
-            raise ExportError(str(e)) from e
-        captures = []
-        if not freeze:
-            public = {p.name: c.name for c, p in self._capture_params}
-            for param_name, key in payload["params"].items():
-                captures.append({
-                    "name": public.get(param_name, param_name),
-                    "key": key,
-                    "param": param_name,
-                })
-        payload = {"program": payload, "entry": self._fn_name}
-        return ExportSpec(
-            backend="lantern",
-            name=self.name,
-            input_specs=list(self.structured_input_signature),
-            output_template=template,
-            output_descriptor=descriptor,
-            payload=payload,
-            arrays=arrays,
-            captures=captures,
-        )
-
-    def _check_exportable(self):
-        self._export_output_parts()
-
     # -- execution ---------------------------------------------------------
 
-    def __call__(self, *args, **kwargs):
-        canonical = signature_lib.canonicalize(
-            self._py_signature, args, kwargs)
-        canonical, _ = lanternize_signature(canonical)
-        self._check_compatible(canonical)
-        return self._call_canonical(canonical)
-
-    def _check_compatible(self, canonical):
-        _, st_mine, tokens_mine = self._canonical.key
-        _, st_theirs, tokens_theirs = canonical.key
-        if st_mine != st_theirs or len(tokens_mine) != len(tokens_theirs):
-            raise StagingError(
-                f"Lantern concrete function {self.name!r} was compiled for "
-                "a different argument structure"
-            )
-        for mine, theirs in zip(tokens_mine, tokens_theirs):
-            if mine[0] == "T" and theirs[0] == "T":
-                if not mine[1].is_compatible_with(theirs[1]):
-                    raise StagingError(
-                        f"Lantern concrete function {self.name!r} expects "
-                        f"{mine[1]}, got {theirs[1]}"
-                    )
-            elif mine != theirs:
-                raise StagingError(
-                    f"Lantern concrete function {self.name!r} was "
-                    f"specialized for argument {mine!r} but was called "
-                    f"with {theirs!r}"
-                )
+    def _rekey(self, canonical):
+        return lanternize_signature(canonical)[0]
 
     def _runtime_args(self, canonical):
         args = []
@@ -665,21 +607,13 @@ class LanternConcreteFunction(Executable):
                 args.append(leaf)
         return args
 
-    def _variable_capture_params(self):
-        return [(c, p) for c, p in self._capture_params
-                if c.kind == "variable"]
-
     def _call_canonical(self, canonical):
         tape_active = bool(tape_module._TAPE_STACK)
         # Pre-call variable values: the tape watches these eager reads.
-        var_caps = self._variable_capture_params() if tape_active else []
+        var_caps = [(c, p) for c, p in self._capture_params
+                    if c.kind == "variable"] if tape_active else []
         var_inputs = tuple(c.source.value() for c, _ in var_caps)
-        self._sync_captures()
-        out = self._compiled.namespace[self._fn_name](
-            *self._runtime_args(canonical))
-        results, bwd = out[:-1], out[-1]
-        tensor_outputs = tuple(
-            EagerTensor(np.asarray(r)) for r in results)
+        tensor_outputs, bwd = self._execute(self._runtime_args(canonical))
         if tape_active and tensor_outputs:
             eager_inputs = tuple(
                 leaf if isinstance(leaf, EagerTensor)
@@ -693,22 +627,6 @@ class LanternConcreteFunction(Executable):
                 eager_inputs, tensor_outputs)
         return self._pack_outputs(tensor_outputs)
 
-    def call_flat(self, flat_args):
-        """Run the compiled program on flat runtime arguments.
-
-        ``flat_args`` holds one value per :attr:`signature` entry —
-        numeric arrays for ``TensorSpec`` slots, tree data for ``"Tree"``
-        slots — mirroring the graph backend's ``call_flat``.
-        """
-        self._sync_captures()
-        out = self._compiled.namespace[self._fn_name](*[
-            a.numpy() if isinstance(a, EagerTensor) else a
-            for a in flat_args
-        ])
-        results = out[:-1]
-        tensor_outputs = tuple(EagerTensor(np.asarray(r)) for r in results)
-        return self._pack_outputs(tensor_outputs)
-
     def call_with_grad(self, *args, seed=1.0, **kwargs):
         """Forward + CPS backward in one shot, without a tape.
 
@@ -716,18 +634,11 @@ class LanternConcreteFunction(Executable):
         ``seed`` and syncs accumulated gradients onto the Params (read
         them via :attr:`params`).  Returns the forward outputs.
         """
-        canonical = signature_lib.canonicalize(
-            self._py_signature, args, kwargs)
-        canonical, _ = lanternize_signature(canonical)
-        self._check_compatible(canonical)
-        self._sync_captures()
-        out = self._compiled.namespace[self._fn_name](
-            *self._runtime_args(canonical))
-        results, bwd = out[:-1], out[-1]
+        tensor_outputs, bwd = self._execute(
+            self._runtime_args(self._canonicalize(args, kwargs)))
         self._compiled.zero_grads()
-        bwd(*([seed] * len(results)))
+        bwd(*([seed] * len(tensor_outputs)))
         self._compiled.sync_param_grads()
-        tensor_outputs = tuple(EagerTensor(np.asarray(r)) for r in results)
         return self._pack_outputs(tensor_outputs)
 
     def zero_grads(self):
@@ -770,8 +681,7 @@ class LanternConcreteFunction(Executable):
                 f"functions={list(self.program.functions)}>")
 
 
-LanternConcreteFunction.__call__.__ag_do_not_convert__ = True
-LanternConcreteFunction.call_flat.__ag_do_not_convert__ = True
+CompiledLantern.call_flat.__ag_do_not_convert__ = True
 LanternConcreteFunction.call_with_grad.__ag_do_not_convert__ = True
 
 

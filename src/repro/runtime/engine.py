@@ -138,7 +138,13 @@ class BoundPlan:
                 self._arg_binds, args):
             if np_dtype is not None:
                 if type(a) is not np.ndarray or a.dtype != np_dtype:
-                    a = np.asarray(a, dtype=np_dtype)
+                    try:
+                        a = np.asarray(a, dtype=np_dtype)
+                    except (TypeError, ValueError) as e:
+                        raise FetchError(
+                            f"Feed for {name!r} cannot be cast to "
+                            f"{np_dtype}: {e}"
+                        ) from e
                 if exact is not None:
                     if a.shape != exact:
                         raise FetchError(

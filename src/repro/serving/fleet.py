@@ -425,8 +425,7 @@ class FleetServer:
                     f"duplicate registration of {name!r} version {label!r}"
                 )
             executable = load(reg["path"])
-            specs = getattr(executable, "capture_specs", None)
-            if specs is not None and specs():
+            if executable.capture_specs():
                 self._stores[(name, label)] = SharedWeightStore(
                     f"{self._namespace}s{i}", create=True,
                     initial=executable.capture_values(),

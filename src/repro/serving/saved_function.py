@@ -10,32 +10,33 @@ SavedModel move, for both backends:
 
 The artifact is a directory holding ``saved_function.json`` (signature,
 output structure, backend payload) and ``arrays.npz`` (every ndarray the
-payload references).  ``load(path)`` rehydrates it into an
-:class:`~repro.function.Executable` without retracing — no AutoGraph, no
-Python source, no Variables required in the loading process — so the
-same artifact answers ``call_flat`` (and serves through
-:class:`~repro.serving.ModelServer`) whichever backend produced it.
+payload references).  ``load(path)`` rebuilds the *compiled half* of the
+executable that was saved — the very class its backend's traces are
+built on (``CompiledGraph`` / ``CompiledLantern``, see
+:mod:`repro.function.executable`) — without retracing: no AutoGraph, no
+Python source, no Variables required in the loading process.  The same
+artifact answers ``call_flat`` (and serves through
+:class:`~repro.serving.ModelServer`) whichever backend produced it,
+hot-swaps its captures if it was saved with ``freeze=False``, and
+re-exports (``load(save(load(p)))`` is the identity).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import threading
 
 import numpy as np
 
 from ..framework.eager.tensor import EagerTensor
 from ..function.executable import (
-    Executable,
     ExportError,
-    ExportSpec,
     descriptor_to_structure,
     resolve_executable,
 )
 from ..function.tensor_spec import TensorSpec
 
-__all__ = ["save", "load", "LoadedExecutable"]
+__all__ = ["save", "load"]
 
 SPEC_FILE = "saved_function.json"
 ARRAYS_FILE = "arrays.npz"
@@ -126,339 +127,14 @@ def save(fn, path, *args, freeze=True, **kwargs):
 # ---------------------------------------------------------------------------
 
 
-class LoadedExecutable(Executable):
-    """An :class:`Executable` rehydrated from a saved artifact.
-
-    ``variables`` is empty — loaded state is either frozen into the
-    payload or held as named *captures* (non-frozen artifacts), which
-    :meth:`set_capture_values` can hot-swap without retracing.
-    ``export_spec`` re-serializes, making artifacts round-trip
-    (``load(save(load(p)))`` is the identity).
-    """
-
-    def __init__(self, name, input_specs, output_template, output_descriptor):
-        self.name = name
-        self._input_specs = list(input_specs)
-        self._output_template = [tuple(leaf) for leaf in output_template]
-        self._output_descriptor = output_descriptor
-        self._output_structure = descriptor_to_structure(output_descriptor)
-
-    @property
-    def structured_input_signature(self):
-        return list(self._input_specs)
-
-    @property
-    def variables(self):
-        return []
-
-    def __call__(self, *args):
-        """Convenience: positional flat runtime arguments."""
-        return self.call_flat(list(args))
-
-    def _cast_args(self, flat_args):
-        if len(flat_args) != len(self._input_specs):
-            raise ValueError(
-                f"{self.name!r} takes {len(self._input_specs)} arguments, "
-                f"got {len(flat_args)}"
-            )
-        cast = []
-        for value, spec in zip(flat_args, self._input_specs):
-            if isinstance(spec, TensorSpec):
-                if isinstance(value, EagerTensor):
-                    value = value.numpy()
-                value = np.asarray(value, dtype=spec.dtype.np_dtype)
-                if not spec.shape.is_compatible_with(value.shape):
-                    raise ValueError(
-                        f"{self.name!r}: argument of shape {value.shape} is "
-                        f"incompatible with {spec}"
-                    )
-            cast.append(value)
-        return cast
-
-    def _export_spec_from_parts(self, backend, payload, arrays):
-        return ExportSpec(
-            backend=backend,
-            name=self.name,
-            input_specs=list(self._input_specs),
-            output_template=list(self._output_template),
-            output_descriptor=self._output_descriptor,
-            payload=payload,
-            arrays=arrays,
-        )
-
-    def __repr__(self):
-        return (f"<{type(self).__name__} {self.name!r} "
-                f"inputs={self._input_specs}>")
-
-
-class _LoadedGraphExecutable(LoadedExecutable):
-    """A deserialized graph signature bound once to a runtime plan.
-
-    The rebuilt graph compiles into one
-    :class:`~repro.runtime.ExecutionPlan` at load time, with the
-    artifact's inputs (and trailing capture placeholders) bound to
-    positional slots — every ``call_flat`` is a slot-addressed
-    ``execute_flat``, the same fast path a live ``ConcreteFunction``
-    uses; no per-request feed dicts or plan-cache keys.
-
-    Loaded from a non-frozen artifact, the trailing graph inputs are
-    capture placeholders: their values live in ``_capture_state`` (a
-    tuple, rebound atomically by :meth:`set_capture_values`) and feed
-    every run — weight hot-swaps are atomic under in-flight requests.
-    """
-
-    backend = "graph"
-
-    def __init__(self, name, input_specs, output_template,
-                 output_descriptor, graph, inputs, outputs, captures=(),
-                 capture_values=()):
-        super().__init__(name, input_specs, output_template,
-                         output_descriptor)
-        from ..runtime import BoundPlan, compile_plan
-
-        self._graph = graph
-        n_caps = len(captures)
-        self._inputs = inputs[:len(inputs) - n_caps]
-        self._capture_inputs = inputs[len(inputs) - n_caps:]
-        self._capture_names = [c["name"] for c in captures]
-        self._capture_state = tuple(
-            np.asarray(v) for v in capture_values)
-        self._outputs = outputs
-        # Serializes swap read-modify-writes; readers (call_flat) just
-        # snapshot the tuple attribute and need no lock.
-        self._swap_lock = threading.Lock()
-        self._bound = BoundPlan(
-            compile_plan(graph, outputs, inputs), inputs)
-
-    @property
-    def captures(self):
-        return list(self._capture_names)
-
-    def capture_values(self):
-        state = self._capture_state
-        return dict(zip(self._capture_names, state))
-
-    def set_capture_values(self, mapping):
-        """Atomically swap capture values (one tuple rebind, no retrace).
-
-        The read-modify-write is serialized behind a lock so concurrent
-        swappers of *different* captures cannot silently drop each
-        other's update; in-flight calls keep whichever whole tuple they
-        snapshotted.
-        """
-        index = {n: i for i, n in enumerate(self._capture_names)}
-        with self._swap_lock:
-            state = list(self._capture_state)
-            for name, value in mapping.items():
-                if name not in index:
-                    raise KeyError(
-                        f"{self.name!r} has no capture named {name!r}; "
-                        f"captures: {sorted(index)}"
-                    )
-                i = index[name]
-                value = np.asarray(value, dtype=state[i].dtype)
-                ph = self._capture_inputs[i]
-                if not ph.shape.is_compatible_with(value.shape):
-                    raise ValueError(
-                        f"Capture {name!r} expects shape {ph.shape}, "
-                        f"got {value.shape}"
-                    )
-                state[i] = value
-            self._capture_state = tuple(state)
-
-    def capture_specs(self):
-        """``[(name, np.dtype, static shape)]`` per capture, in state
-        order — what a shared-memory store needs to validate a rebind."""
-        return [
-            (name, ph.dtype.np_dtype, ph.shape.dims)
-            for name, ph in zip(self._capture_names, self._capture_inputs)
-        ]
-
-    def set_capture_state(self, arrays):
-        """Rebind the *whole* capture tuple to ``arrays`` without copying.
-
-        The fleet's shared-memory hot-swap path: ``arrays`` are typically
-        read-only ndarray views into one shared generation segment, and
-        this method validates dtype/shape then performs the same single
-        atomic tuple rebind as :meth:`set_capture_values` — but with zero
-        per-worker copies (``set_capture_values`` casts through
-        ``np.asarray`` per capture, which would materialize every weight
-        matrix N times fleet-wide).
-        """
-        arrays = tuple(arrays)
-        if len(arrays) != len(self._capture_names):
-            raise ValueError(
-                f"{self.name!r} has {len(self._capture_names)} captures, "
-                f"got {len(arrays)} arrays"
-            )
-        for name, ph, value in zip(self._capture_names,
-                                   self._capture_inputs, arrays):
-            if value.dtype != ph.dtype.np_dtype:
-                raise ValueError(
-                    f"Capture {name!r} expects dtype "
-                    f"{ph.dtype.np_dtype}, got {value.dtype}"
-                )
-            if not ph.shape.is_compatible_with(value.shape):
-                raise ValueError(
-                    f"Capture {name!r} expects shape {ph.shape}, "
-                    f"got {value.shape}"
-                )
-        with self._swap_lock:
-            self._capture_state = arrays
-
-    def engine_stats(self):
-        """Bound-plan info for serving observability."""
-        return {"bound_plan": self._bound.describe()}
-
-    def call_flat(self, flat_args):
-        args = self._cast_args(flat_args)
-        if self._capture_inputs:
-            # One snapshot per call: a concurrent swap lands wholly
-            # before or wholly after this run.
-            args = args + list(self._capture_state)
-        fetched = self._bound.execute_flat(args)
-        tensor_outputs = tuple(EagerTensor(v) for v in fetched)
-        return self._pack_outputs(tensor_outputs)
-
-    def export_spec(self, freeze=True):
-        from ..framework.graph.serialize import graph_to_def
-
-        state = self._capture_state
-        captures = []
-        arrays = {}
-        if freeze and self._capture_inputs:
-            graph_def, arrays = graph_to_def(
-                self._graph, self._inputs, self._outputs,
-                freeze_placeholders=dict(zip(self._capture_inputs, state)),
-            )
-        else:
-            for i, (name, value) in enumerate(
-                    zip(self._capture_names, state)):
-                key = f"capture_{i}"
-                arrays[key] = value
-                captures.append({"name": name, "key": key})
-            graph_def, arrays = graph_to_def(
-                self._graph, self._inputs + self._capture_inputs,
-                self._outputs, arrays=arrays)
-        spec = self._export_spec_from_parts(
-            "graph", {"graph_def": graph_def}, arrays)
-        spec.captures = captures
-        return spec
-
-
-class _LoadedLanternExecutable(LoadedExecutable):
-    """A deserialized lantern program, recompiled forward-only.
-
-    Non-frozen artifacts advertise their Params as named captures;
-    :meth:`set_capture_values` swaps each Param's storage (per-tensor
-    atomic — a running call keeps the array object it already read).
-    """
-
-    backend = "lantern"
-
-    def __init__(self, name, input_specs, output_template,
-                 output_descriptor, program, entry, captures=()):
-        super().__init__(name, input_specs, output_template,
-                         output_descriptor)
-        from ..lantern.compiler import compile_program
-
-        self._program = program
-        self._entry = entry
-        self._compiled = compile_program(program, with_grad=False)
-        self._capture_to_param = {c["name"]: c["param"] for c in captures}
-
-    @property
-    def captures(self):
-        return list(self._capture_to_param)
-
-    def capture_values(self):
-        values = self._compiled.namespace["_P"]
-        return {name: np.asarray(values[param])
-                for name, param in self._capture_to_param.items()}
-
-    def set_capture_values(self, mapping):
-        """Swap Param values (atomic per tensor, no recompilation)."""
-        values = self._compiled.namespace["_P"]
-        staged = []
-        for name, value in mapping.items():
-            param = self._capture_to_param.get(name)
-            if param is None:
-                raise KeyError(
-                    f"{self.name!r} has no capture named {name!r}; "
-                    f"captures: {sorted(self._capture_to_param)}"
-                )
-            old = values[param]
-            value = np.asarray(value, dtype=np.float32)
-            if value.shape != old.shape:
-                raise ValueError(
-                    f"Capture {name!r} expects shape {old.shape}, "
-                    f"got {value.shape}"
-                )
-            staged.append((param, value))
-        for param, value in staged:
-            # Rebind (don't mutate in place): an in-flight call that
-            # already read the old array keeps a consistent tensor.
-            values[param] = value
-            self._compiled.params[param].value = value
-
-    def capture_specs(self):
-        """``[(name, np.dtype, shape)]`` per capture, in state order."""
-        values = self._compiled.namespace["_P"]
-        return [
-            (name, values[param].dtype, values[param].shape)
-            for name, param in self._capture_to_param.items()
-        ]
-
-    def set_capture_state(self, arrays):
-        """Rebind every Param to ``arrays`` (:meth:`capture_specs` order).
-
-        Already-float32 ndarrays (e.g. shared-memory views) rebind
-        without copying.  Note lantern swaps are atomic *per tensor*:
-        the program reads each Param at use time, so a call overlapping
-        a swap may mix generations across different Params (the graph
-        backend's whole-tuple snapshot does not).
-        """
-        names = list(self._capture_to_param)
-        if len(arrays) != len(names):
-            raise ValueError(
-                f"{self.name!r} has {len(names)} captures, got "
-                f"{len(arrays)} arrays"
-            )
-        self.set_capture_values(dict(zip(names, arrays)))
-
-    def call_flat(self, flat_args):
-        out = self._compiled.namespace[self._entry](
-            *self._cast_args(flat_args))
-        tensor_outputs = tuple(EagerTensor(np.asarray(r)) for r in out)
-        return self._pack_outputs(tensor_outputs)
-
-    def export_spec(self, freeze=True):
-        from ..lantern.serialize import program_to_payload
-
-        payload, arrays = program_to_payload(self._program)
-        captures = []
-        if not freeze:
-            param_keys = payload["params"]
-            to_param = self._capture_to_param or {
-                name: name for name in param_keys
-            }
-            for name, param in to_param.items():
-                captures.append({
-                    "name": name, "key": param_keys[param], "param": param,
-                })
-        spec = self._export_spec_from_parts(
-            "lantern", {"program": payload, "entry": self._entry}, arrays)
-        spec.captures = captures
-        return spec
-
-
 def load(path):
-    """Rehydrate a :func:`save` artifact into an :class:`Executable`.
+    """Rehydrate a :func:`save` artifact into its backend's compiled
+    executable.
 
     No retracing happens: the graph route rebuilds the serialized graph
     and binds a fresh ``repro.runtime`` execution plan to positional
-    slots, the lantern route re-runs code generation on the deserialized
-    program.
+    slots, the lantern route re-runs code generation (forward only) on
+    the deserialized program.
     """
     spec_path = os.path.join(path, SPEC_FILE)
     try:
@@ -485,26 +161,36 @@ def load(path):
         doc["name"],
         [_decode_input_spec(s) for s in doc["input_specs"]],
         doc["output_template"],
-        doc["output_descriptor"],
+        descriptor_to_structure(doc["output_descriptor"]),
     )
     captures = doc.get("captures", [])
     backend = doc["backend"]
     if backend == "graph":
+        from ..framework.graph.func_graph import ExternalCapture
         from ..framework.graph.serialize import (
             GraphSerializationError, graph_from_def)
+        from ..function.concrete_function import CompiledGraph
 
         try:
             graph, inputs, outputs = graph_from_def(
                 doc["payload"]["graph_def"], arrays)
         except GraphSerializationError as e:
             raise ExportError(str(e)) from e
-        return _LoadedGraphExecutable(
-            *common, graph, inputs, outputs, captures=captures,
-            capture_values=[arrays[c["key"]] for c in captures])
+        # The trailing graph inputs are the capture placeholders; each
+        # is fed from an eager tensor holding its checkpoint array, the
+        # way a live trace feeds a closed-over tensor.
+        return CompiledGraph(*common, [
+            ExternalCapture(ph, "tensor", EagerTensor(arrays[c["key"]]),
+                            c["name"])
+            for ph, c in zip(inputs[len(inputs) - len(captures):], captures)
+        ], graph, inputs, outputs)
     if backend == "lantern":
+        from ..function.lowering import CompiledLantern, param_capture
         from ..lantern.serialize import program_from_payload
 
         program = program_from_payload(doc["payload"]["program"], arrays)
-        return _LoadedLanternExecutable(
-            *common, program, doc["payload"]["entry"], captures=captures)
+        return CompiledLantern(
+            *common, program, doc["payload"]["entry"],
+            [param_capture(program.params[c["param"]], c["name"])
+             for c in captures])
     raise ExportError(f"Unknown saved-function backend {backend!r}")

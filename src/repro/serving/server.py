@@ -317,9 +317,9 @@ class _Endpoint:
         if self.canary is not None:
             info["canary"] = {"version": self.canary[0],
                               "fraction": self.canary[1]}
-        engine_stats = getattr(executable, "engine_stats", None)
-        if engine_stats is not None:
-            info["engine"] = engine_stats()
+        engine = executable.engine_stats()
+        if engine:
+            info["engine"] = engine
         if version.batcher is not None:
             info["batch_stats"] = version.batcher.stats._asdict()
         return info

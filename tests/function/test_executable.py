@@ -1,4 +1,5 @@
-"""The backend-neutral ``Executable`` protocol: both backends, one surface."""
+"""The backend-neutral ``Executable`` protocol: both backends, one surface
+(the per-construction contract is ``test_executable_contract.py``)."""
 
 import threading
 
@@ -25,23 +26,6 @@ def _concrete(backend):
         return ops.tanh(ops.matmul(x, W))
 
     return f.get_concrete_function(repro.TensorSpec([None, 3], "float32"))
-
-
-@pytest.mark.parametrize("backend", ["graph", "lantern"])
-def test_protocol_conformance(backend):
-    cf = _concrete(backend)
-    assert isinstance(cf, Executable)
-    assert cf.backend == backend
-    (spec,) = cf.signature
-    assert spec.dtype.name == "float32"
-    x = np.random.default_rng(1).normal(size=(4, 3)).astype(np.float32)
-    np.testing.assert_allclose(
-        cf.call_flat([x]).numpy(), np.tanh(x @ W), rtol=1e-5, atol=1e-6)
-    spec = cf.export_spec()
-    assert spec.backend == backend
-    assert spec.output_template == [("t", 0)]
-    ok, reason = cf.export_compatibility()
-    assert ok and reason == ""
 
 
 def test_call_flat_interchangeable_across_backends():
@@ -72,6 +56,42 @@ def test_variables_property_per_backend():
     lcf = scaled.get_concrete_function(
         repro.TensorSpec([1, 2], "float32"))
     assert lcf.variables == [p]
+
+
+def _assigning(kind, u, v):
+    if kind == "top-level":
+        def f(x, n):
+            v.assign(x)
+            return x + u
+    elif kind == "cond":
+        def f(x, n):
+            if n > 0:
+                v.assign(x)
+            return x + u
+    else:
+        def f(x, n):
+            i = np.int32(0)
+            while i < n:
+                v.assign_add(x)
+                i += 1
+            return x + u
+    return repro.function(f)
+
+
+@pytest.mark.parametrize("kind", ["top-level", "cond", "while"])
+def test_variables_lists_a_variable_the_trace_only_assigns(kind):
+    u = fw.Variable(np.ones(2, np.float32), name=f"read_{kind}")
+    v = fw.Variable(np.zeros(2, np.float32), name=f"assigned_{kind}")
+    f = _assigning(kind, u, v)
+    x = np.full(2, 2.0, np.float32)
+    cf = f.get_concrete_function(x, np.int32(3))
+    assert cf.variables == [u, v]
+    np.testing.assert_array_equal(f(x, np.int32(3)).numpy(), [3.0, 3.0])
+    np.testing.assert_array_equal(
+        v.numpy(), [6.0, 6.0] if kind == "while" else [2.0, 2.0])
+    # What names the trace's state says so in both places.
+    ok, reason = cf.export_compatibility()
+    assert not ok and v.name in reason and v.name in f.pretty_cache()
 
 
 def test_backend_builders_registered():

@@ -33,26 +33,9 @@ def _linear(backend, w0=2.0, b0=0.0):
 
 
 # ---------------------------------------------------------------------------
-# Non-frozen save -> load round trips
+# Non-frozen save -> load round trips (call / swap / validation on every
+# construction: tests/function/test_executable_contract.py)
 # ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("backend", ["graph", "lantern"])
-def test_nonfrozen_roundtrip_and_swap(backend, tmp_path):
-    predict, w, b = _linear(backend)
-    spec = repro.TensorSpec([None, 3], "float32")
-    path = str(tmp_path / "m")
-    save(predict, path, spec, freeze=False)
-    loaded = load(path)
-    x = np.ones((1, 3), np.float32)
-    np.testing.assert_allclose(
-        loaded.call_flat([x]).numpy(), [[6.0]], rtol=1e-6)
-    # The loaded artifact's weights swap without reloading or retracing.
-    loaded.set_capture_values({w.name: np.full((3, 1), 5.0, np.float32)})
-    np.testing.assert_allclose(
-        loaded.call_flat([x]).numpy(), [[15.0]], rtol=1e-6)
-    # ... and the exporting process's variables are untouched.
-    np.testing.assert_allclose(w.numpy(), 2.0)
 
 
 @pytest.mark.parametrize("backend", ["graph", "lantern"])
@@ -63,7 +46,9 @@ def test_nonfrozen_artifact_reexports(backend, tmp_path):
     first = load(str(tmp_path / "a"))
     save(first, str(tmp_path / "b"), freeze=False)
     second = load(str(tmp_path / "b"))
-    assert sorted(second.captures) == sorted(first.captures)
+    assert (sorted(c.name for c in second.captures)
+            == sorted(c.name for c in first.captures)
+            == sorted([w.name, b.name]))
     x = np.ones((2, 3), np.float32)
     np.testing.assert_allclose(
         second.call_flat([x]).numpy(), first.call_flat([x]).numpy(),
