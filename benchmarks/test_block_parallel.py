@@ -65,7 +65,7 @@ def _unfused_twin(cf):
     return BoundPlan(
         compile_plan(lowered.graph, list(lowered.fetches), feeds,
                      fuse=False),
-        feeds, cf._scheduler)
+        feeds, cf._bound.scheduler)
 
 
 def _best_per_call(call, arg, calls, repeats):

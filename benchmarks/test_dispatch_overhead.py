@@ -81,8 +81,13 @@ def test_fast_path_beats_legacy_feed_dict(results):
     run_legacy(10)
     run_fast(10)
 
-    legacy = _best_per_call(run_legacy, CALLS, REPEATS)
-    fast = _best_per_call(run_fast, CALLS, REPEATS)
+    # Interleaved rounds, best of each side: this VM's speed drifts by
+    # 30% between two sequential timing blocks, and Session is a thin
+    # adapter over the same BoundPlan (~1.7x), not far above the bar.
+    legacy = fast = float("inf")
+    for _ in range(2 * REPEATS):
+        legacy = min(legacy, _best_per_call(run_legacy, CALLS // 2, 1))
+        fast = min(fast, _best_per_call(run_fast, CALLS // 2, 1))
     speedup = legacy / fast
 
     results.record(TABLE, "legacy Session.run feed dict", "per-call us",

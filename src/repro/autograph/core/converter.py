@@ -1,4 +1,4 @@
-"""Conversion options and the shared analysis runner (paper §7).
+"""The shared analysis runner (paper §7).
 
 Each conversion pass that needs dataflow facts re-runs the static
 analyses over the (possibly already partially transformed) tree — this is
@@ -10,27 +10,7 @@ from __future__ import annotations
 from ..pyct import cfg, qual_names
 from ..pyct.static_analysis import activity, liveness, reaching_definitions
 
-__all__ = ["ConversionOptions", "analyze"]
-
-
-class ConversionOptions:
-    """User-facing knobs of the conversion.
-
-    Attributes:
-      recursive: convert functions called by converted functions.
-      convert_lambdas: attempt source conversion of lambdas.
-      internal_convert_user_code: escape hatch used by tests.
-    """
-
-    def __init__(self, recursive=True, convert_lambdas=True):
-        self.recursive = recursive
-        self.convert_lambdas = convert_lambdas
-
-    def __repr__(self):
-        return (
-            f"ConversionOptions(recursive={self.recursive}, "
-            f"convert_lambdas={self.convert_lambdas})"
-        )
+__all__ = ["analyze"]
 
 
 def analyze(node):

@@ -15,7 +15,6 @@ import warnings
 
 from .. import errors
 from ..core.config import is_allowlisted_module
-from ..core.converter import ConversionOptions
 from ..operators import dispatch as op_dispatch
 from ..operators import py_builtins
 from . import conversion
@@ -34,14 +33,14 @@ def do_not_convert(fn):
     return fn
 
 
-def _converted_entity(fn, options):
+def _converted_entity(fn):
     """The converted form of ``fn`` (converting its code on first sight)."""
     converted = fn.__dict__.get("__ag_converted__")
     # functools.wraps copies __dict__: only trust our own entry.
     if converted is None or converted.__wrapped_original__ is not fn:
         record = _CONVERSION_CACHE.get(fn.__code__)
         if record is None:
-            record = conversion.convert_entity(fn, options)
+            record = conversion.convert_entity(fn)
             _CONVERSION_CACHE[fn.__code__] = record
         converted = fn.__ag_converted__ = conversion.instantiate(record, fn)
     return converted
@@ -66,7 +65,7 @@ def _should_convert(f):
     return True
 
 
-def converted_call(f, args=(), kwargs=None, options=None):
+def converted_call(f, args=(), kwargs=None):
     """Call ``f``, converting it first when appropriate.
 
     This is the overload substituted for every call site (§7.2): builtins
@@ -74,7 +73,6 @@ def converted_call(f, args=(), kwargs=None, options=None):
     else is called as-is.
     """
     kwargs = kwargs or {}
-    options = options or ConversionOptions()
 
     # Replaced builtins (print, len, range, int, float).
     overload = py_builtins.overload_of(f)
@@ -99,29 +97,29 @@ def converted_call(f, args=(), kwargs=None, options=None):
 
     # Bound methods: convert the underlying function, pass self explicitly.
     if inspect.ismethod(f):
-        if _should_convert(f.__func__) and options.recursive:
-            converted = _try_convert(f.__func__, options)
+        if _should_convert(f.__func__):
+            converted = _try_convert(f.__func__)
             if converted is not None:
                 return converted(f.__self__, *args, **kwargs)
         return f(*args, **kwargs)
 
     if inspect.isfunction(f):
-        if options.recursive and _should_convert(f):
-            converted = _try_convert(f, options)
+        if _should_convert(f):
+            converted = _try_convert(f)
             if converted is not None:
                 return converted(*args, **kwargs)
         return f(*args, **kwargs)
 
     # Callable objects: route through their (possibly convertible) __call__.
     if callable(f) and hasattr(f, "__call__") and inspect.ismethod(f.__call__):
-        return converted_call(f.__call__, args, kwargs, options)
+        return converted_call(f.__call__, args, kwargs)
 
     return f(*args, **kwargs)
 
 
-def _try_convert(f, options):
+def _try_convert(f):
     try:
-        return _converted_entity(f, options)
+        return _converted_entity(f)
     except errors.ConversionError as e:
         _FAILED_CONVERSIONS.add(f.__code__)
         warnings.warn(
@@ -132,26 +130,26 @@ def _try_convert(f, options):
         return None
 
 
-def to_graph(f, recursive=True):
+def to_graph(f):
     """Convert ``f`` now and return the converted function (paper §5).
 
-    Entities passed directly are always converted (Appendix E footnote b).
+    Entities passed directly are always converted (Appendix E footnote
+    b); the functions they call are converted when first called.
     """
-    options = ConversionOptions(recursive=recursive)
     original = getattr(f, "__ag_original__", None)
     if original is not None:
         f = original
     if inspect.ismethod(f):
-        converted = _converted_entity(f.__func__, options)
+        converted = _converted_entity(f.__func__)
         return functools.partial(converted, f.__self__)
     if not inspect.isfunction(f):
         raise errors.ConversionError(
             f"to_graph requires a function or method, got {type(f).__name__}"
         )
-    return _converted_entity(f, options)
+    return _converted_entity(f)
 
 
-def convert(recursive=True):
+def convert():
     """The function decorator of Listing 1: ``@ag.convert()``.
 
     Conversion happens lazily on first call and is cached; errors raised
@@ -160,11 +158,9 @@ def convert(recursive=True):
     """
 
     def decorator(f):
-        options = ConversionOptions(recursive=recursive)
-
         @functools.wraps(f)
         def wrapper(*args, **kwargs):
-            converted = _converted_entity(f, options)
+            converted = _converted_entity(f)
             try:
                 return converted(*args, **kwargs)
             except errors.AutoGraphError:

@@ -25,7 +25,6 @@ import inspect
 import types
 
 from .. import converters, errors, operators
-from ..core.converter import ConversionOptions
 from ..pyct import loader, origin_info, parser, transformer
 
 __all__ = ["convert_entity", "instantiate", "is_generated_file", "GENERATED_PREFIX"]
@@ -73,7 +72,7 @@ def instantiate(record, fn):
     return converted
 
 
-def convert_entity(fn, options=None):
+def convert_entity(fn):
     """Convert a live function's code into its staged form.
 
     Returns:
@@ -83,8 +82,6 @@ def convert_entity(fn, options=None):
     Raises:
       errors.ConversionError: when the source cannot be obtained/converted.
     """
-    options = options or ConversionOptions()
-
     try:
         node, source = parser.parse_entity(fn)
     except parser.ConversionSourceError as e:

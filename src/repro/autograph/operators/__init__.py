@@ -8,7 +8,6 @@ tensor-like, and fall back to plain Python semantics otherwise.
 
 from .control_flow import for_stmt, if_exp, if_stmt, while_stmt
 from .data_structures import (
-    ListPopOpts,
     list_append,
     list_pop,
     list_stack,
@@ -37,14 +36,14 @@ from .variables import Undefined, UndefinedReturnValue, ld, ldu
 _api = None
 
 
-def converted_call(f, args=(), kwargs=None, options=None):
+def converted_call(f, args=(), kwargs=None):
     """Forward to :func:`repro.autograph.impl.api.converted_call`."""
     global _api
     if _api is None:
         from ..impl import api as _api_module
 
         _api = _api_module
-    return _api.converted_call(f, args, kwargs, options)
+    return _api.converted_call(f, args, kwargs)
 
 __all__ = [
     "converted_call",
@@ -66,7 +65,6 @@ __all__ = [
     "list_append",
     "list_pop",
     "list_stack",
-    "ListPopOpts",
     "get_item",
     "set_item",
     "print_",

@@ -23,16 +23,7 @@ __all__ = [
     "list_append",
     "list_pop",
     "list_stack",
-    "ListPopOpts",
 ]
-
-
-class ListPopOpts:
-    """Options carrier for list pops (element dtype/shape hints)."""
-
-    def __init__(self, element_dtype=None, element_shape=None):
-        self.element_dtype = element_dtype
-        self.element_shape = element_shape
 
 
 def new_list(iterable=None):
@@ -86,7 +77,7 @@ register_op("TensorArrayPop", _ta_pop_kernel, num_outputs=2,
             dtype_fn=lambda dts, attrs: [dtypes.variant, dtypes.variant])
 
 
-def list_pop(list_, i=None, opts=None):
+def list_pop(list_, i=None):
     """Overload of ``x = l.pop()``: returns ``(new_list, popped_value)``."""
     if isinstance(list_, TensorArray):
         if i is not None:
@@ -94,7 +85,8 @@ def list_pop(list_, i=None, opts=None):
         from repro.framework.ops import dispatch as fw_dispatch
 
         flow, value = fw_dispatch.run_op("TensorArrayPop", [list_.flow], {})
-        return TensorArray._from_flow(list_.element_dtype, flow), value
+        return TensorArray(list_.element_dtype, flow=flow,
+                           element_shape=list_.element_shape), value
     if isinstance(list_, list):
         value = list_.pop() if i is None else list_.pop(i)
         return list_, value

@@ -153,10 +153,13 @@ def numpy_result_dtype(fn, np_dtypes):
 def numpy_dtype_fn(fn):
     """An ``OpDef.dtype_fn`` declaring what ``fn`` returns
     (:func:`numpy_result_dtype`), normalized by :func:`from_numpy`;
-    ``variant`` — decided at run time — where NumPy names no dtype."""
+    ``variant`` — decided at run time — where NumPy names no dtype or
+    one the framework has no name for (``exp(bool)`` is float16)."""
 
     def dtype_fn(input_dtypes, attrs):
         out = numpy_result_dtype(fn, tuple(dt.np_dtype for dt in input_dtypes))
-        return [variant if out is None else from_numpy(out)]
+        if out is None or out == np.float16:
+            return [variant]
+        return [from_numpy(out)]
 
     return dtype_fn

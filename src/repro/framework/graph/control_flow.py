@@ -34,25 +34,21 @@ __all__ = ["cond", "while_loop"]
 
 
 def _expand_composites(flat_values):
-    """Map composite values to flow tensors; return (flat, rebuilders)."""
+    """Map composite values to flow tensors; returns ``(flat, handles)``
+    with the ``TensorArray`` (else ``None``) each value came from."""
     from .tensor_array import TensorArray
 
-    expanded = []
-    rebuilders = []
-    for v in flat_values:
-        if isinstance(v, TensorArray):
-            expanded.append(v.flow)
-            dtype = v.element_dtype
-            rebuilders.append(lambda flow, _dt=dtype: TensorArray._from_flow(_dt, flow))
-        else:
-            expanded.append(v)
-            rebuilders.append(None)
-    return expanded, rebuilders
+    handles = [v if isinstance(v, TensorArray) else None for v in flat_values]
+    return [v if h is None else h.flow
+            for v, h in zip(flat_values, handles)], handles
 
 
-def _rebuild_composites(flat_values, rebuilders):
+def _rebuild_composites(flat_values, handles):
+    """Re-wrap flow values as their handle's kind of ``TensorArray``."""
     return [
-        rb(v) if rb is not None else v for v, rb in zip(flat_values, rebuilders)
+        v if h is None
+        else type(h)(h.element_dtype, flow=v, element_shape=h.element_shape)
+        for v, h in zip(flat_values, handles)
     ]
 
 
@@ -127,8 +123,8 @@ def cond(pred, true_fn, false_fn, name="cond"):
             f"cond: true_fn and false_fn must return the same structure: {e}"
         ) from e
 
-    t_flat, t_rebuild = _expand_composites(nest.flatten(t_out))
-    f_flat, f_rebuild = _expand_composites(nest.flatten(f_out))
+    t_flat, t_handles = _expand_composites(nest.flatten(t_out))
+    f_flat, f_handles = _expand_composites(nest.flatten(f_out))
     with tg.as_default():
         t_flat = _convert_flat(t_flat, tg)
     with fg.as_default():
@@ -168,7 +164,10 @@ def cond(pred, true_fn, false_fn, name="cond"):
         },
         name=name,
     )
-    flat_results = _rebuild_composites(list(op.outputs), t_rebuild)
+    # An array only one branch wrote to learned its element shape there.
+    flat_results = _rebuild_composites(list(op.outputs), [
+        f if t is not None and t.element_shape is None else t
+        for t, f in zip(t_handles, f_handles)])
     return nest.pack_sequence_as(t_out, flat_results)
 
 
@@ -199,7 +198,7 @@ register_op("While", _while_kernel, stateful=True,
 
 
 def while_loop(cond_fn, body_fn, loop_vars, maximum_iterations=None,
-               parallel_iterations=None, name="while"):
+               name="while"):
     """Stage a while loop into the default graph.
 
     Args:
@@ -211,7 +210,6 @@ def while_loop(cond_fn, body_fn, loop_vars, maximum_iterations=None,
       loop_vars: tuple/list of initial loop variables (tensors, python
         numbers, or composites like TensorArray).
       maximum_iterations: optional python int bound.
-      parallel_iterations: accepted for API parity; ignored.
 
     Returns:
       The final loop variables, matching the input structure.
@@ -224,13 +222,13 @@ def while_loop(cond_fn, body_fn, loop_vars, maximum_iterations=None,
         raise StagingError("while_loop requires at least one loop variable")
 
     flat_init = nest.flatten(list(loop_vars))
-    expanded_init, rebuilders = _expand_composites(flat_init)
+    expanded_init, handles = _expand_composites(flat_init)
     expanded_init = _convert_flat(expanded_init, graph)
     n_vars = len(expanded_init)
 
     def make_callable(user_fn):
         def traced(*flat_args):
-            rebuilt = _rebuild_composites(list(flat_args), rebuilders)
+            rebuilt = _rebuild_composites(list(flat_args), handles)
             structured = nest.pack_sequence_as(list(loop_vars), rebuilt)
             return user_fn(*structured)
 
@@ -238,7 +236,8 @@ def while_loop(cond_fn, body_fn, loop_vars, maximum_iterations=None,
 
     def trace_graphs(arg_specs):
         """Trace ``cond_fn`` and ``body_fn`` with loop variables declared
-        at ``arg_specs``; returns ``(cond_graph, body_graph)``."""
+        at ``arg_specs``; returns ``(cond_graph, body_graph, the body
+        outputs' composite handles)``."""
         cg = trace_into_func_graph(make_callable(cond_fn), arg_specs,
                                    f"{name}_cond", graph)
         bg = trace_into_func_graph(make_callable(body_fn), arg_specs,
@@ -263,11 +262,12 @@ def while_loop(cond_fn, body_fn, loop_vars, maximum_iterations=None,
                 f"loop_vars: {e}"
             ) from e
 
-        body_flat, _ = _expand_composites(nest.flatten(list(body_out)))
+        body_flat, out_handles = _expand_composites(
+            nest.flatten(list(body_out)))
         with bg.as_default():
             body_flat = _convert_flat(body_flat, bg)
         bg.flat_outputs = body_flat
-        return cg, bg
+        return cg, bg, out_handles
 
     # A loop variable keeps its entry dtype and shape only if the body
     # preserves them.  Otherwise no turn after the first may assume them
@@ -280,7 +280,7 @@ def while_loop(cond_fn, body_fn, loop_vars, maximum_iterations=None,
     # ``2 * n_vars`` re-traces; the usual loop needs none.
     arg_specs = [(t.dtype, t.shape) for t in expanded_init]
     while True:
-        cg, bg = trace_graphs(arg_specs)
+        cg, bg, out_handles = trace_graphs(arg_specs)
         settled = [(_merge_dtypes(dt, out_t.dtype,
                                   f"while_loop: loop variable {i}"),
                     sh if sh == out_t.shape else unknown)
@@ -305,6 +305,8 @@ def while_loop(cond_fn, body_fn, loop_vars, maximum_iterations=None,
         },
         name=name,
     )
-    flat_results = _rebuild_composites(list(op.outputs), rebuilders)
+    # The handles the body returned: they know the element shape of an
+    # array first written inside the loop, even if no turn runs.
+    flat_results = _rebuild_composites(list(op.outputs), out_handles)
     result = nest.pack_sequence_as(list(loop_vars), flat_results)
     return tuple(result)

@@ -331,7 +331,15 @@ def _concat_kernel(*args, axis=0):
     return np.concatenate([np.asarray(a) for a in args], axis=int(axis))
 
 
-register_op("Concat", _concat_kernel,
+def _concat_shape_fn(ss, attrs):
+    axis = int(attrs.get("axis", 0))
+    dims = list(ss[0].as_tuple())
+    along = [s.as_tuple()[axis] for s in ss]
+    dims[axis] = None if None in along else sum(along)
+    return [shapes.TensorShape(dims)]
+
+
+register_op("Concat", _concat_kernel, shape_fn=_concat_shape_fn,
             dtype_fn=dtypes.numpy_dtype_fn(_concat_kernel))
 
 
@@ -408,7 +416,20 @@ def _getitem_kernel(a, *index_inputs, spec=()):
     return np.asarray(a)[_materialize_spec(spec, index_inputs)]
 
 
-register_op("GetItem", _getitem_kernel, dtype_fn=_first_dtype_fn)
+def _getitem_shape_fn(ss, attrs):
+    """NumPy's own answer, indexing a zero-stride stand-in of the static
+    shape with 0 for each scalar tensor index; an index array, a dynamic
+    slice bound or a partial shape leaves the result unknown."""
+    spec = attrs["spec"]
+    if any(s.rank != 0 for s in ss[1:]) or any("T" in e for e in spec):
+        return [shapes.unknown]
+    stand_in = np.broadcast_to(np.int8(0), ss[0].as_tuple())
+    return [shapes.TensorShape(
+        stand_in[_materialize_spec(spec, [0] * (len(ss) - 1))].shape)]
+
+
+register_op("GetItem", _getitem_kernel, shape_fn=_getitem_shape_fn,
+            dtype_fn=_first_dtype_fn)
 
 
 def _setitem_kernel(a, value, *index_inputs, spec=()):

@@ -33,7 +33,7 @@ def cond(pred, true_fn, false_fn, name="cond"):
 
 
 def while_loop(cond_fn, body_fn, loop_vars, maximum_iterations=None,
-               parallel_iterations=None, name="while"):
+               name="while"):
     """Data-dependent loop over ``loop_vars``.
 
     Graph mode: stages the loop.  Eager mode: runs it directly.

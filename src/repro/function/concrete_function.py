@@ -47,8 +47,7 @@ from ..runtime import BoundPlan, compile_plan
 from .executable import BackendBuilder, CompiledExecutable, ExportError, \
     Traced, register_backend_builder
 
-__all__ = ["ConcreteFunction", "trace_concrete_function",
-           "trace_func_graph", "classify_outputs"]
+__all__ = ["ConcreteFunction", "trace_func_graph", "classify_outputs"]
 
 
 def _convert_for_trace(python_function, autograph):
@@ -204,6 +203,9 @@ class CompiledGraph(CompiledExecutable):
             EagerTensor(v) for v in fetched[:self._n_outputs])
         return self._pack_outputs(tensor_outputs), tensor_outputs
 
+    def use_scheduler(self, scheduler):
+        self._bound.scheduler = scheduler
+
     def engine_stats(self):
         """Bound-plan info for serving observability (one dict, cheap)."""
         return {"bound_plan": self._bound.describe()}
@@ -248,9 +250,12 @@ class ConcreteFunction(Traced, CompiledGraph):
     :class:`CompiledGraph` plus the traced half."""
 
     def __init__(self, python_function, canonical, name,
-                 autograph=True, freeze_captures=False, num_workers=None):
+                 autograph=True, freeze_captures=False):
+        if context.has_default_graph():
+            raise StagingError(
+                "Cannot trace a concrete function while a graph is being "
+                "built")
         self._init_traced(python_function, canonical)
-        self._num_workers = num_workers
         self._backward = None
 
         # -- 1. trace -------------------------------------------------------
@@ -308,7 +313,6 @@ class ConcreteFunction(Traced, CompiledGraph):
             for feed, spec in zip(self._feeds, self._input_specs)
             if getattr(spec, "grid", None) is not None}
         self._blocked = bool(self._block_grids)
-        self._scheduler = self._make_scheduler(self._num_workers)
         self._dense_fallbacks = ()
         graph, fetches, feeds = (
             self.optimized_graph, self._run_fetches, self._runtime_feeds)
@@ -320,18 +324,7 @@ class ConcreteFunction(Traced, CompiledGraph):
             self._dense_fallbacks = lowered.fallbacks
             graph, fetches, feeds = (
                 lowered.graph, list(lowered.fetches), list(lowered.feeds))
-        return BoundPlan(compile_plan(graph, fetches, feeds), feeds,
-                         self._scheduler)
-
-    def _make_scheduler(self, num_workers):
-        """The step scheduler: blocked functions default to one worker
-        per core; dense functions stay serial unless asked."""
-        if num_workers is None and not self._blocked:
-            return None
-        from ..blocks.scheduler import BlockScheduler
-
-        scheduler = BlockScheduler(num_workers=num_workers)
-        return scheduler if scheduler.parallel else None
+        return BoundPlan(compile_plan(graph, fetches, feeds), feeds)
 
     # -- introspection -------------------------------------------------------
 
@@ -516,20 +509,6 @@ class ConcreteFunction(Traced, CompiledGraph):
 CompiledGraph.call_flat.__ag_do_not_convert__ = True
 
 
-def trace_concrete_function(python_function, canonical, name,
-                            autograph=True, freeze_captures=False,
-                            num_workers=None):
-    """Trace ``python_function`` for one canonical signature."""
-    if context.has_default_graph():
-        raise StagingError(
-            "Cannot trace a concrete function while a graph is being built"
-        )
-    return ConcreteFunction(
-        python_function, canonical, name,
-        autograph=autograph, freeze_captures=freeze_captures,
-        num_workers=num_workers)
-
-
 class _GraphBackendBuilder(BackendBuilder):
     """The graph route: AutoGraph trace -> optimize -> bound runtime plan."""
 
@@ -537,11 +516,10 @@ class _GraphBackendBuilder(BackendBuilder):
     supports_relaxation = True
 
     def build(self, python_function, canonical, context_, name, *,
-              autograph, freeze_captures=False, num_workers=None):
-        return trace_concrete_function(
+              autograph, freeze_captures=False):
+        return ConcreteFunction(
             python_function, canonical, name,
-            autograph=autograph, freeze_captures=freeze_captures,
-            num_workers=num_workers)
+            autograph=autograph, freeze_captures=freeze_captures)
 
 
 register_backend_builder(_GraphBackendBuilder())

@@ -186,6 +186,11 @@ class Executable(abc.ABC):
                 f"{self.name!r} has no swappable captures"
             )
 
+    def use_scheduler(self, scheduler):
+        """Step plan levels on ``scheduler``'s worker pool from now on
+        (``None``: serially).  A ``Function`` lends its one pool to every
+        signature it traces; a backend that steps no plan ignores it."""
+
     def engine_stats(self):
         """Execution-engine info for serving observability (one dict)."""
         return {}
@@ -533,15 +538,12 @@ class BackendBuilder:
         return canonical, None
 
     def build(self, python_function, canonical, context, name, *,
-              autograph, freeze_captures=False, num_workers=None):
+              autograph, freeze_captures=False):
         """Compile one executable for the prepared signature.
 
         ``freeze_captures`` asks the backend to bake closed-over state
         into the trace as constants (no runtime-input captures); a
-        backend without that notion may ignore it.  ``num_workers``
-        sizes the per-step scheduler of backends that execute plans
-        level-parallel (the graph backend's blocked route); others may
-        ignore it.
+        backend without that notion may ignore it.
         """
         raise NotImplementedError
 

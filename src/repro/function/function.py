@@ -61,6 +61,9 @@ class Function:
         self._backend = backend
         self._freeze_captures = freeze_captures
         self._num_workers = num_workers
+        # The one worker pool every trace steps its plan levels on
+        # (created by the first signature that needs one).
+        self._scheduler = None
         # Lazily computed static-recursion verdict (auto dispatch).
         self._recursive = None
         # (concrete-function name, backend, reason) per trace, newest last.
@@ -140,6 +143,20 @@ class Function:
         return lowering.choose_backend(
             self._python_function, canonical, recursive=self._is_recursive())
 
+    def _scheduler_for(self, canonical):
+        """The scheduler a trace of this signature runs on: blocked
+        inputs default to one worker per core, dense ones stay serial
+        (``None``) unless ``num_workers`` asked; one pool per function."""
+        if self._num_workers is None and not any(
+                getattr(spec, "grid", None) is not None
+                for spec in canonical.specs):
+            return None
+        if self._scheduler is None:
+            from ..blocks.scheduler import BlockScheduler
+
+            self._scheduler = BlockScheduler(num_workers=self._num_workers)
+        return self._scheduler if self._scheduler.parallel else None
+
     # -- the cache ------------------------------------------------------------
 
     def _lookup_or_build(self, canonical):
@@ -218,8 +235,8 @@ class Function:
                 f"{self._name}_{len(self._cache)}",
                 autograph=self._autograph,
                 freeze_captures=self._freeze_captures,
-                num_workers=self._num_workers,
             )
+            cf.use_scheduler(self._scheduler_for(canonical))
             self._cache[canonical.key] = cf
             # Identity-keyed leaves (Variables, model objects) must stay
             # alive while the cache entry exists, or their recycled ids
@@ -348,14 +365,10 @@ def function(func=None, *, name=None, autograph=True,
     Returns:
       A :class:`Function`, or a decorator when called with options only.
     """
+    options = dict(
+        name=name, autograph=autograph, reduce_retracing=reduce_retracing,
+        retrace_limit=retrace_limit, backend=backend,
+        freeze_captures=freeze_captures, num_workers=num_workers)
     if func is None:
-        return functools.partial(
-            function, name=name, autograph=autograph,
-            reduce_retracing=reduce_retracing, retrace_limit=retrace_limit,
-            backend=backend, freeze_captures=freeze_captures,
-            num_workers=num_workers)
-    return Function(
-        func, name=name, autograph=autograph,
-        reduce_retracing=reduce_retracing, retrace_limit=retrace_limit,
-        backend=backend, freeze_captures=freeze_captures,
-        num_workers=num_workers)
+        return functools.partial(function, **options)
+    return Function(func, **options)

@@ -685,14 +685,6 @@ CompiledLantern.call_flat.__ag_do_not_convert__ = True
 LanternConcreteFunction.call_with_grad.__ag_do_not_convert__ = True
 
 
-def lower_concrete_function(python_function, canonical, name,
-                            autograph=True):
-    """Compile ``python_function`` for one lanternized signature."""
-    lanternized, leaf_plan = lanternize_signature(canonical)
-    return LanternConcreteFunction(
-        python_function, lanternized, leaf_plan, name, autograph=autograph)
-
-
 class _LanternBackendBuilder(BackendBuilder):
     """The lantern route: lanternize the key, lower (once) per signature."""
 
@@ -702,7 +694,7 @@ class _LanternBackendBuilder(BackendBuilder):
         return lanternize_signature(canonical)
 
     def build(self, python_function, canonical, leaf_plan, name, *,
-              autograph, freeze_captures=False, num_workers=None):
+              autograph, freeze_captures=False):
         for spec in canonical.specs:
             if getattr(spec, "grid", None) is not None:
                 from ..framework.errors import StagingError

@@ -1,47 +1,27 @@
-"""The execution engine's call-side surfaces: positional binding + cache.
+"""``BoundPlan``: the one binder, and the one way a plan is run.
 
-Two pieces live here:
-
-- :class:`BoundPlan` — the **slot-addressed fast path**.  A consumer that
-  always feeds the same tensors in the same order (a traced
-  ``ConcreteFunction``, a loaded serving artifact, the micro-batcher's
-  batched dispatch, a ``Cond``/``While`` sub-graph fed its loop
-  variables and captures) binds those tensors to plan slots *once*, at
-  construction.  Each call is then ``execute_flat(args)``: a list copy of
-  the plan's base values, one slot store per argument, and the kernel
-  loop — no ``nest.flatten``, no cache-key construction, no feed dict, no
-  per-feed ``np.array(..., copy=True)``.  Arguments that are already
-  correctly-dtyped ndarrays are used as-is (dtype/shape metadata was
-  resolved at bind time); anything else is coerced through
-  ``np.asarray``.
-
-- :class:`PlanCache` — a bounded (LRU) cache of compiled plans with
-  hit/miss/eviction counters, used by ``Session`` so long-lived servers
-  compiling many fetch sets don't grow without limit.
-
-Evicting a plan is safe even though cache keys contain ``id()``s: a
-recycled id can only be *served stale* on a cache hit, and a hit requires
-the entry — whose ``refs`` keep the original tensors alive — to still be
-in the cache.
+A consumer that always feeds the same tensors in the same order — a
+traced ``ConcreteFunction``, a loaded serving artifact, the
+micro-batcher's batched dispatch, a ``Cond``/``While`` sub-graph fed its
+loop variables and captures, a ``Session`` entry for one ``(fetches,
+feed set)`` — binds those tensors to plan slots *once*, at construction.
+Each call is then ``execute_flat(args)``: a list copy of the plan's base
+values, one checked slot store per argument, and the plan's walk — no
+``nest.flatten``, no cache key, no feed dict.  Arguments that are
+already correctly-dtyped ndarrays are used as-is (dtype/shape metadata
+was resolved at bind time); anything else is coerced through
+``np.asarray``.  This is the only feed validation in the engine and the
+only caller of :meth:`ExecutionPlan.execute
+<repro.runtime.plan.ExecutionPlan.execute>`.
 """
 
 from __future__ import annotations
 
-import collections
-import threading
-
 import numpy as np
 
 from ..framework.errors import FetchError
-from ..observe.events import RECORDER as _REC
 
-__all__ = ["BoundPlan", "CacheStats", "PlanCache", "DEFAULT_PLAN_CACHE_SIZE"]
-
-
-#: Default bound for per-session plan caches.  128 plans comfortably
-#: covers every (fetches, feeds) pair a server or test suite touches
-#: while capping memory for signature-churning workloads.
-DEFAULT_PLAN_CACHE_SIZE = 128
+__all__ = ["BoundPlan"]
 
 
 class BoundPlan:
@@ -106,7 +86,7 @@ class BoundPlan:
             "calls": self.calls,
             "graph_version": plan.graph_version,
         }
-        fused = getattr(plan, "fused_groups", ())
+        fused = plan.fused_groups
         if fused:
             info["fused_steps"] = len(fused)
             info["fused_ops"] = sum(len(g[1]) for g in fused)
@@ -167,90 +147,3 @@ class BoundPlan:
 
     def __repr__(self):
         return f"<BoundPlan args={self._n_args} plan={self.plan!r}>"
-
-
-CacheStats = collections.namedtuple(
-    "CacheStats", ["hits", "misses", "evictions", "size", "capacity"])
-
-
-class PlanCache:
-    """A thread-safe LRU cache of compiled execution plans.
-
-    ``get`` records a hit or miss and refreshes recency; ``put`` is
-    first-wins (a racing second compile returns the incumbent, so plan
-    ``refs`` are never stranded) and evicts the least-recently-used
-    entries beyond ``capacity``.
-    """
-
-    def __init__(self, capacity=None):
-        if capacity is None:
-            capacity = DEFAULT_PLAN_CACHE_SIZE
-        if capacity < 1:
-            raise ValueError("PlanCache capacity must be >= 1")
-        self.capacity = capacity
-        self._entries = collections.OrderedDict()
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-
-    def get(self, key):
-        with self._lock:
-            plan = self._entries.get(key)
-            if plan is None:
-                self._misses += 1
-            else:
-                self._entries.move_to_end(key)
-                self._hits += 1
-        _REC.counter("runtime.plan_cache.hits" if plan is not None
-                     else "runtime.plan_cache.misses")
-        return plan
-
-    def peek(self, key):
-        """Lookup without stats or recency effects (double-check path)."""
-        with self._lock:
-            return self._entries.get(key)
-
-    def put(self, key, plan):
-        """Insert ``plan`` (unless ``key`` is already present) and return
-        the cached plan; evicts LRU entries beyond capacity."""
-        evicted = 0
-        with self._lock:
-            incumbent = self._entries.get(key)
-            if incumbent is not None:
-                return incumbent
-            self._entries[key] = plan
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self._evictions += 1
-                evicted += 1
-        if evicted:
-            _REC.counter("runtime.plan_cache.evictions", evicted)
-        return plan
-
-    def clear(self):
-        with self._lock:
-            self._entries.clear()
-
-    @property
-    def stats(self):
-        with self._lock:
-            return CacheStats(self._hits, self._misses, self._evictions,
-                              len(self._entries), self.capacity)
-
-    def values(self):
-        with self._lock:
-            return list(self._entries.values())
-
-    def __len__(self):
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key):
-        with self._lock:
-            return key in self._entries
-
-    def __repr__(self):
-        s = self.stats
-        return (f"<PlanCache size={s.size}/{s.capacity} hits={s.hits} "
-                f"misses={s.misses} evictions={s.evictions}>")

@@ -82,20 +82,20 @@ class _FusedOp:
 
     Quacks like :class:`~repro.framework.graph.graph.Operation` exactly
     as far as the planner's later passes read one: ``op_def`` carries
-    the generated kernels and donation metadata, ``inputs``/``outputs``
+    the generated kernel and donation metadata (the ``out=`` variant
+    rides the fused step itself), ``inputs``/``outputs``
     expose the *external* input tensors (aligned with the fused step's
     locators) and the root's output tensor for dtype/shape pools, and
     ``member_ids`` lets level computation resolve control dependencies
     other ops may hold on any fused-away member.
     """
 
-    __slots__ = ("op_def", "attrs", "inputs", "outputs", "control_inputs",
+    __slots__ = ("op_def", "inputs", "outputs", "control_inputs",
                  "name", "member_ids", "member_types")
 
     def __init__(self, op_def, inputs, outputs, name, member_ids,
                  member_types):
         self.op_def = op_def
-        self.attrs = {}
         self.inputs = list(inputs)
         self.outputs = list(outputs)
         self.control_inputs = ()
@@ -369,8 +369,7 @@ def fuse_elementwise_steps(steps, step_ops, fetch_locators, feed_slots,
         span = _span_name(types)
         root = group[-1]
         root_slot = steps[root][0]
-        op_def = OpDef(span, kernel, num_outputs=1,
-                       inplace_kernel=inplace_kernel, fresh_output=True)
+        op_def = OpDef(span, kernel, num_outputs=1, fresh_output=True)
         shim = _FusedOp(
             op_def,
             inputs=ext_tensors,
@@ -383,7 +382,7 @@ def fuse_elementwise_steps(steps, step_ops, fetch_locators, feed_slots,
         # group's topologically last member, so every external input is
         # produced earlier and every external consumer follows.
         replaced[root] = (
-            [root_slot, kernel, ext_locs, True, span, None], shim)
+            [root_slot, kernel, ext_locs, True, span, inplace_kernel], shim)
         absorbed.update(group)
         fused_groups.append((span, names, types, root_slot))
 

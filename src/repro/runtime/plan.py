@@ -1,7 +1,7 @@
 """``ExecutionPlan``: the compiled form of one ``(graph, fetches, feeds)``.
 
 This is the execution engine's IR and the graph backend's *only* plan
-compiler: the session, traced ``ConcreteFunction``s, loaded serving
+compiler: ``Session.run``, traced ``ConcreteFunction``s, loaded serving
 artifacts, the micro-batcher and the ``Cond``/``While`` branch and body
 sub-graphs (:func:`~repro.framework.graph.func_graph.execute_func_graph`)
 all compile through :func:`compile_plan` and step through
@@ -43,12 +43,12 @@ independent, which is what lets :meth:`ExecutionPlan.execute` fan a
 level out on a :class:`repro.blocks.scheduler.BlockScheduler` — the
 per-block steps of a blocked plan all land in wide levels.
 
-A plan has ONE step schedule, the ``steps`` tuple, which
-:meth:`ExecutionPlan.execute` walks as a serial loop, as a level fan-out
-(parallel ``scheduler``), or through the span-recording twin
-``_execute_traced`` while ``repro.observe`` is recording.  Callers bind
-feeds either by hand on a ``new_values()`` list (``Session.run``) or
-through :class:`repro.runtime.engine.BoundPlan`'s positional fast path.
+A plan has ONE step schedule, the ``steps`` tuple, and ONE step body,
+:func:`_run_steps`: :meth:`ExecutionPlan.execute` calls it on the whole
+tuple (the serial walk), hands it to a scheduler one step of a level at
+a time (the level walk), or wraps it in a span per step while
+``repro.observe`` is recording.  Feeds are bound, and ``execute`` called,
+in one place: :class:`repro.runtime.engine.BoundPlan`.
 """
 
 from __future__ import annotations
@@ -64,6 +64,42 @@ from ..observe.events import RECORDER as _REC
 from .fusion import fuse_elementwise_steps
 
 __all__ = ["ExecutionPlan", "compile_plan"]
+
+
+def _run_steps(steps, values):
+    """The step body, written once: every walk of a plan — the serial
+    loop over ``plan.steps``, a worker running one step of a level, the
+    recorder's per-step wrap — is this loop over a sequence of steps."""
+    for slot, kernel, locators, single, op_name, inplace in steps:
+        try:
+            args = [values[j][k] for j, k in locators]
+            if inplace is None:
+                out = kernel(*args)
+            else:
+                dj, dk, ikernel, out_shape, out_dtype = inplace
+                buf = values[dj][dk]
+                out = None
+                # Static shapes/dtypes matched at compile time; this
+                # cheap runtime guard protects against kernels whose
+                # actual output metadata diverged from inference.
+                if (type(buf) is np.ndarray and buf.shape == out_shape
+                        and buf.dtype == out_dtype):
+                    try:
+                        out = ikernel(*args, out=buf)
+                    except (TypeError, ValueError):
+                        # The ufunc refused the out= cast (an operand is
+                        # not of its declared dtype); NumPy rejects
+                        # before writing, so fall back clean — and say so.
+                        _REC.counter("runtime.inplace_refusals")
+                if out is None:
+                    out = kernel(*args)
+        except ExecutionError:
+            raise
+        except Exception as e:
+            raise ExecutionError(
+                f"Error executing op {op_name!r}: {e}", op_name=op_name
+            ) from e
+        values[slot] = (out,) if single else tuple(out)
 
 
 class ExecutionPlan:
@@ -82,25 +118,23 @@ class ExecutionPlan:
       levels: wavefront partition of step indices — steps in one level
         are mutually independent (data, control and stateful-order
         dependencies all land in earlier levels).
+      level_steps: ``levels`` with each index replaced by a one-step
+        sequence, the unit a scheduler worker runs.
       fused_groups: ``(span_name, member_op_names, member_op_types,
         slot)`` per fused composite step (empty when compiled with
         ``fuse=False`` or nothing fused).
       standalone: ``{slot: reason}`` for every fusable step the fusion
         pass left on its own (``fetched`` / ``multi-consumer`` /
         ``no fusable neighbour`` / ``control edge``).
-      refs: strong references to the fetch/feed objects this plan was
-        compiled for.  Cache keys contain ``id()``s; holding the objects
-        guarantees CPython cannot recycle those ids into *different*
-        tensors while a cache entry is alive.
     """
 
     __slots__ = ("steps", "fetch_locators", "feed_slots", "n_slots",
                  "base_values", "graph", "graph_version", "levels",
-                 "fused_groups", "standalone", "refs")
+                 "level_steps", "fused_groups", "standalone")
 
     def __init__(self, steps, fetch_locators, feed_slots, n_slots,
                  base_values, graph, graph_version, levels=(),
-                 fused_groups=(), standalone=(), refs=()):
+                 fused_groups=(), standalone=()):
         self.steps = steps
         self.fetch_locators = fetch_locators
         self.feed_slots = feed_slots
@@ -109,15 +143,12 @@ class ExecutionPlan:
         self.graph = graph
         self.graph_version = graph_version
         self.levels = levels
+        self.level_steps = tuple(
+            tuple((steps[i],) for i in level) for level in levels)
         self.fused_groups = fused_groups
         self.standalone = dict(standalone)
-        self.refs = refs
 
     # -- execution ---------------------------------------------------------
-
-    def new_values(self):
-        """A fresh per-call slot array (constants already in place)."""
-        return list(self.base_values)
 
     def execute(self, values, scheduler=None):
         """Run every step against ``values`` (feeds already bound).
@@ -127,129 +158,59 @@ class ExecutionPlan:
         worker pool (slot stores into distinct indices of ``values``
         are safe under the GIL; the kernels release it).
         """
-        steps = self.steps
+        if scheduler is not None and not (
+                scheduler.parallel and len(self.steps) > 1):
+            scheduler = None
         if _REC.enabled:
-            return self._execute_traced(values, scheduler)
-        if scheduler is not None and scheduler.parallel and len(steps) > 1:
-            run = self._run_step
-            for level in self.levels:
+            self._execute_traced(values, scheduler)
+        elif scheduler is None:
+            _run_steps(self.steps, values)
+        else:
+            run = functools.partial(_run_steps, values=values)
+            for level in self.level_steps:
                 if len(level) == 1:
-                    run(steps[level[0]], values)
+                    run(level[0])
                 else:
-                    scheduler.map(
-                        lambda i, _s=steps, _v=values: run(_s[i], _v),
-                        level)
-            return values
-        for slot, kernel, locators, single, op_name, inplace in steps:
-            try:
-                args = [values[j][k] for j, k in locators]
-                if inplace is not None:
-                    dj, dk, ikernel, out_shape, out_dtype = inplace
-                    buf = values[dj][dk]
-                    # Static shapes/dtypes matched at compile time; this
-                    # cheap runtime guard protects against kernels whose
-                    # actual output metadata diverged from inference.
-                    if (type(buf) is np.ndarray and buf.shape == out_shape
-                            and buf.dtype == out_dtype):
-                        try:
-                            out = ikernel(*args, out=buf)
-                        except (TypeError, ValueError):
-                            # The ufunc refused the out= cast (an
-                            # operand is not of its declared dtype);
-                            # NumPy rejects before writing, so fall
-                            # back clean — and say so.
-                            _REC.counter("runtime.inplace_refusals")
-                            out = kernel(*args)
-                    else:
-                        out = kernel(*args)
-                else:
-                    out = kernel(*args)
-            except ExecutionError:
-                raise
-            except Exception as e:
-                raise ExecutionError(
-                    f"Error executing op {op_name!r}: {e}", op_name=op_name
-                ) from e
-            values[slot] = (out,) if single else tuple(out)
-        return values
-
-    def _run_step(self, step, values):
-        """One step of the level-parallel path (same semantics as the
-        inlined serial loop body, which stays unrolled for call speed)."""
-        slot, kernel, locators, single, op_name, inplace = step
-        try:
-            args = [values[j][k] for j, k in locators]
-            if inplace is not None:
-                dj, dk, ikernel, out_shape, out_dtype = inplace
-                buf = values[dj][dk]
-                if (type(buf) is np.ndarray and buf.shape == out_shape
-                        and buf.dtype == out_dtype):
-                    try:
-                        out = ikernel(*args, out=buf)
-                    except (TypeError, ValueError):
-                        _REC.counter("runtime.inplace_refusals")
-                        out = kernel(*args)
-                else:
-                    out = kernel(*args)
-            else:
-                out = kernel(*args)
-        except ExecutionError:
-            raise
-        except Exception as e:
-            raise ExecutionError(
-                f"Error executing op {op_name!r}: {e}", op_name=op_name
-            ) from e
-        values[slot] = (out,) if single else tuple(out)
+                    scheduler.map(run, level)
 
     def _execute_traced(self, values, scheduler):
-        """The recording twin of :meth:`execute`: one ``"step"`` span
-        per executed step (named after the op, so the profiler's
-        top-kernels view aggregates directly) and — on the parallel
-        path — one ``"level"`` span per wavefront.  Lives off to the
-        side so the untraced loops stay branch-free inside."""
+        """:meth:`execute` while ``repro.observe`` records: the same walks
+        with one ``"step"`` span wrapped around each step (named after
+        the op, so the profiler's top-kernels view aggregates directly),
+        one ``"level"`` span per wavefront on the level walk and a
+        ``"plan"`` span around the lot."""
         rec = _REC
-        steps = self.steps
-        run = self._run_step_traced
+
+        def run(one):
+            t0 = rec.begin()
+            try:
+                _run_steps(one, values)
+            finally:
+                rec.end(one[0][4], "step", t0, {"slot": one[0][0]})
+
         t_plan = rec.begin()
         try:
-            if (scheduler is not None and scheduler.parallel
-                    and len(steps) > 1):
-                for ln, level in enumerate(self.levels):
+            if scheduler is None:
+                for step in self.steps:
+                    run((step,))
+            else:
+                for ln, level in enumerate(self.level_steps):
                     t0 = rec.begin()
                     if len(level) == 1:
-                        run(steps[level[0]], values)
+                        run(level[0])
                     else:
-                        scheduler.map(
-                            lambda i, _s=steps, _v=values: run(_s[i], _v),
-                            level)
+                        scheduler.map(run, level)
                     rec.end(f"level[{ln}]", "level", t0,
                             {"steps": len(level)})
-            else:
-                for step in steps:
-                    run(step, values)
         finally:
             rec.end("plan.execute", "plan", t_plan,
-                    {"steps": len(steps)})
-        return values
-
-    def _run_step_traced(self, step, values):
-        rec = _REC
-        t0 = rec.begin()
-        try:
-            self._run_step(step, values)
-        finally:
-            rec.end(step[4], "step", t0, {"slot": step[0]})
+                    {"steps": len(self.steps)})
 
     def fetch(self, values):
         """The flat fetch results out of an executed ``values`` array."""
         return [
             values[j][k] if j >= 0 else None for j, k in self.fetch_locators
         ]
-
-    def run_flat(self, values):
-        """Execute and fetch in one call."""
-        self.execute(values)
-        return self.fetch(values)
 
     def describe(self):
         """A human-readable plan dump: steps, levels, fused groups,
@@ -294,16 +255,13 @@ def _resolve_fetch_tensors(graph, flat_fetches):
     """Map user-level fetches (tensors/ops/Variables/None) to tensors."""
     fetch_tensors = []
     for f in flat_fetches:
-        if isinstance(f, Tensor):
+        if isinstance(f, (Tensor, Operation)):
             if f.graph is not graph:
                 raise FetchError(
                     f"Fetch {f.name!r} is not in graph {graph.name!r}")
+            if isinstance(f, Operation):
+                f = f.outputs[0] if f.outputs else None
             fetch_tensors.append(f)
-        elif isinstance(f, Operation):
-            if f.graph is not graph:
-                raise FetchError(
-                    f"Fetch {f.name!r} is not in graph {graph.name!r}")
-            fetch_tensors.append(f.outputs[0] if f.outputs else None)
         elif f is None:
             fetch_tensors.append(None)
         else:
@@ -405,9 +363,14 @@ def compile_plan(graph, flat_fetches, feed_tensors, *, fuse=True):
         runtime_attrs = {
             k: v for k, v in op.attrs.items() if not k.startswith("_")
         }
-        kernel = op.op_def.kernel
+        # The op's attrs are bound into both kernel forms here, once; a
+        # step carries its in-place kernel in its last field until
+        # ``_assign_buffer_reuse`` decides whether it gets a buffer.
+        kernel, ikernel = op.op_def.kernel, op.op_def.inplace_kernel
         if runtime_attrs:
             kernel = functools.partial(kernel, **runtime_attrs)
+            if ikernel is not None:
+                ikernel = functools.partial(ikernel, **runtime_attrs)
 
         # Constant pre-evaluation: a stateless op whose inputs are all
         # already-baked constants runs once, now, and sheds its step.
@@ -434,7 +397,7 @@ def compile_plan(graph, flat_fetches, feed_tensors, *, fuse=True):
                     continue
 
         steps.append([slot, kernel, locators, len(op.outputs) == 1,
-                      op.name, None])
+                      op.name, ikernel])
         step_ops.append(op)
 
     fetch_locators = []
@@ -600,14 +563,9 @@ def _assign_buffer_reuse(steps, step_ops, fetch_locators, const_slots,
 
     claimed = set()
     for i, (s, op) in enumerate(zip(steps, step_ops)):
-        ikernel = op.op_def.inplace_kernel
+        ikernel, s[5] = s[5], None
         if ikernel is None or not s[3]:
             continue
-        runtime_attrs = {
-            k: v for k, v in op.attrs.items() if not k.startswith("_")
-        }
-        if runtime_attrs:
-            ikernel = functools.partial(ikernel, **runtime_attrs)
         out_t = op.outputs[0]
         out_dtype = out_t.dtype.np_dtype
         if out_dtype is None or not out_t.shape.is_fully_defined:

@@ -234,6 +234,20 @@ class TestConvertedCall:
             out = converted(p)
         assert fw.Session(g).run(out, {p: 1.0}) == "pos"
 
+    def test_there_is_no_recursive_option(self):
+        """``recursive=False`` used to be accepted and to convert the
+        callees anyway; an option that does nothing is a ``TypeError``."""
+
+        def top(x):
+            return x
+
+        with pytest.raises(TypeError):
+            ag.to_graph(top, recursive=False)
+        with pytest.raises(TypeError):
+            ag.convert(recursive=False)
+        with pytest.raises(TypeError):
+            ag.converted_call(top, (1,), None, None)
+
     def test_do_not_convert_respected(self):
         @ag.do_not_convert
         def opaque(x):

@@ -1,6 +1,8 @@
 """Blocked feeds through ``@repro.function``: lowering + level-parallel
 execution behind the normal tracing-JIT surface."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,34 @@ class TestBlockedCalls:
         first = np.asarray(serial(a, b))
         np.testing.assert_array_equal(np.asarray(parallel(a, b)), first)
         np.testing.assert_array_equal(np.asarray(parallel(a, b)), first)
+
+    def test_traced_signatures_share_the_functions_one_scheduler(self):
+        @repro.function
+        def f(a):
+            return ops.multiply(a, 2.0)
+
+        x = _ints((8, 6))
+        dense = f.get_concrete_function(x)
+        first = f.get_concrete_function(_blocked(x))
+        second = f.get_concrete_function(
+            BlockArray.from_dense(x, block_shape=(2, 6)))
+        # Dense stays serial unless asked; blocked defaults to a pool —
+        # the same pool for every blocked signature of this function.
+        assert dense._bound.scheduler is None
+        assert first._bound.scheduler is second._bound.scheduler
+        if (os.cpu_count() or 1) > 1:
+            assert first._bound.scheduler is not None
+
+        asked = repro.function(lambda a: ops.add(a, 1.0), num_workers=4,
+                               autograph=False)
+        one = asked.get_concrete_function(x)
+        two = asked.get_concrete_function(_blocked(x))
+        assert one._bound.scheduler is two._bound.scheduler is not None
+        assert one._bound.scheduler.num_workers == 4
+        serial = repro.function(lambda a: ops.add(a, 1.0), num_workers=1,
+                                autograph=False)
+        assert serial.get_concrete_function(
+            _blocked(x))._bound.scheduler is None
 
     def test_blocked_output_structure(self):
         @repro.function

@@ -55,7 +55,8 @@ def _operand(dtype, shape, fill):
 
 
 def _actual(value):
-    if isinstance(value, (np.ndarray, np.generic)):
+    if isinstance(value, (np.ndarray, np.generic)) and (
+            value.dtype != np.float16):  # no framework name: never declared
         return dtypes.from_numpy(value.dtype)
     return dtypes.variant
 

@@ -27,7 +27,7 @@ def test_plan_cache_holds_strong_references():
 
     entries = list(sess._plan_cache.values())
     assert len(entries) == 1
-    fetch_refs, feed_refs = entries[0].refs
+    _, feed_refs, fetch_refs = entries[0]
     assert any(t is y for t in fetch_refs)
     assert any(t is x for t in feed_refs)
 
@@ -54,7 +54,7 @@ def test_dead_fetch_id_cannot_alias_new_tensor():
         sess.run(z)
 
     # The original plan still works via the cache's own strong reference.
-    (kept_fetches, _) = list(sess._plan_cache.values())[0].refs
+    (_, _, kept_fetches) = list(sess._plan_cache.values())[0]
     assert sess.run(kept_fetches[0]) == 6.0
 
 
@@ -77,5 +77,5 @@ def test_feed_keys_kept_alive_per_entry():
         y = ops.reduce_sum(x)
     sess = fw.Session(g)
     assert sess.run(y, {x: [1.0, 2.0]}) == 3.0
-    (_, feed_refs) = list(sess._plan_cache.values())[0].refs
-    assert feed_refs == (x,)
+    (_, feed_refs, _) = list(sess._plan_cache.values())[0]
+    assert len(feed_refs) == 1 and feed_refs[0] is x

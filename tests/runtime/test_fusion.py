@@ -263,6 +263,26 @@ def test_fused_matches_unfused_on_random_dags(data):
 # ---------------------------------------------------------------------------
 
 
+def test_float16_result_is_never_written_into_a_float32_buffer():
+    """``exp(bool)`` is float16 in NumPy, a dtype the framework has no
+    name for.  Declared float32, the fused ``greater+exp`` step was armed
+    with ``Neg``'s dying float32 buffer and came back float32 where the
+    unfused plan returns float16 (found by the random-DAG property)."""
+    g = fw.Graph()
+    with g.as_default():
+        x = ops.placeholder(fw.float32, [3, 4])
+        n = ops.negative(x)
+        y = ops.exp(ops.greater(n, n))
+    assert y.dtype == fw.variant
+    v = np.ones((3, 4), np.float32)
+    fused = compile_plan(g, [y, x], [x])
+    assert all(step[5] is None for step in fused.steps)
+    got = _run(fused, [x], [v])
+    assert got[0].dtype == np.float16
+    _assert_bitwise_equal(
+        got, _run(compile_plan(g, [y, x], [x], fuse=False), [x], [v]))
+
+
 def test_fused_output_is_donated_to_no_alias_consumer():
     """A fused step's output is fresh — MatMul's dead-pool discipline
     may claim its buffer."""

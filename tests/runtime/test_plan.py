@@ -398,8 +398,8 @@ def test_no_in_place_arm_is_ever_refused(op_type):
 
 def test_a_refused_in_place_write_is_counted_and_still_exact():
     """The guard stays: feed a plan that armed a float32 buffer a
-    float64 operand behind the binder's back (``Session``-style manual
-    binding) and the write is refused, counted, and recomputed."""
+    float64 operand behind the binder's back (slots stored by hand)
+    and the write is refused, counted, and recomputed."""
     g = fw.Graph()
     with g.as_default():
         x = ops.placeholder(fw.float32, [3])
@@ -407,13 +407,14 @@ def test_a_refused_in_place_write_is_counted_and_still_exact():
         y = ops.add(ops.negative(x), c)
     plan = compile_plan(g, [y], [x, c], fuse=False)
     assert len(_inplace_steps(plan)) == 1
-    values = plan.new_values()
+    values = list(plan.base_values)
     xv = np.array([1, 2, 3], np.float32)
     cv = np.array([0.1, 0.2, 0.3], np.float64)   # not the declared dtype
     for (_t, slot), v in zip(plan.feed_slots, (xv, cv)):
         values[slot] = (v,)
     before = observe.counters().get("runtime.inplace_refusals", 0)
-    got = plan.run_flat(values)[0]
+    plan.execute(values)
+    got = plan.fetch(values)[0]
     assert observe.counters()["runtime.inplace_refusals"] == before + 1
     assert got.dtype == np.float64
     np.testing.assert_array_equal(got, -xv + cv)
