@@ -1,8 +1,11 @@
 """The shared analysis runner (paper §7).
 
-Each conversion pass that needs dataflow facts re-runs the static
-analyses over the (possibly already partially transformed) tree — this is
-the "multiple passes, each preceded by static analysis" structure of §6.
+A conversion pass that needs dataflow facts runs the static analyses over
+the (already partially transformed) tree just before it transforms — the
+"multiple passes, each preceded by static analysis" structure of §6.  One
+pass does today: ``converters/control_flow.py``, which reads scopes,
+liveness and reaching definitions to find the symbols a staged ``if`` or
+loop must thread.
 """
 
 from __future__ import annotations

@@ -13,9 +13,10 @@ import functools
 import inspect
 import warnings
 
+from repro.framework.ops import dispatch as fw_dispatch
+
 from .. import errors
 from ..core.config import is_allowlisted_module
-from ..operators import dispatch as op_dispatch
 from ..operators import py_builtins
 from . import conversion
 
@@ -80,10 +81,12 @@ def converted_call(f, args=(), kwargs=None):
         return overload(*args, **kwargs)
 
     # Staged-call interception (Lantern's __call_staged, §8): backends that
-    # stage recursion claim calls to registered functions here.
-    if op_dispatch._CALL_INTERCEPTORS:
-        result = op_dispatch.intercept_call(f, args, kwargs)
-        if result is not op_dispatch.NOT_INTERCEPTED:
+    # stage recursion claim calls to registered functions here.  Only those
+    # overriding ``intercept_call`` are listed, so the loop is empty while
+    # the graph IR is the one registrant.
+    for backend in fw_dispatch.call_backends:
+        result = backend.intercept_call(f, args, kwargs)
+        if result is not fw_dispatch.NOT_HANDLED:
             return result
 
     # @convert-decorated wrappers: unwrap so the cache is shared.

@@ -2,10 +2,12 @@
 
 Generated code references this package under the alias ``ag__``.  Every
 function here implements the paper's *dynamic dispatch* (Section 6):
-inspect the runtime types, stage into the backend IR when they are
-tensor-like, and fall back to plain Python semantics otherwise.
+inspect the runtime types, stage through the backend that claims them
+(``dispatch.backend_for``), and fall back to plain Python semantics
+otherwise.
 """
 
+from . import graph_backend  # noqa: F401 - registers the graph IR
 from .control_flow import for_stmt, if_exp, if_stmt, while_stmt
 from .data_structures import (
     list_append,
@@ -14,7 +16,7 @@ from .data_structures import (
     new_list,
     new_list_of_type,
 )
-from .dispatch import is_staged, register_backend, unregister_backend
+from .dispatch import register_backend, unregister_backend
 from .exceptions import assert_stmt
 from .function_wrappers import FunctionScope, with_function_scope
 from .logical import and_, eq, gt_, gt_e, lt_, lt_e, not_, not_eq, or_
@@ -81,7 +83,6 @@ __all__ = [
     "UndefinedReturnValue",
     "ld",
     "ldu",
-    "is_staged",
     "register_backend",
     "unregister_backend",
 ]

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.framework import dtypes, ops
+from repro.framework import TensorArray, dtypes, ops
+from repro.framework import Tensor as SymbolicTensor
 from repro.framework.errors import StagingError
-from repro.framework.graph.graph import Tensor as SymbolicTensor
-from repro.framework.graph.tensor_array import TensorArray, TensorArrayValue
-from repro.framework.registry import register_op
 
 __all__ = [
     "new_list",
@@ -66,27 +64,12 @@ def list_append(list_, x):
     )
 
 
-# A TensorArray pop primitive (returns shortened array + last element).
-def _ta_pop_kernel(ta):
-    if not len(ta.items):
-        raise IndexError("pop from empty TensorArray")
-    return TensorArrayValue(ta.items[:-1]), ta.items[-1]
-
-
-register_op("TensorArrayPop", _ta_pop_kernel, num_outputs=2,
-            dtype_fn=lambda dts, attrs: [dtypes.variant, dtypes.variant])
-
-
 def list_pop(list_, i=None):
     """Overload of ``x = l.pop()``: returns ``(new_list, popped_value)``."""
     if isinstance(list_, TensorArray):
         if i is not None:
             raise StagingError("staged list pop only supports popping the tail")
-        from repro.framework.ops import dispatch as fw_dispatch
-
-        flow, value = fw_dispatch.run_op("TensorArrayPop", [list_.flow], {})
-        return TensorArray(list_.element_dtype, flow=flow,
-                           element_shape=list_.element_shape), value
+        return list_.pop()
     if isinstance(list_, list):
         value = list_.pop() if i is None else list_.pop(i)
         return list_, value

@@ -1,86 +1,26 @@
-"""Backend dispatch predicates (paper §6 and §8).
+"""Two-way dynamic dispatch (paper §6 and §8).
 
-AutoGraph's operators decide at *runtime* whether a value warrants staging.
-The default backend is the framework's graph IR; additional backends (the
-Lantern S-expression IR, Section 8) register themselves here, making the
-SCT front-end backend-agnostic.
+Every ``ag__`` operator decides at *runtime* where its construct runs, and
+the decision has two outcomes: a registered staging backend claims one of
+the operands (``backend_for(*values)``) and stages the construct through
+its :class:`StagingBackend` method, or nobody does and the construct runs
+with plain Python semantics.  The graph IR (``graph_backend.py``) is one
+registrant among others — Lantern's ``Stager`` registers while it is
+active — which is what makes the SCT front-end backend agnostic: an
+operator never names an IR.
+
+The protocol and its registry live in ``repro.framework.ops.dispatch``,
+the lowest layer that consults them (``run_op`` offers every framework op
+to the backends that stage ops).
 """
 
-from __future__ import annotations
+from repro.framework.ops.dispatch import (
+    NOT_HANDLED,
+    StagingBackend,
+    backend_for,
+    register_backend,
+    unregister_backend,
+)
 
-__all__ = ["is_staged", "staging_backend_for", "register_backend",
-           "unregister_backend", "framework_is_tensor",
-           "register_call_interceptor", "unregister_call_interceptor",
-           "intercept_call", "NOT_INTERCEPTED"]
-
-# Backends are consulted in registration order, before the framework
-# default.  A backend is any object with:
-#   matches(value) -> bool
-#   if_stmt(cond, body, orelse, symbol_names) -> tuple
-#   while_stmt(test, body, init_state, symbol_names, opts) -> tuple
-#   for_stmt(iter_, extra_test, body, init_state, symbol_names, opts) -> tuple
-_BACKENDS = []
-
-
-def register_backend(backend):
-    """Register an alternate staging backend (e.g. Lantern)."""
-    if backend not in _BACKENDS:
-        _BACKENDS.append(backend)
-
-
-def unregister_backend(backend):
-    if backend in _BACKENDS:
-        _BACKENDS.remove(backend)
-
-
-def framework_is_tensor(value):
-    """The paper's ``is_tensor``: True for framework tensors/variables."""
-    from repro.framework.ops import dispatch as fw_dispatch
-
-    return fw_dispatch.is_tensor(value)
-
-
-def staging_backend_for(value):
-    """The registered backend claiming ``value``, or None."""
-    for backend in _BACKENDS:
-        if backend.matches(value):
-            return backend
-    return None
-
-
-def is_staged(value):
-    """True when ``value`` belongs to any staging backend."""
-    if framework_is_tensor(value):
-        return True
-    return staging_backend_for(value) is not None
-
-
-# ---------------------------------------------------------------------------
-# converted_call interception (paper §8: __call_staged).
-#
-# Backends that stage *function calls* themselves (Lantern's recursive
-# models) register an interceptor; converted_call offers each call to the
-# interceptors before converting/calling.
-# ---------------------------------------------------------------------------
-
-NOT_INTERCEPTED = object()
-_CALL_INTERCEPTORS = []
-
-
-def register_call_interceptor(hook):
-    if hook not in _CALL_INTERCEPTORS:
-        _CALL_INTERCEPTORS.append(hook)
-
-
-def unregister_call_interceptor(hook):
-    if hook in _CALL_INTERCEPTORS:
-        _CALL_INTERCEPTORS.remove(hook)
-
-
-def intercept_call(f, args, kwargs):
-    """Offer a call to registered interceptors; NOT_INTERCEPTED if unclaimed."""
-    for hook in _CALL_INTERCEPTORS:
-        result = hook(f, args, kwargs)
-        if result is not NOT_INTERCEPTED:
-            return result
-    return NOT_INTERCEPTED
+__all__ = ["StagingBackend", "backend_for", "register_backend",
+           "unregister_backend", "NOT_HANDLED"]

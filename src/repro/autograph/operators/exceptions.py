@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.framework import ops
-from repro.framework.graph.graph import Tensor as SymbolicTensor
+from repro.framework import Tensor as SymbolicTensor
 
 __all__ = ["assert_stmt"]
 

@@ -5,67 +5,48 @@ framework's tensors deliberately do not overload ``==`` (see
 ``TensorOpsMixin``).  The logical_expressions converter therefore rewrites
 these into the functions below, which dispatch on runtime types.
 
-Lazy semantics are preserved when staging: ``a and b`` becomes
-``cond(a, lambda: b, lambda: a)`` (paper Appendix E, footnote h).
+Lazy semantics are preserved when staging: ``a and b`` is the ternary
+``b if a else a``, so it stages as whatever the backend claiming ``a``
+makes of an ``if`` — ``cond(a, lambda: b, lambda: a)`` on the graph IR
+(paper Appendix E, footnote h) — and is Python's own ``and`` otherwise.
 """
 
 from __future__ import annotations
 
 from repro.framework import ops
 from repro.framework.eager.tensor import EagerTensor
-from repro.framework.graph.graph import Tensor as SymbolicTensor
 
-from . import dispatch
+from .control_flow import if_exp
+from .dispatch import backend_for
 
 __all__ = ["and_", "or_", "not_", "eq", "not_eq", "gt_", "gt_e", "lt_", "lt_e"]
 
 
-def _is_tensor(value):
-    return isinstance(value, (SymbolicTensor, EagerTensor)) or (
-        dispatch.staging_backend_for(value) is not None
-    )
-
-
 def and_(a_fn, b_fn):
-    """Lazy ``a and b``; operands passed as thunks to preserve laziness."""
+    """Lazy ``a and b``, which is ``b if a else a``; operands are passed
+    as thunks to preserve laziness."""
     a = a_fn()
-    backend = dispatch.staging_backend_for(a)
-    if backend is not None and hasattr(backend, "and_"):
-        return backend.and_(a, b_fn)
-    if isinstance(a, SymbolicTensor):
-        return ops.cond(a, lambda: _as_cond_tensor(b_fn()), lambda: a)
-    if isinstance(a, EagerTensor):
-        return ops.logical_and(a, b_fn()) if bool(a) else a
-    return a and b_fn()
+    return if_exp(a, b_fn, lambda: a)
 
 
 def or_(a_fn, b_fn):
-    """Lazy ``a or b``."""
+    """Lazy ``a or b``, which is ``a if a else b``."""
     a = a_fn()
-    backend = dispatch.staging_backend_for(a)
-    if backend is not None and hasattr(backend, "or_"):
-        return backend.or_(a, b_fn)
-    if isinstance(a, SymbolicTensor):
-        return ops.cond(a, lambda: a, lambda: _as_cond_tensor(b_fn()))
-    if isinstance(a, EagerTensor):
-        return a if bool(a) else ops.logical_or(a, b_fn())
-    return a or b_fn()
-
-
-def _as_cond_tensor(value):
-    if isinstance(value, SymbolicTensor):
-        return value
-    return ops.constant(bool(value))
+    return if_exp(a, lambda: a, b_fn)
 
 
 def not_(a):
-    """``not a`` with tensor dispatch."""
-    backend = dispatch.staging_backend_for(a)
-    if backend is not None and hasattr(backend, "not_"):
+    """``not a``: the backend's negation, elementwise on an eager tensor."""
+    backend = backend_for(a)
+    if backend is not None:
         return backend.not_(a)
-    if _is_tensor(a):
+    if isinstance(a, EagerTensor):
         return ops.logical_not(a)
     return not a
+
+
+def _is_tensor(value):
+    return isinstance(value, EagerTensor) or backend_for(value) is not None
 
 
 def _comparison(op_fn, py_fn, name):

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import builtins
 
-from repro.framework import ops
-from repro.framework.eager.tensor import EagerTensor
-from repro.framework.graph.graph import Tensor as SymbolicTensor
-from repro.framework.graph.tensor_array import TensorArray
+from repro.framework import EagerTensor, TensorArray, ops
+from repro.framework import Tensor as SymbolicTensor
 
 __all__ = ["overload_of", "print_", "len_", "range_", "int_", "float_", "abs_"]
 

@@ -7,21 +7,14 @@ target IR requires functional updates.  Reads dispatch mechanically.
 
 from __future__ import annotations
 
-from repro.framework import ops
-from repro.framework.eager.tensor import EagerTensor
-from repro.framework.graph.graph import Tensor as SymbolicTensor
-from repro.framework.graph.tensor_array import TensorArray
-
-from . import dispatch
+from repro.framework import EagerTensor, TensorArray, ops
+from repro.framework import Tensor as SymbolicTensor
 
 __all__ = ["get_item", "set_item"]
 
 
 def get_item(target, key):
     """Overload of ``target[key]``."""
-    backend = dispatch.staging_backend_for(target)
-    if backend is not None and hasattr(backend, "get_item"):
-        return backend.get_item(target, key)
     if isinstance(target, TensorArray):
         return target.read(key)
     if isinstance(target, (SymbolicTensor, EagerTensor)):
@@ -37,9 +30,6 @@ def get_item(target, key):
 
 def set_item(target, key, value):
     """Overload of ``target[key] = value`` with value semantics."""
-    backend = dispatch.staging_backend_for(target)
-    if backend is not None and hasattr(backend, "set_item"):
-        return backend.set_item(target, key, value)
     if isinstance(target, TensorArray):
         return target.write(key, value)
     if isinstance(target, (SymbolicTensor, EagerTensor)):

@@ -68,6 +68,11 @@ class TensorArrayValue:
     def size(self):
         return np.asarray(len(self.items), dtype=np.int32)
 
+    def pop(self):
+        if not self.items:
+            raise IndexError("pop from empty TensorArray")
+        return TensorArrayValue(self.items[:-1]), self.items[-1]
+
     def __len__(self):
         return len(self.items)
 
@@ -88,6 +93,8 @@ register_op("TensorArrayStack", TensorArrayValue.stack,
                 else (None, *attrs["element_shape"]))])
 register_op("TensorArraySize", lambda ta: ta.size(),
             dtype_fn=lambda dts, attrs: [dtypes.int32])
+register_op("TensorArrayPop", TensorArrayValue.pop, num_outputs=2,
+            dtype_fn=lambda dts, attrs: [dtypes.variant, dtypes.variant])
 register_op("TensorArrayFromTensor",
             lambda t: TensorArrayValue([np.asarray(t)[i] for i in range(np.asarray(t).shape[0])]),
             dtype_fn=lambda dts, attrs: [dtypes.variant])
@@ -157,6 +164,12 @@ class TensorArray:
 
     def size(self):
         return _run("TensorArraySize", [self.flow])
+
+    def pop(self):
+        """Drop the last element; returns ``(shorter array, element)``."""
+        flow, value = _run("TensorArrayPop", [self.flow])
+        return TensorArray(self.element_dtype, flow=flow,
+                           element_shape=self.element_shape), value
 
     @classmethod
     def unstack(cls, tensor, dtype=dtypes.float32):

@@ -68,9 +68,8 @@ def print_v2(*args, sep=" ", end="\n", name=None):
     (paper Section 6): staging a plain ``print`` would log at trace time,
     so converted code logs via this op instead.
     """
-    tensor_args = []
-    attrs = {"sep": sep, "end": end}
-    return dispatch.run_op("PrintV2", list(args), attrs, name=name)
+    return dispatch.run_op("PrintV2", list(args), {"sep": sep, "end": end},
+                           name=name)
 
 
 def assert_op(condition, data=(), message="Assertion failed", name=None):

@@ -14,41 +14,112 @@ whether computation is staged.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .. import context, dtypes
 from ..eager.execute import execute_op
 from ..eager.tensor import EagerTensor
-from ..errors import GraphError
+from ..errors import GraphError, StagingError
 from ..graph.func_graph import FuncGraph
 from ..graph.graph import Tensor
 
 __all__ = ["run_op", "is_symbolic", "is_tensor", "as_graph_tensor",
-           "convert_to_tensor", "register_staging_hook",
-           "unregister_staging_hook", "NOT_HANDLED"]
+           "convert_to_tensor", "StagingBackend", "register_backend",
+           "unregister_backend", "backend_for", "NOT_HANDLED"]
 
 # ---------------------------------------------------------------------------
-# Alternate-backend staging hooks (paper §8).
-#
-# A hook is ``hook(op_type, inputs, attrs) -> result | NOT_HANDLED``.  An
-# active alternate backend (the Lantern Stager) registers one so that
-# *framework* ops called on its staged values emit backend IR instead of
-# graph nodes / eager kernels — the op API stays backend-agnostic.
+# Staging backends (paper §8): the one seam through which a value decides
+# where its computation is staged.  AutoGraph's operators ask
+# ``backend_for`` about control flow, ``converted_call`` offers calls, and
+# ``run_op`` below offers ops, so neither layer names a particular IR.
 # ---------------------------------------------------------------------------
 
 NOT_HANDLED = object()
-_STAGING_HOOKS = []
 
 
-def register_staging_hook(hook):
-    """Register an op-level staging hook (consulted before any mode)."""
-    if hook not in _STAGING_HOOKS:
-        _STAGING_HOOKS.append(hook)
+class StagingBackend:
+    """What a staging target implements; every method but ``matches`` is
+    optional.  A construct the backend leaves out raises a
+    :class:`StagingError` naming the construct and the backend."""
+
+    name = "staging"
+
+    def _unsupported(self, construct):
+        return StagingError(
+            f"{construct}: the {self.name} backend does not stage this "
+            "construct")
+
+    def matches(self, value):
+        """True when ``value`` is one of this backend's staged values."""
+        raise NotImplementedError
+
+    def if_stmt(self, cond, body, orelse, symbol_names):
+        """Stage ``if cond``; ``and`` / ``or`` / ternaries arrive here too."""
+        raise self._unsupported("if")
+
+    def while_stmt(self, test, body, init_state, symbol_names, opts):
+        raise self._unsupported("while")
+
+    def for_stmt(self, iter_, extra_test, body, init_state, symbol_names,
+                 opts):
+        raise self._unsupported("for")
+
+    def not_(self, value):
+        raise self._unsupported("not")
+
+    def intercept_call(self, f, args, kwargs):
+        """Stage the call ``f(*args, **kwargs)`` itself, or ``NOT_HANDLED``."""
+        return NOT_HANDLED
+
+    def run_op(self, op_type, inputs, attrs):
+        """Stage a framework op on this backend's values, or ``NOT_HANDLED``."""
+        return NOT_HANDLED
 
 
-def unregister_staging_hook(hook):
-    if hook in _STAGING_HOOKS:
-        _STAGING_HOOKS.remove(hook)
+# Consulted in order; a registration goes in front, so the graph IR, which
+# registers when AutoGraph's operators load, is asked last.
+_BACKENDS = ()
+# The registered backends that override ``run_op`` / ``intercept_call``:
+# ``run_op`` and ``converted_call`` walk an empty tuple while the graph IR
+# is the only registrant.
+op_backends = ()
+call_backends = ()
+_registry_lock = threading.Lock()
+
+
+def _set_backends(backends):
+    global _BACKENDS, op_backends, call_backends
+
+    def overriding(hook):
+        default = getattr(StagingBackend, hook)
+        return tuple(b for b in backends if getattr(type(b), hook) is not default)
+
+    _BACKENDS = backends
+    op_backends = overriding("run_op")
+    call_backends = overriding("intercept_call")
+
+
+def register_backend(backend):
+    """Register a staging backend, ahead of those already registered."""
+    with _registry_lock:
+        if backend not in _BACKENDS:
+            _set_backends((backend, *_BACKENDS))
+
+
+def unregister_backend(backend):
+    with _registry_lock:
+        _set_backends(tuple(b for b in _BACKENDS if b is not backend))
+
+
+def backend_for(*values):
+    """The backend staging any of ``values``; None means plain Python."""
+    for backend in _BACKENDS:
+        for value in values:
+            if backend.matches(value):
+                return backend
+    return None
 
 
 def is_symbolic(value):
@@ -128,11 +199,10 @@ def _is_convertible(value):
 def run_op(op_type, inputs, attrs=None, name=None):
     """Build or execute ``op_type`` depending on the current mode."""
     attrs = attrs or {}
-    if _STAGING_HOOKS:
-        for hook in _STAGING_HOOKS:
-            result = hook(op_type, inputs, attrs)
-            if result is not NOT_HANDLED:
-                return result
+    for backend in op_backends:
+        result = backend.run_op(op_type, inputs, attrs)
+        if result is not NOT_HANDLED:
+            return result
 
     if context.has_default_graph():
         graph = context.get_default_graph()

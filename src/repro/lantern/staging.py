@@ -7,25 +7,25 @@ are intercepted (via the converted_call hook) and emitted as IR call
 instructions instead of being re-traced — which is what terminates the
 trace of a recursive function.
 
-The Stager is also the AutoGraph *backend* object (registered with
-``operators.dispatch``): staged booleans route ``if`` statements into
-``emit_if``, demonstrating the backend-agnostic SCT front-end.
+The Stager is also the AutoGraph *backend* object (a ``StagingBackend``
+registered while it is active): staged booleans route ``if`` statements
+into ``emit_if``, demonstrating the backend-agnostic SCT front-end.
 """
 
 from __future__ import annotations
 
 import contextlib
 
-from repro.autograph.operators import dispatch as ag_dispatch
+from repro.autograph.operators.dispatch import (
+    NOT_HANDLED,
+    StagingBackend,
+    register_backend,
+    unregister_backend,
+)
 
 from .ir import Builder, FunctionDef, Program, StagedBool, StagedTensor, StagedTree, StagedValue
 
-__all__ = ["Stager", "NOT_INTERCEPTED", "StagedArityError",
-           "ReentrantStagingError"]
-
-# The sentinel must be the dispatch module's own: converted_call compares
-# interceptor results against it by identity.
-NOT_INTERCEPTED = ag_dispatch.NOT_INTERCEPTED
+__all__ = ["Stager", "StagedArityError", "ReentrantStagingError"]
 
 # A plain function re-entered this many times on staged arguments during
 # one trace is declared re-entrant (recursive helper) and must be staged
@@ -75,42 +75,34 @@ def _staged_kind(value):
     return None
 
 
-class Stager:
-    """Builds a Lantern :class:`Program` by tracing converted functions."""
+class Stager(StagingBackend):
+    """Builds a Lantern :class:`Program` by tracing converted functions.
+
+    Loops are not staged (the protocol's ``StagingError``): Lantern's
+    distinguishing capability is recursion (§8), so a loop over staged
+    values is written as a recursive function."""
+
+    name = "Lantern"
 
     def __init__(self):
         self.program = Program()
         self.builder = Builder(self.program)
         # original python function -> FunctionDef (for recursion).
         self._staged_functions = {}
-        self._active = False
         # Re-entrancy discovery: inline-call entry counts per target.
         self._entry_counts = {}
         # Declared-but-untraced functions: target -> (fdef, params).
         self._pending_traces = {}
 
     # ------------------------------------------------------------------
-    # AutoGraph backend protocol
+    # The StagingBackend protocol
     # ------------------------------------------------------------------
 
     def matches(self, value):
         return isinstance(value, StagedValue) and value.builder is self.builder
 
     def if_stmt(self, cond, body, orelse, symbol_names):
-        results = self.builder.emit_if(cond, body, orelse, len(symbol_names))
-        return results
-
-    def while_stmt(self, test, body, init_state, symbol_names, opts):
-        raise NotImplementedError(
-            "The Lantern backend stages loops as recursion; rewrite the loop "
-            "as a recursive function (its distinguishing capability, §8)."
-        )
-
-    def for_stmt(self, iter_, extra_test, body, init_state, symbol_names, opts):
-        raise NotImplementedError(
-            "The Lantern backend stages loops as recursion; rewrite the loop "
-            "as a recursive function (its distinguishing capability, §8)."
-        )
+        return self.builder.emit_if(cond, body, orelse, len(symbol_names))
 
     def not_(self, value):
         # Staged boolean negation: model as 1 - b via a dedicated emit; we
@@ -124,17 +116,17 @@ class Stager:
 
     def intercept_call(self, f, args, kwargs):
         """converted_call hook: emit IR calls for staged functions."""
-        if not self._active or kwargs:
-            return NOT_INTERCEPTED
+        if kwargs:
+            return NOT_HANDLED
         target = getattr(f, "__wrapped_original__", None) or getattr(
             f, "__ag_original__", None
         ) or f
         fdef = self._staged_functions.get(target)
         if fdef is None:
             self._note_inline_call(target, args)
-            return NOT_INTERCEPTED
+            return NOT_HANDLED
         if not any(isinstance(a, StagedValue) for a in args):
-            return NOT_INTERCEPTED
+            return NOT_HANDLED
         return self.builder.emit_call(fdef.name, list(args), fdef.n_outputs)
 
     def _note_inline_call(self, target, args):
@@ -168,45 +160,33 @@ class Stager:
                 )
             raise ReentrantStagingError(target, kinds)
 
-    # ------------------------------------------------------------------
-    # Staged definition (paper's __def_staged / __call_staged)
-    # ------------------------------------------------------------------
-
-    def framework_op_hook(self, op_type, inputs, attrs):
-        """Framework-dispatch hook: stage ``ops.*`` calls on our values.
+    def run_op(self, op_type, inputs, attrs):
+        """Stage ``ops.*`` calls on our values.
 
         Lets functions written against the *framework* op API (the graph
         backend's surface) stage into the Lantern IR unchanged — the §8
         backend-agnostic front-end claim at the op level.
         """
-        from repro.framework.ops import dispatch as fw_dispatch
-
-        if not self._active or not any(
-            isinstance(v, StagedValue) and v.builder is self.builder
-            for v in inputs
-        ):
-            return fw_dispatch.NOT_HANDLED
+        if not any(self.matches(v) for v in inputs):
+            return NOT_HANDLED
         from .lowering import lower_op_call
 
         return lower_op_call(self.builder, op_type, inputs, attrs)
 
     @contextlib.contextmanager
     def active(self):
-        """Activate the backend: registers dispatch + call interception."""
-        from repro.framework.ops import dispatch as fw_dispatch
-
-        ag_dispatch.register_backend(self)
-        ag_dispatch.register_call_interceptor(self.intercept_call)
-        fw_dispatch.register_staging_hook(self.framework_op_hook)
-        self._active = True
+        """Activate the backend: one registration covers control flow,
+        call interception and framework ops."""
+        register_backend(self)
         self._entry_counts = {}
         try:
             yield self
         finally:
-            self._active = False
-            fw_dispatch.unregister_staging_hook(self.framework_op_hook)
-            ag_dispatch.unregister_call_interceptor(self.intercept_call)
-            ag_dispatch.unregister_backend(self)
+            unregister_backend(self)
+
+    # ------------------------------------------------------------------
+    # Staged definition (paper's __def_staged / __call_staged)
+    # ------------------------------------------------------------------
 
     def staged_arg(self, kind, name):
         """A staged function parameter of the given kind."""

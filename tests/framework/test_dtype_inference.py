@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import repro
-import repro.autograph.operators  # noqa: F401 - registers TensorArrayPop
+import repro.autograph.operators  # noqa: F401 - registers UndefinedConst
 from repro import framework as fw
 from repro.framework import dtypes, ops
 from repro.framework.registry import get_op_def, list_ops

@@ -228,6 +228,14 @@ class TestTreeLSTM:
         assert last < first
 
     def test_loops_unsupported_message(self):
+        from repro.autograph import operators as ag__
+        from repro.framework.errors import FrameworkError, StagingError
+
+        assert issubclass(StagingError, FrameworkError)  # a 400 when served
         stager = lantern.Stager()
-        with pytest.raises(NotImplementedError, match="recursion"):
-            stager.while_stmt(None, None, (), (), {})
+        with stager.active():
+            x = stager.staged_arg("tensor", "x")
+            with pytest.raises(StagingError, match="while: the Lantern backend"):
+                ag__.while_stmt(lambda x: x, lambda x: (x,), (x,), ("x",))
+            with pytest.raises(StagingError, match="for: the Lantern backend"):
+                ag__.for_stmt(x, None, lambda v, s: (s,), (0,), ("s",))
