@@ -122,8 +122,6 @@ class _ControlFlowTransformer(transformer.Base):
             )
         else:
             out.append(ast.Expr(value=call))
-        for stmt in out:
-            ast.fix_missing_locations(stmt)
         return out
 
     def _make_branch_fn(self, fn_name, body_stmts, state, aliased=None):
@@ -144,7 +142,7 @@ class _ControlFlowTransformer(transformer.Base):
                 ctx=ast.Load(),
             )
         )
-        fn = ast.FunctionDef(
+        return ast.FunctionDef(
             name=fn_name,
             args=ast.arguments(
                 posonlyargs=[], args=[], vararg=None, kwonlyargs=[],
@@ -154,7 +152,6 @@ class _ControlFlowTransformer(transformer.Base):
             decorator_list=[],
             returns=None,
         )
-        return ast.fix_missing_locations(fn)
 
     # ------------------------------------------------------------- while
 
@@ -210,12 +207,10 @@ class _ControlFlowTransformer(transformer.Base):
         # A while...else with no break always runs the else after the loop
         # (break-containing loops had their else lowered by the break pass).
         out.extend(node.orelse)
-        for stmt in out:
-            ast.fix_missing_locations(stmt)
         return out
 
     def _make_state_fn(self, fn_name, state, body):
-        fn = ast.FunctionDef(
+        return ast.FunctionDef(
             name=fn_name,
             args=ast.arguments(
                 posonlyargs=[],
@@ -227,7 +222,6 @@ class _ControlFlowTransformer(transformer.Base):
             decorator_list=[],
             returns=None,
         )
-        return ast.fix_missing_locations(fn)
 
     # --------------------------------------------------------------- for
 
@@ -296,7 +290,7 @@ class _ControlFlowTransformer(transformer.Base):
             decorator_list=[],
             returns=None,
         )
-        out.append(ast.fix_missing_locations(body_fn))
+        out.append(body_fn)
 
         call = templates.replace_as_expression(
             "ag__.for_stmt(iter_, extra_, body_name_, init_, names_, opts_)",
@@ -316,8 +310,6 @@ class _ControlFlowTransformer(transformer.Base):
         else:
             out.append(ast.Expr(value=call))
         out.extend(node.orelse)
-        for stmt in out:
-            ast.fix_missing_locations(stmt)
         return out
 
 

@@ -80,7 +80,7 @@ class _FunctionWrapperTransformer(transformer.Base):
             body_=body,
         )
         node.body = docstring + wrapped
-        return ast.fix_missing_locations(node)
+        return node
 
     visit_AsyncFunctionDef = visit_FunctionDef
 

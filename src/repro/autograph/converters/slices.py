@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import ast
 
-from ..pyct import templates, transformer
+from ..pyct import ast_util, templates, transformer
 
 __all__ = ["transform"]
 
@@ -44,9 +44,7 @@ class _SliceTransformer(transformer.Base):
         self.generic_visit(node)
         if len(node.targets) == 1 and isinstance(node.targets[0], ast.Subscript):
             target = node.targets[0]
-            base = ast.copy_location(
-                ast.fix_missing_locations(_load(target.value)), target
-            )
+            base = _load(target.value)
             key = _key_expression(target)
             return templates.replace(
                 "base_ = ag__.set_item(base_, key_, value_)",
@@ -90,9 +88,7 @@ class _SliceTransformer(transformer.Base):
 
 def _load(expr):
     """A Load-context copy of an assignment-target expression."""
-    import copy as _copy
-
-    new = _copy.deepcopy(expr)
+    new = ast_util.copy_tree(expr)
     for child in ast.walk(new):
         if hasattr(child, "ctx"):
             child.ctx = ast.Load()

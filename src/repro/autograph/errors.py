@@ -10,6 +10,7 @@ original source via the per-conversion source maps.
 from __future__ import annotations
 
 import traceback
+import weakref
 
 __all__ = [
     "ConversionError",
@@ -27,12 +28,20 @@ class ConversionError(AutoGraphError):
     """The entity could not be converted (paper App. B, Conversion Errors)."""
 
 
-# Global registry: generated filename -> {(filename, lineno): OriginInfo}.
+# Generated filename -> {(filename, lineno): OriginInfo}.
 _SOURCE_MAPS = {}
 
 
-def register_source_map(generated_filename, source_map):
+def register_source_map(generated_filename, source_map, owner=None):
+    """Map frames in ``generated_filename`` back through ``source_map``.
+
+    With an ``owner`` the entry is dropped when the owner is collected (a
+    conversion owns the map of its generated file); without one it stays
+    for the life of the process.
+    """
     _SOURCE_MAPS[generated_filename] = source_map
+    if owner is not None:
+        weakref.finalize(owner, _SOURCE_MAPS.pop, generated_filename, None)
 
 
 def _origin_for_frame(frame):

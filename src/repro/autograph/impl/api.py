@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import inspect
 import warnings
+import weakref
 
 from repro.framework.ops import dispatch as fw_dispatch
 
@@ -24,8 +25,10 @@ __all__ = ["convert", "to_graph", "converted_call", "do_not_convert"]
 
 # Code object (compared by value: shared by all functions with this
 # source) -> conversion record; converted functions live on their original.
-_CONVERSION_CACHE = {}
-_FAILED_CONVERSIONS = set()
+# Both hold a code object only while something else does, so a conversion
+# is freed with the last function that has its code.
+_CONVERSION_CACHE = weakref.WeakKeyDictionary()
+_FAILED_CONVERSIONS = weakref.WeakSet()
 
 
 def do_not_convert(fn):

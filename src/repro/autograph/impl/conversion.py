@@ -27,7 +27,8 @@ import types
 from .. import converters, errors, operators
 from ..pyct import loader, origin_info, parser, transformer
 
-__all__ = ["convert_entity", "instantiate", "is_generated_file", "GENERATED_PREFIX"]
+__all__ = ["Conversion", "convert_entity", "instantiate", "is_generated_file",
+           "GENERATED_PREFIX"]
 
 GENERATED_PREFIX = "repro_generated_"
 
@@ -57,17 +58,37 @@ def _wrap_in_factory(node, freevars):
     return outer
 
 
+class Conversion:
+    """What converting one code object produced: the generated
+    ``ag__factory``'s code object (:func:`instantiate` binds it) and the
+    generated source.  It also owns the registration of the generated
+    file's source map, which goes when the conversion is collected.
+
+    Every converted function references its conversion
+    (``__ag_conversion__``), so a conversion lives exactly as long as a
+    function converted from it, or its code object in the conversion
+    cache, does.
+    """
+
+    __slots__ = ("factory_code", "source", "__weakref__")
+
+    def __init__(self, factory_code, source):
+        self.factory_code = factory_code
+        self.source = source
+
+
 def instantiate(record, fn):
-    """The converted ``fn``: its code's conversion ``record`` bound to
+    """The converted ``fn``: its code's :class:`Conversion` bound to
     ``fn``'s own globals and closure cells."""
-    factory_code, generated_source = record
+    factory_code = record.factory_code
     cells = dict(zip(fn.__code__.co_freevars, fn.__closure__ or ()))
     factory = types.FunctionType(
         factory_code, fn.__globals__, closure=tuple(
             cells[name] for name in factory_code.co_freevars))
     converted = factory(operators)
     converted.__ag_compiled__ = True
-    converted.__ag_source__ = generated_source
+    converted.__ag_conversion__ = record
+    converted.__ag_source__ = record.source
     converted.__wrapped_original__ = fn
     return converted
 
@@ -76,8 +97,7 @@ def convert_entity(fn):
     """Convert a live function's code into its staged form.
 
     Returns:
-      (factory_code, generated_source): the generated ``ag__factory``'s
-      code object (:func:`instantiate` binds it) and the source.
+      The :class:`Conversion`.
 
     Raises:
       errors.ConversionError: when the source cannot be obtained/converted.
@@ -123,5 +143,6 @@ def convert_entity(fn):
     source_map = origin_info.create_source_map(
         node, generated_source, generated_filename
     )
-    errors.register_source_map(generated_filename, source_map)
-    return module.ag__outer().__code__, generated_source
+    record = Conversion(module.ag__outer().__code__, generated_source)
+    errors.register_source_map(generated_filename, source_map, owner=record)
+    return record

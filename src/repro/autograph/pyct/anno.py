@@ -2,8 +2,10 @@
 
 Static analyses decorate AST nodes with extra information (paper §6 step
 3a); the conversion passes read those annotations.  Annotations live in a
-dedicated dict attribute so they never collide with ``ast`` fields, and
-survive ``copy.deepcopy``.
+dedicated dict attribute so they never collide with ``ast`` fields.  A
+node spliced by a template (``ast_util.copy_tree``) gets a new dict whose
+values are shared with the original's: annotation values are never
+mutated once the analyses that set them are done.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import enum
 __all__ = ["Basic", "Static", "setanno", "getanno", "hasanno", "delanno",
            "copyanno", "dup"]
 
-_FIELD = "__repro_anno__"
+FIELD = "__repro_anno__"
 
 
 class Basic(enum.Enum):
@@ -41,10 +43,10 @@ class Static(enum.Enum):
 
 
 def _annos(node, create=False):
-    annos = getattr(node, _FIELD, None)
+    annos = getattr(node, FIELD, None)
     if annos is None and create:
         annos = {}
-        setattr(node, _FIELD, annos)
+        setattr(node, FIELD, annos)
     return annos
 
 

@@ -1,21 +1,46 @@
-"""AST manipulation helpers: scope-aware renaming, clean copies, matching."""
+"""AST manipulation helpers: structural copies, scope-aware renaming,
+matching."""
 
 from __future__ import annotations
 
 import ast
-import copy
 
-__all__ = ["rename_symbols", "copy_clean", "collect_bound_names",
+from . import anno
+
+__all__ = ["copy_tree", "copy_clean", "rename_symbols", "collect_bound_names",
            "matches_name_call"]
 
 
-def copy_clean(node):
-    """A deep copy of ``node`` with annotation payloads dropped."""
-    new = copy.deepcopy(node)
-    for child in ast.walk(new):
-        if hasattr(child, "__repro_anno__"):
-            delattr(child, "__repro_anno__")
+def _copy(value, annotations):
+    if isinstance(value, list):
+        return [_copy(v, annotations) for v in value]
+    if not isinstance(value, ast.AST) or not (value._fields or value._attributes):
+        # Scalars, and contexts / operators, which the parser itself
+        # shares between every use.
+        return value
+    state = value.__dict__
+    new = type(value)(**{
+        name: _copy(state[name], annotations)
+        for name in value._fields + value._attributes if name in state})
+    if annotations and anno.FIELD in state:
+        setattr(new, anno.FIELD, dict(state[anno.FIELD]))
     return new
+
+
+def copy_tree(node):
+    """A structural copy of ``node`` (an AST node or a list of them).
+
+    Every node is new, built with its fields as keyword arguments.  Each
+    copy gets its own annotation dict whose values are shared with the
+    original's: the analyses that set them are finished by the time a
+    tree is copied, and nothing mutates an annotation value afterwards.
+    """
+    return _copy(node, True)
+
+
+def copy_clean(node):
+    """A structural copy of ``node`` with no annotations."""
+    return _copy(node, False)
 
 
 def collect_bound_names(fn_node):

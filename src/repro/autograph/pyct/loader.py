@@ -2,16 +2,19 @@
 
 ``ast_to_object`` serializes an AST to source, writes it to a real
 temporary file (so ``inspect``/tracebacks work on generated code, which
-Appendix B's error rewriting relies on), and executes it as a module.
+Appendix B's error rewriting relies on), and executes it in a new module
+object.  The module is not registered in ``sys.modules``: ``inspect`` and
+tracebacks find a function's source through its code object's file name,
+so a generated module lives only as long as something holds it or the
+functions it defined.
 """
 
 from __future__ import annotations
 
 import atexit
-import importlib.util
 import os
-import sys
 import tempfile
+import types
 
 from . import parser
 
@@ -37,7 +40,7 @@ def ast_to_source(node):
 
 
 def load_source(source, delete_on_exit=True):
-    """Write ``source`` to a temp .py file and import it as a module.
+    """Write ``source`` to a temp .py file and execute it as a new module.
 
     Returns:
       (module, filename)
@@ -50,13 +53,9 @@ def load_source(source, delete_on_exit=True):
     if delete_on_exit:
         _GENERATED_FILES.append(filename)
 
-    module_name = os.path.splitext(os.path.basename(filename))[0]
-    spec = importlib.util.spec_from_file_location(module_name, filename)
-    module = importlib.util.module_from_spec(spec)
-    # Registering in sys.modules keeps inspect.getsource working for
-    # nested entities of the generated module.
-    sys.modules[module_name] = module
-    spec.loader.exec_module(module)
+    module = types.ModuleType(os.path.splitext(os.path.basename(filename))[0])
+    module.__file__ = filename
+    exec(compile(source, filename, "exec"), module.__dict__)
     return module, filename
 
 

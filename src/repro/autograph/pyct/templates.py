@@ -5,14 +5,19 @@ AST nodes into the placeholder names, with integrity checks: expression
 replacements get their contexts (Load/Store/Del) fixed to match the
 placeholder's position, and statement-list replacements are only accepted
 in statement position.
+
+A spliced node is a structural copy (``ast_util.copy_tree``), so a node
+passed twice, or used again by the caller, is never shared.  Spliced
+nodes keep the line numbers they had, and new ones have none:
+``parser.unparse`` fills them in once for the finished tree.
 """
 
 from __future__ import annotations
 
 import ast
-import copy
 
 from . import parser
+from .ast_util import copy_tree
 from .qual_names import QN
 
 __all__ = ["replace", "replace_as_expression"]
@@ -39,9 +44,9 @@ def _as_expression(value):
     if isinstance(value, QN):
         return value.ast()
     if isinstance(value, ast.Expr):
-        return copy.deepcopy(value.value)
+        return copy_tree(value.value)
     if isinstance(value, ast.expr):
-        return copy.deepcopy(value)
+        return copy_tree(value)
     raise ValueError(f"Cannot use {value!r} as an expression replacement")
 
 
@@ -52,11 +57,11 @@ def _as_statements(value):
             out.extend(_as_statements(v))
         return out
     if isinstance(value, ast.Module):
-        return [copy.deepcopy(s) for s in value.body]
+        return copy_tree(value.body)
     if isinstance(value, ast.stmt):
-        return [copy.deepcopy(value)]
+        return [copy_tree(value)]
     if isinstance(value, ast.expr):
-        return [ast.Expr(value=copy.deepcopy(value))]
+        return [ast.Expr(value=copy_tree(value))]
     raise ValueError(f"Cannot use {value!r} as a statement replacement")
 
 
@@ -173,11 +178,7 @@ def replace(template, **replacements):
     if not isinstance(template, str):
         raise TypeError(f"Template must be a string, got {type(template).__name__}")
     module = parser.parse_str(template)
-    transformer = _ReplaceTransformer(replacements)
-    body = transformer._visit_block(module.body)
-    for stmt in body:
-        ast.fix_missing_locations(stmt)
-    return body
+    return _ReplaceTransformer(replacements)._visit_block(module.body)
 
 
 def replace_as_expression(template, **replacements):

@@ -1,6 +1,7 @@
 """Unit tests: the public API (convert/to_graph/converted_call), the
 conversion cache, and Appendix B error rewriting."""
 
+import gc
 import warnings
 
 import numpy as np
@@ -41,7 +42,9 @@ class TestConvertDecorator:
         assert f.__name__ == "f"
 
     def test_lazy_conversion(self):
-        # Conversion happens on first call only.
+        # Conversion happens on first call only.  The cache drops the
+        # entries of collected functions: collect earlier tests' first.
+        gc.collect()
         calls = len(api._CONVERSION_CACHE)
 
         @ag.convert()

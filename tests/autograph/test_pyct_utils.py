@@ -2,6 +2,7 @@
 templates, ast_util (the Appendix C toolkit)."""
 
 import ast
+import warnings
 
 import pytest
 
@@ -9,6 +10,7 @@ from repro.autograph.pyct import (
     anno,
     ast_util,
     loader,
+    origin_info,
     parser,
     pretty_printer,
     qual_names,
@@ -98,6 +100,28 @@ def _sample_fn(x, y=1):
     if x > 0:
         return x + y
     return -x
+
+
+def _every_construct(x, n, items):
+    """Every pass has something to rewrite."""
+    out = []
+    total = 0
+    i = 0
+    while i < n:
+        i += 1
+        if i > 5:
+            break
+        if i == 2:
+            continue
+        total = total + (i if x > 0 else -i)
+    for item in items:
+        if not item or total > 100:
+            return total
+        out.append(item)
+    items[0] = out[-1]
+    items[1] += 1
+    assert total >= 0, "negative"
+    return total + len(out)
 
 
 class TestParser:
@@ -247,6 +271,48 @@ class TestTemplates:
     def test_function_name_must_be_string(self):
         with pytest.raises(ValueError):
             templates.replace("def fn(): pass", fn=parser.parse_expression("a+b"))
+
+    # -- the splice contract: a spliced node is a structural copy -----------
+
+    def test_spliced_nodes_are_new_objects(self):
+        expr = parser.parse_expression("a + b")
+        out = templates.replace_as_expression("f(x_)", x_=expr)
+        out.args[0].left.id = "changed"
+        assert parser.unparse(expr).strip() == "a + b"
+        assert parser.unparse(out).strip() == "f(changed + b)"
+
+    def test_splice_keeps_origin_in_a_dict_of_its_own(self):
+        stmt = parser.parse_str("y = 1").body[0]
+        origin = origin_info.OriginInfo("user.py", "fn", 7, 0, "y = 1")
+        anno.setanno(stmt, anno.Basic.ORIGIN, origin)
+        (out,) = templates.replace("body_", body_=[stmt])
+        assert out is not stmt
+        assert anno.getanno(out, anno.Basic.ORIGIN) is origin
+        anno.setanno(out, anno.Basic.QN, "q")
+        assert not anno.hasanno(stmt, anno.Basic.QN)
+
+    def test_placeholder_used_twice_yields_distinct_subtrees(self):
+        expr = parser.parse_expression("a.b[0]")
+        first, second = templates.replace_as_expression(
+            "f(x_, x_)", x_=expr).args
+
+        def nodes(tree):
+            # Contexts and operators are shared singletons, as in parse.
+            return {id(n) for n in ast.walk(tree) if n._fields}
+
+        assert not nodes(first) & nodes(second)
+        assert not (nodes(first) | nodes(second)) & nodes(expr)
+
+    def test_no_deprecation_warnings(self):
+        # Python 3.13 deprecates AST constructors that leave out fields.
+        from repro.autograph.impl import conversion
+
+        expected = conversion.convert_entity(_every_construct).source
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            assert conversion.convert_entity(
+                _every_construct).source == expected
+            ast_util.copy_clean(parser.parse_entity(_every_construct)[0])
 
 
 class TestAstUtil:
