@@ -16,7 +16,6 @@ from .data_structures import (
     new_list,
     new_list_of_type,
 )
-from .dispatch import register_backend, unregister_backend
 from .exceptions import assert_stmt
 from .function_wrappers import FunctionScope, with_function_scope
 from .logical import and_, eq, gt_, gt_e, lt_, lt_e, not_, not_eq, or_
@@ -83,6 +82,4 @@ __all__ = [
     "UndefinedReturnValue",
     "ld",
     "ldu",
-    "register_backend",
-    "unregister_backend",
 ]

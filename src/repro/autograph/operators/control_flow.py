@@ -15,8 +15,7 @@ its runtime operands and goes one of two ways:
 from __future__ import annotations
 
 from repro.framework.errors import StagingError
-
-from .dispatch import backend_for
+from repro.framework.ops.dispatch import backend_for
 
 __all__ = ["if_stmt", "while_stmt", "for_stmt", "if_exp"]
 

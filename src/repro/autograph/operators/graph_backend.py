@@ -12,10 +12,10 @@ from repro.framework import dtypes as fw_dtypes
 from repro.framework import ops
 from repro.framework.errors import StagingError
 from repro.framework.graph.graph import Tensor as SymbolicTensor
-from repro.framework.ops.dispatch import run_op
+from repro.framework.ops.dispatch import (
+    StagingBackend, register_backend, run_op)
 from repro.framework.registry import register_op
 
-from .dispatch import StagingBackend, register_backend
 from .variables import Undefined, UndefinedReturnValue
 
 __all__ = ["GraphBackend"]

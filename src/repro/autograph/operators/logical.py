@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from repro.framework import ops
 from repro.framework.eager.tensor import EagerTensor
+from repro.framework.ops.dispatch import backend_for
 
 from .control_flow import if_exp
-from .dispatch import backend_for
 
 __all__ = ["and_", "or_", "not_", "eq", "not_eq", "gt_", "gt_e", "lt_", "lt_e"]
 

@@ -45,11 +45,15 @@ __all__ = ["BLOCK_RULES", "LoweredGraph", "lower_blocked_graph"]
 def _getitem(a, *index_tensors, spec=()):
     if index_tensors:
         raise TypeError("blocked indexing takes ints and slices only")
+    if ("ellipsis",) in spec:
+        at = spec.index(("ellipsis",))
+        spec = (spec[:at] + (("slice", None, None, None),)
+                * (a.ndim - len(spec) + 1) + spec[at + 1:])
     index = []
     for entry in spec:
         if entry[0] == "idx":
             index.append(int(entry[1]))
-        elif entry[0] == "slice":
+        elif entry[0] in ("slice", "dslice"):  # no index tensor: ints
             index.append(slice(*entry[1:]))
         else:
             raise TypeError(f"unsupported block index entry {entry[0]!r}")

@@ -199,21 +199,22 @@ def where(cond, x, y, scheduler=None):
     its grid becomes the result grid (same-shape blocked operands are
     re-gridded to it, dense operands are sliced per block, scalars
     broadcast).  The registry's ``Select`` kernel keeps the legacy
-    rank-1-condition semantics — a rank-1 ``cond`` over rank-2 operands
-    selects whole *rows* — so a rank-1 condition is sliced along the
+    rank-1-condition semantics — a ``cond`` of lower rank than ``x``
+    selects whole *rows* of it — so such a condition is sliced along the
     grid's leading axis, not broadcast numpy-style against the trailing
-    one.
+    one; against an ``x`` of its own rank it broadcasts like any operand.
     """
     ref = _first_blocked(x, y, cond)
     grid = ref.grid
     cond_shape = (cond.shape if isinstance(cond, BlockArray)
                   else static_shape(cond))
     rank = len(cond_shape)
-    if 0 < rank < grid.ndim:
-        # Lower-rank condition over a higher-rank grid: slice its axes
-        # against the grid's *leading* axes, one view per block (shared
-        # across the trailing block dimensions).
-        if cond_shape != grid.shape[:rank]:
+    x_rank = len(x.shape if isinstance(x, BlockArray) else static_shape(x))
+    if 0 < rank < x_rank:
+        # Lower-rank condition over a higher-rank x spanning the grid:
+        # slice its axes against the grid's *leading* axes, one view per
+        # block (shared across the trailing block dimensions).
+        if x_rank != grid.ndim or cond_shape != grid.shape[:rank]:
             raise ValueError(
                 f"low-rank where condition has shape {cond_shape}, "
                 f"expected leading dimensions {grid.shape[:rank]}"
@@ -317,6 +318,8 @@ def _reduce(op_name, a, axis, keepdims, scheduler):
     if isinstance(axis, (list, tuple)):
         raise ValueError("blocked reductions take one axis (or None)")
     if axis is not None:
+        if a.ndim == 0:
+            raise ValueError("a 0-d block array has no axis to reduce")
         axis = int(axis) % a.ndim
     sched = _sched(scheduler)
     combine = block_op(_REDUCE_COMBINE[op_name], a.symbolic)

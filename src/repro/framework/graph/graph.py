@@ -260,7 +260,8 @@ class Graph:
                 np_value = np_value.astype(np.int32)
         key = None
         if np_value.ndim == 0 and not self._scope_stack:
-            key = (np_value.dtype.str, np_value.item())
+            # By bytes: ``-0.0 == 0.0``, but they are different constants.
+            key = (np_value.dtype.str, np_value.tobytes())
             cached = self._const_cache.get(key)
             if cached is not None:
                 return cached

@@ -38,10 +38,13 @@ __all__ = ["GraphSerializationError", "find_unexportable_ops",
 # 2: one ``Cond`` / ``While`` type each (were ``Cond_<n>`` / ``While_<n>``).
 FORMAT_VERSION = 2
 
-# The stateful op types an export keeps (control flow, whose sub-graphs
-# are checked in turn) or freezes (variable reads); every other stateful
-# op is refused.
-_CONTROL_FLOW = ("Cond", "While")
+
+def _refuses_export(op):
+    """The one export-refusal rule: a stateful op is refused unless it is
+    control flow (whose sub-graphs are checked in turn) or a variable
+    read (frozen to a constant)."""
+    return op.op_def.stateful and op.type not in (
+        "Cond", "While", "ReadVariable")
 
 
 class GraphSerializationError(GraphError):
@@ -59,8 +62,7 @@ def find_unexportable_ops(graph):
     """
     offending = []
     for op in graph.ops:
-        if (op.op_def.stateful and op.type != "ReadVariable"
-                and op.type not in _CONTROL_FLOW):
+        if _refuses_export(op):
             state = op.attrs.get("state")
             what = op.type if state is None else f"{op.type} of {state.name!r}"
             offending.append(f"{op.name} ({what})")
@@ -139,7 +141,7 @@ def _encode_nodes(graph, arrays, freeze_placeholders=None):
                 "attrs": {"value": _encode_attr(value, arrays)},
             })
             continue
-        if op.op_def.stateful and op.type not in _CONTROL_FLOW:
+        if _refuses_export(op):
             raise GraphSerializationError(
                 f"Op {op.name!r} (type {op.type!r}) is stateful; exported "
                 "signatures must be pure functions of their inputs — "

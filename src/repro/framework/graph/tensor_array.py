@@ -138,10 +138,6 @@ class TensorArray:
             # Tensor-valued size: stage through an op input instead.
             self.flow = _run("TensorArrayNewDynamic", [size])
 
-    @classmethod
-    def _from_flow(cls, dtype, flow, element_shape=None):
-        return cls(dtype, flow=flow, element_shape=element_shape)
-
     def write(self, index, value):
         """Write ``value`` at ``index``; returns a new TensorArray."""
         new_flow = _run("TensorArrayWrite", [self.flow, index, value])

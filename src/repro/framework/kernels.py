@@ -197,6 +197,8 @@ def _reduce_shape_fn(input_shapes, attrs):
     if s.dims is None:
         return [shapes.unknown]
     rank = s.rank
+    if rank == 0:  # NumPy lets a 0-d axis be 0 or -1: nothing is reduced
+        return [s]
     if axis is None:
         axes = tuple(range(rank))
     elif isinstance(axis, int):
@@ -419,13 +421,36 @@ def _getitem_kernel(a, *index_inputs, spec=()):
 def _getitem_shape_fn(ss, attrs):
     """NumPy's own answer, indexing a zero-stride stand-in of the static
     shape with 0 for each scalar tensor index; an index array, a dynamic
-    slice bound or a partial shape leaves the result unknown."""
+    slice bound or an unknown rank leaves the result unknown.
+
+    An unknown dimension is tried at every size up to twice a size past
+    all constant bounds and steps: beyond that, how many entries a slice
+    keeps is constant or grows with the size.  A result dimension that
+    differs between the trials depends on it and stays unknown (a trial
+    that raises is a size the index rules out)."""
     spec = attrs["spec"]
-    if any(s.rank != 0 for s in ss[1:]) or any("T" in e for e in spec):
+    if (ss[0].rank is None or any(s.rank != 0 for s in ss[1:])
+            or any("T" in e for e in spec)):
         return [shapes.unknown]
-    stand_in = np.broadcast_to(np.int8(0), ss[0].as_tuple())
-    return [shapes.TensorShape(
-        stand_in[_materialize_spec(spec, [0] * (len(ss) - 1))].shape)]
+    index = _materialize_spec(spec, [0] * (len(ss) - 1))
+    bounds = [abs(b) for e in spec for b in e[1:] if isinstance(b, int)]
+    past = 2 + 2 * max(bounds, default=0)
+    if past > 64 and not ss[0].is_fully_defined:
+        return [shapes.unknown]
+    dims = [past if d is None else d for d in ss[0].dims]
+
+    def result(sizes):
+        return np.broadcast_to(np.int8(0), sizes)[index].shape
+
+    out = list(result(dims))
+    for axis, d in enumerate(ss[0].dims):
+        for n in range(2 * past) if d is None else ():
+            try:
+                trial = result(dims[:axis] + [n] + dims[axis + 1:])
+            except IndexError:
+                continue
+            out = [a if a == b else None for a, b in zip(out, trial)]
+    return [shapes.TensorShape(out)]
 
 
 register_op("GetItem", _getitem_kernel, shape_fn=_getitem_shape_fn,
@@ -494,7 +519,8 @@ def _range_dtype_fn(input_dtypes, attrs):
     return [dtypes.float64 if floating else dtypes.int32]
 
 
-register_op("Range", _range_kernel, dtype_fn=_range_dtype_fn)
+register_op("Range", _range_kernel, dtype_fn=_range_dtype_fn,
+            shape_fn=lambda ss, attrs: [shapes.TensorShape([None])])
 
 
 def _one_hot_kernel(indices, depth, on_value=1.0, off_value=0.0, dtype="float32"):

@@ -36,7 +36,7 @@ from .array_ops import (
     zeros_like,
 )
 from .control_flow_ops import assert_op, cond, group, print_v2, while_loop
-from .dispatch import convert_to_tensor, is_symbolic, is_tensor
+from .dispatch import convert_to_tensor
 from .math_ops import (
     abs,
     add,

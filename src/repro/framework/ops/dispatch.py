@@ -25,7 +25,7 @@ from ..errors import GraphError, StagingError
 from ..graph.func_graph import FuncGraph
 from ..graph.graph import Tensor
 
-__all__ = ["run_op", "is_symbolic", "is_tensor", "as_graph_tensor",
+__all__ = ["run_op", "as_graph_tensor",
            "convert_to_tensor", "StagingBackend", "register_backend",
            "unregister_backend", "backend_for", "NOT_HANDLED"]
 
@@ -120,21 +120,6 @@ def backend_for(*values):
             if backend.matches(value):
                 return backend
     return None
-
-
-def is_symbolic(value):
-    """True for graph tensors."""
-    return isinstance(value, Tensor)
-
-
-def is_tensor(value):
-    """True for any framework tensor (symbolic or eager) or Variable.
-
-    This is the predicate the paper's Listing 2 dispatches on.
-    """
-    from ..graph.variables import Variable
-
-    return isinstance(value, (Tensor, EagerTensor, Variable))
 
 
 def as_graph_tensor(value, graph):

@@ -51,7 +51,7 @@ def _unbroadcast(grad, like):
 def _reduce_grad_kernel(grad, x, axis=None, keepdims=False, mean=False):
     g = np.asarray(grad)
     x = np.asarray(x)
-    if axis is None:
+    if axis is None or x.ndim == 0:  # NumPy lets a 0-d axis be 0 or -1
         expanded = np.broadcast_to(g, x.shape)
         count = x.size
     else:
@@ -83,6 +83,8 @@ def _max_grad_kernel(grad, x, out, axis=None, keepdims=False):
     x = np.asarray(x)
     g = np.asarray(grad)
     o = np.asarray(out)
+    if x.ndim == 0:  # NumPy lets a 0-d axis be 0 or -1
+        axis = None
     if axis is None:
         mask = (x == o)
     else:

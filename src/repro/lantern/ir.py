@@ -410,6 +410,9 @@ class Builder:
 
     def emit_const(self, value):
         out = self.fresh("c")
+        if np.isscalar(value) and not np.isfinite(value):
+            # No literal spells nan / inf: they travel as arrays do.
+            value = np.asarray(value, dtype=np.float32)
         self.program.consts[out] = np.asarray(value, dtype=np.float32) \
             if not np.isscalar(value) else value
         self.current_block.instructions.append(("const", out, value))

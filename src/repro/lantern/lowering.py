@@ -23,6 +23,7 @@ import re
 
 import numpy as np
 
+from repro.framework import dtypes
 from repro.framework.errors import ExecutionError
 
 from .ir import (
@@ -184,6 +185,10 @@ def lower_graph(graph, inputs, outputs, *, name="main", program=None,
             return StagedTensor(sym, builder)
 
         for op in graph.ops:
+            if any(t.dtype == dtypes.bool_ for t in op.outputs):
+                # ``True + True`` is ``True``; in float32 it is 2.
+                raise _unsupported(op.type, "Lantern computes in float32, "
+                                   "which has no booleans")
             if op.type == "Placeholder":
                 planned = capture_plan.get(id(op.outputs[0]))
                 if planned is not None:

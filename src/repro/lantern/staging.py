@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import contextlib
 
-from repro.autograph.operators.dispatch import (
+from repro.framework.ops.dispatch import (
     NOT_HANDLED,
     StagingBackend,
     register_backend,

@@ -13,7 +13,7 @@ import pytest
 
 import repro.autograph as ag
 from repro.autograph import operators as ag__
-from repro.autograph.operators.dispatch import (
+from repro.framework.ops.dispatch import (
     NOT_HANDLED,
     StagingBackend,
     backend_for,

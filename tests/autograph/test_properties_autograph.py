@@ -6,7 +6,7 @@ exactly what the original computes.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import repro.autograph as ag
@@ -14,8 +14,6 @@ from repro import framework as fw
 from repro.autograph.pyct import ast_util, parser, templates
 from repro.framework import ops
 
-settings.register_profile("repro_ag", deadline=None, max_examples=25)
-settings.load_profile("repro_ag")
 
 ints = st.integers(min_value=-50, max_value=50)
 small_ints = st.integers(min_value=0, max_value=20)

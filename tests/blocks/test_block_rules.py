@@ -1,25 +1,19 @@
-"""One differential suite for both emitters of the block decompositions.
+"""What the blocked lowering driver owns, and the refusals block rules
+name.
 
 Every ``BLOCK_RULES`` entry is one function of ``repro.blocks.ops`` that
-either computes (ndarray blocks) or stages (symbolic blocks).  Each case
-here runs it three ways — (a) eagerly on ``BlockArray`` s, (b) through a
-traced ``@repro.function`` fed the same ``BlockArray`` s (the graph
-lowering), (c) the dense registry kernel — on exact-valued floats over
-random irregular grids, and asserts the three results are the same
-bytes.  The lowered run must not have fallen back to dense.
-
-Plus the structure the lowering driver owns: fallbacks are reported with
-their reason, what a refusing rule staged is pruned, control dependencies
-survive, and the registered ops *without* a rule are pinned.
+either computes (ndarray blocks) or stages (symbolic blocks); that both
+emitters equal the dense kernel, bit for bit on exact values, is the
+differential oracle's blocked configuration (``tests/test_oracle.py``).
+Here: fallbacks are reported with their reason, what a refusing rule
+staged is pruned, control dependencies survive, a rule's typed refusals,
+and the registered ops *without* a rule are pinned.
 """
 
 import inspect
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-from test_block_ops import _splits_of, partitioned_matrix
 
 import repro
 import repro.autograph.operators  # noqa: F401 - registers its list/undefined ops
@@ -28,7 +22,6 @@ from repro.blocks import BlockArray, BlockGrid
 from repro.blocks import ops as bops
 from repro.blocks.lowering import BLOCK_RULES, lower_blocked_graph
 from repro.framework import Graph, Variable, ops, registry
-from repro.framework.ops import dispatch
 from repro.runtime import BoundPlan, compile_plan
 
 
@@ -36,126 +29,9 @@ def _blocked(dense, grid):
     return BlockArray.from_dense(dense, grid=grid)
 
 
-def three_ways(op_type, operands, **attrs):
-    """Assert eager == lowered == dense, bytewise.  ``operands`` are
-    ndarrays (dense feeds) or ``(ndarray, BlockGrid)`` (blocked feeds)."""
-    dense = [o[0] if isinstance(o, tuple) else o for o in operands]
-    feeds = [_blocked(*o) if isinstance(o, tuple) else o for o in operands]
-    with np.errstate(all="ignore"):
-        want = np.asarray(registry.get_op_def(op_type).kernel(*dense, **attrs))
-        eager = np.asarray(BLOCK_RULES[op_type](*feeds, **attrs))
-        fn = repro.function(
-            lambda *args: dispatch.run_op(op_type, list(args), attrs),
-            autograph=False, num_workers=1)
-        lowered = np.asarray(fn(*feeds))
-    stats = fn.get_concrete_function(*feeds).engine_stats()
-    assert stats["blocked"]["dense_fallbacks"] == []
-    for name, got in (("eager", eager), ("lowered", lowered)):
-        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
-        assert got.tobytes() == want.tobytes(), name
-
-
-def _ints(draw, shape, lo=-4, hi=4, dtype=np.float32):
-    n = int(np.prod(shape, dtype=np.int64))
-    vals = draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n))
-    return np.asarray(vals, dtype).reshape(shape)
-
-
-def _grid(draw, shape):
-    return BlockGrid(shape, tuple(draw(_splits_of(d)) for d in shape))
-
-
-exact_matrix = partitioned_matrix(integer_valued=True)
-
-
 # ---------------------------------------------------------------------------
-# Elementwise
+# Typed refusals
 # ---------------------------------------------------------------------------
-
-_POSITIVE_ONLY = {"Log", "Sqrt"}
-_NONZERO_RIGHT = {"Div", "Mod", "FloorDiv", "Pow"}
-_LOGICAL = {"LogicalNot", "LogicalAnd", "LogicalOr"}
-
-
-@pytest.mark.parametrize("op_type", sorted(bops.UNARY_ELEMENTWISE))
-@given(pm=exact_matrix)
-def test_unary_rules(op_type, pm):
-    dense, grid = pm
-    if op_type in _POSITIVE_ONLY:
-        dense = np.abs(dense) + 1
-    if op_type in _LOGICAL:
-        dense = dense > 0
-    three_ways(op_type, [(dense, grid)])
-
-
-# How the second operand of a binary op meets the blocked one.
-_OTHER = ["blocked", "dense", "row", "row2d", "column", "scalar"]
-
-
-@pytest.mark.parametrize("op_type", sorted(bops.BINARY_ELEMENTWISE))
-@given(pm=exact_matrix, other=st.sampled_from(_OTHER), flip=st.booleans(),
-       data=st.data())
-def test_binary_rules(op_type, pm, other, flip, data):
-    dense, grid = pm
-    rows, cols = dense.shape
-    shape = {"blocked": (rows, cols), "dense": (rows, cols), "row": (cols,),
-             "row2d": (1, cols), "column": (rows, 1), "scalar": ()}[other]
-    lo = 1 if op_type in _NONZERO_RIGHT else -4
-    if flip and op_type in _NONZERO_RIGHT:
-        dense = np.abs(dense) + 1  # it becomes the right operand
-    y = _ints(data.draw, shape, lo=lo, hi=max(lo, 3))
-    if op_type in _LOGICAL:
-        dense, y = dense > 0, y > 0
-    y = (y, _grid(data.draw, shape)) if other == "blocked" else y
-    operands = [(dense, grid), y]
-    three_ways(op_type, operands[::-1] if flip else operands)
-
-
-@given(pm=exact_matrix, data=st.data(),
-       form=st.sampled_from(["all_blocked", "dense_cond", "rank1_cond",
-                             "scalar_arm"]))
-def test_select_rule(pm, data, form):
-    dense, grid = pm
-    other = _ints(data.draw, dense.shape)
-    cond = _ints(data.draw, dense.shape) > 0
-    if form == "all_blocked":
-        operands = [(cond, grid), (dense, _grid(data.draw, dense.shape)),
-                    (other, grid)]
-    elif form == "dense_cond":
-        operands = [cond, (dense, grid), other]
-    elif form == "rank1_cond":
-        # Legacy Select: a rank-1 condition picks whole rows.
-        operands = [cond[:, 0].copy(), (dense, grid), other]
-    else:
-        operands = [(cond, grid), np.float32(0.0), (other, grid)]
-    three_ways("Select", operands)
-
-
-# ---------------------------------------------------------------------------
-# MatMul, reductions
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("transpose_a", [False, True])
-@pytest.mark.parametrize("transpose_b", [False, True])
-@pytest.mark.parametrize("blocked", ["both", "left", "right"])
-@given(data=st.data())
-def test_matmul_rule(transpose_a, transpose_b, blocked, data):
-    m, k, n = (data.draw(st.integers(1, 6)) for _ in range(3))
-    a = _ints(data.draw, (k, m) if transpose_a else (m, k))
-    b = _ints(data.draw, (n, k) if transpose_b else (k, n))
-    three_ways(
-        "MatMul",
-        [(a, _grid(data.draw, a.shape)) if blocked != "right" else a,
-         (b, _grid(data.draw, b.shape)) if blocked != "left" else b],
-        transpose_a=transpose_a, transpose_b=transpose_b)
-
-
-@pytest.mark.parametrize("op_type", ["Sum", "Max", "Min", "Mean"])
-@given(pm=exact_matrix, axis=st.sampled_from([None, 0, 1, -1, -2]),
-       keepdims=st.booleans())
-def test_reduction_rules(op_type, pm, axis, keepdims):
-    three_ways(op_type, [pm], axis=axis, keepdims=keepdims)
 
 
 def test_a_tuple_axis_is_refused_by_name():
@@ -165,39 +41,18 @@ def test_a_tuple_axis_is_refused_by_name():
             reduce(b, axis=(0, 1))
 
 
-# ---------------------------------------------------------------------------
-# Layout: Concat, Transpose, GetItem
-# ---------------------------------------------------------------------------
-
-
-@given(pm=exact_matrix, axis=st.sampled_from([0, 1, -1, -2]), data=st.data())
-def test_concat_rule(pm, axis, data):
-    dense, grid = pm
-    other = _ints(data.draw, dense.shape)
-    three_ways("Concat",
-               [(dense, grid), (other, _grid(data.draw, dense.shape))],
-               axis=axis)
-
-
-@given(pm=exact_matrix, perm=st.sampled_from([None, (1, 0), (0, 1), (-1, 0)]))
-def test_transpose_rule(pm, perm):
-    three_ways("Transpose", [pm], perm=perm)
-
-
-_INDEXES = [
-    (0,), (-1,), (-1, -1), (2, slice(1, None)),
-    (slice(-3, None),), (slice(1, -1), -2), (slice(None), slice(-2, None)),
-    (slice(0, 1), slice(0, 1)), (slice(None, -1), slice(1, 3)),
-]
-
-
-@pytest.mark.parametrize("index", _INDEXES, ids=repr)
-@given(pm=exact_matrix.filter(lambda pm: min(pm[0].shape) >= 4))
-def test_getitem_rule(index, pm):
-    spec = tuple(
-        ("slice", ix.start, ix.stop, ix.step) if isinstance(ix, slice)
-        else ("idx", ix) for ix in index)
-    three_ways("GetItem", [pm], spec=spec)
+def test_where_validation():
+    grid = BlockGrid.regular((4, 6), (2, 3))
+    b = BlockArray.from_dense(np.zeros((4, 6), np.float32), grid=grid)
+    with pytest.raises(TypeError, match="at least one BlockArray"):
+        bops.where(np.ones(4, bool), np.zeros((4, 6)), np.ones((4, 6)))
+    with pytest.raises(ValueError, match="leading dimensions"):
+        bops.where(np.ones(6, bool), b, b)  # rank-1 must match axis 0
+    with pytest.raises(ValueError, match="expected"):
+        bops.where(np.ones((4, 6), bool), b,
+                   BlockArray.from_dense(np.zeros((6, 4), np.float32),
+                                         grid=BlockGrid.regular((6, 4),
+                                                                (3, 2))))
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,11 @@ graph execution compute identical values — the modes differ only in
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import framework as fw
 from repro.framework import nest, ops, shapes
-
-settings.register_profile("repro", deadline=None, max_examples=40)
-settings.load_profile("repro")
 
 
 small_floats = st.floats(min_value=-10, max_value=10, allow_nan=False,

@@ -69,11 +69,11 @@ def test_int32_array_stacks_to_int32(n):
     assert eager.shape == ((n, 5) if n else (0,))
     if n:
         np.testing.assert_array_equal(staged, eager)
-    # A staged loop index has no static shape, so neither has ``x + i``:
-    # the empty stack still leads with 0 and is still int32.
+    # A staged loop index is a static scalar, so ``x + i`` keeps ``x``'s
+    # shape: the empty stack is ``(0, 5)`` and still int32.
     by_index = np.asarray(repro.function(_counted)(xi, np.int32(n), True))
     assert by_index.dtype == np.int32
-    assert by_index.shape == ((n, 5) if n else (0,))
+    assert by_index.shape == (n, 5)
 
 
 def test_stack_declares_the_static_shape():

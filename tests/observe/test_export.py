@@ -3,13 +3,10 @@
 
 import json
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.observe.export import chrome_trace, save_chrome_trace, stats_summary
-
-settings.register_profile("repro-observe", deadline=None, max_examples=50)
-settings.load_profile("repro-observe")
 
 
 _names = st.text(

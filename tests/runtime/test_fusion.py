@@ -3,8 +3,7 @@ plans, and fusion must compose with everything the engine already does.
 
 The contract under test (see ``repro/runtime/fusion.py``):
 
-- fused == unfused, bitwise, across randomized elementwise DAGs (mixed
-  dtypes, broadcasting, scalar constants, fetched intermediates);
+- fused == unfused, bitwise (on random programs: ``tests/test_oracle.py``);
 - fetched or multi-consumer intermediates block fusion edges;
 - constant pre-evaluation runs *before* fusion, so a chain split by a
   foldable Const subtree still fuses end to end;
@@ -18,23 +17,22 @@ The contract under test (see ``repro/runtime/fusion.py``):
 """
 
 import numpy as np
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import repro
 from repro import framework as fw
 from repro.framework import ops
 from repro.observe.events import RECORDER
 from repro.runtime import BoundPlan, compile_plan
+from test_oracle import assert_same as _assert_bitwise_equal
+from test_oracle import walks
 
 
 def _fused_step_names(plan):
     return [s[4] for s in plan.steps if s[4].startswith("fused[")]
 
 
-def _run(plan, feed_tensors, feed_vals, scheduler=None):
-    bound = BoundPlan(plan, list(feed_tensors), scheduler)
+def _run(plan, feed_tensors, feed_vals):
+    bound = BoundPlan(plan, list(feed_tensors))
     return bound.execute_flat([np.copy(v) for v in feed_vals])
 
 
@@ -46,17 +44,6 @@ def _unfused_reference(cf, graph, fetches, feeds, args):
     assert not _fused_step_names(bound.plan)
     out = bound.execute_flat(list(args) + list(cf._resolved_captures()))
     return out[:len(cf.outputs)]
-
-
-def _assert_bitwise_equal(got, want):
-    """dtype+shape+bytes equality — NaN-safe (same ops in the same
-    order produce the same NaN payloads)."""
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        a, b = np.asarray(a), np.asarray(b)
-        assert a.dtype == b.dtype
-        assert a.shape == b.shape
-        assert a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -177,88 +164,6 @@ def test_comparison_ops_fuse_with_bool_results():
 
 
 # ---------------------------------------------------------------------------
-# Hypothesis: fused == unfused, bitwise, on randomized elementwise DAGs
-# ---------------------------------------------------------------------------
-
-_UNARY = [
-    (ops.negative, np.negative),
-    (ops.abs, np.absolute),
-    (ops.exp, np.exp),
-    (ops.tanh, np.tanh),
-    (ops.sqrt, np.sqrt),
-    (ops.square, np.square),
-]
-_BINARY = [
-    (ops.add, np.add),
-    (ops.subtract, np.subtract),
-    (ops.multiply, np.multiply),
-    (ops.maximum, np.maximum),
-    (ops.minimum, np.minimum),
-    (ops.greater, np.greater),
-    (ops.less_equal, np.less_equal),
-]
-_SHAPES = [(3, 4), (4,), (3, 1), ()]
-_DTYPES = [np.float32, np.float64, np.int32]
-
-
-def _feed_value(rng, shape, dtype):
-    if np.issubdtype(dtype, np.integer):
-        return rng.integers(-3, 4, size=shape).astype(dtype)
-    return rng.standard_normal(shape).astype(dtype)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_fused_matches_unfused_on_random_dags(data):
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    g = fw.Graph()
-    feeds, feed_vals = [], []
-    with g.as_default():
-        nodes, values = [], []
-        for _ in range(data.draw(st.integers(1, 3))):
-            shape = data.draw(st.sampled_from(_SHAPES))
-            dtype = data.draw(st.sampled_from(_DTYPES))
-            ph = ops.placeholder(fw.as_dtype(dtype), list(shape))
-            v = _feed_value(rng, shape, dtype)
-            feeds.append(ph)
-            feed_vals.append(v)
-            nodes.append(ph)
-            values.append(v)
-        # Sprinkle scalar constants so Const folding/inlining is hit.
-        for _ in range(data.draw(st.integers(0, 2))):
-            c = float(data.draw(st.sampled_from([0.5, 1.0, 2.0, -1.5])))
-            nodes.append(ops.constant(np.float32(c)))
-            values.append(np.float32(c))
-        for _ in range(data.draw(st.integers(2, 12))):
-            if data.draw(st.booleans()):
-                op, npf = data.draw(st.sampled_from(_UNARY))
-                idx = data.draw(st.integers(0, len(nodes) - 1))
-                picks, vals = [nodes[idx]], [values[idx]]
-            else:
-                op, npf = data.draw(st.sampled_from(_BINARY))
-                i = data.draw(st.integers(0, len(nodes) - 1))
-                j = data.draw(st.integers(0, len(nodes) - 1))
-                picks, vals = [nodes[i], nodes[j]], [values[i], values[j]]
-            try:
-                with np.errstate(all="ignore"):
-                    expect = npf(*vals)
-            except Exception:
-                continue  # e.g. boolean subtract: skip invalid combos
-            nodes.append(op(*picks))
-            values.append(expect)
-        # Fetch the last node plus a random (possibly interior) one —
-        # fetched intermediates must block fusion, not corrupt results.
-        extra = data.draw(st.integers(0, len(nodes) - 1))
-        fetches = [nodes[-1], nodes[extra]]
-
-    fused = compile_plan(g, fetches, feeds)
-    unfused = compile_plan(g, fetches, feeds, fuse=False)
-    assert len(fused.steps) <= len(unfused.steps)
-    _assert_bitwise_equal(
-        _run(fused, feeds, feed_vals), _run(unfused, feeds, feed_vals))
-
-
-# ---------------------------------------------------------------------------
 # Fusion × donation
 # ---------------------------------------------------------------------------
 
@@ -351,16 +256,11 @@ def test_fusion_with_parallel_scheduler_matches_serial():
         for o in outs[1:]:
             merged = ops.maximum(merged, o)
     fetches = outs + [merged]
-    plan = compile_plan(g, fetches, [x])
-    unfused = compile_plan(g, fetches, [x], fuse=False)
     v = np.linspace(-2, 2, 32, dtype=np.float32)
-    scheduler = BlockScheduler(num_workers=2)
-    try:
-        got = _run(plan, [x], [v],
-                   scheduler=scheduler if scheduler.parallel else None)
-    finally:
-        scheduler.close()
-    _assert_bitwise_equal(got, _run(unfused, [x], [v]))
+    want = _run(compile_plan(g, fetches, [x], fuse=False), [x], [v])
+    with BlockScheduler(num_workers=2) as pool:
+        for walk, run in walks(compile_plan(g, fetches, [x]), [x], pool):
+            _assert_bitwise_equal(run([v]), want, walk)
 
 
 def test_function_num_workers_with_fusion():

@@ -15,21 +15,20 @@ scheduler.  These tests pin the two properties that make that safe:
 import numpy as np
 import pytest
 
-import repro
 from repro import framework as fw
 from repro import observe
-from repro.blocks import BlockArray, BlockGrid, BlockScheduler
-from repro.blocks.lowering import lower_blocked_graph
-from repro.framework import TensorArray, ops
+from repro.blocks import BlockScheduler
+from repro.framework import ops
 from repro.framework.errors import ExecutionError
 from repro.runtime import BoundPlan, compile_plan
+from test_oracle import walks
 
 
 def _plan_for(fetches, feeds=()):
     # These tests pin the *per-step* level machinery, so they compile
     # unfused — elementwise fusion would (correctly) collapse the wide
     # diamond into one composite step.  Fusion×levels interaction is
-    # covered in test_fusion.py.
+    # covered in test_fusion.py and the oracle.
     graph = (fetches[0] if isinstance(fetches, (list, tuple)) else fetches).graph
     flat = list(fetches) if isinstance(fetches, (list, tuple)) else [fetches]
     return compile_plan(graph, flat, list(feeds), fuse=False)
@@ -58,10 +57,8 @@ class TestLevels:
     def test_levels_respect_data_dependencies(self):
         x, y = _wide_graph()
         plan = _plan_for(y, [x])
-        level_of = {}
-        for lv, level in enumerate(plan.levels):
-            for i in level:
-                level_of[i] = lv
+        level_of = {i: lv for lv, level in enumerate(plan.levels)
+                    for i in level}
         producer = {step[0]: i for i, step in enumerate(plan.steps)}
         for i, step in enumerate(plan.steps):
             for loc in step[2]:
@@ -83,169 +80,55 @@ class TestLevels:
             b = ops.random_normal([4])
             y = ops.add(a, b)
         plan = _plan_for(y)
-        level_of = {}
-        for lv, level in enumerate(plan.levels):
-            for i in level:
-                level_of[i] = lv
+        level_of = {i: lv for lv, level in enumerate(plan.levels)
+                    for i in level}
         stateful = [i for i, op in enumerate(["rand", "rand", "add"])
                     if op == "rand"]
         assert level_of[stateful[0]] != level_of[stateful[1]]
 
 
-# -- graph families for the one-body test: each returns (feeds, fetches,
-# feed values, reset) — ``reset()`` restores any state a run mutates. ------
-
-
-def _fused_chain(g):
-    with g.as_default():
-        x = ops.placeholder(fw.float32, [5])
-        h = ops.tanh(ops.multiply(ops.add(x, 1.0), 2.0))
-        y = ops.subtract(ops.exp(h), ops.abs(x))
-    return [x], [y], [np.linspace(-2, 2, 5).astype(np.float32)], None
-
-
-def _cond_family(g):
-    with g.as_default():
-        x = ops.placeholder(fw.float32, [4])
-        y = fw.cond(ops.greater(ops.reduce_sum(x), 0.0),
-                    lambda: ops.tanh(ops.multiply(x, 10.0)),
-                    lambda: ops.subtract(x, 10.0))
-    return [x], [y], [np.linspace(-1, 2, 4).astype(np.float32)], None
-
-
-def _while_tensor_array(g):
-    with g.as_default():
-        x = ops.placeholder(fw.float32, [3, 4])
-        n = ops.placeholder(fw.int32, [])
-        _, ta = fw.while_loop(
-            lambda i, ta: ops.less(i, n),
-            lambda i, ta: (ops.add(i, 1), ta.write(i, ops.tanh(x) * 2.0)),
-            [ops.constant(0), TensorArray(fw.float32, size=0)])
-        y = ops.transpose(ta.stack(), [1, 0, 2])
-    return [x, n], [y], [np.arange(12, dtype=np.float32).reshape(3, 4),
-                         np.int32(3)], None
-
-
-def _variable_assign_and_read(g):
-    v = fw.Variable(np.zeros(3, np.float32), name="one_body_v")
-    with g.as_default():
-        x = ops.placeholder(fw.float32, [3])
-        updated = v.assign_add(ops.exp(x))
-        y = ops.multiply(v.value(), 2.0)
-    return ([x], [updated, y], [np.ones(3, np.float32)],
-            lambda: v.assign(np.zeros(3, np.float32)))
-
-
-def _donated_matmul(g):
-    with g.as_default():
-        x = ops.placeholder(fw.float32, [8, 8])
-        h = ops.tanh(ops.multiply(x, 2.0))
-        y = ops.matmul(h, h)
-    feed = np.random.default_rng(1).standard_normal((8, 8))
-    return [x], [y], [feed.astype(np.float32)], None
-
-
-def _multi_output(g):
-    with g.as_default():
-        x = ops.placeholder(fw.float32, [4, 6])
-        values, indices = ops.top_k(ops.tanh(x), k=2)
-        y = ops.add(values, ops.cast(indices, fw.float32))
-    feed = np.random.default_rng(2).standard_normal((4, 6))
-    return [x], [values, indices, y], [feed.astype(np.float32)], None
-
-
-def _refused_in_place_write(g):
-    """``Add`` is armed with ``Negative``'s float32 buffer; the variable
-    it also reads holds float64 behind its declaration, so every walk
-    must refuse the write, count it and recompute."""
-    v = fw.Variable(np.ones(3, np.float32), name="one_body_refused")
-    v._state.value = np.array([0.1, 0.2, 0.3], np.float64)
-    with g.as_default():
-        x = ops.placeholder(fw.float32, [3])
-        y = ops.add(ops.negative(x), v.value())
-    return [x], [y], [np.array([1, 2, 3], np.float32)], None
-
-
-def _blocked_function(_g):
-    @repro.function
-    def f(a, b):
-        h = ops.tanh(ops.add(ops.matmul(a, b), 0.5))
-        return ops.reduce_sum(ops.multiply(h, h), axis=0)
-
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal((8, 6)).astype(np.float32)
-    w = rng.standard_normal((6, 4)).astype(np.float32)
-    blocked = BlockArray.from_dense(
-        x, grid=BlockGrid.regular((8, 6), (4, 3)))
-    cf = f.get_concrete_function(blocked, w)
-    lowered = lower_blocked_graph(
-        cf.optimized_graph, cf._runtime_feeds, cf._run_fetches,
-        cf._block_grids)
-    return (list(lowered.feeds), list(lowered.fetches),
-            blocked.block_list() + [w], None)
-
-
-FAMILIES = {
-    "fused_chain": _fused_chain,
-    "cond": _cond_family,
-    "while_tensor_array": _while_tensor_array,
-    "variable_assign_and_read": _variable_assign_and_read,
-    "donated_matmul": _donated_matmul,
-    "multi_output": _multi_output,
-    "refused_in_place_write": _refused_in_place_write,
-    "blocked_function": _blocked_function,
-}
-
-
-def _three_walks(plan, feeds, values, reset=None):
+def _three_walks(plan, feeds, values):
     """Run ``plan`` through every walk; yields ``(walk, flat results or
     the ExecutionError raised, runtime.inplace_refusals delta)``."""
-    with BlockScheduler(num_workers=4) as sched:
-        for walk, scheduler, recording in [
-                ("serial", None, False), ("levels", sched, False),
-                ("recorded", None, True), ("recorded levels", sched, True)]:
-            if reset is not None:
-                reset()
-            bound = BoundPlan(plan, feeds, scheduler)
+    with BlockScheduler(num_workers=4) as pool:
+        for walk, run in walks(plan, feeds, pool):
             before = observe.counters().get("runtime.inplace_refusals", 0)
-            if recording:
-                observe.enable()
             try:
-                got = bound.execute_flat(values)
+                got = run(values)
             except ExecutionError as e:
                 got = e
-            finally:
-                if recording:
-                    observe.disable()
-                    observe.RECORDER.clear()
             yield walk, got, observe.counters().get(
                 "runtime.inplace_refusals", 0) - before
 
 
 class TestParallelExecution:
-    @pytest.mark.parametrize("family", FAMILIES.values(), ids=FAMILIES.keys())
-    def test_every_walk_is_the_one_step_body(self, family):
-        """Serial, 4-worker level walk and recorder-on, fused and
-        unfused: same bytes, same refusals."""
+    def test_a_refused_in_place_write_is_counted_by_every_walk(self):
+        """Serial, 4-worker level walk and recorder-on — every walk of
+        the one step body — refuse, count and recompute the same write,
+        to the same bytes; fused, ``Negative`` + ``Add`` are one
+        composite kernel with no temporary to donate, so nothing is
+        refused.  (That every walk computes what eager execution does is
+        the oracle's: ``tests/test_oracle.py``.)
+
+        ``Add`` is armed with ``Negative``'s float32 buffer; the variable
+        it also reads holds float64 behind its declaration."""
+        v = fw.Variable(np.ones(3, np.float32), name="one_body_refused")
+        v._state.value = np.array([0.1, 0.2, 0.3], np.float64)
         g = fw.Graph()
-        feeds, fetches, values, reset = family(g)
-        graph = feeds[0].graph
+        with g.as_default():
+            x = ops.placeholder(fw.float32, [3])
+            y = ops.add(ops.negative(x), v.value())
         want, refusals = None, {}
         for fuse in (True, False):
-            plan = compile_plan(graph, fetches, feeds, fuse=fuse)
+            plan = compile_plan(g, [y], [x], fuse=fuse)
             for walk, got, refused in _three_walks(
-                    plan, feeds, values, reset):
+                    plan, [x], [np.array([1, 2, 3], np.float32)]):
                 assert not isinstance(got, ExecutionError), (walk, got)
-                got = [(np.asarray(a).dtype, np.asarray(a).shape,
-                        np.asarray(a).tobytes()) for a in got]
+                got = [(a.dtype, a.shape, a.tobytes()) for a in got]
                 want = want or got
                 assert got == want, (fuse, walk)
                 assert refused == refusals.setdefault(fuse, refused), walk
-        # Only the family built to be refused is, and only where the
-        # armed step survives (fused, ``Negative`` + ``Add`` are one
-        # composite kernel with no temporary to donate).
-        assert refusals == {
-            True: 0, False: int(family is _refused_in_place_write)}
+        assert refusals == {True: 0, False: 1}
 
     @pytest.mark.parametrize("fuse", [True, False])
     def test_a_raising_kernel_is_the_same_error_from_every_walk(self, fuse):
@@ -327,10 +210,8 @@ class TestNoAliasDonation:
             right = ops.multiply(h, 3.0)
             y = ops.add(left, right)
         plan = _plan_for(y, [x])
-        level_of = {}
-        for lv, level in enumerate(plan.levels):
-            for i in level:
-                level_of[i] = lv
+        level_of = {i: lv for lv, level in enumerate(plan.levels)
+                    for i in level}
         for i, step in enumerate(plan.steps):
             rec = step[5]
             if rec is None or not isinstance(rec, tuple):

@@ -7,18 +7,12 @@ introduce (fetched intermediates, caller-owned feed arrays, baked
 constants shared across calls).
 """
 
-import itertools
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import framework as fw
 from repro import observe
 from repro.framework import ops
-from repro.framework.ops import dispatch
-from repro.framework.registry import elementwise_ops, get_op_def
 from repro.runtime import BoundPlan, compile_plan
 
 
@@ -105,71 +99,6 @@ def test_session_results_unchanged_by_pre_evaluation():
     got_y, got_z = sess.run([y, z], {x: [10.0, 20.0]})
     np.testing.assert_allclose(got_y, [13.0, 26.0])
     assert got_z == pytest.approx(39.0)
-
-
-_BINARY_BUILDERS = [ops.add, ops.subtract, ops.multiply, ops.maximum]
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_randomized_constant_graphs_match_eager(data):
-    """Random const/feed DAGs: plan results == eager NumPy evaluation."""
-    n_nodes = data.draw(st.integers(min_value=2, max_value=12), label="n")
-    n_feeds = data.draw(st.integers(min_value=0, max_value=2), label="feeds")
-    g = fw.Graph()
-    sym = []       # symbolic tensors
-    ref = []       # reference eager values
-    feeds = []
-    feed_vals = []
-    with g.as_default():
-        for i in range(n_feeds):
-            ph = ops.placeholder(fw.float32, [3])
-            val = np.asarray(
-                data.draw(st.lists(
-                    st.floats(-8, 8, width=32), min_size=3, max_size=3),
-                    label=f"feed{i}"),
-                dtype=np.float32)
-            sym.append(ph)
-            ref.append(val)
-            feeds.append(ph)
-            feed_vals.append(val)
-        for i in range(n_nodes):
-            if not sym or data.draw(st.booleans(), label=f"const{i}"):
-                val = np.asarray(
-                    data.draw(st.lists(
-                        st.floats(-8, 8, width=32), min_size=3, max_size=3),
-                        label=f"cval{i}"),
-                    dtype=np.float32)
-                sym.append(ops.constant(val))
-                ref.append(val)
-            else:
-                op = data.draw(
-                    st.sampled_from(_BINARY_BUILDERS), label=f"op{i}")
-                a = data.draw(
-                    st.integers(0, len(sym) - 1), label=f"a{i}")
-                b = data.draw(
-                    st.integers(0, len(sym) - 1), label=f"b{i}")
-                sym.append(op(sym[a], sym[b]))
-                kernel = {ops.add: np.add, ops.subtract: np.subtract,
-                          ops.multiply: np.multiply,
-                          ops.maximum: np.maximum}[op]
-                ref.append(kernel(ref[a], ref[b]).astype(np.float32))
-        fetch_idx = data.draw(
-            st.lists(st.integers(0, len(sym) - 1), min_size=1, max_size=3),
-            label="fetches")
-
-    fetches = [sym[i] for i in fetch_idx]
-    plan = compile_plan(g, fetches, feeds)
-    bound = BoundPlan(plan, feeds)
-    got = bound.execute_flat(feed_vals)
-    for out, i in zip(got, fetch_idx):
-        np.testing.assert_allclose(out, ref[i], rtol=1e-5, atol=1e-5)
-
-    # And repeated execution must be stable: pre-evaluated base values
-    # and donated buffers must not leak state across calls.
-    again = bound.execute_flat(feed_vals)
-    for out, i in zip(again, fetch_idx):
-        np.testing.assert_allclose(out, ref[i], rtol=1e-5, atol=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -355,45 +284,6 @@ def test_in_place_arm_never_rounds_to_an_optimistic_static_dtype():
         want = np.add(np.negative(fv), iv)
         assert got.dtype == want.dtype == np.float64
         np.testing.assert_array_equal(got, want)
-
-
-_GRID = (fw.bool_, fw.int32, fw.int64, fw.float32, fw.float64)
-
-
-@pytest.mark.parametrize("op_type", sorted(elementwise_ops(2)))
-def test_no_in_place_arm_is_ever_refused(op_type):
-    """Every binary elementwise op over the 5x5 dtype grid, with a dying
-    intermediate on each side to donate from: an armed ``out=`` buffer always
-    has the dtype the operands really produce, so the ``casting="safe"``
-    guard never fires (``runtime.inplace_refusals`` counts it if it
-    does) and fused == unfused == NumPy."""
-    ufunc = get_op_def(op_type).fusable
-    before = observe.counters().get("runtime.inplace_refusals", 0)
-    armed = 0
-    for da, db in itertools.product(_GRID, repeat=2):
-        g = fw.Graph()
-        with g.as_default():
-            a = ops.placeholder(da, [3])
-            b = ops.placeholder(db, [3])
-            # Relu is not fusable: its output is the dying buffer a
-            # fused [abs+op] step is offered, as Abs's is unfused.
-            y = dispatch.run_op(op_type, [ops.relu(a), ops.abs(b)])
-        av = np.array([1, 0, 1], da.np_dtype)
-        bv = np.array([1, 1, 0], db.np_dtype)
-        with np.errstate(all="ignore"):
-            try:
-                want = ufunc(av, bv)
-            except TypeError:
-                continue  # NumPy refuses the mix; so does the kernel
-            for fuse in (False, True):
-                plan = compile_plan(g, [y], [a, b], fuse=fuse)
-                armed += len(_inplace_steps(plan))
-                got = BoundPlan(plan, [a, b]).execute_flat([av, bv])[0]
-                assert got.dtype == want.dtype
-                np.testing.assert_array_equal(got, want)
-    assert armed, "the grid never armed an in-place step"
-    after = observe.counters().get("runtime.inplace_refusals", 0)
-    assert after == before
 
 
 def test_a_refused_in_place_write_is_counted_and_still_exact():
