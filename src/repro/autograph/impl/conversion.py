@@ -23,6 +23,7 @@ from __future__ import annotations
 import ast
 import inspect
 import types
+import weakref
 
 from .. import converters, errors, operators
 from ..pyct import loader, origin_info, parser, transformer
@@ -61,8 +62,9 @@ def _wrap_in_factory(node, freevars):
 class Conversion:
     """What converting one code object produced: the generated
     ``ag__factory``'s code object (:func:`instantiate` binds it) and the
-    generated source.  It also owns the registration of the generated
-    file's source map, which goes when the conversion is collected.
+    generated source.  It also owns the generated file and the
+    registration of its source map, which go when the conversion is
+    collected.
 
     Every converted function references its conversion
     (``__ag_conversion__``), so a conversion lives exactly as long as a
@@ -145,4 +147,5 @@ def convert_entity(fn):
     )
     record = Conversion(module.ag__outer().__code__, generated_source)
     errors.register_source_map(generated_filename, source_map, owner=record)
+    weakref.finalize(record, loader.discard, generated_filename)
     return record

@@ -6,32 +6,19 @@ Appendix B's error rewriting relies on), and executes it in a new module
 object.  The module is not registered in ``sys.modules``: ``inspect`` and
 tracebacks find a function's source through its code object's file name,
 so a generated module lives only as long as something holds it or the
-functions it defined.
+functions it defined.  The file is the caller's: :func:`discard` deletes
+it (a conversion does so when it is freed).
 """
 
 from __future__ import annotations
 
-import atexit
 import os
 import tempfile
 import types
 
 from . import parser
 
-__all__ = ["ast_to_source", "ast_to_object", "load_source"]
-
-_GENERATED_FILES = []
-
-
-def _cleanup():
-    for path in _GENERATED_FILES:
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-
-
-atexit.register(_cleanup)
+__all__ = ["ast_to_source", "ast_to_object", "load_source", "discard"]
 
 
 def ast_to_source(node):
@@ -39,7 +26,7 @@ def ast_to_source(node):
     return parser.unparse(node)
 
 
-def load_source(source, delete_on_exit=True):
+def load_source(source):
     """Write ``source`` to a temp .py file and execute it as a new module.
 
     Returns:
@@ -50,8 +37,6 @@ def load_source(source, delete_on_exit=True):
     ) as f:
         f.write(source)
         filename = f.name
-    if delete_on_exit:
-        _GENERATED_FILES.append(filename)
 
     module = types.ModuleType(os.path.splitext(os.path.basename(filename))[0])
     module.__file__ = filename
@@ -68,3 +53,11 @@ def ast_to_object(nodes):
     source = ast_to_source(nodes)
     module, filename = load_source(source)
     return module, source, filename
+
+
+def discard(filename):
+    """Delete a generated file (one already gone is no error)."""
+    try:
+        os.unlink(filename)
+    except OSError:
+        pass

@@ -129,6 +129,15 @@ def from_numpy(np_dtype):
         raise TypeError(f"Unsupported NumPy dtype: {np_dtype}") from None
 
 
+def held_as_labelled(value):
+    """A user's ``value`` as what it will be labelled: an int8 / int16 /
+    uint8 array cast to int32, a float16 one to float32.  (A kernel's own
+    result is kept as it is, so eager ops compute what staged ones do.)"""
+    label = _BY_NP.get(getattr(value, "dtype", None))
+    return value if label is None or label.np_dtype == value.dtype else (
+        np.asarray(value, label.np_dtype))
+
+
 @functools.lru_cache(maxsize=None)
 def numpy_result_dtype(fn, np_dtypes):
     """The NumPy dtype ``fn`` really returns for operands of ``np_dtypes``.

@@ -135,4 +135,4 @@ def convert_to_eager_tensor(value, dtype=None):
         isinstance(v, float) for v in value
     ):
         return EagerTensor(np.asarray(value, dtype=np.float32))
-    return EagerTensor(value, dtype=dtype)
+    return EagerTensor(dtypes.held_as_labelled(value), dtype=dtype)

@@ -83,15 +83,15 @@ class TensorArrayValue:
 # -- kernels -----------------------------------------------------------------
 
 register_op("TensorArrayNew", lambda size=0: TensorArrayValue([None] * int(size)),
-            dtype_fn=lambda dts, attrs: [dtypes.variant])
+            fresh_output=True, dtype_fn=lambda dts, attrs: [dtypes.variant])
 register_op("TensorArrayWrite", lambda ta, i, v: ta.write(np.asarray(i), v),
             dtype_fn=lambda dts, attrs: [dtypes.variant])
 register_op("TensorArrayRead", lambda ta, i: ta.read(np.asarray(i)))
-register_op("TensorArrayStack", TensorArrayValue.stack,
+register_op("TensorArrayStack", TensorArrayValue.stack, fresh_output=True,
             shape_fn=lambda ss, attrs: [TensorShape(
                 None if attrs.get("element_shape") is None
                 else (None, *attrs["element_shape"]))])
-register_op("TensorArraySize", lambda ta: ta.size(),
+register_op("TensorArraySize", lambda ta: ta.size(), fresh_output=True,
             dtype_fn=lambda dts, attrs: [dtypes.int32])
 register_op("TensorArrayPop", TensorArrayValue.pop, num_outputs=2,
             dtype_fn=lambda dts, attrs: [dtypes.variant, dtypes.variant])
@@ -181,5 +181,5 @@ def _ta_new_dynamic_kernel(size):
     return TensorArrayValue([None] * int(np.asarray(size)))
 
 
-register_op("TensorArrayNewDynamic", _ta_new_dynamic_kernel,
+register_op("TensorArrayNewDynamic", _ta_new_dynamic_kernel, fresh_output=True,
             dtype_fn=lambda dts, attrs: [dtypes.variant])

@@ -143,9 +143,9 @@ _elementwise("LogicalNot", np.logical_not)
 def _matmul_kernel(a, b, transpose_a=False, transpose_b=False, out=None):
     # With ``out`` BLAS writes directly into it (refusing an unsafe cast);
     # unlike the elementwise ufunc variants this is only correct when
-    # ``out`` does not alias either operand — hence inplace_no_alias
-    # below: the planner donates only buffers that are fully dead before
-    # this step runs.
+    # ``out`` does not alias either operand, which the planner keeps: a
+    # kernel that is not elementwise only gets a buffer dead before its
+    # step runs.
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -170,12 +170,11 @@ def _matmul_shape_fn(input_shapes, attrs):
 
 register_op("MatMul", _matmul_kernel, shape_fn=_matmul_shape_fn,
             dtype_fn=dtypes.numpy_dtype_fn(_matmul_kernel),
-            inplace_kernel=_matmul_kernel, inplace_no_alias=True,
-            fresh_output=True)
+            inplace_kernel=_matmul_kernel, fresh_output=True)
 
 # (``ops.tensordot`` always passes ``axes``; its default is 1, NumPy's 2.)
 register_op("Tensordot", np.tensordot,
-            dtype_fn=dtypes.numpy_dtype_fn(np.tensordot))
+            dtype_fn=dtypes.numpy_dtype_fn(np.tensordot), fresh_output=True)
 
 # ---------------------------------------------------------------------------
 # Reductions
@@ -220,7 +219,7 @@ def _make_reduce(name, np_fn):
         return np_fn(np.asarray(a), axis=_norm_axis(axis), keepdims=keepdims)
 
     register_op(name, kernel, shape_fn=_reduce_shape_fn,
-                dtype_fn=dtypes.numpy_dtype_fn(np_fn))
+                dtype_fn=dtypes.numpy_dtype_fn(np_fn), fresh_output=True)
 
 
 _make_reduce("Sum", np.sum)
@@ -236,14 +235,16 @@ def _argmax_kernel(a, axis=0):
     return np.argmax(a, axis=int(axis)).astype(np.int64)
 
 
-register_op("ArgMax", _argmax_kernel, dtype_fn=lambda dts, attrs: [dtypes.int64])
+register_op("ArgMax", _argmax_kernel, fresh_output=True,
+            dtype_fn=lambda dts, attrs: [dtypes.int64])
 
 
 def _argmin_kernel(a, axis=0):
     return np.argmin(a, axis=int(axis)).astype(np.int64)
 
 
-register_op("ArgMin", _argmin_kernel, dtype_fn=lambda dts, attrs: [dtypes.int64])
+register_op("ArgMin", _argmin_kernel, fresh_output=True,
+            dtype_fn=lambda dts, attrs: [dtypes.int64])
 
 
 def _topk_kernel(a, k):
@@ -264,6 +265,7 @@ register_op(
     _topk_kernel,
     num_outputs=2,
     dtype_fn=lambda dts, attrs: [dts[0], dtypes.int64],
+    fresh_output=True,
 )
 
 # ---------------------------------------------------------------------------
@@ -282,13 +284,16 @@ register_op(
         shapes.TensorShape([ss[0].rank]) if ss[0].dims is not None else shapes.unknown
     ],
     dtype_fn=lambda dts, attrs: [dtypes.int32],
+    fresh_output=True,
 )
 register_op("Size", lambda a: np.asarray(np.size(a), dtype=np.int32),
             dtype_fn=lambda dts, attrs: [dtypes.int32],
-            shape_fn=lambda ss, attrs: [shapes.TensorShape([])])
+            shape_fn=lambda ss, attrs: [shapes.TensorShape([])],
+            fresh_output=True)
 register_op("Rank", lambda a: np.asarray(np.ndim(a), dtype=np.int32),
             dtype_fn=lambda dts, attrs: [dtypes.int32],
-            shape_fn=lambda ss, attrs: [shapes.TensorShape([])])
+            shape_fn=lambda ss, attrs: [shapes.TensorShape([])],
+            fresh_output=True)
 
 
 def _reshape_kernel(a, new_shape):
@@ -342,35 +347,37 @@ def _concat_shape_fn(ss, attrs):
 
 
 register_op("Concat", _concat_kernel, shape_fn=_concat_shape_fn,
-            dtype_fn=dtypes.numpy_dtype_fn(_concat_kernel))
+            dtype_fn=dtypes.numpy_dtype_fn(_concat_kernel), fresh_output=True)
 
 
 def _pack_kernel(*args, axis=0):
     return np.stack([np.asarray(a) for a in args], axis=int(axis))
 
 
-register_op("Pack", _pack_kernel, dtype_fn=dtypes.numpy_dtype_fn(_pack_kernel))
+register_op("Pack", _pack_kernel, dtype_fn=dtypes.numpy_dtype_fn(_pack_kernel),
+            fresh_output=True)
 
 
 def _tile_kernel(a, multiples):
     return np.tile(np.asarray(a), tuple(int(m) for m in np.asarray(multiples).ravel()))
 
 
-register_op("Tile", _tile_kernel, dtype_fn=_first_dtype_fn)
+register_op("Tile", _tile_kernel, dtype_fn=_first_dtype_fn, fresh_output=True)
 
 
 def _gather_kernel(params, indices, axis=0):
     return np.take(np.asarray(params), np.asarray(indices), axis=int(axis))
 
 
-register_op("Gather", _gather_kernel, dtype_fn=_first_dtype_fn)
+register_op("Gather", _gather_kernel, dtype_fn=_first_dtype_fn, fresh_output=True)
 
 
 def _boolean_mask_kernel(a, mask):
     return np.asarray(a)[np.asarray(mask, dtype=bool)]
 
 
-register_op("BooleanMask", _boolean_mask_kernel, dtype_fn=_first_dtype_fn)
+register_op("BooleanMask", _boolean_mask_kernel, dtype_fn=_first_dtype_fn,
+            fresh_output=True)
 
 # -- General item access: x[spec], with tensor-valued indices spliced in. ----
 #
@@ -463,7 +470,8 @@ def _setitem_kernel(a, value, *index_inputs, spec=()):
     return out
 
 
-register_op("SetItem", _setitem_kernel, dtype_fn=_first_dtype_fn, shape_fn=_same_shape_fn)
+register_op("SetItem", _setitem_kernel, dtype_fn=_first_dtype_fn, shape_fn=_same_shape_fn,
+            fresh_output=True)
 
 # ---------------------------------------------------------------------------
 # Creation / casting
@@ -493,15 +501,18 @@ def _fill_kernel(dims, value):
     return np.full(tuple(int(d) for d in np.asarray(dims).ravel()), value)
 
 
-register_op("Fill", _fill_kernel, dtype_fn=lambda dts, attrs: [dts[1]])
+register_op("Fill", _fill_kernel, dtype_fn=lambda dts, attrs: [dts[1]],
+            fresh_output=True)
 
 
 def _zeros_like_kernel(a):
     return np.zeros_like(np.asarray(a))
 
 
-register_op("ZerosLike", _zeros_like_kernel, shape_fn=_same_shape_fn, dtype_fn=_first_dtype_fn)
-register_op("OnesLike", lambda a: np.ones_like(np.asarray(a)), shape_fn=_same_shape_fn, dtype_fn=_first_dtype_fn)
+register_op("ZerosLike", _zeros_like_kernel, shape_fn=_same_shape_fn, dtype_fn=_first_dtype_fn,
+            fresh_output=True)
+register_op("OnesLike", lambda a: np.ones_like(np.asarray(a)), shape_fn=_same_shape_fn,
+            dtype_fn=_first_dtype_fn, fresh_output=True)
 
 
 def _range_kernel(start, limit, delta):
@@ -520,7 +531,8 @@ def _range_dtype_fn(input_dtypes, attrs):
 
 
 register_op("Range", _range_kernel, dtype_fn=_range_dtype_fn,
-            shape_fn=lambda ss, attrs: [shapes.TensorShape([None])])
+            shape_fn=lambda ss, attrs: [shapes.TensorShape([None])],
+            fresh_output=True)
 
 
 def _one_hot_kernel(indices, depth, on_value=1.0, off_value=0.0, dtype="float32"):
@@ -536,7 +548,7 @@ def _one_hot_kernel(indices, depth, on_value=1.0, off_value=0.0, dtype="float32"
     return out
 
 
-register_op("OneHot", _one_hot_kernel,
+register_op("OneHot", _one_hot_kernel, fresh_output=True,
             dtype_fn=lambda dts, attrs: [dtypes.as_dtype(attrs.get("dtype", "float32"))])
 
 
@@ -544,7 +556,7 @@ def _cast_kernel(a, dtype="float32"):
     return np.asarray(a).astype(dtypes.as_dtype(dtype).np_dtype)
 
 
-register_op("Cast", _cast_kernel, shape_fn=_same_shape_fn,
+register_op("Cast", _cast_kernel, shape_fn=_same_shape_fn, fresh_output=True,
             dtype_fn=lambda dts, attrs: [dtypes.as_dtype(attrs.get("dtype", "float32"))])
 
 register_op("Identity", lambda a: a, shape_fn=_same_shape_fn, dtype_fn=_first_dtype_fn)
@@ -573,7 +585,7 @@ def _select_shape_fn(input_shapes, attrs):
 
 register_op("Select", _select_kernel,
             dtype_fn=dtypes.numpy_dtype_fn(_select_kernel),
-            shape_fn=_select_shape_fn)
+            shape_fn=_select_shape_fn, fresh_output=True)
 
 # ---------------------------------------------------------------------------
 # Neural network ops
@@ -588,7 +600,7 @@ def _softmax_kernel(a, axis=-1):
 
 
 register_op("Softmax", _softmax_kernel, shape_fn=_same_shape_fn,
-            dtype_fn=dtypes.numpy_dtype_fn(_softmax_kernel))
+            dtype_fn=dtypes.numpy_dtype_fn(_softmax_kernel), fresh_output=True)
 
 
 def _log_softmax_kernel(a, axis=-1):
@@ -598,7 +610,7 @@ def _log_softmax_kernel(a, axis=-1):
 
 
 register_op("LogSoftmax", _log_softmax_kernel, shape_fn=_same_shape_fn,
-            dtype_fn=dtypes.numpy_dtype_fn(_log_softmax_kernel))
+            dtype_fn=dtypes.numpy_dtype_fn(_log_softmax_kernel), fresh_output=True)
 
 
 def _softmax_xent_kernel(labels, logits):
@@ -615,6 +627,7 @@ register_op(
     shape_fn=lambda ss, attrs: [
         shapes.TensorShape(ss[1].dims[:-1]) if ss[1].dims is not None else shapes.unknown
     ],
+    fresh_output=True,
 )
 
 
@@ -627,7 +640,8 @@ def _sparse_softmax_xent_kernel(labels, logits):
 
 
 register_op("SparseSoftmaxCrossEntropyWithLogits", _sparse_softmax_xent_kernel,
-            dtype_fn=dtypes.numpy_dtype_fn(_sparse_softmax_xent_kernel))
+            dtype_fn=dtypes.numpy_dtype_fn(_sparse_softmax_xent_kernel),
+            fresh_output=True)
 
 # ---------------------------------------------------------------------------
 # Random ops (stateful; deterministic under repro.framework.random.set_seed)
@@ -652,7 +666,7 @@ def _random_normal_kernel(shape, mean=0.0, stddev=1.0, dtype="float32"):
     return out.astype(dtypes.as_dtype(dtype).np_dtype)
 
 
-register_op("RandomNormal", _random_normal_kernel, stateful=True,
+register_op("RandomNormal", _random_normal_kernel, stateful=True, fresh_output=True,
             dtype_fn=lambda dts, attrs: [dtypes.as_dtype(attrs.get("dtype", "float32"))])
 
 
@@ -666,7 +680,7 @@ def _random_uniform_kernel(shape, minval=0.0, maxval=1.0, dtype="float32"):
     return out.astype(dt.np_dtype)
 
 
-register_op("RandomUniform", _random_uniform_kernel, stateful=True,
+register_op("RandomUniform", _random_uniform_kernel, stateful=True, fresh_output=True,
             dtype_fn=lambda dts, attrs: [dtypes.as_dtype(attrs.get("dtype", "float32"))])
 
 # ---------------------------------------------------------------------------
@@ -686,7 +700,7 @@ def _print_kernel(*args, sep=" ", end="\n", stream=None):
     return np.asarray(0, dtype=np.int32)
 
 
-register_op("PrintV2", _print_kernel, stateful=True,
+register_op("PrintV2", _print_kernel, stateful=True, fresh_output=True,
             dtype_fn=lambda dts, attrs: [dtypes.int32],
             shape_fn=lambda ss, attrs: [shapes.TensorShape([])])
 
@@ -698,7 +712,7 @@ def _assert_kernel(cond, *data, message="Assertion failed"):
     return np.asarray(True)
 
 
-register_op("Assert", _assert_kernel, stateful=True,
+register_op("Assert", _assert_kernel, stateful=True, fresh_output=True,
             dtype_fn=lambda dts, attrs: [dtypes.bool_])
 
 
@@ -706,5 +720,5 @@ def _no_op_kernel(*args):
     return np.asarray(0, dtype=np.int32)
 
 
-register_op("Group", _no_op_kernel, stateful=True,
+register_op("Group", _no_op_kernel, stateful=True, fresh_output=True,
             dtype_fn=lambda dts, attrs: [dtypes.int32])

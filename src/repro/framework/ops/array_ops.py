@@ -28,7 +28,7 @@ def constant(value, dtype=None, name="Const"):
             value = value.numpy()
         if dtype is not None:
             value = np.asarray(value, dtype=dtypes_mod.as_dtype(dtype).np_dtype)
-        return g.constant(value, name=name)
+        return g.constant(dtypes_mod.held_as_labelled(value), name=name)
     return dispatch.convert_to_tensor(value, dtype=dtype)
 
 

@@ -148,7 +148,7 @@ def as_graph_tensor(value, graph):
         if graph.capture_external:
             return graph.capture_eager(value)
         return graph.constant(value.numpy())
-    return graph.constant(value)
+    return graph.constant(dtypes.held_as_labelled(value))
 
 
 def convert_to_tensor(value, dtype=None):

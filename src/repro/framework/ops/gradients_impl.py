@@ -98,13 +98,11 @@ def _max_grad_kernel(grad, x, out, axis=None, keepdims=False):
                 oe = np.expand_dims(oe, a)
         mask = (x == oe)
         g = ge
-    nmask = mask.sum(axis=axis if axis is not None else None,
-                     keepdims=True if axis is not None else False)
     out_grad = np.where(mask, np.broadcast_to(g, x.shape), 0.0)
     return out_grad.astype(x.dtype, copy=False)
 
 
-register_op("MaxGrad", _max_grad_kernel,
+register_op("MaxGrad", _max_grad_kernel, fresh_output=True,
             dtype_fn=lambda dts, attrs: [dts[1]],
             shape_fn=lambda ss, attrs: [ss[1]])
 
@@ -118,7 +116,7 @@ def _select_grad_kernel(cond, grad):
     return np.where(c, g, zeros), np.where(c, zeros, g)
 
 
-register_op("SelectGrad", _select_grad_kernel, num_outputs=2,
+register_op("SelectGrad", _select_grad_kernel, num_outputs=2, fresh_output=True,
             dtype_fn=lambda dts, attrs: [dts[1], dts[1]])
 
 
@@ -141,7 +139,7 @@ def _gather_grad_kernel(grad, indices, params, axis=0):
     return out.astype(params.dtype, copy=False)
 
 
-register_op("GatherGrad", _gather_grad_kernel,
+register_op("GatherGrad", _gather_grad_kernel, fresh_output=True,
             dtype_fn=lambda dts, attrs: [dts[2]],
             shape_fn=lambda ss, attrs: [ss[2]])
 
@@ -155,7 +153,7 @@ def _getitem_grad_kernel(grad, x, *index_inputs, spec=()):
     return out
 
 
-register_op("GetItemGrad", _getitem_grad_kernel,
+register_op("GetItemGrad", _getitem_grad_kernel, fresh_output=True,
             dtype_fn=lambda dts, attrs: [dts[1]],
             shape_fn=lambda ss, attrs: [ss[1]])
 
@@ -167,7 +165,7 @@ def _xent_grad_kernel(grad, labels, logits):
     return (_softmax_kernel(np.asarray(logits), axis=-1) - np.asarray(labels)) * g
 
 
-register_op("SoftmaxXentGrad", _xent_grad_kernel,
+register_op("SoftmaxXentGrad", _xent_grad_kernel, fresh_output=True,
             dtype_fn=numpy_dtype_fn(_xent_grad_kernel),
             shape_fn=lambda ss, attrs: [ss[2]])
 
@@ -184,7 +182,7 @@ def _sparse_xent_grad_kernel(grad, labels, logits):
     return (soft - onehot) * g
 
 
-register_op("SparseSoftmaxXentGrad", _sparse_xent_grad_kernel,
+register_op("SparseSoftmaxXentGrad", _sparse_xent_grad_kernel, fresh_output=True,
             dtype_fn=numpy_dtype_fn(_sparse_xent_grad_kernel),
             shape_fn=lambda ss, attrs: [ss[2]])
 
@@ -252,7 +250,13 @@ def _pow_grad(op, g):
     gx = math_ops.multiply(
         g, math_ops.multiply(y, math_ops.pow(x, math_ops.subtract(y, 1.0)))
     )
-    return [_unbroadcast(gx, x), None]
+    # d(x**y)/dy = x**y log x, where x > 0; 0 elsewhere (x**y is not a
+    # real function of y there), without taking the log of x <= 0.
+    positive = math_ops.greater(x, 0.0)
+    log_x = array_ops.where(
+        positive, math_ops.log(array_ops.where(positive, x, 1.0)), 0.0)
+    gy = math_ops.multiply(g, math_ops.multiply(op.outputs[0], log_x))
+    return [_unbroadcast(gx, x), _unbroadcast(gy, y)]
 
 
 @register_gradient("Maximum")
@@ -364,6 +368,7 @@ def _mean_grad(op, g):
 
 
 @register_gradient("Max")
+@register_gradient("Min")
 def _max_grad(op, g):
     x = op.inputs[0]
     return [dispatch.run_op("MaxGrad", [g, x, op.outputs[0]],
@@ -385,9 +390,23 @@ def _identity_grad(op, g):
 
 @register_gradient("ZerosLike")
 @register_gradient("OnesLike")
+@register_gradient("Sign")
+@register_gradient("Floor")
 def _constant_like_grad(op, g):
-    # The result does not depend on the operand's value.
+    # The result does not depend on the operand's value (or is flat
+    # wherever it has a derivative).
     return [None]
+
+
+@register_gradient("Greater")
+@register_gradient("GreaterEqual")
+@register_gradient("Less")
+@register_gradient("LessEqual")
+@register_gradient("Equal")
+@register_gradient("NotEqual")
+def _comparison_grad(op, g):
+    # A boolean result carries no gradient to either operand.
+    return [None, None]
 
 
 @register_gradient("Cast")

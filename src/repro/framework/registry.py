@@ -64,25 +64,24 @@ class OpDef:
     ``kernels._elementwise(name, fn)`` call derives them all from the
     NumPy callable (a ufunc is kernel, ``fusable`` and, with ``out=``,
     ``inplace_kernel``; always ``fresh_output``, the broadcast
-    ``shape_fn``, NumPy's own ``dtype_fn``).  Only kernels that are not
-    one ufunc (``MatMul``'s disjoint ``out=``) set any by hand.
+    ``shape_fn``, NumPy's own ``dtype_fn``).  Every other kernel that
+    allocates its result says so with ``fresh_output``; only ``MatMul``'s
+    disjoint ``out=`` is an ``inplace_kernel`` set by hand.
 
       inplace_kernel: optional ``fn(*input_values, out=buffer)`` variant
         writing the result into ``out`` (same shape/dtype as the result)
         and refusing, before writing, an unsafe cast.  The runtime
-        planner uses it to reuse an intermediate's buffer instead of
-        allocating.  Ufuncs tolerate ``out`` aliasing an input and may
-        be donated a dying input's buffer; kernels that do NOT (BLAS-
-        backed ``MatMul``) also set ``inplace_no_alias`` so the planner
-        only donates buffers that are fully dead before the step runs.
-      inplace_no_alias: True when ``inplace_kernel`` requires ``out`` to
-        be disjoint from every input (e.g. ``np.matmul(..., out=)``).
+        planner uses it to write into a dead intermediate's buffer
+        instead of allocating.  Only an ``elementwise`` op may be handed
+        a buffer it reads itself (a ufunc tolerates ``out`` aliasing an
+        operand); any other kernel gets one dead before its step runs.
       fresh_output: True when the kernel always *allocates* its result —
-        the returned array never aliases an input, a variable's storage,
-        or any other external buffer.  Only fresh outputs are eligible
-        as buffer-donation targets: donating an alias-returning kernel's
-        output (``Identity``, variable reads, views) would let an
-        in-place step silently corrupt caller arrays or live state.
+        the returned array never shares memory with an input, a
+        variable's storage, or any other external buffer.  Only such
+        results are buffers the planner may recycle; every other
+        kernel's results are taken to share its inputs' buffers (a view
+        from ``Reshape``, the array ``Identity`` or a variable read
+        returns, an element a ``TensorArrayWrite`` holds).
       fusable: ``None``, or the ufunc this op *is* (``kernel(*inputs)``
         is exactly ``fusable(*inputs)``, dtype promotion included).  The
         fusion pass (:mod:`repro.runtime.fusion`) collapses chains/trees
@@ -102,7 +101,6 @@ class OpDef:
         "dtype_fn",
         "stateful",
         "inplace_kernel",
-        "inplace_no_alias",
         "fresh_output",
         "fusable",
         "elementwise",
@@ -110,8 +108,7 @@ class OpDef:
 
     def __init__(self, name, kernel, *, num_outputs=1, grad_fn=None, shape_fn=None,
                  dtype_fn=None, stateful=False, inplace_kernel=None,
-                 inplace_no_alias=False, fresh_output=False, fusable=None,
-                 elementwise=0):
+                 fresh_output=False, fusable=None, elementwise=0):
         self.name = name
         self.kernel = kernel
         self.num_outputs = num_outputs
@@ -120,7 +117,6 @@ class OpDef:
         self.dtype_fn = dtype_fn
         self.stateful = stateful
         self.inplace_kernel = inplace_kernel
-        self.inplace_no_alias = inplace_no_alias
         self.fresh_output = fresh_output
         self.fusable = fusable
         self.elementwise = elementwise

@@ -76,13 +76,15 @@ class BoundPlan:
         return self.plan.graph_version
 
     def describe(self):
-        """Observability snapshot: how big the bound plan is and how
-        often it has run (surfaced in ``GET /v1/models``)."""
+        """Observability snapshot: how big the bound plan is, how many
+        of its steps recycle a buffer and how often it has run (surfaced
+        in ``GET /v1/models``)."""
         plan = self.plan
         info = {
             "args": self._n_args,
             "steps": len(plan.steps),
             "levels": len(plan.levels),
+            "inplace_steps": plan.inplace_steps,
             "calls": self.calls,
             "graph_version": plan.graph_version,
         }

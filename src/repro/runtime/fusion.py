@@ -51,14 +51,14 @@ shapes from ``np.broadcast_shapes`` — so a fused plan is bit-identical
 to the unfused one by construction: same ufuncs, same operands, same
 evaluation order, and ``out=`` never changes a value or forces a cast.
 
-**Donation composes.**  The generated closure allocates its result (or
-reuses an intra-call temporary), so a fused step's output is
-``fresh_output`` — a legal donation target for downstream kernels.  A
+**Buffer reuse composes.**  The generated closure allocates its result
+(or reuses an intra-call temporary), so a fused step's output is
+``fresh_output``: a buffer the planner may recycle downstream.  A
 second generated variant writes the root result into a caller-provided
 ``out=`` buffer; it is alias-*tolerant* (the only external-buffer
 write is the final elementwise ufunc call, where NumPy permits ``out``
-to alias an equal-shaped operand), so fused steps join the same
-dying-input buffer-reuse discipline as single ufunc steps.
+to alias an equal-shaped operand), so the composite's ``OpDef`` is
+``elementwise`` and takes buffers exactly as a single ufunc step does.
 """
 
 from __future__ import annotations
@@ -82,21 +82,18 @@ class _FusedOp:
 
     Quacks like :class:`~repro.framework.graph.graph.Operation` exactly
     as far as the planner's later passes read one: ``op_def`` carries
-    the generated kernel and donation metadata (the ``out=`` variant
-    rides the fused step itself), ``inputs``/``outputs``
-    expose the *external* input tensors (aligned with the fused step's
-    locators) and the root's output tensor for dtype/shape pools, and
+    the generated kernel and what the buffer-reuse pass reads of it (the
+    ``out=`` variant rides the fused step itself), ``outputs`` exposes
+    the root's output tensor for the dtype/shape pool, and
     ``member_ids`` lets level computation resolve control dependencies
     other ops may hold on any fused-away member.
     """
 
-    __slots__ = ("op_def", "inputs", "outputs", "control_inputs",
+    __slots__ = ("op_def", "outputs", "control_inputs",
                  "name", "member_ids", "member_types")
 
-    def __init__(self, op_def, inputs, outputs, name, member_ids,
-                 member_types):
+    def __init__(self, op_def, outputs, name, member_ids, member_types):
         self.op_def = op_def
-        self.inputs = list(inputs)
         self.outputs = list(outputs)
         self.control_inputs = ()
         self.name = name
@@ -169,8 +166,7 @@ class _Union:
 
 def _codegen(group, steps, step_ops, const_slots, base_values, feed_info):
     """Generate one group's composite kernel and its ``out=`` donation
-    variant.  Returns ``(kernel, inplace_kernel, ext_locators,
-    ext_tensors)``."""
+    variant.  Returns ``(kernel, inplace_kernel, ext_locators)``."""
     member_set = set(group)
     produced = {steps[m][0]: m for m in group}
     root = group[-1]
@@ -260,13 +256,12 @@ def _codegen(group, steps, step_ops, const_slots, base_values, feed_info):
     exec(compile(src, "<repro.fuse>", "exec"), namespace)
     kernel = namespace.pop("_fused")
 
-    # The donation variant: identical interior, but the root ufunc
-    # writes into the caller-provided ``out`` buffer (the planner only
-    # arms this with a dying same-dtype/shape input under the
-    # alias-tolerant discipline — the final elementwise write happens
-    # after every other read of that buffer).  The planner matches
-    # *declared* dtypes, so the write refuses any unsafe cast and the
-    # engine falls back to the allocating kernel.
+    # The ``out=`` variant: identical interior, but the root ufunc
+    # writes into the caller-provided ``out`` buffer (of the result's
+    # dtype and shape; when it is an input this step alone reads, the
+    # final elementwise write happens after every other read of it).
+    # The planner matches *declared* dtypes, so the write refuses any
+    # unsafe cast and the engine falls back to the allocating kernel.
     out_lines = list(lines)
     out_lines[-1] = (
         f"return {root_fname}({', '.join(root_call_args)}, out=out, "
@@ -278,18 +273,7 @@ def _codegen(group, steps, step_ops, const_slots, base_values, feed_info):
     exec(compile(out_src, "<repro.fuse>", "exec"), ns2)
     inplace_kernel = ns2.pop("_fused_out")
 
-    ext_tensors = _external_tensors(group, steps, step_ops, params)
-    return kernel, inplace_kernel, tuple(params), ext_tensors
-
-
-def _external_tensors(group, steps, step_ops, params):
-    """The first graph tensor seen for each external locator, in param
-    order (the donation passes ``zip(op.inputs, step_locators)``)."""
-    by_loc = {}
-    for m in group:
-        for t, loc in zip(step_ops[m].inputs, steps[m][2]):
-            by_loc.setdefault(loc, t)
-    return [by_loc[loc] for loc in params]
+    return kernel, inplace_kernel, tuple(params)
 
 
 def fuse_elementwise_steps(steps, step_ops, fetch_locators, feed_slots,
@@ -362,17 +346,17 @@ def fuse_elementwise_steps(steps, step_ops, fetch_locators, feed_slots,
     absorbed = set()
     fused_groups = []
     for group in fused:
-        kernel, inplace_kernel, ext_locs, ext_tensors = _codegen(
+        kernel, inplace_kernel, ext_locs = _codegen(
             group, steps, step_ops, const_slots, base_values, feed_info)
         types = tuple(step_ops[m].type for m in group)
         names = tuple(step_ops[m].name for m in group)
         span = _span_name(types)
         root = group[-1]
         root_slot = steps[root][0]
-        op_def = OpDef(span, kernel, num_outputs=1, fresh_output=True)
+        op_def = OpDef(span, kernel, num_outputs=1, fresh_output=True,
+                       elementwise=len(ext_locs))
         shim = _FusedOp(
             op_def,
-            inputs=ext_tensors,
             outputs=[step_ops[root].outputs[0]],
             name=span,
             member_ids=tuple(id(step_ops[m]) for m in group),

@@ -19,14 +19,13 @@ allows (the Table-2 dispatch-overhead story):
   baked into the plan's base slot values and their steps disappear;
 - **dead-step elision** — only ops the fetches (or their control deps)
   reach are compiled at all;
-- **output-buffer reuse** — a step whose kernel advertises an in-place
-  variant (``OpDef.inplace_kernel``) may write its result into the buffer
-  of a single-consumer intermediate input (alias-tolerant ufuncs), or —
-  for ``inplace_no_alias`` kernels like ``MatMul`` — into any
-  intermediate buffer that is provably dead before the step runs, in
-  both serial and level-parallel execution order; donated buffers are
-  never feeds (caller-owned), baked constants (shared across calls) or
-  fetches (returned to the caller);
+- **output-buffer reuse** — one liveness scan gives every buffer the
+  plan allocates the point after which nothing reads it, and a step
+  whose kernel advertises an in-place variant (``OpDef.inplace_kernel``)
+  writes its result into a dead buffer of its dtype and shape from one
+  pool (:func:`_assign_buffer_reuse`); feeds (caller-owned), baked
+  constants (shared across calls) and fetches (returned to the caller)
+  are never buffers;
 - **elementwise fusion** — maximal chains/trees of
   fusable ufunc steps whose intermediates are single-consumer and not
   fetched collapse into one ``exec``-compiled composite kernel
@@ -212,6 +211,11 @@ class ExecutionPlan:
             values[j][k] if j >= 0 else None for j, k in self.fetch_locators
         ]
 
+    @property
+    def inplace_steps(self):
+        """How many steps write their result into a recycled buffer."""
+        return sum(step[5] is not None for step in self.steps)
+
     def describe(self):
         """A human-readable plan dump: steps, levels, fused groups,
         buffer-reuse arms and why a fusable step stayed standalone —
@@ -224,7 +228,8 @@ class ExecutionPlan:
             f"{len(self.levels)} levels, {self.n_slots} slots, "
             f"{len(self.feed_slots)} feeds, "
             f"{len(self.fetch_locators)} fetches, "
-            f"{len(self.fused_groups)} fused"
+            f"{len(self.fused_groups)} fused, "
+            f"{self.inplace_steps} in-place"
         ]
         level_of = {}
         for ln, level in enumerate(self.levels):
@@ -345,7 +350,7 @@ def compile_plan(graph, flat_fetches, feed_tensors, *, fuse=True):
 
     # -- step emission with constant pre-evaluation ------------------------
     base_values = [None] * n_slots
-    # Slots whose base value is baked (shared across calls; never donate).
+    # Slots whose base value is baked (shared across calls).
     const_slots = set()
     steps = []
     step_ops = []  # parallel to steps, for the buffer-reuse pass
@@ -418,8 +423,7 @@ def compile_plan(graph, flat_fetches, feed_tensors, *, fuse=True):
             base_values)
 
     step_levels, levels = _compute_levels(steps, step_ops)
-    _assign_buffer_reuse(steps, step_ops, fetch_locators, const_slots,
-                         len(needed), step_levels)
+    _assign_buffer_reuse(steps, step_ops, fetch_locators, step_levels)
 
     return ExecutionPlan(
         tuple(tuple(s) for s in steps),
@@ -485,118 +489,84 @@ def _bake(value):
     mutation: a caller doing ``out += 1`` on a fetched result must get a
     loud ``read-only`` error, never silently corrupt later calls.  The
     copy also decouples the plan from the graph's own ``Const`` attr
-    arrays.
+    arrays, and keeps their memory layout (BLAS rounds a transposed
+    operand's products in another order than a C-ordered one's).
     """
-    arr = np.asarray(value).copy()
+    arr = np.asarray(value).copy(order="K")
     arr.setflags(write=False)
     return arr
 
 
-def _assign_buffer_reuse(steps, step_ops, fetch_locators, const_slots,
-                         n_op_slots, step_levels):
-    """Mark steps that may write their output into a reusable buffer.
+def _assign_buffer_reuse(steps, step_ops, fetch_locators, step_levels):
+    """Arm each step that has an ``out=`` kernel with a dead buffer.
 
-    A donated buffer must be produced by an executed step of this plan
-    whose kernel *allocates* its result (``OpDef.fresh_output``) — never
-    a feed (the caller owns that array), a baked constant (shared across
-    calls), or the output of an alias-returning kernel like ``Identity``
-    or a variable read (writing into those would corrupt caller arrays
-    or live state) — and never a fetch (the caller receives it).  The
-    in-place variant's output shape/dtype must be statically known and
-    match the donor exactly.  Two donation disciplines:
+    A *buffer* is the result of a step whose kernel allocates it
+    (``OpDef.fresh_output``), so never a feed, a baked constant or a
+    fetch.  Any other kernel may return a view of its inputs or hold on
+    to them (``Reshape``, ``Identity``, ``TensorArrayWrite``): its
+    results *share* its inputs' buffers.  A stateful reader (variable
+    storage, ``Cond``/``While``) pins what it reads, and so does a
+    fetch; a pinned buffer never dies.
 
-    - **alias-tolerant** kernels (ufuncs) take a dying *input*: a buffer
-      this step is the sole consumer of, written while being read;
-    - **no-alias** kernels (``inplace_no_alias``, e.g. BLAS ``MatMul``)
-      take any intermediate that is provably dead before the step runs —
-      its last consumer finishing earlier both in serial step order
-      *and* in level order, so the level-parallel path can never be
-      writing it concurrently — and every consumer a ``fresh_output``
-      kernel, so nothing that outlives the consumer (a view, a
-      ``TensorArray`` element, a loop body's output) still points at it.
-
-    Each buffer is donated at most once (the ``claimed`` set): after
-    donation it carries the donee's output, which later steps may read.
+    A backward scan gives every buffer its death: the last ``(step,
+    level)`` that reads anything sharing it, and the one step that does
+    if only one does.  A forward scan then hands a step a buffer of its
+    static dtype and shape from one pool: one dead strictly earlier, in
+    step order *and* in level order (no level-parallel sibling may still
+    be reading it), or, for an elementwise op (a ufunc tolerates ``out``
+    aliasing an operand), one that it alone reads, at its own step.  A
+    taken buffer then holds the taker's result, and returns to the pool
+    when that result dies.
     """
-    donatable = {}
-    for i, (s, op) in enumerate(zip(steps, step_ops)):
-        if op.op_def.fresh_output:
-            for k in range(len(op.outputs)):
-                donatable[(s[0], k)] = i
-
-    consumers = {}
-    last_use = {}
-    # Buffers read by a kernel that does not allocate its result: the
-    # result may be a view of the buffer or hold a reference to it, so
-    # the last *reader* says nothing about when the memory is dead.
-    escaped = set()
-    for i, (s, op) in enumerate(zip(steps, step_ops)):
+    n = len(steps)
+    pinned = (n, n, None)
+    death = dict.fromkeys(fetch_locators, pinned)
+    for i in range(n - 1, -1, -1):
+        s, op = steps[i], step_ops[i]
+        if op.op_def.stateful:
+            read = pinned
+        else:
+            read = (i, step_levels[i], i)
+            if not op.op_def.fresh_output:
+                for k in range(len(op.outputs)):
+                    read = _later(read, death.get((s[0], k), read))
         for loc in s[2]:
-            consumers[loc] = consumers.get(loc, 0) + 1
-            li, ll = last_use.get(loc, (-1, -1))
-            last_use[loc] = (max(li, i), max(ll, step_levels[i]))
-        if not op.op_def.fresh_output:
-            escaped.update(s[2])
-    fetched = set(fetch_locators)
+            death[loc] = _later(read, death.get(loc, read))
 
-    # Dead-buffer pool for no-alias kernels: donatable intermediates
-    # keyed by (dtype, shape), each tagged with the last (index, level)
-    # at which anything touches the buffer.
     pool = {}
-    for s, op in zip(steps, step_ops):
+    for i, (s, op) in enumerate(zip(steps, step_ops)):
+        if not op.op_def.fresh_output:
+            continue
         for k, t in enumerate(op.outputs):
-            loc = (s[0], k)
-            if loc not in donatable or loc in fetched or loc in escaped:
-                continue
-            if loc[0] in const_slots or loc[0] >= n_op_slots:
-                continue
-            if t.dtype.np_dtype is None or not t.shape.is_fully_defined:
-                continue
-            pi = donatable[loc]
-            li, ll = last_use.get(loc, (-1, -1))
-            entry = (max(li, pi), max(ll, step_levels[pi]), loc)
-            pool.setdefault(
-                (np.dtype(t.dtype.np_dtype), t.shape.as_tuple()), []
-            ).append(entry)
+            key = _static_key(t)
+            dead = death.get((s[0], k), (i, step_levels[i], None))
+            if key is not None and dead[0] < n:
+                pool.setdefault(key, []).append((dead, (s[0], k)))
     for entries in pool.values():
-        entries.sort()
+        entries.sort(key=lambda entry: entry[0][0])
 
-    claimed = set()
     for i, (s, op) in enumerate(zip(steps, step_ops)):
         ikernel, s[5] = s[5], None
-        if ikernel is None or not s[3]:
-            continue
-        out_t = op.outputs[0]
-        out_dtype = out_t.dtype.np_dtype
-        if out_dtype is None or not out_t.shape.is_fully_defined:
-            continue
-        out_shape = out_t.shape.as_tuple()
-
-        if op.op_def.inplace_no_alias:
-            lv = step_levels[i]
-            for li, ll, loc in pool.get(
-                    (np.dtype(out_dtype), out_shape), ()):
-                if li >= i or ll >= lv:
-                    continue
-                if loc in claimed:
-                    continue
-                s[5] = (loc[0], loc[1], ikernel, out_shape,
-                        np.dtype(out_dtype))
-                claimed.add(loc)
+        key = _static_key(op.outputs[0]) if ikernel and s[3] else None
+        entries = pool.get(key, ())
+        level, alias = step_levels[i], op.op_def.elementwise
+        for e, ((last, last_level, alone), loc) in enumerate(entries):
+            if last > i:
                 break
-            continue
+            if (last < i and last_level < level) or (alias and alone == i):
+                del entries[e]
+                s[5] = (loc[0], loc[1], ikernel, key[1], key[0])
+                break
 
-        for t, loc in zip(op.inputs, s[2]):
-            if loc not in donatable or loc[0] in const_slots:
-                continue
-            if loc[0] >= n_op_slots:  # a feed slot
-                continue
-            if consumers.get(loc, 0) != 1 or loc in fetched or loc in claimed:
-                continue
-            if t.dtype.np_dtype != out_dtype:
-                continue
-            if not t.shape.is_fully_defined or t.shape.as_tuple() != out_shape:
-                continue
-            s[5] = (loc[0], loc[1], ikernel, out_shape, np.dtype(out_dtype))
-            claimed.add(loc)
-            break
+
+def _later(a, b):
+    """The later of two deaths, field by field; the sole reader stays
+    only where both agree on it."""
+    return (max(a[0], b[0]), max(a[1], b[1]), a[2] if a[2] == b[2] else None)
+
+
+def _static_key(t):
+    """``(dtype, shape)`` of a tensor whose both are known statically."""
+    if t.dtype.np_dtype is None or not t.shape.is_fully_defined:
+        return None
+    return np.dtype(t.dtype.np_dtype), t.shape.as_tuple()

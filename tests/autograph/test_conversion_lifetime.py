@@ -1,12 +1,14 @@
 """A conversion lives as long as a function converted from it.
 
-The conversion cache holds code objects weakly, a source map is dropped
-with the conversion that owns it, and generated modules are never
-registered in ``sys.modules``; so converting fresh code again and again
-(a respawned worker, a benchmark's cold calls) does not grow the process.
+The conversion cache holds code objects weakly, a source map and a
+generated file are dropped with the conversion that owns them, and
+generated modules are never registered in ``sys.modules``; so converting
+fresh code again and again (a respawned worker, a benchmark's cold calls)
+grows neither the process nor the disk.
 """
 
 import gc
+import os
 import sys
 
 import pytest
@@ -56,9 +58,12 @@ def test_conversions_are_freed_with_their_functions(tmp_path):
     cached, maps, modules = _live()
     assert (cached, maps) == (before[0] + 50, before[1] + 50)
     assert modules == before[2]
+    generated = [c.__code__.co_filename for c in converted]
+    assert all(os.path.exists(path) for path in generated)
 
     del functions, converted
     assert _live() == before
+    assert not any(os.path.exists(path) for path in generated)
 
 
 def test_a_live_conversion_still_maps_errors_to_user_code(tmp_path):

@@ -64,6 +64,7 @@ class TestErrorRewriting:
         notes = getattr(rewritten, "__notes__", [])
         assert any("user_code.py" in n and "99" in n for n in notes)
         assert any("user_line()" in n for n in notes)
+        loader.discard(filename)
 
     def test_unmapped_error_untouched(self):
         try:
@@ -85,6 +86,7 @@ class TestErrorRewriting:
         errors.rewrite_error(excinfo.value)
         notes = getattr(excinfo.value, "__notes__", [])
         assert len(notes) == 1
+        loader.discard(filename)
 
 
 class TestErrorClassification:

@@ -193,13 +193,15 @@ class TestLoader:
         module, source, filename = loader.ast_to_object(node)
         assert module.f(2) == 6
         assert filename.endswith(".py")
+        loader.discard(filename)
 
     def test_generated_code_inspectable(self):
         import inspect
 
         node = parser.parse_str("def g(x):\n    return x + 1\n")
-        module, _, _ = loader.ast_to_object(node)
+        module, _, filename = loader.ast_to_object(node)
         assert "x + 1" in inspect.getsource(module.g)
+        loader.discard(filename)
 
     def test_paper_example_small_modification(self):
         # Appendix C: parse, tweak the AST, unparse.

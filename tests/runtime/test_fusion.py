@@ -369,8 +369,10 @@ def test_describe_surfaces_fused_groups():
     dump = plan.describe()
     assert "fused[mul+add+tanh]" in dump
     assert "members=" in dump
+    assert dump.splitlines()[0].endswith(" 1 fused, 0 in-place")
     bound = BoundPlan(plan, [x])
     info = bound.describe()
+    assert info["inplace_steps"] == 0
     assert info["fused_steps"] == 1
     assert info["fused_ops"] == 3
     assert info["fused_kernels"] == ["fused[mul+add+tanh]"]

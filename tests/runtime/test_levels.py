@@ -1,4 +1,4 @@
-"""Level-parallel plan execution and the no-alias donation discipline.
+"""Level-parallel plan execution and buffer reuse across levels.
 
 ``compile_plan`` now buckets steps into wavefront levels (every step's
 data, control and stateful-order dependencies live in strictly earlier
@@ -7,8 +7,8 @@ scheduler.  These tests pin the two properties that make that safe:
 
 - scheduling never changes results (levels respect all three dependency
   kinds, and the fixed combination trees make the math order-free);
-- ``inplace_no_alias`` donation (MatMul's BLAS ``out=``) only takes
-  buffers whose last use is in a strictly earlier *level*, so a
+- a kernel that is not elementwise (MatMul's BLAS ``out=``) only takes
+  buffers whose last read is in a strictly earlier *level*, so a
   concurrently-running sibling step can never observe the overwrite.
 """
 

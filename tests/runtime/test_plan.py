@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 from repro import framework as fw
-from repro import observe
+from repro import nn, observe
+from repro.blocks import BlockScheduler
 from repro.framework import ops
 from repro.runtime import BoundPlan, compile_plan
+from test_oracle import walks
 
 
 def _plan_for(fetches, feeds=()):
@@ -354,6 +356,113 @@ def test_shape_mismatch_disables_donation():
     bound = BoundPlan(plan, [x])
     arg = np.zeros((3, 4), np.float32)
     np.testing.assert_allclose(bound.execute_flat([arg])[0], np.full(4, 6.0))
+
+
+def _arms(plan):
+    """``{op name: (its slot, the slot of the buffer it writes or None)}``."""
+    return {s[4]: (s[0], s[5] and s[5][0]) for s in plan.steps}
+
+
+def test_a_buffer_read_through_a_view_lives_until_the_views_last_reader():
+    g = fw.Graph()
+    with g.as_default():
+        x = ops.placeholder(fw.float32, [4, 4])
+        w = ops.placeholder(fw.float32, [4, 4])
+        t = ops.tanh(x, name="t")
+        view = ops.transpose(t)
+        # Two views of a feed: no buffer, but they put ``before`` two
+        # levels deep, past the transpose that is ``t``'s one reader.
+        w2 = ops.transpose(ops.transpose(w))
+        before = ops.matmul(x, w2, name="before")
+        y = ops.add(before, view, name="y")
+        after = ops.matmul(y, w2, name="after")
+    for fuse in (True, False):
+        plan = compile_plan(g, [after], [x, w], fuse=fuse)
+        arms = _arms(plan)
+        assert arms["before"][1] is None
+        assert arms["after"][1] == arms["t"][0]
+        xv = np.linspace(-1, 1, 16, dtype=np.float32).reshape(4, 4)
+        wv = np.eye(4, dtype=np.float32)[::-1].copy()
+        want = (xv @ wv + np.tanh(xv).T) @ wv
+        bound = BoundPlan(plan, [x, w])
+        for _ in range(2):
+            np.testing.assert_array_equal(bound.execute_flat([xv, wv])[0],
+                                          want)
+
+
+def test_a_buffer_an_assign_reads_is_never_reused():
+    """The variable keeps the array it is assigned: a later same-shaped
+    MatMul writing into it would change the variable."""
+    v = fw.Variable(np.zeros((4, 4), np.float32), name="assign_pins")
+    g = fw.Graph()
+    with g.as_default():
+        x = ops.placeholder(fw.float32, [4, 4])
+        assign = v.assign(ops.tanh(x))
+        y = ops.matmul(x, x)
+        y.op.add_control_input(assign.op)   # after the assign's level
+    plan = compile_plan(g, [y], [x])
+    assert _inplace_steps(plan) == []
+    bound = BoundPlan(plan, [x])
+    for scale in (1.0, 2.0):
+        xv = np.full((4, 4), scale, np.float32)
+        np.testing.assert_array_equal(bound.execute_flat([xv])[0], xv @ xv)
+        np.testing.assert_array_equal(v.numpy(), np.tanh(xv))
+
+
+def test_a_buffer_recycled_twice_is_exact_across_calls_and_walks():
+    """``a``'s buffer holds ``a``, then ``c``, then ``e``."""
+    g = fw.Graph()
+    with g.as_default():
+        x = ops.placeholder(fw.float32, [8, 8])
+        w = ops.placeholder(fw.float32, [8, 8])
+        a = ops.tanh(x, name="a")
+        b = ops.matmul(a, w, name="b")
+        c = ops.matmul(b, w, name="c")
+        d = ops.matmul(c, w, name="d")
+        e = ops.matmul(d, w, name="e")
+    plan = compile_plan(g, [e], [x, w])
+    arms = _arms(plan)
+    assert arms["c"][1] == arms["a"][0]
+    assert arms["d"][1] == arms["b"][0]
+    assert arms["e"][1] == arms["c"][0]
+    rng = np.random.default_rng(4)
+    with BlockScheduler(num_workers=4) as pool:
+        for _ in range(2):
+            xv, wv = (rng.standard_normal((8, 8)).astype(np.float32)
+                      for _ in "xw")
+            want = np.tanh(xv) @ wv @ wv @ wv @ wv
+            for walk, run in walks(plan, [x, w], pool):
+                np.testing.assert_array_equal(run([xv, wv])[0], want,
+                                              err_msg=walk)
+
+
+def test_an_unrolled_rnn_arms_every_matmul_after_the_first():
+    """Each step's state dies at the next step's ``Concat``, before that
+    step's ``MatMul``, which writes into it."""
+    cell = nn.BasicRNNCell(8, 4)
+    g = fw.Graph()
+    with g.as_default():
+        xs = [ops.placeholder(fw.float32, [2, 4]) for _ in range(4)]
+        h = cell.zero_state(2)
+        for x in xs:
+            _, h = cell(x, h)
+    plan = compile_plan(g, [h], xs)
+    matmuls = [s[5] is not None for s in plan.steps
+               if s[4].startswith("MatMul")]
+    assert matmuls == [False, True, True, True]
+    # Each step's ``fused[add+tanh]`` writes into its own MatMul's result.
+    assert plan.inplace_steps == 7
+    assert f"fused, {plan.inplace_steps} in-place" in plan.describe()
+    rng = np.random.default_rng(5)
+    xvs = [rng.standard_normal((2, 4)).astype(np.float32) for _ in xs]
+    want = np.zeros((2, 8), np.float32)
+    for xv in xvs:
+        want = np.tanh(np.concatenate([xv, want], axis=1) @ cell.w.numpy()
+                       + cell.b.numpy())
+    bound = BoundPlan(plan, xs)
+    assert bound.describe()["inplace_steps"] == 7
+    for _ in range(2):
+        np.testing.assert_array_equal(bound.execute_flat(xvs)[0], want)
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,8 @@ def test_register_batcher_options():
         # Unbatched predicts carry the batch axis themselves.
         out = c.predict("unbatched", [_X])["outputs"][0]
         np.testing.assert_allclose(np.asarray(out), [[6.0]], rtol=1e-6)
+        plan = c.list_models()["models"]["unbatched"]["engine"]["bound_plan"]
+        assert plan["inplace_steps"] in range(plan["steps"] + 1)
 
 
 def test_register_path_refuses_signature(tmp_path):
