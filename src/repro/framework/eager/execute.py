@@ -12,32 +12,10 @@ import numpy as np
 
 from ..errors import InvalidArgumentError
 from ..registry import get_op_def
+from .tape import ACTIVE, record_operation
 from .tensor import EagerTensor, convert_to_eager_tensor
 
-__all__ = ["execute_op", "OpRecord"]
-
-
-class OpRecord:
-    """A lightweight record of an executed op, for tape replay.
-
-    Exposes the same surface gradient functions need from a graph
-    ``Operation``: ``inputs``, ``outputs``, ``attrs`` and ``get_attr``.
-    """
-
-    __slots__ = ("op_def", "inputs", "outputs", "attrs")
-
-    def __init__(self, op_def, inputs, outputs, attrs):
-        self.op_def = op_def
-        self.inputs = inputs
-        self.outputs = outputs
-        self.attrs = attrs
-
-    @property
-    def type(self):
-        return self.op_def.name
-
-    def get_attr(self, name, default=None):
-        return self.attrs.get(name, default)
+__all__ = ["execute_op"]
 
 
 def _unwrap(value):
@@ -79,9 +57,7 @@ def execute_op(op_name, inputs, attrs=None, name=None):
         EagerTensor(r) if _is_array_like(r) else r for r in raw_outputs
     )
 
-    if op_def.grad_fn is not None:
-        from .tape import record_operation
-
+    if ACTIVE.stack:
         record_operation(op_def, converted, outputs, attrs)
 
     return outputs[0] if single else outputs

@@ -17,65 +17,54 @@ import threading
 
 import numpy as np
 
-from ..errors import FrameworkError
-from .execute import OpRecord
+from ..errors import FrameworkError, StagingError
 from .tensor import EagerTensor
 
-__all__ = ["GradientTape", "record_operation"]
+__all__ = ["GradientTape", "OpRecord", "record_operation"]
 
 
-class _ThreadLocalTapeStack:
-    """The active-tape stack, kept per thread.
+class OpRecord:
+    """A lightweight record of an executed op, for tape replay.
 
-    A tape records through whichever thread executes the ops; two
-    threads each running their own ``with GradientTape()`` block (e.g.
-    per-shard gradients in :mod:`repro.blocks.data_parallel`, or
-    concurrent server handlers) must not see — or record onto — each
-    other's tapes.  The list-like surface matches how the single global
-    list was used everywhere (truthiness, iteration, indexing).
+    Exposes the same surface gradient functions need from a graph
+    ``Operation``: ``inputs``, ``outputs``, ``attrs`` and ``get_attr``.
     """
 
-    def __init__(self):
-        self._local = threading.local()
+    __slots__ = ("op_def", "inputs", "outputs", "attrs")
+
+    def __init__(self, op_def, inputs, outputs, attrs):
+        self.op_def = op_def
+        self.inputs = inputs
+        self.outputs = outputs
+        self.attrs = attrs
 
     @property
-    def _stack(self):
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
+    def type(self):
+        return self.op_def.name
 
-    def append(self, tape):
-        self._stack.append(tape)
-
-    def pop(self):
-        return self._stack.pop()
-
-    def remove(self, tape):
-        self._stack.remove(tape)
-
-    def __bool__(self):
-        return bool(self._stack)
-
-    def __len__(self):
-        return len(self._stack)
-
-    def __iter__(self):
-        return iter(self._stack)
-
-    def __getitem__(self, index):
-        return self._stack[index]
+    def get_attr(self, name, default=None):
+        return self.attrs.get(name, default)
 
 
-_TAPE_STACK = _ThreadLocalTapeStack()
+class _ActiveTapes(threading.local):
+    """The active tapes, innermost last, kept per thread: two threads
+    each running their own ``with GradientTape()`` block (per-shard
+    gradients in :mod:`repro.blocks.data_parallel`, concurrent server
+    handlers) neither see nor record onto each other's tapes."""
+
+    def __init__(self):
+        self.stack = []
+
+
+ACTIVE = _ActiveTapes()
 
 
 def record_operation(op_def, inputs, outputs, attrs):
-    """Called by the eager executor after each differentiable op."""
-    if not _TAPE_STACK:
-        return
+    """Record one executed op on every active tape that tracks one of
+    its inputs — also an op with no ``grad_fn``, so that a gradient
+    reaching it raises instead of silently stopping there."""
     record = None
-    for tape in _TAPE_STACK:
+    for tape in ACTIVE.stack:
         if tape._should_record(inputs):
             if record is None:
                 record = OpRecord(op_def, tuple(inputs), tuple(outputs), dict(attrs))
@@ -103,14 +92,11 @@ class GradientTape:
     # -- context management ----------------------------------------------
 
     def __enter__(self):
-        _TAPE_STACK.append(self)
+        ACTIVE.stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if _TAPE_STACK and _TAPE_STACK[-1] is self:
-            _TAPE_STACK.pop()
-        else:  # pragma: no cover - defensive
-            _TAPE_STACK.remove(self)
+        ACTIVE.stack.remove(self)
         return False
 
     # -- recording ---------------------------------------------------------
@@ -182,12 +168,26 @@ class GradientTape:
             seed = output_gradients
         grads[target.id] = seed
 
+        reaching = None
         for record in reversed(self._records):
             out_grads = [
                 grads.get(out.id) if isinstance(out, EagerTensor) else None
                 for out in record.outputs
             ]
             if all(g is None for g in out_grads):
+                continue
+            if record.op_def.grad_fn is None:
+                # As ``gradients()``: an op with no gradient on a path
+                # from a source to the target is an error, not a zero.
+                if reaching is None:
+                    reaching = _reaching(self._records, source_tensors)
+                if any(isinstance(inp, EagerTensor) and inp.id in reaching
+                       for inp in record.inputs):
+                    raise StagingError(
+                        f"GradientTape.gradient: op of type {record.type!r} "
+                        "on the differentiation path has no registered "
+                        "gradient"
+                    )
                 continue
             filled = []
             for g, out in zip(out_grads, record.outputs):
@@ -210,3 +210,14 @@ class GradientTape:
             self._records = []
             self._tracked = set(self._watched)
         return results[0] if single else results
+
+
+def _reaching(records, sources):
+    """Ids of the tensors the recorded ops compute from ``sources``."""
+    reaching = {s.id for s in sources}
+    for record in records:
+        if any(isinstance(inp, EagerTensor) and inp.id in reaching
+               for inp in record.inputs):
+            reaching.update(out.id for out in record.outputs
+                            if isinstance(out, EagerTensor))
+    return reaching

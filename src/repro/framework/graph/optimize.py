@@ -8,9 +8,9 @@ This module implements three classic rewrites over our graph IR:
 - **common-subexpression elimination** of identical stateless ops.
 
 They operate by building a *new* graph and returning a tensor mapping, so
-callers re-point their fetch handles.  ``Session`` does not run these
-automatically (plans are already pruned); they exist as a user-facing
-optimization pass and for the ablation benchmarks.
+callers re-point their fetch handles.  Every ``repro.function`` trace
+runs them once, at trace time (forward graph and, on the first tape
+replay, the backward graph), so each call executes the optimized graph.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def optimize_graph(graph, fetches, fold_constants=True, cse=True):
             continue
         new_inputs = [tensor_map[id(t)] for t in op.inputs]
         new_controls = [op_map[id(c)] for c in op.control_inputs if id(c) in op_map]
-        attr_key = None if _has_opaque_attrs(op) else _attr_key(op.attrs)
+        attr_key = None if has_opaque_attrs(op) else _attr_key(op.attrs)
         # Placeholders are never pure: two inputs with identical dtype and
         # shape are still distinct inputs and must not be CSE-merged.
         is_pure = (
@@ -159,6 +159,3 @@ def has_opaque_attrs(op):
     constant pre-evaluation may fold or deduplicate them.
     """
     return any(k in op.attrs for k in _OPAQUE_ATTRS)
-
-
-_has_opaque_attrs = has_opaque_attrs

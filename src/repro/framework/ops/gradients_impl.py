@@ -392,21 +392,29 @@ def _identity_grad(op, g):
 @register_gradient("OnesLike")
 @register_gradient("Sign")
 @register_gradient("Floor")
-def _constant_like_grad(op, g):
-    # The result does not depend on the operand's value (or is flat
-    # wherever it has a derivative).
-    return [None]
-
-
 @register_gradient("Greater")
 @register_gradient("GreaterEqual")
 @register_gradient("Less")
 @register_gradient("LessEqual")
 @register_gradient("Equal")
 @register_gradient("NotEqual")
-def _comparison_grad(op, g):
-    # A boolean result carries no gradient to either operand.
-    return [None, None]
+@register_gradient("LogicalAnd")
+@register_gradient("LogicalOr")
+@register_gradient("LogicalNot")
+@register_gradient("All")
+@register_gradient("Any")
+@register_gradient("ArgMax")
+@register_gradient("ArgMin")
+@register_gradient("OneHot")
+@register_gradient("Shape")
+@register_gradient("Size")
+@register_gradient("Rank")
+@register_gradient("Range")
+def _no_gradient(op, g):
+    # An integer- or bool-valued result, or one that does not depend on
+    # the operands' values (or is flat wherever it has a derivative),
+    # carries no gradient to any operand.
+    return [None] * len(op.inputs)
 
 
 @register_gradient("Cast")
@@ -496,3 +504,11 @@ def _softmax_grad(op, g):
     gs = math_ops.multiply(g, out)
     summed = math_ops.reduce_sum(gs, axis=axis, keepdims=True)
     return [math_ops.multiply(out, math_ops.subtract(g, summed))]
+
+
+@register_gradient("LogSoftmax")
+def _log_softmax_grad(op, g):
+    axis = op.get_attr("axis", -1)
+    summed = math_ops.reduce_sum(g, axis=axis, keepdims=True)
+    softmax = math_ops.exp(op.outputs[0])
+    return [math_ops.subtract(g, math_ops.multiply(summed, softmax))]

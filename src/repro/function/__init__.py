@@ -4,9 +4,10 @@ This package is the repo's analogue of ``tf.function`` — the front-end
 TensorFlow shipped around AutoGraph.  It layers a polymorphic callable
 (:class:`Function`), a signature canonicalizer keyed on
 :class:`TensorSpec` dtype/shape atoms plus Python-value structure, and
-per-signature traced graphs (:class:`ConcreteFunction`) that are
-AutoGraph-converted, whole-graph-optimized and session-compiled once,
-then re-executed from cache.
+per-signature executables built once and re-executed from cache: a
+traced graph (:class:`ConcreteFunction`), AutoGraph-converted,
+whole-graph-optimized and compiled into a bound runtime plan, or a
+program lowered to the Lantern backend (:class:`LanternConcreteFunction`).
 
     import repro
 

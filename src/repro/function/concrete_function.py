@@ -33,10 +33,7 @@ set_capture_values` hot-swaps the weights atomically with zero retraces.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..framework import context, nest
-from ..framework.eager import tape as tape_module
 from ..framework.eager.tensor import EagerTensor
 from ..framework.errors import FetchError, StagingError
 from ..framework.graph.func_graph import FuncGraph, side_effect_fetches
@@ -44,8 +41,7 @@ from ..framework.graph.graph import Tensor
 from ..framework.graph.optimize import optimize_graph
 from ..framework.graph.variables import Variable
 from ..runtime import BoundPlan, compile_plan
-from .executable import BackendBuilder, CompiledExecutable, ExportError, \
-    Traced, register_backend_builder
+from .executable import CompiledExecutable, ExportError, Traced
 
 __all__ = ["ConcreteFunction", "trace_func_graph", "classify_outputs"]
 
@@ -249,6 +245,8 @@ class ConcreteFunction(Traced, CompiledGraph):
     """A single traced signature of a :class:`~repro.function.Function`:
     :class:`CompiledGraph` plus the traced half."""
 
+    relaxes_shapes = True
+
     def __init__(self, python_function, canonical, name,
                  autograph=True, freeze_captures=False):
         if context.has_default_graph():
@@ -376,40 +374,29 @@ class ConcreteFunction(Traced, CompiledGraph):
 
     # -- execution -----------------------------------------------------------
 
-    def _call_canonical(self, canonical):
-        tape_active = bool(tape_module._TAPE_STACK)
-        if tape_active and self._blocked:
+    def _run_traced(self, tensor_values, taped):
+        if taped and self._blocked:
             raise StagingError(
                 f"Concrete function {self.name!r} has block-partitioned "
                 "inputs; GradientTape cannot record through a blocked "
                 "plan — compute per-shard gradients with "
                 "repro.blocks.DataParallelTrainer instead"
             )
-        # Capture the variables' eager values *before* running: the call
-        # may assign them, and the tape watches the pre-call reads.
-        var_inputs = (
+        # Read the variables *before* running: the call may assign them,
+        # and the tape watches the pre-call reads.
+        state_inputs = (
             tuple(v.value() for v, _ in self._variable_reads)
             + tuple(v.value() for v in self._subgraph_reads)
-            if tape_active else ()
+            if taped else ()
         )
         capture_snapshot = self._resolved_captures()
-        result, tensor_outputs = self._run(
-            canonical.tensor_values(), capture_snapshot)
-        if tape_active and tensor_outputs:
-            # The record carries the exact capture snapshot this run fed
-            # its plan, so the backward pass replays against the weights
-            # the forward pass actually saw even if they swap in between.
-            eager_inputs = tuple(
-                leaf if isinstance(leaf, EagerTensor)
-                else EagerTensor(np.asarray(leaf))
-                for leaf in (canonical.flat_leaves[i]
-                             for i in canonical.tensor_indices)
-            ) + var_inputs
-            self._record_on_tape(
-                f"{self.name}_call",
-                self._make_grad_fn(capture_snapshot), eager_inputs,
-                tensor_outputs)
-        return result
+        result, tensor_outputs = self._run(tensor_values, capture_snapshot)
+        # The backward replays against the exact capture snapshot this
+        # run fed its plan: the weights the forward pass actually saw,
+        # even if they swap in between.
+        return result, tensor_outputs, (
+            (self._make_grad_fn(capture_snapshot), state_inputs)
+            if taped else None)
 
     def _expand_block_args(self, tensor_values):
         """Flatten ``BlockArray`` arguments into their per-block feeds
@@ -507,19 +494,3 @@ class ConcreteFunction(Traced, CompiledGraph):
 
 
 CompiledGraph.call_flat.__ag_do_not_convert__ = True
-
-
-class _GraphBackendBuilder(BackendBuilder):
-    """The graph route: AutoGraph trace -> optimize -> bound runtime plan."""
-
-    name = "graph"
-    supports_relaxation = True
-
-    def build(self, python_function, canonical, context_, name, *,
-              autograph, freeze_captures=False):
-        return ConcreteFunction(
-            python_function, canonical, name,
-            autograph=autograph, freeze_captures=freeze_captures)
-
-
-register_backend_builder(_GraphBackendBuilder())

@@ -38,11 +38,15 @@ loaded: a loaded one is the ``kind="tensor"`` form over an
 
 **The traced half** exists only in the process that traced the
 function: the Python callable and its canonical signature (:class:`Traced`
-— the keyword-accepting ``__call__`` and the one ``_check_compatible``),
-the tape bridge and backward pass, ``variables``, blocked lowering,
-Lantern staging.  ``ConcreteFunction`` / ``LanternConcreteFunction`` are
-``Traced`` subclasses of their backend's compiled class, so
-``isinstance(cf, type(load(save(cf))))`` holds.
+— the keyword-accepting ``__call__``, the one ``_check_compatible`` and
+the one tape bridge), the backward pass, ``variables``, blocked
+lowering, Lantern staging.  ``ConcreteFunction`` /
+``LanternConcreteFunction`` are ``Traced`` subclasses of their
+backend's compiled class, so ``isinstance(cf, type(load(save(cf))))``
+holds, and ``Function``'s cache builds them directly: each class says
+how it re-keys a signature (:meth:`Traced.prepare`) and whether shape
+relaxation applies to it (:attr:`Traced.relaxes_shapes`), and its
+``backend`` names it in ``Function.backend_decisions``.
 """
 
 from __future__ import annotations
@@ -54,17 +58,15 @@ import numpy as np
 
 from ..framework import nest
 from ..framework.eager import tape as tape_module
+from ..framework.eager.tensor import EagerTensor
 from ..framework.errors import FetchError, StagingError
 from . import signature as signature_lib
 
 __all__ = [
-    "BackendBuilder",
     "Executable",
     "ExecutableOpDef",
     "ExportError",
     "ExportSpec",
-    "get_backend_builder",
-    "register_backend_builder",
     "resolve_executable",
     "structure_to_descriptor",
     "descriptor_to_structure",
@@ -112,10 +114,10 @@ class ExportSpec:
 class ExecutableOpDef:
     """OpDef stand-in recording one whole executable call on a tape.
 
-    Both backends' tape bridges use this: a traced/compiled call is one
-    differentiable "op" whose ``grad_fn`` replays the backend's own
-    backward (session-replayed graph gradient, or the captured CPS
-    continuation).
+    The one tape bridge (:meth:`Traced._call_canonical`) records each
+    traced call as one differentiable "op" whose ``grad_fn`` replays the
+    backend's own backward (the bound-plan-replayed graph gradient, or
+    the captured CPS continuation).
     """
 
     __slots__ = ("name", "grad_fn", "num_outputs", "stateful")
@@ -420,6 +422,17 @@ class Traced:
     canonical signature it was traced for, and calls made through it.
     Mixed in *before* the backend's compiled class."""
 
+    #: Whether ``reduce_retracing`` shape relaxation applies (the graph
+    #: backend mints one trace per shape; Lantern keys are already
+    #: shape-blind where it matters, so relaxation is meaningless there).
+    relaxes_shapes = False
+
+    @staticmethod
+    def prepare(canonical):
+        """Re-key a call's canonical signature for this backend (Lantern
+        widens scalars and trees); the graph backend keys it as is."""
+        return canonical
+
     def _init_traced(self, python_function, canonical):
         self._python_function = python_function
         self._canonical = canonical
@@ -430,13 +443,9 @@ class Traced:
 
     def _canonicalize(self, args, kwargs):
         """The call's canonical signature, checked against the trace's."""
-        canonical = self._rekey(signature_lib.canonicalize(
+        canonical = self.prepare(signature_lib.canonicalize(
             self._py_signature, args, kwargs))
         self._check_compatible(canonical)
-        return canonical
-
-    def _rekey(self, canonical):
-        """The backend's ``BackendBuilder.prepare`` re-keying, if any."""
         return canonical
 
     def _check_compatible(self, canonical):
@@ -468,11 +477,41 @@ class Traced:
                     "call the polymorphic Function to retrace"
                 )
 
-    def _record_on_tape(self, op_name, grad_fn, eager_inputs, tensor_outputs):
-        """Record this call as one differentiable op on the active tape."""
+    def _call_canonical(self, canonical):
+        """Run one call — the tape bridge: while a tape is active, the
+        call is recorded on it as one differentiable op whose gradient
+        is the backend's backward pass."""
+        taped = bool(tape_module.ACTIVE.stack)
+        result, tensor_outputs, backward = self._run_traced(
+            canonical.tensor_values(), taped)
+        if taped and tensor_outputs:
+            self._record_on_tape(canonical, tensor_outputs, *backward)
+        return result
+
+    def _run_traced(self, values, taped):
+        """Run the backend on a call's runtime values.
+
+        Returns ``(result, tensor outputs, backward)``.  While a tape is
+        active (``taped``) ``backward`` is ``(grad_fn, state_inputs)``:
+        the replay of this call's backward pass, and the eager values,
+        read before the call ran, of the state it reads (the tape
+        watches those reads); otherwise it is ``None``.
+        """
+        raise NotImplementedError
+
+    def _record_on_tape(self, canonical, tensor_outputs, grad_fn,
+                        state_inputs):
+        """Record this call as one differentiable op on the active tape:
+        its inputs are the call's tensor leaves, then ``state_inputs``."""
+        leaves = (canonical.flat_leaves[i] for i, spec in zip(
+            canonical.tensor_indices, canonical.specs) if spec != "Tree")
+        eager_inputs = tuple(
+            leaf if isinstance(leaf, EagerTensor)
+            else EagerTensor(np.asarray(leaf)) for leaf in leaves)
         tape_module.record_operation(
-            ExecutableOpDef(op_name, grad_fn, len(tensor_outputs)),
-            eager_inputs, tensor_outputs, {})
+            ExecutableOpDef(f"{self.name}_call", grad_fn,
+                            len(tensor_outputs)),
+            eager_inputs + state_inputs, tensor_outputs, {})
 
 
 CompiledExecutable.__call__.__ag_do_not_convert__ = True
@@ -507,66 +546,6 @@ def resolve_executable(fn, args, kwargs, caller):
         f"{caller}() expects a repro.function Function or Executable, got "
         f"{type(fn).__name__}"
     )
-
-
-# ---------------------------------------------------------------------------
-# Backend builders: how Function's cache mints executables
-# ---------------------------------------------------------------------------
-
-
-class BackendBuilder:
-    """One backend's recipe for turning a canonical signature into an
-    :class:`Executable`.
-
-    ``Function``'s cache is written against this interface only — no
-    isinstance checks, no per-backend lookup methods.  A backend may
-    re-key the signature in :meth:`prepare` (lantern widens scalars and
-    trees) and returns whatever per-signature context :meth:`build`
-    needs alongside it.
-    """
-
-    #: Registry name, also recorded in ``Function.backend_decisions``.
-    name = None
-    #: Whether ``reduce_retracing`` shape relaxation applies (the graph
-    #: backend mints one trace per shape; lantern keys are already
-    #: shape-blind where it matters, so relaxation is meaningless there).
-    supports_relaxation = False
-
-    def prepare(self, canonical):
-        """Re-key ``canonical`` for this backend; returns
-        ``(canonical, context)``."""
-        return canonical, None
-
-    def build(self, python_function, canonical, context, name, *,
-              autograph, freeze_captures=False):
-        """Compile one executable for the prepared signature.
-
-        ``freeze_captures`` asks the backend to bake closed-over state
-        into the trace as constants (no runtime-input captures); a
-        backend without that notion may ignore it.
-        """
-        raise NotImplementedError
-
-
-_BACKEND_BUILDERS = {}
-
-
-def register_backend_builder(builder):
-    _BACKEND_BUILDERS[builder.name] = builder
-    return builder
-
-
-def get_backend_builder(name):
-    builder = _BACKEND_BUILDERS.get(name)
-    if builder is None and name == "lantern":
-        # The lantern stack (IR, compiler, staging) stays unimported
-        # until a lantern signature actually resolves.
-        from . import lowering  # noqa: F401  (registers the builder)
-
-        builder = _BACKEND_BUILDERS.get(name)
-    if builder is None:
-        raise ValueError(f"No backend builder registered for {name!r}")
-    return builder
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,26 @@ import warnings
 from ..framework import context
 from ..observe.events import RECORDER as _REC
 from . import signature as signature_lib
-from .executable import get_backend_builder
+from .concrete_function import ConcreteFunction
 
 __all__ = ["Function", "function"]
 
 
 _BACKENDS = ("graph", "lantern", "auto")
+
+#: The traced-executable class of each backend name.  Lantern's joins on
+#: the first Lantern resolution (:func:`_executable_class`): its IR,
+#: compiler and staging stack stay unimported until a signature needs it.
+_EXECUTABLE_CLASSES = {"graph": ConcreteFunction}
+
+
+def _executable_class(backend):
+    cls = _EXECUTABLE_CLASSES.get(backend)
+    if cls is None:
+        from .lowering import LanternConcreteFunction
+
+        cls = _EXECUTABLE_CLASSES[backend] = LanternConcreteFunction
+    return cls
 
 
 class Function:
@@ -191,19 +205,18 @@ class Function:
     def _lookup_or_build_inner(self, canonical):
         """The uninstrumented lookup/build path.
 
-        Every backend goes through the same path — the resolved
-        :class:`~repro.function.executable.BackendBuilder` re-keys the
-        signature (:meth:`prepare`) and mints the
-        :class:`~repro.function.Executable` (:meth:`build`); the cache
-        itself never special-cases a backend.
+        Every backend goes through the same path: the resolved backend's
+        executable class re-keys the signature (:meth:`~repro.function.
+        executable.Traced.prepare`) and, on a miss, is built from it;
+        the cache itself never special-cases a backend.
         """
         backend, reason = self._resolve_backend(canonical)
-        builder = get_backend_builder(backend)
-        canonical, build_ctx = builder.prepare(canonical)
+        cls = _executable_class(backend)
+        canonical = cls.prepare(canonical)
         cf = self._cache.get(canonical.key)
         if cf is not None:
             return cf, canonical
-        if builder.supports_relaxation and self._reduce_retracing:
+        if cls.relaxes_shapes and self._reduce_retracing:
             cf = self._cache.get(canonical.relaxed_key)
             if cf is not None:
                 return cf, canonical
@@ -211,7 +224,7 @@ class Function:
             cf = self._cache.get(canonical.key)
             if cf is not None:
                 return cf, canonical
-            if builder.supports_relaxation:
+            if cls.relaxes_shapes:
                 if (self._reduce_retracing
                         and len(self._cache) >= self._retrace_limit):
                     # Too many shape-specialized traces: relax every tensor
@@ -230,8 +243,8 @@ class Function:
                         "reduce_retracing=True.",
                         stacklevel=3,
                     )
-            cf = builder.build(
-                self._python_function, canonical, build_ctx,
+            cf = cls(
+                self._python_function, canonical,
                 f"{self._name}_{len(self._cache)}",
                 autograph=self._autograph,
                 freeze_captures=self._freeze_captures,
@@ -242,7 +255,7 @@ class Function:
             # alive while the cache entry exists, or their recycled ids
             # could alias a different object to this trace.
             self._keepalive.extend(canonical.keepalive)
-            self._backend_decisions.append((cf.name, builder.name, reason))
+            self._backend_decisions.append((cf.name, cls.backend, reason))
             return cf, canonical
 
     # -- calling ---------------------------------------------------------------

@@ -1,10 +1,10 @@
-"""Backend dispatch for ``repro.function``: lowering traces to Lantern.
+"""The Lantern backend of ``repro.function``: lowering traces to §8.
 
 ``@repro.function(backend=...)`` routes each signature to one of two
 compilation pipelines:
 
-- ``"graph"`` — the PR-1 pipeline: AutoGraph trace → ``optimize_graph``
-  → cached ``Session`` plan (:class:`~repro.function.ConcreteFunction`);
+- ``"graph"`` — AutoGraph trace → ``optimize_graph`` → a
+  :class:`~repro.runtime.BoundPlan` (:class:`~repro.function.ConcreteFunction`);
 - ``"lantern"`` — this module: the same front-end lowered to the §8
   S-expression backend.  Non-recursive tensor traces are translated
   *from the optimized graph* (:func:`repro.lantern.lower_graph`);
@@ -13,8 +13,8 @@ compilation pipelines:
   :class:`~repro.lantern.Stager`, discovering re-entrant helpers as it
   goes.  Either way the result is compiled once per signature with
   :func:`~repro.lantern.compile_program`, and the CPS backward pass is
-  wired into the ``GradientTape`` bridge exactly like the graph
-  backend's session-replayed gradient;
+  what the one ``GradientTape`` bridge replays, as it replays the graph
+  backend's plan-compiled gradient;
 - ``"auto"`` — :func:`choose_backend` inspects the callable and the
   signature: self-recursion or runtime tree arguments ⇒ lantern,
   anything else ⇒ graph.
@@ -35,9 +35,8 @@ import textwrap
 import numpy as np
 
 from ..framework import dtypes, nest
-from ..framework.eager import tape as tape_module
 from ..framework.eager.tensor import EagerTensor
-from ..framework.errors import FetchError
+from ..framework.errors import FetchError, StagingError
 from ..framework.graph.func_graph import ExternalCapture
 from ..framework.graph.optimize import optimize_graph
 from ..lantern.compiler import compile_program
@@ -45,8 +44,7 @@ from ..lantern.lowering import LanternLoweringError, lower_graph
 from ..lantern.staging import ReentrantStagingError, StagedArityError, Stager
 from . import signature as signature_lib
 from .concrete_function import classify_outputs, trace_func_graph
-from .executable import BackendBuilder, CompiledExecutable, ExportError, \
-    Traced, register_backend_builder
+from .executable import CompiledExecutable, ExportError, Traced
 from .tensor_spec import TensorSpec
 
 __all__ = [
@@ -221,17 +219,16 @@ def _scalar_spec(leaf):
 def lanternize_signature(canonical):
     """Re-key a canonical signature for the Lantern backend.
 
-    Returns ``(canonical, leaf_plan)`` where ``leaf_plan`` maps each flat
-    leaf to ``"tensor"`` (runtime numeric argument), ``"tree"`` (runtime
-    tree data) or ``"const"`` (baked into the trace).  Compared to the
-    graph backend: trees key by *kind* instead of identity, and numeric
-    Python scalars become runtime tensor arguments instead of
-    value-specialized constants — one compiled program serves every tree
-    and every scalar value.
+    Compared to the graph backend: trees key by *kind* instead of
+    identity, and numeric Python scalars become runtime tensor arguments
+    instead of value-specialized constants — one compiled program serves
+    every tree and every scalar value.  The runtime leaves
+    (``tensor_indices`` / ``specs``) are the tensor leaves, the scalars
+    and the trees, each tree with the ``"Tree"`` spec; every other leaf
+    is baked into the trace.
     """
     st, tokens = canonical.key
     new_tokens = []
-    leaf_plan = []
     tensor_indices = []
     specs = []
     keepalive = []
@@ -241,27 +238,24 @@ def lanternize_signature(canonical):
     for i, leaf in enumerate(canonical.flat_leaves):
         if i in tensor_set:
             spec = next(spec_iter)
-            leaf_plan.append("tensor")
-            tensor_indices.append(i)
-            specs.append(spec)
-            new_tokens.append(("T", spec))
+            token = ("T", spec)
         elif _is_tree(leaf):
-            leaf_plan.append("tree")
-            new_tokens.append(("LT", "tree"))
+            spec = "Tree"
+            token = ("LT", "tree")
         elif isinstance(leaf, (int, float)) and not isinstance(leaf, bool):
             spec = _scalar_spec(leaf)
-            leaf_plan.append("tensor")
-            tensor_indices.append(i)
-            specs.append(spec)
-            new_tokens.append(("T", spec))
+            token = ("T", spec)
         else:
-            leaf_plan.append("const")
             new_tokens.append(tokens[i])
             if tokens[i][0] in ("V", "O"):
                 keepalive.append(leaf)
+            continue
+        tensor_indices.append(i)
+        specs.append(spec)
+        new_tokens.append(token)
 
     key = ("lantern", st, tuple(new_tokens))
-    lanternized = signature_lib.CanonicalSignature(
+    return signature_lib.CanonicalSignature(
         key=key,
         relaxed_key=key,
         structure=canonical.structure,
@@ -270,7 +264,6 @@ def lanternize_signature(canonical):
         specs=specs,
         keepalive=keepalive,
     )
-    return lanternized, leaf_plan
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +403,18 @@ class LanternConcreteFunction(Traced, CompiledLantern):
       Params become captures over their own storage).
     """
 
-    def __init__(self, python_function, canonical, leaf_plan, name,
+    prepare = staticmethod(lanternize_signature)
+
+    def __init__(self, python_function, canonical, name,
                  autograph=True, freeze_captures=False):
+        if any(getattr(spec, "grid", None) is not None
+               for spec in canonical.specs):
+            raise StagingError(
+                f"repro.function {name!r} has a block-partitioned "
+                "input; blocked plans are a graph-backend feature — "
+                "use backend='graph'"
+            )
         self._init_traced(python_function, canonical)
-        self._leaf_plan = list(leaf_plan)
         self.name = name  # the routes below name the function in errors
         # The IR function name becomes a Python identifier in the
         # generated source; sanitize <lambda> and the like.
@@ -422,12 +423,8 @@ class LanternConcreteFunction(Traced, CompiledLantern):
         if not fn_name or fn_name[0].isdigit():
             fn_name = f"fn_{fn_name}"
         self._fn_name = fn_name
-        self._param_kinds = [p for p in self._leaf_plan if p != "const"]
-        spec_iter = iter(canonical.specs)
-        input_specs = [next(spec_iter) if kind == "tensor" else "Tree"
-                       for kind in self._param_kinds]
 
-        if ("tree" in self._param_kinds
+        if ("Tree" in canonical.specs
                 or detect_self_recursion(python_function)
                 or closes_over_params(python_function)):
             # freeze_captures does not apply here: the staged route's
@@ -439,7 +436,7 @@ class LanternConcreteFunction(Traced, CompiledLantern):
             self.route = "graph-lowered"
             parts = self._build_graph_lowered(autograph, freeze_captures)
         output_template, output_structure, program, capture_params = parts
-        super().__init__(name, input_specs, output_template,
+        super().__init__(name, canonical.specs, output_template,
                          output_structure, program, fn_name, capture_params,
                          with_grad=True)
 
@@ -450,10 +447,11 @@ class LanternConcreteFunction(Traced, CompiledLantern):
     def _staged_params_and_leaves(self, stager):
         staged_params = []
         call_leaves = list(self._canonical.flat_leaves)
-        for i, plan in enumerate(self._leaf_plan):
-            if plan == "const":
-                continue
-            param = stager.staged_arg(plan, f"a_{self._fn_name}_")
+        for i, spec in zip(self._canonical.tensor_indices,
+                           self._canonical.specs):
+            param = stager.staged_arg(
+                "tree" if spec == "Tree" else "tensor",
+                f"a_{self._fn_name}_")
             staged_params.append(param)
             call_leaves[i] = param
         return staged_params, call_leaves
@@ -593,39 +591,15 @@ class LanternConcreteFunction(Traced, CompiledLantern):
 
     # -- execution ---------------------------------------------------------
 
-    def _rekey(self, canonical):
-        return lanternize_signature(canonical)[0]
-
-    def _runtime_args(self, canonical):
-        args = []
-        for leaf, plan in zip(canonical.flat_leaves, self._leaf_plan):
-            if plan == "const":
-                continue
-            if plan == "tensor" and isinstance(leaf, EagerTensor):
-                args.append(leaf.numpy())
-            else:
-                args.append(leaf)
-        return args
-
-    def _call_canonical(self, canonical):
-        tape_active = bool(tape_module._TAPE_STACK)
-        # Pre-call variable values: the tape watches these eager reads.
+    def _run_traced(self, args, taped):
+        # The variables' pre-call values: the tape watches these reads.
         var_caps = [(c, p) for c, p in self._capture_params
-                    if c.kind == "variable"] if tape_active else []
-        var_inputs = tuple(c.source.value() for c, _ in var_caps)
-        tensor_outputs, bwd = self._execute(self._runtime_args(canonical))
-        if tape_active and tensor_outputs:
-            eager_inputs = tuple(
-                leaf if isinstance(leaf, EagerTensor)
-                else EagerTensor(np.asarray(leaf))
-                for leaf, plan in zip(canonical.flat_leaves, self._leaf_plan)
-                if plan == "tensor"
-            ) + var_inputs
-            self._record_on_tape(
-                f"{self.name}_lantern_call",
-                self._make_grad_fn(bwd, var_caps),
-                eager_inputs, tensor_outputs)
-        return self._pack_outputs(tensor_outputs)
+                    if c.kind == "variable"] if taped else []
+        state_inputs = tuple(c.source.value() for c, _ in var_caps)
+        tensor_outputs, bwd = self._execute(args)
+        return self._pack_outputs(tensor_outputs), tensor_outputs, (
+            (self._make_grad_fn(bwd, var_caps), state_inputs)
+            if taped else None)
 
     def call_with_grad(self, *args, seed=1.0, **kwargs):
         """Forward + CPS backward in one shot, without a tape.
@@ -635,7 +609,7 @@ class LanternConcreteFunction(Traced, CompiledLantern):
         them via :attr:`params`).  Returns the forward outputs.
         """
         tensor_outputs, bwd = self._execute(
-            self._runtime_args(self._canonicalize(args, kwargs)))
+            self._canonicalize(args, kwargs).tensor_values())
         self._compiled.zero_grads()
         bwd(*([seed] * len(tensor_outputs)))
         self._compiled.sync_param_grads()
@@ -663,10 +637,9 @@ class LanternConcreteFunction(Traced, CompiledLantern):
             before = [slots[p.name].copy() for _, p in var_caps]
             d_params = bwd(*seeds)
             self._compiled.sync_param_grads()
-            grads = []
-            for pos, kind in enumerate(self._param_kinds):
-                if kind == "tensor":
-                    grads.append(EagerTensor(np.asarray(d_params[pos])))
+            grads = [EagerTensor(np.asarray(d))
+                     for d, spec in zip(d_params, self._input_specs)
+                     if spec != "Tree"]
             # Variable-capture gradients: this call's contribution is the
             # delta its continuation accumulated into the Param slot
             # (the slot itself may carry other replayed calls' grads).
@@ -683,30 +656,3 @@ class LanternConcreteFunction(Traced, CompiledLantern):
 
 CompiledLantern.call_flat.__ag_do_not_convert__ = True
 LanternConcreteFunction.call_with_grad.__ag_do_not_convert__ = True
-
-
-class _LanternBackendBuilder(BackendBuilder):
-    """The lantern route: lanternize the key, lower (once) per signature."""
-
-    name = "lantern"
-
-    def prepare(self, canonical):
-        return lanternize_signature(canonical)
-
-    def build(self, python_function, canonical, leaf_plan, name, *,
-              autograph, freeze_captures=False):
-        for spec in canonical.specs:
-            if getattr(spec, "grid", None) is not None:
-                from ..framework.errors import StagingError
-
-                raise StagingError(
-                    f"repro.function {name!r} has a block-partitioned "
-                    "input; blocked plans are a graph-backend feature — "
-                    "use backend='graph'"
-                )
-        return LanternConcreteFunction(
-            python_function, canonical, leaf_plan, name,
-            autograph=autograph, freeze_captures=freeze_captures)
-
-
-register_backend_builder(_LanternBackendBuilder())

@@ -1,5 +1,7 @@
 """Unit tests: eager tensors, eager execution, GradientTape."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,30 @@ class TestGradientTape:
             y = ops.reduce_sum(ops.multiply(v.value(), v.value()))
         g = tape.gradient(y, v)
         assert np.allclose(g.numpy(), [2.0, 4.0])
+
+    def test_each_thread_records_on_its_own_tape(self):
+        """Two threads, each inside its own tape, run an op on one
+        watched tensor while both tapes are active: each tape records
+        its own thread's op and not the other's."""
+        x = ops.constant(np.float64(2.0))
+        both = threading.Barrier(2)
+        seen = {}
+
+        def run(scale):
+            with GradientTape() as tape:
+                tape.watch(x)
+                both.wait()
+                y = x * scale
+                both.wait()
+            seen[scale] = ([r.inputs[1].numpy() for r in tape._records],
+                           float(tape.gradient(y, x)))
+
+        threads = [threading.Thread(target=run, args=(s,)) for s in (3.0, 5.0)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert seen == {3.0: ([3.0], 3.0), 5.0: ([5.0], 5.0)}
 
     def test_second_tape_independent(self):
         x = ops.constant(2.0)

@@ -102,19 +102,21 @@ class TestLanternSignature:
     def test_trees_key_by_kind_not_identity(self):
         rng = np.random.default_rng(1)
         t1, t2 = _full_tree(2, rng), _full_tree(3, rng)
-        k1, _ = lanternize_signature(canonicalize(None, (1.0, t1), {}))
-        k2, _ = lanternize_signature(canonicalize(None, (2.5, t2), {}))
+        k1 = lanternize_signature(canonicalize(None, (1.0, t1), {}))
+        k2 = lanternize_signature(canonicalize(None, (2.5, t2), {}))
         assert k1.key == k2.key
+        assert k1.tensor_indices == [0, 1] and k1.specs[1] == "Tree"
 
     def test_scalars_become_runtime_tensors(self):
-        c, plan = lanternize_signature(canonicalize(None, (1.0, 2), {}))
-        assert plan == ["tensor", "tensor"]
-        assert len(c.specs) == 2
+        c = lanternize_signature(canonicalize(None, (1.0, 2), {}))
+        assert c.tensor_indices == [0, 1]
+        assert all(isinstance(s, repro.TensorSpec) for s in c.specs)
 
     def test_bools_and_strings_stay_constants(self):
-        c, plan = lanternize_signature(
+        c = lanternize_signature(
             canonicalize(None, (1.0, True, "mode"), {}))
-        assert plan == ["tensor", "const", "const"]
+        assert c.tensor_indices == [0]
+        assert len(c.specs) == 1
 
 
 class TestLanternRecursive:

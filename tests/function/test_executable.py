@@ -1,6 +1,10 @@
 """The backend-neutral ``Executable`` protocol: both backends, one surface
 (the per-construction contract is ``test_executable_contract.py``)."""
 
+import os
+import pathlib
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -12,7 +16,6 @@ from repro.framework import ops
 from repro.function import Executable
 from repro.function.executable import (
     descriptor_to_structure,
-    get_backend_builder,
     structure_to_descriptor,
 )
 
@@ -94,13 +97,53 @@ def test_variables_lists_a_variable_the_trace_only_assigns(kind):
     assert not ok and v.name in reason and v.name in f.pretty_cache()
 
 
-def test_backend_builders_registered():
-    graph_builder = get_backend_builder("graph")
-    lantern_builder = get_backend_builder("lantern")
-    assert graph_builder.supports_relaxation
-    assert not lantern_builder.supports_relaxation
-    with pytest.raises(ValueError, match="No backend builder"):
-        get_backend_builder("tpu")
+def test_shape_relaxation_is_a_graph_class_fact():
+    from repro.function import ConcreteFunction, LanternConcreteFunction
+
+    assert ConcreteFunction.relaxes_shapes
+    assert not LanternConcreteFunction.relaxes_shapes
+
+
+_GRAPH_ONLY = """\
+import sys
+
+import numpy as np
+
+import repro
+from repro.framework import ops
+from repro.serving import load, save
+
+
+@repro.function
+def f(x):
+    if ops.reduce_sum(x) > 0.0:
+        x = ops.tanh(x)
+    return x * 2.0
+
+
+x = np.ones(3, np.float32)
+path = sys.argv[1]
+save(f, path, x)
+np.testing.assert_allclose(load(path)(x).numpy(), f(x).numpy())
+print(sorted(m for m in sys.modules
+             if m.startswith(("repro.lantern", "repro.function.lowering"))))
+"""
+
+
+def test_a_graph_function_never_imports_lantern(tmp_path):
+    """Tracing, calling, saving and loading a graph function leave the
+    Lantern stack unimported (a fresh interpreter: this one has it)."""
+    script = tmp_path / "graph_only.py"
+    script.write_text(_GRAPH_ONLY)
+    root = pathlib.Path(__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, str(script), str(tmp_path / "model")],
+        capture_output=True, text=True, timeout=300, env=env)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.strip() == "[]"
 
 
 def test_unified_cache_records_decisions():

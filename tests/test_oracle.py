@@ -37,6 +37,8 @@ from repro import observe
 from repro.blocks import BlockArray, BlockGrid, BlockScheduler
 from repro.blocks.lowering import BLOCK_RULES, lower_blocked_graph
 from repro.framework import TensorArray, dtypes, ops
+from repro.framework.eager.execute import execute_op
+from repro.framework.graph.gradients import gradients
 from repro.framework.graph.tensor_array import TensorArrayValue
 from repro.framework.registry import elementwise_ops, get_op_def, list_ops
 from repro.function import ExportError
@@ -1148,8 +1150,25 @@ GRAD_SEEDS = {
             ops.greater, ops.greater_equal, ops.less, ops.less_equal,
             ops.equal, ops.not_equal))),
         _f64((3, 4), (3, 4))),
+    # Integer- and bool-valued results: an explicit no-gradient, reached.
+    "no_gradient": (lambda x, y: (
+        ops.multiply(ops.reduce_sum(x, axis=1), ops.argmax(x, axis=1)),
+        ops.multiply(ops.reduce_sum(y, axis=1), ops.argmin(y, axis=1)),
+        ops.multiply(x, ops.one_hot(ops.argmax(y, axis=1), 4)),
+        ops.multiply(ops.reduce_sum(x), ops.shape(y)),
+        ops.multiply(ops.reduce_sum(y), ops.size(x)),
+        ops.multiply(ops.reduce_sum(y), ops.rank(x)),
+        ops.multiply(ops.reduce_sum(x), ops.range(ops.size(y))),
+        ops.multiply(x, ops.reduce_all(ops.greater(x, y), axis=0)),
+        ops.multiply(y, ops.reduce_any(ops.less(x, y), axis=1,
+                                       keepdims=True)),
+        ops.multiply(x, ops.logical_and(ops.greater(x, 0.0),
+                                        ops.less(y, 0.0))),
+        ops.multiply(y, ops.logical_or(ops.greater(x, y), ops.less(y, 0.0))),
+        ops.multiply(x, ops.logical_not(ops.less(y, 0.0)))),
+        _f64((3, 4), (3, 4))),
     "softmax": (lambda x: (
-        ops.softmax(x),
+        ops.softmax(x), ops.log_softmax(x), ops.log_softmax(x, axis=0),
         ops.softmax_cross_entropy_with_logits(np.eye(4)[[0, 3, 1]], x),
         ops.sparse_softmax_cross_entropy_with_logits(
             np.array([2, 0, 1], np.int32), x)),
@@ -1363,6 +1382,71 @@ def test_every_op_declares_what_it_computes(name):
     assert shared == (name in SHARES_INPUTS)
     assert op_def.fresh_output != shared
     assert observe.counters().get("runtime.inplace_refusals", 0) == before
+
+
+def _missing_gradients():
+    """One float-valued use of every stateless op with no ``grad_fn``:
+    ``{op type: (attrs, dtypes, operands, float operand positions)}``."""
+    cases = {}
+    for name, programs in SWEEP.items():
+        op_def = get_op_def(name)
+        if op_def.grad_fn is not None:
+            continue
+        for attrs, in_dtypes, values, out in programs:
+            first = out[0] if isinstance(out, tuple) else out
+            floats = [i for i, dt in enumerate(in_dtypes)
+                      if dt in (dtypes.float32, dtypes.float64)]
+            if floats and op_def.output_count(values, attrs) and getattr(
+                    first, "dtype", None) in (np.float32, np.float64):
+                cases[name] = (attrs, in_dtypes, values, floats)
+                break
+    return cases
+
+
+MISSING_GRADIENTS = _missing_gradients()
+
+
+def test_the_missing_gradient_sweep_covers_the_known_ones():
+    assert {"Tile", "Prod", "Tensordot", "TopK", "Fill"} <= set(
+        MISSING_GRADIENTS)
+
+
+@pytest.mark.parametrize("name", sorted(MISSING_GRADIENTS))
+def test_a_missing_gradient_raises_on_the_tape_and_in_the_graph(name):
+    """A gradient reaching an op that has none raises, eagerly and
+    staged alike, and both errors name the op."""
+    attrs, in_dtypes, values, floats = MISSING_GRADIENTS[name]
+    inputs = [ops.constant(v) for v in values]
+    with fw.GradientTape() as tape:
+        for i in floats:
+            tape.watch(inputs[i])
+        out = execute_op(name, inputs, attrs)
+    first = out[0] if isinstance(out, tuple) else out
+    with pytest.raises(fw.StagingError, match=f"'{name}'"):
+        tape.gradient(first, [inputs[i] for i in floats])
+    g, feeds, op, _ = _stage_one_op(name, attrs, in_dtypes, values)
+    with pytest.raises(fw.StagingError, match=f"'{name}'"):
+        gradients(op.outputs[0], [feeds[i] for i in floats])
+
+
+def test_a_missing_gradient_off_the_sources_paths_is_not_reached():
+    """As in ``gradients()``, only an op on a path from a source raises:
+    a watched ``b`` feeding ``Tile`` does not stop d/da of
+    ``a + tile(b)``."""
+    a, b = ops.constant(np.ones(2)), ops.constant(np.ones(2))
+    with fw.GradientTape() as tape:
+        tape.watch(a)
+        tape.watch(b)
+        y = ops.add(ops.reduce_sum(a), ops.reduce_sum(ops.tile(b, [2])))
+    np.testing.assert_array_equal(tape.gradient(y, a).numpy(), [1.0, 1.0])
+    g = fw.Graph()
+    with g.as_default():
+        pa, pb = ops.placeholder(fw.float64, [2]), ops.placeholder(
+            fw.float64, [2])
+        da = gradients(ops.add(ops.reduce_sum(pa), ops.reduce_sum(
+            ops.tile(pb, [2]))), pa)
+    np.testing.assert_array_equal(
+        fw.Session(g).run(da, {pa: np.ones(2), pb: np.ones(2)}), [1.0, 1.0])
 
 
 def _rule_cases():
