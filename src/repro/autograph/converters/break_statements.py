@@ -4,8 +4,9 @@
 introducing a flag:
 
 - ``break_ = False`` before the loop;
-- ``break`` becomes ``break_ = True; continue`` (the continue pass that
-  follows lowers the ``continue`` into body guards);
+- ``break`` becomes ``break_ = True; continue``, and the same walk then
+  lowers the loop's continues (``continue_statements.lower``) into body
+  guards;
 - ``while test:`` becomes ``while not break_ and test:``;
 - ``for`` loops get an ``extra_test`` annotation (``not break_``) consumed
   by the control-flow pass, since their termination cannot be expressed in
@@ -16,29 +17,27 @@ from __future__ import annotations
 
 import ast
 
-from ..pyct import anno, templates, transformer
+from ..pyct import anno, ast_util, templates, transformer
+from . import continue_statements
 
 __all__ = ["transform"]
 
 
+# Constructs that own the breaks inside them.
+_SCOPES = (ast.While, ast.For, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def _block_contains_break(stmts):
     """True if the block has a ``break`` belonging to this loop level."""
-    stack = list(stmts)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ast.Break):
-            return True
-        if isinstance(node, (ast.While, ast.For, ast.FunctionDef,
-                             ast.AsyncFunctionDef, ast.Lambda)):
-            continue  # break inside belongs to the inner loop/scope
-        stack.extend(ast.iter_child_nodes(node))
-    return False
+    return any(ast_util.has_statement(stmt, ast.Break, _SCOPES)
+               for stmt in stmts if not isinstance(stmt, _SCOPES))
 
 
-class _BreakRewriter(ast.NodeTransformer):
+class _BreakRewriter(transformer.Base):
     """Replaces this loop level's breaks with flag set + continue."""
 
     def __init__(self, flag_name):
+        super().__init__()
         self.flag_name = flag_name
 
     def visit_Break(self, node):
@@ -54,65 +53,57 @@ class _BreakRewriter(ast.NodeTransformer):
     def visit_While(self, node):
         return node
 
-    def visit_For(self, node):
+    visit_For = visit_While
+    visit_FunctionDef = visit_While
+    visit_AsyncFunctionDef = visit_While
+
+
+def _lower_breaks(node, ctx, is_while):
+    """Lower the breaks of the loop ``node``; returns what replaces it."""
+    if not _block_contains_break(node.body):
         return node
+    flag = ctx.fresh_name("break_")
+    _BreakRewriter(flag).visit_block(node.body)
+    init = templates.replace("flag_ = False", flag_=flag)
+    extra_test = templates.replace_as_expression("not flag_", flag_=flag)
+    if is_while:
+        node.test = ast.BoolOp(op=ast.And(), values=[extra_test, node.test])
+    else:
+        existing = anno.getanno(node, anno.Basic.EXTRA_LOOP_TEST)
+        if existing is not None:
+            extra_test = ast.BoolOp(op=ast.And(),
+                                    values=[extra_test, existing])
+        anno.setanno(node, anno.Basic.EXTRA_LOOP_TEST, extra_test)
+    # ``while ... else`` / ``for ... else`` semantics depend on whether
+    # a break occurred; lower the else into a flag check.  The else is
+    # installed, not spliced: the template would copy it.
+    if node.orelse:
+        (orelse_guard,) = templates.replace(
+            """
+            if not flag_:
+                pass
+            """,
+            flag_=flag,
+        )
+        orelse_guard.body = node.orelse
+        node.orelse = []
+        return init + [node, orelse_guard]
+    return init + [node]
 
-    def visit_FunctionDef(self, node):
-        return node
 
-    visit_AsyncFunctionDef = visit_FunctionDef
-
-    def visit_Lambda(self, node):
-        return node
-
-
-class _BreakTransformer(transformer.Base):
-    def _process_loop(self, node, is_while):
-        # Inner loops first.
-        self.generic_visit(node)
-        if not _block_contains_break(node.body):
-            return node
-        flag = self.ctx.fresh_name("break_")
-        rewriter = _BreakRewriter(flag)
-        node.body = [
-            s for stmt in node.body
-            for s in _as_list(rewriter.visit(stmt))
-        ]
-        init = templates.replace("flag_ = False", flag_=flag)
-        extra_test = templates.replace_as_expression("not flag_", flag_=flag)
-        if is_while:
-            node.test = ast.BoolOp(op=ast.And(), values=[extra_test, node.test])
-        else:
-            existing = anno.getanno(node, anno.Basic.EXTRA_LOOP_TEST)
-            if existing is not None:
-                extra_test = ast.BoolOp(op=ast.And(),
-                                        values=[extra_test, existing])
-            anno.setanno(node, anno.Basic.EXTRA_LOOP_TEST, extra_test)
-        # ``while ... else`` / ``for ... else`` semantics depend on whether
-        # a break occurred; lower the else into a flag check.
-        if node.orelse:
-            orelse_guard = templates.replace(
-                """
-                if not flag_:
-                    orelse_
-                """,
-                flag_=flag,
-                orelse_=node.orelse,
-            )
-            node.orelse = []
-            return init + [node] + orelse_guard
-        return init + [node]
+class _LoopExitTransformer(transformer.Base):
+    def _visit_loop(self, node, is_while):
+        self.generic_visit(node)  # inner loops first
+        result = _lower_breaks(node, self.ctx, is_while)
+        continue_statements.lower(node, self.ctx)
+        return result
 
     def visit_While(self, node):
-        return self._process_loop(node, is_while=True)
+        return self._visit_loop(node, is_while=True)
 
     def visit_For(self, node):
-        return self._process_loop(node, is_while=False)
-
-
-def _as_list(value):
-    return value if isinstance(value, list) else [value]
+        return self._visit_loop(node, is_while=False)
 
 
 def transform(node, ctx):
-    return _BreakTransformer(ctx).visit(node)
+    return _LoopExitTransformer(ctx).visit(node)

@@ -53,12 +53,11 @@ class _CallTreeTransformer(transformer.Base):
             kwargs = ast.Dict(keys=keys, values=values)
         else:
             kwargs = ast.Constant(value=None)
-        return templates.replace_as_expression(
-            "ag__.converted_call(func_, args_, kwargs_)",
-            func_=node.func,
-            args_=args,
-            kwargs_=kwargs,
-        )
+        # The operands are installed, not spliced: the template would
+        # copy them, and each enclosing call would copy them again.
+        call = templates.replace_as_expression("ag__.converted_call()")
+        call.args = [node.func, args, kwargs]
+        return call
 
 
 def transform(node, ctx):

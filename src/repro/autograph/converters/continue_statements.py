@@ -13,26 +13,17 @@ from __future__ import annotations
 
 import ast
 
-from ..pyct import templates, transformer
+from ..pyct import ast_util, templates
 
-__all__ = ["transform"]
+__all__ = ["lower"]
+
+
+# Constructs that own the continues inside them.
+_SCOPES = (ast.While, ast.For, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _contains_continue(node):
-    stack = [node]
-    first = True
-    while stack:
-        current = stack.pop()
-        if isinstance(current, ast.Continue):
-            return True
-        if not first and isinstance(
-            current, (ast.While, ast.For, ast.FunctionDef,
-                      ast.AsyncFunctionDef, ast.Lambda)
-        ):
-            continue
-        first = False
-        stack.extend(ast.iter_child_nodes(current))
-    return False
+    return ast_util.has_statement(node, ast.Continue, _SCOPES)
 
 
 def _block_contains_continue(stmts):
@@ -57,16 +48,17 @@ class _BodyRewriter:
             if may_continue:
                 rest = self.rewrite_block(stmts[i + 1:])
                 if rest:
-                    out.extend(
-                        templates.replace(
-                            """
-                            if not flag_:
-                                rest_
-                            """,
-                            flag_=self.flag_name,
-                            rest_=rest,
-                        )
+                    # The rest is installed, not spliced: the template
+                    # would copy it.
+                    (guard,) = templates.replace(
+                        """
+                        if not flag_:
+                            pass
+                        """,
+                        flag_=self.flag_name,
                     )
+                    guard.body = rest
+                    out.append(guard)
                 return out
         return out
 
@@ -86,21 +78,13 @@ class _BodyRewriter:
         return stmt
 
 
-class _ContinueTransformer(transformer.Base):
-    def _process_loop(self, node):
-        self.generic_visit(node)  # inner loops first
-        if not _block_contains_continue(node.body):
-            return node
-        flag = self.ctx.fresh_name("continue_")
-        rewriter = _BodyRewriter(flag)
-        new_body = rewriter.rewrite_block(node.body)
-        init = templates.replace("flag_ = False", flag_=flag)
-        node.body = init + new_body
-        return node
-
-    visit_While = _process_loop
-    visit_For = _process_loop
-
-
-def transform(node, ctx):
-    return _ContinueTransformer(ctx).visit(node)
+def lower(loop, ctx):
+    """Lower the continues of ``loop``, whose inner loops are lowered
+    already, in place.  The break pass calls this on every loop, after it
+    has turned the loop's breaks into continues: one walk lowers both."""
+    if not _block_contains_continue(loop.body):
+        return
+    flag = ctx.fresh_name("continue_")
+    new_body = _BodyRewriter(flag).rewrite_block(loop.body)
+    init = templates.replace("flag_ = False", flag_=flag)
+    loop.body = init + new_body

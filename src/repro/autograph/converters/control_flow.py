@@ -56,7 +56,7 @@ def _symbols_tuple(names, ctx_type=ast.Load):
 
 def _expr_reads(expr):
     return {
-        n.id for n in ast.walk(expr)
+        n.id for n in ast_util.walk(expr)
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
     }
 
@@ -109,11 +109,11 @@ class _ControlFlowTransformer(transformer.Base):
 
         call = templates.replace_as_expression(
             "ag__.if_stmt(test_, body_name_, orelse_name_, names_)",
-            test_=node.test,
             body_name_=body_name,
             orelse_name_=orelse_name,
             names_=_names_tuple(state),
         )
+        call.args[0] = node.test  # installed: the template would copy it
         if state:
             out.append(
                 ast.Assign(
@@ -237,7 +237,7 @@ class _ControlFlowTransformer(transformer.Base):
         extra_test_expr = anno.getanno(node, anno.Basic.EXTRA_LOOP_TEST)
 
         targets = {
-            n.id for n in ast.walk(node.target)
+            n.id for n in ast_util.walk(node.target)
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
         }
         modified = _modified_simple(body_scope)
@@ -294,13 +294,13 @@ class _ControlFlowTransformer(transformer.Base):
 
         call = templates.replace_as_expression(
             "ag__.for_stmt(iter_, extra_, body_name_, init_, names_, opts_)",
-            iter_=node.iter,
             extra_=extra_ref,
             body_name_=body_name,
             init_=_symbols_tuple(state),
             names_=_names_tuple(state),
             opts_=_opts_expression(node),
         )
+        call.args[0] = node.iter  # installed: the template would copy it
         if state:
             out.append(
                 ast.Assign(

@@ -34,20 +34,13 @@ class _DirectivesTransformer(transformer.Base):
         self._loop_stack = []
 
     def visit_While(self, node):
-        node.test = self.visit(node.test)
+        # The test or iterate holds no statement, so no directive.
         self._loop_stack.append(node)
-        node.body = self.visit_block(node.body)
+        self.visit_block(node.body)
         self._loop_stack.pop()
-        node.orelse = self.visit_block(node.orelse)
-        return node
+        self.visit_block(node.orelse)
 
-    def visit_For(self, node):
-        node.iter = self.visit(node.iter)
-        self._loop_stack.append(node)
-        node.body = self.visit_block(node.body)
-        self._loop_stack.pop()
-        node.orelse = self.visit_block(node.orelse)
-        return node
+    visit_For = visit_While
 
     def visit_Expr(self, node):
         if isinstance(node.value, ast.Call):

@@ -15,10 +15,11 @@ from ..pyct import templates, transformer
 __all__ = ["transform"]
 
 
-class _ReturnRouter(ast.NodeTransformer):
+class _ReturnRouter(transformer.Base):
     """Rewrites this function's returns to go through fscope.ret."""
 
     def __init__(self, fscope_name):
+        super().__init__()
         self.fscope_name = fscope_name
 
     def visit_Return(self, node):
@@ -36,54 +37,39 @@ class _ReturnRouter(ast.NodeTransformer):
 
     visit_AsyncFunctionDef = visit_FunctionDef
 
-    def visit_Lambda(self, node):
-        return node
-
-
-class _FunctionWrapperTransformer(transformer.Base):
-    def __init__(self, ctx, top_level_only=True):
-        super().__init__(ctx)
-        self._wrapped_top = False
-
-    def visit_FunctionDef(self, node):
-        # Only the outermost (converted entity) function gets a scope;
-        # generated branch/body functions must stay lightweight, and
-        # nested user functions get their own scope when converted via
-        # converted_call.
-        if self._wrapped_top:
-            return node
-        self._wrapped_top = True
-
-        fscope_name = self.ctx.fresh_name("fscope")
-        body = [_ReturnRouter(fscope_name).visit(stmt) for stmt in node.body]
-
-        # Docstring stays outside the with block.
-        docstring = []
-        if (
-            body
-            and isinstance(body[0], ast.Expr)
-            and isinstance(body[0].value, ast.Constant)
-            and isinstance(body[0].value.value, str)
-        ):
-            docstring = [body[0]]
-            body = body[1:]
-        if not body:
-            body = [ast.Pass()]
-
-        wrapped = templates.replace(
-            """
-            with ag__.FunctionScope(name_) as fscope_:
-                body_
-            """,
-            name_=ast.Constant(value=node.name),
-            fscope_=fscope_name,
-            body_=body,
-        )
-        node.body = docstring + wrapped
-        return node
-
-    visit_AsyncFunctionDef = visit_FunctionDef
-
 
 def transform(node, ctx):
-    return _FunctionWrapperTransformer(ctx).visit(node)
+    """Wrap the body of ``node``, the converted function.
+
+    Only the converted function gets a scope: generated branch and loop
+    functions must stay lightweight, and nested user functions get their
+    own scope when ``converted_call`` converts them.
+    """
+    fscope_name = ctx.fresh_name("fscope")
+    body = _ReturnRouter(fscope_name).visit_block(node.body)
+
+    # Docstring stays outside the with block.
+    docstring = []
+    if (
+        body
+        and isinstance(body[0], ast.Expr)
+        and isinstance(body[0].value, ast.Constant)
+        and isinstance(body[0].value.value, str)
+    ):
+        docstring = [body[0]]
+        body = body[1:]
+    if not body:
+        body = [ast.Pass()]
+
+    # The body is installed, not spliced: the template would copy it.
+    (wrapped,) = templates.replace(
+        """
+        with ag__.FunctionScope(name_) as fscope_:
+            pass
+        """,
+        name_=ast.Constant(value=node.name),
+        fscope_=fscope_name,
+    )
+    wrapped.body = body
+    node.body = docstring + [wrapped]
+    return node

@@ -3,19 +3,23 @@
 ``and``/``or``/``not`` cannot be overloaded in Python, and ``==`` is
 deliberately not overloaded on tensors; these convert inline to the
 dispatched operator functions, with thunks preserving lazy evaluation of
-boolean chains.
+boolean chains.  The same walk converts ternaries
+(``conditional_expressions``).
 """
 
 from __future__ import annotations
 
 import ast
 
-from ..pyct import templates, transformer
+from ..pyct import templates
+from . import conditional_expressions
 
 __all__ = ["transform"]
 
 
-class _LogicalTransformer(transformer.Base):
+class _LogicalTransformer(conditional_expressions.Transformer):
+    """Converts logical expressions and, inherited, ternaries."""
+
     def visit_BoolOp(self, node):
         self.generic_visit(node)
         op_name = "and_" if isinstance(node.op, ast.And) else "or_"

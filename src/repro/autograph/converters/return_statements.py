@@ -15,27 +15,18 @@ from __future__ import annotations
 
 import ast
 
-from ..pyct import templates, transformer
+from ..pyct import ast_util, templates, transformer
 
 __all__ = ["transform"]
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _contains_return_scoped(node):
     """True if ``node`` contains a return belonging to the same function
     (returns inside nested function definitions do not count)."""
-    stack = [node]
-    first = True
-    while stack:
-        current = stack.pop()
-        if isinstance(current, ast.Return):
-            return True
-        if not first and isinstance(
-            current, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-        ):
-            continue  # different scope
-        first = False
-        stack.extend(ast.iter_child_nodes(current))
-    return False
+    return ast_util.has_statement(node, ast.Return, _SCOPES)
 
 
 class _FunctionRewriter:
@@ -80,15 +71,17 @@ class _FunctionRewriter:
                 out.extend(rewritten)
                 rest = self._rewrite_block(stmts[i + 1:], in_loop)
                 if rest:
-                    guard = templates.replace(
+                    # The rest is installed, not spliced: the template
+                    # would copy it.
+                    (guard,) = templates.replace(
                         """
                         if not do_return:
-                            rest_
+                            pass
                         """,
                         do_return=self.do_return_name,
-                        rest_=rest,
                     )
-                    out.extend(guard)
+                    guard.body = rest
+                    out.append(guard)
                 return out
             out.extend(rewritten)
         return out

@@ -89,7 +89,7 @@ class _SliceTransformer(transformer.Base):
 def _load(expr):
     """A Load-context copy of an assignment-target expression."""
     new = ast_util.copy_tree(expr)
-    for child in ast.walk(new):
+    for child in ast_util.walk(new):
         if hasattr(child, "ctx"):
             child.ctx = ast.Load()
     return new

@@ -4,7 +4,8 @@ AutoGraph distinguishes conversion errors (legal Python that cannot be
 converted), staging errors (converted code that cannot build a graph) and
 runtime errors (graph execution failures).  For the latter two, frames
 pointing into generated temporary files are re-associated with the user's
-original source via the per-conversion source maps.
+original source via the per-conversion source maps, each built when an
+error first reaches its generated file.
 """
 
 from __future__ import annotations
@@ -28,14 +29,18 @@ class ConversionError(AutoGraphError):
     """The entity could not be converted (paper App. B, Conversion Errors)."""
 
 
-# Generated filename -> {(filename, lineno): OriginInfo}.
+# Generated filename -> its source map, {(filename, lineno): OriginInfo},
+# or a thunk that builds it (on the first lookup).
 _SOURCE_MAPS = {}
 
 
 def register_source_map(generated_filename, source_map, owner=None):
     """Map frames in ``generated_filename`` back through ``source_map``.
 
-    With an ``owner`` the entry is dropped when the owner is collected (a
+    ``source_map`` is the map, or a thunk returning it: a conversion
+    registers ``origin_info.deferred_source_map``, so the map is built
+    only if an error passes through its generated code.  With an
+    ``owner`` the entry is dropped when the owner is collected (a
     conversion owns the map of its generated file); without one it stays
     for the life of the process.
     """
@@ -48,6 +53,10 @@ def _origin_for_frame(frame):
     source_map = _SOURCE_MAPS.get(frame.filename)
     if source_map is None:
         return None
+    if callable(source_map):
+        source_map = source_map()
+        if frame.filename in _SOURCE_MAPS:
+            _SOURCE_MAPS[frame.filename] = source_map
     return source_map.get((frame.filename, frame.lineno))
 
 

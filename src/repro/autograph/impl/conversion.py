@@ -16,6 +16,12 @@ def f(...): <converted body>; return f; return ag__factory`` and
 that function's own ``__globals__`` and closure cells, so one conversion
 (cached per code object) serves every closure and every module with
 this source, and rebinding a global later is seen as in Python.
+
+A conversion leaves nothing behind it does not need: reading the source
+does not leave the user's file in ``linecache``, the source map of the
+generated file is registered as a thunk built on the first error that
+needs it, and the generated file and that registration go with the
+:class:`Conversion`.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import types
 import weakref
 
 from .. import converters, errors, operators
-from ..pyct import loader, origin_info, parser, transformer
+from ..pyct import loader, origin_info, parser, templates, transformer
 
 __all__ = ["Conversion", "convert_entity", "instantiate", "is_generated_file",
            "GENERATED_PREFIX"]
@@ -51,10 +57,23 @@ def _lambda_to_functiondef(lambda_node, name):
 def _wrap_in_factory(node, freevars):
     """The factory AST around a converted ``FunctionDef`` (see module
     docstring); the free variables become cells of ``ag__outer``."""
-    outer = ast.parse(
-        f"def ag__outer():\n    {' = '.join(freevars + ('None',))}\n"
-        f"    def ag__factory(ag__):\n        return {node.name}\n"
-        "    return ag__factory").body[0]
+    if freevars:
+        cells = ast.Assign(
+            targets=[ast.Name(id=name, ctx=ast.Store()) for name in freevars],
+            value=ast.Constant(value=None))
+    else:
+        cells = ast.Expr(value=ast.Constant(value=None))
+    (outer,) = templates.replace(
+        """
+        def ag__outer():
+            cells_
+            def ag__factory(ag__):
+                return name_
+            return ag__factory
+        """,
+        cells_=cells,
+        name_=node.name,
+    )
     outer.body[1].body.insert(0, node)
     return outer
 
@@ -142,10 +161,11 @@ def convert_entity(fn):
 
     node = _wrap_in_factory(node, fn.__code__.co_freevars)
     module, generated_source, generated_filename = loader.ast_to_object(node)
-    source_map = origin_info.create_source_map(
-        node, generated_source, generated_filename
-    )
     record = Conversion(module.ag__outer().__code__, generated_source)
-    errors.register_source_map(generated_filename, source_map, owner=record)
+    errors.register_source_map(
+        generated_filename,
+        origin_info.deferred_source_map(
+            node, generated_source, generated_filename),
+        owner=record)
     weakref.finalize(record, loader.discard, generated_filename)
     return record

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 
 __all__ = ["Basic", "Static", "setanno", "getanno", "hasanno", "delanno",
-           "copyanno", "dup"]
+           "copyanno"]
 
 FIELD = "__repro_anno__"
 
@@ -78,11 +78,3 @@ def copyanno(from_node, to_node, key):
     if hasanno(from_node, key):
         setanno(to_node, key, getanno(from_node, key))
 
-
-def dup(node, copy_keys):
-    """Copy the given annotation keys from ``node`` onto itself-clones."""
-    out = {}
-    for key in copy_keys:
-        if hasanno(node, key):
-            out[key] = getanno(node, key)
-    return out

@@ -1,14 +1,14 @@
-"""AST manipulation helpers: structural copies, scope-aware renaming,
-matching."""
+"""AST manipulation helpers: structural copies, walks and scope-aware
+renaming."""
 
 from __future__ import annotations
 
 import ast
 
-from . import anno
+from . import anno, transformer
 
-__all__ = ["copy_tree", "copy_clean", "rename_symbols", "collect_bound_names",
-           "matches_name_call"]
+__all__ = ["copy_tree", "copy_clean", "walk", "rename_symbols",
+           "collect_bound_names", "has_statement"]
 
 
 def _copy(value, annotations):
@@ -43,6 +43,79 @@ def copy_clean(node):
     return _copy(node, False)
 
 
+def walk(node):
+    """Every node under ``node``, as a list in ``ast.walk``'s
+    (breadth-first) order."""
+    nodes = [node]
+    for current in nodes:  # grows while it is read
+        for field in current._fields:
+            value = getattr(current, field, None)
+            if value.__class__ is list:
+                nodes.extend(v for v in value if isinstance(v, ast.AST))
+            elif isinstance(value, ast.AST):
+                nodes.append(value)
+    return nodes
+
+
+# What a statement list holds: statements, and the clauses that carry
+# statement lists of their own.
+_BLOCK_ITEMS = (ast.stmt, ast.excepthandler) + (
+    (ast.match_case,) if hasattr(ast, "match_case") else ())
+
+
+def has_statement(node, kind, scopes):
+    """True if ``node`` is a ``kind`` statement or holds one.
+
+    The search does not enter a ``scopes`` node below ``node`` (the
+    statements in there belong to it), nor any expression: no statement
+    sits inside one.
+    """
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        if isinstance(current, kind):
+            return True
+        if current is not node and isinstance(current, scopes):
+            continue
+        for field in current._fields:
+            value = getattr(current, field, None)
+            if value.__class__ is list:
+                stack.extend(v for v in value if isinstance(v, _BLOCK_ITEMS))
+    return False
+
+
+class _BoundNames(transformer.Base):
+    """Collects the names a scope binds, not entering nested scopes."""
+
+    def __init__(self, bound):
+        super().__init__()
+        self.bound = bound
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, (ast.Store, ast.Del)):
+            self.bound.add(node.id)
+
+    def visit_FunctionDef(self, node):
+        self.bound.add(node.name)  # the def binds its own name
+        return node
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_ClassDef(self, node):
+        self.bound.add(node.name)
+        return node
+
+    def visit_Lambda(self, node):
+        return node  # separate scope
+
+    def visit_Import(self, node):
+        for alias in node.names:
+            self.bound.add((alias.asname or alias.name).split(".")[0])
+        return node
+
+    visit_ImportFrom = visit_Import
+
+
 def collect_bound_names(fn_node):
     """Names bound inside a function scope: params and direct assignments.
 
@@ -61,73 +134,42 @@ def collect_bound_names(fn_node):
         bound.add(args.kwarg.arg)
 
     body = fn_node.body if isinstance(fn_node.body, list) else [fn_node.body]
-
-    class _Collector(ast.NodeVisitor):
-        def visit_Name(self, node):
-            if isinstance(node.ctx, (ast.Store, ast.Del)):
-                bound.add(node.id)
-
-        def visit_FunctionDef(self, node):
-            bound.add(node.name)  # the def binds its own name
-
-        visit_AsyncFunctionDef = visit_FunctionDef
-
-        def visit_ClassDef(self, node):
-            bound.add(node.name)
-
-        def visit_Lambda(self, node):
-            pass  # separate scope
-
-        def visit_Import(self, node):
-            for alias in node.names:
-                bound.add((alias.asname or alias.name).split(".")[0])
-
-        visit_ImportFrom = visit_Import
-
-    collector = _Collector()
+    collector = _BoundNames(bound)
     for stmt in body:
         collector.visit(stmt)
     return bound
 
 
-class _Renamer(ast.NodeTransformer):
+class _Renamer(transformer.Base):
     """Renames free occurrences of symbols, respecting nested scopes."""
 
     def __init__(self, name_map):
-        self.name_map = dict(name_map)
+        super().__init__()
+        self.name_map = name_map
 
     def visit_Name(self, node):
         new_name = self.name_map.get(node.id)
         if new_name is not None:
             node.id = new_name
-        return node
 
     def _visit_new_scope(self, node):
         bound = collect_bound_names(node)
         remaining = {k: v for k, v in self.name_map.items() if k not in bound}
-        if not remaining:
-            return node
-        inner = _Renamer(remaining)
-        for field in ("body", "decorator_list", "returns"):
-            value = getattr(node, field, None)
-            if isinstance(value, list):
-                setattr(node, field, [inner.visit(v) for v in value])
-            elif isinstance(value, ast.AST):
-                setattr(node, field, inner.visit(value))
-        # Default expressions evaluate in the *outer* scope.
-        for field in ("defaults", "kw_defaults"):
-            value = getattr(node.args, field, None)
-            if value:
-                setattr(
-                    node.args, field,
-                    [self.visit(v) if v is not None else None for v in value],
-                )
+        if remaining:
+            inner = _Renamer(remaining)
+            for field in ("body", "decorator_list", "returns"):
+                value = getattr(node, field, None)
+                if isinstance(value, list):
+                    inner.visit_block(value)
+                elif isinstance(value, ast.AST):
+                    inner.visit(value)
+            # Default expressions evaluate in the *outer* scope.
+            self.visit_block(node.args.defaults)
+            self.visit_block(node.args.kw_defaults)
         return node
 
-    def visit_FunctionDef(self, node):
-        return self._visit_new_scope(node)
-
-    visit_AsyncFunctionDef = visit_FunctionDef
+    visit_FunctionDef = _visit_new_scope
+    visit_AsyncFunctionDef = _visit_new_scope
     visit_Lambda = _visit_new_scope
 
 
@@ -141,17 +183,5 @@ def rename_symbols(node, name_map):
         return node
     renamer = _Renamer({str(k): str(v) for k, v in name_map.items()})
     if isinstance(node, list):
-        return [renamer.visit(n) for n in node]
+        return renamer.visit_block(node)
     return renamer.visit(node)
-
-
-def matches_name_call(node, dotted_names):
-    """True if ``node`` is a Call whose callee unparsess to one of the
-    given dotted names (e.g. ``{"ag.set_loop_options"}``)."""
-    if not isinstance(node, ast.Call):
-        return False
-    try:
-        callee = ast.unparse(node.func)
-    except Exception:  # pragma: no cover - malformed nodes
-        return False
-    return callee in dotted_names

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import ast
 
+from . import ast_util
+
 __all__ = ["Node", "Graph", "build", "build_all", "GraphVisitor"]
 
 
@@ -216,7 +218,7 @@ def build_all(root):
       dict mapping FunctionDef node -> Graph.
     """
     out = {}
-    for node in ast.walk(root):
+    for node in ast_util.walk(root):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             out[node] = build(node)
     return out

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+import linecache
 import textwrap
 
 __all__ = ["parse_entity", "parse_str", "parse_expression", "unparse",
@@ -32,9 +33,21 @@ def parse_expression(src):
 
 
 def getsource(entity):
-    """Best-effort source for a function/class, dedented."""
+    """Best-effort source for a function/class, dedented.
+
+    ``inspect`` reads the file through ``linecache``, which keeps every
+    file it reads; an entry this read created is dropped again, so
+    converting code from many files (fresh code in a long-lived process)
+    does not keep their lines alive.
+    """
     try:
-        source = inspect.getsource(entity)
+        filename = inspect.getsourcefile(entity)
+        cached = filename in linecache.cache
+        try:
+            source = inspect.getsource(entity)
+        finally:
+            if not cached:
+                linecache.cache.pop(filename, None)
     except (OSError, TypeError) as e:
         raise ConversionSourceError(
             f"Could not get source for {entity!r}: {e}. Functions defined in "
@@ -43,7 +56,7 @@ def getsource(entity):
     return textwrap.dedent(source)
 
 
-def parse_entity(entity, future_features=()):
+def parse_entity(entity):
     """Parse a live function or class.
 
     Returns:
@@ -98,7 +111,13 @@ def _find_lambda(module, fn):
 
 
 def unparse(node):
-    """Serialize an AST (node or list of statements) back to source."""
+    """Serialize an AST (node or list of statements) back to source.
+
+    Keep ``fix_missing_locations`` before ``ast.unparse``: the unparser
+    reads the ``lineno`` of every ``FunctionDef`` (for type comments), and
+    the branch and loop functions the passes build have none.  Without it
+    every conversion with control flow fails, Lantern staging included.
+    """
     if isinstance(node, (list, tuple)):
         return "\n".join(unparse(n) for n in node)
     if isinstance(node, ast.Module):

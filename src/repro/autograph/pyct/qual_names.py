@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import ast
 
-from . import anno
+from . import anno, transformer
 
 __all__ = ["QN", "resolve"]
 
@@ -111,7 +111,7 @@ class QN:
         )
 
 
-class _Resolver(ast.NodeVisitor):
+class _Resolver(transformer.Base):
     """Annotates Name/Attribute/Subscript nodes with their QN."""
 
     def visit_Name(self, node):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import ast
 
-from .. import anno
+from .. import anno, transformer
 from ..qual_names import QN
 
 __all__ = ["Scope", "resolve"]
@@ -79,8 +79,9 @@ def _qn_of(node):
     return anno.getanno(node, anno.Basic.QN)
 
 
-class _Analyzer(ast.NodeVisitor):
+class _Analyzer(transformer.Base):
     def __init__(self):
+        super().__init__()
         self.scope = Scope()
 
     # -- scope plumbing ----------------------------------------------------

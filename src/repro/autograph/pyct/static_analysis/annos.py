@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import ast
 
-from .. import anno
+from .. import anno, ast_util
 
 __all__ = ["node_reads_writes", "target_names", "DefinednessInfo"]
 
@@ -12,7 +12,7 @@ __all__ = ["node_reads_writes", "target_names", "DefinednessInfo"]
 def target_names(target):
     """Simple names bound by an assignment/loop target node."""
     names = set()
-    for node in ast.walk(target):
+    for node in ast_util.walk(target):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
             names.add(node.id)
     return names
@@ -76,7 +76,7 @@ def node_reads_writes(cfg_node):
 
 def _expr_reads(expr):
     reads = set()
-    for node in ast.walk(expr):
+    for node in ast_util.walk(expr):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             reads.add(node.id)
     return reads

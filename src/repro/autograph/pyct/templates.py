@@ -6,18 +6,23 @@ replacements get their contexts (Load/Store/Del) fixed to match the
 placeholder's position, and statement-list replacements are only accepted
 in statement position.
 
-A spliced node is a structural copy (``ast_util.copy_tree``), so a node
-passed twice, or used again by the caller, is never shared.  Spliced
-nodes keep the line numbers they had, and new ones have none:
-``parser.unparse`` fills them in once for the finished tree.
+A template string is parsed once per process; each use instantiates a
+``copy_clean`` of the parsed statements.  A spliced node is a structural
+copy (``ast_util.copy_tree``), so a node passed twice, or used again by
+the caller, is never shared.  A pass that owns a large subtree (a body,
+a call's operands) therefore installs it into the instantiated template
+itself rather than splicing it, which would copy it.  Spliced nodes keep
+the line numbers they had, and new ones have none: ``parser.unparse``
+fills them in once for the finished tree.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 
-from . import parser
-from .ast_util import copy_tree
+from . import parser, transformer
+from .ast_util import copy_clean, copy_tree
 from .qual_names import QN
 
 __all__ = ["replace", "replace_as_expression"]
@@ -65,8 +70,9 @@ def _as_statements(value):
     raise ValueError(f"Cannot use {value!r} as a statement replacement")
 
 
-class _ReplaceTransformer(ast.NodeTransformer):
+class _ReplaceTransformer(transformer.Base):
     def __init__(self, replacements):
+        super().__init__()
         self.replacements = replacements
 
     # -- names ------------------------------------------------------------
@@ -81,10 +87,6 @@ class _ReplaceTransformer(ast.NodeTransformer):
         elif isinstance(node.ctx, ast.Del):
             _set_ctx(new, ast.Del)
         return new
-
-    def visit_Attribute(self, node):
-        self.generic_visit(node)
-        return node
 
     # -- function defs: name and argument placeholders ------------------------
 
@@ -123,46 +125,20 @@ class _ReplaceTransformer(ast.NodeTransformer):
 
     # -- statement splices ---------------------------------------------------
 
-    def _visit_block(self, stmts):
-        out = []
-        for stmt in stmts:
-            if (
-                isinstance(stmt, ast.Expr)
-                and isinstance(stmt.value, ast.Name)
-                and stmt.value.id in self.replacements
-            ):
-                repl = self.replacements[stmt.value.id]
-                try:
-                    out.extend(_as_statements(repl))
-                    continue
-                except ValueError:
-                    pass  # fall through: expression substitution
-            result = self.visit(stmt)
-            if isinstance(result, list):
-                out.extend(result)
-            elif result is not None:
-                out.append(result)
-        return out
+    def visit_Expr(self, node):
+        if isinstance(node.value, ast.Name) and node.value.id in self.replacements:
+            try:
+                return _as_statements(self.replacements[node.value.id])
+            except ValueError:
+                pass  # fall through: expression substitution
+        return self.generic_visit(node)
 
-    def generic_visit(self, node):
-        for field in node._fields:
-            value = getattr(node, field, None)
-            if isinstance(value, list):
-                if value and all(isinstance(v, ast.stmt) for v in value):
-                    setattr(node, field, self._visit_block(value))
-                else:
-                    new_list = []
-                    for item in value:
-                        if isinstance(item, ast.AST):
-                            item = self.visit(item)
-                        if isinstance(item, list):
-                            new_list.extend(item)
-                        elif item is not None:
-                            new_list.append(item)
-                    setattr(node, field, new_list)
-            elif isinstance(value, ast.AST):
-                setattr(node, field, self.visit(value))
-        return node
+
+@functools.lru_cache(maxsize=256)
+def _parse(template):
+    """The statements of ``template``, parsed once; never handed out, only
+    copied."""
+    return parser.parse_str(template).body
 
 
 def replace(template, **replacements):
@@ -177,8 +153,8 @@ def replace(template, **replacements):
     """
     if not isinstance(template, str):
         raise TypeError(f"Template must be a string, got {type(template).__name__}")
-    module = parser.parse_str(template)
-    return _ReplaceTransformer(replacements)._visit_block(module.body)
+    return _ReplaceTransformer(replacements).visit_block(
+        copy_clean(_parse(template)))
 
 
 def replace_as_expression(template, **replacements):
