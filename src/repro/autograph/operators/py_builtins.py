@@ -12,6 +12,7 @@ import builtins
 
 from repro.framework import EagerTensor, TensorArray, ops
 from repro.framework import Tensor as SymbolicTensor
+from repro.framework.ops.dispatch import backend_for
 
 __all__ = ["overload_of", "print_", "len_", "range_", "int_", "float_", "abs_"]
 
@@ -54,10 +55,12 @@ def len_(x):
 
 
 def range_(start_or_stop, stop=None, step=None):
-    """Overload of ``range``: stages when any bound is a tensor."""
+    """Overload of ``range``: stages when any bound is a tensor (eager,
+    or staged by any backend)."""
     args = [a for a in (start_or_stop, stop, step) if a is not None]
     if builtins.any(
-        isinstance(a, (SymbolicTensor, EagerTensor)) for a in args
+        isinstance(a, EagerTensor) or backend_for(a) is not None
+        for a in args
     ):
         if stop is None:
             return ops.range(start_or_stop)

@@ -15,6 +15,7 @@ __all__ = [
     "DTypeError",
     "GraphError",
     "StagingError",
+    "UnstagedConstructError",
     "ExecutionError",
     "UninitializedVariableError",
     "FetchError",
@@ -60,6 +61,18 @@ class StagingError(FrameworkError):
     be lowered into the target IR, e.g. inconsistent values across the
     branches of a staged conditional.
     """
+
+
+class UnstagedConstructError(StagingError):
+    """A staging backend does not stage this ``construct`` (``"while"``
+    over Lantern values, say); ``backend`` is the backend's name."""
+
+    def __init__(self, construct, backend):
+        super().__init__(
+            f"{construct}: the {backend} backend does not stage this "
+            "construct")
+        self.construct = construct
+        self.backend = backend
 
 
 class ExecutionError(OpError):

@@ -21,13 +21,15 @@ from __future__ import annotations
 import numpy as np
 
 from .. import context, dtypes
+from ..eager.tensor import EagerTensor
 from ..errors import UninitializedVariableError
 from ..registry import register_op
 from ..shapes import TensorShape
 from ..tensor_mixin import TensorOpsMixin
 from .func_graph import FuncGraph
 
-__all__ = ["Variable", "global_variables_initializer", "VariableState"]
+__all__ = ["Variable", "VariableRead", "global_variables_initializer",
+           "VariableState"]
 
 _VAR_COUNTER = [0]
 
@@ -79,6 +81,15 @@ register_op("AssignAddVariable", lambda delta, state: state.add(delta),
 register_op("AssignSubVariable", lambda delta, state: state.sub(delta),
             stateful=True, dtype_fn=_state_dtype)
 
+
+class VariableRead(EagerTensor):
+    """An eager read of a Variable: an ``EagerTensor`` that names the
+    variable it read, so a tracer that meets it closed over (Lantern's
+    ``Stager``) can capture the variable, not a snapshot."""
+
+    __slots__ = ("variable",)
+
+
 # What a trace's ``variable_values`` holds for a variable that one of its
 # Cond/While sub-graphs assigns: the next read there must be a live op.
 _ASSIGNED_BELOW = object()
@@ -90,8 +101,6 @@ class Variable(TensorOpsMixin):
     def __init__(self, initial_value, name=None, dtype=None, trainable=True):
         _VAR_COUNTER[0] += 1
         self._name = name or f"Variable_{_VAR_COUNTER[0]}"
-        from ..eager.tensor import EagerTensor
-
         if isinstance(initial_value, EagerTensor):
             initial_value = initial_value.numpy()
         init = np.asarray(initial_value)
@@ -147,14 +156,14 @@ class Variable(TensorOpsMixin):
     def value(self):
         """Current value: an EagerTensor (eager) or, in a graph, the
         tensor a read yields at this point of its construction."""
-        from ..eager.tensor import EagerTensor
-
         if context.executing_eagerly():
             if (
                 self._eager_value_cache is None
                 or self._eager_value_cache.numpy() is not self._state.value
             ):
-                self._eager_value_cache = EagerTensor(self._state.read())
+                read = VariableRead(self._state.read())
+                read.variable = self
+                self._eager_value_cache = read
             return self._eager_value_cache
         g = context.get_default_graph()
         cached = g.variable_values.get(self._state)
@@ -193,11 +202,6 @@ class Variable(TensorOpsMixin):
                          name=f"{self._name}/read")
         op.outputs[0].set_shape(self._shape)
         return op.outputs[0]
-
-    # Allow variables to appear directly as op inputs: the dispatch layer
-    # calls this to obtain a tensor.
-    def _as_tensor(self):
-        return self.value()
 
     def __array__(self, dtype=None):
         v = self._state.read()

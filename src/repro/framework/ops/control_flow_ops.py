@@ -2,14 +2,16 @@
 
 In graph mode these stage functional control flow (the paper's Section 3
 constructs); in eager mode they simply run the Python callables — the same
-duality AutoGraph's operators dispatch over.
+duality AutoGraph's operators dispatch over.  A value staged by a backend
+in ``dispatch.op_backends`` (Lantern's ``Stager``) goes to its
+``if_stmt`` / ``while_stmt`` first, as ``run_op`` hands it ops.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .. import context
+from .. import context, nest
 from ..eager.tensor import EagerTensor
 from . import dispatch
 
@@ -23,6 +25,9 @@ def cond(pred, true_fn, false_fn, name="cond"):
     :func:`repro.framework.graph.control_flow.cond`).  Eager mode: evaluates
     ``pred`` and runs one branch.
     """
+    backend = dispatch.backend_for(pred)
+    if backend in dispatch.op_backends:
+        return _backend_cond(backend, pred, true_fn, false_fn)
     if context.has_default_graph():
         from ..graph.control_flow import cond as graph_cond
 
@@ -38,14 +43,29 @@ def while_loop(cond_fn, body_fn, loop_vars, maximum_iterations=None,
 
     Graph mode: stages the loop.  Eager mode: runs it directly.
     """
+    opts = {"maximum_iterations": maximum_iterations}
+    backend = dispatch.backend_for(*loop_vars)
+    if backend in dispatch.op_backends:
+        return backend.while_stmt(cond_fn, body_fn, tuple(loop_vars), (),
+                                  opts)
     if context.has_default_graph():
         from ..graph.control_flow import while_loop as graph_while
 
         return graph_while(cond_fn, body_fn, loop_vars,
                            maximum_iterations=maximum_iterations, name=name)
-    loop_vars = tuple(loop_vars)
+    init_vars = loop_vars = tuple(loop_vars)
     iterations = 0
-    while bool(np.asarray(cond_fn(*loop_vars))):
+    while True:
+        pred = cond_fn(*loop_vars)
+        if dispatch.op_backends:
+            # Staged from the start after all (the condition closes over
+            # a staged value), or from this turn on.
+            backend = dispatch.backend_for(pred)
+            if backend is not None:
+                return backend.while_stmt(cond_fn, body_fn, init_vars, (),
+                                          opts)
+        if not bool(np.asarray(pred)):
+            break
         if maximum_iterations is not None and iterations >= maximum_iterations:
             break
         result = body_fn(*loop_vars)
@@ -54,6 +74,22 @@ def while_loop(cond_fn, body_fn, loop_vars, maximum_iterations=None,
         loop_vars = result
         iterations += 1
     return loop_vars
+
+
+def _backend_cond(backend, pred, true_fn, false_fn):
+    """``cond`` through a backend's ``if_stmt``, which threads flat
+    values, packed back into the true branch's structure."""
+    structures = []
+
+    def flat(branch):
+        def run():
+            out = branch()
+            structures.append(out)
+            return tuple(nest.flatten(out))
+        return run
+
+    outputs = backend.if_stmt(pred, flat(true_fn), flat(false_fn), ())
+    return nest.pack_sequence_as(structures[0], list(outputs))
 
 
 def group(*inputs, name="group"):

@@ -21,7 +21,7 @@ import numpy as np
 from .. import context, dtypes
 from ..eager.execute import execute_op
 from ..eager.tensor import EagerTensor
-from ..errors import GraphError, StagingError
+from ..errors import GraphError, UnstagedConstructError
 from ..graph.func_graph import FuncGraph
 from ..graph.graph import Tensor
 
@@ -41,15 +41,14 @@ NOT_HANDLED = object()
 
 class StagingBackend:
     """What a staging target implements; every method but ``matches`` is
-    optional.  A construct the backend leaves out raises a
-    :class:`StagingError` naming the construct and the backend."""
+    optional.  A construct the backend leaves out raises an
+    :class:`UnstagedConstructError` naming the construct and the
+    backend."""
 
     name = "staging"
 
     def _unsupported(self, construct):
-        return StagingError(
-            f"{construct}: the {self.name} backend does not stage this "
-            "construct")
+        return UnstagedConstructError(construct, self.name)
 
     def matches(self, value):
         """True when ``value`` is one of this backend's staged values."""
@@ -175,10 +174,6 @@ def convert_to_tensor(value, dtype=None):
     from ..eager.tensor import convert_to_eager_tensor
 
     return convert_to_eager_tensor(value, dtype=dtype)
-
-
-def _is_convertible(value):
-    return isinstance(value, (int, float, bool, np.ndarray, np.generic, list, tuple))
 
 
 def run_op(op_type, inputs, attrs=None, name=None):

@@ -43,10 +43,10 @@ from ..framework.graph.variables import Variable
 from ..runtime import BoundPlan, compile_plan
 from .executable import CompiledExecutable, ExportError, Traced
 
-__all__ = ["ConcreteFunction", "trace_func_graph", "classify_outputs"]
+__all__ = ["ConcreteFunction", "classify_outputs"]
 
 
-def _convert_for_trace(python_function, autograph):
+def convert_for_trace(python_function, autograph):
     import inspect
     import warnings
 
@@ -68,73 +68,24 @@ def _convert_for_trace(python_function, autograph):
     return python_function
 
 
-def trace_func_graph(python_function, canonical, name, autograph=True,
-                     freeze_captures=False):
-    """Run one AutoGraph trace of ``python_function`` into a FuncGraph.
-
-    The tensor leaves of the canonical signature become placeholders; the
-    converted function runs symbolically against them.  Shared by the
-    graph backend (below) and the Lantern graph-translate route
-    (:mod:`repro.function.lowering`).
-
-    ``freeze_captures=True`` bakes closed-over state (eager tensors,
-    initialized ``Variable`` reads) into the trace as constants instead
-    of runtime-input captures — restoring trace-time constant folding
-    across the weights, for closures that really are constant.
+def classify_outputs(result, output_of):
+    """Split a traced return value into outputs and constants, for
+    either backend: ``output_of(leaf)`` is the output a leaf of
+    ``nest.flatten(result)`` stands for, or None for a constant leaf.
 
     Returns:
-      ``(func_graph, placeholders, result)`` — the traced graph, its
-      input placeholders, and the function's structured return value.
+      ``(output_template, outputs)`` — ``("t", index)`` / ``("c",
+      value)`` per leaf, and the outputs in index order.
     """
-    fg = FuncGraph(f"{name}_graph", outer_graph=None, capture_external=True,
-                   freeze_captures=freeze_captures)
-    converted = _convert_for_trace(python_function, autograph)
-    with fg.as_default():
-        placeholders = [
-            fg.add_input(spec.dtype, spec.shape,
-                         name=spec.name or f"arg_{i}")
-            for i, spec in enumerate(canonical.specs)
-        ]
-        flat = list(canonical.flat_leaves)
-        for idx, ph in zip(canonical.tensor_indices, placeholders):
-            flat[idx] = ph
-        call_args, call_kwargs = nest.pack_sequence_as(
-            canonical.structure, flat)
-        result = converted(*call_args, **call_kwargs)
-
-    # Variables created during the trace get their initial value now,
-    # so the session kernels (which read live state) can run.
-    for v in fg.get_collection("variables"):
-        v.initialize()
-    return fg, placeholders, result
-
-
-def classify_outputs(fg, result, name):
-    """Split a traced return value into tensor outputs and constants.
-
-    Returns:
-      ``(output_template, tensor_outs)`` — the template is a flat list of
-      ``("t", index)`` / ``("c", value)`` leaves matching
-      ``nest.flatten(result)``; tensor_outs are the graph tensors.
-    """
-    flat_out = nest.flatten(result)
-    tensor_outs = []
-    output_template = []
-    for leaf in flat_out:
-        if isinstance(leaf, Variable):
-            with fg.as_default():
-                leaf = leaf.value()
-        if isinstance(leaf, Tensor):
-            if leaf.graph is not fg:
-                raise StagingError(
-                    f"Traced function {name!r} returned tensor "
-                    f"{leaf.name!r} from a foreign graph"
-                )
-            output_template.append(("t", len(tensor_outs)))
-            tensor_outs.append(leaf)
-        else:
+    output_template, outputs = [], []
+    for leaf in nest.flatten(result):
+        out = output_of(leaf)
+        if out is None:
             output_template.append(("c", leaf))
-    return output_template, tensor_outs
+        else:
+            output_template.append(("t", len(outputs)))
+            outputs.append(out)
+    return output_template, outputs
 
 
 class CompiledGraph(CompiledExecutable):
@@ -257,10 +208,40 @@ class ConcreteFunction(Traced, CompiledGraph):
         self._backward = None
 
         # -- 1. trace -------------------------------------------------------
-        fg, placeholders, result = trace_func_graph(
-            python_function, canonical, name, autograph=autograph,
-            freeze_captures=freeze_captures)
-        output_template, tensor_outs = classify_outputs(fg, result, name)
+        # Tensor leaves of the signature become placeholders, and the
+        # converted function runs symbolically against them.
+        fg = FuncGraph(f"{name}_graph", outer_graph=None,
+                       capture_external=True, freeze_captures=freeze_captures)
+        converted = convert_for_trace(python_function, autograph)
+        with fg.as_default():
+            placeholders = [
+                fg.add_input(spec.dtype, spec.shape,
+                             name=spec.name or f"arg_{i}")
+                for i, spec in enumerate(canonical.specs)]
+            flat = list(canonical.flat_leaves)
+            for idx, ph in zip(canonical.tensor_indices, placeholders):
+                flat[idx] = ph
+            call_args, call_kwargs = nest.pack_sequence_as(
+                canonical.structure, flat)
+            result = converted(*call_args, **call_kwargs)
+        # Variables created during the trace get their initial value now,
+        # so the session kernels (which read live state) can run.
+        for v in fg.get_collection("variables"):
+            v.initialize()
+
+        def output_of(leaf):
+            if isinstance(leaf, Variable):
+                with fg.as_default():
+                    leaf = leaf.value()
+            if not isinstance(leaf, Tensor):
+                return None
+            if leaf.graph is not fg:
+                raise StagingError(
+                    f"Traced function {name!r} returned tensor "
+                    f"{leaf.name!r} from a foreign graph")
+            return leaf
+
+        output_template, tensor_outs = classify_outputs(result, output_of)
         fg.flat_outputs = list(tensor_outs)
         self.graph = fg
         # External captures: eager tensors and Variable reads the trace

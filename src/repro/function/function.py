@@ -308,9 +308,8 @@ class Function:
         Resolves the backend exactly like a call would (``'graph'``,
         ``'lantern'``, or whatever ``'auto'`` picks for this signature)
         and returns the cached-or-freshly-built executable for *that*
-        backend — a graph-route :class:`~repro.function.ConcreteFunction`
-        or a lantern-route
-        :class:`~repro.function.LanternConcreteFunction`; both implement
+        backend — a graph-backend :class:`~repro.function.ConcreteFunction`
+        or a :class:`~repro.function.LanternConcreteFunction`; both implement
         the backend-neutral ``Executable`` protocol (``signature``,
         ``call_flat``, ``variables``, ``export_spec``), so the result
         can be exported with :func:`repro.serving.saved_function.save`
@@ -360,9 +359,9 @@ def function(func=None, *, name=None, autograph=True,
         shapes instead of minting one graph per shape.
       retrace_limit: trace budget before relaxing (or warning).
       backend: ``'graph'`` (trace → optimized graph → bound runtime
-        plan), ``'lantern'`` (trace/stage → §8 S-expression IR →
-        compiled code with CPS gradients; supports recursion and runtime
-        trees), or ``'auto'`` (recursion or tree arguments pick lantern,
+        plan), ``'lantern'`` (staged by a Lantern ``Stager`` → §8
+        S-expression IR → compiled code with CPS gradients; supports
+        recursion and runtime trees), or ``'auto'`` (recursion or tree arguments pick lantern,
         anything else picks graph).
       freeze_captures: bake closed-over state (eager tensors,
         ``Variable`` reads) into each trace as *constants* instead of

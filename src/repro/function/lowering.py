@@ -1,20 +1,18 @@
-"""The Lantern backend of ``repro.function``: lowering traces to §8.
+"""The Lantern backend of ``repro.function``: staging traces to §8.
 
 ``@repro.function(backend=...)`` routes each signature to one of two
 compilation pipelines:
 
 - ``"graph"`` — AutoGraph trace → ``optimize_graph`` → a
   :class:`~repro.runtime.BoundPlan` (:class:`~repro.function.ConcreteFunction`);
-- ``"lantern"`` — this module: the same front-end lowered to the §8
-  S-expression backend.  Non-recursive tensor traces are translated
-  *from the optimized graph* (:func:`repro.lantern.lower_graph`);
-  recursive functions and functions over runtime trees are staged
-  directly through the shared AutoGraph SCT with a
-  :class:`~repro.lantern.Stager`, discovering re-entrant helpers as it
-  goes.  Either way the result is compiled once per signature with
-  :func:`~repro.lantern.compile_program`, and the CPS backward pass is
-  what the one ``GradientTape`` bridge replays, as it replays the graph
-  backend's plan-compiled gradient;
+- ``"lantern"`` — this module: the same AutoGraph front-end, staged into
+  the §8 S-expression IR by a :class:`~repro.lantern.Stager` registered
+  as the staging backend (framework ops, ``if`` and ``ops.cond`` on its
+  values emit IR; recursion and runtime trees stage as re-entrant IR
+  calls, discovering helpers as it goes).  The program is compiled once
+  per signature with :func:`~repro.lantern.compile_program`, and its CPS
+  backward pass is what the one ``GradientTape`` bridge replays, as it
+  replays the graph backend's plan-compiled gradient;
 - ``"auto"`` — :func:`choose_backend` inspects the callable and the
   signature: self-recursion or runtime tree arguments ⇒ lantern,
   anything else ⇒ graph.
@@ -38,12 +36,13 @@ from ..framework import dtypes, nest
 from ..framework.eager.tensor import EagerTensor
 from ..framework.errors import FetchError, StagingError
 from ..framework.graph.func_graph import ExternalCapture
-from ..framework.graph.optimize import optimize_graph
+from ..framework.graph.variables import Variable
 from ..lantern.compiler import compile_program
-from ..lantern.lowering import LanternLoweringError, lower_graph
+from ..lantern.ir import StagedValue
+from ..lantern.lowering import LanternLoweringError
 from ..lantern.staging import ReentrantStagingError, StagedArityError, Stager
 from . import signature as signature_lib
-from .concrete_function import classify_outputs, trace_func_graph
+from .concrete_function import convert_for_trace, classify_outputs
 from .executable import CompiledExecutable, ExportError, Traced
 from .tensor_spec import TensorSpec
 
@@ -52,7 +51,6 @@ __all__ = [
     "LanternLoweringError",
     "choose_backend",
     "detect_self_recursion",
-    "has_tree_leaves",
     "lanternize_signature",
 ]
 
@@ -62,7 +60,7 @@ _MAX_STAGING_ATTEMPTS = 16
 
 
 # ---------------------------------------------------------------------------
-# Trace inspection: what should "auto" do, and which lantern route?
+# Trace inspection: what should "auto" do?
 # ---------------------------------------------------------------------------
 
 
@@ -74,45 +72,6 @@ def _is_tree(leaf):
         and hasattr(leaf, "left")
         and not isinstance(leaf, type)
     )
-
-
-def has_tree_leaves(canonical):
-    """True when any argument leaf is runtime tree data."""
-    return any(_is_tree(leaf) for leaf in canonical.flat_leaves)
-
-
-def closes_over_params(fn):
-    """True when ``fn`` references lantern Params — through closure
-    cells, default arguments or module globals it names — directly or
-    one container deep.  Such functions must take the staged route: a
-    graph trace would bake the Params into Const nodes and training
-    would silently stop updating the compiled artifact."""
-    from ..lantern.ir import Param
-
-    candidates = list(getattr(fn, "__defaults__", None) or ())
-    for cell in getattr(fn, "__closure__", None) or ():
-        try:
-            candidates.append(cell.cell_contents)
-        except ValueError:  # empty cell
-            continue
-    code = getattr(fn, "__code__", None)
-    fn_globals = getattr(fn, "__globals__", None)
-    if code is not None and fn_globals is not None:
-        for name in code.co_names:
-            if name in fn_globals:
-                candidates.append(fn_globals[name])
-    for value in candidates:
-        if isinstance(value, Param):
-            return True
-        if isinstance(value, dict):
-            items = value.values()
-        elif isinstance(value, (list, tuple)):
-            items = value
-        else:
-            continue
-        if any(isinstance(item, Param) for item in items):
-            return True
-    return False
 
 
 def _function_ast(fn):
@@ -197,7 +156,7 @@ def choose_backend(fn, canonical, recursive=None):
       runtime tree arguments pick lantern; plain tensor traces pick the
       graph backend.
     """
-    if has_tree_leaves(canonical):
+    if any(_is_tree(leaf) for leaf in canonical.flat_leaves):
         return "lantern", "runtime tree arguments"
     if recursive is None:
         recursive = detect_self_recursion(fn)
@@ -209,11 +168,6 @@ def choose_backend(fn, canonical, recursive=None):
 # ---------------------------------------------------------------------------
 # Lantern signatures
 # ---------------------------------------------------------------------------
-
-
-def _scalar_spec(leaf):
-    return TensorSpec(
-        (), dtypes.int32 if isinstance(leaf, int) else dtypes.float32)
 
 
 def lanternize_signature(canonical):
@@ -243,7 +197,8 @@ def lanternize_signature(canonical):
             spec = "Tree"
             token = ("LT", "tree")
         elif isinstance(leaf, (int, float)) and not isinstance(leaf, bool):
-            spec = _scalar_spec(leaf)
+            spec = TensorSpec((), dtypes.int32 if isinstance(leaf, int)
+                              else dtypes.float32)
             token = ("T", spec)
         else:
             new_tokens.append(tokens[i])
@@ -271,15 +226,16 @@ def lanternize_signature(canonical):
 # ---------------------------------------------------------------------------
 
 
-def param_capture(param, name):
-    """``(capture, param)`` for a Param no Variable or tensor outside the
-    program feeds: a tensor capture over the Param's own storage, so
-    in-place training stays visible and a swap rebinds it like any other.
-    A ``TensorSpec`` stands in for the placeholder (only its dtype and
-    shape are ever read)."""
-    return ExternalCapture(
-        TensorSpec(param.value.shape, dtypes.float32), "tensor",
-        EagerTensor(param.value), name), param
+def param_capture(param, name, kind="tensor", source=None):
+    """``(capture, param)``: the capture feeding ``param`` before each
+    run — ``source`` (a closed-over ``Variable``, re-read, or eager
+    tensor), else the Param's own storage, so in-place training stays
+    visible and a swap rebinds it like any other.  A ``TensorSpec``
+    stands in for the placeholder (only its dtype and shape are read)."""
+    if source is None:
+        source = EagerTensor(param.value)
+    return ExternalCapture(TensorSpec(source.shape, source.dtype), kind,
+                           source, name), param
 
 
 class CompiledLantern(CompiledExecutable):
@@ -388,19 +344,30 @@ class CompiledLantern(CompiledExecutable):
 # ---------------------------------------------------------------------------
 
 
+def _ir_name(fn, taken):
+    """``fn``'s name as an IR function name: a Python identifier in the
+    generated source (``<lambda>`` and the like sanitized), not in
+    ``taken``."""
+    base = re.sub(r"\W", "_", getattr(fn, "__name__", "fn"))
+    if not base or base[0].isdigit():
+        base = f"fn_{base}"
+    name, i = base, 1
+    while name in taken:
+        name = f"{base}_{i}"
+        i += 1
+    return name
+
+
 class LanternConcreteFunction(Traced, CompiledLantern):
     """One signature of a ``repro.function`` compiled to the §8 backend:
     :class:`CompiledLantern` plus the traced half.
 
-    Two construction routes:
-
-    - **graph-lowered**: trace with AutoGraph into a ``FuncGraph``,
-      optimize, then translate the optimized graph to Lantern IR
-      (closed-over Variables / tensors become captures);
-    - **staged**: stage the callable directly with a ``Stager`` (needed
-      for recursion and runtime trees), promoting re-entrant helper
-      functions to IR functions as discovery finds them (the closure's
-      Params become captures over their own storage).
+    The callable is staged with a ``Stager`` (converted with AutoGraph
+    unless ``autograph=False``), promoting re-entrant helper functions
+    to IR functions as discovery finds them.  The program's Params are
+    its captures: a Param the function reaches by any path is read live,
+    and closed-over Variables and eager tensors stage as Params over
+    their storage (constants with ``freeze_captures``).
     """
 
     prepare = staticmethod(lanternize_signature)
@@ -415,67 +382,62 @@ class LanternConcreteFunction(Traced, CompiledLantern):
                 "use backend='graph'"
             )
         self._init_traced(python_function, canonical)
-        self.name = name  # the routes below name the function in errors
-        # The IR function name becomes a Python identifier in the
-        # generated source; sanitize <lambda> and the like.
-        raw = getattr(python_function, "__name__", "fn")
-        fn_name = re.sub(r"\W", "_", raw)
-        if not fn_name or fn_name[0].isdigit():
-            fn_name = f"fn_{fn_name}"
-        self._fn_name = fn_name
-
-        if ("Tree" in canonical.specs
-                or detect_self_recursion(python_function)
-                or closes_over_params(python_function)):
-            # freeze_captures does not apply here: the staged route's
-            # closed-over state carriers are lantern Params, which are
-            # runtime storage by construction.
-            self.route = "staged"
-            parts = self._build_staged()
-        else:
-            self.route = "graph-lowered"
-            parts = self._build_graph_lowered(autograph, freeze_captures)
-        output_template, output_structure, program, capture_params = parts
+        self.name = name  # staging names the function in errors
+        self._fn_name = _ir_name(python_function, ())
+        output_template, output_structure, program, capture_params = (
+            self._stage(convert_for_trace(python_function, autograph),
+                        freeze_captures))
         super().__init__(name, canonical.specs, output_template,
-                         output_structure, program, fn_name, capture_params,
-                         with_grad=True)
+                         output_structure, program, self._fn_name,
+                         capture_params, with_grad=True)
 
     # -- construction ------------------------------------------------------
-    # Each route returns ``(output_template, output_structure, program,
-    # capture_params)``.
 
     def _staged_params_and_leaves(self, stager):
         staged_params = []
         call_leaves = list(self._canonical.flat_leaves)
         for i, spec in zip(self._canonical.tensor_indices,
                            self._canonical.specs):
-            param = stager.staged_arg(
-                "tree" if spec == "Tree" else "tensor",
-                f"a_{self._fn_name}_")
+            if spec == "Tree":
+                param = stager.staged_arg("tree", f"a_{self._fn_name}_")
+            elif spec.dtype == dtypes.bool_:
+                raise LanternLoweringError(
+                    f"{self._fn_name!r} takes a boolean argument ({spec}); "
+                    "Lantern computes in float32, which has no booleans",
+                    reason="boolean")
+            else:
+                param = stager.staged_arg(
+                    "tensor", f"a_{self._fn_name}_", spec.shape)
             staged_params.append(param)
             call_leaves[i] = param
         return staged_params, call_leaves
 
-    def _helper_ir_name(self, target, helpers):
-        """A unique, identifier-safe IR name for a promoted helper."""
-        base = re.sub(r"\W", "_", getattr(target, "__name__", "helper"))
-        if not base or base[0].isdigit():
-            base = f"fn_{base}"
-        taken = {h["ir_name"] for h in helpers.values()} | {self._fn_name}
-        name, i = base, 1
-        while name in taken:
-            name = f"{base}_{i}"
-            i += 1
-        return name
-
-    def _build_staged(self):
-        fn = self._python_function
-        n_outputs = infer_n_outputs(fn)
+    def _stage(self, fn, freeze_captures):
+        """``(output_template, output_structure, program,
+        capture_params)`` of ``fn`` (the callable to trace, converted or
+        not) staged on this signature."""
+        n_outputs = infer_n_outputs(self._python_function)
         # Promoted re-entrant helpers, keyed by the function *object*
         # (two same-named closures must not collide).
         helpers = {}
+        template = structure = None
+
+        def outputs(result):
+            nonlocal template, structure
+            template, values = classify_outputs(result, lambda leaf: (
+                leaf if isinstance(leaf, (StagedValue, EagerTensor, Variable))
+                else None))
+            if not values:
+                raise LanternLoweringError(
+                    f"{self._fn_name!r} returns no tensors (constant-only "
+                    "outputs); there is nothing to compile for the "
+                    "Lantern backend — use backend='graph'",
+                    reason="constant outputs")
+            structure = nest.pack_sequence_as(result, [None] * len(template))
+            return values
+
         for _ in range(_MAX_STAGING_ATTEMPTS):
-            stager = Stager()
+            stager = Stager(freeze_captures=freeze_captures)
             try:
                 with stager.active():
                     # Declare every known helper before tracing any body:
@@ -490,15 +452,17 @@ class LanternConcreteFunction(Traced, CompiledLantern):
                         self._staged_params_and_leaves(stager)
                     call_args, call_kwargs = nest.pack_sequence_as(
                         self._canonical.structure, call_leaves)
-                    fdef = stager.stage_function(
+                    stager.stage_function(
                         fn, staged_params, list(call_args), call_kwargs,
-                        n_outputs=n_outputs, name=self._fn_name)
+                        n_outputs=n_outputs, name=self._fn_name,
+                        outputs=outputs)
             except ReentrantStagingError as e:
                 if e.target not in helpers:
                     helpers[e.target] = {
                         "kinds": e.arg_kinds,
                         "n_outputs": infer_n_outputs(e.target),
-                        "ir_name": self._helper_ir_name(e.target, helpers),
+                        "ir_name": _ir_name(e.target, {self._fn_name} | {
+                            h["ir_name"] for h in helpers.values()}),
                     }
                 continue
             except StagedArityError as e:
@@ -510,69 +474,18 @@ class LanternConcreteFunction(Traced, CompiledLantern):
                     n_outputs = e.actual
                 continue
             program = stager.program
-            return (
-                [("t", i) for i in range(fdef.n_outputs)],
-                tuple([None] * fdef.n_outputs) if fdef.n_outputs > 1
-                else None,
-                program,
-                [param_capture(p, name)
-                 for name, p in program.params.items()])
+            captured = {p.name: (kind, source)
+                        for source, kind, p in stager.captures.values()}
+            return template, structure, program, [
+                param_capture(p, name, *captured.get(name, ("tensor", None)))
+                for name, p in program.params.items()]
         raise LanternLoweringError(
             f"Staging {self._fn_name!r} to Lantern did not converge after "
             f"{_MAX_STAGING_ATTEMPTS} attempts (re-entrant helper or "
             "output-arity discovery loop)"
         )
 
-    def _build_graph_lowered(self, autograph, freeze_captures):
-        fn = self._python_function
-        fg, placeholders, result = trace_func_graph(
-            fn, self._canonical, self.name, autograph=autograph,
-            freeze_captures=freeze_captures)
-        if fg.get_collection("variables"):
-            raise LanternLoweringError(
-                f"{self._fn_name!r} creates Variables; the Lantern backend "
-                "has no variable state — use Params or backend='graph'"
-            )
-        stateful = [op.name for op in fg.ops if op.op_def.stateful]
-        if stateful:
-            raise LanternLoweringError(
-                f"{self._fn_name!r} stages stateful ops {stateful}; the "
-                "Lantern backend is purely functional — use backend='graph'"
-            )
-        output_template, tensor_outs = classify_outputs(
-            fg, result, self.name)
-        if not tensor_outs:
-            raise LanternLoweringError(
-                f"{self._fn_name!r} returns no tensors (constant-only "
-                "outputs); there is nothing to compile for the Lantern "
-                "backend — use backend='graph'"
-            )
-        captures = list(fg.external_captures)
-        capture_phs = [c.placeholder for c in captures]
-        anchors = tensor_outs + placeholders + capture_phs
-        opt_graph, fmap = optimize_graph(fg, anchors)
-        remap = fmap.__getitem__
-        self.optimized_graph = opt_graph
-        program, fdef, capture_params = lower_graph(
-            opt_graph,
-            [remap(ph) for ph in placeholders],
-            [remap(t) for t in tensor_outs],
-            name=self._fn_name,
-            captures=[
-                (remap(c.placeholder), c.name, c.resolve())
-                for c in captures
-            ],
-        )
-        return (output_template, result, program,
-                [(c, capture_params[c.name]) for c in captures
-                 if c.name in capture_params])
-
     # -- introspection -----------------------------------------------------
-
-    @property
-    def compiled_program(self):
-        """The executable lantern artifact (``.source`` is inspectable)."""
-        return self._compiled
 
     @property
     def source(self):
@@ -650,8 +563,9 @@ class LanternConcreteFunction(Traced, CompiledLantern):
         return grad_fn
 
     def __repr__(self):
-        return (f"<LanternConcreteFunction {self.name!r} route={self.route} "
-                f"functions={list(self.program.functions)}>")
+        return (f"<LanternConcreteFunction {self.name!r} "
+                f"functions={list(self.program.functions)} "
+                f"captures={[c.name for c in self._captures]}>")
 
 
 CompiledLantern.call_flat.__ag_do_not_convert__ = True

@@ -19,12 +19,7 @@ from .ir import (
     StagedTree,
     StagedValue,
 )
-from .lowering import (
-    GRAPH_TO_LANTERN,
-    LanternLoweringError,
-    lower_graph,
-    lower_op_call,
-)
+from .lowering import LanternLoweringError, lower_op_call
 from .models import LanternTreeLSTM, stage_tree_prod, tree_prod
 from .serialize import (
     LanternSerializationError,
@@ -55,9 +50,7 @@ __all__ = [
     "format_sexpr",
     "parse_sexpr",
     "ops",
-    "GRAPH_TO_LANTERN",
     "LanternLoweringError",
-    "lower_graph",
     "lower_op_call",
     "ReentrantStagingError",
     "StagedArityError",

@@ -16,6 +16,7 @@ where ``out(s)``/``args`` are symbol-name strings.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "StagedTensor",
     "StagedBool",
     "StagedTree",
+    "RefusedValue",
     "Block",
     "FunctionDef",
     "Program",
@@ -179,13 +181,20 @@ class Param:
 
 
 class StagedValue:
-    """Base class for values flowing through tracing."""
+    """Base class for values flowing through tracing; ``shape`` is the
+    static shape where known (from a spec, a constant or the framework
+    op that made it), else None."""
 
-    __slots__ = ("sym", "builder")
+    __slots__ = ("sym", "builder", "shape")
 
-    def __init__(self, sym, builder):
+    # NumPy operands defer to our reflected operators instead of
+    # broadcasting over the staged value as an object array.
+    __array_ufunc__ = None
+
+    def __init__(self, sym, builder, shape=None):
         self.sym = sym
         self.builder = builder
+        self.shape = shape
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.sym}>"
@@ -236,6 +245,43 @@ class StagedTensor(StagedValue):
 
     def __matmul__(self, other):
         return self._emit_binary("matmul", other)
+
+    # The IR has no comparisons or indexing: these reach the framework
+    # op's lowering, which refuses them by name.
+
+    def _framework_op(self, op_type, *operands, **attrs):
+        from .lowering import lower_op_call
+
+        return lower_op_call(self.builder, op_type, [self, *operands], attrs)
+
+    __lt__ = functools.partialmethod(_framework_op, "Less")
+    __le__ = functools.partialmethod(_framework_op, "LessEqual")
+    __gt__ = functools.partialmethod(_framework_op, "Greater")
+    __ge__ = functools.partialmethod(_framework_op, "GreaterEqual")
+
+    def __getitem__(self, index):
+        return self._framework_op("GetItem", index=index)
+
+
+class RefusedValue(StagedTensor):
+    """What an op the IR cannot express yields: no instruction, only the
+    refusal, which ops on it pass on and a live use (a result, a branch
+    condition, a call argument) raises — so an unused op is dropped, as
+    a graph trace prunes it."""
+
+    __slots__ = ("error",)
+
+    def __init__(self, error, builder):
+        super().__init__(None, builder)
+        self.error = error
+
+
+def live(value):
+    """``value``, unless it is a :class:`RefusedValue`: then its refusal
+    is raised."""
+    if isinstance(value, RefusedValue):
+        raise value.error
+    return value
 
 
 class StagedBool(StagedValue):
@@ -355,6 +401,10 @@ class Program:
 class Builder:
     """Emits instructions into a stack of blocks during tracing."""
 
+    #: ``fn(value)`` staging an eager tensor or Variable (a Param
+    #: capture or a constant), else None; the ``Stager`` sets it.
+    external = None
+
     def __init__(self, program):
         self.program = program
         self._counter = 0
@@ -387,6 +437,10 @@ class Builder:
             return self.emit_param(value)
         if isinstance(value, (int, float, np.ndarray, np.generic)):
             return self.emit_const(value)
+        if self.external is not None:
+            staged = self.external(value)
+            if staged is not None:
+                return staged
         # AutoGraph models a branch that never assigns/returns a symbol
         # as an Undefined sentinel; surface the fix instead of the type.
         if any(k.__name__ == "Undefined" for k in type(value).__mro__):
@@ -402,6 +456,9 @@ class Builder:
         if op_name not in OPS:
             raise ValueError(f"Unknown Lantern op {op_name!r}")
         arg_vals = [self.as_staged(a) for a in args]
+        for a in arg_vals:
+            if isinstance(a, RefusedValue):
+                return a
         out = self.fresh()
         self.current_block.instructions.append(
             ("op", out, op_name, [a.sym for a in arg_vals])
@@ -410,13 +467,14 @@ class Builder:
 
     def emit_const(self, value):
         out = self.fresh("c")
-        if np.isscalar(value) and not np.isfinite(value):
-            # No literal spells nan / inf: they travel as arrays do.
-            value = np.asarray(value, dtype=np.float32)
-        self.program.consts[out] = np.asarray(value, dtype=np.float32) \
-            if not np.isscalar(value) else value
+        # No literal spells nan / inf: they travel as arrays do.  An
+        # array is copied, so the caller writing into it later does not
+        # reach the program.
+        if not np.isscalar(value) or not np.isfinite(value):
+            value = np.array(value, dtype=np.float32)
+        self.program.consts[out] = value
         self.current_block.instructions.append(("const", out, value))
-        return StagedTensor(out, self)
+        return StagedTensor(out, self, np.shape(value))
 
     def emit_param(self, param):
         existing = self.program.params.setdefault(param.name, param)
@@ -427,7 +485,7 @@ class Builder:
             )
         out = self.fresh("p")
         self.current_block.instructions.append(("param", out, param.name))
-        return StagedTensor(out, self)
+        return StagedTensor(out, self, param.value.shape)
 
     def emit_field(self, obj, field, kind):
         out = self.fresh("f")
@@ -439,8 +497,7 @@ class Builder:
         return StagedTensor(out, self)
 
     def emit_call(self, fn_name, args, n_outputs):
-        arg_vals = [a if isinstance(a, StagedValue) else self.as_staged(a)
-                    for a in args]
+        arg_vals = [live(self.as_staged(a)) for a in args]
         outs = [self.fresh("r") for _ in range(n_outputs)]
         self.current_block.instructions.append(
             ("call", outs, fn_name, [a.sym for a in arg_vals])
@@ -450,6 +507,7 @@ class Builder:
 
     def emit_if(self, cond, then_fn, else_fn, n_outputs):
         """Trace both branches into sub-blocks; returns output tensors."""
+        live(cond)
         then_block = Block()
         self.push_block(then_block)
         try:
@@ -481,4 +539,4 @@ class Builder:
 def _as_value_tuple(builder, values):
     if not isinstance(values, tuple):
         values = (values,)
-    return tuple(builder.as_staged(v) for v in values)
+    return tuple(live(builder.as_staged(v)) for v in values)

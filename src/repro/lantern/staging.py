@@ -9,13 +9,19 @@ trace of a recursive function.
 
 The Stager is also the AutoGraph *backend* object (a ``StagingBackend``
 registered while it is active): staged booleans route ``if`` statements
-into ``emit_if``, demonstrating the backend-agnostic SCT front-end.
+(and framework ``ops.cond``) into ``emit_if``, and framework ops on
+staged values emit IR instructions — the backend-agnostic SCT front-end.
 """
 
 from __future__ import annotations
 
 import contextlib
 
+import numpy as np
+
+from repro.framework import context
+from repro.framework.eager.tensor import EagerTensor
+from repro.framework.graph import variables as variables_lib
 from repro.framework.ops.dispatch import (
     NOT_HANDLED,
     StagingBackend,
@@ -23,7 +29,10 @@ from repro.framework.ops.dispatch import (
     unregister_backend,
 )
 
-from .ir import Builder, FunctionDef, Program, StagedBool, StagedTensor, StagedTree, StagedValue
+from .ir import (
+    Builder, FunctionDef, Param, Program, StagedBool, StagedTensor,
+    StagedTree, StagedValue, live)
+from .lowering import LanternLoweringError, lower_op_call, op_def_or_none
 
 __all__ = ["Stager", "StagedArityError", "ReentrantStagingError"]
 
@@ -65,6 +74,13 @@ class ReentrantStagingError(RuntimeError):
         self.arg_kinds = arg_kinds
 
 
+def _original(fn):
+    """The user's function behind ``fn`` (its AutoGraph conversion, or an
+    ``@convert`` wrapper): what staged functions are keyed by."""
+    return (getattr(fn, "__wrapped_original__", None)
+            or getattr(fn, "__ag_original__", None) or fn)
+
+
 def _staged_kind(value):
     if isinstance(value, StagedTree):
         return "tree"
@@ -76,17 +92,34 @@ def _staged_kind(value):
 
 
 class Stager(StagingBackend):
-    """Builds a Lantern :class:`Program` by tracing converted functions.
+    """Builds a Lantern :class:`Program` by tracing converted functions;
+    every ``backend="lantern"`` signature of ``repro.function`` is staged
+    by one.  While it is active, framework ops on staged values emit IR
+    (ops on concrete values run eagerly: trace-time constants), outside
+    state is captured (:meth:`capture`), and what the IR cannot hold —
+    stateful ops, Variables created in the trace, boolean operands — is
+    refused with a :class:`LanternLoweringError`.
 
-    Loops are not staged (the protocol's ``StagingError``): Lantern's
-    distinguishing capability is recursion (§8), so a loop over staged
-    values is written as a recursive function."""
+    Loops are not staged (the protocol's ``UnstagedConstructError``):
+    Lantern's distinguishing capability is recursion (§8), so a loop
+    over staged values is written as a recursive function."""
 
     name = "Lantern"
 
-    def __init__(self):
+    def __init__(self, freeze_captures=False):
         self.program = Program()
         self.builder = Builder(self.program)
+        self.builder.external = self.capture
+        self.freeze_captures = freeze_captures
+        # Closed-over state staged as Params, by source identity:
+        # id(source) -> (source, kind, Param named as the capture).
+        self.captures = {}
+        # Eager tensors numbered from here on are made by the trace
+        # itself (constants), not closed over; Variables counted from
+        # here on are created in it (refused).  Both counters are
+        # process-wide: one made on another thread mid-trace counts too.
+        self._first_traced_tensor = EagerTensor._next_id
+        self._variables_before = variables_lib._VAR_COUNTER[0]
         # original python function -> FunctionDef (for recursion).
         self._staged_functions = {}
         # Re-entrancy discovery: inline-call entry counts per target.
@@ -105,9 +138,9 @@ class Stager(StagingBackend):
         return self.builder.emit_if(cond, body, orelse, len(symbol_names))
 
     def not_(self, value):
-        # Staged boolean negation: model as 1 - b via a dedicated emit; we
-        # reuse the 'sub' op on the boolean symbol (compiler lowers bools
-        # to Python bools, where (not b) is emitted directly).
+        # Staged boolean negation: the compiler lowers bools to Python
+        # bools, where (not b) is emitted directly.
+        live(value)
         out = self.builder.fresh("nb")
         self.builder.current_block.instructions.append(
             ("op", out, "not", [value.sym])
@@ -118,9 +151,7 @@ class Stager(StagingBackend):
         """converted_call hook: emit IR calls for staged functions."""
         if kwargs:
             return NOT_HANDLED
-        target = getattr(f, "__wrapped_original__", None) or getattr(
-            f, "__ag_original__", None
-        ) or f
+        target = _original(f)
         fdef = self._staged_functions.get(target)
         if fdef is None:
             self._note_inline_call(target, args)
@@ -165,13 +196,57 @@ class Stager(StagingBackend):
 
         Lets functions written against the *framework* op API (the graph
         backend's surface) stage into the Lantern IR unchanged — the §8
-        backend-agnostic front-end claim at the op level.
+        backend-agnostic front-end claim at the op level.  A stateful op
+        is refused whether or not it reads a staged value: run at trace
+        time, its effect would happen once instead of per call.
         """
-        if not any(self.matches(v) for v in inputs):
+        staged = any(self.matches(v) for v in inputs)
+        if staged or context.executing_eagerly():
+            op_def = op_def_or_none(op_type)
+            if op_def is not None and op_def.stateful:
+                raise LanternLoweringError(
+                    f"stateful op {op_type!r}: the Lantern backend is "
+                    "purely functional — use backend='graph'",
+                    op_name=op_type, reason="stateful op")
+        if not staged:
             return NOT_HANDLED
-        from .lowering import lower_op_call
-
         return lower_op_call(self.builder, op_type, inputs, attrs)
+
+    def capture(self, value):
+        """Stage a concrete value from outside the IR, or return None.
+
+        A ``Variable`` (or its current eager read) and an eager tensor
+        made before this Stager are *captures*: a read of a Param over
+        the value's storage, one per source, named as a graph trace
+        names its captures (the variable's name, ``capture_<i>``); with
+        ``freeze_captures`` they are constants instead.  An eager tensor
+        the trace made is a constant.
+        """
+        if (isinstance(value, variables_lib.VariableRead)
+                and value.numpy() is value.variable.numpy()):
+            value = value.variable
+        if isinstance(value, variables_lib.Variable):
+            kind, array = "variable", value.numpy()
+        elif isinstance(value, EagerTensor):
+            kind, array = "tensor", value.numpy()
+        else:
+            return None
+        if array.dtype == np.bool_:
+            raise LanternLoweringError(
+                f"{value!r} is boolean; Lantern computes in float32, which "
+                "has no booleans", reason="boolean")
+        if (self.freeze_captures or (
+                kind == "tensor" and value.id >= self._first_traced_tensor)):
+            return self.builder.emit_const(array)
+        if id(value) not in self.captures:
+            taken = {p.name for _, _, p in self.captures.values()}
+            name = value.name if kind == "variable" else None
+            i = len(self.captures)
+            while name is None or name in taken:
+                name = f"{value.name if kind == 'variable' else 'capture'}_{i}"
+                i += 1
+            self.captures[id(value)] = (value, kind, Param(name, array))
+        return self.builder.emit_param(self.captures[id(value)][2])
 
     @contextlib.contextmanager
     def active(self):
@@ -188,14 +263,15 @@ class Stager(StagingBackend):
     # Staged definition (paper's __def_staged / __call_staged)
     # ------------------------------------------------------------------
 
-    def staged_arg(self, kind, name):
-        """A staged function parameter of the given kind."""
+    def staged_arg(self, kind, name, shape=None):
+        """A staged function parameter of the given kind (and, for a
+        tensor, static shape)."""
         sym = self.builder.fresh(name)
         if kind == "tree":
             return StagedTree(sym, self.builder)
         if kind == "bool":
             return StagedBool(sym, self.builder)
-        return StagedTensor(sym, self.builder)
+        return StagedTensor(sym, self.builder, shape)
 
     def def_staged(self, fn, arg_kinds, n_outputs=1, name=None):
         """Stage ``fn`` (to be AutoGraph-converted) into the program.
@@ -210,13 +286,9 @@ class Stager(StagingBackend):
           The FunctionDef.  Recursive calls inside ``fn`` (and calls from
           later-staged functions) emit IR ``call`` instructions.
         """
-        target = getattr(fn, "__ag_original__", None) or fn
-        if target in self._staged_functions:
-            return self._staged_functions[target]
-        fn_name = name or target.__name__
-        params = [self.staged_arg(kind, f"a_{fn_name}_") for kind in arg_kinds]
-        return self.stage_function(fn, params, list(params),
-                                   n_outputs=n_outputs, name=name)
+        fdef = self.declare_staged(fn, arg_kinds, n_outputs, name)
+        self.trace_declared()
+        return fdef
 
     def declare_staged(self, fn, arg_kinds, n_outputs=1, name=None):
         """Register ``fn``'s FunctionDef without tracing its body yet.
@@ -226,16 +298,12 @@ class Stager(StagingBackend):
         traced (:meth:`trace_declared`) — tracing one would otherwise
         inline the not-yet-registered others forever.
         """
-        target = getattr(fn, "__ag_original__", None) or fn
+        target = _original(fn)
         if target in self._staged_functions:
             return self._staged_functions[target]
         fn_name = name or target.__name__
         params = [self.staged_arg(kind, f"a_{fn_name}_") for kind in arg_kinds]
-        fdef = FunctionDef(
-            fn_name, [p.sym for p in params], list(arg_kinds), n_outputs
-        )
-        self._staged_functions[target] = fdef
-        self.program.functions[fn_name] = fdef
+        fdef = self._register(target, fn_name, params, n_outputs)
         self._pending_traces[target] = (fdef, params)
         return fdef
 
@@ -246,66 +314,64 @@ class Stager(StagingBackend):
         while self._pending_traces:
             target, (fdef, params) = next(iter(self._pending_traces.items()))
             del self._pending_traces[target]
-            converted = ag.to_graph(target)
-            self.builder.push_block(fdef.block)
-            try:
-                result = converted(*params)
-            finally:
-                self.builder.pop_block()
-            self._finish_staged(fdef, result)
+            self._trace(fdef, ag.to_graph(target), params)
 
     def stage_function(self, fn, staged_params, call_args, call_kwargs=None,
-                       n_outputs=1, name=None):
+                       n_outputs=1, name=None, outputs=None):
         """Stage ``fn`` with explicit parameters and call arguments.
 
         The general form of :meth:`def_staged`: ``staged_params`` become
         the IR function's parameters while ``call_args``/``call_kwargs``
-        are what the converted function is actually traced with — staged
-        params interleaved with concrete Python values (which specialize
-        the trace, like graph-backend constants).
+        are what ``fn`` (AutoGraph-converted or not, as the caller
+        chose) is actually traced with — staged params interleaved with
+        concrete Python values (which specialize the trace, like
+        graph-backend constants).  ``outputs(result)``, if given, picks
+        the values the IR function returns out of what ``fn`` returned
+        (by default: the result itself, a tuple or one value).
 
         Raises:
           StagedArityError: ``fn`` returned a different number of values
             than ``n_outputs`` declared (re-stage with ``.actual``).
         """
-        import repro.autograph as ag
+        target = _original(fn)
+        # Registered *before* tracing so recursive calls are intercepted.
+        fdef = self._register(target, name or target.__name__,
+                              staged_params, n_outputs)
+        return self._trace(fdef, fn, call_args, call_kwargs, outputs)
 
-        target = getattr(fn, "__ag_original__", None) or fn
-        fn_name = name or target.__name__
-        fdef = FunctionDef(
-            fn_name, [p.sym for p in staged_params],
-            [_staged_kind(p) for p in staged_params], n_outputs
-        )
-        # Register *before* tracing so recursive calls are intercepted.
+    def _register(self, target, fn_name, params, n_outputs):
+        fdef = FunctionDef(fn_name, [p.sym for p in params],
+                           [_staged_kind(p) for p in params], n_outputs)
         self._staged_functions[target] = fdef
         self.program.functions[fn_name] = fdef
+        return fdef
 
-        converted = ag.to_graph(target)
+    def _trace(self, fdef, fn, args, kwargs=None, outputs=None):
+        """Trace ``fn(*args, **kwargs)`` into ``fdef``'s body."""
         self.builder.push_block(fdef.block)
         try:
-            result = converted(*call_args, **(call_kwargs or {}))
+            result = fn(*args, **(kwargs or {}))
         finally:
             self.builder.pop_block()
+        if outputs is not None:
+            result = tuple(outputs(result))
         return self._finish_staged(fdef, result)
 
     def _finish_staged(self, fdef, result):
         """Arity-check a traced body's return value and wire the results."""
+        if variables_lib._VAR_COUNTER[0] != self._variables_before:
+            raise LanternLoweringError(
+                f"{fdef.name!r} creates Variables; the Lantern backend has "
+                "no variable state — use Params or backend='graph'",
+                reason="creates variables")
         if not isinstance(result, tuple):
             result = (result,)
         if len(result) != fdef.n_outputs:
             raise StagedArityError(fdef.name, fdef.n_outputs, len(result))
-        staged_results = [self.builder.as_staged(_enter_block(self, fdef, r))
-                          for r in result]
+        staged_results = [live(self.builder.as_staged(
+            _enter_block(self, fdef, r))) for r in result]
         fdef.block.result_syms = tuple(v.sym for v in staged_results)
         return fdef
-
-    def call_staged(self, fn, *args):
-        """Emit a call to a previously staged function (``__call_staged``)."""
-        target = getattr(fn, "__ag_original__", None) or fn
-        fdef = self._staged_functions.get(target)
-        if fdef is None:
-            raise KeyError(f"{fn!r} has not been staged with def_staged")
-        return self.builder.emit_call(fdef.name, list(args), fdef.n_outputs)
 
 
 def _enter_block(stager, fdef, value):

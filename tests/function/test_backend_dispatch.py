@@ -12,7 +12,11 @@ import repro
 from repro import lantern
 from repro.datasets.treebank import EMPTY, Tree
 from repro.framework import GradientTape, ops
-from repro.framework.errors import ExecutionError, StagingError
+from repro.framework.errors import (
+    ExecutionError,
+    StagingError,
+    UnstagedConstructError,
+)
 from repro.function.lowering import (
     LanternConcreteFunction,
     choose_backend,
@@ -152,7 +156,6 @@ class TestLanternRecursive:
         rng = np.random.default_rng(4)
         tp = repro.function(tree_prod, backend="lantern")
         cf = tp.get_concrete_function(1.0, _full_tree(2, rng))
-        assert cf.route == "staged"
         assert "(call tree_prod" in cf.program.to_string()
 
     def test_call_with_grad_without_tape(self):
@@ -196,7 +199,7 @@ class TestAutoDispatch:
         assert "[lantern]" in tp.pretty_cache()
 
 
-class TestGraphLoweredRoute:
+class TestTensorFunctions:
     def test_matches_graph_backend(self):
         def model(x, w):
             return ops.tanh(ops.matmul(x, w))
@@ -208,7 +211,12 @@ class TestGraphLoweredRoute:
         flan = repro.function(model, backend="lantern")
         via_lantern = flan(x, w)
         assert np.allclose(via_graph.numpy(), via_lantern.numpy(), atol=1e-6)
-        assert flan.get_concrete_function(x, w).route == "graph-lowered"
+        # One IR function, no captures: the closure holds nothing.
+        cf = flan.get_concrete_function(x, w)
+        assert list(cf.program.functions) == ["model"]
+        assert cf.captures == []
+        flan(x, w)
+        assert flan.trace_count == 1
 
     def test_gradient_matches_graph_backend(self):
         def model(x, w):
@@ -251,7 +259,7 @@ class TestGraphLoweredRoute:
 
 
 class TestDispatchErrors:
-    def test_unsupported_op_raises_execution_error(self):
+    def test_autograph_while_is_a_typed_refusal(self):
         @repro.function(backend="lantern")
         def loopy(x, n):
             i = np.int32(0)
@@ -260,8 +268,29 @@ class TestDispatchErrors:
                 i = i + 1
             return x
 
-        with pytest.raises(ExecutionError, match="Lantern"):
+        with pytest.raises(UnstagedConstructError,
+                           match="while: the Lantern backend") as info:
             loopy(np.float32(2.0), np.int32(3))
+        assert (info.value.construct, info.value.backend) == (
+            "while", "Lantern")
+
+    def test_framework_while_loop_is_a_typed_refusal(self):
+        # Over a staged loop variable, and over a condition that only
+        # closes over a staged value.
+        def over_variable(x):
+            return ops.while_loop(lambda i, v: i < 3,
+                                  lambda i, v: (i + 1, ops.tanh(v)),
+                                  (np.int32(0), x))[1]
+
+        def over_condition(n):
+            return ops.while_loop(lambda i: i < n, lambda i: i + 1,
+                                  (np.int32(0),))[0]
+
+        for fn in (over_variable, over_condition):
+            f = repro.function(fn, backend="lantern", autograph=False)
+            with pytest.raises(UnstagedConstructError,
+                               match="while: the Lantern backend"):
+                f(np.float32(2.0))
 
     def test_unmapped_pure_op_raises_execution_error(self):
         @repro.function(backend="lantern")
@@ -346,9 +375,8 @@ class TestParamGradients:
         # must not zero the shared gradient slots between records).
         assert np.isclose(cf.params["w_acc"].grad, 8.0)
 
-    def test_param_referencing_fn_takes_staged_route(self):
-        # A graph trace would bake the Param into a Const and training
-        # would silently stop working; dispatch must stage instead.
+    def test_param_referencing_fn_trains_its_param(self):
+        # A Param is read live, never baked: training reaches it.
         from repro.lantern.ir import Param
 
         w = Param("w_routed", np.asarray(1.5, np.float32))
@@ -358,10 +386,165 @@ class TestParamGradients:
 
         f = repro.function(affine, backend="lantern")
         cf = f.get_concrete_function(np.float32(4.0))
-        assert cf.route == "staged"
         assert "w_routed" in cf.params
         cf.call_with_grad(np.float32(4.0))
         assert np.isclose(cf.params["w_routed"].grad, 4.0)
+
+    def test_param_named_only_by_a_nested_helper_is_live(self):
+        # Neither function's own closure holds the Param: the helper
+        # names it and only a nested lambda names the helper.  It must
+        # still be read live, not baked as the 2.0 it held at staging.
+        from repro.lantern.ir import Param
+
+        w = Param("w_nested", np.asarray(2.0, np.float32))
+
+        def scale(x):
+            return x * w
+
+        def model(x):
+            apply = lambda v: scale(v)  # noqa: E731
+            return lt.sum_(apply(x))
+
+        f = repro.function(model, backend="lantern")
+        x = np.float32(3.0)
+        cf = f.get_concrete_function(x)
+        assert list(cf.params) == ["w_nested"]
+        assert np.isclose(float(f(x).numpy()), 6.0)
+        w.value[...] = 5.0
+        assert np.isclose(float(f(x).numpy()), 15.0)
+        cf.call_with_grad(x)
+        assert np.isclose(w.grad, 3.0)  # d(x * w)/dw = x
+        assert f.trace_count == 1
+
+
+class TestClosedOverState:
+    def test_eager_tensor_capture_is_runtime_input(self):
+        k = ops.constant(np.array([4.0], np.float32))
+
+        @repro.function(backend="lantern")
+        def f(x):
+            return x + k
+
+        x = np.ones(1, np.float32)
+        cf = f.get_concrete_function(x)
+        assert [(c.kind, c.name) for c in cf.captures] == [
+            ("tensor", "capture_0")]
+        np.testing.assert_allclose(f(x).numpy(), [5.0])
+        k.numpy()[...] = 10.0
+        np.testing.assert_allclose(f(x).numpy(), [11.0])
+        cf.set_capture_values({"capture_0": np.array([1.0], np.float32)})
+        np.testing.assert_allclose(f(x).numpy(), [2.0])
+        assert f.trace_count == 1
+
+    def test_frozen_eager_tensor_is_a_constant(self):
+        k = ops.constant(np.array([4.0], np.float32))
+
+        @repro.function(backend="lantern", freeze_captures=True)
+        def f(x):
+            return x + k
+
+        x = np.ones(1, np.float32)
+        assert f.get_concrete_function(x).captures == []
+        k.numpy()[...] = 10.0
+        np.testing.assert_allclose(f(x).numpy(), [5.0])
+
+    def test_tensors_the_trace_makes_are_constants(self):
+        @repro.function(backend="lantern")
+        def f(x):
+            return ops.multiply(x, ops.exp(ops.constant(np.float32(0.0))))
+
+        x = np.full(2, 3.0, np.float32)
+        np.testing.assert_allclose(f(x).numpy(), x)
+        assert f.get_concrete_function(x).captures == []
+
+    def test_a_closed_over_array_is_baked_as_a_copy(self):
+        # As on the graph backend: writing into the array after the
+        # trace does not reach the compiled program.
+        w = np.full((2,), 2.0, np.float32)
+
+        @repro.function(backend="lantern")
+        def f(x):
+            return ops.multiply(x, w)
+
+        x = np.ones(2, np.float32)
+        f(x)
+        w[...] = 5.0
+        np.testing.assert_allclose(f(x).numpy(), [2.0, 2.0])
+
+    def test_stale_variable_read_is_a_snapshot(self):
+        from repro.framework.graph.variables import Variable
+
+        v = Variable(np.array([2.0], np.float32), name="lantern_stale_v")
+        old = v.value()
+        v.assign(np.array([3.0], np.float32))
+
+        @repro.function(backend="lantern")
+        def f(x):
+            return x * old + v.value()
+
+        cf = f.get_concrete_function(np.ones(1, np.float32))
+        assert sorted(c.kind for c in cf.captures) == ["tensor", "variable"]
+        np.testing.assert_allclose(f(np.ones(1, np.float32)).numpy(), [5.0])
+
+
+class TestOutputsAndControlFlow:
+    def test_nested_outputs_with_constant_leaves(self):
+        @repro.function(backend="lantern")
+        def f(x):
+            return {"y": ops.tanh(x), "meta": ("tag", 3)}, ops.square(x)
+
+        x = np.array([0.5, -1.0], np.float32)
+        (d, sq) = f(x)
+        np.testing.assert_allclose(d["y"].numpy(), np.tanh(x), rtol=1e-6)
+        assert d["meta"] == ("tag", 3)
+        np.testing.assert_allclose(sq.numpy(), x * x)
+        assert f.get_concrete_function(x)._output_template == [
+            ("c", "tag"), ("c", 3), ("t", 0), ("t", 1)]
+
+    def test_framework_cond_on_a_staged_predicate_stages_an_if(self):
+        def leaf_or_sum(base, tree):
+            return ops.cond(tree.is_empty, lambda: (base, base),
+                            lambda: (tree.value, base * tree.value))
+
+        leaf = Tree(value=2.0)
+        leaf.left = EMPTY
+        leaf.right = EMPTY
+        f = repro.function(leaf_or_sum, backend="lantern", autograph=False)
+        a, b = f(3.0, leaf)
+        assert np.isclose(float(a.numpy()), 2.0)
+        assert np.isclose(float(b.numpy()), 6.0)
+        assert "(if" in f.get_concrete_function(
+            3.0, leaf).program.to_string()
+        a, b = f(3.0, EMPTY)
+        assert np.isclose(float(a.numpy()), 3.0)
+
+    def test_a_concrete_predicate_picks_its_branch_at_staging(self):
+        @repro.function(backend="lantern", autograph=False)
+        def f(x):
+            return ops.cond(ops.greater(ops.constant(1.0), 0.0),
+                            lambda: ops.tanh(x), lambda: ops.exp(x))
+
+        np.testing.assert_allclose(f(np.float32(0.5)).numpy(), np.tanh(0.5),
+                                   rtol=1e-6)
+
+    def test_an_unused_unsupported_op_is_dropped(self):
+        @repro.function(backend="lantern", autograph=False)
+        def f(x):
+            ops.floor(x)  # no Lantern form, and nothing reads it
+            return ops.tanh(x)
+
+        np.testing.assert_allclose(f(np.float32(0.5)).numpy(), np.tanh(0.5),
+                                   rtol=1e-6)
+
+    def test_autograph_false_calls_the_function_unconverted(self):
+        def branchy(x):
+            if x > 0:  # a staged Python `if` needs conversion
+                return x
+            return -x
+
+        with pytest.raises(TypeError, match="AutoGraph conversion"):
+            repro.function(branchy, backend="lantern",
+                           autograph=False)(np.float32(1.0))
 
 
 class TestErrorMessages:

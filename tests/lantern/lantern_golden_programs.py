@@ -2,12 +2,13 @@
 
 ``PROGRAMS`` maps a name to a zero-argument callable returning the
 source ``compile_program`` generates: the two staged models, every
-program ``test_lowering.py`` builds, and one function using each IR op
-once (so every forward and adjoint expression is covered).
+``ops.*`` program ``test_lowering.py`` stages through
+``repro.function(backend="lantern")``, and one function using each IR
+op once (so every forward and adjoint expression is covered).
 
-The checked-in ``goldens/<name>.txt`` files are what the parent of the
-commit that introduced them emitted when the program was the first one
-compiled in a fresh interpreter.  To print what this checkout emits::
+The checked-in ``goldens/<name>.txt`` files are what this checkout
+emits when the program is the first one compiled in a fresh
+interpreter.  To print it::
 
     PYTHONPATH=src python tests/lantern/lantern_golden_programs.py NAME
 """
@@ -16,19 +17,20 @@ import sys
 
 import numpy as np
 
+import repro
 from repro import lantern
-from repro.framework.graph.graph import Graph
+from repro.framework import ops
 from repro.lantern import compiler, ir
-from repro.lantern.lowering import lower_graph
 
 
-def _lowered(build, with_grad=True):
+def _staged(fn, *shapes, with_grad=True):
+    """``fn`` staged by ``repro.function(backend="lantern")`` on float32
+    arguments of ``shapes``."""
     def source():
-        g = Graph("t")
-        with g.as_default():
-            inputs, out = build(g)
-        program, _, _ = lower_graph(g, inputs, [out], name="f")
-        return compiler.compile_program(program, with_grad=with_grad).source
+        cf = repro.function(fn, backend="lantern").get_concrete_function(
+            *(repro.TensorSpec(shape, "float32") for shape in shapes))
+        return compiler.compile_program(cf.program,
+                                        with_grad=with_grad).source
     return source
 
 
@@ -50,40 +52,37 @@ def _emitted(*op_names):
     return source
 
 
-def _arith_chain(g):
-    a = g.placeholder("float32", (), name="a")
-    prod = g.create_op("Mul", [a, g.constant(2.0)], {}).outputs[0]
-    return [a], g.create_op("Tanh", [prod], {}).outputs[0]
+# Each program is a function named ``f``: the IR function's name.
 
 
-def _matmul_transpose(g):
-    pa = g.placeholder("float32", (3, 2), name="x")
-    pb = g.placeholder("float32", (3, 4), name="w")
-    return [pa, pb], g.create_op(
-        "MatMul", [pa, pb], {"transpose_a": True}).outputs[0]
+def _arith_chain():
+    def f(a):
+        return ops.tanh(ops.multiply(a, 2.0))
+    return f
 
 
-def _identity(g):
-    a = g.placeholder("float32", (), name="a")
-    ident = g.create_op("Identity", [a], {}).outputs[0]
-    return [a], g.create_op("Neg", [ident], {}).outputs[0]
+def _matmul_transpose():
+    def f(x, w):
+        return ops.matmul(x, w, transpose_a=True)
+    return f
 
 
-def _reduction(op_type, attrs, then_sum=False):
-    def build(g):
-        a = g.placeholder("float32", (2, 3), name="a")
-        out = g.create_op(op_type, [a], attrs).outputs[0]
-        if then_sum:
-            out = g.create_op("Sum", [out], {}).outputs[0]
-        return [a], out
-    return build
+def _identity():
+    def f(a):
+        return ops.negative(ops.identity(a))
+    return f
+
+
+def _reduction(reduce, axis, keepdims):
+    def f(a):
+        return ops.reduce_sum(reduce(a, axis=axis, keepdims=keepdims))
+    return f
 
 
 def _concat3(axis):
-    def build(g):
-        ps = [g.placeholder("float32", (2, 2), name=n) for n in "abc"]
-        return ps, g.create_op("Concat", ps, {"axis": axis}).outputs[0]
-    return build
+    def f(a, b, c):
+        return ops.concat([a, b, c], axis=axis)
+    return f
 
 
 def _treelstm(with_grad):
@@ -110,19 +109,19 @@ PROGRAMS = {
     "tree_prod": lambda: lantern.stage_tree_prod()[0].source,
     "every_op": _emitted(*sorted(
         name for name in ir.OPS if name != "not")),
-    "arith_chain": _lowered(_arith_chain),
-    "matmul_transpose": _lowered(_matmul_transpose, with_grad=False),
-    "identity": _lowered(_identity, with_grad=False),
-    "concat3_axis0": _lowered(_concat3(0)),
-    "concat3_axis1": _lowered(_concat3(1)),
+    "arith_chain": _staged(_arith_chain(), ()),
+    "matmul_transpose": _staged(_matmul_transpose(), (3, 2), (3, 4),
+                                with_grad=False),
+    "identity": _staged(_identity(), (), with_grad=False),
+    "concat3_axis0": _staged(_concat3(0), (2, 2), (2, 2), (2, 2)),
+    "concat3_axis1": _staged(_concat3(1), (2, 2), (2, 2), (2, 2)),
     "params": _params,
 }
-for _op in ("Sum", "Mean"):
+for _name, _reduce in (("sum", ops.reduce_sum), ("mean", ops.reduce_mean)):
     for _axis in (None, 0, 1, -1, -2):
         for _keep in (False, True):
-            PROGRAMS[f"{_op.lower()}_axis{_axis}_keepdims{_keep}"] = _lowered(
-                _reduction(_op, {"axis": _axis, "keepdims": _keep},
-                           then_sum=True))
+            PROGRAMS[f"{_name}_axis{_axis}_keepdims{_keep}"] = _staged(
+                _reduction(_reduce, _axis, _keep), (2, 3))
 
 
 if __name__ == "__main__":

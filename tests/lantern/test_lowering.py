@@ -1,18 +1,16 @@
-"""Graph→Lantern lowering, new IR ops, and S-expression round-tripping."""
+"""Framework ops staged into Lantern, new IR ops, and S-expression
+round-tripping."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro import lantern
-from repro.framework.graph.graph import Graph
+from repro.framework import GradientTape, ops
 from repro.lantern import compiler, ir, ops as lt, sexpr
-from repro.lantern.lowering import (
-    GRAPH_TO_LANTERN,
-    LanternLoweringError,
-    lower_graph,
-)
+from repro.lantern.lowering import LanternLoweringError
 
 # ---------------------------------------------------------------------------
 # S-expression round-tripping (parse ∘ format == identity)
@@ -110,140 +108,115 @@ class TestNewOps:
 
 
 # ---------------------------------------------------------------------------
-# lower_graph: graph IR -> lantern IR
+# ops.* on staged values: repro.function(backend="lantern")
 # ---------------------------------------------------------------------------
 
 
-def _build_graph(build):
-    g = Graph("t")
-    with g.as_default():
-        out = build(g)
-    return g, out
+def _lantern(fn):
+    # ops.* programs: nothing for AutoGraph to convert.
+    return repro.function(fn, backend="lantern", autograph=False)
 
 
-class TestLowerGraph:
+def _value_and_grad(fn, x):
+    x = ops.constant(x)
+    with GradientTape() as tape:
+        tape.watch(x)
+        y = _lantern(fn)(x)
+    return y.numpy(), tape.gradient(y, x).numpy()
+
+
+class TestOpsStageThroughTheStager:
     def test_arith_chain_matches_session_semantics(self):
-        g = Graph("t")
-        with g.as_default():
-            a = g.placeholder("float32", (), name="a")
-            two = g.constant(2.0)
-            prod = g.create_op("Mul", [a, two], {}).outputs[0]
-            out = g.create_op("Tanh", [prod], {}).outputs[0]
-        program, fdef, _ = lower_graph(g, [a], [out], name="f")
-        compiled = compiler.compile_program(program)
-        value, bwd = compiled.namespace["f"](0.5)
+        def f(a):
+            return ops.tanh(ops.multiply(a, 2.0))
+
+        value, da = _value_and_grad(f, np.float32(0.5))
         assert np.isclose(value, np.tanh(1.0))
-        (da,) = bwd(1.0)
         assert np.isclose(da, 2.0 * (1.0 - np.tanh(1.0) ** 2))
 
     def test_matmul_transpose_attrs(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(3, 2)).astype(np.float32)
         w = rng.normal(size=(3, 4)).astype(np.float32)
-        g = Graph("t")
-        with g.as_default():
-            pa = g.placeholder("float32", (3, 2), name="x")
-            pb = g.placeholder("float32", (3, 4), name="w")
-            out = g.create_op(
-                "MatMul", [pa, pb], {"transpose_a": True}).outputs[0]
-        program, _, _ = lower_graph(g, [pa, pb], [out], name="f")
-        compiled = compiler.compile_program(program, with_grad=False)
-        got = compiled.run("f", x, w)
+
+        def f(x, w):
+            return ops.matmul(x, w, transpose_a=True)
+
+        got = _lantern(f)(x, w).numpy()
         assert np.allclose(got, x.T @ w, atol=1e-6)
 
     def test_identity_passthrough(self):
-        g = Graph("t")
-        with g.as_default():
-            a = g.placeholder("float32", (), name="a")
-            ident = g.create_op("Identity", [a], {}).outputs[0]
-            out = g.create_op("Neg", [ident], {}).outputs[0]
-        program, _, _ = lower_graph(g, [a], [out], name="f")
-        compiled = compiler.compile_program(program, with_grad=False)
-        assert compiled.run("f", 3.0) == -3.0
+        def f(a):
+            return ops.negative(ops.identity(a))
+
+        assert _lantern(f)(np.float32(3.0)).numpy() == -3.0
 
     def test_unsupported_op_raises(self):
-        g = Graph("t")
-        with g.as_default():
-            a = g.placeholder("float32", (), name="a")
-            out = g.create_op("Floor", [a], {}).outputs[0]
+        def f(a):
+            return ops.floor(a)
+
         with pytest.raises(LanternLoweringError, match="Floor"):
-            lower_graph(g, [a], [out], name="f")
+            _lantern(f)(np.float32(1.5))
 
     def test_axis_reductions_lower(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 3)).astype(np.float32)
-        for op_type, np_fn in (("Sum", np.sum), ("Mean", np.mean)):
+        for reduce, np_fn in ((ops.reduce_sum, np.sum),
+                              (ops.reduce_mean, np.mean)):
             for axis in (0, 1):
-                g = Graph("t")
-                with g.as_default():
-                    a = g.placeholder("float32", (2, 3), name="a")
-                    out = g.create_op(op_type, [a], {"axis": axis}).outputs[0]
-                program, fdef, _ = lower_graph(g, [a], [out], name="f")
-                compiled = compiler.compile_program(program, with_grad=False)
+                got = _lantern(lambda a: reduce(a, axis=axis))(x)
                 np.testing.assert_allclose(
-                    compiled.run("f", x), np_fn(x, axis=axis), rtol=1e-6)
+                    got.numpy(), np_fn(x, axis=axis), rtol=1e-6)
 
     def test_keepdims_reductions_lower(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(2, 3)).astype(np.float32)
-        for op_type, np_fn in (("Sum", np.sum), ("Mean", np.mean)):
+        for reduce, np_fn in ((ops.reduce_sum, np.sum),
+                              (ops.reduce_mean, np.mean)):
             for axis in (None, 0, 1):
-                g = Graph("t")
-                with g.as_default():
-                    a = g.placeholder("float32", (2, 3), name="a")
-                    out = g.create_op(
-                        op_type, [a],
-                        {"axis": axis, "keepdims": True}).outputs[0]
-                program, _, _ = lower_graph(g, [a], [out], name="f")
-                compiled = compiler.compile_program(program, with_grad=False)
+                got = _lantern(
+                    lambda a: reduce(a, axis=axis, keepdims=True))(x)
                 np.testing.assert_allclose(
-                    compiled.run("f", x),
-                    np_fn(x, axis=axis, keepdims=True), rtol=1e-6)
+                    got.numpy(), np_fn(x, axis=axis, keepdims=True),
+                    rtol=1e-6)
 
     def test_negative_axis_reductions_lower(self):
+        # The argument's spec gives the rank the axis normalises with.
         rng = np.random.default_rng(6)
         x = rng.normal(size=(2, 3)).astype(np.float32)
         for axis in (-1, -2):
             for keepdims in (False, True):
-                g = Graph("t")
-                with g.as_default():
-                    a = g.placeholder("float32", (2, 3), name="a")
-                    out = g.create_op(
-                        "Sum", [a],
-                        {"axis": axis, "keepdims": keepdims}).outputs[0]
-                program, _, _ = lower_graph(g, [a], [out], name="f")
-                compiled = compiler.compile_program(program, with_grad=False)
+                got = _lantern(lambda a: ops.reduce_sum(
+                    a, axis=axis, keepdims=keepdims))(x)
                 np.testing.assert_allclose(
-                    compiled.run("f", x),
-                    np.sum(x, axis=axis, keepdims=keepdims), rtol=1e-6)
+                    got.numpy(), np.sum(x, axis=axis, keepdims=keepdims),
+                    rtol=1e-6)
+
+    def test_negative_axis_after_an_op_lowers(self):
+        # ... and the registry's shape_fn carries it through an op.
+        x = np.arange(6, dtype=np.float32).reshape(2, 3)
+        got = _lantern(lambda a: ops.concat(
+            [ops.tanh(a), a], axis=-1))(x)
+        np.testing.assert_allclose(
+            got.numpy(), np.concatenate([np.tanh(x), x], axis=-1),
+            rtol=1e-6)
 
     def test_negative_axis_without_rank_refused(self):
-        g = Graph("t")
-        with g.as_default():
-            a = g.placeholder("float32", None, name="a")  # unknown rank
-            out = g.create_op("Sum", [a], {"axis": -1}).outputs[0]
+        f = _lantern(lambda a: ops.reduce_sum(a, axis=-1))
         with pytest.raises(LanternLoweringError, match="rank"):
-            lower_graph(g, [a], [out], name="f")
+            f.get_concrete_function(repro.TensorSpec(None, "float32"))
 
     def test_keepdims_reduction_adjoints(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(2, 3)).astype(np.float32)
-        for op_type in ("Sum", "Mean"):
+        for reduce, name in ((ops.reduce_sum, "Sum"),
+                             (ops.reduce_mean, "Mean")):
             for axis in (None, 0, 1):
-                g = Graph("t")
-                with g.as_default():
-                    a = g.placeholder("float32", (2, 3), name="a")
-                    red = g.create_op(
-                        op_type, [a],
-                        {"axis": axis, "keepdims": True}).outputs[0]
-                    out = g.create_op("Sum", [red], {}).outputs[0]
-                program, _, _ = lower_graph(g, [a], [out], name="f")
-                compiled = compiler.compile_program(program, with_grad=True)
-                res, bwd = compiled.namespace["f"](x)
-                (dx,) = bwd(1.0)
+                _, dx = _value_and_grad(lambda a: ops.reduce_sum(
+                    reduce(a, axis=axis, keepdims=True)), x)
                 # d(sum of reduction)/dx: ones for Sum, 1/n along the
                 # reduced axis (or 1/size overall) for Mean.
-                if op_type == "Sum":
+                if name == "Sum":
                     expect = np.ones_like(x)
                 elif axis is None:
                     expect = np.ones_like(x) / x.size
@@ -256,10 +229,6 @@ class TestLowerGraph:
         from repro.framework.errors import ExecutionError
 
         assert issubclass(LanternLoweringError, ExecutionError)
-
-    def test_mapping_targets_exist(self):
-        for lantern_op in GRAPH_TO_LANTERN.values():
-            assert lantern_op in ir.OPS
 
 
 class TestProgramParams:

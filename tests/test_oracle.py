@@ -8,7 +8,8 @@ program's eager run with ``repro.function`` (called twice), ``Session.run``
 of its trace, its plan fused and unfused under every walk (serial,
 ``BlockScheduler(4)`` levels, recorder on), ``BlockArray`` inputs at 1
 and 4 workers (lowered, and replayed eagerly through the block ops),
-Lantern where lowering succeeds and ``save`` → ``load``.
+Lantern where staging succeeds (what it refuses is counted, by reason)
+and ``save`` → ``load``.
 
 Bit-exact (dtype, shape, bytes): every graph-backend configuration and
 every loaded executable; blocked runs unless they sum inexact values in
@@ -20,6 +21,7 @@ tape through ``repro.function``, central finite differences).
 Search further: ``pytest tests/test_oracle.py --hypothesis-profile long``.
 """
 
+import collections
 import functools
 import inspect
 import itertools
@@ -38,6 +40,7 @@ from repro.blocks import BlockArray, BlockGrid, BlockScheduler
 from repro.blocks.lowering import BLOCK_RULES, lower_blocked_graph
 from repro.framework import TensorArray, dtypes, ops
 from repro.framework.eager.execute import execute_op
+from repro.framework.errors import UnstagedConstructError
 from repro.framework.graph.gradients import gradients
 from repro.framework.graph.tensor_array import TensorArrayValue
 from repro.framework.registry import elementwise_ops, get_op_def, list_ops
@@ -572,15 +575,27 @@ def _export(program, exe, tmp_path, want, what):
     assert_same(_flat(load(path)(*program.args)), want, ("loaded", what))
 
 
+#: What the Lantern leg did with each program it was handed: ``"ran"``,
+#: or the refusal's reason (a ``LanternLoweringError.reason``, or the
+#: loop construct Lantern does not stage).
+LANTERN_TALLY = collections.Counter()
+
+
 def _lantern(program, want, tmp_path):
-    """``backend="lantern"`` where lowering succeeds, live and loaded."""
+    """``backend="lantern"`` where staging succeeds, live and loaded."""
     fn = repro.function(program.fn, backend="lantern",
                         autograph=program.autograph)
     program.reset()
     try:
         got = _flat(fn(*program.args))
-    except LanternLoweringError:
+    except LanternLoweringError as e:
+        LANTERN_TALLY[e.reason] += 1
         return
+    except UnstagedConstructError as e:
+        assert e.backend == "Lantern", e
+        LANTERN_TALLY[e.construct] += 1
+        return
+    LANTERN_TALLY["ran"] += 1
     # Lantern computes in float32 whatever the operands' dtypes: a float64
     # result past float32's range is inf there.
     assert_close(got, [w.astype(np.float32) if w.dtype == np.float64 else w
@@ -1057,9 +1072,14 @@ def _seeds():
 SEEDS = _seeds()
 
 
+#: The seeds checked so far in this session.
+CHECKED_SEEDS = set()
+
+
 @pytest.mark.parametrize("name", sorted(SEEDS))
 def test_seed(name, pool, tmp_path):
     check(SEEDS[name], pool, tmp_path)
+    CHECKED_SEEDS.add(name)
 
 
 def test_range_loop_declares_static_shapes():
@@ -1099,6 +1119,24 @@ def test_getitem_on_a_partial_shape_declares_only_what_holds():
 @given(program=programs())
 def test_generated(program, pool, tmp_path_factory):
     check(program, pool, tmp_path_factory.mktemp("oracle"))
+
+
+def test_the_lantern_leg_counts_what_it_ran_and_refused():
+    """What the Lantern leg did with the tier-1 corpus, pinned as
+    ``test_conversion_cost.py`` pins walks: a program that stops (or
+    starts) staging, or a refusal that changes its reason, moves a
+    count.  It counts the seeds and generated programs checked above in
+    this session, so it runs after them, in the tier-1 profile only.
+    (``test_generated``'s source seeds its tier-1 draws: editing it
+    changes the corpus.)
+    """
+    if (settings.default is not settings.get_profile("tier1")
+            or CHECKED_SEEDS != set(SEEDS)
+            or sum(LANTERN_TALLY.values()) <= len(SEEDS)):
+        pytest.skip("counts the whole tier-1 corpus of this module")
+    assert dict(LANTERN_TALLY) == {
+        "ran": 68, "boolean": 65, "unsupported op": 63, "while": 17,
+        "for": 1}
 
 
 # ---------------------------------------------------------------------------
