@@ -30,8 +30,22 @@ from ...runtime import BoundPlan, compile_plan
 from ..errors import GraphError
 from .graph import Graph, Tensor
 
-__all__ = ["ExternalCapture", "FuncGraph", "trace_into_func_graph",
-           "side_effect_fetches", "execute_func_graph"]
+__all__ = ["ExternalCapture", "FuncGraph", "capture_name",
+           "trace_into_func_graph", "side_effect_fetches",
+           "execute_func_graph"]
+
+
+def capture_name(name, taken):
+    """A trace's name for its next capture, unique among ``taken`` (the
+    names so far): a variable's ``name`` if free, else ``<name>_<i>``,
+    ``capture_<i>`` for an unnamed tensor.  Both backends name captures
+    here, so ``set_capture_values`` keys agree between them."""
+    if name is not None and name not in taken:
+        return name
+    base, i = name or "capture", len(taken)
+    while f"{base}_{i}" in taken:
+        i += 1
+    return f"{base}_{i}"
 
 
 class ExternalCapture:
@@ -173,14 +187,7 @@ class FuncGraph(Graph):
         entry = self._external_capture_index.get(id(source))
         if entry is not None:
             return entry.placeholder
-        taken = {e.name for e in self.external_captures}
-        if name is None or name in taken:
-            base = name or "capture"
-            i = len(self.external_captures)
-            name = f"{base}_{i}"
-            while name in taken:
-                i += 1
-                name = f"{base}_{i}"
+        name = capture_name(name, {e.name for e in self.external_captures})
         ph = self.placeholder(dtype, shape=shape, name=name)
         entry = ExternalCapture(ph, kind, source, name)
         self.external_captures.append(entry)

@@ -18,6 +18,9 @@ program order.
 
 from __future__ import annotations
 
+import threading
+import weakref
+
 import numpy as np
 
 from .. import context, dtypes
@@ -32,6 +35,18 @@ __all__ = ["Variable", "VariableRead", "global_variables_initializer",
            "VariableState"]
 
 _VAR_COUNTER = [0]
+
+
+class _ThisThread(threading.local):
+    created = 0          # Variables constructed on this thread
+    distinct_reads = 0   # > 0: every eager read is a new, uncached one
+
+
+# What a tracer on this thread (Lantern's ``Stager``) needs of Variables:
+# it counts the ones its trace creates, and while it raises
+# ``distinct_reads`` it tells a read the trace made from one made before
+# by ``EagerTensor.id``.  Other threads' Variables are not its own.
+THIS_THREAD = _ThisThread()
 
 
 class VariableState:
@@ -84,10 +99,23 @@ register_op("AssignSubVariable", lambda delta, state: state.sub(delta),
 
 class VariableRead(EagerTensor):
     """An eager read of a Variable: an ``EagerTensor`` that names the
-    variable it read, so a tracer that meets it closed over (Lantern's
-    ``Stager``) can capture the variable, not a snapshot."""
+    variable it read, so a tracer that meets a read it made itself
+    (Lantern's ``Stager``) can capture the variable, not a snapshot.
 
-    __slots__ = ("variable",)
+    The variable is held weakly: the variable caches its latest read,
+    and a strong reference back would make a dropped variable wait for
+    the cyclic collector."""
+
+    __slots__ = ("_variable",)
+
+    def __init__(self, value, variable):
+        super().__init__(value)
+        self._variable = weakref.ref(variable)
+
+    @property
+    def variable(self):
+        """The Variable read, or None once it has been collected."""
+        return self._variable()
 
 
 # What a trace's ``variable_values`` holds for a variable that one of its
@@ -100,6 +128,7 @@ class Variable(TensorOpsMixin):
 
     def __init__(self, initial_value, name=None, dtype=None, trainable=True):
         _VAR_COUNTER[0] += 1
+        THIS_THREAD.created += 1
         self._name = name or f"Variable_{_VAR_COUNTER[0]}"
         if isinstance(initial_value, EagerTensor):
             initial_value = initial_value.numpy()
@@ -157,13 +186,16 @@ class Variable(TensorOpsMixin):
         """Current value: an EagerTensor (eager) or, in a graph, the
         tensor a read yields at this point of its construction."""
         if context.executing_eagerly():
+            if THIS_THREAD.distinct_reads:
+                # Not cached: a read after the block is the one a tape
+                # may already watch.
+                return VariableRead(self._state.read(), self)
             if (
                 self._eager_value_cache is None
                 or self._eager_value_cache.numpy() is not self._state.value
             ):
-                read = VariableRead(self._state.read())
-                read.variable = self
-                self._eager_value_cache = read
+                self._eager_value_cache = VariableRead(
+                    self._state.read(), self)
             return self._eager_value_cache
         g = context.get_default_graph()
         cached = g.variable_values.get(self._state)

@@ -80,7 +80,7 @@ def _xent_adjoint(emit, fresh_idx, g, out, logits, label):
 # to know an op reads it here: ``Builder.emit`` and
 # ``serialize.program_from_payload`` (is the name an op?), the
 # compiler (``forward``, ``adjoints``), the immediate NumPy mode of
-# ``lantern.ops`` (``forward``, evaluated) and the graph lowering
+# ``lantern.ops`` (``forward``, evaluated) and the Stager's per-op hook
 # (``graph``).  Adding a Lantern op = one entry.  The names are the
 # serialized IR, so an entry may be added but never renamed.
 OPS = {

@@ -16,12 +16,14 @@ staged values emit IR instructions — the backend-agnostic SCT front-end.
 from __future__ import annotations
 
 import contextlib
+import threading
 
 import numpy as np
 
 from repro.framework import context
 from repro.framework.eager.tensor import EagerTensor
 from repro.framework.graph import variables as variables_lib
+from repro.framework.graph.func_graph import capture_name
 from repro.framework.ops.dispatch import (
     NOT_HANDLED,
     StagingBackend,
@@ -115,11 +117,13 @@ class Stager(StagingBackend):
         # id(source) -> (source, kind, Param named as the capture).
         self.captures = {}
         # Eager tensors numbered from here on are made by the trace
-        # itself (constants), not closed over; Variables counted from
-        # here on are created in it (refused).  Both counters are
-        # process-wide: one made on another thread mid-trace counts too.
+        # itself (constants, or live reads of a Variable), not closed
+        # over.
         self._first_traced_tensor = EagerTensor._next_id
-        self._variables_before = variables_lib._VAR_COUNTER[0]
+        # Set by active(): the tracing thread (registration is process
+        # wide) and its count of Variables made (one made in the trace is
+        # refused).
+        self._thread = self._variables_before = None
         # original python function -> FunctionDef (for recursion).
         self._staged_functions = {}
         # Re-entrancy discovery: inline-call entry counts per target.
@@ -197,17 +201,21 @@ class Stager(StagingBackend):
         Lets functions written against the *framework* op API (the graph
         backend's surface) stage into the Lantern IR unchanged — the §8
         backend-agnostic front-end claim at the op level.  A stateful op
-        is refused whether or not it reads a staged value: run at trace
-        time, its effect would happen once instead of per call.
+        the trace runs is refused whether or not it reads a staged value:
+        run at trace time, its effect would happen once instead of per
+        call.  Another thread's ops on unstaged values are not the
+        trace's and run as usual.
         """
         staged = any(self.matches(v) for v in inputs)
-        if staged or context.executing_eagerly():
-            op_def = op_def_or_none(op_type)
-            if op_def is not None and op_def.stateful:
-                raise LanternLoweringError(
-                    f"stateful op {op_type!r}: the Lantern backend is "
-                    "purely functional — use backend='graph'",
-                    op_name=op_type, reason="stateful op")
+        if not staged and (threading.get_ident() != self._thread
+                           or not context.executing_eagerly()):
+            return NOT_HANDLED
+        op_def = op_def_or_none(op_type)
+        if op_def is not None and op_def.stateful:
+            raise LanternLoweringError(
+                f"stateful op {op_type!r}: the Lantern backend is "
+                "purely functional — use backend='graph'",
+                op_name=op_type, reason="stateful op")
         if not staged:
             return NOT_HANDLED
         return lower_op_call(self.builder, op_type, inputs, attrs)
@@ -215,15 +223,18 @@ class Stager(StagingBackend):
     def capture(self, value):
         """Stage a concrete value from outside the IR, or return None.
 
-        A ``Variable`` (or its current eager read) and an eager tensor
-        made before this Stager are *captures*: a read of a Param over
-        the value's storage, one per source, named as a graph trace
-        names its captures (the variable's name, ``capture_<i>``); with
-        ``freeze_captures`` they are constants instead.  An eager tensor
-        the trace made is a constant.
+        A ``Variable`` (or an eager read of one the trace made) and an
+        eager tensor made before this Stager are *captures*: a read of a
+        Param over the value's storage, one per source, named as a graph
+        trace names its captures (the variable's name, ``capture_<i>``);
+        with ``freeze_captures`` they are constants instead.  A read made
+        before the trace is a snapshot, as eager code and the graph
+        backend see it; any other eager tensor the trace made is a
+        constant.
         """
         if (isinstance(value, variables_lib.VariableRead)
-                and value.numpy() is value.variable.numpy()):
+                and value.id >= self._first_traced_tensor
+                and value.variable is not None):
             value = value.variable
         if isinstance(value, variables_lib.Variable):
             kind, array = "variable", value.numpy()
@@ -239,25 +250,26 @@ class Stager(StagingBackend):
                 kind == "tensor" and value.id >= self._first_traced_tensor)):
             return self.builder.emit_const(array)
         if id(value) not in self.captures:
-            taken = {p.name for _, _, p in self.captures.values()}
-            name = value.name if kind == "variable" else None
-            i = len(self.captures)
-            while name is None or name in taken:
-                name = f"{value.name if kind == 'variable' else 'capture'}_{i}"
-                i += 1
+            name = capture_name(value.name if kind == "variable" else None,
+                                {p.name for _, _, p in self.captures.values()})
             self.captures[id(value)] = (value, kind, Param(name, array))
         return self.builder.emit_param(self.captures[id(value)][2])
 
     @contextlib.contextmanager
     def active(self):
-        """Activate the backend: one registration covers control flow,
-        call interception and framework ops."""
-        register_backend(self)
+        """Activate the backend on this thread: one registration covers
+        control flow, call interception and framework ops, and the
+        thread's Variable reads stay distinct from those made before."""
+        self._thread = threading.get_ident()
+        self._variables_before = variables_lib.THIS_THREAD.created
         self._entry_counts = {}
+        variables_lib.THIS_THREAD.distinct_reads += 1
+        register_backend(self)
         try:
             yield self
         finally:
             unregister_backend(self)
+            variables_lib.THIS_THREAD.distinct_reads -= 1
 
     # ------------------------------------------------------------------
     # Staged definition (paper's __def_staged / __call_staged)
@@ -359,7 +371,7 @@ class Stager(StagingBackend):
 
     def _finish_staged(self, fdef, result):
         """Arity-check a traced body's return value and wire the results."""
-        if variables_lib._VAR_COUNTER[0] != self._variables_before:
+        if variables_lib.THIS_THREAD.created != self._variables_before:
             raise LanternLoweringError(
                 f"{fdef.name!r} creates Variables; the Lantern backend has "
                 "no variable state — use Params or backend='graph'",

@@ -79,6 +79,22 @@ def test_a_variable_nothing_references_is_collected():
     assert array() is None
 
 
+def test_a_variable_read_eagerly_is_freed_by_refcount():
+    v = Variable(np.arange(4, dtype=np.float32), name="read_then_dropped")
+    read = v.value()
+    assert read.variable is v
+    wrapper, array = weakref.ref(v), weakref.ref(v.numpy())
+    gc.disable()
+    try:
+        del v
+        assert wrapper() is None
+        assert read.variable is None
+        del read
+        assert array() is None
+    finally:
+        gc.enable()
+
+
 def test_a_cached_concrete_function_keeps_its_variable_working():
     def make():
         v = Variable(np.float32(1.0), name="kept")

@@ -486,6 +486,103 @@ class TestClosedOverState:
         assert sorted(c.kind for c in cf.captures) == ["tensor", "variable"]
         np.testing.assert_allclose(f(np.ones(1, np.float32)).numpy(), [5.0])
 
+    def test_a_current_read_from_before_the_trace_is_a_snapshot(self):
+        from repro.framework.graph.variables import Variable
+
+        v = Variable(np.array([2.0], np.float32), name="lantern_current_v")
+        w = v.value()
+
+        def f(x):
+            return x * w
+
+        lantern_f = repro.function(f, backend="lantern")
+        graph_f = repro.function(f, backend="graph")
+        x = np.ones(1, np.float32)
+        for fn in (lantern_f, graph_f):
+            np.testing.assert_allclose(fn(x).numpy(), [2.0])
+        v.assign(np.array([3.0], np.float32))
+        np.testing.assert_allclose(f(x).numpy(), [2.0])
+        for fn in (lantern_f, graph_f):
+            np.testing.assert_allclose(fn(x).numpy(), [2.0])
+        names = [[(c.kind, c.name) for c in fn.get_concrete_function(x).captures]
+                 for fn in (lantern_f, graph_f)]
+        assert names[0] == names[1] == [("tensor", "capture_0")]
+
+    def test_a_read_the_trace_makes_is_the_live_variable(self):
+        from repro.framework.graph.variables import Variable
+
+        v = Variable(np.array([2.0], np.float32), name="lantern_live_v")
+        v.value()   # the cached read the trace must not reuse
+
+        @repro.function(backend="lantern")
+        def f(x):
+            return x * v.value()
+
+        x = np.ones(1, np.float32)
+        np.testing.assert_allclose(f(x).numpy(), [2.0])
+        v.assign(np.array([3.0], np.float32))
+        np.testing.assert_allclose(f(x).numpy(), [3.0])
+        assert [(c.kind, c.name) for c in f.get_concrete_function(x).captures
+                ] == [("variable", "lantern_live_v")]
+
+
+class TestOtherThreads:
+    """The Stager's registration is process-wide, but what it refuses is
+    only what its own thread does during the trace."""
+
+    def test_another_threads_assign_and_variable_run_during_a_trace(self):
+        import threading
+
+        from repro.framework.graph.variables import Variable
+
+        v = Variable(np.array([5.0], np.float32), name="other_thread_v")
+        tracing, done = threading.Event(), threading.Event()
+        seen = {}
+
+        def other():
+            try:
+                assert tracing.wait(10)
+                v.assign_sub(np.array([1.0], np.float32))
+                seen["made"] = Variable(np.float32(0.0), name="other_made")
+            except BaseException as e:   # reported by the main thread
+                seen["error"] = e
+            finally:
+                done.set()
+
+        def pause():
+            tracing.set()
+            assert done.wait(10)
+
+        @repro.function(backend="lantern")
+        def f(x):
+            pause()
+            return x * 2.0
+
+        worker = threading.Thread(target=other)
+        worker.start()
+        try:
+            out = f(np.ones(1, np.float32))
+        finally:
+            done.wait(10)
+            worker.join(10)
+        assert "error" not in seen, seen.get("error")
+        np.testing.assert_allclose(out.numpy(), [2.0])
+        np.testing.assert_allclose(v.numpy(), [4.0])
+        assert isinstance(seen["made"], Variable)
+        assert type(f.get_concrete_function(np.ones(1, np.float32))
+                    ) is LanternConcreteFunction
+
+    def test_the_tracing_threads_own_variable_is_still_refused(self):
+        from repro.framework.graph.variables import Variable
+
+        @repro.function(backend="lantern")
+        def f(x):
+            return x * Variable(np.float32(2.0), name="made_in_trace")
+
+        with pytest.raises(lantern.LanternLoweringError,
+                           match="creates Variables"):
+            f(np.ones(1, np.float32))
+
 
 class TestOutputsAndControlFlow:
     def test_nested_outputs_with_constant_leaves(self):
