@@ -106,7 +106,7 @@ def test_fast_path_beats_legacy_feed_dict(results):
     )
 
 
-def test_recorder_overhead_on_fast_path(results, monkeypatch):
+def test_recorder_overhead_on_fast_path(results):
     """The observe instrumentation's bargain: the *disabled* recorder
     costs the fast path one dormant branch.
 
@@ -120,8 +120,8 @@ def test_recorder_overhead_on_fast_path(results, monkeypatch):
 
     "Tracing leaves zero residue on the default path" is asserted
     structurally: once disabled and cleared, the recorder is off, its
-    ring and counters are empty and stay empty, and the plan never
-    enters ``_execute_traced``.  Timing is a sanity check only — this
+    ring and counters are empty and stay empty, and the plan records a
+    ``plan`` span on every traced call and on no other.  Timing is a sanity check only — this
     VM's speed drifts by 30% between two sequential timing blocks, so
     disabled -> traced -> disabled is measured in interleaved cycles and
     the medians are compared against the spread the disabled path shows
@@ -130,7 +130,6 @@ def test_recorder_overhead_on_fast_path(results, monkeypatch):
     import statistics
 
     from repro.observe.events import RECORDER
-    from repro.runtime import ExecutionPlan
 
     CYCLES = 5
     OVERHEAD_CAP = 1.03
@@ -138,14 +137,9 @@ def test_recorder_overhead_on_fast_path(results, monkeypatch):
 
     cf, x, w = _concrete_function()
     args = [x, w]
-    traced_runs = []
-    execute_traced = ExecutionPlan._execute_traced
 
-    def counting(self, *a, **kw):
-        traced_runs.append(1)
-        return execute_traced(self, *a, **kw)
-
-    monkeypatch.setattr(ExecutionPlan, "_execute_traced", counting)
+    def plan_spans():
+        return sum(event[2] == "plan" for event in RECORDER.events())
 
     def run(n):
         call = cf.call_flat
@@ -161,21 +155,22 @@ def test_recorder_overhead_on_fast_path(results, monkeypatch):
     run(10)
     before, enabled, after = [], [], []
     for _ in range(CYCLES):
+        idle = plan_spans()
         before.append(per_call())
-        assert not traced_runs
+        assert plan_spans() == idle
 
         RECORDER.enable()
         try:
             enabled.append(per_call())
         finally:
             RECORDER.disable()
+            traced_runs = plan_spans() - idle
             RECORDER.clear()
             RECORDER.clear_counters()
-        assert len(traced_runs) == CALLS
-        traced_runs.clear()
+        assert traced_runs == CALLS
 
         after.append(per_call())
-        assert not RECORDER.enabled and not traced_runs
+        assert not RECORDER.enabled and plan_spans() == 0
         assert len(RECORDER) == 0 and RECORDER.counters() == {}
 
     baseline, traced, disabled_after = (

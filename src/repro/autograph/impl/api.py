@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import functools
 import inspect
-import warnings
 import weakref
 
+from repro import _user_frame
 from repro.framework.ops import dispatch as fw_dispatch
 
 from .. import errors
@@ -128,11 +128,9 @@ def _try_convert(f):
         return _converted_entity(f)
     except errors.ConversionError as e:
         _FAILED_CONVERSIONS.add(f.__code__)
-        warnings.warn(
+        _user_frame.warn(
             f"AutoGraph could not convert {getattr(f, '__name__', f)!r} and "
-            f"will run it as-is. Cause: {e}",
-            stacklevel=2,
-        )
+            f"will run it as-is. Cause: {e}")
         return None
 
 

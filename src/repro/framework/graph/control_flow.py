@@ -21,7 +21,8 @@ from .. import dtypes, nest
 from ..errors import StagingError
 from ..registry import register_op
 from ..shapes import unknown
-from .func_graph import execute_func_graph, trace_into_func_graph
+from .func_graph import (bound_func_graph, execute_func_graph,
+                         trace_into_func_graph)
 from .graph import Tensor
 
 __all__ = ["cond", "while_loop"]
@@ -178,17 +179,30 @@ def cond(pred, true_fn, false_fn, name="cond"):
 
 def _while_kernel(*args, cond_graph=None, body_graph=None, n_vars=0,
                   n_cond_caps=0, maximum_iterations=None):
-    loop_vars = list(args[:n_vars])
+    """Run a staged loop.
+
+    The condition and body plans are resolved once per run (one
+    ``graph_version`` check each, not one per turn), and so are their
+    generated walks, for the recorder's state at loop entry.  Each turn
+    is then, per sub-graph, ``BoundPlan.bind`` — the same dtype
+    coercion, shape checks and ``FetchError``s as any bound call — and
+    the walk, whose flat fetches start with the next loop variables.
+    """
+    cond, _ = bound_func_graph(cond_graph)
+    body, _ = bound_func_graph(body_graph)
+    cond_walk, body_walk = cond.plan.walk(), body.plan.walk()
+    cond_bind, body_bind = cond.bind, body.bind
+    loop_vars = args[:n_vars]
     cond_caps = args[n_vars:n_vars + n_cond_caps]
     body_caps = args[n_vars + n_cond_caps:]
     iterations = 0
     while True:
-        keep_going = execute_func_graph(cond_graph, loop_vars, cond_caps)[0]
+        keep_going = cond_walk(cond_bind([*loop_vars, *cond_caps]))[0]
         if not bool(np.asarray(keep_going)):
             break
         if maximum_iterations is not None and iterations >= maximum_iterations:
             break
-        loop_vars = list(execute_func_graph(body_graph, loop_vars, body_caps))
+        loop_vars = body_walk(body_bind([*loop_vars, *body_caps]))[:n_vars]
         iterations += 1
     return tuple(loop_vars) if n_vars != 1 else loop_vars[0]
 

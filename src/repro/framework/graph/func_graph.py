@@ -16,10 +16,11 @@ the weights are runtime inputs of the compiled plan, not baked ``Const``
 nodes.
 
 Sub-graphs run on :mod:`repro.runtime` like every other graph:
-:func:`execute_func_graph` compiles a ``FuncGraph`` once with
+:func:`bound_func_graph` compiles a ``FuncGraph`` once with
 ``compile_plan`` (fetches = flat outputs + the stateful ops they do not
-reach, feeds = declared inputs + capture placeholders) and every branch
-run / loop turn is one ``BoundPlan.execute_flat``.
+reach, feeds = declared inputs + capture placeholders) and binds it; a
+branch run is one ``BoundPlan.execute_flat`` (:func:`execute_func_graph`),
+and a loop turn is the body's feed checks and its generated walk.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .graph import Graph, Tensor
 
 __all__ = ["ExternalCapture", "FuncGraph", "capture_name",
            "trace_into_func_graph", "side_effect_fetches",
-           "execute_func_graph"]
+           "bound_func_graph", "execute_func_graph"]
 
 
 def capture_name(name, taken):
@@ -274,12 +275,24 @@ def _bind_plan(fg):
     return record
 
 
+def bound_func_graph(fg):
+    """``fg``'s published ``(BoundPlan, number of outputs)`` record,
+    compiled on the first call and recompiled if the graph has grown
+    since."""
+    record = fg._plan
+    if record is None or record[0].graph_version != fg.version:
+        record = _bind_plan(fg)
+    return record
+
+
 def execute_func_graph(fg, input_values, capture_values):
     """Execute a traced subgraph with concrete values.
 
     The subgraph is an ordinary :mod:`repro.runtime` plan — constant
-    pre-evaluation, fusion and buffer reuse included — compiled on the
-    first call and recompiled if the graph has grown since.
+    pre-evaluation, fusion and buffer reuse included — bound by
+    :func:`bound_func_graph` and run through its generated walk.  (A
+    ``While`` resolves its condition and body once per run and calls
+    their walks itself: ``control_flow._while_kernel``.)
 
     Args:
       fg: the FuncGraph.
@@ -289,9 +302,6 @@ def execute_func_graph(fg, input_values, capture_values):
     Returns:
       Tuple of concrete values for ``fg.flat_outputs``.
     """
-    record = fg._plan
-    if record is None or record[0].graph_version != fg.version:
-        record = _bind_plan(fg)
-    bound, n_outputs = record
+    bound, n_outputs = bound_func_graph(fg)
     return tuple(
         bound.execute_flat([*input_values, *capture_values])[:n_outputs])

@@ -48,8 +48,8 @@ __all__ = ["ConcreteFunction", "classify_outputs"]
 
 def convert_for_trace(python_function, autograph):
     import inspect
-    import warnings
 
+    from .. import _user_frame
     from .. import autograph as ag
 
     if autograph and (inspect.isfunction(python_function)
@@ -59,12 +59,10 @@ def convert_for_trace(python_function, autograph):
         except ag.ConversionError as e:
             # Trace unconverted: op dispatch still stages, but Python
             # control flow on tensors will raise with a clear message.
-            warnings.warn(
+            _user_frame.warn(
                 f"repro.function could not convert "
                 f"{getattr(python_function, '__name__', python_function)!r} "
-                f"with AutoGraph and will trace it unconverted. Cause: {e}",
-                stacklevel=2,
-            )
+                f"with AutoGraph and will trace it unconverted. Cause: {e}")
     return python_function
 
 

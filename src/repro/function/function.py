@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import functools
 import threading
-import warnings
 
+from .. import _user_frame
 from ..framework import context
 from ..observe.events import RECORDER as _REC
 from . import signature as signature_lib
@@ -235,14 +235,12 @@ class Function:
                         return cf, canonical
                 if (not self._reduce_retracing
                         and len(self._cache) + 1 == self._retrace_limit):
-                    warnings.warn(
+                    _user_frame.warn(
                         f"repro.function {self._name!r} has been traced "
                         f"{self._retrace_limit} times. Frequent retracing is "
                         "expensive; pass varying Python scalars as tensors "
                         "(e.g. np.int32) or construct the Function with "
-                        "reduce_retracing=True.",
-                        stacklevel=3,
-                    )
+                        "reduce_retracing=True.")
             cf = cls(
                 self._python_function, canonical,
                 f"{self._name}_{len(self._cache)}",

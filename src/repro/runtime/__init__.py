@@ -4,7 +4,7 @@ Every consumer of a compiled graph — ``Session.run``'s feed-dict
 adapter, traced ``ConcreteFunction`` calls, loaded serving artifacts,
 the micro-batcher's batched dispatch, and the branch / body sub-graphs
 of staged ``Cond`` / ``While`` ops — executes through this one package,
-which has three names:
+whose parts are:
 
 - :func:`compile_plan` (:mod:`repro.runtime.plan`) compiles a graph +
   fetches + feeds into an :class:`ExecutionPlan` (pruned topo steps,
@@ -12,7 +12,9 @@ which has three names:
   dead-step elision, elementwise fusion and output-buffer reuse;
 - :class:`BoundPlan` (:mod:`repro.runtime.engine`) binds the feed
   tensors to slots once and runs the plan per call on positional values
-  — no dict lookups, no per-call flattening, no validation copies.
+  — no dict lookups, no per-call flattening, no validation copies;
+- :mod:`repro.runtime.emit` writes every walk of a plan as one
+  generated Python function, written once per plan.
 
 The paper's Table 2 isolates per-call dispatch overhead as the cost
 in-graph execution amortizes; this package is where that overhead is

@@ -5,14 +5,16 @@ traced ``ConcreteFunction``, a loaded serving artifact, the
 micro-batcher's batched dispatch, a ``Cond``/``While`` sub-graph fed its
 loop variables and captures, a ``Session`` entry for one ``(fetches,
 feed set)`` — binds those tensors to plan slots *once*, at construction.
-Each call is then ``execute_flat(args)``: a list copy of the plan's base
-values, one checked slot store per argument, and the plan's walk — no
-``nest.flatten``, no cache key, no feed dict.  Arguments that are
-already correctly-dtyped ndarrays are used as-is (dtype/shape metadata
-was resolved at bind time); anything else is coerced through
-``np.asarray``.  This is the only feed validation in the engine and the
-only caller of :meth:`ExecutionPlan.execute
-<repro.runtime.plan.ExecutionPlan.execute>`.
+Each call is then ``execute_flat(args)``: :meth:`BoundPlan.bind` (one
+checked store per argument into the list of feed values the walk
+unpacks) and the plan's generated walk — no ``nest.flatten``, no cache
+key, no feed dict, no copy of the plan's slot table.  Arguments that
+are already correctly-dtyped ndarrays are used as-is (dtype/shape
+metadata was resolved at bind time); anything else is coerced through
+``np.asarray``.  ``bind`` is the only feed
+validation in the engine: a staged ``While`` calls it, then the body's
+walk, once per turn; everything else runs a plan through
+``execute_flat``.
 """
 
 from __future__ import annotations
@@ -40,11 +42,12 @@ class BoundPlan:
         turns on level-parallel step execution; ``None`` keeps the serial
         kernel loop.
         """
-        slot_of = {id(t): slot for t, slot in plan.feed_slots}
+        position_of = {id(t): i for i, (t, _slot) in
+                       enumerate(plan.feed_slots)}
         binds = []
         for t in arg_tensors:
-            slot = slot_of.pop(id(t), None)
-            if slot is None:
+            position = position_of.pop(id(t), None)
+            if position is None:
                 raise FetchError(
                     f"Cannot bind {t!r}: not an unbound feed of this plan"
                 )
@@ -53,11 +56,11 @@ class BoundPlan:
             # hot path; partial shapes keep the per-dimension walk.
             exact = dims if dims is not None and None not in dims else None
             partial = dims if exact is None else None
-            binds.append((slot, t.dtype.np_dtype, exact, partial, t.name))
-        if slot_of:
-            leftover = set(slot_of.values())
-            unbound = [t.name for t, slot in plan.feed_slots
-                       if slot in leftover]
+            binds.append(
+                (position, t.dtype.np_dtype, exact, partial, t.name))
+        if position_of:
+            unbound = [t.name for t, _slot in plan.feed_slots
+                       if id(t) in position_of]
             raise FetchError(
                 f"Plan feeds {unbound} were not bound to argument positions"
             )
@@ -95,9 +98,9 @@ class BoundPlan:
             info["fused_kernels"] = [g[0] for g in fused]
         return info
 
-    def execute_flat(self, args):
-        """Run the plan on positional argument values; returns the flat
-        fetch results (ndarrays, in fetch order).
+    def bind(self, args):
+        """The feed checks: the list of feed values a walk takes, each
+        positional argument at its feed's position.
 
         The per-call overhead is intentionally minimal: inputs that are
         already ndarrays of the bound dtype are stored into their slot
@@ -114,9 +117,8 @@ class BoundPlan:
                 f"got {len(args)}"
             )
         self.calls += 1
-        plan = self.plan
-        values = list(plan.base_values)
-        for (slot, np_dtype, exact, partial, name), a in zip(
+        values = [None] * self._n_args
+        for (position, np_dtype, exact, partial, name), a in zip(
                 self._arg_binds, args):
             if np_dtype is not None:
                 if type(a) is not np.ndarray or a.dtype != np_dtype:
@@ -143,9 +145,14 @@ class BoundPlan:
                             f"incompatible with declared "
                             f"({', '.join(str(d) for d in partial)})"
                         )
-            values[slot] = (a,)
-        plan.execute(values, self.scheduler)
-        return plan.fetch(values)
+            values[position] = a
+        return values
+
+    def execute_flat(self, args):
+        """Run the plan on positional argument values; returns the flat
+        fetch results (ndarrays, in fetch order)."""
+        scheduler = self.scheduler
+        return self.plan.walk(scheduler)(self.bind(args), scheduler)
 
     def __repr__(self):
         return f"<BoundPlan args={self._n_args} plan={self.plan!r}>"

@@ -366,7 +366,7 @@ def fuse_elementwise_steps(steps, step_ops, fetch_locators, feed_slots,
         # group's topologically last member, so every external input is
         # produced earlier and every external consumer follows.
         replaced[root] = (
-            [root_slot, kernel, ext_locs, True, span, inplace_kernel], shim)
+            [root_slot, kernel, ext_locs, 1, span, inplace_kernel], shim)
         absorbed.update(group)
         fused_groups.append((span, names, types, root_slot))
 

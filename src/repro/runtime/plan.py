@@ -3,9 +3,9 @@
 This is the execution engine's IR and the graph backend's *only* plan
 compiler: ``Session.run``, traced ``ConcreteFunction``s, loaded serving
 artifacts, the micro-batcher and the ``Cond``/``While`` branch and body
-sub-graphs (:func:`~repro.framework.graph.func_graph.execute_func_graph`)
-all compile through :func:`compile_plan` and step through
-:meth:`ExecutionPlan.execute`, so every optimization below applies to a
+sub-graphs (:func:`~repro.framework.graph.func_graph.bound_func_graph`)
+all compile through :func:`compile_plan` and run its generated walk
+(:meth:`ExecutionPlan.walk`), so every optimization below applies to a
 staged loop body exactly as it does to the ops around the loop.
 
 A plan is a pruned, topologically-ordered list of *steps* (kernel +
@@ -38,16 +38,17 @@ allows (the Table-2 dispatch-overhead story):
 Compilation also derives the plan's **levels**: a wavefront partition of
 the steps by data/control dependency depth (stateful steps additionally
 chained in program order).  Steps within one level are mutually
-independent, which is what lets :meth:`ExecutionPlan.execute` fan a
-level out on a :class:`repro.blocks.scheduler.BlockScheduler` — the
-per-block steps of a blocked plan all land in wide levels.
+independent, which is what lets a plan's level walk fan a level out
+on a :class:`repro.blocks.scheduler.BlockScheduler` — the per-block
+steps of a blocked plan all land in wide levels.
 
-A plan has ONE step schedule, the ``steps`` tuple, and ONE step body,
-:func:`_run_steps`: :meth:`ExecutionPlan.execute` calls it on the whole
-tuple (the serial walk), hands it to a scheduler one step of a level at
-a time (the level walk), or wraps it in a span per step while
-``repro.observe`` is recording.  Feeds are bound, and ``execute`` called,
-in one place: :class:`repro.runtime.engine.BoundPlan`.
+A plan has ONE step schedule, the ``steps`` tuple, and runs as generated
+code written by ONE emitter (:mod:`repro.runtime.emit`): on its first
+execution with a given walk — serial, level by level on a scheduler, or
+either with the spans ``repro.observe`` records — the plan becomes one
+Python function with its slots as locals and one source line per step,
+kept by the plan.  Feeds are bound in one place,
+:class:`repro.runtime.engine.BoundPlan`.
 """
 
 from __future__ import annotations
@@ -56,56 +57,21 @@ import functools
 
 import numpy as np
 
-from ..framework.errors import ExecutionError, FetchError
+from ..framework.errors import FetchError
 from ..framework.graph.graph import Operation, Tensor
 from ..framework.graph.optimize import has_opaque_attrs
 from ..observe.events import RECORDER as _REC
+from . import emit
 from .fusion import fuse_elementwise_steps
 
 __all__ = ["ExecutionPlan", "compile_plan"]
-
-
-def _run_steps(steps, values):
-    """The step body, written once: every walk of a plan — the serial
-    loop over ``plan.steps``, a worker running one step of a level, the
-    recorder's per-step wrap — is this loop over a sequence of steps."""
-    for slot, kernel, locators, single, op_name, inplace in steps:
-        try:
-            args = [values[j][k] for j, k in locators]
-            if inplace is None:
-                out = kernel(*args)
-            else:
-                dj, dk, ikernel, out_shape, out_dtype = inplace
-                buf = values[dj][dk]
-                out = None
-                # Static shapes/dtypes matched at compile time; this
-                # cheap runtime guard protects against kernels whose
-                # actual output metadata diverged from inference.
-                if (type(buf) is np.ndarray and buf.shape == out_shape
-                        and buf.dtype == out_dtype):
-                    try:
-                        out = ikernel(*args, out=buf)
-                    except (TypeError, ValueError):
-                        # The ufunc refused the out= cast (an operand is
-                        # not of its declared dtype); NumPy rejects
-                        # before writing, so fall back clean — and say so.
-                        _REC.counter("runtime.inplace_refusals")
-                if out is None:
-                    out = kernel(*args)
-        except ExecutionError:
-            raise
-        except Exception as e:
-            raise ExecutionError(
-                f"Error executing op {op_name!r}: {e}", op_name=op_name
-            ) from e
-        values[slot] = (out,) if single else tuple(out)
 
 
 class ExecutionPlan:
     """A pruned, topologically-ordered, slot-resolved execution plan.
 
     Attributes:
-      steps: ``(slot, kernel, locators, single, op_name, inplace)``
+      steps: ``(slot, kernel, locators, n_outputs, op_name, inplace)``
         tuples; ``inplace`` is ``None`` or a buffer-donation record
         ``(donor_slot, donor_index, inplace_kernel, out_shape, out_dtype)``.
       fetch_locators: ``(slot, output_index)`` per flat fetch (``(-1, 0)``
@@ -117,8 +83,6 @@ class ExecutionPlan:
       levels: wavefront partition of step indices — steps in one level
         are mutually independent (data, control and stateful-order
         dependencies all land in earlier levels).
-      level_steps: ``levels`` with each index replaced by a one-step
-        sequence, the unit a scheduler worker runs.
       fused_groups: ``(span_name, member_op_names, member_op_types,
         slot)`` per fused composite step (empty when compiled with
         ``fuse=False`` or nothing fused).
@@ -129,7 +93,7 @@ class ExecutionPlan:
 
     __slots__ = ("steps", "fetch_locators", "feed_slots", "n_slots",
                  "base_values", "graph", "graph_version", "levels",
-                 "level_steps", "fused_groups", "standalone")
+                 "fused_groups", "standalone", "_walks")
 
     def __init__(self, steps, fetch_locators, feed_slots, n_slots,
                  base_values, graph, graph_version, levels=(),
@@ -142,68 +106,46 @@ class ExecutionPlan:
         self.graph = graph
         self.graph_version = graph_version
         self.levels = levels
-        self.level_steps = tuple(
-            tuple((steps[i],) for i in level) for level in levels)
         self.fused_groups = fused_groups
         self.standalone = dict(standalone)
+        # One generated walk per kind (serial, recorded, level, recorded
+        # level), each emitted on its first use.
+        self._walks = [None] * 4
 
     # -- execution ---------------------------------------------------------
 
-    def execute(self, values, scheduler=None):
-        """Run every step against ``values`` (feeds already bound).
+    def walk(self, scheduler=None):
+        """The generated walk (:mod:`repro.runtime.emit`) for the
+        recorder's current state and ``scheduler``, emitted on its first
+        use: a function ``(feeds, scheduler=None)`` taking one value per
+        :attr:`feed_slots` entry and returning the flat fetches.
 
-        With a parallel ``scheduler`` the steps run level by level,
-        each level's independent steps fanned out on the scheduler's
-        worker pool (slot stores into distinct indices of ``values``
-        are safe under the GIL; the kernels release it).
+        With a parallel ``scheduler`` the steps run level by level, each
+        level's independent steps fanned out on the scheduler's worker
+        pool (the kernels release the GIL).
         """
-        if scheduler is not None and not (
-                scheduler.parallel and len(self.steps) > 1):
-            scheduler = None
-        if _REC.enabled:
-            self._execute_traced(values, scheduler)
-        elif scheduler is None:
-            _run_steps(self.steps, values)
-        else:
-            run = functools.partial(_run_steps, values=values)
-            for level in self.level_steps:
-                if len(level) == 1:
-                    run(level[0])
-                else:
-                    scheduler.map(run, level)
+        kind = emit.RECORDED if _REC.enabled else 0
+        if (scheduler is not None and scheduler.parallel
+                and len(self.steps) > 1):
+            kind |= emit.LEVELS
+        run = self._walks[kind]
+        if run is None:
+            run = self._walks[kind] = emit.walk(self, kind)
+        return run
 
-    def _execute_traced(self, values, scheduler):
-        """:meth:`execute` while ``repro.observe`` records: the same walks
-        with one ``"step"`` span wrapped around each step (named after
-        the op, so the profiler's top-kernels view aggregates directly),
-        one ``"level"`` span per wavefront on the level walk and a
-        ``"plan"`` span around the lot."""
-        rec = _REC
-
-        def run(one):
-            t0 = rec.begin()
-            try:
-                _run_steps(one, values)
-            finally:
-                rec.end(one[0][4], "step", t0, {"slot": one[0][0]})
-
-        t_plan = rec.begin()
-        try:
-            if scheduler is None:
-                for step in self.steps:
-                    run((step,))
-            else:
-                for ln, level in enumerate(self.level_steps):
-                    t0 = rec.begin()
-                    if len(level) == 1:
-                        run(level[0])
-                    else:
-                        scheduler.map(run, level)
-                    rec.end(f"level[{ln}]", "level", t0,
-                            {"steps": len(level)})
-        finally:
-            rec.end("plan.execute", "plan", t_plan,
-                    {"steps": len(self.steps)})
+    def execute(self, values, scheduler=None):
+        """Run the walk on a whole slot list ``values`` (a copy of
+        :attr:`base_values` with the feed slots filled); returns the flat
+        fetches and stores them into ``values`` for :meth:`fetch`."""
+        out = self.walk(scheduler)(
+            [values[j][0] for _t, j in self.feed_slots], scheduler)
+        rows = {}
+        for (j, k), value in zip(self.fetch_locators, out):
+            if j >= 0:
+                rows.setdefault(j, {})[k] = value
+        for j, row in rows.items():
+            values[j] = tuple(row.get(k) for k in range(max(row) + 1))
+        return out
 
     def fetch(self, values):
         """The flat fetch results out of an executed ``values`` array."""
@@ -235,7 +177,7 @@ class ExecutionPlan:
         for ln, level in enumerate(self.levels):
             for i in level:
                 level_of[i] = ln
-        for i, (slot, _kernel, locators, _single, name, inplace) in (
+        for i, (slot, _kernel, locators, _n_out, name, inplace) in (
                 enumerate(self.steps)):
             ins = ", ".join(f"{j}:{k}" for j, k in locators)
             line = (f"  [{i}] L{level_of.get(i, 0)} slot={slot} "
@@ -401,8 +343,8 @@ def compile_plan(graph, flat_fetches, feed_tensors, *, fuse=True):
                     const_slots.add(slot)
                     continue
 
-        steps.append([slot, kernel, locators, len(op.outputs) == 1,
-                      op.name, ikernel])
+        steps.append([slot, kernel, locators, len(op.outputs), op.name,
+                      ikernel])
         step_ops.append(op)
 
     fetch_locators = []
@@ -547,7 +489,7 @@ def _assign_buffer_reuse(steps, step_ops, fetch_locators, step_levels):
 
     for i, (s, op) in enumerate(zip(steps, step_ops)):
         ikernel, s[5] = s[5], None
-        key = _static_key(op.outputs[0]) if ikernel and s[3] else None
+        key = _static_key(op.outputs[0]) if ikernel and s[3] == 1 else None
         entries = pool.get(key, ())
         level, alias = step_levels[i], op.op_def.elementwise
         for e, ((last, last_level, alone), loc) in enumerate(entries):

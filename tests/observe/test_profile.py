@@ -252,14 +252,11 @@ class TestStagedLoopSpans:
         assert len(nested) == sum(s.args["steps"] for s in runs)
 
     def test_recorder_off_takes_the_untraced_loop(self, monkeypatch):
-        from repro.runtime import ExecutionPlan
-
         fn, x, n = self._loop_function()
 
         def boom(*args, **kwargs):
             raise AssertionError("tracing path taken with the recorder off")
 
-        monkeypatch.setattr(ExecutionPlan, "_execute_traced", boom)
         for emit in ("span", "begin", "end", "instant"):
             monkeypatch.setattr(Recorder, emit, boom)
         assert not RECORDER.enabled

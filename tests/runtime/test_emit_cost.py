@@ -1,0 +1,155 @@
+"""What the plan emitter writes and compiles, in counts rather than timings.
+
+Every walk of a plan is generated code (``repro.runtime.emit``).  These
+tests pin its size and how often it is written the way
+``tests/autograph/test_conversion_cost.py`` pins AutoGraph's walks:
+
+- the serial walk of the 515-step unrolled RNN plan is one line per step
+  plus a fixed prologue (the feed unpack) and epilogue (the handlers and
+  the return) — a verbose emission showed as megabytes of resident
+  memory on that plan;
+- a plan writes each walk once, on its first run, and keeps no source
+  text;
+- every emitted walk parses as Python 3.9, the oldest CI interpreter.
+"""
+
+import ast
+import linecache
+
+import numpy as np
+import pytest
+
+import repro
+from repro import framework as fw
+from repro import nn, observe
+from repro.blocks import BlockScheduler
+from repro.framework import ops
+from repro.runtime import BoundPlan, compile_plan, emit
+
+#: Lines of a serial walk that are no step: the header, the feed
+#: unpack, ``try:``, the two handlers (four lines) and the ``return``.
+FIXED_LINES = 8
+
+
+@pytest.fixture
+def sources(monkeypatch):
+    """The list of sources the emitter compiles from then on."""
+    compiled = []
+
+    def spy(source, filename, mode):
+        compiled.append(source)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(emit, "compile", spy, raising=False)
+    return compiled
+
+
+def _emitted():
+    return observe.counters().get("runtime.walks_emitted", 0)
+
+
+def _rnn_plan():
+    """The benchmark's unrolled RNN (``bench/models.py``), small."""
+    from bench import models
+
+    cell = nn.BasicRNNCell(4, input_dim=4, rng=np.random.default_rng(0))
+    fn = repro.function(models.make_rnn_unrolled(cell, batch=2, seq_len=64))
+    x = np.random.default_rng(1).normal(size=(2, 64, 4)).astype(np.float32)
+    lengths = np.array([64, 40], np.int32)
+    cf = fn.get_concrete_function(x, lengths)
+    return cf, [x, lengths] + list(cf._resolved_captures())
+
+
+def test_the_serial_walk_is_one_line_per_step(sources):
+    cf, args = _rnn_plan()
+    plan = cf._bound.plan
+    assert len(plan.steps) == 515
+    before = _emitted()
+    cf._bound.execute_flat(args)
+    assert _emitted() - before == 1
+    source, = sources
+    lines = source.splitlines()
+    assert len(lines) == len(plan.steps) + FIXED_LINES
+    # One line per step, and nothing else on a step's line.
+    calls = [line for line in lines if "= k" in line or "_inplace(" in line]
+    assert len(calls) == len(plan.steps)
+    assert sum("_inplace(" in line for line in calls) == plan.inplace_steps
+
+
+def test_a_plan_writes_each_walk_once_and_keeps_no_source(sources):
+    cf, args = _rnn_plan()
+    want = cf._bound.execute_flat(args)
+    before = _emitted()
+    for _ in range(3):
+        got = cf._bound.execute_flat(args)
+    assert _emitted() == before
+    assert len(sources) == 1
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+    # An error through a walk formats without caching generated source.
+    g = fw.Graph()
+    with g.as_default():
+        x = ops.placeholder(fw.float32, [None, None])
+        y = ops.matmul(x, x)
+    with pytest.raises(fw.errors.ExecutionError) as info:
+        BoundPlan(compile_plan(g, [y], [x]), [x]).execute_flat(
+            [np.ones((2, 3), np.float32)])
+    info.getrepr()
+    assert not [name for name in linecache.cache
+                if name.startswith("<repro.plan")]
+
+
+def _every_step_kind():
+    """A plan with single- and multi-output (the ``While``), in-place
+    and fused steps, a ``While`` and a ``Cond`` (whose sub-graphs are
+    plans too)."""
+    g = fw.Graph()
+    with g.as_default():
+        x = ops.placeholder(fw.float32, [4, 4])
+        n = ops.placeholder(fw.int32, [])
+        fused = ops.tanh(ops.multiply(ops.exp(x), 2.0))
+        inplace = ops.add(ops.matmul(fused, x), 1.0)
+        _, looped = fw.while_loop(
+            lambda i, acc: i < n,
+            lambda i, acc: (i + 1, ops.tanh(ops.matmul(acc, x))),
+            (np.int32(0), x))
+        branched = fw.cond(n > 1, lambda: ops.reduce_sum(looped),
+                           lambda: ops.reduce_max(looped))
+        y = ops.add(ops.reduce_sum(ops.multiply(inplace, x)), branched)
+    plan = compile_plan(g, [y, looped], [x, n])
+    kinds = {s[4] for s in plan.steps}
+    assert any(name.startswith("fused[") for name in kinds)
+    assert any(s[3] == 2 for s in plan.steps)
+    assert plan.inplace_steps
+    return plan, [x, n]
+
+
+def test_every_emitted_walk_parses_as_python_3_9(sources):
+    plan, feeds = _every_step_kind()
+    args = [np.eye(4, dtype=np.float32) / 2, np.int32(2)]
+    g = fw.Graph()
+    with g.as_default():
+        z = ops.placeholder(fw.float32, [2])
+    empty = compile_plan(g, [z], [z])
+    assert empty.steps == ()
+    with BlockScheduler(num_workers=2) as pool:
+        for recording in (False, True):
+            if recording:
+                observe.enable()
+            try:
+                for scheduler in (None, pool):
+                    BoundPlan(plan, feeds, scheduler).execute_flat(args)
+                    BoundPlan(empty, [z], scheduler).execute_flat(
+                        [np.zeros(2, np.float32)])
+            finally:
+                if recording:
+                    observe.disable()
+                    observe.RECORDER.clear()
+    assert all(walk is not None for walk in plan._walks)
+    # The outer plan's four walks, the empty plan's two (one step or
+    # none runs no levels) and the sub-graphs' serial and recorded ones.
+    assert len(sources) >= 6
+    assert any("scheduler.map(" in source for source in sources)
+    assert any("_step(" in source for source in sources)
+    for source in sources:
+        ast.parse(source, feature_version=(3, 9))

@@ -152,6 +152,80 @@ class TestParallelExecution:
             assert str(err).startswith(
                 "Error executing op 'bad_matmul': "), walk
 
+    @pytest.mark.parametrize("fuse", [True, False])
+    @pytest.mark.parametrize("nest", ["while_loop", "cond"])
+    def test_a_raising_kernel_in_a_nested_walk_is_the_same_error(
+            self, nest, fuse):
+        """The bad op inside a loop body or a branch: each walk of the
+        outer plan runs the sub-graph's own generated walk, and the
+        error is still the one naming the op, with the kernel's own
+        exception as its cause."""
+        feed = np.ones((2, 3), np.float32)     # (2, 3) @ (2, 3): refused
+        with pytest.raises(ValueError) as direct:
+            np.matmul(feed, feed)
+        g = fw.Graph()
+        with g.as_default():
+            x = ops.placeholder(fw.float32, [None, None])
+            n = ops.placeholder(fw.int32, [])
+
+            def bad():
+                return ops.reduce_sum(ops.matmul(x, x, name="bad_matmul"))
+
+            if nest == "while_loop":
+                _, y = fw.while_loop(
+                    lambda i, acc: i < n,
+                    lambda i, acc: (i + 1, acc + bad()),
+                    (np.int32(0), ops.reduce_sum(x)))
+            else:
+                y = fw.cond(n > 0, bad, lambda: ops.reduce_sum(x))
+            y = ops.add(ops.tanh(y), ops.exp(ops.reduce_sum(x)))
+        plan = compile_plan(g, [y], [x, n], fuse=fuse)
+        errors = {walk: got for walk, got, _ in _three_walks(
+            plan, [x, n], [feed, np.int32(2)])}
+        assert len(errors) == 4
+        for walk, err in errors.items():
+            assert isinstance(err, ExecutionError), walk
+            assert err.op_name == "bad_matmul", walk
+            assert str(err) == str(errors["serial"]), walk
+            assert type(err.__cause__) is ValueError, walk
+            assert str(err.__cause__) == str(direct.value), walk
+
+    def test_a_refused_in_place_write_in_a_loop_body_counts_per_turn(self):
+        """A loop body's ``Add`` is armed with its ``MatMul``'s float32
+        buffer, and the variable it also reads holds float64 behind its
+        declaration: every turn of every walk refuses the write once and
+        computes the allocating kernel's bytes."""
+        v = fw.Variable(np.ones((2, 2), np.float32), name="loop_refused")
+        v._state.value = np.full((2, 2), 0.25, np.float64)
+        w = np.array([[1, 2], [3, 4]], np.float32) / 8
+        turns = 3
+        g = fw.Graph()
+        with g.as_default():
+            x = ops.placeholder(fw.float32, [2, 2])
+            n = ops.placeholder(fw.int32, [])
+            _, y = fw.while_loop(
+                lambda i, acc: i < n,
+                lambda i, acc: (i + 1, ops.add(ops.matmul(acc, w),
+                                               v.value())),
+                (np.int32(0), x))
+            y = ops.add(ops.tanh(y), ops.exp(x))
+        xv = np.eye(2, dtype=np.float32)
+        acc = xv
+        for _ in range(turns):
+            # Each turn's feed check coerces the carried value back to
+            # its declared float32.
+            acc = np.add(np.matmul(np.asarray(acc, np.float32), w),
+                         v._state.value)
+        want = np.add(np.tanh(acc), np.exp(xv))
+        for fuse in (True, False):
+            plan = compile_plan(g, [y], [x, n], fuse=fuse)
+            for walk, got, refused in _three_walks(
+                    plan, [x, n], [xv, np.int32(turns)]):
+                assert not isinstance(got, ExecutionError), (walk, got)
+                assert got[0].dtype == want.dtype, (fuse, walk)
+                assert got[0].tobytes() == want.tobytes(), (fuse, walk)
+                assert refused == turns, (fuse, walk)
+
     def test_scheduler_matches_serial_bitwise(self):
         x, y = _wide_graph()
         plan = _plan_for(y, [x])
