@@ -28,7 +28,11 @@ __all__ = ["convert", "to_graph", "converted_call", "do_not_convert"]
 # Both hold a code object only while something else does, so a conversion
 # is freed with the last function that has its code.
 _CONVERSION_CACHE = weakref.WeakKeyDictionary()
-_FAILED_CONVERSIONS = weakref.WeakSet()
+# Code object -> why its conversion failed (the same for every function
+# with this code, so it is not retried); the functions already warned
+# about, each once by name: equal code is not the same function.
+_FAILED_CONVERSIONS = weakref.WeakKeyDictionary()
+_WARNED = weakref.WeakSet()
 
 
 def do_not_convert(fn):
@@ -60,8 +64,6 @@ def _should_convert(f):
     if code is None:
         return False
     if conversion.is_generated_file(code.co_filename):
-        return False
-    if code in _FAILED_CONVERSIONS:
         return False
     module = getattr(f, "__module__", None)
     if is_allowlisted_module(module):
@@ -124,14 +126,20 @@ def converted_call(f, args=(), kwargs=None):
 
 
 def _try_convert(f):
-    try:
-        return _converted_entity(f)
-    except errors.ConversionError as e:
-        _FAILED_CONVERSIONS.add(f.__code__)
+    """The converted ``f``, or None when its code cannot be converted:
+    then it runs as-is, and the first such call of each function warns."""
+    cause = _FAILED_CONVERSIONS.get(f.__code__)
+    if cause is None:
+        try:
+            return _converted_entity(f)
+        except errors.ConversionError as e:
+            cause = _FAILED_CONVERSIONS[f.__code__] = str(e)
+    if f not in _WARNED:
+        _WARNED.add(f)
         _user_frame.warn(
             f"AutoGraph could not convert {getattr(f, '__name__', f)!r} and "
-            f"will run it as-is. Cause: {e}")
-        return None
+            f"will run it as-is. Cause: {cause}")
+    return None
 
 
 def to_graph(f):

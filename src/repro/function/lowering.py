@@ -37,7 +37,7 @@ from ..framework.eager.tensor import EagerTensor
 from ..framework.errors import FetchError, StagingError
 from ..framework.graph.func_graph import ExternalCapture
 from ..framework.graph.variables import Variable
-from ..lantern.compiler import compile_program
+from ..lantern.compiler import compile_program, seeds
 from ..lantern.ir import StagedValue
 from ..lantern.lowering import LanternLoweringError
 from ..lantern.staging import ReentrantStagingError, StagedArityError, Stager
@@ -518,13 +518,14 @@ class LanternConcreteFunction(Traced, CompiledLantern):
         """Forward + CPS backward in one shot, without a tape.
 
         Zeroes the program's gradient slots, runs the continuation with
-        ``seed`` and syncs accumulated gradients onto the Params (read
-        them via :attr:`params`).  Returns the forward outputs.
+        every output element seeded with ``seed`` and syncs accumulated
+        gradients onto the Params (read them via :attr:`params`).
+        Returns the forward outputs.
         """
         tensor_outputs, bwd = self._execute(
             self._canonicalize(args, kwargs).tensor_values())
         self._compiled.zero_grads()
-        bwd(*([seed] * len(tensor_outputs)))
+        bwd(*seeds([t.numpy() for t in tensor_outputs], seed))
         self._compiled.sync_param_grads()
         return self._pack_outputs(tensor_outputs)
 
@@ -534,7 +535,7 @@ class LanternConcreteFunction(Traced, CompiledLantern):
 
     def _make_grad_fn(self, bwd, var_caps=()):
         def grad_fn(record, *out_grads):
-            seeds = [
+            out_grads_np = [
                 g.numpy() if isinstance(g, EagerTensor) else np.asarray(g)
                 for g in out_grads
             ]
@@ -548,7 +549,7 @@ class LanternConcreteFunction(Traced, CompiledLantern):
             # should use ``call_with_grad``.)
             slots = self._compiled.namespace["_G"]
             before = [slots[p.name].copy() for _, p in var_caps]
-            d_params = bwd(*seeds)
+            d_params = bwd(*out_grads_np)
             self._compiled.sync_param_grads()
             grads = [EagerTensor(np.asarray(d))
                      for d, spec in zip(d_params, self._input_specs)

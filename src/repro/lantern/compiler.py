@@ -24,20 +24,53 @@ import itertools
 
 import numpy as np
 
-from .ir import OPS, Param, Program
+from .ir import _TREE_FIELD_KINDS, OPS, Param, Program
 
-__all__ = ["compile_program", "CompiledProgram", "RUNTIME"]
+__all__ = ["compile_program", "CompiledProgram", "RUNTIME", "seeds"]
 
 
 def _unb(grad, like):
-    """Unbroadcast ``grad`` onto the shape of ``like``."""
+    """Unbroadcast ``grad`` onto the shape of ``like`` (an array or a
+    Python scalar)."""
+    shape = getattr(like, "shape", ())
+    if getattr(grad, "shape", ()) == shape:
+        return grad
     g = np.asarray(grad)
-    while g.ndim > like.ndim:
+    while g.ndim > len(shape):
         g = g.sum(axis=0)
-    for axis, (gd, ld) in enumerate(zip(g.shape, like.shape)):
+    for axis, (gd, ld) in enumerate(zip(g.shape, shape)):
         if ld == 1 and gd != 1:
             g = g.sum(axis=axis, keepdims=True)
     return g
+
+
+def _dot(a, b):
+    """``a @ b`` for 2-D operands, through ``np.dot`` where that gives the
+    same bytes.  ``np.matmul`` has a slow path for a contraction
+    dimension of 1, which every weight gradient of a batch-1 product is
+    (``[128,1] @ [1,64]``: ~25 us under ``@``, ~3 us under ``np.dot``,
+    the same BLAS product).  ``@`` stays where the bytes differ: an
+    operand of one element (``np.dot`` scales with BLAS, which skips a
+    zero factor, so ``0 * inf`` gives 0, not nan) and operands of two
+    dtypes (``np.matmul`` then sums in its own loop, not in BLAS)."""
+    if a.dtype == b.dtype and a.size > 1 < b.size:
+        return np.dot(a, b)
+    return a @ b
+
+
+def _zeros_like(value):
+    """The gradient of a tensor no gradient reached: a zero of its shape
+    and dtype, or ``0.0`` for a scalar (a weak Python scalar, so it
+    promotes nothing).  A bare ``0.0`` for a matrix would broadcast
+    through ``np.dot`` into a gradient of the wrong shape."""
+    return np.zeros_like(value) if np.ndim(value) else 0.0
+
+
+def seeds(outputs, seed):
+    """The continuation's arguments seeding every output with ``seed``:
+    the scalar for a scalar output, an array of it for a tensor."""
+    return [np.full_like(out, seed) if np.ndim(out) else seed
+            for out in outputs]
 
 
 def _np_sigmoid(x):
@@ -71,6 +104,8 @@ RUNTIME = {
     "_xent": _np_xent,
     "_softmax": _np_softmax,
     "_unb": _unb,
+    "_dot": _dot,
+    "_zeros_like": _zeros_like,
 }
 
 
@@ -154,6 +189,9 @@ class _FunctionCompiler:
         self._call_bwd_names = {}
         self._if_bwd_names = {}
         self._if_free_syms = {}
+        # Symbols holding runtime data (trees, booleans), which carry no
+        # gradient; every other symbol is a tensor.
+        self._kinds = dict(zip(fdef.param_syms, fdef.param_kinds))
 
     def generate(self, emitter):
         f = self.fdef
@@ -189,6 +227,7 @@ class _FunctionCompiler:
                 emitter.emit(indent, f"{out} = _P[{name!r}]")
             elif tag == "field":
                 _, out, obj, field = instr
+                self._kinds[out] = _TREE_FIELD_KINDS.get(field, "tensor")
                 emitter.emit(indent, f"{out} = {obj}.{field}")
             elif tag == "call":
                 _, outs, fn_name, args = instr
@@ -245,7 +284,7 @@ class _FunctionCompiler:
         for i, res in enumerate(block.result_syms):
             grads.accum(emitter, indent + 1, res, f"d_{i}")
         self._emit_backward_block(emitter, indent + 1, block, grads)
-        ret = ", ".join(grads.read(s) or "0.0" for s in param_syms)
+        ret = ", ".join(grads.read(s) or self._zero(s) for s in param_syms)
         if len(param_syms) == 1:
             emitter.emit(indent + 1, f"return ({ret},)")
         else:
@@ -271,7 +310,8 @@ class _FunctionCompiler:
             elif tag == "call":
                 _, outs, fn_name, args = instr
                 bwd_var = self._call_bwd_names[id(instr)]
-                d_args = ", ".join(grads.read(o) or "0.0" for o in outs)
+                d_args = ", ".join(
+                    grads.read(o) or self._zero(o) for o in outs)
                 tmp = f"_d{self._fresh_idx()}"
                 emitter.emit(indent, f"{tmp} = {bwd_var}({d_args})")
                 for i, arg in enumerate(args):
@@ -280,7 +320,8 @@ class _FunctionCompiler:
                 _, outs, cond, then_block, else_block = instr
                 free = self._if_free_syms[id(instr)]
                 bif_var = self._if_bwd_names[id(instr)]
-                d_outs = ", ".join(grads.read(o) or "0.0" for o in outs)
+                d_outs = ", ".join(
+                    grads.read(o) or self._zero(o) for o in outs)
                 tmp = f"_d{self._fresh_idx()}"
                 emitter.emit(indent, f"{tmp} = {bif_var}({d_outs})")
                 for i, sym in enumerate(free):
@@ -300,6 +341,14 @@ class _FunctionCompiler:
         for arg, adjoint in zip(args, adjoints):
             if adjoint is not None:
                 grads.accum(emitter, indent, arg, adjoint)
+
+    def _zero(self, sym):
+        """The gradient a continuation passes for ``sym`` when none
+        reached it: a zero shaped like a tensor, ``0.0`` for runtime
+        data."""
+        if self._kinds.get(sym, "tensor") == "tensor":
+            return f"_zeros_like({sym})"
+        return "0.0"
 
     def _fresh_closure(self, prefix):
         self._closure_counter += 1
@@ -340,7 +389,8 @@ class CompiledProgram:
         return out[0] if len(out) == 1 else out
 
     def run_with_grad(self, name, *args, seed=1.0):
-        """Run forward + backward (scalar outputs seeded with ``seed``).
+        """Run forward + backward (every output element seeded with
+        ``seed``).
 
         Returns the forward outputs; gradients accumulate into
         ``self.grads()`` / the Param objects.
@@ -349,7 +399,7 @@ class CompiledProgram:
             raise RuntimeError("Program compiled without gradients")
         out = self.namespace[name](*args)
         results, bwd = out[:-1], out[-1]
-        bwd(*([seed] * len(results)))
+        bwd(*seeds(results, seed))
         return results[0] if len(results) == 1 else results
 
     def sync_param_grads(self):

@@ -84,12 +84,18 @@ def _xent_adjoint(emit, fresh_idx, g, out, logits, label):
 # (``graph``).  Adding a Lantern op = one entry.  The names are the
 # serialized IR, so an entry may be added but never renamed.
 OPS = {
-    "add": LanternOp(2, "{0} + {1}", ("{g}", "{g}"), ("Add", {})),
-    "sub": LanternOp(2, "{0} - {1}", ("{g}", "-({g})"), ("Sub", {})),
-    "mul": LanternOp(2, "{0} * {1}", ("{g} * {1}", "{g} * {0}"),
+    # A broadcasting op's gradient has the result's shape; ``_unb``
+    # sums it back onto each operand's (a no-op where they match).
+    "add": LanternOp(2, "{0} + {1}", ("_unb({g}, {0})", "_unb({g}, {1})"),
+                     ("Add", {})),
+    "sub": LanternOp(2, "{0} - {1}", ("_unb({g}, {0})", "_unb(-({g}), {1})"),
+                     ("Sub", {})),
+    "mul": LanternOp(2, "{0} * {1}",
+                     ("_unb({g} * {1}, {0})", "_unb({g} * {0}, {1})"),
                      ("Mul", {})),
     "div": LanternOp(2, "{0} / {1}",
-                     ("{g} / {1}", "-({g}) * {0} / ({1} * {1})"),
+                     ("_unb({g} / {1}, {0})",
+                      "_unb(-({g}) * {0} / ({1} * {1}), {1})"),
                      ("Div", {})),
     "neg": LanternOp(1, "-{0}", ("-({g})",), ("Neg", {})),
     "tanh": LanternOp(1, "np.tanh({0})", ("{g} * (1.0 - {out} * {out})",),
@@ -108,10 +114,13 @@ OPS = {
     "transpose": LanternOp(1, "np.transpose({0})", ("np.transpose({g})",),
                            ("Transpose", {})),
     "maximum": LanternOp(2, "np.maximum({0}, {1})",
-                         ("{g} * ({0} >= {1})", "{g} * ({0} < {1})"),
+                         ("_unb({g} * ({0} >= {1}), {0})",
+                          "_unb({g} * ({0} < {1}), {1})"),
                          ("Maximum", {})),
+    # The IR's matmul is 2-D; ``_dot`` is its ``@`` off NumPy's slow
+    # path for the batch-1 weight gradients.
     "matmul": LanternOp(2, "{0} @ {1}",
-                        ("{g} @ np.transpose({1})", "np.transpose({0}) @ {g}"),
+                        ("_dot({g}, {1}.T)", "_dot({0}.T, {g})"),
                         ("MatMul", {})),
     # Sparse softmax cross entropy: (logits, label) -> scalar.
     "xent": LanternOp(2, "_xent({0}, {1})", _xent_adjoint),

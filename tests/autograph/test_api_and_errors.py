@@ -279,6 +279,30 @@ class TestConvertedCall:
         assert any("could not convert" in str(w.message).lower()
                    for w in caught)
 
+    def test_each_function_whose_code_failed_warns_once(self):
+        # One source exec'd twice under one filename: the two code
+        # objects compare equal, the functions are still two.
+        fns = []
+        for _ in range(2):
+            ns = {}
+            exec(compile("def no_source_twice(x):\n    return x * 3\n",
+                         "<twice>", "exec"), ns)
+            fns.append(ns["no_source_twice"])
+        assert fns[0].__code__ == fns[1].__code__
+
+        def outer(f, x):
+            return f(x)
+
+        converted = ag.to_graph(outer)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for f in fns + fns:
+                assert converted(f, 2) == 6
+        messages = [str(w.message) for w in caught
+                    if "could not convert" in str(w.message)]
+        assert len(messages) == 2
+        assert all("'no_source_twice'" in m for m in messages)
+
     def test_callable_object_routed_through_call(self):
         class Doubler:
             def __call__(self, x):

@@ -7,12 +7,18 @@ source ``compile_program`` generates: the two staged models, every
 op once (so every forward and adjoint expression is covered).
 
 The checked-in ``goldens/<name>.txt`` files are what this checkout
-emits when the program is the first one compiled in a fresh
-interpreter.  To print it::
+emits (a function of the program alone).  To print one::
 
     PYTHONPATH=src python tests/lantern/lantern_golden_programs.py NAME
+
+To rewrite ``goldens/`` from ``PROGRAMS`` after a deliberate change to
+the generated code (every golden is written, and a golden with no
+program is deleted; check the diff before committing it)::
+
+    PYTHONPATH=src python tests/lantern/lantern_golden_programs.py --write
 """
 
+import pathlib
 import sys
 
 import numpy as np
@@ -124,5 +130,20 @@ for _name, _reduce in (("sum", ops.reduce_sum), ("mean", ops.reduce_mean)):
                 _reduction(_reduce, _axis, _keep), (2, 3))
 
 
+GOLDENS = pathlib.Path(__file__).parent / "goldens"
+
+
+def write_goldens():
+    """Rewrite ``goldens/`` to what this checkout emits for ``PROGRAMS``."""
+    for stale in GOLDENS.glob("*.txt"):
+        if stale.stem not in PROGRAMS:
+            stale.unlink()
+    for name, source in PROGRAMS.items():
+        (GOLDENS / f"{name}.txt").write_text(source())
+
+
 if __name__ == "__main__":
-    sys.stdout.write(PROGRAMS[sys.argv[1]]())
+    if sys.argv[1] == "--write":
+        write_goldens()
+    else:
+        sys.stdout.write(PROGRAMS[sys.argv[1]]())

@@ -1,18 +1,21 @@
 """The compiler's output is pinned byte for byte, and is a function of
 the program alone.
 
-``goldens/`` holds what the commit before ``ir.OPS`` became the single
-op table emitted (each program compiled first in a fresh interpreter):
-re-deriving the forward templates, the adjoints and the lowering from
-one declaration must not move a character.
+``goldens/`` holds the forward code and the CPS adjoints the compiler
+emits for every program of ``lantern_golden_programs.PROGRAMS``, so a
+change to an ``ir.OPS`` template or to the compiler shows as a diff of
+the lines it moves.  The adjoints are the fast-path forms: a matmul's
+operand gradients are ``np.dot`` over ``.T`` attribute transposes
+(``@`` for a one-element operand), a broadcasting op's operand
+gradient is unbroadcast onto that operand (``_unb``), and the gradient
+passed for a tensor output no caller reads is a zero of its shape
+(``_zeros_like``), never a bare ``0.0``.  After a deliberate change,
+rewrite them with
+``PYTHONPATH=src python tests/lantern/lantern_golden_programs.py --write``.
 """
 
-import pathlib
-
 import pytest
-from lantern_golden_programs import PROGRAMS
-
-GOLDENS = pathlib.Path(__file__).parent / "goldens"
+from lantern_golden_programs import GOLDENS, PROGRAMS
 
 
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
