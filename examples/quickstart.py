@@ -61,10 +61,9 @@ def main():
           " (both calls share one traced graph)")
     assert jitted.trace_count == 1
 
-    # --- The generated code (paper Listing 1, bottom). ----------------------
-    converted = ag.to_graph(f)
+    # --- The generated code (paper Listing 1, bottom), made on demand. ------
     print("\nGenerated code:")
-    print(converted.__ag_source__)
+    print(ag.to_code(f))
 
 
 if __name__ == "__main__":

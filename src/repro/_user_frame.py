@@ -3,9 +3,10 @@
 A fixed ``stacklevel`` names whichever library frame happens to sit that
 deep, and the depth differs per backend and per call path.  :func:`warn`
 walks out of the library instead: the warning names the first frame that
-is neither a module of this package nor code it generated (AutoGraph's
-converted files, the engine's plan walks).  Python 3.9 has no
-``skip_file_prefixes``, hence the walk.
+is neither a module of this package nor code the engine generated (its
+plan walks, named ``<repro...>``).  Code AutoGraph converted runs under
+the user's file name and lines, so its frames count as the user's own.
+Python 3.9 has no ``skip_file_prefixes``, hence the walk.
 """
 
 from __future__ import annotations
@@ -22,11 +23,8 @@ _PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__)) + os.sep
 def warn(message):
     """``warnings.warn(message)`` naming the first frame outside the
     library as the warning's file and line."""
-    from .autograph.impl.conversion import is_generated_file
-
     frame, level = sys._getframe(1), 2
-    while frame is not None and (
-            frame.f_code.co_filename.startswith((_PACKAGE_DIR, "<repro."))
-            or is_generated_file(frame.f_code.co_filename)):
+    while frame is not None and frame.f_code.co_filename.startswith(
+            (_PACKAGE_DIR, "<repro.")):
         frame, level = frame.f_back, level + 1
     warnings.warn(message, stacklevel=level)

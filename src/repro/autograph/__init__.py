@@ -11,18 +11,21 @@ The paper's single-function API (Section 5):
         return x
 
 Plus the compilation directives (``set_element_type``, ``set_loop_options``),
-the ``stack`` list idiom, ``to_graph`` for explicit conversion, and
+the ``stack`` list idiom, ``to_graph`` for explicit conversion,
+``to_code`` for the generated source, and
 ``do_not_convert`` to opt functions out.
 """
 
 from . import converters, errors, operators, pyct
 from .errors import AutoGraphError, ConversionError
-from .impl.api import convert, converted_call, do_not_convert, to_graph
+from .impl.api import (convert, converted_call, do_not_convert, to_code,
+                       to_graph)
 from .operators.data_structures import list_stack as _list_stack
 
 __all__ = [
     "convert",
     "to_graph",
+    "to_code",
     "converted_call",
     "do_not_convert",
     "stack",

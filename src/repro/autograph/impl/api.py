@@ -1,4 +1,5 @@
-"""Public AutoGraph API: ``convert``, ``to_graph``, ``converted_call``.
+"""Public AutoGraph API: ``convert``, ``to_graph``, ``to_code``,
+``converted_call``.
 
 ``converted_call`` is the runtime heart of §7.2 (Function Calls): every
 call site in converted code routes through it, and it decides — per the
@@ -21,7 +22,8 @@ from ..core.config import is_allowlisted_module
 from ..operators import py_builtins
 from . import conversion
 
-__all__ = ["convert", "to_graph", "converted_call", "do_not_convert"]
+__all__ = ["convert", "to_graph", "to_code", "converted_function",
+           "converted_call", "do_not_convert"]
 
 # Code object (compared by value: shared by all functions with this
 # source) -> conversion record; converted functions live on their original.
@@ -41,16 +43,19 @@ def do_not_convert(fn):
     return fn
 
 
-def _converted_entity(fn):
-    """The converted form of ``fn`` (converting its code on first sight)."""
+def _converted_entity(fn, source=False):
+    """The converted form of ``fn`` (converting its code on first sight);
+    with ``source``, showing its generated source too."""
     converted = fn.__dict__.get("__ag_converted__")
     # functools.wraps copies __dict__: only trust our own entry.
     if converted is None or converted.__wrapped_original__ is not fn:
         record = _CONVERSION_CACHE.get(fn.__code__)
         if record is None:
-            record = conversion.convert_entity(fn)
+            record = conversion.convert_entity(fn, source)
             _CONVERSION_CACHE[fn.__code__] = record
         converted = fn.__ag_converted__ = conversion.instantiate(record, fn)
+    if source and "__ag_source__" not in converted.__dict__:
+        conversion.attach_source(converted)
     return converted
 
 
@@ -63,7 +68,8 @@ def _should_convert(f):
     code = getattr(f, "__code__", None)
     if code is None:
         return False
-    if conversion.is_generated_file(code.co_filename):
+    # A function converted code defined (a nested def, a branch body).
+    if conversion.converted_from(code) is not None:
         return False
     module = getattr(f, "__module__", None)
     if is_allowlisted_module(module):
@@ -142,23 +148,46 @@ def _try_convert(f):
     return None
 
 
+def _function_of(f):
+    """The plain function behind ``f`` (a ``@convert`` wrapper, a
+    function or a method), and the instance a method is bound to."""
+    f = getattr(f, "__ag_original__", f)
+    if inspect.ismethod(f):
+        return f.__func__, f.__self__
+    if not inspect.isfunction(f):
+        raise errors.ConversionError(
+            f"AutoGraph converts a function or method, got "
+            f"{type(f).__name__}")
+    return f, None
+
+
+def converted_function(f, source=False):
+    """``f`` converted now: a function, or a method's function bound to
+    its instance.  With ``source`` the result shows its generated code,
+    as ``__ag_source__`` and to ``inspect.getsource`` (§10), which costs
+    an unparse; ``repro.function`` traces without it."""
+    fn, instance = _function_of(f)
+    converted = _converted_entity(fn, source)
+    if instance is not None:
+        return functools.partial(converted, instance)
+    return converted
+
+
 def to_graph(f):
-    """Convert ``f`` now and return the converted function (paper §5).
+    """Convert ``f`` now and return the converted function (paper §5),
+    showing its generated source (:func:`converted_function`).
 
     Entities passed directly are always converted (Appendix E footnote
     b); the functions they call are converted when first called.
     """
-    original = getattr(f, "__ag_original__", None)
-    if original is not None:
-        f = original
-    if inspect.ismethod(f):
-        converted = _converted_entity(f.__func__)
-        return functools.partial(converted, f.__self__)
-    if not inspect.isfunction(f):
-        raise errors.ConversionError(
-            f"to_graph requires a function or method, got {type(f).__name__}"
-        )
-    return _converted_entity(f)
+    return converted_function(f, source=True)
+
+
+def to_code(f):
+    """The source AutoGraph generates for ``f``, made on demand: ``f`` is
+    converted again and the converted tree unparsed."""
+    fn, _ = _function_of(f)
+    return conversion.generated_source(fn)
 
 
 def convert():

@@ -1,14 +1,15 @@
 """pyct: the source-code-transformation toolkit (paper Appendix C).
 
-Parsing, pretty-printing, templated rewriting, AST loading, qualified
-names, CFG construction and the static analyses of Section 7.1.
+Parsing, pretty-printing, templated rewriting, origin locations,
+qualified names, CFG construction and the static analyses of Section 7.1.
+Converted trees are compiled directly (``impl/conversion.py``); there is
+no loader of generated files.
 """
 
 from . import (
     anno,
     ast_util,
     cfg,
-    loader,
     origin_info,
     parser,
     pretty_printer,
@@ -22,7 +23,6 @@ __all__ = [
     "anno",
     "ast_util",
     "cfg",
-    "loader",
     "origin_info",
     "parser",
     "pretty_printer",

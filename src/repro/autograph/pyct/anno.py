@@ -23,7 +23,7 @@ class Basic(enum.Enum):
 
     QN = "qn"                      # qualified name of a Name/Attribute node
     SKIP_PROCESSING = "skip"       # do not convert this subtree
-    ORIGIN = "origin"              # OriginInfo for error source maps
+    ORIGIN = "origin"              # OriginInfo: the user line of a node
     DIRECTIVES = "directives"      # {directive_fn: kwargs} on loop nodes
     EXTRA_LOOP_TEST = "extra_loop_test"  # injected by break/return lowering
 

@@ -1,23 +1,21 @@
-"""Source maps: generated code lines -> original user code (Appendix B).
+"""Where converted code came from: user lines (Appendix B).
 
-Every AST node is annotated with an :class:`OriginInfo` before conversion.
-After code generation, :func:`create_source_map` pairs each line of the
-generated file with the origin of the node that produced it, enabling the
-error-rewriting machinery in :mod:`repro.autograph.errors`.  A conversion
-registers :func:`deferred_source_map`'s thunk instead, which builds that
-map only when an error first needs it.
+Every AST node is annotated with an :class:`OriginInfo` before conversion
+(:func:`resolve`), and the passes carry the annotation onto the nodes
+that replace it.  :func:`locate` then gives every node of the converted
+tree the line of its origin, so the tree compiles under the user's own
+file name and a traceback through converted code names the user's file
+and line with no source map.
 """
 
 from __future__ import annotations
 
 import ast
-import functools
 from collections import namedtuple
 
-from . import anno, ast_util
+from . import anno
 
-__all__ = ["OriginInfo", "resolve", "create_source_map",
-           "deferred_source_map"]
+__all__ = ["OriginInfo", "resolve", "locate"]
 
 
 class OriginInfo(namedtuple("OriginInfo",
@@ -69,54 +67,33 @@ def resolve(root, source, filename, entity_name, entity_lineno_offset=0):
     return root
 
 
-def _origins(converted_node):
-    return tuple(anno.getanno(n, anno.Basic.ORIGIN)
-                 for n in ast_util.walk(converted_node))
+def locate(root, lineno):
+    """Place every node under ``root`` on the user line it came from.
 
-
-def _map_lines(origins, generated_source, generated_filename):
-    """Pair the origins of the converted tree's nodes with the line numbers
-    of the same nodes re-parsed from the generated source."""
-    source_map = {}
-    try:
-        reparsed = ast.parse(generated_source)
-    except SyntaxError:  # pragma: no cover - generated code is valid
-        return source_map
-    # The reparsed tree is a Module wrapping the converted entity.
-    reparsed_nodes = ast_util.walk(reparsed)[1:]
-    if len(origins) != len(reparsed_nodes):
-        # Structure drifted (e.g. wrapper statements): the trees cannot be
-        # paired, so the map stays empty and errors go unmapped.
-        return source_map
-    for origin, repr_node in zip(origins, reparsed_nodes):
-        lineno = getattr(repr_node, "lineno", None)
-        if origin is None or lineno is None:
-            continue
-        key = (generated_filename, lineno)
-        if key not in source_map:
-            source_map[key] = origin
-    return source_map
-
-
-def create_source_map(converted_node, generated_source, generated_filename):
-    """Map generated-file line numbers to OriginInfo.
-
-    The converted AST carries ORIGIN annotations (copied through the
-    transforms), but its linenos predate unparsing.  We therefore re-parse
-    the generated source and walk both trees in parallel — they are
-    structurally identical by construction — reading line numbers from the
-    re-parsed tree and origins from the converted tree.
+    A node with an ``ORIGIN`` takes that origin's line; a node without
+    one (template code) takes the nearest origin above it, and ``lineno``
+    where there is none.  Columns are left unknown (``-1``): origins
+    record the column of the dedented source, which is not the file's,
+    so a traceback shows the line and no column markers.  Uses only
+    Python 3.9's AST.
     """
-    return _map_lines(_origins(converted_node), generated_source,
-                      generated_filename)
-
-
-def deferred_source_map(converted_node, generated_source, generated_filename):
-    """A thunk that returns :func:`create_source_map`'s map when called.
-
-    It holds the converted tree's origins, one per node, and the generated
-    source, but not the tree: only an error in generated code needs the
-    map, so the re-parse and the pairing wait for the first one.
-    """
-    return functools.partial(_map_lines, _origins(converted_node),
-                             generated_source, generated_filename)
+    origin_key = anno.Basic.ORIGIN
+    stack = [(root, lineno)]
+    while stack:
+        node, lineno = stack.pop()
+        annos = getattr(node, anno.FIELD, None)
+        if annos is not None:
+            origin = annos.get(origin_key)
+            if origin is not None:
+                lineno = origin.lineno
+        if node._attributes:
+            node.lineno = node.end_lineno = lineno
+            node.col_offset = node.end_col_offset = -1
+        for field in node._fields:
+            value = getattr(node, field, None)
+            if value.__class__ is list:
+                stack.extend((v, lineno) for v in value
+                             if isinstance(v, ast.AST))
+            elif isinstance(value, ast.AST):
+                stack.append((value, lineno))
+    return root

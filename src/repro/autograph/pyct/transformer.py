@@ -13,8 +13,8 @@ visited by no method of the pass:
   are not entered unless the walker has a method for them;
 - a walker with methods for statements only enters no expression: no
   statement sits inside one;
-- a node that replaces the visited one inherits its ``ORIGIN``, so source
-  maps survive every pass.
+- a node that replaces the visited one inherits its ``ORIGIN``, so the
+  user line of every node survives every pass.
 """
 
 from __future__ import annotations
@@ -44,14 +44,16 @@ class Context:
     def __init__(self, info):
         self.info = info
         self._name_counts = {}
+        # Every name fresh_name handed out.
+        self.fresh_names = set()
 
     def fresh_name(self, base):
         """A unique generated symbol name, stable within this conversion."""
         count = self._name_counts.get(base, 0)
         self._name_counts[base] = count + 1
-        if count == 0:
-            return f"{base}"
-        return f"{base}_{count}"
+        name = base if count == 0 else f"{base}_{count}"
+        self.fresh_names.add(name)
+        return name
 
 
 # Node classes whose fields hold no node a walk enters (a Name's context

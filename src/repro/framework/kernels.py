@@ -102,16 +102,21 @@ _elementwise("Floor", np.floor)
 
 
 def _sigmoid(a):
-    # Numerically stable logistic; non-float inputs compute in float32.
+    """Numerically stable logistic; non-float inputs compute in float32.
+
+    ``1 / (1 + e)`` where ``a >= 0`` and ``e / (1 + e)`` elsewhere, with
+    ``e = exp(-|a|)`` (never overflows), the quotient written into the
+    ``where`` result: one pass per op and no boolean-mask indexing.  A
+    0-d input gives a 0-d ndarray.  ``-|a|`` is written
+    ``minimum(a, -a)``: negating ``|a|`` would flip a NaN's sign bit.
+    Lantern's ``_sigmoid`` is this too.
+    """
     a = np.asarray(a)
     if a.dtype.kind != "f":
         a = a.astype(np.float32)
-    out = np.empty_like(a)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ea = np.exp(a[~pos])
-    out[~pos] = ea / (1.0 + ea)
-    return out
+    e = np.exp(np.minimum(a, -a))
+    out = np.where(a >= 0, 1, e)
+    return np.divide(out, 1 + e, out=out)
 
 
 def _relu(a):

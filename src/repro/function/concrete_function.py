@@ -51,11 +51,12 @@ def convert_for_trace(python_function, autograph):
 
     from .. import _user_frame
     from .. import autograph as ag
+    from ..autograph.impl import api as ag_api
 
     if autograph and (inspect.isfunction(python_function)
                       or inspect.ismethod(python_function)):
         try:
-            return ag.to_graph(python_function)
+            return ag_api.converted_function(python_function)
         except ag.ConversionError as e:
             # Trace unconverted: op dispatch still stages, but Python
             # control flow on tensors will raise with a clear message.

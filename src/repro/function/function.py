@@ -294,9 +294,9 @@ class Function:
             fn = self._python_function
             if self._autograph and (inspect.isfunction(fn)
                                     or inspect.ismethod(fn)):
-                from .. import autograph as ag
+                from ..autograph.impl import api as ag_api
 
-                fn = ag.to_graph(fn)
+                fn = ag_api.converted_function(fn)
             self._inline_converted = fn
         return self._inline_converted(*args, **kwargs)
 

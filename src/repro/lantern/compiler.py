@@ -24,6 +24,7 @@ import itertools
 
 import numpy as np
 
+from ..framework.kernels import _sigmoid
 from .ir import _TREE_FIELD_KINDS, OPS, Param, Program
 
 __all__ = ["compile_program", "CompiledProgram", "RUNTIME", "seeds"]
@@ -74,13 +75,7 @@ def seeds(outputs, seed):
 
 
 def _np_sigmoid(x):
-    x = np.asarray(x, dtype=np.float32)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return _sigmoid(np.asarray(x, dtype=np.float32))
 
 
 def _np_xent(logits, label):

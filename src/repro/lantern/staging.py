@@ -321,12 +321,12 @@ class Stager(StagingBackend):
 
     def trace_declared(self):
         """Trace the bodies of every declared-but-untraced function."""
-        import repro.autograph as ag
+        from repro.autograph.impl import api as ag_api
 
         while self._pending_traces:
             target, (fdef, params) = next(iter(self._pending_traces.items()))
             del self._pending_traces[target]
-            self._trace(fdef, ag.to_graph(target), params)
+            self._trace(fdef, ag_api.converted_function(target), params)
 
     def stage_function(self, fn, staged_params, call_args, call_kwargs=None,
                        n_outputs=1, name=None, outputs=None):

@@ -26,6 +26,20 @@ from ..framework.errors import FetchError
 __all__ = ["BoundPlan"]
 
 
+def _shape_check(dims):
+    """``(exact, partial)``: what :meth:`BoundPlan.bind` compares a
+    feed's shape with, decided once per feed.  A fully-defined shape is
+    one tuple equality (``exact``); a partial one is ``(rank, known,
+    dims)``, compared by rank and its known ``(index, dim)`` pairs only,
+    so ``[None]`` is one rank check; an unknown rank checks nothing."""
+    if dims is None:
+        return None, None
+    if None not in dims:
+        return tuple(dims), None
+    return None, (len(dims), tuple(
+        (i, d) for i, d in enumerate(dims) if d is not None), dims)
+
+
 class BoundPlan:
     """An :class:`~repro.runtime.plan.ExecutionPlan` bound to a fixed
     positional argument order."""
@@ -37,10 +51,10 @@ class BoundPlan:
         ``execute_flat`` will receive their values) to plan slots.
 
         Validation work that does not depend on per-call values — slot
-        resolution, dtype lookup, static-shape extraction — happens here,
-        once.  ``scheduler`` (a :class:`repro.blocks.BlockScheduler`)
-        turns on level-parallel step execution; ``None`` keeps the serial
-        kernel loop.
+        resolution, dtype lookup, which shape check a feed needs —
+        happens here, once.  ``scheduler`` (a
+        :class:`repro.blocks.BlockScheduler`) turns on level-parallel step
+        execution; ``None`` keeps the serial kernel loop.
         """
         position_of = {id(t): i for i, (t, _slot) in
                        enumerate(plan.feed_slots)}
@@ -51,13 +65,8 @@ class BoundPlan:
                 raise FetchError(
                     f"Cannot bind {t!r}: not an unbound feed of this plan"
                 )
-            dims = t.shape.dims
-            # Fully-defined shapes compare as one tuple equality on the
-            # hot path; partial shapes keep the per-dimension walk.
-            exact = dims if dims is not None and None not in dims else None
-            partial = dims if exact is None else None
-            binds.append(
-                (position, t.dtype.np_dtype, exact, partial, t.name))
+            binds.append((position, t.dtype.np_dtype)
+                         + _shape_check(t.shape.dims) + (t.name,))
         if position_of:
             unbound = [t.name for t, _slot in plan.feed_slots
                        if id(t) in position_of]
@@ -106,8 +115,9 @@ class BoundPlan:
         already ndarrays of the bound dtype are stored into their slot
         untouched (no validation copy); others are coerced once.  Shape
         compatibility against the bound placeholder's static shape is
-        still enforced — it is one tuple walk, and silently broadcasting
-        a wrong-shaped feed is how serving bugs become model bugs.  The
+        still enforced, by the check decided once per feed
+        (:func:`_shape_check`): silently broadcasting a wrong-shaped
+        feed is how serving bugs become model bugs.  The
         caller's arrays are never written: buffer reuse only ever
         targets intermediates the plan itself allocated.
         """
@@ -136,14 +146,13 @@ class BoundPlan:
                             f"incompatible with declared {exact}"
                         )
                 elif partial is not None:
-                    shape = a.shape
-                    if len(shape) != len(partial) or any(
-                            d is not None and d != s
-                            for d, s in zip(partial, shape)):
+                    rank, known, dims = partial
+                    if a.ndim != rank or known and any(
+                            a.shape[i] != d for i, d in known):
                         raise FetchError(
-                            f"Feed for {name!r} has shape {shape}, "
+                            f"Feed for {name!r} has shape {a.shape}, "
                             f"incompatible with declared "
-                            f"({', '.join(str(d) for d in partial)})"
+                            f"({', '.join(str(d) for d in dims)})"
                         )
             values[position] = a
         return values

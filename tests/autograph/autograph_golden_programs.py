@@ -1,7 +1,8 @@
 """The functions whose AutoGraph-generated source is pinned byte for byte.
 
 ``PROGRAMS`` maps a name to a zero-argument callable returning the
-source ``ag.to_graph`` generates for one function of the benchmark
+source ``ag.to_code`` generates (converting again and unparsing, on
+demand) for one function of the benchmark
 corpus: every function defined at the top of ``bench/programs/*.py`` and
 ``bench/models.py``, and the four model closures ``models.py``'s
 ``make_*`` factories return (the code the workloads actually convert).
@@ -55,13 +56,14 @@ def _functions(path):
 
 
 def _generated(fn):
-    return lambda: ag.to_graph(fn).__ag_source__
+    return lambda: ag.to_code(fn)
 
 
-PROGRAMS = {}
+# name -> the function itself; PROGRAMS: name -> its generated source.
+FUNCTIONS = {}
 for _path in sorted((BENCH / "programs").glob("*.py")) + [BENCH / "models.py"]:
-    for _name, _fn in _functions(_path).items():
-        PROGRAMS[_name] = _generated(_fn)
+    FUNCTIONS.update(_functions(_path))
+PROGRAMS = {name: _generated(fn) for name, fn in FUNCTIONS.items()}
 
 
 if __name__ == "__main__":

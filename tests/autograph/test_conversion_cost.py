@@ -8,10 +8,16 @@ counts that a slower cold path would move:
   passes (ternaries and logical expressions share one walk, as do breaks
   and continues), the two analyses that walk the tree, the return
   routing of the function wrapper, and three plain walks (origins in,
-  CFG roots, origins out for the deferred source map).
+  CFG roots, and placing every node on its origin's line before the
+  tree is compiled).
+
+It also pins that a conversion writes no file: the converted tree is
+compiled directly.
 """
 
+import builtins
 import importlib.util
+import os
 import pathlib
 
 import pytest
@@ -85,8 +91,8 @@ def counted(monkeypatch):
 
     def counting_function(name, function):
         def wrapper(node, *args):
-            # The source map's origins are read off the finished tree,
-            # the converted function inside its ``ag__outer`` factory.
+            # Nodes are located on the finished tree, the converted
+            # function inside its ``ag__outer`` factory.
             if at_root(node) or getattr(node, "name", None) == "ag__outer":
                 walks[-1].append((name, None))
             return function(node, *args)
@@ -102,6 +108,8 @@ def counted(monkeypatch):
                         counting_function("walk", ast_util.walk))
     monkeypatch.setattr(origin_info, "resolve",
                         counting_function("resolve", origin_info.resolve))
+    monkeypatch.setattr(origin_info, "locate",
+                        counting_function("locate", origin_info.locate))
     yield parses, walks
 
 
@@ -129,6 +137,37 @@ def test_corpus_conversions_parse_no_template_twice_and_walk_a_fixed_count(
     for per_conversion in walks:
         names = [name for name, _ in per_conversion]
         assert names.count("resolve") == 1
-        assert names.count("walk") == 2
-        assert [n for n in names if n not in ("resolve", "walk")] == WALKERS
+        assert names.count("walk") == 1
+        assert names.count("locate") == 1
+        assert [n for n in names
+                if n not in ("resolve", "walk", "locate")] == WALKERS
         assert len(per_conversion) == 15
+
+
+_WRITE_FLAGS = os.O_WRONLY | os.O_RDWR | os.O_CREAT | os.O_APPEND
+
+
+def test_a_conversion_writes_no_file(monkeypatch, tmp_path):
+    """Every open for writing, through ``open`` or ``os.open`` (which
+    ``tempfile`` uses), is counted while the corpus converts."""
+    writes = []
+    real_open, real_os_open = builtins.open, os.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if set(mode) & set("wax+"):
+            writes.append(file)
+        return real_open(file, mode, *args, **kwargs)
+
+    def counting_os_open(path, flags, *args, **kwargs):
+        if flags & _WRITE_FLAGS:
+            writes.append(path)
+        return real_os_open(path, flags, *args, **kwargs)
+
+    programs = [_program(path) for path in PROGRAMS]
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(os, "open", counting_os_open)
+    for program in programs:
+        converted = conversion.instantiate(
+            conversion.convert_entity(program), program)
+        assert converted.__code__.co_filename == program.__code__.co_filename
+    assert writes == []

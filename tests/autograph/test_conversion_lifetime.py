@@ -1,12 +1,12 @@
 """A conversion lives as long as a function converted from it.
 
-The conversion cache holds code objects weakly, a source map and a
-generated file are dropped with the conversion that owns them, and
-generated modules are never registered in ``sys.modules``; the user's
-file is read through ``linecache`` but not left in it, and a source map
-is built only when an error needs it; so converting fresh code again and
-again (a respawned worker, a benchmark's cold calls) grows neither the
-process nor the disk.
+The conversion cache holds code objects weakly, the table that
+recognises converted code drops a conversion's code objects with it, no
+file is written and no module registered; the user's file is read
+through ``linecache`` but not left in it, and errors name the user's
+file and line without any map; so converting fresh code again and again
+(a respawned worker, a benchmark's cold calls) grows neither the process
+nor the disk.
 """
 
 import ast
@@ -14,14 +14,14 @@ import gc
 import linecache
 import os
 import sys
+import tempfile
 import types
 
 import pytest
 
 import repro.autograph as ag
 from repro.autograph import errors
-from repro.autograph.impl import api
-from repro.autograph.pyct import origin_info
+from repro.autograph.impl import api, conversion
 
 SOURCE = """\
 def scaled(x):
@@ -49,27 +49,48 @@ def _fresh(tmp_path, serial, source):
     return fn, path
 
 
-def _live():
+def _tables():
+    """The size of every module-level table a conversion could leave an
+    entry in."""
     gc.collect()
-    return (len(api._CONVERSION_CACHE), len(errors._SOURCE_MAPS),
-            sum(1 for name in sys.modules
-                if name.startswith("repro_generated_")))
+    return {
+        "conversion cache": len(api._CONVERSION_CACHE),
+        "failed conversions": len(api._FAILED_CONVERSIONS),
+        "warned": len(api._WARNED),
+        "converted codes": len(conversion._CONVERTED_CODES),
+        "linecache": len(linecache.cache),
+        "sys.modules": len(sys.modules),
+    }
 
 
-def test_conversions_are_freed_with_their_functions(tmp_path):
-    before = _live()
-    functions = [_fresh(tmp_path, i, SOURCE)[0] for i in range(1, 51)]
-    converted = [ag.to_graph(fn) for fn in functions]
+def test_conversions_are_freed_with_their_functions(tmp_path, monkeypatch):
+    # ``tempfile`` writes here during the test: it must stay empty.
+    temp_dir = tmp_path / "temp"
+    temp_dir.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp_dir))
+    for source in (False, True):
+        _convert_fifty_and_free(tmp_path, source)
+    assert os.listdir(temp_dir) == []
+
+
+def _convert_fifty_and_free(tmp_path, source):
+    functions = [_fresh(tmp_path, i + 100 * source, SOURCE)[0]
+                 for i in range(1, 51)]
+    before = _tables()
+    converted = [api.converted_function(fn, source=source)
+                 for fn in functions]
     assert [c(3) for c in converted] == [6] * 50
-    cached, maps, modules = _live()
-    assert (cached, maps) == (before[0] + 50, before[1] + 50)
-    assert modules == before[2]
-    generated = [c.__code__.co_filename for c in converted]
-    assert all(os.path.exists(path) for path in generated)
+    during = _tables()
+    assert during["conversion cache"] == before["conversion cache"] + 50
+    assert during["converted codes"] > before["converted codes"]
+    assert during["sys.modules"] == before["sys.modules"]
+    # The generated source is kept, for inspect, only while shown.
+    assert during["linecache"] == before["linecache"] + 50 * source
+    assert all(c.__code__.co_filename == fn.__code__.co_filename
+               for c, fn in zip(converted, functions))
 
     del functions, converted
-    assert _live() == before
-    assert not any(os.path.exists(path) for path in generated)
+    assert _tables() == before
 
 
 def test_a_live_conversion_still_maps_errors_to_user_code(tmp_path):
@@ -115,7 +136,7 @@ def test_errors_map_to_user_code_without_a_linecache_entry(tmp_path):
     assert "return y // x" in notes[0]
 
 
-# -- the source map is built when an error first needs it -------------------
+# -- no tree is kept, and converted code is known by identity ----------------
 
 
 def _reachable(root, depth):
@@ -132,26 +153,37 @@ def _reachable(root, depth):
     return seen
 
 
-def test_a_conversion_registers_a_thunk_that_holds_no_tree(tmp_path):
-    fn, path = _fresh(tmp_path, 7, RAISING)
-    converted = ag.to_graph(fn)
-    entry = errors._SOURCE_MAPS[converted.__code__.co_filename]
-    assert callable(entry) and not isinstance(entry, dict)
-    reachable = _reachable(entry, 4)
-    assert any(isinstance(obj, origin_info.OriginInfo) for obj in reachable)
-    assert not any(isinstance(obj, ast.AST) for obj in reachable)
+@pytest.mark.parametrize("source", [False, True])
+def test_a_conversion_holds_no_tree(tmp_path, source):
+    fn, _ = _fresh(tmp_path, 7, RAISING)
+    record = api.converted_function(fn, source=source).__ag_conversion__
+    assert isinstance(record.source, str) == source
+    assert not any(isinstance(obj, ast.AST)
+                   for obj in _reachable(record, 4))
 
 
-def test_the_first_rewrite_builds_the_map(tmp_path):
-    fn, path = _fresh(tmp_path, 8, RAISING)
-    converted = ag.to_graph(fn)
-    generated = converted.__code__.co_filename
-    with pytest.raises(ZeroDivisionError) as info:
-        converted(0)
-    assert callable(errors._SOURCE_MAPS[generated])
+NESTED = """\
+def outer(x):
+    def inner(y):
+        return y + 1
+    return inner
+"""
 
-    notes = errors.rewrite_error(info.value).__notes__
-    assert f'File "{path}", line 11, in divide' in notes[0]
-    source_map = errors._SOURCE_MAPS[generated]
-    assert isinstance(source_map, dict)
-    assert {origin.lineno for origin in source_map.values()} >= {10, 11}
+
+def test_a_converted_inner_function_is_not_converted_again(
+        tmp_path, monkeypatch):
+    fn, _ = _fresh(tmp_path, 8, NESTED)
+    converted = api.converted_function(fn)
+    calls = []
+    real = conversion.convert_entity
+    monkeypatch.setattr(conversion, "convert_entity",
+                        lambda f, *a: calls.append(f) or real(f, *a))
+
+    inner = converted(0)
+    assert conversion.converted_from(inner.__code__) == "inner"
+    assert not api._should_convert(inner)
+    assert ag.converted_call(inner, (1,)) == 2
+    assert calls == []
+    # The unconverted original's inner function is user code, although
+    # its code was compiled from the same file and lines.
+    assert api._should_convert(fn(0))

@@ -9,7 +9,8 @@ import pathlib
 
 import pytest
 
-from autograph_golden_programs import PROGRAMS
+import repro.autograph as ag
+from autograph_golden_programs import FUNCTIONS, PROGRAMS
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 
@@ -21,3 +22,11 @@ def test_every_golden_has_a_program():
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_generated_source_matches_golden(name):
     assert PROGRAMS[name]() == (GOLDENS / f"{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_to_graph_shows_the_golden_source(name):
+    """``to_graph`` unparses the tree it compiles; ``to_code`` converts
+    again: the two agree."""
+    golden = (GOLDENS / f"{name}.txt").read_text()
+    assert ag.to_graph(FUNCTIONS[name]).__ag_source__ == golden

@@ -1,10 +1,14 @@
-"""Unit tests: origin info / source maps and error rewriting (App. B)."""
+"""Unit tests: origin info, converted code on user lines, and error
+rewriting (App. B)."""
 
-import ast
+import dis
+import inspect
 
 import pytest
 
+import repro.autograph as ag
 from repro.autograph import errors
+from repro.autograph.impl import api
 from repro.autograph.pyct import anno, origin_info, parser
 
 
@@ -13,6 +17,18 @@ def located_fn(x):
     if y > 0:
         y = y * 2
     return y
+
+
+def raising_fn(x):
+    y = x + 1
+    if y > 0:
+        y = y // x
+    return y
+
+
+def _lines_of(fn):
+    first = fn.__code__.co_firstlineno
+    return first, first + len(inspect.getsource(fn).splitlines()) - 1
 
 
 class TestOriginInfo:
@@ -33,14 +49,18 @@ class TestOriginInfo:
         # Absolute line number points into this test file.
         assert origin.lineno == offset + 3
 
-    def test_source_map_by_parallel_walk(self):
-        node, source = parser.parse_entity(located_fn)
-        origin_info.resolve(node, source, "orig.py", "located_fn")
-        generated = parser.unparse(node)
-        smap = origin_info.create_source_map(node, generated, "gen.py")
-        assert smap, "source map should not be empty"
-        origins = set(o.source_line for o in smap.values())
-        assert "if y > 0:" in origins
+    def test_converted_code_runs_on_user_lines(self):
+        converted = api.converted_function(located_fn)
+        first, last = _lines_of(located_fn)
+        codes = [converted.__code__] + [
+            c for c in converted.__code__.co_consts
+            if inspect.iscode(c)]
+        assert len(codes) > 1  # the branch functions of the ``if``
+        for code in codes:
+            assert code.co_filename == __file__
+            lines = {line for _, line in dis.findlinestarts(code)
+                     if line is not None}
+            assert lines and all(first <= n <= last for n in lines)
 
     def test_frame_tuple(self):
         info = origin_info.OriginInfo("f.py", "fn", 3, 0, "x = 1")
@@ -48,23 +68,32 @@ class TestOriginInfo:
 
 
 class TestErrorRewriting:
-    def test_register_and_rewrite(self):
-        # Simulate: generated file with a mapped line raising an error.
-        source = "def boom():\n    raise ValueError('inner')\n"
-        from repro.autograph.pyct import loader
+    def _raise(self):
+        converted = api.converted_function(raising_fn)
+        with pytest.raises(ZeroDivisionError) as excinfo:
+            converted(0)
+        return excinfo.value
 
-        module, filename = loader.load_source(source)
-        info = origin_info.OriginInfo("user_code.py", "user_fn", 99, 0,
-                                      "user_line()")
-        errors.register_source_map(filename, {(filename, 2): info})
+    def test_traceback_names_the_user_file_and_line(self):
+        error = self._raise()
+        tb = error.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        first, _ = _lines_of(raising_fn)
+        assert tb.tb_frame.f_code.co_filename == __file__
+        assert tb.tb_lineno == first + 3  # ``y = y // x``
 
-        with pytest.raises(ValueError) as excinfo:
-            module.boom()
-        rewritten = errors.rewrite_error(excinfo.value)
-        notes = getattr(rewritten, "__notes__", [])
-        assert any("user_code.py" in n and "99" in n for n in notes)
-        assert any("user_line()" in n for n in notes)
-        loader.discard(filename)
+    def test_note_lists_each_converted_frame_once(self):
+        error = errors.rewrite_error(self._raise())
+        (note,) = error.__notes__
+        first, _ = _lines_of(raising_fn)
+        failing = f'File "{__file__}", line {first + 3}, in raising_fn'
+        assert note.count(failing) == 1
+        assert note.count("y = y // x") == 1
+        # The frame that ran the ``if``, and the branch that raised:
+        # both in the user's function.
+        assert note.count('File "') == 2
+        assert f"line {first + 2}, in raising_fn" in note
 
     def test_unmapped_error_untouched(self):
         try:
@@ -74,19 +103,10 @@ class TestErrorRewriting:
         assert not getattr(out, "__notes__", [])
 
     def test_no_duplicate_notes(self):
-        source = "def boom2():\n    raise ValueError('x')\n"
-        from repro.autograph.pyct import loader
-
-        module, filename = loader.load_source(source)
-        info = origin_info.OriginInfo("u.py", "fn", 1, 0, "line")
-        errors.register_source_map(filename, {(filename, 2): info})
-        with pytest.raises(ValueError) as excinfo:
-            module.boom2()
-        errors.rewrite_error(excinfo.value)
-        errors.rewrite_error(excinfo.value)
-        notes = getattr(excinfo.value, "__notes__", [])
-        assert len(notes) == 1
-        loader.discard(filename)
+        error = self._raise()
+        errors.rewrite_error(error)
+        errors.rewrite_error(error)
+        assert len(error.__notes__) == 1
 
 
 class TestErrorClassification:

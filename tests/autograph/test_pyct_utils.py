@@ -1,5 +1,5 @@
-"""Unit tests: pyct utilities — anno, qual_names, parser, printer, loader,
-templates, ast_util (the Appendix C toolkit)."""
+"""Unit tests: pyct utilities — anno, qual_names, parser, printer,
+unparsing, templates, ast_util (the Appendix C toolkit)."""
 
 import ast
 import warnings
@@ -9,7 +9,6 @@ import pytest
 from repro.autograph.pyct import (
     anno,
     ast_util,
-    loader,
     origin_info,
     parser,
     pretty_printer,
@@ -183,31 +182,16 @@ class TestPrettyPrinter:
         assert out.count("|") > 3
 
 
-class TestLoader:
-    def test_ast_to_source(self):
+class TestUnparse:
+    def test_unparse(self):
         node = parser.parse_str("a = b + 1")
-        assert loader.ast_to_source(node).strip() == "a = b + 1"
-
-    def test_ast_to_object_executes(self):
-        node = parser.parse_str("def f(x):\n    return x * 3\n")
-        module, source, filename = loader.ast_to_object(node)
-        assert module.f(2) == 6
-        assert filename.endswith(".py")
-        loader.discard(filename)
-
-    def test_generated_code_inspectable(self):
-        import inspect
-
-        node = parser.parse_str("def g(x):\n    return x + 1\n")
-        module, _, filename = loader.ast_to_object(node)
-        assert "x + 1" in inspect.getsource(module.g)
-        loader.discard(filename)
+        assert parser.unparse(node).strip() == "a = b + 1"
 
     def test_paper_example_small_modification(self):
         # Appendix C: parse, tweak the AST, unparse.
         node = parser.parse_str("a = b")
         node.body[0].value.id = "c"
-        assert loader.ast_to_source(node).strip() == "a = c"
+        assert parser.unparse(node).strip() == "a = c"
 
 
 class TestTemplates:
@@ -309,11 +293,13 @@ class TestTemplates:
         # Python 3.13 deprecates AST constructors that leave out fields.
         from repro.autograph.impl import conversion
 
-        expected = conversion.convert_entity(_every_construct).source
+        expected = conversion.convert_entity(
+            _every_construct, source=True).source
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             assert conversion.convert_entity(
-                _every_construct).source == expected
+                _every_construct, source=True).source == expected
+            assert conversion.generated_source(_every_construct) == expected
             ast_util.copy_clean(parser.parse_entity(_every_construct)[0])
 
 

@@ -167,3 +167,21 @@ def test_correctly_typed_ndarray_is_not_copied_on_input():
     # Identity's kernel returns its input; with no validation copy in
     # between, the caller's array flows straight through.
     assert out is arg
+
+
+@pytest.mark.parametrize("declared, good, bad", [
+    ([2, 3], (2, 3), [(3, 2), (2, 3, 1), (6,)]),     # exact: one compare
+    ([None], (7,), [(), (7, 1)]),                     # rank only
+    ([None, 3], (5, 3), [(5, 4), (3,), (5, 3, 1)]),   # rank + known dims
+    (None, (4, 1, 2), []),                            # unknown rank
+])
+def test_bind_checks_each_feed_by_its_declared_shape(declared, good, bad):
+    g = fw.Graph()
+    with g.as_default():
+        x = ops.placeholder(fw.float32, declared, name="x")
+        y = ops.identity(x)
+    bound = BoundPlan(compile_plan(g, [y], [x]), [x])
+    assert bound.execute_flat([np.zeros(good, np.float32)])[0].shape == good
+    for shape in bad:
+        with pytest.raises(fw.FetchError, match="incompatible with declared"):
+            bound.bind([np.zeros(shape, np.float32)])
