@@ -19,6 +19,7 @@ smoke job so regressions in either path show up per commit.
 
 from __future__ import annotations
 
+import sys
 import time
 
 import numpy as np
@@ -193,20 +194,39 @@ def test_recorder_overhead_on_fast_path(results):
     )
 
 
+def _frames_per_walk(plan, args):
+    """Python frames one ``plan.walk(None)`` call and the walk it returns
+    enter on ``args`` (a ``sys.setprofile`` count of ``call`` events:
+    a ufunc kernel enters none)."""
+    plan.walk(None)(args)            # emitted before counting
+    frames = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            frames.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        plan.walk(None)(args)
+    finally:
+        sys.setprofile(None)
+    return frames
+
+
 def test_fused_chain_beats_unfused_chain(results):
     """The fusion story on Table 2's turf: a 10-op elementwise chain on
     a tiny tensor is pure per-step dispatch overhead, and the fuser
-    collapses it into ONE generated composite kernel.
+    groups it into ONE step, which the walk runs as one expression line.
 
     One trace, two plans of its optimized graph — the function's own
     (fused) bound plan and an unfused twin the benchmark compiles with
     ``compile_plan(..., fuse=False)`` and binds to the same feeds — run
     through the same ``execute_flat`` fast path; the only difference is
-    1 step vs 10.  The gate: fusion buys >= 1.3x on this chain.  Rows
-    land in ``BENCH_ci.json``.
+    1 step vs 10.  The claim is counted, not timed: the fused walk
+    enters no Python frame besides the walk's own, where the unfused
+    one enters the in-place guard of each of its nine armed steps.  The
+    per-call rows land in ``BENCH_ci.json``.
     """
-    MIN_FUSION_SPEEDUP = 1.3
-
     def chain(x):
         from repro.framework import ops
 
@@ -229,7 +249,7 @@ def test_fused_chain_beats_unfused_chain(results):
                      cf._runtime_feeds, fuse=False),
         cf._runtime_feeds)
 
-    # The fused plan really is one composite step; the unfused, ten.
+    # The fused plan really is one step; the unfused, ten.
     stats = fused.describe()
     assert stats["steps"] == 1 and stats["fused_steps"] == 1
     assert unfused.describe()["steps"] == 10
@@ -237,6 +257,11 @@ def test_fused_chain_beats_unfused_chain(results):
     args = [x]
     np.testing.assert_array_equal(
         fused.execute_flat(args)[0], unfused.execute_flat(args)[0])
+
+    frames = {name: _frames_per_walk(bound.plan, args)
+              for name, bound in (("fused", fused), ("unfused", unfused))}
+    assert frames["fused"] == ["walk", "walk"], frames
+    assert frames["unfused"] == ["walk", "walk"] + ["_inplace"] * 9, frames
 
     def run_fused(n):
         call = fused.execute_flat
@@ -260,12 +285,6 @@ def test_fused_chain_beats_unfused_chain(results):
                    "per-call us", t_fused * 1e6, unit="us")
     results.record(TABLE, "10-op elementwise chain, fused",
                    "speedup vs unfused", speedup, unit="x")
-
-    assert speedup >= MIN_FUSION_SPEEDUP, (
-        f"fused chain {t_fused * 1e6:.2f}us/call vs unfused "
-        f"{t_unfused * 1e6:.2f}us/call = {speedup:.2f}x "
-        f"(< {MIN_FUSION_SPEEDUP}x)"
-    )
 
 
 def test_microbatcher_dispatch_has_no_per_call_feed_dicts(results):

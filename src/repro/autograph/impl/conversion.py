@@ -25,7 +25,10 @@ def f(...): <converted body>; return f; return ag__factory`` and
 :func:`instantiate` re-creates ``ag__factory`` per function object over
 that function's own ``__globals__`` and closure cells, so one conversion
 (cached per code object) serves every closure and every module with
-this source, and rebinding a global later is seen as in Python.
+this source, and rebinding a global later is seen as in Python.  The
+function's defaults and annotations are its own values too, never
+evaluated again; the converted body compiles under the user's
+``__future__`` imports, not this module's.
 
 A conversion leaves nothing behind it does not need: reading the source
 does not leave the user's file in ``linecache``, and the code objects it
@@ -35,9 +38,12 @@ the :class:`Conversion` lives.
 
 from __future__ import annotations
 
+import __future__
 import ast
+import functools
 import inspect
 import linecache
+import operator
 import types
 import weakref
 
@@ -142,6 +148,9 @@ def instantiate(record, fn):
         factory_code, fn.__globals__, closure=tuple(
             cells[name] for name in factory_code.co_freevars))
     converted = factory(operators)
+    converted.__defaults__ = fn.__defaults__
+    converted.__kwdefaults__ = fn.__kwdefaults__
+    converted.__annotations__ = fn.__annotations__
     converted.__ag_compiled__ = True
     converted.__ag_conversion__ = record
     converted.__wrapped_original__ = fn
@@ -213,15 +222,40 @@ def convert_entity(fn, source=False):
     node, ctx = _converted_tree(fn)
     origin_info.locate(node, fn.__code__.co_firstlineno)
     module = ast.Module(body=[node], type_ignores=[])
+    # Every node is located: nothing is left for the unparser's
+    # ``fix_missing_locations`` to fill in.
+    text = ast.unparse(module) if source else None
+    _drop_signature_values(node.body[1].body[0])
     namespace = {}
-    exec(compile(module, ctx.info.filename, "exec"), namespace)
+    # The user's ``__future__`` imports, not this module's, decide how
+    # the converted body compiles.
+    exec(compile(module, ctx.info.filename, "exec", dont_inherit=True,
+                 flags=fn.__code__.co_flags & _FUTURE_FLAGS), namespace)
     record = Conversion(namespace["ag__outer"]().__code__)
     _register(record, ctx)
     if source:
-        # Every node is located: nothing is left for the unparser's
-        # ``fix_missing_locations`` to fill in.
-        _keep_source(record, ast.unparse(module))
+        _keep_source(record, text)
     return record
+
+
+_FUTURE_FLAGS = functools.reduce(operator.or_, (
+    getattr(__future__, name).compiler_flag
+    for name in __future__.all_feature_names))
+
+
+def _drop_signature_values(node):
+    """Strip the defaults and annotations off the user's converted def
+    (inside the factory, see :func:`_wrap_in_factory`):
+    :func:`instantiate` gives the converted function the user function's
+    own values, which Python evaluated in a scope the factory does not
+    see (an enclosing function's locals)."""
+    args = node.args
+    args.defaults, args.kw_defaults = [], [None] * len(args.kwonlyargs)
+    for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                args.vararg, args.kwarg):
+        if arg is not None:
+            arg.annotation = None
+    node.returns = None
 
 
 def _source_file(record):

@@ -151,10 +151,6 @@ class BlockGrid:
         """Per-dimension ``slice`` objects addressing the block."""
         return tuple(slice(s, e) for s, e in self.block_bounds(entry))
 
-    def dim_offsets(self, dim):
-        """Cumulative block start offsets along ``dim`` (incl. the end)."""
-        return self._offsets[dim]
-
     # -- derived grids -------------------------------------------------------
 
     def transposed(self, perm=None):

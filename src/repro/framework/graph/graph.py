@@ -291,13 +291,5 @@ class Graph:
     def get_collection(self, key):
         return list(self.collections.get(key, ()))
 
-    # -- introspection ----------------------------------------------------------
-
-    def get_operation_by_name(self, name):
-        for op in self.ops:
-            if op.name == name:
-                return op
-        raise KeyError(f"No op named {name!r} in graph")
-
     def __repr__(self):
         return f"<Graph {self.name!r} with {len(self.ops)} ops>"

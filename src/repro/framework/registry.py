@@ -84,9 +84,9 @@ class OpDef:
         returns, an element a ``TensorArrayWrite`` holds).
       fusable: ``None``, or the ufunc this op *is* (``kernel(*inputs)``
         is exactly ``fusable(*inputs)``, dtype promotion included).  The
-        fusion pass (:mod:`repro.runtime.fusion`) collapses chains/trees
-        of such steps into one ``exec``-compiled composite kernel calling
-        the ufuncs directly — op type → compiled primitive.
+        fusion pass (:mod:`repro.runtime.fusion`) groups chains/trees
+        of such steps into one step, which the plan walk writes as nested
+        calls of the ufuncs themselves — op type → compiled primitive.
       elementwise: number of operands the op maps over value-locally,
         broadcasting them (0: not elementwise); ``repro.blocks`` maps
         exactly these ops block by block (:func:`elementwise_ops`).

@@ -179,9 +179,6 @@ class Param:
         self.value = np.asarray(value, dtype=np.float32)
         self.grad = np.zeros_like(self.value)
 
-    def zero_grad(self):
-        self.grad[...] = 0.0
-
     def __array__(self, dtype=None):
         return self.value if dtype is None else self.value.astype(dtype)
 

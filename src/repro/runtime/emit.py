@@ -10,10 +10,18 @@ walk is written:
   in its local until a later step reads it;
 - each step is ONE source line, ``s7 = k2(s5, c3)``; a multi-output step
   unpacks (``s9_0, s9_1 = k4(s7)``);
+- a fused group (:mod:`repro.runtime.fusion`) is ONE line too: its
+  members' ufunc calls nest in the root's, and a walrus names a
+  temporary only where the fuser proved a member may write into it
+  (``s7 = u_tanh(u_add((t0 := u_multiply(s8, s8)), c5, out=t0),
+  out=t0)``); temporary names restart at ``t0`` in every group, and
+  the line ends by deleting them (``; del t0``) where they are walk
+  locals, so no temporary outlives its group;
 - a step armed with a recycled buffer is ``s8 = _inplace(r3, s7, s5)``:
   :func:`_inplace` is the one copy of the ``type``/shape/dtype guard and
   of the counted fallback to the allocating kernel when the ``out=``
-  write is refused;
+  write is refused (for a fused group, the root's own ufunc, its
+  operands being the members' calls);
 - an exception from a step becomes the ``ExecutionError`` naming its op
   (the kernel's exception as ``__cause__``): the traceback's line number
   in the generated code says which step raised (:func:`_error`);
@@ -23,15 +31,17 @@ walk is written:
 
 Two flags vary the emission.  *Recorded* (``repro.observe`` is on) runs
 the same lines inside a ``plan.execute`` span with each step called
-through :func:`_step`, which wraps it in a ``step`` span.  *Levels* (a
+through :func:`_step`, which wraps it in a ``step`` span (a fused group
+as one ``lambda``, so its span covers every member's call).  *Levels* (a
 parallel ``BlockScheduler`` is bound) walks the plan's wavefront levels:
 a one-step level is its serial line, a wider level is one
 ``scheduler.map`` over per-step thunks — one ``lambda`` line each — whose
 results the walk unpacks; recorded, each level is a ``level[i]`` span.
 
 A walk is written once per plan and kind and kept by its plan
-(``ExecutionPlan._walks``); kernels, in-place records, constants and op
-names are globals of the namespace it is compiled in, never source text.
+(``ExecutionPlan._walks``); kernels, ufuncs, in-place records,
+constants and op names are globals of the namespace it is compiled in,
+never source text.  It is the only code ``repro.runtime`` compiles.
 Nothing keeps the source: no cache of it, no ``linecache`` entry.
 """
 
@@ -137,16 +147,57 @@ def walk(plan, kind):
         namespace[f"c{j}"] = base[j][0]
         return f"c{j}"
 
-    def call(i):
+    def ufunc(u):
+        """The global naming ufunc ``u`` (``u_tanh``)."""
+        name = f"u_{u.__name__}"
+        namespace[name] = u
+        return name
+
+    def operands(members, m, temps, reuse):
+        """The operand texts of fused member ``m`` (a locator's local, or
+        a member's own call) and the temporary its ``out=`` names: member
+        ``reuse``'s result, named by a walrus unless that member already
+        wrote into (and so returned) a temporary."""
+        texts, out = [], None
+        for a in members[m][1]:
+            if type(a) is not int:
+                texts.append(ref(a))
+                continue
+            u, _args, inner = members[a]
+            args, held = operands(members, a, temps, inner)
+            text = f"{ufunc(u)}({', '.join(args)})"
+            if a == reuse:
+                out = held or f"t{next(temps)}"
+                if held is None:
+                    text = f"({out} := {text})"
+            texts.append(text)
+        return (texts + [f"out={out}"] if out else texts), out
+
+    def call(i, temps=None):
+        """Step ``i``'s call; a fused group's walrus temporaries count
+        off ``temps``."""
         slot, kernel, locators, _n, _name, inplace = steps[i]
-        args = [ref(loc) for loc in locators]
-        if inplace is None:
-            fn = f"k{i}"
-            namespace[fn] = kernel
+        fused = type(kernel) is tuple
+        if fused:
+            # A fused group (root last): its members' calls nest in the
+            # root's, temporaries named afresh per group.
+            members = kernel
+            kernel, _args, reuse = members[-1]
+            fn, (args, _out) = ufunc(kernel), operands(
+                members, len(members) - 1,
+                itertools.count() if temps is None else temps,
+                None if inplace else reuse)
         else:
+            fn, args = f"k{i}", [ref(loc) for loc in locators]
+            namespace[fn] = kernel
+        if inplace is not None:
             fn, args = "_inplace", [f"r{i}", ref(inplace[:2]), *args]
             namespace[f"r{i}"] = (inplace[2], kernel, inplace[3], inplace[4])
-        if recorded:
+        if recorded and fused:
+            # The step span covers every member's call.
+            fn, args = "_step", [f"N[{i}]", str(slot),
+                                 f"lambda: {fn}({', '.join(args)})"]
+        elif recorded:
             fn, args = "_step", [f"N[{i}]", str(slot), fn, *args]
         return f"{fn}({', '.join(args)})"
 
@@ -158,8 +209,15 @@ def walk(plan, kind):
             f"s{slot}_{k}" for k in range(n))
 
     def line(i):
-        outs = targets(steps[i][0])
-        return f"{outs} = {call(i)}" if outs else call(i)
+        """Step ``i``'s line.  Where a fused group's walrus binds a walk
+        local (no ``lambda`` around it), the line drops its temporaries
+        as the group ends, so none outlives its group."""
+        outs, temps = targets(steps[i][0]), itertools.count()
+        text = f"{outs} = {call(i, temps)}" if outs else call(i, temps)
+        n = 0 if recorded else next(temps)
+        if n:
+            text += "; del " + ", ".join(f"t{k}" for k in range(n))
+        return text
 
     # The try body: (step index | None, text) per line; a line that is
     # no step answers for the next step line (the last step's, at the

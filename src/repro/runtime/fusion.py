@@ -1,35 +1,39 @@
-"""Elementwise fusion: collapse chains/trees of ufunc steps into one
-``exec``-compiled composite kernel.
+"""Elementwise fusion: a plan rewrite that groups chains/trees of ufunc
+steps into one step.
 
-The planner's wavefront levels (PR 6) fan *independent* chains across
-workers, but every step inside a chain is still one Python dispatch with
-its own freshly allocated intermediate.  This pass deletes that per-step
-overhead: maximal groups of fusable steps — elementwise ufunc kernels
-flagged via :attr:`OpDef.fusable <repro.framework.registry.OpDef>`
-whose intermediates are single-consumer and not fetched — are rewritten
-into ONE generated Python closure that evaluates the whole expression in
-a single step dispatch, chaining the raw NumPy ufuncs (the
-mapping-table idiom: op type → compiled primitive) with ``out=``
-scratch reuse, so a k-op chain costs 1 dispatch and ≤2 live
-temporaries instead of k dispatches and k buffers.
+Every step of a plan is one kernel call of its walk, with its own
+freshly allocated result.  This pass groups maximal runs of fusable steps —
+elementwise ufunc kernels flagged via :attr:`OpDef.fusable
+<repro.framework.registry.OpDef>` whose intermediates are single-consumer
+and not fetched — into ONE step.  It only returns data: each member of a
+group is ``(ufunc, args, reuse)``, an arg being a value locator or the
+index of the member that produces it.  The plan emitter
+(:mod:`repro.runtime.emit`) writes the group as one expression line of
+the walk, the members' ufunc calls nested in the root's (the
+mapping-table idiom: op type → compiled primitive), so a k-op chain
+costs one line, and no Python frame, instead of k steps:
+
+    s7 = u_tanh(u_add((t0 := u_multiply(s8, s8)), c5, out=t0), out=t0); del t0
 
 **Group discovery.**  An edge producer→consumer fuses when both steps
 are candidates (fusable, single-output, attr- and control-free) and the
 producer's output has exactly one consumer occurrence and is not
 fetched.  Every member's out-degree inside the group is therefore ≤ 1,
-so each connected component is a tree converging on exactly one root;
-no member except the root is visible outside the group, and the fused
+so each connected component is a tree converging on exactly one root
+(cut where a member would sit more than ``_MAX_DEPTH`` edges below it);
+no member except the root is visible outside the group, and the group's
 step simply takes the root's place in topological order (the root is
 the group's last step, so every external input is already produced and
-every external consumer still follows).  Level assignment then derives
-the fused step's wavefront from its external inputs exactly as it
-would have for the root — independent fused chains keep landing in the
-same level and fan out across ``BlockScheduler`` workers.
+every external consumer still follows).  The step's op is the root's
+``Operation``: its output, ``fresh_output``, ``elementwise`` and
+``stateful`` are what the level and buffer passes read, so independent
+fused chains keep landing in the same level and fan out across
+``BlockScheduler`` workers.
 
-**Scratch reuse is proof-carrying, not guarded.**  ``out=`` is only
-emitted where the runtime dtype AND shape of both the dying temporary
-and the new result are *guaranteed* at compile time, by propagating
-trust from the group's external inputs:
+**Scratch reuse is proof-carrying, not guarded.**  A member writes its
+result into a dying member result (``reuse``) only where the runtime
+dtype AND shape of both are *guaranteed* at compile time, by
+propagating trust from the group's external inputs:
 
 - bound feeds are coerced to their declared dtype and exact-checked
   against fully-defined declared shapes by every execution front
@@ -37,8 +41,7 @@ trust from the group's external inputs:
   bind their loop variables and captures — and ``Session.run``), so
   those are trusted;
 - pre-evaluated constants are baked arrays whose dtype/shape are known
-  exactly (scalar Consts fold inline as closure defaults — zero
-  per-call locator reads);
+  exactly;
 - outputs of non-fused producer steps are *untrusted* — a declared
   dtype is normalized onto the framework's five (a float16 result is
   declared float32) — so reuse sites downstream of them fall back to
@@ -48,17 +51,14 @@ Result dtypes come from the same rule the graph builder declares with
 (:func:`repro.framework.dtypes.numpy_result_dtype`: the actual ufunc
 evaluated once per dtype tuple), here on the exact runtime dtypes, and
 shapes from ``np.broadcast_shapes`` — so a fused plan is bit-identical
-to the unfused one by construction: same ufuncs, same operands, same
-evaluation order, and ``out=`` never changes a value or forces a cast.
+to the unfused one by construction: same ufuncs, same operands, and
+``out=`` never changes a value or forces a cast.
 
-**Buffer reuse composes.**  The generated closure allocates its result
-(or reuses an intra-call temporary), so a fused step's output is
-``fresh_output``: a buffer the planner may recycle downstream.  A
-second generated variant writes the root result into a caller-provided
-``out=`` buffer; it is alias-*tolerant* (the only external-buffer
-write is the final elementwise ufunc call, where NumPy permits ``out``
-to alias an equal-shaped operand), so the composite's ``OpDef`` is
-``elementwise`` and takes buffers exactly as a single ufunc step does.
+**Buffer reuse composes.**  A group allocates its result (or reuses a
+temporary of its own), so the root's ``fresh_output`` holds: the planner
+may recycle the result downstream.  The planner may also arm the group
+with a dead buffer: the root's own ``out=`` kernel then writes into it,
+after every member has read its operands.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..framework.dtypes import numpy_result_dtype
-from ..framework.registry import OpDef
 from ..observe.events import RECORDER as _REC
 
 __all__ = ["fuse_elementwise_steps"]
@@ -77,36 +76,19 @@ __all__ = ["fuse_elementwise_steps"]
 _NAME_CAP = 6
 
 
-class _FusedOp:
-    """An op-shaped record for a fused composite step.
-
-    Quacks like :class:`~repro.framework.graph.graph.Operation` exactly
-    as far as the planner's later passes read one: ``op_def`` carries
-    the generated kernel and what the buffer-reuse pass reads of it (the
-    ``out=`` variant rides the fused step itself), ``outputs`` exposes
-    the root's output tensor for the dtype/shape pool, and
-    ``member_ids`` lets level computation resolve control dependencies
-    other ops may hold on any fused-away member.
-    """
-
-    __slots__ = ("op_def", "outputs", "control_inputs",
-                 "name", "member_ids", "member_types")
-
-    def __init__(self, op_def, outputs, name, member_ids, member_types):
-        self.op_def = op_def
-        self.outputs = list(outputs)
-        self.control_inputs = ()
-        self.name = name
-        self.member_ids = member_ids
-        self.member_types = member_types
-
-
 def _span_name(types):
     """The stable ``fused[add+mul+tanh]``-style step/span name."""
     parts = [t.lower() for t in types]
     if len(parts) > _NAME_CAP:
         parts = parts[:_NAME_CAP - 1] + [f"{len(parts) - _NAME_CAP + 1}more"]
     return f"fused[{'+'.join(parts)}]"
+
+
+#: Most fused edges between a group member and its root.  The emitter
+#: nests each member's call (and its walrus) inside its consumer's, and
+#: CPython's parser takes at most 200 nested parentheses, so a longer
+#: chain splits into groups of at most ``_MAX_DEPTH + 1`` members.
+_MAX_DEPTH = 64
 
 
 def _result_shape(in_shapes):
@@ -144,148 +126,64 @@ def _candidates(steps, step_ops):
     return out, held
 
 
-class _Union:
-    __slots__ = ("parent",)
+def _members(group, steps, step_ops, const_slots, base_values, feed_info):
+    """One group's ``(ufunc, args, reuse)`` per member, in step order,
+    and the non-constant locators it reads, in first-use order.
 
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        while p != self.parent[p]:
-            self.parent[p] = self.parent[self.parent[p]]
-            p = self.parent[p]
-        self.parent[x] = p
-        return p
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
-def _codegen(group, steps, step_ops, const_slots, base_values, feed_info):
-    """Generate one group's composite kernel and its ``out=`` donation
-    variant.  Returns ``(kernel, inplace_kernel, ext_locators)``."""
-    member_set = set(group)
-    produced = {steps[m][0]: m for m in group}
-    root = group[-1]
-
-    params = []           # external locators, first-use order
-    param_of = {}         # locator -> generated name (params AND consts)
-    namespace = {"__builtins__": {}}
-    kw_names = []         # closure defaults: ufuncs + inlined consts
-    trust = {}            # value name -> (dtype | None, shape | None)
-    var_of = {}           # member index -> result variable name
-    lines = []
-    root_call_args = None
-    root_fname = None
-    n_temps = 0
-    n_consts = 0
-
+    An arg is a locator or the index of the member producing it;
+    ``reuse`` is ``None`` or the index of the member whose dying result
+    takes this member's result (``out=``).
+    """
+    index = {steps[m][0]: k for k, m in enumerate(group)}
+    trust = []            # per member: its result's (dtype, shape)
+    members, external = [], []
     for m in group:
-        op = step_ops[m]
-        ufunc = op.op_def.fusable
-        fname = f"_f{m}"
-        namespace[fname] = ufunc
-        kw_names.append(fname)
-        args, arg_dtypes, arg_shapes = [], [], []
+        ufunc = step_ops[m].op_def.fusable
+        args, metas = [], []
         for loc in steps[m][2]:
-            p = produced.get(loc[0]) if loc[1] == 0 else None
-            if p is not None and p in member_set:
-                name = var_of[p]
-            elif loc[1] == 0 and loc[0] in const_slots:
-                name = param_of.get(loc)
-                if name is None:
-                    baked = base_values[loc[0]][0]
-                    name = f"_c{n_consts}"
-                    n_consts += 1
-                    param_of[loc] = name
-                    namespace[name] = baked
-                    kw_names.append(name)
-                    trust[name] = (baked.dtype, baked.shape)
+            k = index.get(loc[0])
+            if k is not None:
+                args.append(k)
+                metas.append(trust[k])
+                continue
+            args.append(loc)
+            if loc[0] in const_slots:
+                baked = base_values[loc[0]][0]
+                metas.append((baked.dtype, baked.shape))
             else:
-                name = param_of.get(loc)
-                if name is None:
-                    name = f"p{len(params)}"
-                    param_of[loc] = name
-                    params.append(loc)
-                    trust[name] = feed_info.get(loc, (None, None))
-            dt, sh = trust[name]
-            args.append(name)
-            arg_dtypes.append(dt)
-            arg_shapes.append(sh)
-        out_dt = numpy_result_dtype(ufunc, tuple(arg_dtypes))
-        out_sh = _result_shape(arg_shapes)
-
-        # A dying intra-call temporary with exactly the result's
-        # dtype/shape may carry the result: its single consumer is this
-        # very call, and these ufuncs permit ``out`` aliasing an
-        # equal-shaped operand.  0-d results are excluded — ufuncs
-        # return *scalars* there, which ``out=`` refuses.
+                if loc not in external:
+                    external.append(loc)
+                metas.append(feed_info.get(loc, (None, None)))
+        out = (numpy_result_dtype(ufunc, tuple(dt for dt, _ in metas)),
+               _result_shape([sh for _, sh in metas]))
+        # A dying member result with exactly this result's dtype/shape
+        # may carry it: its single consumer is this very call, and these
+        # ufuncs permit ``out`` aliasing an equal-shaped operand.  0-d
+        # results are excluded — ufuncs return *scalars* there, which
+        # ``out=`` refuses.
         reuse = None
-        if out_dt is not None and out_sh is not None and out_sh != ():
-            for loc, name in zip(steps[m][2], args):
-                p = produced.get(loc[0]) if loc[1] == 0 else None
-                if p is None or p not in member_set:
-                    continue
-                if trust[name] == (out_dt, out_sh):
-                    reuse = name
-                    break
-
-        if m == root:
-            root_call_args = list(args)
-            root_fname = fname
-            tail = f", out={reuse})" if reuse is not None else ")"
-            lines.append(f"return {fname}({', '.join(args)}{tail}")
-            break
-        if reuse is not None:
-            var = reuse
-            lines.append(f"{var} = {fname}({', '.join(args)}, out={var})")
-        else:
-            var = f"t{n_temps}"
-            n_temps += 1
-            lines.append(f"{var} = {fname}({', '.join(args)})")
-        var_of[m] = var
-        trust[var] = (out_dt, out_sh)
-
-    param_names = [param_of[loc] for loc in params]
-    defaults = ", ".join(f"{n}={n}" for n in kw_names)
-    header = ", ".join(param_names + [f"*, {defaults}"])
-    src = f"def _fused({header}):\n    " + "\n    ".join(lines) + "\n"
-    exec(compile(src, "<repro.fuse>", "exec"), namespace)
-    kernel = namespace.pop("_fused")
-
-    # The ``out=`` variant: identical interior, but the root ufunc
-    # writes into the caller-provided ``out`` buffer (of the result's
-    # dtype and shape; when it is an input this step alone reads, the
-    # final elementwise write happens after every other read of it).
-    # The planner matches *declared* dtypes, so the write refuses any
-    # unsafe cast and the engine falls back to the allocating kernel.
-    out_lines = list(lines)
-    out_lines[-1] = (
-        f"return {root_fname}({', '.join(root_call_args)}, out=out, "
-        "casting='safe')")
-    out_header = ", ".join(param_names + ["*", "out", defaults])
-    out_src = (f"def _fused_out({out_header}):\n    "
-               + "\n    ".join(out_lines) + "\n")
-    ns2 = dict(namespace)
-    exec(compile(out_src, "<repro.fuse>", "exec"), ns2)
-    inplace_kernel = ns2.pop("_fused_out")
-
-    return kernel, inplace_kernel, tuple(params)
+        if None not in out and out[1] != ():
+            reuse = next((a for a, meta in zip(args, metas)
+                          if type(a) is int and meta == out), None)
+        members.append((ufunc, tuple(args), reuse))
+        trust.append(out)
+    return tuple(members), tuple(external)
 
 
 def fuse_elementwise_steps(steps, step_ops, fetch_locators, feed_slots,
                            const_slots, base_values):
-    """Rewrite fused groups of ``steps``; returns ``(steps, step_ops,
+    """Group the fusable steps of ``steps``; returns ``(steps, step_ops,
     fused_groups, standalone)``.
 
+    A group becomes one step at its root's position, op and slot:
+    ``[slot, members, locators, 1, span_name, root_inplace_kernel]``,
+    ``members`` being its ``(ufunc, args, reuse)`` records (root last)
+    and ``locators`` the non-constant values it reads.
     ``fused_groups`` is a tuple of ``(span_name, member_op_names,
     member_op_types, slot)`` records and ``standalone`` maps the slot of
     every fusable step left on its own to the reason — both kept on the
     plan for observability (:meth:`ExecutionPlan.describe`).  Emits
-    ``runtime.fused_steps`` (composite steps created) and
+    ``runtime.fused_steps`` (groups formed) and
     ``runtime.fusion_fallbacks`` (candidate steps left standalone)
     counters — both accumulate whether or not event recording is
     enabled, feeding ``/v1/metrics``.
@@ -302,27 +200,38 @@ def fuse_elementwise_steps(steps, step_ops, fetch_locators, feed_slots,
     fetched = set(fetch_locators)
     producer = {s[0]: i for i, s in enumerate(steps)}
 
-    uf = _Union()
+    # A fusable edge links a producer to its one consumer, so groups are
+    # trees converging on a root.  Walking consumers before producers
+    # gives each member its depth below the root; a member that would
+    # sit deeper than _MAX_DEPTH roots a group of its own.
+    consumer = {}
     for i in cand:
         for loc in steps[i][2]:
-            if loc[1] != 0:
-                continue
             p = producer.get(loc[0])
-            if (p is None or p not in cand
-                    or consumers.get(loc, 0) != 1 or loc in fetched):
-                continue
-            uf.union(p, i)
+            if (loc[1] == 0 and p in cand
+                    and consumers.get(loc, 0) == 1 and loc not in fetched):
+                consumer[p] = i
+    root, depth, capped = {}, {}, set()
+    for i in sorted(cand, reverse=True):
+        c = consumer.get(i)
+        if c is not None and depth[c] < _MAX_DEPTH:
+            root[i], depth[i] = root[c], depth[c] + 1
+        else:
+            if c is not None:
+                capped.add(i)
+            root[i], depth[i] = i, 0
 
     groups = {}
-    for i in cand:
-        groups.setdefault(uf.find(i), []).append(i)
-    fused = sorted(sorted(g) for g in groups.values() if len(g) >= 2)
+    for i in sorted(cand):
+        groups.setdefault(root[i], []).append(i)
+    fused = sorted(g for g in groups.values() if len(g) >= 2)
     # Why nothing fused into a lone candidate's consumer; when its output
     # is free to fuse, no producer or consumer next to it is a candidate.
     for i in cand.difference(*fused):
         loc = (steps[i][0], 0)
         standalone[loc[0]] = (
-            "fetched" if loc in fetched
+            "depth cap" if i in capped
+            else "fetched" if loc in fetched
             else "multi-consumer" if consumers.get(loc, 0) > 1
             else "no fusable neighbour")
     n_standalone = len(cand) - sum(len(g) for g in fused)
@@ -342,41 +251,22 @@ def fuse_elementwise_steps(steps, step_ops, fetch_locators, feed_slots,
             t.shape.as_tuple() if t.shape.is_fully_defined else None,
         )
 
-    replaced = {}   # root (= last member) index -> (fused step, shim)
-    absorbed = set()
+    replaced = {}   # root (= last member) index -> the group's step
     fused_groups = []
     for group in fused:
-        kernel, inplace_kernel, ext_locs = _codegen(
+        members, external = _members(
             group, steps, step_ops, const_slots, base_values, feed_info)
         types = tuple(step_ops[m].type for m in group)
-        names = tuple(step_ops[m].name for m in group)
         span = _span_name(types)
-        root = group[-1]
-        root_slot = steps[root][0]
-        op_def = OpDef(span, kernel, num_outputs=1, fresh_output=True,
-                       elementwise=len(ext_locs))
-        shim = _FusedOp(
-            op_def,
-            outputs=[step_ops[root].outputs[0]],
-            name=span,
-            member_ids=tuple(id(step_ops[m]) for m in group),
-            member_types=types,
-        )
-        # The fused step takes the ROOT's position: the root is the
-        # group's topologically last member, so every external input is
-        # produced earlier and every external consumer follows.
-        replaced[root] = (
-            [root_slot, kernel, ext_locs, 1, span, inplace_kernel], shim)
-        absorbed.update(group)
-        fused_groups.append((span, names, types, root_slot))
+        root = steps[group[-1]]
+        replaced[group[-1]] = [root[0], members, external, 1, span, root[5]]
+        fused_groups.append(
+            (span, tuple(step_ops[m].name for m in group), types, root[0]))
 
-    new_steps, new_ops = [], []
-    for i, (s, op) in enumerate(zip(steps, step_ops)):
-        if i in replaced:
-            fs, shim = replaced[i]
-            new_steps.append(fs)
-            new_ops.append(shim)
-        elif i not in absorbed:
-            new_steps.append(s)
-            new_ops.append(op)
-    return new_steps, new_ops, tuple(fused_groups), standalone
+    # The group's step takes the ROOT's position: the root is the
+    # group's topologically last member, so every external input is
+    # produced earlier and every external consumer follows.
+    absorbed = set().union(*fused).difference(replaced)
+    kept = [i for i in range(len(steps)) if i not in absorbed]
+    return ([replaced.get(i, steps[i]) for i in kept],
+            [step_ops[i] for i in kept], tuple(fused_groups), standalone)

@@ -28,10 +28,11 @@ allows (the Table-2 dispatch-overhead story):
   are never buffers;
 - **elementwise fusion** — maximal chains/trees of
   fusable ufunc steps whose intermediates are single-consumer and not
-  fetched collapse into one ``exec``-compiled composite kernel
-  (:mod:`repro.runtime.fusion`), so a k-op chain costs one step
-  dispatch instead of k.  Constant pre-evaluation runs *first*, so a
-  chain split by a foldable ``Const`` subtree still fuses end to end.
+  fetched are grouped into one step (:mod:`repro.runtime.fusion`), which
+  the emitter writes as one nested expression of the members' ufunc
+  calls, so a k-op chain costs one walk line instead of k kernel
+  dispatches.  Constant pre-evaluation runs *first*, so a chain split by
+  a foldable ``Const`` subtree still fuses end to end.
   ``compile_plan(..., fuse=False)`` is the only off switch: the
   one-step-per-op reference the fusion tests compare against.
 
@@ -74,6 +75,8 @@ class ExecutionPlan:
       steps: ``(slot, kernel, locators, n_outputs, op_name, inplace)``
         tuples; ``inplace`` is ``None`` or a buffer-donation record
         ``(donor_slot, donor_index, inplace_kernel, out_shape, out_dtype)``.
+        A fused step's ``kernel`` is its group's ``(ufunc, args, reuse)``
+        member records (:func:`~repro.runtime.fusion.fuse_elementwise_steps`).
       fetch_locators: ``(slot, output_index)`` per flat fetch (``(-1, 0)``
         for ``None`` fetches).
       feed_slots: ``(tensor, slot)`` per feed tensor, in feed order.
@@ -84,11 +87,11 @@ class ExecutionPlan:
         are mutually independent (data, control and stateful-order
         dependencies all land in earlier levels).
       fused_groups: ``(span_name, member_op_names, member_op_types,
-        slot)`` per fused composite step (empty when compiled with
+        slot)`` per fused step (empty when compiled with
         ``fuse=False`` or nothing fused).
       standalone: ``{slot: reason}`` for every fusable step the fusion
         pass left on its own (``fetched`` / ``multi-consumer`` /
-        ``no fusable neighbour`` / ``control edge``).
+        ``no fusable neighbour`` / ``control edge`` / ``depth cap``).
     """
 
     __slots__ = ("steps", "fetch_locators", "feed_slots", "n_slots",
@@ -233,8 +236,8 @@ def compile_plan(graph, flat_fetches, feed_tensors, *, fuse=True):
         ``Variable``/``None``.
       feed_tensors: the placeholder (or intermediate) tensors whose
         values the caller will supply per call, in slot-binding order.
-      fuse: collapse chains/trees of fusable elementwise steps into
-        ``exec``-compiled composite kernels (:mod:`repro.runtime.fusion`).
+      fuse: group chains/trees of fusable elementwise steps into one
+        step each (:mod:`repro.runtime.fusion`).
         ``False`` compiles the plain one-step-per-op plan — the
         bit-identity reference fused plans are tested against; bind it
         to a :class:`~repro.runtime.engine.BoundPlan` to A/B a function.
@@ -391,12 +394,9 @@ def _compute_levels(steps, step_ops):
     in parallel.  Returns ``(per-step levels, tuple of index tuples)``.
     """
     producer = {s[0]: i for i, s in enumerate(steps)}
-    # Fused composite steps answer for every member op they absorbed,
-    # so control dependencies held on a fused-away op still resolve.
-    index_of_op = {}
-    for i, op in enumerate(step_ops):
-        for mid in getattr(op, "member_ids", None) or (id(op),):
-            index_of_op[mid] = i
+    # No control edge touches a fused-away op: fusion leaves such steps
+    # standalone.
+    index_of_op = {id(op): i for i, op in enumerate(step_ops)}
     level = [0] * len(steps)
     last_stateful = None
     for i, (s, op) in enumerate(zip(steps, step_ops)):

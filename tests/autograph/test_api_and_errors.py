@@ -2,6 +2,8 @@
 conversion cache, and Appendix B error rewriting."""
 
 import gc
+import importlib.util
+import inspect
 import warnings
 
 import numpy as np
@@ -200,6 +202,58 @@ class TestLiveGlobalsAndClosures:
         assert fns[0].__code__ == fns[1].__code__
         first, second = ag.to_graph(fns[0]), ag.to_graph(fns[1])
         assert (first(3), second(3), first(3)) == (6, 21, 6)
+
+
+SIGNED = """\
+{future}import numpy as np
+
+
+def signed(x: np.ndarray, z: int = 3, *, scale: float = 0.5) -> np.ndarray:
+    if z > 0:
+        x = x * z
+    return x * scale
+
+
+def make(k):
+    def closed(x, k: int = k):
+        return x * k
+    return closed
+
+
+def nested():
+    def inner(a: int) -> int:
+        return a
+    return inner
+"""
+
+
+class TestConvertedSignature:
+    """A converted function's defaults and annotations are its user
+    function's, whatever ``__future__`` imports the user's module (or
+    this package) has."""
+
+    @pytest.mark.parametrize("future", [
+        "", "from __future__ import annotations\n\n"])
+    def test_annotations_and_defaults_are_the_users(self, tmp_path, future):
+        path = tmp_path / f"signed_{len(future)}.py"
+        path.write_text(SIGNED.format(future=future))
+        spec = importlib.util.spec_from_file_location(path.stem, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert isinstance(module.signed.__annotations__["z"], str) == (
+            bool(future))
+        # ``closed``'s default names ``make``'s local, which the
+        # converted code's scope does not see.
+        for fn in (module.signed, module.make(3)):
+            converted = ag.to_graph(fn)
+            assert converted.__annotations__ == fn.__annotations__
+            assert converted.__defaults__ == fn.__defaults__
+            assert inspect.signature(converted) == inspect.signature(fn)
+        # A def in a converted body compiles under the module's flags.
+        assert (ag.to_graph(module.nested)().__annotations__
+                == module.nested().__annotations__)
+        assert ag.to_graph(module.make(3))(2) == 6
+        assert ag.to_graph(module.signed)(2, scale=1) == 6
 
 
 class TestConvertedCall:

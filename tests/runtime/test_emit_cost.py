@@ -10,10 +10,13 @@ tests pin its size and how often it is written the way
   memory on that plan;
 - a plan writes each walk once, on its first run, and keeps no source
   text;
-- every emitted walk parses as Python 3.9, the oldest CI interpreter.
+- every emitted walk parses as Python 3.9, the oldest CI interpreter;
+- the walk is the only code ``repro.runtime`` compiles: a fused group
+  is an expression of the walk, not a kernel of its own.
 """
 
 import ast
+import builtins
 import linecache
 
 import numpy as np
@@ -25,6 +28,7 @@ from repro import nn, observe
 from repro.blocks import BlockScheduler
 from repro.framework import ops
 from repro.runtime import BoundPlan, compile_plan, emit
+from test_oracle import assert_same, walks
 
 #: Lines of a serial walk that are no step: the header, the feed
 #: unpack, ``try:``, the two handlers (four lines) and the ``return``.
@@ -71,7 +75,8 @@ def test_the_serial_walk_is_one_line_per_step(sources):
     lines = source.splitlines()
     assert len(lines) == len(plan.steps) + FIXED_LINES
     # One line per step, and nothing else on a step's line.
-    calls = [line for line in lines if "= k" in line or "_inplace(" in line]
+    calls = [line for line in lines
+             if "= k" in line or "= u" in line or "_inplace(" in line]
     assert len(calls) == len(plan.steps)
     assert sum("_inplace(" in line for line in calls) == plan.inplace_steps
 
@@ -149,7 +154,90 @@ def test_every_emitted_walk_parses_as_python_3_9(sources):
     # The outer plan's four walks, the empty plan's two (one step or
     # none runs no levels) and the sub-graphs' serial and recorded ones.
     assert len(sources) >= 6
-    assert any("scheduler.map(" in source for source in sources)
-    assert any("_step(" in source for source in sources)
+    # Each of the outer plan's four walks writes its reusing fused group
+    # with a walrus.
+    kinds = {("scheduler.map(" in source, "_step(" in source)
+             for source in sources if ":= u_" in source}
+    assert kinds == {(False, False), (True, False), (False, True),
+                     (True, True)}
+    for source in sources:
+        ast.parse(source, feature_version=(3, 9))
+
+
+def test_the_walk_is_the_one_source_a_fusing_plan_compiles(monkeypatch):
+    compiled, real = [], builtins.compile
+
+    def spy(source, *args, **kwargs):
+        compiled.append(source)
+        return real(source, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", spy)
+    g = fw.Graph()
+    with g.as_default():
+        x = ops.placeholder(fw.float32, [4])
+        y = ops.tanh(ops.add(ops.multiply(x, x), 1.0))
+        z = ops.exp(ops.negative(ops.multiply(x, 2.0)))
+    plan = compile_plan(g, [y, z], [x])
+    assert len(plan.fused_groups) == 2
+    assert compiled == []
+    BoundPlan(plan, [x]).execute_flat([np.ones(4, np.float32)])
+    source, = compiled
+    assert source.startswith("def walk(")
+
+
+def test_a_fused_group_refused_its_buffer_recomputes_only_its_root():
+    """An armed group's members run once, as the root's operands; when
+    the root's ``out=`` write is refused (an operand arrived as float64
+    behind the binder's back), the fallback is the root's own ufunc."""
+    g = fw.Graph()
+    with g.as_default():
+        x = ops.placeholder(fw.float32, [3, 3])
+        c = ops.placeholder(fw.float32, [3, 3])
+        y = ops.tanh(ops.add(ops.matmul(x, x), c))
+    plan = compile_plan(g, [y], [x, c])
+    assert [s[4] for s in plan.steps] == ["MatMul", "fused[add+tanh]"]
+    assert plan.steps[1][5] is not None
+    values = list(plan.base_values)
+    xv, cv = np.eye(3, dtype=np.float32), np.full((3, 3), 0.5)
+    for (_t, slot), v in zip(plan.feed_slots, (xv, cv)):
+        values[slot] = (v,)
+    before = observe.counters().get("runtime.inplace_refusals", 0)
+    plan.execute(values)
+    assert observe.counters()["runtime.inplace_refusals"] == before + 1
+    got = plan.fetch(values)[0]
+    assert got.tobytes() == np.tanh(xv @ xv + cv).tobytes()
+    assert plan._walks[0].__globals__["r1"][1] is np.tanh
+
+
+def test_a_long_chain_splits_into_groups_the_parser_takes(sources):
+    """A group is one expression, each member nested in its consumer's
+    call, and CPython parses at most 200 nested parentheses: a 300-op
+    chain splits into groups of at most 65 members, whose walks compile
+    and match the unfused plan byte for byte in every walk kind."""
+    g = fw.Graph()
+    with g.as_default():
+        x = ops.placeholder(fw.float32, [8])
+        a = x
+        for _ in range(150):
+            a = ops.add(ops.multiply(a, 0.5), 1.0)
+        b = ops.tanh(x)
+        for _ in range(65):
+            b = ops.add(ops.multiply(b, 0.5), 1.0)
+    plan = compile_plan(g, [a, b], [x])
+    groups = [len(s[1]) for s in plan.steps if type(s[1]) is tuple]
+    assert sorted(groups) == [40] + [65] * 6
+    assert list(plan.standalone.values()) == ["depth cap"]
+    v = np.linspace(-3, 3, 8, dtype=np.float32)
+    want = BoundPlan(compile_plan(g, [a, b], [x], fuse=False),
+                     [x]).execute_flat([v])
+    with BlockScheduler(num_workers=2) as pool:
+        for walk, run in walks(plan, [x], pool):
+            assert_same(run([v]), want, walk)
+    assert sum(":= u_" in source for source in sources) == 4
+    # Where a walrus binds a walk local, its line drops it again.
+    serial = next(source for source in sources if ":= u_" in source)
+    assert "_step(" not in serial and "scheduler.map(" not in serial
+    assert all(line.endswith("; del t0") for line in serial.splitlines()
+               if ":= u_" in line)
     for source in sources:
         ast.parse(source, feature_version=(3, 9))
