@@ -1,9 +1,11 @@
 """Define-by-run automatic differentiation: ``GradientTape``.
 
-The tape records every differentiable op executed while it is active and
-replays the registered gradient functions in reverse on request.  Because
-gradient functions are written against the public dispatching ops, replay
-itself executes eagerly.
+The tape records every op executed on a tracked value while it is
+active.  ``gradient`` hands the records to the one reverse-mode walk,
+:func:`~repro.framework.graph.gradients.backprop`, which graph-mode
+``gradients()`` drives too.  The walk builds gradients with the public
+dispatching ops, so here it runs eagerly, and an outer tape records it:
+a gradient of a gradient is a second derivative.
 
 This is the comparator for the paper's eager-mode training rows (Table 2)
 and the "PyTorch" define-by-run comparator in Table 3: a fresh tape is
@@ -15,9 +17,7 @@ from __future__ import annotations
 
 import threading
 
-import numpy as np
-
-from ..errors import FrameworkError, StagingError
+from ..errors import FrameworkError
 from .tensor import EagerTensor
 
 __all__ = ["GradientTape", "OpRecord", "record_operation"]
@@ -26,8 +26,9 @@ __all__ = ["GradientTape", "OpRecord", "record_operation"]
 class OpRecord:
     """A lightweight record of an executed op, for tape replay.
 
-    Exposes the same surface gradient functions need from a graph
-    ``Operation``: ``inputs``, ``outputs``, ``attrs`` and ``get_attr``.
+    Exposes the surface the walk and the gradient functions need from a
+    graph ``Operation``: ``op_def``, ``type``, ``name`` (the op type),
+    ``inputs``, ``outputs``, ``attrs`` and ``get_attr``.
     """
 
     __slots__ = ("op_def", "inputs", "outputs", "attrs")
@@ -41,6 +42,8 @@ class OpRecord:
     @property
     def type(self):
         return self.op_def.name
+
+    name = type
 
     def get_attr(self, name, default=None):
         return self.attrs.get(name, default)
@@ -127,7 +130,7 @@ class GradientTape:
     # -- differentiation ---------------------------------------------------
 
     def gradient(self, target, sources, output_gradients=None):
-        """Compute d(target)/d(sources) by reverse replay.
+        """Compute d(target)/d(sources) by a reverse walk of the records.
 
         Args:
           target: an EagerTensor (scalar or not; non-scalars are seeded with
@@ -139,7 +142,9 @@ class GradientTape:
           A structure of gradients matching ``sources``; ``None`` entries
           for sources the target does not depend on.
         """
+        from ..graph.gradients import backprop
         from ..graph.variables import Variable
+        from ..ops import array_ops
 
         if self._used and not self._persistent:
             raise FrameworkError(
@@ -160,64 +165,13 @@ class GradientTape:
         if not isinstance(target, EagerTensor):
             raise TypeError("gradient target must be an EagerTensor")
 
-        # Reverse accumulation over the recorded ops.
-        grads = {}
-        if output_gradients is None:
-            seed = EagerTensor(np.ones_like(target.numpy()))
-        else:
-            seed = output_gradients
-        grads[target.id] = seed
-
-        reaching = None
-        for record in reversed(self._records):
-            out_grads = [
-                grads.get(out.id) if isinstance(out, EagerTensor) else None
-                for out in record.outputs
-            ]
-            if all(g is None for g in out_grads):
-                continue
-            if record.op_def.grad_fn is None:
-                # As ``gradients()``: an op with no gradient on a path
-                # from a source to the target is an error, not a zero.
-                if reaching is None:
-                    reaching = _reaching(self._records, source_tensors)
-                if any(isinstance(inp, EagerTensor) and inp.id in reaching
-                       for inp in record.inputs):
-                    raise StagingError(
-                        f"GradientTape.gradient: op of type {record.type!r} "
-                        "on the differentiation path has no registered "
-                        "gradient"
-                    )
-                continue
-            filled = []
-            for g, out in zip(out_grads, record.outputs):
-                if g is None and isinstance(out, EagerTensor):
-                    g = EagerTensor(np.zeros_like(out.numpy()))
-                filled.append(g)
-            input_grads = record.op_def.grad_fn(record, *filled)
-            if not isinstance(input_grads, (list, tuple)):
-                input_grads = [input_grads]
-            for inp, g in zip(record.inputs, input_grads):
-                if g is None or not isinstance(inp, EagerTensor):
-                    continue
-                if inp.id in grads:
-                    grads[inp.id] = EagerTensor(grads[inp.id].numpy() + g.numpy())
-                else:
-                    grads[inp.id] = g
-
-        results = [grads.get(s.id) for s in source_tensors]
+        seed = (array_ops.ones_like(target) if output_gradients is None
+                else output_gradients)
+        grads = backprop(self._records, source_tensors, {id(target): seed},
+                         where="GradientTape.gradient")
+        results = [grads.get(id(s)) for s in source_tensors]
         if not self._persistent:
             self._records = []
             self._tracked = set(self._watched)
         return results[0] if single else results
 
-
-def _reaching(records, sources):
-    """Ids of the tensors the recorded ops compute from ``sources``."""
-    reaching = {s.id for s in sources}
-    for record in records:
-        if any(isinstance(inp, EagerTensor) and inp.id in reaching
-               for inp in record.inputs):
-            reaching.update(out.id for out in record.outputs
-                            if isinstance(out, EagerTensor))
-    return reaching

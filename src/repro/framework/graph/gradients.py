@@ -1,8 +1,16 @@
-"""Graph-mode reverse automatic differentiation.
+"""Reverse-mode automatic differentiation: the one walk, and ``gradients()``.
 
-``gradients(ys, xs)`` walks the graph backwards from ``ys`` and emits new
-gradient ops into the same graph.  Combined with ``while_loop`` this is
-what makes the paper's *in-graph training loop* (Table 2) possible: the
+:func:`backprop` is the reverse-mode walk, written once.  It drives the
+registry's ``grad_fn``\\ s over a list of ops in the order they ran —
+a graph's ``Operation``\\ s or a ``GradientTape``'s ``OpRecord``\\ s —
+and builds every gradient, zero-fill and fan-in sum with the public
+dispatching ops.  So the same walk stages gradient ops into a graph
+and runs them eagerly under a tape, and an outer tape records an inner
+tape's walk (second order).
+
+``gradients(ys, xs)`` is its graph front-end: it emits the gradient ops
+into the graph of ``ys``.  Combined with ``while_loop`` this is what
+makes the paper's *in-graph training loop* (Table 2) possible: the
 gradient ops are built once at staging time, inside the loop body's
 FuncGraph, and then executed repeatedly without touching Python.
 """
@@ -10,9 +18,60 @@ FuncGraph, and then executed repeatedly without touching Python.
 from __future__ import annotations
 
 from ..errors import StagingError
+from ..tensor_mixin import TensorOpsMixin
 from .graph import Graph, Tensor
 
-__all__ = ["gradients"]
+__all__ = ["backprop", "gradients"]
+
+
+def backprop(ops, sources, grads, reads=(), where="gradients"):
+    """Accumulate, into ``grads``, the gradients the seeds already in it
+    send back through ``ops`` to the tensors computed from ``sources``.
+
+    Args:
+      ops: the ops that ran, in the order they ran; each has ``inputs``,
+        ``outputs``, ``name``, ``type`` and ``op_def``.
+      sources: the tensors to differentiate against.
+      grads: ``{id(tensor): gradient}`` holding the seeds; updated in
+        place.
+      reads: ids of ops that depend on a source through state that no
+        input shows.
+      where: the entry point, named in errors.
+
+    An op is on the path if one of its inputs is computed from a source
+    or its id is in ``reads``.  The on-path ops are walked in reverse;
+    one that no gradient reached is skipped, and one that a gradient
+    reached but has no ``grad_fn`` raises.
+    """
+    from ..ops import array_ops, math_ops
+
+    reaching = {id(s) for s in sources}
+    path = []
+    for op in ops:
+        if id(op) in reads or any(id(t) in reaching for t in op.inputs):
+            path.append(op)
+            reaching.update(id(t) for t in op.outputs)
+
+    for op in reversed(path):
+        out_grads = [grads.get(id(t)) for t in op.outputs]
+        if all(g is None for g in out_grads):
+            continue
+        if op.op_def.grad_fn is None:
+            raise StagingError(
+                f"{where}: op {op.name!r} of type {op.type!r} on the "
+                "differentiation path has no registered gradient")
+        # An opaque output (TensorArray state on a tape) gets no zeros.
+        filled = [array_ops.zeros_like(t)
+                  if g is None and isinstance(t, TensorOpsMixin) else g
+                  for g, t in zip(out_grads, op.outputs)]
+        in_grads = op.op_def.grad_fn(op, *filled)
+        if not isinstance(in_grads, (list, tuple)):
+            in_grads = [in_grads]
+        for t, g in zip(op.inputs, in_grads):
+            if g is not None and id(t) in reaching:
+                prev = grads.get(id(t))
+                grads[id(t)] = g if prev is None else math_ops.add(prev, g)
+    return grads
 
 
 def _reads_in_subgraph(op, states):
@@ -40,7 +99,7 @@ def gradients(ys, xs, grad_ys=None, name="gradients"):
       ``xs`` was a single tensor); entries are None where there is no path.
     """
     from ..graph.variables import Variable
-    from ..ops import array_ops, math_ops
+    from ..ops import array_ops
 
     single_y = isinstance(ys, Tensor)
     ys = [ys] if single_y else list(ys)
@@ -62,79 +121,25 @@ def gradients(ys, xs, grad_ys=None, name="gradients"):
         x_tensors.append(x)
 
     # The variables among xs: given as such, read by an op, or (in a
-    # top-level trace) standing behind a capture placeholder.
-    reaches_x = set(id(t) for t in x_tensors)
+    # top-level trace) standing behind a capture placeholder; the ops
+    # whose sub-graphs read one depend on xs through state.
+    x_ids = {id(t) for t in x_tensors}
     x_states = {x._state for x in xs if isinstance(x, Variable)}
     x_states.update(t.op.attrs["state"] for t in x_tensors
                     if t.op.type == "ReadVariable")
     x_states.update(c.source._state
                     for c in getattr(graph, "external_captures", ())
-                    if c.kind == "variable" and id(c.placeholder) in reaches_x)
+                    if c.kind == "variable" and id(c.placeholder) in x_ids)
+    reads = {id(op) for op in graph.ops
+             if _reads_in_subgraph(op, x_states)} if x_states else ()
 
-    # Forward reachability from xs, through data and through state.
-    reads_x = set()
-    for op in graph.ops:
-        if x_states and _reads_in_subgraph(op, x_states):
-            reads_x.add(id(op))
-        if id(op) in reads_x or any(id(t) in reaches_x for t in op.inputs):
-            for out in op.outputs:
-                reaches_x.add(id(out))
-
-    # Backward reachability from ys, restricted to the x-reaching region.
-    needed_ops = []
-    seen = set()
-    stack = [y.op for y in ys]
-    while stack:
-        op = stack.pop()
-        if id(op) in seen:
-            continue
-        seen.add(id(op))
-        if not any(id(out) in reaches_x for out in op.outputs):
-            continue
-        needed_ops.append(op)
-        for t in op.inputs:
-            if id(t.op) not in seen:
-                stack.append(t.op)
-
-    order = {id(op): i for i, op in enumerate(graph.ops)}
-    needed_ops.sort(key=lambda op: order[id(op)])
-
-    grads = {}
     with graph.as_default(), graph.name_scope(name):
         if grad_ys is None:
-            for y in ys:
-                grads[id(y)] = array_ops.ones_like(y)
+            grads = {id(y): array_ops.ones_like(y) for y in ys}
         else:
-            grad_ys_list = [grad_ys] if isinstance(grad_ys, Tensor) else list(grad_ys)
-            for y, gy in zip(ys, grad_ys_list):
-                grads[id(y)] = gy
-
-        for op in reversed(needed_ops):
-            out_grads = [grads.get(id(out)) for out in op.outputs]
-            if all(g is None for g in out_grads):
-                continue
-            if op.op_def.grad_fn is None:
-                if id(op) in reads_x or any(
-                        id(t) in reaches_x for t in op.inputs):
-                    raise StagingError(
-                        f"gradients: op {op.name!r} of type {op.type!r} on the "
-                        "differentiation path has no registered gradient"
-                    )
-                continue
-            filled = [
-                g if g is not None else array_ops.zeros_like(out)
-                for g, out in zip(out_grads, op.outputs)
-            ]
-            input_grads = op.op_def.grad_fn(op, *filled)
-            if not isinstance(input_grads, (list, tuple)):
-                input_grads = [input_grads]
-            for inp, g in zip(op.inputs, input_grads):
-                if g is None:
-                    continue
-                if id(inp) not in reaches_x:
-                    continue
-                existing = grads.get(id(inp))
-                grads[id(inp)] = g if existing is None else math_ops.add(existing, g)
+            grad_ys = [grad_ys] if isinstance(grad_ys, Tensor) else grad_ys
+            grads = {id(y): gy for y, gy in zip(ys, grad_ys)}
+        backprop(graph.ops, x_tensors, grads, reads)
 
     results = [grads.get(id(x)) for x in x_tensors]
     return results[0] if single_x else results

@@ -1,13 +1,16 @@
 """Gradient definitions for the primitive ops.
 
 Each gradient function is written against the *public dispatching ops*,
-so the exact same definitions serve:
+so the exact same definitions serve the one reverse-mode walk
+(:func:`~repro.framework.graph.gradients.backprop`) in both modes:
 
 - graph-mode ``gradients()`` (building new graph nodes), and
-- the eager ``GradientTape`` (replaying eagerly).
+- the eager ``GradientTape`` (running eagerly, recorded by an outer tape).
 
 A handful of dedicated grad-helper primitives (``SumGrad`` etc.) keep the
-generated graphs small; their kernels live here next to their use.
+generated graphs small; their kernels live here next to their use.  A
+gradient of a gradient passes through them: ``UnbroadcastTo`` has a
+gradient of its own, the others do not yet, and raise when reached.
 """
 
 from __future__ import annotations
@@ -212,6 +215,13 @@ register_op("PackGrad", _pack_grad_kernel,
 # ---------------------------------------------------------------------------
 # Gradient functions
 # ---------------------------------------------------------------------------
+
+
+@register_gradient("UnbroadcastTo")
+def _unbroadcast_grad(op, g):
+    # The sum over broadcast axes sends each element's gradient back to
+    # every element summed into it (a second derivative passes here).
+    return [math_ops.multiply(g, array_ops.ones_like(op.inputs[0])), None]
 
 
 @register_gradient("Add")

@@ -29,9 +29,10 @@ table (``tests/test_registry_is_closed.py`` parses the package to keep
 it so).
 
 Gradient functions are expressed in terms of the *public dispatching ops*
-(``repro.framework.ops``), which makes the same gradient definitions
-usable both for graph-mode ``gradients()`` and for the eager
-``GradientTape`` (which replays them eagerly).
+(``repro.framework.ops``), and one reverse-mode walk
+(:func:`~repro.framework.graph.gradients.backprop`) drives them for both
+graph-mode ``gradients()`` and the eager ``GradientTape``: it stages
+gradient ops in a graph and runs them eagerly under a tape.
 """
 
 from __future__ import annotations

@@ -21,6 +21,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from repro.framework.registry import get_op_def
+from repro.framework.shapes import TensorShape, unknown
+
 from .sexpr import Sym, format_sexpr
 
 __all__ = [
@@ -37,6 +40,8 @@ __all__ = [
     "LanternOp",
     "OPS",
     "reduction_op",
+    "op_def_or_none",
+    "static_shape",
 ]
 
 class LanternOp(NamedTuple):
@@ -167,6 +172,35 @@ for _fn, _type in (("sum", "Sum"), ("mean", "Mean")):
             OPS[reduction_op(_fn, _axis, _keep)] = LanternOp(
                 1, f"np.{_fn}({{0}}{_kwargs})",
                 (f"{_g} * np.ones_like({{0}}){_count}",), (_type, _form))
+
+
+def op_def_or_none(op_type):
+    """The registry's ``OpDef`` for ``op_type``, or None."""
+    try:
+        return get_op_def(op_type)
+    except KeyError:
+        return None
+
+
+def static_shape(value):
+    """A staged value's or a concrete operand's static ``TensorShape``."""
+    if isinstance(value, StagedValue):
+        return unknown if value.shape is None else TensorShape(value.shape)
+    return TensorShape(np.shape(value))
+
+
+def _result_shape(op_name, args):
+    """The static shape of ``op_name`` on ``args``: the ``shape_fn`` of
+    the registry op it lowers from, or None where there is no such op
+    or rule."""
+    graph = OPS[op_name].graph
+    op_def = graph and op_def_or_none(graph[0])
+    if op_def is None or op_def.shape_fn is None:
+        return None
+    try:
+        return op_def.shape_fn([static_shape(a) for a in args], graph[1])[0]
+    except Exception:  # noqa: BLE001 - no rule for these operands
+        return None
 
 
 class Param:
@@ -469,7 +503,7 @@ class Builder:
         self.current_block.instructions.append(
             ("op", out, op_name, [a.sym for a in arg_vals])
         )
-        return StagedTensor(out, self)
+        return StagedTensor(out, self, _result_shape(op_name, arg_vals))
 
     def emit_const(self, value):
         out = self.fresh("c")

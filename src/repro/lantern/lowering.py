@@ -4,8 +4,8 @@ backends).
 :func:`lower_op_call` is the :class:`~repro.lantern.staging.Stager`'s
 per-op hook: a *framework* op (``ops.multiply`` …) called on staged
 values emits the ``ir.OPS`` entry its attrs select, so the same user
-code stages into either backend; the op's registry ``shape_fn`` gives
-the result's static shape, which lets a later negative axis normalise.
+code stages into either backend (``Builder.emit`` gives each result its
+static shape, which lets a later negative axis normalise).
 An op with no Lantern form, or a boolean operand (Lantern computes in
 float32), yields a :class:`~repro.lantern.ir.RefusedValue` carrying a
 :class:`LanternLoweringError` (an ``ExecutionError`` naming the op).
@@ -16,12 +16,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.framework.errors import ExecutionError
-from repro.framework.registry import get_op_def
-from repro.framework.shapes import TensorShape, unknown
 
-from .ir import OPS, RefusedValue, StagedValue
+from .ir import OPS, RefusedValue, StagedValue, op_def_or_none, static_shape
 
-__all__ = ["LanternLoweringError", "lower_op_call", "op_def_or_none"]
+__all__ = ["LanternLoweringError", "lower_op_call"]
 
 
 class LanternLoweringError(ExecutionError):
@@ -36,14 +34,6 @@ class LanternLoweringError(ExecutionError):
     def __init__(self, message, op_name=None, reason="unsupported op"):
         super().__init__(message, op_name=op_name)
         self.reason = reason
-
-
-def op_def_or_none(op_type):
-    """The registry's ``OpDef`` for ``op_type``, or None."""
-    try:
-        return get_op_def(op_type)
-    except KeyError:
-        return None
 
 
 def _unsupported(op_type, detail=""):
@@ -102,12 +92,6 @@ def _emit_simple(builder, op_type, args, attrs, rank=None):
     return result
 
 
-def _static_shape(value):
-    if isinstance(value, StagedValue):
-        return unknown if value.shape is None else TensorShape(value.shape)
-    return TensorShape(np.shape(value))
-
-
 def lower_op_call(builder, op_type, inputs, attrs):
     """Translate one framework-op call on staged values into the IR.
 
@@ -116,26 +100,19 @@ def lower_op_call(builder, op_type, inputs, attrs):
     concrete operands stay concrete, to be emitted as constants.  An op
     the IR cannot express yields a :class:`RefusedValue`.
     """
-    op_def = op_def_or_none(op_type)
     refused = next((v for v in inputs if isinstance(v, RefusedValue)), None)
     if refused is None:
         try:
-            result, shapes = _lower(builder, op_type, inputs, attrs)
+            return _lower(builder, op_type, inputs, attrs)
         except LanternLoweringError as e:
             refused = RefusedValue(e, builder)
-        else:
-            if op_def is not None and op_def.shape_fn is not None:
-                try:
-                    result.shape = op_def.shape_fn(shapes, attrs)[0]
-                except Exception:  # noqa: BLE001 - no rule for these operands
-                    pass
-            return result
+    op_def = op_def_or_none(op_type)
     n = 1 if op_def is None else op_def.output_count(inputs, attrs)
     return refused if n == 1 else (refused,) * n
 
 
 def _lower(builder, op_type, inputs, attrs):
-    """``(result, input shapes)`` of one op, or a LanternLoweringError."""
+    """The staged result of one op, or a LanternLoweringError."""
     args = []
     for value in inputs:
         if not isinstance(value, StagedValue):
@@ -147,8 +124,7 @@ def _lower(builder, op_type, inputs, attrs):
             if not isinstance(value, (int, float, np.ndarray, np.generic)):
                 value = builder.as_staged(value)
         args.append(value)
-    shapes = [_static_shape(a) for a in args]
     if op_type == "Identity":
-        return args[0], shapes
+        return args[0]
     return _emit_simple(builder, op_type, args, attrs,
-                        rank=shapes[0].rank if shapes else None), shapes
+                        rank=static_shape(args[0]).rank if args else None)

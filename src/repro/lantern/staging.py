@@ -33,8 +33,8 @@ from repro.framework.ops.dispatch import (
 
 from .ir import (
     Builder, FunctionDef, Param, Program, StagedBool, StagedTensor,
-    StagedTree, StagedValue, live)
-from .lowering import LanternLoweringError, lower_op_call, op_def_or_none
+    StagedTree, StagedValue, live, op_def_or_none)
+from .lowering import LanternLoweringError, lower_op_call
 
 __all__ = ["Stager", "StagedArityError", "ReentrantStagingError"]
 

@@ -25,9 +25,7 @@ walk is written:
 - an exception from a step becomes the ``ExecutionError`` naming its op
   (the kernel's exception as ``__cause__``): the traceback's line number
   in the generated code says which step raised (:func:`_error`);
-- the walk returns the flat fetches and writes nothing back: only
-  :meth:`ExecutionPlan.execute <repro.runtime.plan.ExecutionPlan.execute>`,
-  the call on a whole slot list, stores them into its list.
+- the walk returns the flat fetches and writes nothing back.
 
 Two flags vary the emission.  *Recorded* (``repro.observe`` is on) runs
 the same lines inside a ``plan.execute`` span with each step called

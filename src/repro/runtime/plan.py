@@ -82,7 +82,7 @@ class ExecutionPlan:
       feed_slots: ``(tensor, slot)`` per feed tensor, in feed order.
       n_slots: total number of value slots (op slots + feed slots).
       base_values: length-``n_slots`` template with pre-evaluated constant
-        slots filled; every execution starts from a shallow copy.
+        slots filled; the emitter bakes them into each walk.
       levels: wavefront partition of step indices — steps in one level
         are mutually independent (data, control and stateful-order
         dependencies all land in earlier levels).
@@ -135,26 +135,6 @@ class ExecutionPlan:
         if run is None:
             run = self._walks[kind] = emit.walk(self, kind)
         return run
-
-    def execute(self, values, scheduler=None):
-        """Run the walk on a whole slot list ``values`` (a copy of
-        :attr:`base_values` with the feed slots filled); returns the flat
-        fetches and stores them into ``values`` for :meth:`fetch`."""
-        out = self.walk(scheduler)(
-            [values[j][0] for _t, j in self.feed_slots], scheduler)
-        rows = {}
-        for (j, k), value in zip(self.fetch_locators, out):
-            if j >= 0:
-                rows.setdefault(j, {})[k] = value
-        for j, row in rows.items():
-            values[j] = tuple(row.get(k) for k in range(max(row) + 1))
-        return out
-
-    def fetch(self, values):
-        """The flat fetch results out of an executed ``values`` array."""
-        return [
-            values[j][k] if j >= 0 else None for j, k in self.fetch_locators
-        ]
 
     @property
     def inplace_steps(self):

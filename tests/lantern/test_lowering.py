@@ -201,6 +201,18 @@ class TestOpsStageThroughTheStager:
             got.numpy(), np.concatenate([np.tanh(x), x], axis=-1),
             rtol=1e-6)
 
+    def test_every_staged_result_carries_its_static_shape(self):
+        # Operator sugar and ``lantern.ops`` emit directly; their results
+        # know their shape as a framework op's do, so a later negative
+        # axis normalises.
+        x = np.arange(4, dtype=np.float32).reshape(1, 4)
+        for make in (lambda a: a * 2.0, lambda a: ops.multiply(a, 2.0),
+                     lambda a: lt.tanh(a) + a):
+            program = lambda a, make=make: ops.reduce_sum(make(a), axis=-1)
+            got = _lantern(program)(x)
+            np.testing.assert_allclose(
+                got.numpy(), program(x).numpy(), rtol=1e-6)
+
     def test_negative_axis_without_rank_refused(self):
         f = _lantern(lambda a: ops.reduce_sum(a, axis=-1))
         with pytest.raises(LanternLoweringError, match="rank"):

@@ -43,6 +43,7 @@ from repro.framework.eager.execute import execute_op
 from repro.framework.errors import UnstagedConstructError
 from repro.framework.graph.gradients import gradients
 from repro.framework.graph.tensor_array import TensorArrayValue
+from repro.framework.ops import dispatch
 from repro.framework.registry import elementwise_ops, get_op_def, list_ops
 from repro.function import ExportError
 from repro.lantern.lowering import LanternLoweringError
@@ -1205,6 +1206,10 @@ GRAD_SEEDS = {
         ops.multiply(y, ops.logical_or(ops.greater(x, y), ops.less(y, 0.0))),
         ops.multiply(x, ops.logical_not(ops.less(y, 0.0)))),
         _f64((3, 4), (3, 4))),
+    # A grad-helper op with a gradient of its own, which a second
+    # derivative through a broadcasting operand passes.
+    "unbroadcast": (lambda g, like: dispatch.run_op(
+        "UnbroadcastTo", [g, like], {}), _f64((2, 3, 4), (3, 1))),
     "softmax": (lambda x: (
         ops.softmax(x), ops.log_softmax(x), ops.log_softmax(x, axis=0),
         ops.softmax_cross_entropy_with_logits(np.eye(4)[[0, 3, 1]], x),
