@@ -7,21 +7,24 @@ so the exact same definitions serve the one reverse-mode walk
 - graph-mode ``gradients()`` (building new graph nodes), and
 - the eager ``GradientTape`` (running eagerly, recorded by an outer tape).
 
-A handful of dedicated grad-helper primitives (``SumGrad`` etc.) keep the
-generated graphs small; their kernels live here next to their use.  A
-gradient of a gradient passes through them: ``UnbroadcastTo`` has a
-gradient of its own, the others do not yet, and raise when reached.
+A gradient is built from ordinary ops: a reduction's is a broadcasting
+multiply, a reshape's a reshape, a concat's slices of the incoming
+gradient, a cross-entropy's ``softmax`` minus the labels.  Every op a
+gradient builds has a gradient itself, so a second derivative passes
+through any of them.  Two primitives exist for gradients alone, each
+with a gradient of its own: ``UnbroadcastTo`` sums a broadcast operand's
+gradient back to its shape, and ``GetItemGrad`` is the one scatter-add,
+behind both indexing and ``gather``.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from ..dtypes import numpy_dtype_fn
+from ..graph.graph import Tensor
 from ..registry import register_gradient, register_op
-from . import array_ops, dispatch, math_ops
+from . import array_ops, dispatch, math_ops, nn_ops
 
 # ---------------------------------------------------------------------------
 # Grad-helper primitives
@@ -51,102 +54,6 @@ def _unbroadcast(grad, like):
     return dispatch.run_op("UnbroadcastTo", [grad, like], {})
 
 
-def _reduce_grad_kernel(grad, x, axis=None, keepdims=False, mean=False):
-    g = np.asarray(grad)
-    x = np.asarray(x)
-    if axis is None or x.ndim == 0:  # NumPy lets a 0-d axis be 0 or -1
-        expanded = np.broadcast_to(g, x.shape)
-        count = x.size
-    else:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        axes = tuple(a % x.ndim for a in axes)
-        if not keepdims:
-            for a in sorted(axes):
-                g = np.expand_dims(g, a)
-        expanded = np.broadcast_to(g, x.shape)
-        count = 1
-        for a in axes:
-            count *= x.shape[a]
-    if mean:
-        expanded = expanded / count
-    return expanded.astype(x.dtype, copy=False) if x.dtype.kind == "f" else expanded
-
-
-# ``mean`` divides, which changes what an integer gradient comes back as.
-_mean_grad_kernel = functools.partial(_reduce_grad_kernel, mean=True)
-
-register_op("SumGrad", _reduce_grad_kernel,
-            dtype_fn=lambda dts, attrs: numpy_dtype_fn(
-                _mean_grad_kernel if attrs.get("mean") else _reduce_grad_kernel
-            )(dts, attrs),
-            shape_fn=lambda ss, attrs: [ss[1]])
-
-
-def _max_grad_kernel(grad, x, out, axis=None, keepdims=False):
-    x = np.asarray(x)
-    g = np.asarray(grad)
-    o = np.asarray(out)
-    if x.ndim == 0:  # NumPy lets a 0-d axis be 0 or -1
-        axis = None
-    if axis is None:
-        mask = (x == o)
-    else:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        axes = tuple(a % x.ndim for a in axes)
-        ge = g
-        oe = o
-        if not keepdims:
-            for a in sorted(axes):
-                ge = np.expand_dims(ge, a)
-                oe = np.expand_dims(oe, a)
-        mask = (x == oe)
-        g = ge
-    out_grad = np.where(mask, np.broadcast_to(g, x.shape), 0.0)
-    return out_grad.astype(x.dtype, copy=False)
-
-
-register_op("MaxGrad", _max_grad_kernel, fresh_output=True,
-            dtype_fn=lambda dts, attrs: [dts[1]],
-            shape_fn=lambda ss, attrs: [ss[1]])
-
-
-def _select_grad_kernel(cond, grad):
-    c = np.asarray(cond)
-    g = np.asarray(grad)
-    if c.ndim > 0 and c.ndim < g.ndim:
-        c = c.reshape(c.shape + (1,) * (g.ndim - c.ndim))
-    zeros = np.zeros_like(g)
-    return np.where(c, g, zeros), np.where(c, zeros, g)
-
-
-register_op("SelectGrad", _select_grad_kernel, num_outputs=2, fresh_output=True,
-            dtype_fn=lambda dts, attrs: [dts[1], dts[1]])
-
-
-def _reshape_like_kernel(grad, like):
-    return np.reshape(np.asarray(grad), np.asarray(like).shape)
-
-
-register_op("ReshapeLike", _reshape_like_kernel,
-            dtype_fn=lambda dts, attrs: [dts[0]],
-            shape_fn=lambda ss, attrs: [ss[1]])
-
-
-def _gather_grad_kernel(grad, indices, params, axis=0):
-    params = np.asarray(params)
-    out = np.zeros_like(params, dtype=np.asarray(grad).dtype)
-    idx = np.asarray(indices)
-    if axis != 0:
-        raise NotImplementedError("Gather gradient only supports axis=0")
-    np.add.at(out, idx, np.asarray(grad))
-    return out.astype(params.dtype, copy=False)
-
-
-register_op("GatherGrad", _gather_grad_kernel, fresh_output=True,
-            dtype_fn=lambda dts, attrs: [dts[2]],
-            shape_fn=lambda ss, attrs: [ss[2]])
-
-
 def _getitem_grad_kernel(grad, x, *index_inputs, spec=()):
     from ..kernels import _materialize_spec
 
@@ -161,55 +68,65 @@ register_op("GetItemGrad", _getitem_grad_kernel, fresh_output=True,
             shape_fn=lambda ss, attrs: [ss[1]])
 
 
-def _xent_grad_kernel(grad, labels, logits):
-    from ..kernels import _softmax_kernel
-
-    g = np.asarray(grad)[..., None]
-    return (_softmax_kernel(np.asarray(logits), axis=-1) - np.asarray(labels)) * g
+# ---------------------------------------------------------------------------
+# Building blocks: the shapes a gradient is sent back to
+# ---------------------------------------------------------------------------
 
 
-register_op("SoftmaxXentGrad", _xent_grad_kernel, fresh_output=True,
-            dtype_fn=numpy_dtype_fn(_xent_grad_kernel),
-            shape_fn=lambda ss, attrs: [ss[2]])
+def _along(axis, index):
+    """An indexing key applying ``index`` at ``axis`` (a negative one
+    counts from the end) and keeping every other axis whole."""
+    axis = int(axis)
+    if axis < 0:
+        return (Ellipsis, index) + (slice(None),) * (-axis - 1)
+    return (slice(None),) * axis + (index,)
 
 
-def _sparse_xent_grad_kernel(grad, labels, logits):
-    from ..kernels import _softmax_kernel
-
-    logits = np.asarray(logits)
-    labels = np.asarray(labels).astype(np.int64)
-    g = np.asarray(grad)[..., None]
-    soft = _softmax_kernel(logits, axis=-1)
-    onehot = np.zeros_like(logits)
-    onehot[np.arange(labels.shape[0]), labels] = 1.0
-    return (soft - onehot) * g
+def _shaped_like(t, like):
+    """``t``, declared (when staged) with ``like``'s static shape, which
+    the ops that made it cannot tell: no shape rule reads the value a
+    ``reshape`` or ``one_hot`` takes its shape from, and the sparse
+    cross-entropy has none."""
+    if isinstance(t, Tensor):
+        t.set_shape(like.shape)
+    return t
 
 
-register_op("SparseSoftmaxXentGrad", _sparse_xent_grad_kernel, fresh_output=True,
-            dtype_fn=numpy_dtype_fn(_sparse_xent_grad_kernel),
-            shape_fn=lambda ss, attrs: [ss[2]])
+def _keep_reduced_dims(op, t):
+    """``t``, shaped like the reduction ``op``'s result, with each axis
+    ``op`` reduced put back as a 1 (``keepdims=True``'s shape), so that
+    it broadcasts against the operand."""
+    x = op.inputs[0]
+    axis = op.get_attr("axis")
+    rank = x.shape.rank
+    # A 0-d operand reduces nothing (NumPy lets its axis be 0 or -1).
+    if axis is None or op.get_attr("keepdims", False) or rank == 0:
+        return t
+    if rank is None:  # the shape the same reduction keeps, at run time
+        kept = dispatch.run_op(op.type, [x], {"axis": axis, "keepdims": True})
+        return array_ops.reshape(t, array_ops.shape(kept))
+    axes = [axis] if np.ndim(axis) == 0 else axis
+    kept = {int(a) % rank for a in axes}
+    return array_ops.get_item(
+        t, tuple(None if i in kept else slice(None) for i in range(rank)))
 
 
-def _concat_grad_kernel(grad, *inputs, axis=0):
-    sizes = [np.asarray(x).shape[axis] for x in inputs]
-    parts = np.split(np.asarray(grad), np.cumsum(sizes)[:-1], axis=axis)
-    return tuple(parts) if len(parts) != 1 else parts[0]
+def _reduced_grad(op, g):
+    """``g`` sent back to every operand element the reduction ``op``
+    folded into each result."""
+    return math_ops.multiply(_keep_reduced_dims(op, g),
+                             array_ops.ones_like(op.inputs[0]))
 
 
-register_op("ConcatGrad", _concat_grad_kernel,
-            num_outputs=lambda inputs, attrs: len(inputs) - 1,
-            dtype_fn=lambda dts, attrs: [dts[0]] * (len(dts) - 1))
-
-
-def _pack_grad_kernel(grad, axis=0, num=1):
-    parts = np.split(np.asarray(grad), num, axis=axis)
-    out = tuple(np.squeeze(p, axis=axis) for p in parts)
-    return out if num != 1 else out[0]
-
-
-register_op("PackGrad", _pack_grad_kernel,
-            num_outputs=lambda inputs, attrs: attrs["num"],
-            dtype_fn=lambda dts, attrs: [dts[0]] * attrs["num"])
+def _reduced_count(op, dtype):
+    """How many operand elements the reduction ``op`` folded into each
+    result, as a ``dtype`` scalar."""
+    x, out = op.inputs[0], op.outputs[0]
+    if x.shape.is_fully_defined and out.shape.is_fully_defined:
+        return array_ops.constant(
+            x.shape.num_elements() // max(1, out.shape.num_elements()), dtype)
+    return math_ops.divide(math_ops.cast(array_ops.size(x), dtype),
+                           math_ops.cast(array_ops.size(out), dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +139,16 @@ def _unbroadcast_grad(op, g):
     # The sum over broadcast axes sends each element's gradient back to
     # every element summed into it (a second derivative passes here).
     return [math_ops.multiply(g, array_ops.ones_like(op.inputs[0])), None]
+
+
+@register_gradient("GetItemGrad")
+def _getitem_grad_grad(op, g):
+    # A scatter-add is linear in what it adds: its adjoint reads the
+    # same places back.
+    index_inputs = list(op.inputs[2:])
+    grad = dispatch.run_op("GetItem", [g, *index_inputs],
+                           {"spec": op.get_attr("spec")})
+    return [grad, None] + [None] * len(index_inputs)
 
 
 @register_gradient("Add")
@@ -361,36 +288,30 @@ def _matmul_grad(op, g):
 
 @register_gradient("Sum")
 def _sum_grad(op, g):
-    x = op.inputs[0]
-    return [dispatch.run_op("SumGrad", [g, x],
-                            {"axis": op.get_attr("axis"),
-                             "keepdims": op.get_attr("keepdims", False),
-                             "mean": False})]
+    return [_reduced_grad(op, g)]
 
 
 @register_gradient("Mean")
 def _mean_grad(op, g):
-    x = op.inputs[0]
-    return [dispatch.run_op("SumGrad", [g, x],
-                            {"axis": op.get_attr("axis"),
-                             "keepdims": op.get_attr("keepdims", False),
-                             "mean": True})]
+    return [_reduced_grad(op, math_ops.divide(g, _reduced_count(op, g.dtype)))]
 
 
 @register_gradient("Max")
 @register_gradient("Min")
 def _max_grad(op, g):
+    # Every element equal to the extreme gets the whole gradient.
     x = op.inputs[0]
-    return [dispatch.run_op("MaxGrad", [g, x, op.outputs[0]],
-                            {"axis": op.get_attr("axis"),
-                             "keepdims": op.get_attr("keepdims", False)})]
+    at_extreme = math_ops.equal(x, _keep_reduced_dims(op, op.outputs[0]))
+    return [array_ops.where(at_extreme, _reduced_grad(op, g),
+                            array_ops.zeros_like(x))]
 
 
 @register_gradient("Select")
 def _select_grad(op, g):
     cond = op.inputs[0]
-    gx, gy = dispatch.run_op("SelectGrad", [cond, g], {})
-    return [None, gx, gy]
+    zeros = array_ops.zeros_like(g)
+    return [None, array_ops.where(cond, g, zeros),
+            array_ops.where(cond, zeros, g)]
 
 
 @register_gradient("Identity")
@@ -436,18 +357,15 @@ def _cast_grad(op, g):
 
 
 @register_gradient("Reshape")
-def _reshape_grad(op, g):
-    return [dispatch.run_op("ReshapeLike", [g, op.inputs[0]], {}), None]
-
-
 @register_gradient("ExpandDims")
-def _expand_dims_grad(op, g):
-    return [dispatch.run_op("ReshapeLike", [g, op.inputs[0]], {})]
-
-
 @register_gradient("Squeeze")
-def _squeeze_grad(op, g):
-    return [dispatch.run_op("ReshapeLike", [g, op.inputs[0]], {})]
+def _reshape_grad(op, g):
+    x = op.inputs[0]
+    shape = (x.shape.as_tuple() if x.shape.is_fully_defined
+             else array_ops.shape(x))
+    grad = _shaped_like(array_ops.reshape(g, shape), x)
+    # Reshape's second operand, the new shape, gets none.
+    return [grad] + [None] * (len(op.inputs) - 1)
 
 
 @register_gradient("Transpose")
@@ -464,47 +382,69 @@ def _transpose_grad(op, g):
 @register_gradient("Gather")
 def _gather_grad(op, g):
     params, indices = op.inputs
-    return [
-        dispatch.run_op("GatherGrad", [g, indices, params],
-                        {"axis": op.get_attr("axis", 0)}),
-        None,
-    ]
+    # The scatter-add behind ``params[..., indices, ...]``'s gradient.
+    spec, index_inputs = array_ops._build_index_spec(
+        _along(op.get_attr("axis", 0), indices))
+    grad = dispatch.run_op("GetItemGrad", [g, params, *index_inputs],
+                           {"spec": spec})
+    return [grad, None]
 
 
 @register_gradient("GetItem")
 def _getitem_grad(op, g):
-    x = op.inputs[0]
     index_inputs = list(op.inputs[1:])
-    grad = dispatch.run_op("GetItemGrad", [g, x] + index_inputs,
+    grad = dispatch.run_op("GetItemGrad", [g, op.inputs[0], *index_inputs],
                            {"spec": op.get_attr("spec")})
     return [grad] + [None] * len(index_inputs)
 
 
 @register_gradient("Concat")
 def _concat_grad(op, g):
-    grads = dispatch.run_op("ConcatGrad", [g, *op.inputs],
-                            {"axis": op.get_attr("axis", 0)})
-    return [grads] if len(op.inputs) == 1 else list(grads)
+    # Each operand's slice of ``g``; a split point is a Python int while
+    # the static widths before it are known, a tensor from there on.
+    axis = op.get_attr("axis", 0)
+    grads, start = [], 0
+    for x in op.inputs:
+        dims = x.shape.dims
+        width = None if dims is None else dims[axis]
+        if width is None:
+            width = array_ops.get_item(array_ops.shape(x), axis)
+        stop = start + width
+        grads.append(array_ops.get_item(g, _along(axis, slice(start, stop))))
+        start = stop
+    return grads
 
 
 @register_gradient("Pack")
 def _pack_grad(op, g):
-    n = len(op.inputs)
-    grads = dispatch.run_op("PackGrad", [g],
-                            {"axis": op.get_attr("axis", 0), "num": n})
-    return [grads] if n == 1 else list(grads)
+    axis = op.get_attr("axis", 0)
+    return [array_ops.get_item(g, _along(axis, i))
+            for i in range(len(op.inputs))]
+
+
+def _xent_grad(g, logits, labels):
+    # softmax(logits) - labels, each row scaled by its loss's gradient.
+    return _shaped_like(math_ops.multiply(
+        math_ops.subtract(nn_ops.softmax(logits), labels),
+        array_ops.get_item(g, (Ellipsis, None))), logits)
 
 
 @register_gradient("SoftmaxCrossEntropyWithLogits")
 def _softmax_xent_grad(op, g):
     labels, logits = op.inputs
-    return [None, dispatch.run_op("SoftmaxXentGrad", [g, labels, logits], {})]
+    return [None, _xent_grad(g, logits, labels)]
 
 
 @register_gradient("SparseSoftmaxCrossEntropyWithLogits")
 def _sparse_xent_grad(op, g):
     labels, logits = op.inputs
-    return [None, dispatch.run_op("SparseSoftmaxXentGrad", [g, labels, logits], {})]
+    depth = logits.shape.dims[-1] if logits.shape.rank else None
+    if depth is None:
+        depth = array_ops.get_item(array_ops.shape(logits), -1)
+    # A negative label counts from the end, as the loss's indexing does.
+    one_hot = array_ops.one_hot(math_ops.mod(labels, depth), depth,
+                                dtype=logits.dtype)
+    return [None, _xent_grad(g, logits, one_hot)]
 
 
 @register_gradient("Softmax")

@@ -13,7 +13,7 @@ eager call), never by a new registry entry, so the table does not grow
 as programs are built:
 
 - **arity** — a type whose number of outputs depends on the use
-  (``Cond``, ``While``, ``ConcatGrad``, ``PackGrad``) declares
+  (``Cond``, ``While``) declares
   ``num_outputs`` as a callable ``fn(inputs, attrs) -> int``; it is
   evaluated once, when the operation is created
   (:meth:`OpDef.output_count`), and ``len(op.outputs)`` is the answer

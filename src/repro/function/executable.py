@@ -117,7 +117,8 @@ class ExecutableOpDef:
     The one tape bridge (:meth:`Traced._call_canonical`) records each
     traced call as one differentiable "op" whose ``grad_fn`` replays the
     backend's own backward (the bound-plan-replayed graph gradient, or
-    the captured CPS continuation).
+    the captured CPS continuation).  That replay, run while a tape is
+    active, is recorded too, as an op with no ``grad_fn``.
     """
 
     __slots__ = ("name", "grad_fn", "num_outputs", "stateful")
@@ -502,14 +503,29 @@ class Traced:
     def _record_on_tape(self, canonical, tensor_outputs, grad_fn,
                         state_inputs):
         """Record this call as one differentiable op on the active tape:
-        its inputs are the call's tensor leaves, then ``state_inputs``."""
+        its inputs are the call's tensor leaves, then ``state_inputs``.
+
+        The backward replay runs outside the tapes' view, so a tape
+        active while it runs records it as one op with no gradient: a
+        second derivative through the call raises, naming it, instead
+        of coming back as ``None``."""
         leaves = (canonical.flat_leaves[i] for i, spec in zip(
             canonical.tensor_indices, canonical.specs) if spec != "Tree")
         eager_inputs = tuple(
             leaf if isinstance(leaf, EagerTensor)
             else EagerTensor(np.asarray(leaf)) for leaf in leaves)
+
+        def replay(record, *out_grads):
+            in_grads = grad_fn(record, *out_grads)
+            computed = tuple(g for g in in_grads if g is not None)
+            tape_module.record_operation(
+                ExecutableOpDef(f"{self.name}_call_grad", None,
+                                len(computed)),
+                record.inputs + out_grads, computed, {})
+            return in_grads
+
         tape_module.record_operation(
-            ExecutableOpDef(f"{self.name}_call", grad_fn,
+            ExecutableOpDef(f"{self.name}_call", replay,
                             len(tensor_outputs)),
             eager_inputs + state_inputs, tensor_outputs, {})
 

@@ -191,14 +191,14 @@ def test_ops_without_a_block_rule_are_pinned():
         "ReadVariable", "While",
     }
     assert unruled - stateful == {
-        "All", "Any", "ArgMax", "ArgMin", "BooleanMask", "Cast", "ConcatGrad",
-        "ExpandDims", "Fill", "Gather", "GatherGrad", "GetItemGrad",
-        "Identity", "LogSoftmax", "MaxGrad", "OneHot", "OnesLike", "Pack",
-        "PackGrad", "Prod", "Range", "Rank", "Reshape", "ReshapeLike", "SelectGrad",
+        "All", "Any", "ArgMax", "ArgMin", "BooleanMask", "Cast",
+        "ExpandDims", "Fill", "Gather", "GetItemGrad",
+        "Identity", "LogSoftmax", "OneHot", "OnesLike", "Pack",
+        "Prod", "Range", "Rank", "Reshape",
         "SetItem", "Shape", "Size", "Softmax",
-        "SoftmaxCrossEntropyWithLogits", "SoftmaxXentGrad",
-        "SparseSoftmaxCrossEntropyWithLogits", "SparseSoftmaxXentGrad",
-        "Squeeze", "SumGrad", "TensorArrayFromTensor",
+        "SoftmaxCrossEntropyWithLogits",
+        "SparseSoftmaxCrossEntropyWithLogits",
+        "Squeeze", "TensorArrayFromTensor",
         "TensorArrayNewDynamic", "TensorArrayPop", "TensorArrayRead",
         "TensorArraySize",
         "TensorArrayStack", "TensorArrayWrite", "Tensordot", "Tile", "TopK",

@@ -1,7 +1,7 @@
 """The registry is a finite table of op *types*.
 
-Variables name their state through an attr, and ``Cond`` / ``While`` /
-``ConcatGrad`` / ``PackGrad`` carry their arity on the operation — so
+Variables name their state through an attr, and ``Cond`` / ``While``
+carry their arity on the operation — so
 building programs never adds an entry, a dropped ``Variable`` is
 collected, and constructing many of them is linear.
 """
@@ -51,7 +51,6 @@ def test_building_programs_adds_no_registry_entry():
             for joined in (ops.concat(xs, axis=0), ops.stack(xs)):
                 grads = fw.gradients(ops.reduce_sum(joined), xs)
                 assert len(grads) == n and None not in grads
-                assert len(grads[0].op.outputs) == n
         values = [fw.EagerTensor(np.full((2, 2), k, np.float32))
                   for k in range(n)]
         with fw.GradientTape() as tape:

@@ -1210,6 +1210,11 @@ GRAD_SEEDS = {
     # derivative through a broadcasting operand passes.
     "unbroadcast": (lambda g, like: dispatch.run_op(
         "UnbroadcastTo", [g, like], {}), _f64((2, 3, 4), (3, 1))),
+    # The scatter-add behind indexing and gather, whose gradient reads
+    # the same places back; row 2 is added to twice.
+    "scatter_add": (lambda g, like: dispatch.run_op(
+        "GetItemGrad", [g, like, np.array([2, 0, 2])],
+        {"spec": (("tensor",),)}), _f64((3, 4), (3, 4))),
     "softmax": (lambda x: (
         ops.softmax(x), ops.log_softmax(x), ops.log_softmax(x, axis=0),
         ops.softmax_cross_entropy_with_logits(np.eye(4)[[0, 3, 1]], x),
@@ -1251,8 +1256,6 @@ SWEEP_SHAPES = {
     "TopK": [(2, 2), ()], "Reshape": [(2, 2), (1,)],
     "TensorArrayNewDynamic": [()],
     "SparseSoftmaxCrossEntropyWithLogits": [(2,), (2, 2)],
-    "SoftmaxXentGrad": [(2,), (2, 2), (2, 2)],
-    "SparseSoftmaxXentGrad": [(2,), (2,), (2, 2)],
 }
 #: Ops that take no tensor operand (their kernels read attrs only).
 SOURCES = {"Const", "UndefinedConst", "Placeholder", "TensorArrayNew"}
@@ -1265,11 +1268,10 @@ DISTINCT_VALUES = ([[1, 0], [2, 3]], [[2, 1], [0, 3]], [[0, 1], [1, 0]])
 #: of views (``TensorArrayFromTensor``).  Every other kernel the sweep
 #: runs declares ``fresh_output``, which lets the planner recycle what
 #: it returns.
-SHARES_INPUTS = {"ConcatGrad", "ExpandDims", "GetItem", "Identity",
-                 "PackGrad", "Reshape", "ReshapeLike", "Squeeze", "SumGrad",
+SHARES_INPUTS = {"ExpandDims", "GetItem", "Identity", "Reshape", "Squeeze",
                  "TensorArrayFromTensor", "Transpose", "UnbroadcastTo"}
 #: Kernels that need a structured attr to run at all.
-SWEEP_ATTRS = {"PackGrad": [{"num": 2}], "SumGrad": [{}, {"mean": True}]}
+SWEEP_ATTRS = {}
 for _name in REDUCE:
     SWEEP_ATTRS[_name] = [{}, {"axis": 0}]
 
