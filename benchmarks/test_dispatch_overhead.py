@@ -12,9 +12,10 @@ is nanoseconds, so the measurement is nearly pure dispatch):
   does — a ``BoundPlan`` bound once at construction, ``execute_flat``
   per call.
 
-Each claim is counted, not timed: the Python frames one call enters
-(``sys.setprofile``).  The per-call latencies land in ``BENCH_ci.json``
-via the CI smoke job, so regressions in either path show up per commit.
+Which path is cheaper is counted, not timed: the Python frames one call
+enters (``sys.setprofile``).  The per-call latencies land in
+``BENCH_ci.json`` via the CI smoke job, so regressions in either path
+show up per commit.
 """
 
 from __future__ import annotations
