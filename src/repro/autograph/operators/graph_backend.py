@@ -97,29 +97,60 @@ class GraphBackend(StagingBackend):
     def for_stmt(self, iter_, extra_test, body, init_state, symbol_names,
                  opts):
         init_state = _stageable(init_state, symbol_names, "for")
-        n0 = ops.get_item(ops.shape(iter_), 0)
-        i0 = ops.constant(0, dtype="int32")
+        counted = _counted_range(iter_)
+        if counted is not None:
+            # TF AutoGraph's range specialisation: the loop counts from
+            # the range's start by its step, so no range is materialised
+            # and a turn reads its element off the counter.
+            i0, limit, delta, ascending = counted
+            in_range = ops.less if ascending else ops.greater
+            element = lambda i: i  # noqa: E731
+        else:
+            i0, limit = ops.constant(0, dtype="int32"), ops.get_item(
+                ops.shape(iter_), 0)
+            delta, in_range = ops.constant(1, dtype="int32"), ops.less
+            element = lambda i: ops.get_item(iter_, i)  # noqa: E731
 
         def cond_fn(i, *state):
-            in_range = ops.less(i, n0)
+            more = in_range(i, limit)
             if extra_test is None:
-                return in_range
+                return more
             return ops.cond(
-                in_range,
+                more,
                 lambda: _ensure_bool_tensor(extra_test(*state)),
                 lambda: ops.constant(False),
             )
 
         def body_fn(i, *state):
-            new_state = _stageable(body(ops.get_item(iter_, i), *state),
+            new_state = _stageable(body(element(i), *state),
                                    symbol_names, "for")
-            return (ops.add(i, ops.constant(1, dtype="int32")), *new_state)
+            return (ops.add(i, delta), *new_state)
 
         # A loop run for its side effects only still threads the index.
         result = ops.while_loop(
             cond_fn, body_fn, (i0, *init_state),
             maximum_iterations=opts.get("maximum_iterations"))
         return tuple(result[1:])
+
+
+def _counted_range(iter_):
+    """``(start, limit, step, ascending)`` when ``iter_`` is the result
+    of an integer ``Range`` op with a constant non-zero step, counted in
+    the ``int32`` its elements have; else ``None`` (a float range, or a
+    step known only at run time, is materialised and indexed)."""
+    op = iter_.op
+    if op.type != "Range" or not all(
+            t.dtype.is_integer for t in op.inputs):
+        return None
+    start, limit, delta = op.inputs
+    if delta.op.type != "Const":
+        return None
+    step = int(delta.op.get_attr("value"))
+    if step == 0:
+        return None
+    if start.dtype != fw_dtypes.int32:
+        start = ops.cast(start, dtype="int32")
+    return start, limit, ops.constant(step, dtype="int32"), step > 0
 
 
 def _ensure_bool_tensor(value):

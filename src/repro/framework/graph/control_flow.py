@@ -15,6 +15,8 @@ coerces and checks every value fed to a typed, shaped placeholder.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .. import dtypes, nest
@@ -179,31 +181,22 @@ def cond(pred, true_fn, false_fn, name="cond"):
 
 def _while_kernel(*args, cond_graph=None, body_graph=None, n_vars=0,
                   n_cond_caps=0, maximum_iterations=None):
-    """Run a staged loop.
+    """Run a staged loop: one call of the loop walk the body plan keeps
+    for this condition plan (:meth:`~repro.runtime.ExecutionPlan.loop`),
+    which runs every turn in one generated Python ``while``.
 
     The condition and body plans are resolved once per run (one
-    ``graph_version`` check each, not one per turn), and so are their
-    generated walks, for the recorder's state at loop entry.  Each turn
-    is then, per sub-graph, ``BoundPlan.bind`` — the same dtype
-    coercion, shape checks and ``FetchError``s as any bound call — and
-    the walk, whose flat fetches start with the next loop variables.
+    ``graph_version`` check each, not one per turn), and so is the loop
+    walk, for the recorder's state at loop entry.  It checks the
+    captures once and each loop variable at entry and after every turn,
+    by the binder's rule (``BoundPlan.bind``'s dtype coercion, shape
+    checks and ``FetchError``s), so a turn is only the two plans' steps.
     """
     cond, _ = bound_func_graph(cond_graph)
     body, _ = bound_func_graph(body_graph)
-    cond_walk, body_walk = cond.plan.walk(), body.plan.walk()
-    cond_bind, body_bind = cond.bind, body.bind
-    loop_vars = args[:n_vars]
-    cond_caps = args[n_vars:n_vars + n_cond_caps]
-    body_caps = args[n_vars + n_cond_caps:]
-    iterations = 0
-    while True:
-        keep_going = cond_walk(cond_bind([*loop_vars, *cond_caps]))[0]
-        if not bool(np.asarray(keep_going)):
-            break
-        if maximum_iterations is not None and iterations >= maximum_iterations:
-            break
-        loop_vars = body_walk(body_bind([*loop_vars, *body_caps]))[:n_vars]
-        iterations += 1
+    loop_vars = body.plan.loop(cond.plan, n_vars)(
+        args, sys.maxsize if maximum_iterations is None
+        else maximum_iterations)
     return tuple(loop_vars) if n_vars != 1 else loop_vars[0]
 
 

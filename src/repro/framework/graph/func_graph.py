@@ -16,11 +16,13 @@ the weights are runtime inputs of the compiled plan, not baked ``Const``
 nodes.
 
 Sub-graphs run on :mod:`repro.runtime` like every other graph:
-:func:`bound_func_graph` compiles a ``FuncGraph`` once with
-``compile_plan`` (fetches = flat outputs + the stateful ops they do not
-reach, feeds = declared inputs + capture placeholders) and binds it; a
-branch run is one ``BoundPlan.execute_flat`` (:func:`execute_func_graph`),
-and a loop turn is the body's feed checks and its generated walk.
+:func:`bound_func_graph` optimizes a ``FuncGraph`` once
+(``optimize_graph``) and compiles the result with ``compile_plan``
+(fetches = flat outputs + the stateful ops they do not reach, feeds =
+declared inputs + capture placeholders) and binds it; a branch run is
+one ``BoundPlan.execute_flat`` (:func:`execute_func_graph`), and a
+loop run is one call of the generated loop walk its condition and body
+plans make together (``ExecutionPlan.loop``).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 from ...runtime import BoundPlan, compile_plan
 from ..errors import GraphError
 from .graph import Graph, Tensor
+from .optimize import optimize_graph
 
 __all__ = ["ExternalCapture", "FuncGraph", "capture_name",
            "trace_into_func_graph", "side_effect_fetches",
@@ -261,15 +264,25 @@ def side_effect_fetches(graph, outputs):
 
 
 def _bind_plan(fg):
-    """Compile ``fg`` through the runtime engine and publish the result.
+    """Optimize ``fg`` (:func:`~repro.framework.graph.optimize.optimize_graph`:
+    DCE, constant folding, CSE), compile the result through the runtime
+    engine and publish it.
 
-    ``fg._plan`` is ONE record written in ONE store: a thread that sees
-    it sees a complete plan, and two threads racing the first call each
-    compile an equivalent plan (the last store wins, neither is torn).
+    The plan's ``graph_version`` is ``fg``'s at compile time, so the
+    record goes stale when ``fg`` grows.  ``fg._plan`` is ONE record
+    written in ONE store: a thread that sees it sees a complete plan,
+    and two threads racing the first call each compile an equivalent
+    plan (the last store wins, neither is torn).
     """
+    version = fg.version
     outputs = list(fg.flat_outputs)
     feeds = list(fg.inputs) + list(fg.capture_placeholders)
-    plan = compile_plan(fg, outputs + side_effect_fetches(fg, outputs), feeds)
+    fetches = outputs + side_effect_fetches(fg, outputs)
+    # The feeds are anchors too: an input no output reads stays a feed.
+    graph, fmap = optimize_graph(fg, fetches + feeds)
+    feeds = [fmap[t] for t in feeds]
+    plan = compile_plan(graph, [fmap[t] for t in fetches], feeds)
+    plan.graph_version = version
     record = (BoundPlan(plan, feeds), len(outputs))
     fg._plan = record
     return record
@@ -288,11 +301,11 @@ def bound_func_graph(fg):
 def execute_func_graph(fg, input_values, capture_values):
     """Execute a traced subgraph with concrete values.
 
-    The subgraph is an ordinary :mod:`repro.runtime` plan — constant
-    pre-evaluation, fusion and buffer reuse included — bound by
-    :func:`bound_func_graph` and run through its generated walk.  (A
-    ``While`` resolves its condition and body once per run and calls
-    their walks itself: ``control_flow._while_kernel``.)
+    The subgraph is an ordinary :mod:`repro.runtime` plan — optimized,
+    then constant pre-evaluation, fusion and buffer reuse included —
+    bound by :func:`bound_func_graph` and run through its generated
+    walk.  (A ``While`` runs no sub-graph walk: its condition and body
+    plans are lines of one generated loop, ``control_flow._while_kernel``.)
 
     Args:
       fg: the FuncGraph.

@@ -93,7 +93,8 @@ class Operation:
 
     __slots__ = ("graph", "name", "op_def", "inputs", "attrs", "outputs", "control_inputs")
 
-    def __init__(self, graph, op_def, inputs, attrs, name, control_inputs=()):
+    def __init__(self, graph, op_def, inputs, attrs, name, control_inputs=(),
+                 metadata=None):
         self.graph = graph
         self.op_def = op_def
         self.name = name
@@ -103,8 +104,12 @@ class Operation:
 
         # Arity is fixed here, once: a variadic type is asked how many
         # outputs *this* use has; ``len(op.outputs)`` is the answer after.
-        n = op_def.output_count(self.inputs, self.attrs)
-        out_dtypes, out_shapes = self._infer_metadata(n)
+        if metadata is None:
+            n = op_def.output_count(self.inputs, self.attrs)
+            out_dtypes, out_shapes = self._infer_metadata(n)
+        else:
+            out_dtypes, out_shapes = metadata
+            n = len(out_dtypes)
         self.outputs = tuple(
             Tensor(self, i, out_dtypes[i], out_shapes[i]) for i in range(n)
         )
@@ -217,11 +222,15 @@ class Graph:
         self._names[base] = count + 1
         return f"{base}_{count}"
 
-    def create_op(self, op_type, inputs, attrs=None, name=None, control_inputs=()):
+    def create_op(self, op_type, inputs, attrs=None, name=None, control_inputs=(),
+                  metadata=None):
         """Add an operation to this graph.
 
         All tensor inputs must already belong to this graph (the dispatch
         layer handles conversion and capture before calling this).
+        ``metadata`` (``(output dtypes, output shapes)``) skips inference:
+        a copy of an op whose inputs carry the original's dtypes and
+        shapes already knows what inference would say.
         """
         op_def = get_op_def(op_type)
         for t in inputs:
@@ -241,6 +250,7 @@ class Graph:
             attrs or {},
             self.unique_name(name or op_type),
             control_inputs=control_inputs,
+            metadata=metadata,
         )
         self.ops.append(op)
         self._bump_version()

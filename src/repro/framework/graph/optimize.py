@@ -5,12 +5,19 @@ This module implements three classic rewrites over our graph IR:
 
 - **dead-node elimination** relative to a set of fetches,
 - **constant folding** of stateless ops with all-constant inputs,
-- **common-subexpression elimination** of identical stateless ops.
+- **common-subexpression elimination** of identical stateless ops,
+
+plus one peephole: the masking idiom ``Select(c, x, ZerosLike(x))``
+selects against a ``0`` of ``x``'s dtype, which broadcasts to the same
+bytes, so the ``ZerosLike`` goes when nothing else reads it.
 
 They operate by building a *new* graph and returning a tensor mapping, so
 callers re-point their fetch handles.  Every ``repro.function`` trace
 runs them once, at trace time (forward graph and, on the first tape
-replay, the backward graph), so each call executes the optimized graph.
+replay, the backward graph), and every ``Cond`` / ``While`` branch and
+body runs them before its plan is compiled
+(:func:`~repro.framework.graph.func_graph.bound_func_graph`), so each
+call and each loop turn executes an optimized graph.
 """
 
 from __future__ import annotations
@@ -21,8 +28,9 @@ from .graph import Graph, Tensor
 
 __all__ = ["optimize_graph", "count_ops", "has_opaque_attrs"]
 
-# Attrs that reference subgraphs or runtime state; ops carrying these are
-# never folded or deduplicated.
+# Attrs that reference subgraphs; ops carrying these are never folded or
+# deduplicated (the sub-graphs themselves are optimized, each on its own,
+# when their plans are compiled).
 _OPAQUE_ATTRS = ("true_graph", "false_graph", "cond_graph", "body_graph")
 
 
@@ -70,7 +78,10 @@ def optimize_graph(graph, fetches, fold_constants=True, cse=True):
         if not isinstance(f, Tensor) or f.graph is not graph:
             raise ValueError(f"Fetch {f!r} is not a tensor of the given graph")
 
-    # 1. Dead-node elimination: reverse reachability.
+    # 1. Dead-node elimination: reverse reachability.  A masking
+    # ``Select`` reads no ``ZerosLike``: it selects against a constant.
+    masks = {id(op): op.inputs[1].dtype.np_dtype for op in graph.ops
+             if _is_zero_mask(op)}
     needed = set()
     stack = [f.op for f in fetches]
     while stack:
@@ -78,7 +89,8 @@ def optimize_graph(graph, fetches, fold_constants=True, cse=True):
         if id(op) in needed:
             continue
         needed.add(id(op))
-        for t in op.inputs:
+        inputs = op.inputs[:2] if id(op) in masks else op.inputs
+        for t in inputs:
             stack.append(t.op)
         for c in op.control_inputs:
             stack.append(c)
@@ -94,7 +106,14 @@ def optimize_graph(graph, fetches, fold_constants=True, cse=True):
     for op in graph.ops:
         if id(op) not in needed:
             continue
-        new_inputs = [tensor_map[id(t)] for t in op.inputs]
+        if id(op) in masks:
+            new_inputs = [tensor_map[id(t)] for t in op.inputs[:2]]
+            new_inputs.append(new_graph.constant(
+                np.zeros((), masks[id(op)]), name="zero"))
+            const_values[id(new_inputs[-1])] = new_inputs[-1].op.attrs[
+                "value"]
+        else:
+            new_inputs = [tensor_map[id(t)] for t in op.inputs]
         new_controls = [op_map[id(c)] for c in op.control_inputs if id(c) in op_map]
         attr_key = None if has_opaque_attrs(op) else _attr_key(op.attrs)
         # Placeholders are never pure: two inputs with identical dtype and
@@ -136,12 +155,22 @@ def optimize_graph(graph, fetches, fold_constants=True, cse=True):
                     tensor_map[id(old_out)] = new_out
                 continue
 
+        # Inputs with the source's dtypes and shapes (the same objects,
+        # copied along) give the source's outputs — what inference said
+        # and what the source learned past it (``Tensor.set_shape``: a
+        # variable read, a reshape gradient) — without inferring again.
+        same = all(a._dtype is b._dtype and a._shape is b._shape
+                   for a, b in zip(new_inputs, op.inputs))
         new_op = new_graph.create_op(
             op.type, new_inputs, dict(op.attrs), name=op.name.rsplit("/", 1)[-1],
             control_inputs=new_controls,
+            metadata=([t.dtype for t in op.outputs],
+                      [t.shape for t in op.outputs]) if same else None,
         )
         op_map[id(op)] = new_op
         for old_out, new_out in zip(op.outputs, new_op.outputs):
+            if not same and new_out.shape.is_compatible_with(old_out.shape):
+                new_out.set_shape(old_out.shape)
             tensor_map[id(old_out)] = new_out
         if op.type == "Const":
             const_values[id(new_op.outputs[0])] = op.attrs["value"]
@@ -149,6 +178,16 @@ def optimize_graph(graph, fetches, fold_constants=True, cse=True):
             cse_table[(op.type, tuple(id(t) for t in new_inputs), attr_key)] = new_op
 
     return new_graph, {f: tensor_map[id(f)] for f in fetches}
+
+
+def _is_zero_mask(op):
+    """``op`` is ``Select(c, x, ZerosLike(x))`` over a known dtype."""
+    if op.type != "Select":
+        return False
+    x, zeros = op.inputs[1:]
+    return (zeros.op.type == "ZerosLike" and zeros.op.inputs[0] is x
+            and not zeros.op.control_inputs
+            and x.dtype.np_dtype is not None)
 
 
 def has_opaque_attrs(op):

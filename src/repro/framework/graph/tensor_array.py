@@ -23,61 +23,86 @@ __all__ = ["TensorArray", "TensorArrayValue"]
 
 
 class TensorArrayValue:
-    """Immutable runtime state: a tuple of element arrays."""
+    """Immutable runtime state: the first ``n`` elements of a list.
 
-    __slots__ = ("items",)
+    Versions made by appending share one list: a write at the end of
+    the *newest* version (``n`` is the list's length) appends in place
+    and hands back a version one longer, so n appends cost O(n), not
+    O(n**2).  Every older version still reads only its own ``n``
+    elements, and a write anywhere else copies them first.
+    """
+
+    __slots__ = ("_store", "_n")
 
     def __init__(self, items=()):
-        self.items = tuple(items)
+        self._store = list(items)
+        self._n = len(self._store)
+
+    @classmethod
+    def _view(cls, store, n):
+        value = cls.__new__(cls)
+        value._store, value._n = store, n
+        return value
+
+    @property
+    def items(self):
+        return tuple(self._store[:self._n])
 
     def write(self, index, value):
-        index = int(index)
-        items = list(self.items)
-        if index == len(items):
+        index, n, store = int(index), self._n, self._store
+        if index == n and len(store) == n:
+            store.append(value)
+            # Unless another version (another thread) appended to this
+            # list first, which leaves it an older version's: copy.
+            if store[n] is value:
+                return TensorArrayValue._view(store, n + 1)
+        items = store[:n]
+        if index == n:
             items.append(value)
-        elif 0 <= index < len(items):
+        elif 0 <= index < n:
             items[index] = value
         else:
             # Sparse writes grow with zero-size placeholders like TF grows
             # with unwritten elements; reading them is an error.
-            while len(items) < index:
-                items.append(None)
+            items.extend([None] * (index - n))
             items.append(value)
-        return TensorArrayValue(items)
+        return TensorArrayValue._view(items, len(items))
 
     def read(self, index):
         index = int(index)
-        if not (0 <= index < len(self.items)) or self.items[index] is None:
+        if not (0 <= index < self._n) or self._store[index] is None:
             raise InvalidArgumentError(
                 f"TensorArray: reading unwritten element {index}"
             )
-        return self.items[index]
+        return self._store[index]
 
     def stack(self, dtype="float32", element_shape=None):
         """All elements along a new leading axis.  An empty array has
         nothing to read its element dtype and shape off, so they are the
         handle's (a dimension it does not know is 0)."""
-        if not self.items:
+        if not self._n:
             return np.zeros(
                 (0,) + tuple(d or 0 for d in element_shape or ()),
                 dtypes.as_dtype(dtype).np_dtype or np.float32)
-        if any(item is None for item in self.items):
+        items = self._store[:self._n]
+        if any(item is None for item in items):
             raise InvalidArgumentError("TensorArray: stacking with unwritten elements")
-        return np.stack([np.asarray(i) for i in self.items], axis=0)
+        return np.stack([np.asarray(i) for i in items], axis=0)
 
     def size(self):
-        return np.asarray(len(self.items), dtype=np.int32)
+        return np.asarray(self._n, dtype=np.int32)
 
     def pop(self):
-        if not self.items:
+        if not self._n:
             raise IndexError("pop from empty TensorArray")
-        return TensorArrayValue(self.items[:-1]), self.items[-1]
+        return (TensorArrayValue._view(self._store, self._n - 1),
+                self._store[self._n - 1])
 
     def __len__(self):
-        return len(self.items)
+        return self._n
 
     def __repr__(self):
-        return f"TensorArrayValue(size={len(self.items)})"
+        return f"TensorArrayValue(size={self._n})"
 
 
 # -- kernels -----------------------------------------------------------------

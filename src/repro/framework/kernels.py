@@ -312,14 +312,42 @@ def _expand_dims_kernel(a, axis=0):
     return np.expand_dims(np.asarray(a), int(axis))
 
 
-register_op("ExpandDims", _expand_dims_kernel, dtype_fn=_first_dtype_fn)
+def _expand_dims_shape_fn(ss, attrs):
+    dims = ss[0].dims
+    if dims is None:
+        return [shapes.unknown]
+    axis = int(attrs.get("axis", 0))
+    axis += len(dims) + 1 if axis < 0 else 0
+    if not 0 <= axis <= len(dims):
+        return [shapes.unknown]
+    return [shapes.TensorShape(dims[:axis] + (1,) + dims[axis:])]
+
+
+register_op("ExpandDims", _expand_dims_kernel, dtype_fn=_first_dtype_fn,
+            shape_fn=_expand_dims_shape_fn)
 
 
 def _squeeze_kernel(a, axis=None):
     return np.squeeze(np.asarray(a), axis=None if axis is None else int(axis))
 
 
-register_op("Squeeze", _squeeze_kernel, dtype_fn=_first_dtype_fn)
+def _squeeze_shape_fn(ss, attrs):
+    """The operand's dimensions less the squeezed one (with no ``axis``,
+    every 1, which needs every dimension known)."""
+    dims, axis = ss[0].dims, attrs.get("axis")
+    if dims is None or axis is None and None in dims:
+        return [shapes.unknown]
+    if axis is None:
+        return [shapes.TensorShape([d for d in dims if d != 1])]
+    axis = int(axis)
+    axis += len(dims) if axis < 0 else 0
+    if not 0 <= axis < len(dims) or dims[axis] not in (1, None):
+        return [shapes.unknown]
+    return [shapes.TensorShape(dims[:axis] + dims[axis + 1:])]
+
+
+register_op("Squeeze", _squeeze_kernel, dtype_fn=_first_dtype_fn,
+            shape_fn=_squeeze_shape_fn)
 
 
 def _transpose_kernel(a, perm=None):
@@ -340,7 +368,7 @@ register_op("Transpose", _transpose_kernel, shape_fn=_transpose_shape_fn, dtype_
 
 
 def _concat_kernel(*args, axis=0):
-    return np.concatenate([np.asarray(a) for a in args], axis=int(axis))
+    return np.concatenate(args, axis=int(axis))
 
 
 def _concat_shape_fn(ss, attrs):
@@ -359,8 +387,27 @@ def _pack_kernel(*args, axis=0):
     return np.stack([np.asarray(a) for a in args], axis=int(axis))
 
 
+def _pack_shape_fn(ss, attrs):
+    """What every operand's shape agrees on, with the operand count
+    inserted at ``axis``."""
+    if not ss:
+        return [shapes.unknown]
+    try:
+        merged = functools.reduce(shapes.TensorShape.merge_with, ss)
+    except ValueError:
+        return [shapes.unknown]
+    if merged.dims is None:
+        return [shapes.unknown]
+    axis = int(attrs.get("axis", 0))
+    axis += merged.rank + 1 if axis < 0 else 0
+    if not 0 <= axis <= merged.rank:
+        return [shapes.unknown]
+    dims = merged.dims
+    return [shapes.TensorShape(dims[:axis] + (len(ss),) + dims[axis:])]
+
+
 register_op("Pack", _pack_kernel, dtype_fn=dtypes.numpy_dtype_fn(_pack_kernel),
-            fresh_output=True)
+            shape_fn=_pack_shape_fn, fresh_output=True)
 
 
 def _tile_kernel(a, multiples):
@@ -426,7 +473,16 @@ def _materialize_spec(spec, extra):
     return tuple(out)
 
 
+_ONE_TENSOR = (("tensor",),)
+
+
 def _getitem_kernel(a, *index_inputs, spec=()):
+    if spec == _ONE_TENSOR:
+        # ``x[i]`` at a scalar tensor ``i`` (a loop turn's input row):
+        # the index ``_materialize_spec`` would build, directly.
+        i = np.asarray(index_inputs[0])
+        if i.ndim == 0:
+            return np.asarray(a)[int(i)]
     return np.asarray(a)[_materialize_spec(spec, index_inputs)]
 
 

@@ -308,10 +308,12 @@ def _max_grad(op, g):
 
 @register_gradient("Select")
 def _select_grad(op, g):
-    cond = op.inputs[0]
+    # Each branch's share, summed back onto its own operand's shape (a
+    # branch may broadcast against the condition or the other branch).
+    cond, x, y = op.inputs
     zeros = array_ops.zeros_like(g)
-    return [None, array_ops.where(cond, g, zeros),
-            array_ops.where(cond, zeros, g)]
+    return [None, _unbroadcast(array_ops.where(cond, g, zeros), x),
+            _unbroadcast(array_ops.where(cond, zeros, g), y)]
 
 
 @register_gradient("Identity")

@@ -14,7 +14,8 @@ whose parts are:
   tensors to slots once and runs the plan per call on positional values
   — no dict lookups, no per-call flattening, no validation copies;
 - :mod:`repro.runtime.emit` writes every walk of a plan as one
-  generated Python function, written once per plan.
+  generated Python function, written once per plan, and a staged
+  ``While``'s condition and body as one generated loop.
 
 The paper's Table 2 isolates per-call dispatch overhead as the cost
 in-graph execution amortizes; this package is where that overhead is

@@ -2,19 +2,21 @@
 
 A consumer that always feeds the same tensors in the same order — a
 traced ``ConcreteFunction``, a loaded serving artifact, the
-micro-batcher's batched dispatch, a ``Cond``/``While`` sub-graph fed its
-loop variables and captures, a ``Session`` entry for one ``(fetches,
-feed set)`` — binds those tensors to plan slots *once*, at construction.
-Each call is then ``execute_flat(args)``: :meth:`BoundPlan.bind` (one
-checked store per argument into the list of feed values the walk
-unpacks) and the plan's generated walk — no ``nest.flatten``, no cache
-key, no feed dict, no copy of the plan's slot table.  Arguments that
-are already correctly-dtyped ndarrays are used as-is (dtype/shape
-metadata was resolved at bind time); anything else is coerced through
-``np.asarray``.  ``bind`` is the only feed
-validation in the engine: a staged ``While`` calls it, then the body's
-walk, once per turn; everything else runs a plan through
-``execute_flat``.
+micro-batcher's batched dispatch, a ``Cond`` branch fed its captures, a
+``Session`` entry for one ``(fetches, feed set)`` — binds those tensors
+to plan slots *once*, at construction.  Each call is then
+``execute_flat(args)``: :meth:`BoundPlan.bind` (one checked store per
+argument into the list of feed values the walk unpacks) and the plan's
+generated walk — no ``nest.flatten``, no cache key, no feed dict, no
+copy of the plan's slot table.  Arguments that are already
+correctly-dtyped ndarrays are used as-is (dtype/shape metadata was
+resolved at bind time); anything else is coerced through ``np.asarray``.
+
+A feed is checked by one rule, :func:`feed_check` decided once per feed
+and :func:`cast` / :func:`shape_error` raising the ``FetchError``s: the
+binder applies it per call, and a staged ``While``'s generated loop
+(:func:`repro.runtime.emit.loop`) writes it as lines, once per loop
+variable per turn and once per capture at loop entry.
 """
 
 from __future__ import annotations
@@ -23,21 +25,44 @@ import numpy as np
 
 from ..framework.errors import FetchError
 
-__all__ = ["BoundPlan"]
+__all__ = ["BoundPlan", "cast", "feed_check", "shape_error"]
 
 
-def _shape_check(dims):
-    """``(exact, partial)``: what :meth:`BoundPlan.bind` compares a
-    feed's shape with, decided once per feed.  A fully-defined shape is
-    one tuple equality (``exact``); a partial one is ``(rank, known,
-    dims)``, compared by rank and its known ``(index, dim)`` pairs only,
-    so ``[None]`` is one rank check; an unknown rank checks nothing."""
-    if dims is None:
-        return None, None
-    if None not in dims:
-        return tuple(dims), None
-    return None, (len(dims), tuple(
-        (i, d) for i, d in enumerate(dims) if d is not None), dims)
+def feed_check(t):
+    """``(np_dtype, exact, partial, name)``: what a value fed to ``t``
+    is checked against, decided once per feed.  ``np_dtype`` is
+    ``None`` for a ``variant`` feed, which is checked not at all.  A
+    fully-defined shape is one tuple equality (``exact``); a partial
+    one is ``(rank, known, declared)``, compared by rank and its known
+    ``(index, dim)`` pairs only, so ``[None]`` is one rank check; an
+    unknown rank checks nothing."""
+    dims = t.shape.dims
+    exact = partial = None
+    if dims is not None and None not in dims:
+        exact = tuple(dims)
+    elif dims is not None:
+        partial = (len(dims), tuple(
+            (i, d) for i, d in enumerate(dims) if d is not None),
+            f"({', '.join(str(d) for d in dims)})")
+    return t.dtype.np_dtype, exact, partial, t.name
+
+
+def cast(a, np_dtype, name):
+    """``a`` as an ndarray of ``np_dtype``, or the ``FetchError`` of a
+    feed that cannot be."""
+    try:
+        return np.asarray(a, dtype=np_dtype)
+    except (TypeError, ValueError) as e:
+        raise FetchError(
+            f"Feed for {name!r} cannot be cast to {np_dtype}: {e}") from e
+
+
+def shape_error(a, name, declared):
+    """The ``FetchError`` of a feed ``a`` whose shape is not the
+    ``declared`` one (a tuple, or a partial shape's text)."""
+    return FetchError(
+        f"Feed for {name!r} has shape {a.shape}, incompatible with "
+        f"declared {declared}")
 
 
 class BoundPlan:
@@ -65,8 +90,7 @@ class BoundPlan:
                 raise FetchError(
                     f"Cannot bind {t!r}: not an unbound feed of this plan"
                 )
-            binds.append((position, t.dtype.np_dtype)
-                         + _shape_check(t.shape.dims) + (t.name,))
+            binds.append((position, *feed_check(t)))
         if position_of:
             unbound = [t.name for t, _slot in plan.feed_slots
                        if id(t) in position_of]
@@ -116,7 +140,7 @@ class BoundPlan:
         untouched (no validation copy); others are coerced once.  Shape
         compatibility against the bound placeholder's static shape is
         still enforced, by the check decided once per feed
-        (:func:`_shape_check`): silently broadcasting a wrong-shaped
+        (:func:`feed_check`): silently broadcasting a wrong-shaped
         feed is how serving bugs become model bugs.  The
         caller's arrays are never written: buffer reuse only ever
         targets intermediates the plan itself allocated.
@@ -132,28 +156,15 @@ class BoundPlan:
                 self._arg_binds, args):
             if np_dtype is not None:
                 if type(a) is not np.ndarray or a.dtype != np_dtype:
-                    try:
-                        a = np.asarray(a, dtype=np_dtype)
-                    except (TypeError, ValueError) as e:
-                        raise FetchError(
-                            f"Feed for {name!r} cannot be cast to "
-                            f"{np_dtype}: {e}"
-                        ) from e
+                    a = cast(a, np_dtype, name)
                 if exact is not None:
                     if a.shape != exact:
-                        raise FetchError(
-                            f"Feed for {name!r} has shape {a.shape}, "
-                            f"incompatible with declared {exact}"
-                        )
+                        raise shape_error(a, name, exact)
                 elif partial is not None:
-                    rank, known, dims = partial
+                    rank, known, declared = partial
                     if a.ndim != rank or known and any(
                             a.shape[i] != d for i, d in known):
-                        raise FetchError(
-                            f"Feed for {name!r} has shape {a.shape}, "
-                            f"incompatible with declared "
-                            f"({', '.join(str(d) for d in dims)})"
-                        )
+                        raise shape_error(a, name, declared)
             values[position] = a
         return values
 

@@ -4,9 +4,11 @@ This is the execution engine's IR and the graph backend's *only* plan
 compiler: ``Session.run``, traced ``ConcreteFunction``s, loaded serving
 artifacts, the micro-batcher and the ``Cond``/``While`` branch and body
 sub-graphs (:func:`~repro.framework.graph.func_graph.bound_func_graph`)
-all compile through :func:`compile_plan` and run its generated walk
-(:meth:`ExecutionPlan.walk`), so every optimization below applies to a
-staged loop body exactly as it does to the ops around the loop.
+all compile through :func:`compile_plan` and run its generated code
+(:meth:`ExecutionPlan.walk`; a staged loop's condition and body, one
+generated loop, :meth:`ExecutionPlan.loop`), so every optimization
+below applies to a staged loop body exactly as it does to the ops
+around the loop.
 
 A plan is a pruned, topologically-ordered list of *steps* (kernel +
 pre-resolved value-slot locators), a slot table for feeds, and locators
@@ -96,7 +98,7 @@ class ExecutionPlan:
 
     __slots__ = ("steps", "fetch_locators", "feed_slots", "n_slots",
                  "base_values", "graph", "graph_version", "levels",
-                 "fused_groups", "standalone", "_walks")
+                 "fused_groups", "standalone", "_walks", "_loop")
 
     def __init__(self, steps, fetch_locators, feed_slots, n_slots,
                  base_values, graph, graph_version, levels=(),
@@ -114,6 +116,9 @@ class ExecutionPlan:
         # One generated walk per kind (serial, recorded, level, recorded
         # level), each emitted on its first use.
         self._walks = [None] * 4
+        # As the body of a staged While: ``(cond plan, [serial, recorded
+        # loop walk])``.
+        self._loop = None
 
     # -- execution ---------------------------------------------------------
 
@@ -134,6 +139,21 @@ class ExecutionPlan:
         run = self._walks[kind]
         if run is None:
             run = self._walks[kind] = emit.walk(self, kind)
+        return run
+
+    def loop(self, cond, n_vars):
+        """The generated loop walk (:func:`repro.runtime.emit.loop`) of
+        a staged ``While`` with this plan as its body and ``cond`` as its
+        condition, for the recorder's current state, emitted on its first
+        use: a function ``(args, m)`` taking the While op's inputs and a
+        turn bound, returning the final ``n_vars`` loop variables."""
+        kind = emit.RECORDED if _REC.enabled else 0
+        loops = self._loop
+        if loops is None or loops[0] is not cond:
+            loops = self._loop = (cond, [None, None])
+        run = loops[1][kind]
+        if run is None:
+            run = loops[1][kind] = emit.loop(cond, self, n_vars, kind)
         return run
 
     @property

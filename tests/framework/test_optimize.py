@@ -118,3 +118,43 @@ def test_optimized_graph_equivalent_on_random_dag():
     optimized = fw.Session(new_g).run(fmap[y], {_find_placeholder(new_g): feed_val})
     assert np.allclose(original, optimized)
     assert count_ops(new_g) <= count_ops(g)
+
+
+def test_a_masking_select_selects_against_a_zero_of_its_dtype():
+    """``where(c, x, zeros_like(x))`` reads a ``0`` of ``x``'s dtype, with
+    the same bytes, dtype and shape, in every dtype and with a rank-1
+    condition over rank-2 operands; the ``ZerosLike`` goes when nothing
+    else reads it."""
+    rng = np.random.default_rng(3)
+    for dtype, cond_shape in [(fw.float32, [3, 4]), (fw.float64, [3]),
+                              (fw.int32, [3, 4]), (fw.float32, [])]:
+        g = fw.Graph()
+        with g.as_default():
+            c = ops.placeholder(fw.bool_, cond_shape)
+            x = ops.placeholder(dtype, [3, 4])
+            y = ops.where(c, x, ops.zeros_like(x))
+        new_g, fmap = optimize_graph(g, [y])
+        assert count_ops(new_g, "ZerosLike") == 0
+        assert fmap[y].shape == y.shape and fmap[y].dtype == y.dtype
+        cv = rng.random(cond_shape) > 0.5
+        xv = (rng.standard_normal((3, 4)) * 4).astype(dtype.np_dtype)
+        feeds = [t for t in new_g.ops if t.type == "Placeholder"]
+        got = fw.Session(new_g).run(
+            fmap[y], {feeds[0].outputs[0]: cv, feeds[1].outputs[0]: xv})
+        want = fw.Session(g).run(y, {c: cv, x: xv})
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_a_zeros_like_another_op_reads_stays():
+    g = fw.Graph()
+    with g.as_default():
+        c = ops.placeholder(fw.bool_, [2])
+        x = ops.placeholder(fw.float32, [2])
+        zeros = ops.zeros_like(x)
+        y = ops.add(ops.where(c, x, zeros), zeros)
+        # Not the idiom: the zeros are not the selected operand's.
+        other = ops.where(c, zeros, x)
+    new_g, _ = optimize_graph(g, [y, other])
+    assert count_ops(new_g, "ZerosLike") == 1
+    assert count_ops(new_g, "Select") == 2

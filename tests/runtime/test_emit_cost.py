@@ -4,7 +4,7 @@ Every walk of a plan is generated code (``repro.runtime.emit``).  These
 tests pin its size and how often it is written the way
 ``tests/autograph/test_conversion_cost.py`` pins AutoGraph's walks:
 
-- the serial walk of the 515-step unrolled RNN plan is one line per step
+- the serial walk of the 451-step unrolled RNN plan is one line per step
   plus a fixed prologue (the feed unpack) and epilogue (the handlers and
   the return) — a verbose emission showed as megabytes of resident
   memory on that plan;
@@ -67,7 +67,9 @@ def _rnn_plan():
 def test_the_serial_walk_is_one_line_per_step(sources):
     cf, args = _rnn_plan()
     plan = cf._bound.plan
-    assert len(plan.steps) == 515
+    # 515 ops, less the 64 ``ZerosLike`` the masking ``where`` no longer
+    # reads (``optimize_graph``'s ``Select`` rewrite).
+    assert len(plan.steps) == 451
     before = _emitted()
     cf._bound.execute_flat(args)
     assert _emitted() - before == 1
@@ -237,3 +239,80 @@ def test_a_long_chain_splits_into_groups_the_parser_takes(sources):
                if ":= u_" in line)
     for source in sources:
         ast.parse(source, feature_version=(3, 9))
+
+
+def _staged_loop(branch):
+    """A ``While`` whose body fuses, arms a buffer, carries a
+    ``TensorArray`` and, with ``branch``, runs a ``Cond`` (a branch is
+    bound and walked per run, so per turn), under a
+    ``repro.function``."""
+
+    def loop(x, n):
+        out = fw.TensorArray(fw.float32, size=0)
+        i = np.int32(0)
+        while i < n:
+            x = ops.add(ops.matmul(ops.tanh(x), x), 1.0)
+            if branch and ops.reduce_sum(x) > 0.0:
+                x = x * 0.5
+            out = out.write(i, x)
+            i = i + 1
+        return x, out.stack()
+
+    return repro.function(loop), np.eye(3, dtype=np.float32) / 4
+
+
+def test_a_loop_walk_is_written_once_per_kind_and_keeps_no_source(sources):
+    fn, x = _staged_loop(branch=True)
+    fn(x, np.int32(3))
+    loops = [s for s in sources if s.startswith("def loop(")]
+    assert len(loops) == 1
+    before = _emitted()
+    for n in (3, 5, 0):
+        fn(x, np.int32(n))
+    assert _emitted() == before
+    observe.enable()
+    try:
+        fn(x, np.int32(3))
+        fn(x, np.int32(4))
+    finally:
+        observe.disable()
+        observe.RECORDER.clear()
+    loops = [s for s in sources if s.startswith("def loop(")]
+    assert len(loops) == 2
+    assert sum("_step(" in s for s in loops) == 1
+    for source in sources:
+        ast.parse(source, feature_version=(3, 9))
+    assert not [name for name in linecache.cache
+                if name.startswith("<repro.plan")]
+
+
+def test_a_loop_turn_enters_no_binder_and_no_walk():
+    """A 10-turn and a 20-turn run of the same staged loop enter the
+    same number of ``BoundPlan.bind`` and generated-code frames: the
+    loop walk binds once per run, and a turn calls neither."""
+    import sys
+
+    fn, x = _staged_loop(branch=False)
+
+    def frames(n):
+        fn(x, np.int32(n))
+        seen = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                code = frame.f_code
+                if code.co_filename.startswith("<repro.plan") or (
+                        code.co_name == "bind"
+                        and code.co_filename.endswith("engine.py")):
+                    seen.append((code.co_filename, code.co_name))
+
+        sys.setprofile(profile)
+        try:
+            fn(x, np.int32(n))
+        finally:
+            sys.setprofile(None)
+        return seen
+
+    ten, twenty = frames(10), frames(20)
+    assert sorted(name for _f, name in ten).count("loop") == 1
+    assert len(ten) == len(twenty)
