@@ -63,7 +63,7 @@ def static_shape(value):
 
 def take(value, index, symbolic):
     """``value[index]`` for a tuple of ints and step-1 slices: a NumPy
-    view, or — ``symbolic`` — a staged ``GetItem`` declared to have the
+    view, or — ``symbolic`` — a staged ``GetItem``, whose rule gives the
     static result shape (a selection that keeps the whole operand stages
     nothing and returns the operand)."""
     if not symbolic:
@@ -77,9 +77,7 @@ def take(value, index, symbolic):
     spec = tuple(
         ("slice", ix.start, ix.stop, None) if isinstance(ix, slice)
         else ("idx", ix) for ix in index)
-    out = block_op("GetItem", True, spec=spec)(value)
-    out.set_shape(shape)
-    return out
+    return block_op("GetItem", True, spec=spec)(value)
 
 
 class BlockArray:
@@ -104,7 +102,8 @@ class BlockArray:
         for entry, b in zip(grid.entries(), blocks):
             want = grid.block_shape(entry)
             if symbolic:
-                b.set_shape(want)  # raises on a static-shape conflict
+                # Checks a block, not declares it: raises on a conflict.
+                b.set_shape(want)
             elif b.shape != want:
                 raise ValueError(
                     f"block {entry} has shape {b.shape}, grid expects {want}"
@@ -218,7 +217,6 @@ class BlockArray:
                 concat = block_op("Concat", True, axis=axis)
                 blocks = [concat(*blocks[i:i + g])
                           for i in range(0, len(blocks), g)]
-        blocks[0].set_shape(grid.shape)
         return blocks[0]
 
     # NumPy-protocol interop: dense on demand.

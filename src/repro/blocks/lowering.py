@@ -122,7 +122,6 @@ class _Lowering:
         dense = self.dense.get(id(t))
         if dense is None:
             dense = self.dense[id(t)] = v.to_dense()
-            dense.set_shape(t.shape)
         return dense
 
     def lower_op(self, op):
@@ -178,7 +177,6 @@ class _Lowering:
             op.type, [self.to_dense(t) for t in op.inputs], dict(op.attrs),
             name=op.name)
         for old_t, new_t in zip(op.outputs, new_op.outputs):
-            new_t.set_shape(old_t.shape)
             self.tmap[id(old_t)] = new_t
 
 

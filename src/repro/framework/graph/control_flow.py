@@ -21,6 +21,7 @@ import numpy as np
 
 from .. import dtypes, nest
 from ..errors import StagingError
+from ..kernels import declared_dtypes, declared_shapes
 from ..registry import register_op
 from ..shapes import unknown
 from .func_graph import (bound_func_graph, execute_func_graph,
@@ -99,7 +100,8 @@ def _run_branch(fg, capture_values):
 
 register_op("Cond", _cond_kernel, stateful=True,
             num_outputs=lambda inputs, attrs: len(
-                attrs["true_graph"].flat_outputs))
+                attrs["true_graph"].flat_outputs),
+            shape_fn=declared_shapes, dtype_fn=declared_dtypes)
 
 
 def cond(pred, true_fn, false_fn, name="cond"):
@@ -201,7 +203,8 @@ def _while_kernel(*args, cond_graph=None, body_graph=None, n_vars=0,
 
 
 register_op("While", _while_kernel, stateful=True,
-            num_outputs=lambda inputs, attrs: attrs["n_vars"])
+            num_outputs=lambda inputs, attrs: attrs["n_vars"],
+            shape_fn=declared_shapes, dtype_fn=declared_dtypes)
 
 
 def while_loop(cond_fn, body_fn, loop_vars, maximum_iterations=None,

@@ -129,32 +129,24 @@ class Operation:
             self.graph._bump_version()
 
     def _infer_metadata(self, n):
-        input_dtypes = [t.dtype for t in self.inputs]
-        input_shapes = [t.shape for t in self.inputs]
-        if self.op_def.dtype_fn is not None:
+        """The registry rules' output dtypes and shapes (``variant`` /
+        unknown where a type has no rule or its rule refuses)."""
+        op_def = self.op_def
+        out_dtypes = out_shapes = None
+        if op_def.dtype_fn is not None:
             try:
-                out_dtypes = self.op_def.dtype_fn(input_dtypes, self.attrs)
+                out_dtypes = op_def.dtype_fn(
+                    [t.dtype for t in self.inputs], self.attrs)
             except Exception:
-                out_dtypes = [dtypes.variant] * n
-        else:
-            # No rule, no promise: whatever the kernel returns at run time.
-            out_dtypes = [dtypes.variant] * n
-        if self.op_def.shape_fn is not None:
+                pass
+        if op_def.shape_fn is not None:
             try:
-                out_shapes = self.op_def.shape_fn(input_shapes, self.attrs)
+                out_shapes = op_def.shape_fn(self.inputs, self.attrs)
             except Exception:
-                out_shapes = [unknown] * n
-        else:
-            out_shapes = [unknown] * n
-        # Explicit overrides used by placeholder/const/functional ops.
-        if "_dtype_override" in self.attrs:
-            out_dtypes = list(self.attrs["_dtype_override"])
-        if "_shape_override" in self.attrs:
-            out_shapes = [
-                s if isinstance(s, TensorShape) else TensorShape(s)
-                for s in self.attrs["_shape_override"]
-            ]
-        return out_dtypes, out_shapes
+                pass
+        # No rule, no promise: whatever the kernel returns at run time.
+        return (out_dtypes or [dtypes.variant] * n,
+                out_shapes or [unknown] * n)
 
     def __repr__(self):
         return f"<Operation {self.name!r} type={self.type}>"
@@ -213,14 +205,19 @@ class Graph:
     # -- construction --------------------------------------------------------
 
     def unique_name(self, base):
+        """``base`` (under the current name scope), or ``base_<n>`` with
+        the first ``n`` not taken: never a name already in use, however
+        the names before it were chosen."""
         if self._scope_stack:
             base = "/".join(self._scope_stack) + "/" + base
-        count = self._names.get(base)
-        if count is None:
-            self._names[base] = 1
-            return base
+        count = self._names.get(base, 0)
+        name = f"{base}_{count}" if count else base
+        while name in self._names:
+            count += 1
+            name = f"{base}_{count}"
         self._names[base] = count + 1
-        return f"{base}_{count}"
+        self._names.setdefault(name, 1)
+        return name
 
     def create_op(self, op_type, inputs, attrs=None, name=None, control_inputs=(),
                   metadata=None):

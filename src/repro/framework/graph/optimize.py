@@ -156,21 +156,19 @@ def optimize_graph(graph, fetches, fold_constants=True, cse=True):
                 continue
 
         # Inputs with the source's dtypes and shapes (the same objects,
-        # copied along) give the source's outputs — what inference said
-        # and what the source learned past it (``Tensor.set_shape``: a
-        # variable read, a reshape gradient) — without inferring again.
+        # copied along) give the source's outputs without inferring
+        # again: the rules would say what they said of the source (and
+        # a variable read, which has no inputs, keeps its shape).
         same = all(a._dtype is b._dtype and a._shape is b._shape
                    for a, b in zip(new_inputs, op.inputs))
         new_op = new_graph.create_op(
-            op.type, new_inputs, dict(op.attrs), name=op.name.rsplit("/", 1)[-1],
+            op.type, new_inputs, dict(op.attrs), name=op.name,
             control_inputs=new_controls,
             metadata=([t.dtype for t in op.outputs],
                       [t.shape for t in op.outputs]) if same else None,
         )
         op_map[id(op)] = new_op
         for old_out, new_out in zip(op.outputs, new_op.outputs):
-            if not same and new_out.shape.is_compatible_with(old_out.shape):
-                new_out.set_shape(old_out.shape)
             tensor_map[id(old_out)] = new_out
         if op.type == "Const":
             const_values[id(new_op.outputs[0])] = op.attrs["value"]

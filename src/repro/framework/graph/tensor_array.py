@@ -17,7 +17,7 @@ import numpy as np
 from .. import dtypes
 from ..errors import InvalidArgumentError
 from ..registry import register_op
-from ..shapes import TensorShape
+from ..shapes import TensorShape, shape_of
 
 __all__ = ["TensorArray", "TensorArrayValue"]
 
@@ -106,23 +106,36 @@ class TensorArrayValue:
 
 
 # -- kernels -----------------------------------------------------------------
+#
+# A flow value (the array's state) is a 0-d ``variant``.  A read or pop
+# declares the element shape its handle knows, passed as ``stack``'s is.
+
+
+def _flow_shape_fn(inputs, attrs):
+    return [TensorShape([])]
+
 
 register_op("TensorArrayNew", lambda size=0: TensorArrayValue([None] * int(size)),
-            fresh_output=True, dtype_fn=lambda dts, attrs: [dtypes.variant])
-register_op("TensorArrayWrite", lambda ta, i, v: ta.write(np.asarray(i), v),
+            fresh_output=True, shape_fn=_flow_shape_fn,
             dtype_fn=lambda dts, attrs: [dtypes.variant])
-register_op("TensorArrayRead", lambda ta, i: ta.read(np.asarray(i)))
+register_op("TensorArrayWrite", lambda ta, i, v: ta.write(np.asarray(i), v),
+            shape_fn=_flow_shape_fn, dtype_fn=lambda dts, attrs: [dtypes.variant])
+register_op("TensorArrayRead",
+            lambda ta, i, element_shape=None: ta.read(np.asarray(i)),
+            shape_fn=lambda ins, attrs: [TensorShape(attrs.get("element_shape"))])
 register_op("TensorArrayStack", TensorArrayValue.stack, fresh_output=True,
-            shape_fn=lambda ss, attrs: [TensorShape(
-                None if attrs.get("element_shape") is None
-                else (None, *attrs["element_shape"]))])
+            shape_fn=lambda ins, attrs: [TensorShape([None]).concatenate(
+                TensorShape(attrs.get("element_shape")))])
 register_op("TensorArraySize", lambda ta: ta.size(), fresh_output=True,
-            dtype_fn=lambda dts, attrs: [dtypes.int32])
-register_op("TensorArrayPop", TensorArrayValue.pop, num_outputs=2,
+            shape_fn=_flow_shape_fn, dtype_fn=lambda dts, attrs: [dtypes.int32])
+register_op("TensorArrayPop", lambda ta, element_shape=None: ta.pop(),
+            num_outputs=2,
+            shape_fn=lambda ins, attrs: [
+                TensorShape([]), TensorShape(attrs.get("element_shape"))],
             dtype_fn=lambda dts, attrs: [dtypes.variant, dtypes.variant])
 register_op("TensorArrayFromTensor",
             lambda t: TensorArrayValue([np.asarray(t)[i] for i in range(np.asarray(t).shape[0])]),
-            dtype_fn=lambda dts, attrs: [dtypes.variant])
+            shape_fn=_flow_shape_fn, dtype_fn=lambda dts, attrs: [dtypes.variant])
 
 
 def _run(op_type, inputs, attrs=None):
@@ -175,7 +188,8 @@ class TensorArray:
                            element_shape=element_shape)
 
     def read(self, index):
-        return _run("TensorArrayRead", [self.flow, index])
+        return _run("TensorArrayRead", [self.flow, index],
+                    {"element_shape": self.element_shape})
 
     def stack(self):
         """Stack all elements along a new leading axis."""
@@ -188,7 +202,8 @@ class TensorArray:
 
     def pop(self):
         """Drop the last element; returns ``(shorter array, element)``."""
-        flow, value = _run("TensorArrayPop", [self.flow])
+        flow, value = _run("TensorArrayPop", [self.flow],
+                           {"element_shape": self.element_shape})
         return TensorArray(self.element_dtype, flow=flow,
                            element_shape=self.element_shape), value
 
@@ -196,7 +211,9 @@ class TensorArray:
     def unstack(cls, tensor, dtype=dtypes.float32):
         """Build a TensorArray from the rows of ``tensor``."""
         flow = _run("TensorArrayFromTensor", [tensor])
-        return cls(dtype, flow=flow)
+        dims = shape_of(tensor).dims
+        return cls(dtype, flow=flow,
+                   element_shape=None if dims is None else dims[1:])
 
     def __repr__(self):
         return f"<TensorArray dtype={self.element_dtype.name}>"
@@ -207,4 +224,4 @@ def _ta_new_dynamic_kernel(size):
 
 
 register_op("TensorArrayNewDynamic", _ta_new_dynamic_kernel, fresh_output=True,
-            dtype_fn=lambda dts, attrs: [dtypes.variant])
+            shape_fn=_flow_shape_fn, dtype_fn=lambda dts, attrs: [dtypes.variant])

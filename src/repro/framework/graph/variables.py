@@ -232,6 +232,8 @@ class Variable(TensorOpsMixin):
             root.add_to_collection("subgraph_variable_reads", self)
         op = g.create_op("ReadVariable", [], {"state": self._state},
                          name=f"{self._name}/read")
+        # The op's rule cannot see this shape: its ``state`` cell holds
+        # the variable's dtype only (its value may not exist yet).
         op.outputs[0].set_shape(self._shape)
         return op.outputs[0]
 

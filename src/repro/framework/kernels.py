@@ -10,6 +10,7 @@ between modes is where the per-op Python dispatch overhead is paid.
 from __future__ import annotations
 
 import functools
+import math
 import sys
 
 import numpy as np
@@ -17,21 +18,34 @@ import numpy as np
 from . import dtypes, shapes
 from .errors import ExecutionError, InvalidArgumentError
 from .registry import register_op
+from .shapes import TensorShape, constant_value, shape_of, shape_value
 
 # ---------------------------------------------------------------------------
-# Shape/dtype inference helpers (best-effort; unknown is always legal).
+# Shape/dtype rules (unknown is always legal; see ``repro.framework.shapes``).
 # ---------------------------------------------------------------------------
 
 
-def _broadcast_shape_fn(input_shapes, attrs):
+def _broadcast_shape_fn(inputs, attrs):
     try:
-        return [functools.reduce(shapes.broadcast_shapes, input_shapes)]
+        return [functools.reduce(shapes.broadcast_shapes, map(shape_of, inputs))]
     except ValueError:
         return [shapes.unknown]
 
 
-def _same_shape_fn(input_shapes, attrs):
-    return [input_shapes[0]]
+def _same_shape_fn(inputs, attrs):
+    return [shape_of(inputs[0])]
+
+
+def declared_shapes(inputs, attrs):
+    """The shape rule of an op whose uses declare their output shapes
+    (``Placeholder``, ``Cond``, ``While``).  The attr keeps its name
+    from when it overrode inference, so older artifacts still load."""
+    return attrs["_shape_override"]
+
+
+def declared_dtypes(input_dtypes, attrs):
+    """The dtype rule of an op whose uses declare their output dtypes."""
+    return attrs["_dtype_override"]
 
 
 def _first_dtype_fn(input_dtypes, attrs):
@@ -164,21 +178,38 @@ def _matmul_kernel(a, b, transpose_a=False, transpose_b=False, out=None):
     return np.matmul(a, b, out=out, casting="safe")
 
 
-def _matmul_shape_fn(input_shapes, attrs):
-    sa, sb = input_shapes
+def _matmul_shape_fn(inputs, attrs):
+    sa, sb = map(shape_of, inputs)
     if sa.dims is None or sb.dims is None or sa.rank != 2 or sb.rank != 2:
         return [shapes.unknown]
     m = sa[1] if attrs.get("transpose_a") else sa[0]
     n = sb[0] if attrs.get("transpose_b") else sb[1]
-    return [shapes.TensorShape([m, n])]
+    return [TensorShape([m, n])]
 
 
 register_op("MatMul", _matmul_kernel, shape_fn=_matmul_shape_fn,
             dtype_fn=dtypes.numpy_dtype_fn(_matmul_kernel),
             inplace_kernel=_matmul_kernel, fresh_output=True)
 
+
+def _tensordot_shape_fn(inputs, attrs):
+    """The operands' dimensions that ``axes`` does not contract, ``a``'s
+    then ``b``'s."""
+    sa, sb = map(shape_of, inputs)
+    if sa.rank is None or sb.rank is None:
+        return [shapes.unknown]
+    axes = attrs.get("axes", 2)
+    if np.ndim(axes) == 0:
+        axes = int(axes)
+        axes = (range(sa.rank - axes, sa.rank), range(axes))
+    contracted = [{int(a) % s.rank for a in np.ravel(ax)}
+                  for s, ax in zip((sa, sb), axes)]
+    return [TensorShape([d for s, drop in zip((sa, sb), contracted)
+                         for i, d in enumerate(s.dims) if i not in drop])]
+
+
 # (``ops.tensordot`` always passes ``axes``; its default is 1, NumPy's 2.)
-register_op("Tensordot", np.tensordot,
+register_op("Tensordot", np.tensordot, shape_fn=_tensordot_shape_fn,
             dtype_fn=dtypes.numpy_dtype_fn(np.tensordot), fresh_output=True)
 
 # ---------------------------------------------------------------------------
@@ -194,8 +225,8 @@ def _norm_axis(axis):
     return int(axis)
 
 
-def _reduce_shape_fn(input_shapes, attrs):
-    s = input_shapes[0]
+def _reduce_shape_fn(inputs, attrs):
+    s = shape_of(inputs[0])
     axis = _norm_axis(attrs.get("axis"))
     keepdims = bool(attrs.get("keepdims", False))
     if s.dims is None:
@@ -216,7 +247,7 @@ def _reduce_shape_fn(input_shapes, attrs):
                 dims.append(1)
         else:
             dims.append(d)
-    return [shapes.TensorShape(dims)]
+    return [TensorShape(dims)]
 
 
 def _make_reduce(name, np_fn):
@@ -240,7 +271,16 @@ def _argmax_kernel(a, axis=0):
     return np.argmax(a, axis=int(axis)).astype(np.int64)
 
 
-register_op("ArgMax", _argmax_kernel, fresh_output=True,
+def _arg_shape_fn(inputs, attrs):
+    """The operand's dimensions less ``axis`` (a 0-d operand's is 0-d)."""
+    dims = shape_of(inputs[0]).dims
+    if not dims:
+        return [TensorShape(dims)]
+    axis = int(attrs.get("axis", 0)) % len(dims)
+    return [TensorShape(dims[:axis] + dims[axis + 1:])]
+
+
+register_op("ArgMax", _argmax_kernel, fresh_output=True, shape_fn=_arg_shape_fn,
             dtype_fn=lambda dts, attrs: [dtypes.int64])
 
 
@@ -248,7 +288,7 @@ def _argmin_kernel(a, axis=0):
     return np.argmin(a, axis=int(axis)).astype(np.int64)
 
 
-register_op("ArgMin", _argmin_kernel, fresh_output=True,
+register_op("ArgMin", _argmin_kernel, fresh_output=True, shape_fn=_arg_shape_fn,
             dtype_fn=lambda dts, attrs: [dtypes.int64])
 
 
@@ -265,10 +305,22 @@ def _topk_kernel(a, k):
     return values, idx.astype(np.int64)
 
 
+def _topk_shape_fn(inputs, attrs):
+    """The operand's shape with its last dimension ``k``, for both the
+    values and the indices."""
+    dims = shape_of(inputs[0]).dims
+    if not dims:
+        return [shapes.unknown] * 2
+    k = constant_value(inputs[1])
+    out = TensorShape(dims[:-1] + (None if k is None else int(k),))
+    return [out, out]
+
+
 register_op(
     "TopK",
     _topk_kernel,
     num_outputs=2,
+    shape_fn=_topk_shape_fn,
     dtype_fn=lambda dts, attrs: [dts[0], dtypes.int64],
     fresh_output=True,
 )
@@ -285,19 +337,18 @@ def _shape_kernel(a):
 register_op(
     "Shape",
     _shape_kernel,
-    shape_fn=lambda ss, attrs: [
-        shapes.TensorShape([ss[0].rank]) if ss[0].dims is not None else shapes.unknown
-    ],
+    shape_fn=lambda ins, attrs: [TensorShape(
+        None if shape_of(ins[0]).rank is None else [shape_of(ins[0]).rank])],
     dtype_fn=lambda dts, attrs: [dtypes.int32],
     fresh_output=True,
 )
 register_op("Size", lambda a: np.asarray(np.size(a), dtype=np.int32),
             dtype_fn=lambda dts, attrs: [dtypes.int32],
-            shape_fn=lambda ss, attrs: [shapes.TensorShape([])],
+            shape_fn=lambda ins, attrs: [TensorShape([])],
             fresh_output=True)
 register_op("Rank", lambda a: np.asarray(np.ndim(a), dtype=np.int32),
             dtype_fn=lambda dts, attrs: [dtypes.int32],
-            shape_fn=lambda ss, attrs: [shapes.TensorShape([])],
+            shape_fn=lambda ins, attrs: [TensorShape([])],
             fresh_output=True)
 
 
@@ -305,22 +356,37 @@ def _reshape_kernel(a, new_shape):
     return np.reshape(np.asarray(a), tuple(int(d) for d in np.asarray(new_shape).ravel()))
 
 
-register_op("Reshape", _reshape_kernel, dtype_fn=_first_dtype_fn)
+def _reshape_shape_fn(inputs, attrs):
+    """The target's dimensions, a ``-1`` solved where the operand's size
+    and every other dimension are known."""
+    dims = shape_value(inputs[1])
+    if dims is None or -1 not in dims:
+        return [TensorShape(dims)]
+    at = dims.index(-1)
+    rest = dims[:at] + dims[at + 1:]
+    size = shape_of(inputs[0]).num_elements()
+    known = None not in rest and size is not None and math.prod(rest)
+    solved = size // known if known and not size % known else None
+    return [TensorShape(dims[:at] + (solved,) + dims[at + 1:])]
+
+
+register_op("Reshape", _reshape_kernel, dtype_fn=_first_dtype_fn,
+            shape_fn=_reshape_shape_fn)
 
 
 def _expand_dims_kernel(a, axis=0):
     return np.expand_dims(np.asarray(a), int(axis))
 
 
-def _expand_dims_shape_fn(ss, attrs):
-    dims = ss[0].dims
+def _expand_dims_shape_fn(inputs, attrs):
+    dims = shape_of(inputs[0]).dims
     if dims is None:
         return [shapes.unknown]
     axis = int(attrs.get("axis", 0))
     axis += len(dims) + 1 if axis < 0 else 0
     if not 0 <= axis <= len(dims):
         return [shapes.unknown]
-    return [shapes.TensorShape(dims[:axis] + (1,) + dims[axis:])]
+    return [TensorShape(dims[:axis] + (1,) + dims[axis:])]
 
 
 register_op("ExpandDims", _expand_dims_kernel, dtype_fn=_first_dtype_fn,
@@ -331,19 +397,19 @@ def _squeeze_kernel(a, axis=None):
     return np.squeeze(np.asarray(a), axis=None if axis is None else int(axis))
 
 
-def _squeeze_shape_fn(ss, attrs):
+def _squeeze_shape_fn(inputs, attrs):
     """The operand's dimensions less the squeezed one (with no ``axis``,
     every 1, which needs every dimension known)."""
-    dims, axis = ss[0].dims, attrs.get("axis")
+    dims, axis = shape_of(inputs[0]).dims, attrs.get("axis")
     if dims is None or axis is None and None in dims:
         return [shapes.unknown]
     if axis is None:
-        return [shapes.TensorShape([d for d in dims if d != 1])]
+        return [TensorShape([d for d in dims if d != 1])]
     axis = int(axis)
     axis += len(dims) if axis < 0 else 0
     if not 0 <= axis < len(dims) or dims[axis] not in (1, None):
         return [shapes.unknown]
-    return [shapes.TensorShape(dims[:axis] + dims[axis + 1:])]
+    return [TensorShape(dims[:axis] + dims[axis + 1:])]
 
 
 register_op("Squeeze", _squeeze_kernel, dtype_fn=_first_dtype_fn,
@@ -354,14 +420,14 @@ def _transpose_kernel(a, perm=None):
     return np.transpose(np.asarray(a), None if perm is None else tuple(int(p) for p in perm))
 
 
-def _transpose_shape_fn(input_shapes, attrs):
-    s = input_shapes[0]
+def _transpose_shape_fn(inputs, attrs):
+    s = shape_of(inputs[0])
     perm = attrs.get("perm")
     if s.dims is None:
         return [shapes.unknown]
     if perm is None:
-        return [shapes.TensorShape(tuple(reversed(s.dims)))]
-    return [shapes.TensorShape(tuple(s.dims[int(p)] for p in perm))]
+        return [TensorShape(tuple(reversed(s.dims)))]
+    return [TensorShape(tuple(s.dims[int(p)] for p in perm))]
 
 
 register_op("Transpose", _transpose_kernel, shape_fn=_transpose_shape_fn, dtype_fn=_first_dtype_fn)
@@ -371,12 +437,13 @@ def _concat_kernel(*args, axis=0):
     return np.concatenate(args, axis=int(axis))
 
 
-def _concat_shape_fn(ss, attrs):
+def _concat_shape_fn(inputs, attrs):
+    ss = [shape_of(x) for x in inputs]
     axis = int(attrs.get("axis", 0))
     dims = list(ss[0].as_tuple())
     along = [s.as_tuple()[axis] for s in ss]
     dims[axis] = None if None in along else sum(along)
-    return [shapes.TensorShape(dims)]
+    return [TensorShape(dims)]
 
 
 register_op("Concat", _concat_kernel, shape_fn=_concat_shape_fn,
@@ -387,9 +454,10 @@ def _pack_kernel(*args, axis=0):
     return np.stack([np.asarray(a) for a in args], axis=int(axis))
 
 
-def _pack_shape_fn(ss, attrs):
+def _pack_shape_fn(inputs, attrs):
     """What every operand's shape agrees on, with the operand count
     inserted at ``axis``."""
+    ss = [shape_of(x) for x in inputs]
     if not ss:
         return [shapes.unknown]
     try:
@@ -403,7 +471,7 @@ def _pack_shape_fn(ss, attrs):
     if not 0 <= axis <= merged.rank:
         return [shapes.unknown]
     dims = merged.dims
-    return [shapes.TensorShape(dims[:axis] + (len(ss),) + dims[axis:])]
+    return [TensorShape(dims[:axis] + (len(ss),) + dims[axis:])]
 
 
 register_op("Pack", _pack_kernel, dtype_fn=dtypes.numpy_dtype_fn(_pack_kernel),
@@ -414,22 +482,56 @@ def _tile_kernel(a, multiples):
     return np.tile(np.asarray(a), tuple(int(m) for m in np.asarray(multiples).ravel()))
 
 
-register_op("Tile", _tile_kernel, dtype_fn=_first_dtype_fn, fresh_output=True)
+def _tile_shape_fn(inputs, attrs):
+    """Each dimension times its multiple, the shorter of the two padded
+    with leading 1s (``np.tile``'s rule)."""
+    dims, reps = shape_of(inputs[0]).dims, shape_value(inputs[1])
+    if dims is None or reps is None:
+        return [shapes.unknown]
+    n = max(len(dims), len(reps))
+    dims = (1,) * (n - len(dims)) + dims
+    reps = (1,) * (n - len(reps)) + reps
+    return [TensorShape([None if d is None or r is None else d * r
+                         for d, r in zip(dims, reps)])]
+
+
+register_op("Tile", _tile_kernel, dtype_fn=_first_dtype_fn, fresh_output=True,
+            shape_fn=_tile_shape_fn)
 
 
 def _gather_kernel(params, indices, axis=0):
     return np.take(np.asarray(params), np.asarray(indices), axis=int(axis))
 
 
-register_op("Gather", _gather_kernel, dtype_fn=_first_dtype_fn, fresh_output=True)
+def _gather_shape_fn(inputs, attrs):
+    """``params``' dimensions with the one at ``axis`` replaced by the
+    indices' shape."""
+    params, indices = map(shape_of, inputs)
+    if params.rank is None or indices.rank is None:
+        return [shapes.unknown]
+    axis = int(attrs.get("axis", 0)) % params.rank
+    return [params[:axis].concatenate(indices).concatenate(params[axis + 1:])]
+
+
+register_op("Gather", _gather_kernel, dtype_fn=_first_dtype_fn, fresh_output=True,
+            shape_fn=_gather_shape_fn)
 
 
 def _boolean_mask_kernel(a, mask):
     return np.asarray(a)[np.asarray(mask, dtype=bool)]
 
 
+def _boolean_mask_shape_fn(inputs, attrs):
+    """One unknown dimension (the count of true entries, a value) for
+    the mask's, then the operand's dimensions past them."""
+    a, mask = map(shape_of, inputs)
+    if a.rank is None or mask.rank is None:
+        return [shapes.unknown]
+    return [TensorShape((None,) + a.dims[mask.rank:])]
+
+
 register_op("BooleanMask", _boolean_mask_kernel, dtype_fn=_first_dtype_fn,
-            fresh_output=True)
+            fresh_output=True, shape_fn=_boolean_mask_shape_fn)
 
 # -- General item access: x[spec], with tensor-valued indices spliced in. ----
 #
@@ -486,7 +588,7 @@ def _getitem_kernel(a, *index_inputs, spec=()):
     return np.asarray(a)[_materialize_spec(spec, index_inputs)]
 
 
-def _getitem_shape_fn(ss, attrs):
+def _getitem_shape_fn(inputs, attrs):
     """NumPy's own answer, indexing a zero-stride stand-in of the static
     shape with 0 for each scalar tensor index; an index array, a dynamic
     slice bound or an unknown rank leaves the result unknown.
@@ -497,6 +599,7 @@ def _getitem_shape_fn(ss, attrs):
     differs between the trials depends on it and stays unknown (a trial
     that raises is a size the index rules out)."""
     spec = attrs["spec"]
+    ss = [shape_of(x) for x in inputs]
     if (ss[0].rank is None or any(s.rank != 0 for s in ss[1:])
             or any("T" in e for e in spec)):
         return [shapes.unknown]
@@ -518,7 +621,7 @@ def _getitem_shape_fn(ss, attrs):
             except IndexError:
                 continue
             out = [a if a == b else None for a, b in zip(out, trial)]
-    return [shapes.TensorShape(out)]
+    return [TensorShape(out)]
 
 
 register_op("GetItem", _getitem_kernel, shape_fn=_getitem_shape_fn,
@@ -546,7 +649,7 @@ def _const_kernel(value=None):
 register_op(
     "Const",
     _const_kernel,
-    shape_fn=lambda ss, attrs: [shapes.TensorShape(np.shape(attrs.get("value")))],
+    shape_fn=lambda ins, attrs: [TensorShape(np.shape(attrs.get("value")))],
     dtype_fn=lambda dts, attrs: [dtypes.from_numpy(np.asarray(attrs.get("value")).dtype)],
 )
 
@@ -555,15 +658,22 @@ def _placeholder_kernel(**attrs):  # pragma: no cover - never executed
     raise ExecutionError("Placeholder value was not fed")
 
 
-register_op("Placeholder", _placeholder_kernel)
+register_op("Placeholder", _placeholder_kernel, shape_fn=declared_shapes,
+            dtype_fn=declared_dtypes)
 
 
 def _fill_kernel(dims, value):
     return np.full(tuple(int(d) for d in np.asarray(dims).ravel()), value)
 
 
+def _dims_shape_fn(inputs, attrs):
+    """The dimensions the first operand spells (``fill``'s and the
+    random ops' ``shape``)."""
+    return [TensorShape(shape_value(inputs[0]))]
+
+
 register_op("Fill", _fill_kernel, dtype_fn=lambda dts, attrs: [dts[1]],
-            fresh_output=True)
+            shape_fn=_dims_shape_fn, fresh_output=True)
 
 
 def _zeros_like_kernel(a):
@@ -591,9 +701,22 @@ def _range_dtype_fn(input_dtypes, attrs):
     return [dtypes.float64 if floating else dtypes.int32]
 
 
+def _range_shape_fn(inputs, attrs):
+    """``np.arange``'s length where all three bounds are known."""
+    bounds = [constant_value(x) for x in inputs]
+    if any(b is None for b in bounds):
+        return [TensorShape([None])]
+    start, limit, delta = (np.asarray(b).item() for b in bounds)
+    if all(isinstance(b, int) for b in (start, limit, delta)):
+        return [TensorShape([len(range(start, limit, delta))])]
+    n = (limit - start) / delta
+    if n == 0 and limit != start:  # NumPy's underflow case
+        return [TensorShape([0 if math.copysign(1, n) < 0 else 1])]
+    return [TensorShape([max(0, math.ceil(n))])]
+
+
 register_op("Range", _range_kernel, dtype_fn=_range_dtype_fn,
-            shape_fn=lambda ss, attrs: [shapes.TensorShape([None])],
-            fresh_output=True)
+            shape_fn=_range_shape_fn, fresh_output=True)
 
 
 def _one_hot_kernel(indices, depth, on_value=1.0, off_value=0.0, dtype="float32"):
@@ -609,7 +732,14 @@ def _one_hot_kernel(indices, depth, on_value=1.0, off_value=0.0, dtype="float32"
     return out
 
 
-register_op("OneHot", _one_hot_kernel, fresh_output=True,
+def _one_hot_shape_fn(inputs, attrs):
+    """The indices' shape and then ``depth``."""
+    depth = constant_value(inputs[1])
+    return [shape_of(inputs[0]).concatenate(
+        [None if depth is None else int(depth)])]
+
+
+register_op("OneHot", _one_hot_kernel, fresh_output=True, shape_fn=_one_hot_shape_fn,
             dtype_fn=lambda dts, attrs: [dtypes.as_dtype(attrs.get("dtype", "float32"))])
 
 
@@ -634,8 +764,8 @@ def _select_kernel(cond, x, y):
     return np.where(cond, x, y)
 
 
-def _select_shape_fn(input_shapes, attrs):
-    cond, x, y = input_shapes
+def _select_shape_fn(inputs, attrs):
+    cond, x, y = map(shape_of, inputs)
     if cond.rank and x.rank is not None and cond.rank < x.rank:
         cond = cond.concatenate([1] * (x.rank - cond.rank))
     try:
@@ -685,9 +815,8 @@ register_op(
     "SoftmaxCrossEntropyWithLogits",
     _softmax_xent_kernel,
     dtype_fn=dtypes.numpy_dtype_fn(_softmax_xent_kernel),
-    shape_fn=lambda ss, attrs: [
-        shapes.TensorShape(ss[1].dims[:-1]) if ss[1].dims is not None else shapes.unknown
-    ],
+    shape_fn=lambda ins, attrs: [TensorShape(
+        None if shape_of(ins[1]).rank is None else shape_of(ins[1]).dims[:-1])],
     fresh_output=True,
 )
 
@@ -700,9 +829,17 @@ def _sparse_softmax_xent_kernel(labels, logits):
     return -log_probs[rows, labels]
 
 
+def _sparse_softmax_xent_shape_fn(inputs, attrs):
+    """One loss per label, for rank-1 labels over rank-2 logits."""
+    labels, logits = map(shape_of, inputs)
+    if labels.rank != 1 or logits.rank != 2:
+        return [shapes.unknown]
+    return [labels]
+
+
 register_op("SparseSoftmaxCrossEntropyWithLogits", _sparse_softmax_xent_kernel,
             dtype_fn=dtypes.numpy_dtype_fn(_sparse_softmax_xent_kernel),
-            fresh_output=True)
+            shape_fn=_sparse_softmax_xent_shape_fn, fresh_output=True)
 
 # ---------------------------------------------------------------------------
 # Random ops (stateful; deterministic under repro.framework.random.set_seed)
@@ -728,6 +865,7 @@ def _random_normal_kernel(shape, mean=0.0, stddev=1.0, dtype="float32"):
 
 
 register_op("RandomNormal", _random_normal_kernel, stateful=True, fresh_output=True,
+            shape_fn=_dims_shape_fn,
             dtype_fn=lambda dts, attrs: [dtypes.as_dtype(attrs.get("dtype", "float32"))])
 
 
@@ -742,6 +880,7 @@ def _random_uniform_kernel(shape, minval=0.0, maxval=1.0, dtype="float32"):
 
 
 register_op("RandomUniform", _random_uniform_kernel, stateful=True, fresh_output=True,
+            shape_fn=_dims_shape_fn,
             dtype_fn=lambda dts, attrs: [dtypes.as_dtype(attrs.get("dtype", "float32"))])
 
 # ---------------------------------------------------------------------------
@@ -763,7 +902,7 @@ def _print_kernel(*args, sep=" ", end="\n", stream=None):
 
 register_op("PrintV2", _print_kernel, stateful=True, fresh_output=True,
             dtype_fn=lambda dts, attrs: [dtypes.int32],
-            shape_fn=lambda ss, attrs: [shapes.TensorShape([])])
+            shape_fn=lambda ins, attrs: [TensorShape([])])
 
 
 def _assert_kernel(cond, *data, message="Assertion failed"):

@@ -22,8 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..dtypes import numpy_dtype_fn
-from ..graph.graph import Tensor
 from ..registry import register_gradient, register_op
+from ..shapes import shape_of
 from . import array_ops, dispatch, math_ops, nn_ops
 
 # ---------------------------------------------------------------------------
@@ -47,7 +47,7 @@ def _unbroadcast_kernel(grad, target):
 
 register_op("UnbroadcastTo", _unbroadcast_kernel,
             dtype_fn=numpy_dtype_fn(_unbroadcast_kernel),
-            shape_fn=lambda ss, attrs: [ss[1]])
+            shape_fn=lambda ins, attrs: [shape_of(ins[1])])
 
 
 def _unbroadcast(grad, like):
@@ -65,7 +65,7 @@ def _getitem_grad_kernel(grad, x, *index_inputs, spec=()):
 
 register_op("GetItemGrad", _getitem_grad_kernel, fresh_output=True,
             dtype_fn=lambda dts, attrs: [dts[1]],
-            shape_fn=lambda ss, attrs: [ss[1]])
+            shape_fn=lambda ins, attrs: [shape_of(ins[1])])
 
 
 # ---------------------------------------------------------------------------
@@ -80,16 +80,6 @@ def _along(axis, index):
     if axis < 0:
         return (Ellipsis, index) + (slice(None),) * (-axis - 1)
     return (slice(None),) * axis + (index,)
-
-
-def _shaped_like(t, like):
-    """``t``, declared (when staged) with ``like``'s static shape, which
-    the ops that made it cannot tell: no shape rule reads the value a
-    ``reshape`` or ``one_hot`` takes its shape from, and the sparse
-    cross-entropy has none."""
-    if isinstance(t, Tensor):
-        t.set_shape(like.shape)
-    return t
 
 
 def _keep_reduced_dims(op, t):
@@ -365,7 +355,7 @@ def _reshape_grad(op, g):
     x = op.inputs[0]
     shape = (x.shape.as_tuple() if x.shape.is_fully_defined
              else array_ops.shape(x))
-    grad = _shaped_like(array_ops.reshape(g, shape), x)
+    grad = array_ops.reshape(g, shape)
     # Reshape's second operand, the new shape, gets none.
     return [grad] + [None] * (len(op.inputs) - 1)
 
@@ -426,9 +416,9 @@ def _pack_grad(op, g):
 
 def _xent_grad(g, logits, labels):
     # softmax(logits) - labels, each row scaled by its loss's gradient.
-    return _shaped_like(math_ops.multiply(
+    return math_ops.multiply(
         math_ops.subtract(nn_ops.softmax(logits), labels),
-        array_ops.get_item(g, (Ellipsis, None))), logits)
+        array_ops.get_item(g, (Ellipsis, None)))
 
 
 @register_gradient("SoftmaxCrossEntropyWithLogits")

@@ -55,7 +55,13 @@ class OpDef:
         int`` for a variadic type (see :meth:`output_count`).
       grad_fn: ``fn(op, *output_grads) -> [input_grads]`` written against
         the public ops API; None when not differentiable.
-      shape_fn: optional ``fn(input_shapes, attrs) -> [TensorShape]``.
+      shape_fn: optional ``fn(inputs, attrs) -> [TensorShape]``, the
+        only source of a staged output's static shape.  ``inputs`` are
+        the operands themselves (graph tensors, or a tracer's values):
+        a rule reads their shapes with ``shapes.shape_of`` and reads a
+        value — a reshape's target, a fill's dims — with
+        ``shapes.constant_value`` / ``shape_value`` only for the operand
+        it needs.  No rule (or one that raises) declares unknown.
       dtype_fn: optional ``fn(input_dtypes, attrs) -> [DType]``.
       stateful: True for ops with side effects (variables, random, print);
         stateful ops are never deduplicated or constant-folded.

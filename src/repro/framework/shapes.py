@@ -1,14 +1,26 @@
-"""Tensor shapes with partial (unknown) dimension support.
+"""Tensor shapes with partial (unknown) dimension support, and the one
+reader of what an operand's value is known to be before anything runs.
 
 ``TensorShape`` mirrors TensorFlow's shape objects: a rank may be unknown
 (``TensorShape(None)``) and any dimension may be unknown (``None``).
-Shape inference in the graph builder is best-effort; unknown shapes are
-always legal and resolved at run time by the executors.
+
+Every op's static shape is its registry rule's answer
+(``OpDef.shape_fn``), and nothing patches it afterwards.  A rule is
+handed the op's operands: it reads their static shapes with
+:func:`shape_of` and, for the one operand a result's shape is spelled
+in (``reshape``'s target, ``fill``'s dims, ``one_hot``'s depth), its
+value with :func:`constant_value` / :func:`shape_value`, TensorFlow's
+``constant_value`` / ``constant_value_as_shape``.  A dimension no rule
+can know (a ``boolean_mask``'s count, a target fed at run time) is
+unknown, which is always legal: the executors resolve it at run time.
 """
 
 from __future__ import annotations
 
-__all__ = ["TensorShape", "broadcast_shapes", "unknown"]
+import numpy as np
+
+__all__ = ["TensorShape", "broadcast_shapes", "unknown", "shape_of",
+           "constant_value", "shape_value"]
 
 
 class TensorShape:
@@ -173,3 +185,64 @@ def broadcast_shapes(a, b):
         else:
             raise ValueError(f"Shapes {a} and {b} are not broadcastable")
     return TensorShape(out)
+
+
+_NO_SHAPE = object()
+
+
+def shape_of(operand):
+    """An op operand's static shape: a graph tensor's declared one, or a
+    concrete value's own (a tracer's ``shape`` may be a tuple, or None
+    where unknown)."""
+    shape = getattr(operand, "shape", _NO_SHAPE)
+    if isinstance(shape, TensorShape):
+        return shape
+    return TensorShape(np.shape(operand) if shape is _NO_SHAPE else shape)
+
+
+def constant_value(operand):
+    """What ``operand`` holds, when that is known before anything runs;
+    else None.
+
+    A concrete ndarray is its own value.  A graph tensor's is known when
+    its op is a ``Const``, a ``Shape`` of a fully known operand, or a
+    ``Pack`` of operands whose values are known.  Nothing is evaluated
+    but that ``Pack``: a rule asks only for the operand it reads.
+    """
+    if isinstance(operand, np.ndarray):
+        return operand
+    op = getattr(operand, "op", None)
+    kind = getattr(op, "type", None)
+    if kind == "Const":
+        return np.asarray(op.attrs["value"])
+    if kind == "Shape":
+        dims = op.inputs[0].shape
+        return (np.asarray(dims.dims, np.int32) if dims.is_fully_defined
+                else None)
+    if kind == "Pack":
+        values = [constant_value(t) for t in op.inputs]
+        if values and all(v is not None for v in values):
+            return op.op_def.kernel(*values, **op.attrs)
+    return None
+
+
+def shape_value(operand):
+    """The dimensions a shape operand spells (every element, flattened,
+    as a kernel reads it): ints where known, ``-1`` kept, None where
+    unknown; None when not even their number is known.
+
+    A ``Shape`` of a partly known operand and a ``Pack`` of scalars are
+    read entry by entry, so ``reshape(g, shape(x))`` keeps what is known
+    of ``x``'s shape."""
+    value = constant_value(operand)
+    if value is not None:
+        return tuple(int(d) for d in np.ravel(value))
+    op = getattr(operand, "op", None)
+    kind = getattr(op, "type", None)
+    if kind == "Shape":
+        return op.inputs[0].shape.dims
+    if kind == "Pack" and all(t.shape.rank == 0 for t in op.inputs):
+        return tuple(None if v is None else int(v)
+                     for v in map(constant_value, op.inputs))
+    n = shape_of(operand).num_elements()
+    return None if n is None else (None,) * n

@@ -192,13 +192,15 @@ def static_shape(value):
 def _result_shape(op_name, args):
     """The static shape of ``op_name`` on ``args``: the ``shape_fn`` of
     the registry op it lowers from, or None where there is no such op
-    or rule."""
+    or rule.  A concrete argument is passed as the array it is, so a
+    rule that reads an operand's value reads it."""
     graph = OPS[op_name].graph
     op_def = graph and op_def_or_none(graph[0])
     if op_def is None or op_def.shape_fn is None:
         return None
     try:
-        return op_def.shape_fn([static_shape(a) for a in args], graph[1])[0]
+        return op_def.shape_fn([a if isinstance(a, StagedValue) else np.asarray(a)
+                                for a in args], graph[1])[0]
     except Exception:  # noqa: BLE001 - no rule for these operands
         return None
 

@@ -158,3 +158,44 @@ def test_a_zeros_like_another_op_reads_stays():
     new_g, _ = optimize_graph(g, [y, other])
     assert count_ops(new_g, "ZerosLike") == 1
     assert count_ops(new_g, "Select") == 2
+
+
+def test_a_name_given_is_never_one_already_taken():
+    g = fw.Graph()
+    with g.as_default():
+        x = ops.placeholder(fw.float32, [])
+        made = [ops.add(x, 1.0), ops.add(x, 2.0), ops.add(x, 3.0, name="Add_1"),
+                ops.add(x, 4.0)]
+    names = [t.op.name for t in made]
+    assert names == ["Add", "Add_1", "Add_1_1", "Add_2"]
+    assert len({op.name for op in g.ops}) == len(g.ops)
+
+
+def test_an_optimized_op_keeps_its_scoped_name():
+    g = fw.Graph()
+    with g.as_default():
+        x = ops.placeholder(fw.float32, [3])
+        with g.name_scope("a"):
+            y = ops.add(x, 1.0)
+        with g.name_scope("b"):
+            z = ops.add(y, 2.0)
+    new_g, fmap = optimize_graph(g, [y, z])
+    assert fmap[y].op.name == "a/Add" and fmap[z].op.name == "b/Add"
+    assert len({op.name for op in new_g.ops}) == len(new_g.ops)
+
+
+def test_a_staged_loop_body_names_its_variable_reads():
+    import repro
+    from bench import models
+    from repro import nn
+    from repro.framework.graph.func_graph import bound_func_graph
+
+    rng = np.random.default_rng(0)
+    cell = nn.BasicRNNCell(4, input_dim=4, rng=rng)
+    rnn = repro.function(models.make_rnn_staged(cell, 2))
+    x = rng.normal(size=(2, 3, 4)).astype(np.float32)
+    lengths = np.full(2, 3, np.int32)
+    cf = rnn.get_concrete_function(x, lengths)
+    (body,) = [bound_func_graph(op.attrs["body_graph"])[0].plan
+               for op in cf.optimized_graph.ops if op.type == "While"]
+    assert "rnn_cell_w/read" in body.describe()
